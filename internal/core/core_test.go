@@ -547,3 +547,47 @@ func TestHeterogeneousConfigPreset(t *testing.T) {
 		t.Errorf("compute %v too fast for a coprocessor core", run.Threads[0].ComputeTime)
 	}
 }
+
+// Adopted lines are private. Three threads fetch the same line; each
+// cache keeps the reply it was handed as its line storage. Thread 0 then
+// stores into its copy with no release while thread 1 keeps reading its
+// own and thread 2 faults the line in afresh: neither may see the
+// stores (the race detector flags any shared byte), and after a barrier
+// both must.
+func TestAdoptedLinesArePrivate(t *testing.T) {
+	rt := newRuntime(t, testConfig())
+	bar := rt.NewBarrier(3)
+	var base atomic.Uint64
+	const words = 64
+	_, err := rt.Run(3, func(th vm.Thread) {
+		if th.ID() == 0 {
+			base.Store(uint64(th.GlobalAlloc(words * 8)))
+		}
+		bar.Wait(th)
+		a := vm.Addr(base.Load())
+		if th.ID() != 2 {
+			if got := th.ReadFloat64(a); got != 0 { // threads 0 and 1 adopt a line each
+				t.Errorf("thread %d: fresh memory = %v", th.ID(), got)
+			}
+		}
+		bar.Wait(th)
+		for round := 0; round < 200; round++ {
+			for w := 0; w < words; w++ {
+				at := a + vm.Addr(8*w)
+				if th.ID() == 0 {
+					th.WriteFloat64(at, 42.5)
+				} else if got := th.ReadFloat64(at); got != 0 {
+					t.Errorf("thread %d saw an unreleased store: %v", th.ID(), got)
+					return
+				}
+			}
+		}
+		bar.Wait(th)
+		if got := th.ReadFloat64(a + 8*(words-1)); got != 42.5 {
+			t.Errorf("thread %d read %v after the barrier", th.ID(), got)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

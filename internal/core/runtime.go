@@ -752,8 +752,10 @@ func (rt *Runtime) managerFailover(failed scl.NodeID) (scl.NodeID, error) {
 		if rt.cfg.Liveness != nil {
 			rt.cfg.Liveness.Live.MgrFailovers.Add(1)
 		}
-		rt.cfg.Trace.Span("runtime", trace.CatLive, "manager-failover", 0, 0,
-			map[string]any{"replica": idx, "node": uint32(node)})
+		if tr := rt.cfg.Trace; tr != nil {
+			tr.Span("runtime", trace.CatLive, "manager-failover", 0, 0,
+				map[string]any{"replica": idx, "node": uint32(node)})
+		}
 		return node, nil
 	}
 	return 0, fmt.Errorf("core: all %d manager replicas unreachable", rt.cfg.ManagerReplicas)
@@ -778,8 +780,10 @@ func (rt *Runtime) failover(home int) (scl.NodeID, error) {
 	}
 	rt.homes[home].Store(int64(standbyNode))
 	rt.cfg.Liveness.Live.Failovers.Add(1)
-	rt.cfg.Trace.Span("runtime", trace.CatLive, "failover", 0, 0,
-		map[string]any{"home": home, "node": uint32(standbyNode)})
+	if tr := rt.cfg.Trace; tr != nil {
+		tr.Span("runtime", trace.CatLive, "failover", 0, 0,
+			map[string]any{"home": home, "node": uint32(standbyNode)})
+	}
 	return standbyNode, nil
 }
 

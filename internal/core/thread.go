@@ -224,8 +224,11 @@ func (t *Thread) agentLoop() {
 			req.Reply(&proto.DiffPullResp{Diffs: diffs},
 				req.Arrive()+req.Svc()+t.rt.cfg.CPU.CopyTime(payload))
 		case proto.KNextWaiter:
+			// Announcement and grant bodies have this one receiver: their
+			// notices' store records alias the body instead of being copied
+			// record by record. Everything downstream only reads them.
 			var nw proto.NextWaiter
-			if err := req.Decode(&nw); err != nil {
+			if err := req.DecodeAlias(&nw); err != nil {
 				panic(fmt.Sprintf("core: bad NextWaiter: %v", err))
 			}
 			t.ho.mu.Lock()
@@ -242,7 +245,7 @@ func (t *Thread) agentLoop() {
 			t.ho.mu.Unlock()
 		case proto.KLockGrant:
 			var g proto.LockGrant
-			if err := req.Decode(&g); err != nil {
+			if err := req.DecodeAlias(&g); err != nil {
 				panic(fmt.Sprintf("core: bad LockGrant: %v", err))
 			}
 			gm := grantMsg{g: &g, at: req.Arrive() + req.Svc()}
@@ -570,7 +573,9 @@ func (t *Thread) managerAlloc(size uint64, strategy uint8) vm.Addr {
 		t.fail("alloc", err)
 	}
 	t.clock.AdvanceTo(at)
-	t.rt.cfg.Trace.Span(t.actor, trace.CatAlloc, "alloc", start, at, map[string]any{"bytes": size})
+	if tr := t.rt.cfg.Trace; tr != nil {
+		tr.Span(t.actor, trace.CatAlloc, "alloc", start, at, map[string]any{"bytes": size})
+	}
 	t.st.MsgsSent++
 	return layout.Addr(resp.Addr)
 }
@@ -718,8 +723,10 @@ func (t *Thread) SnapshotAS(base vm.Addr, n int) uint64 {
 	// Lines fetched from here on belong to the new epoch; tests tell a
 	// fork's post-snapshot fetches from stale pre-snapshot residency.
 	t.cache.BumpSnapshotEpoch()
-	t.rt.cfg.Trace.Span(t.actor, trace.CatAlloc, "snapshot", start, t.clock.Now(),
-		map[string]any{"pages": npages, "snap": resp.Snap})
+	if tr := t.rt.cfg.Trace; tr != nil {
+		tr.Span(t.actor, trace.CatAlloc, "snapshot", start, t.clock.Now(),
+			map[string]any{"pages": npages, "snap": resp.Snap})
+	}
 	t.settleSync()
 	return resp.Snap
 }
@@ -760,8 +767,10 @@ func (t *Thread) ForkAS(snap uint64) vm.Addr {
 		t.clock.AdvanceTo(at)
 		t.st.MsgsSent++
 	}
-	t.rt.cfg.Trace.Span(t.actor, trace.CatAlloc, "fork", start, t.clock.Now(),
-		map[string]any{"pages": resp.NPages, "snap": snap})
+	if tr := t.rt.cfg.Trace; tr != nil {
+		tr.Span(t.actor, trace.CatAlloc, "fork", start, t.clock.Now(),
+			map[string]any{"pages": resp.NPages, "snap": snap})
+	}
 	t.settleSync()
 	return layout.Addr(resp.Base)
 }
@@ -802,12 +811,12 @@ func (t *Thread) startManagerCall(req proto.Msg, resp proto.Msg, at vtime.Time) 
 func (t *Thread) finishRelease(rs *pagecache.ReleaseSet) {
 	start := t.clock.Now()
 	t.cache.FinishRelease(rs)
-	defer func() {
-		if t.rt.cfg.Trace != nil && (len(rs.Pages) > 0 || len(rs.Records) > 0) {
-			t.rt.cfg.Trace.Span(t.actor, trace.CatRelease, "release", start, t.clock.Now(),
+	if tr := t.rt.cfg.Trace; tr != nil && (len(rs.Pages) > 0 || len(rs.Records) > 0) {
+		defer func() {
+			tr.Span(t.actor, trace.CatRelease, "release", start, t.clock.Now(),
 				map[string]any{"pages": len(rs.Pages), "records": len(rs.Records), "homes": len(rs.ByHome)})
-		}
-	}()
+		}()
+	}
 	if len(rs.ByHome) == 0 {
 		return
 	}
@@ -973,9 +982,11 @@ func (m *smhMutex) Lock(th vm.Thread) {
 	t := th.(*Thread)
 	t.settleCompute()
 	start := t.clock.Now()
-	defer func() {
-		t.rt.cfg.Trace.Span(t.actor, trace.CatLock, fmt.Sprintf("lock %d", m.id), start, t.clock.Now(), nil)
-	}()
+	if tr := t.rt.cfg.Trace; tr != nil {
+		defer func() {
+			tr.Span(t.actor, trace.CatLock, fmt.Sprintf("lock %d", m.id), start, t.clock.Now(), nil)
+		}()
+	}
 	t.clock.Advance(t.rt.cfg.CPU.LockTime)
 	var resp proto.LockResp
 	at, err := t.mgrCall(&proto.LockReq{
@@ -1018,9 +1029,11 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 	}
 	t.settleCompute()
 	start := t.clock.Now()
-	defer func() {
-		t.rt.cfg.Trace.Span(t.actor, trace.CatLock, fmt.Sprintf("unlock %d", m.id), start, t.clock.Now(), nil)
-	}()
+	if tr := t.rt.cfg.Trace; tr != nil {
+		defer func() {
+			tr.Span(t.actor, trace.CatLock, fmt.Sprintf("unlock %d", m.id), start, t.clock.Now(), nil)
+		}()
+	}
 	t.clock.Advance(t.rt.cfg.CPU.LockTime)
 	// Pipelined release: the write notice is a one-way post issued
 	// before the diffs are even computed. The manager can grant the
@@ -1135,9 +1148,11 @@ func (b *smhBarrier) Wait(th vm.Thread) {
 	t := th.(*Thread)
 	t.settleCompute()
 	start := t.clock.Now()
-	defer func() {
-		t.rt.cfg.Trace.Span(t.actor, trace.CatBarrier, fmt.Sprintf("barrier %d", b.id), start, t.clock.Now(), nil)
-	}()
+	if tr := t.rt.cfg.Trace; tr != nil {
+		defer func() {
+			tr.Span(t.actor, trace.CatBarrier, fmt.Sprintf("barrier %d", b.id), start, t.clock.Now(), nil)
+		}()
+	}
 	t.clock.Advance(t.rt.cfg.CPU.LockTime)
 	// Barrier arrival is also an acquire, so the manager call must be a
 	// round trip — but it can fly while the diffs are computed and
@@ -1270,8 +1285,10 @@ func (b *threadBackend) FetchLine(line layout.LineID, needs []proto.PageNeed, at
 	if err != nil {
 		return nil, at, err
 	}
-	t.rt.cfg.Trace.Span(t.actor, trace.CatFetch, fmt.Sprintf("fetch line %d", line), at, doneAt,
-		map[string]any{"home": home, "needs": len(needs)})
+	if tr := t.rt.cfg.Trace; tr != nil {
+		tr.Span(t.actor, trace.CatFetch, fmt.Sprintf("fetch line %d", line), at, doneAt,
+			map[string]any{"home": home, "needs": len(needs)})
+	}
 	t.st.MsgsSent++
 	t.markTenureCold([]layout.LineID{line}, nil)
 	return resp.Data, doneAt, nil
@@ -1320,9 +1337,11 @@ func (b *threadBackend) FetchLines(lines []layout.LineID, pages []layout.PageID,
 	if err != nil {
 		return nil, at, err
 	}
-	t.rt.cfg.Trace.Span(t.actor, trace.CatFetch,
-		fmt.Sprintf("fetch %d lines + %d pages", len(lines), len(pages)), at, doneAt,
-		map[string]any{"home": home, "needs": len(needs)})
+	if tr := t.rt.cfg.Trace; tr != nil {
+		tr.Span(t.actor, trace.CatFetch,
+			fmt.Sprintf("fetch %d lines + %d pages", len(lines), len(pages)), at, doneAt,
+			map[string]any{"home": home, "needs": len(needs)})
+	}
 	t.st.MsgsSent++
 	t.markTenureCold(lines, pages)
 	return resp.Data, doneAt, nil
@@ -1341,8 +1360,8 @@ func (b *threadBackend) StartPrefetch(line layout.LineID, needs []proto.PageNeed
 		doneAt, err := t.callHome(home, &proto.FetchLineReq{
 			Line: uint64(line), Needs: needs,
 		}, &resp, at)
-		if err == nil {
-			t.rt.cfg.Trace.Span(t.actor, trace.CatPrefetch, fmt.Sprintf("prefetch line %d", line), at, doneAt,
+		if tr := t.rt.cfg.Trace; tr != nil && err == nil {
+			tr.Span(t.actor, trace.CatPrefetch, fmt.Sprintf("prefetch line %d", line), at, doneAt,
 				map[string]any{"home": home})
 		}
 		h.Done() // credit a parked consumer, if any (never unconditionally)

@@ -567,9 +567,11 @@ func (m *Manager) handleHeartbeat(req *scl.Request) {
 		// corrupted peer whose lease is silently starving; count it and
 		// leave a trace event instead of dropping it invisibly.
 		m.live.HeartbeatsMalformed.Add(1)
-		m.traceLive("heartbeat-malformed", map[string]any{
-			"src": uint32(req.Src()), "err": err.Error(),
-		})
+		if m.tr != nil {
+			m.traceLive("heartbeat-malformed", map[string]any{
+				"src": uint32(req.Src()), "err": err.Error(),
+			})
+		}
 		return
 	}
 	m.live.Heartbeats.Add(1)
@@ -616,9 +618,11 @@ func (m *Manager) reap(now time.Time) {
 		}
 		mem.dead = true
 		m.deadNodes[mem.node] = true
-		m.traceLive("member-dead", map[string]any{
-			"class": k.class, "id": k.id, "node": mem.node,
-		})
+		if m.tr != nil {
+			m.traceLive("member-dead", map[string]any{
+				"class": k.class, "id": k.id, "node": mem.node,
+			})
+		}
 		switch k.class {
 		case proto.MemberThread:
 			m.obitGen++
@@ -664,11 +668,9 @@ func (m *Manager) reclaimThread(tid uint32, markDead bool) {
 	m.board.dropThread(tid)
 }
 
-// traceLive emits one liveness event, if a collector is attached.
+// traceLive emits one liveness event. Callers check m.tr first, so an
+// untraced run never builds the args map.
 func (m *Manager) traceLive(name string, args map[string]any) {
-	if m.tr == nil {
-		return
-	}
 	now := m.Clock()
 	m.tr.Span("manager", trace.CatLive, name, now, now, args)
 }

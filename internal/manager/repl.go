@@ -251,7 +251,9 @@ func (m *Manager) demote(why string) {
 	r.leader = false
 	r.deposed = true
 	r.live.MgrDeposed.Add(1)
-	m.traceLive("manager-deposed", map[string]any{"replica": r.self, "term": r.term, "why": why})
+	if m.tr != nil {
+		m.traceLive("manager-deposed", map[string]any{"replica": r.self, "term": r.term, "why": why})
+	}
 	// Replicated managers always run inline, so the shards are owned by
 	// the goroutine running this.
 	for _, sh := range m.shards {
@@ -428,7 +430,9 @@ func (m *Manager) promote(term uint64) {
 	}
 	m.liveThreads.Store(live)
 	r.live.MgrElections.Add(1)
-	m.traceLive("manager-promoted", map[string]any{"replica": r.self, "term": term})
+	if m.tr != nil {
+		m.traceLive("manager-promoted", map[string]any{"replica": r.self, "term": term})
+	}
 	// Re-broadcast obituaries for every thread reaped under earlier
 	// terms: the old leader may have died between replicating the reap
 	// and posting the WriterDead. The servers deduplicate by

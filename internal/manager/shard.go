@@ -752,9 +752,11 @@ func (sh *shard) recheckBarrier(id uint32, bs *barrierState) {
 		return
 	}
 	if len(bs.arrived) >= bs.effective() {
-		m.traceLive("barrier-recomputed", map[string]any{
-			"barrier": id, "count": bs.count, "effective": bs.effective(),
-		})
+		if m.tr != nil {
+			m.traceLive("barrier-recomputed", map[string]any{
+				"barrier": id, "count": bs.count, "effective": bs.effective(),
+			})
+		}
 		sh.releaseBarrier(bs, bs.arrived[len(bs.arrived)-1].req.Svc())
 		return
 	}
@@ -935,7 +937,9 @@ func (sh *shard) reclaim(tid uint32, markDead bool) {
 		ls.queue = kept
 		if ls.held && ls.holder == tid {
 			m.live.LocksReclaimed.Add(1)
-			m.traceLive("lock-reclaimed", map[string]any{"lock": id, "holder": tid})
+			if m.tr != nil {
+				m.traceLive("lock-reclaimed", map[string]any{"lock": id, "holder": tid})
+			}
 			sh.release(id, ls)
 		}
 	}

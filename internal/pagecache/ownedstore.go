@@ -42,25 +42,35 @@ func NewOwnedStore(pageSize int) *OwnedStore {
 	return &OwnedStore{pageSize: pageSize, pages: make(map[layout.PageID]*ownedPage)}
 }
 
-// Put merges the runs of one release-time diff into the page's retained
-// overlay.
-func (s *OwnedStore) Put(p layout.PageID, runs []proto.DiffRun) {
-	if len(runs) == 0 {
-		return
+// PutDiff merges the bytes of cur that differ from twin straight into
+// the page's retained overlay, and reports whether any did. It is the
+// release path of a lazily-owned page: no run list is built, and once
+// the page has an overlay nothing is allocated. The overlay is created
+// on the first real difference only, so a silent store leaves no trace.
+func (s *OwnedStore) PutDiff(p layout.PageID, cur, twin []byte) bool {
+	i, j := nextRun(cur, twin, 0)
+	if i >= len(cur) {
+		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	op := s.overlayLocked(p)
+	for ; i < len(cur); i, j = nextRun(cur, twin, j) {
+		copy(op.data[i:j], cur[i:j])
+		for k := i; k < j; k++ {
+			op.mask[k] = true
+		}
+	}
+	return true
+}
+
+func (s *OwnedStore) overlayLocked(p layout.PageID) *ownedPage {
 	op, ok := s.pages[p]
 	if !ok {
 		op = &ownedPage{data: make([]byte, s.pageSize), mask: make([]bool, s.pageSize)}
 		s.pages[p] = op
 	}
-	for _, run := range runs {
-		copy(op.data[run.Off:], run.Data)
-		for i := 0; i < len(run.Data); i++ {
-			op.mask[int(run.Off)+i] = true
-		}
-	}
+	return op
 }
 
 // Take removes and returns the retained diff of one page, or nil if the
@@ -71,27 +81,29 @@ func (s *OwnedStore) Take(p layout.PageID) []proto.DiffRun {
 	return s.takeLocked(p)
 }
 
+// nextMasked finds the first maximal run of set mask entries at or after
+// from: mask[i:j]; i == len(mask) when there is none.
+func nextMasked(mask []bool, from int) (i, j int) {
+	i = from
+	for i < len(mask) && !mask[i] {
+		i++
+	}
+	j = i
+	for j < len(mask) && mask[j] {
+		j++
+	}
+	return i, j
+}
+
+// takeLocked builds the run list the way diffPage does: one run slice
+// and one data arena.
 func (s *OwnedStore) takeLocked(p layout.PageID) []proto.DiffRun {
 	op, ok := s.pages[p]
 	if !ok {
 		return nil
 	}
 	delete(s.pages, p)
-	var runs []proto.DiffRun
-	i := 0
-	for i < len(op.mask) {
-		if !op.mask[i] {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(op.mask) && op.mask[j] {
-			j++
-		}
-		runs = append(runs, proto.DiffRun{Off: uint32(i), Data: append([]byte(nil), op.data[i:j]...)})
-		i = j
-	}
-	return runs
+	return collectRuns(op.data, func(from int) (int, int) { return nextMasked(op.mask, from) })
 }
 
 // TakeMany removes and returns the retained diffs for the listed pages;

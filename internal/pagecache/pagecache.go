@@ -40,6 +40,14 @@ import (
 // Backend performs the communication the cache needs. It is implemented
 // by the compute-thread runtime (package core) on top of SCL, and by
 // in-memory fakes in tests.
+//
+// Ownership: a slice returned by FetchLine or FetchLines, or delivered
+// in a PrefetchResult, is the cache's from then on. The cache keeps it
+// as a resident line's storage and writes through it, so the backend
+// must hand over a buffer nothing else reads, writes or reuses — a
+// fresh one per call. (A line adopted out of a combined FetchLines reply
+// keeps that reply's companion pages, at most maxCombinePages of them,
+// reachable until the line is evicted.)
 type Backend interface {
 	// FetchLine synchronously fetches one cache line from its home,
 	// quoting the interval tags that must be applied first. It returns
@@ -317,6 +325,11 @@ type Cache struct {
 	shared map[layout.PageID]struct{}
 	owned  *OwnedStore
 
+	// freeTwins recycles twin buffers: a release hands back every twin it
+	// diffed and the next interval's first writes take them out again.
+	// The cache is single-threaded, so this is a plain stack.
+	freeTwins [][]byte
+
 	// snapEpoch counts address-space snapshots taken through this
 	// thread; installed lines are tagged with it (see lineEntry.epoch).
 	snapEpoch uint64
@@ -435,7 +448,7 @@ func (c *Cache) write(addr layout.Addr, data []byte, region, span bool) error {
 			ps := &le.pages[c.pageIndex(page)]
 			if !ps.dirty {
 				base := c.pageBaseInLine(page)
-				ps.twin = append([]byte(nil), le.data[base:base+c.geo.PageSize]...)
+				ps.twin = c.newTwin(le.data[base : base+c.geo.PageSize])
 				ps.dirty = true
 				c.dirtyPages[page] = struct{}{}
 				c.clock.Advance(c.cfg.CPU.TwinTime)
@@ -516,7 +529,7 @@ func (c *Cache) ReadModifyWrite8(addr layout.Addr, region bool, f func(b []byte)
 	ps := &le.pages[c.pageIndex(page)]
 	if !region && !ps.dirty {
 		base := c.pageBaseInLine(page)
-		ps.twin = append([]byte(nil), le.data[base:base+c.geo.PageSize]...)
+		ps.twin = c.newTwin(le.data[base : base+c.geo.PageSize])
 		ps.dirty = true
 		c.dirtyPages[page] = struct{}{}
 		c.clock.Advance(c.cfg.CPU.TwinTime)
@@ -536,6 +549,38 @@ func (c *Cache) ReadModifyWrite8(addr layout.Addr, region bool, f func(b []byte)
 		c.noteWriteExtent(ps, off, 8, false)
 	}
 	return nil
+}
+
+// maxFreeTwins bounds the twin free list (1 MiB of 4 KiB pages), so one
+// interval that dirtied a huge working set does not pin that many
+// buffers for the rest of the run; the excess goes to the collector.
+const maxFreeTwins = 256
+
+// newTwin snapshots a page about to take its first ordinary write of
+// the interval.
+func (c *Cache) newTwin(page []byte) []byte {
+	var twin []byte
+	if n := len(c.freeTwins); n > 0 {
+		twin, c.freeTwins = c.freeTwins[n-1], c.freeTwins[:n-1]
+	} else {
+		twin = make([]byte, len(page))
+	}
+	copy(twin, page)
+	return twin
+}
+
+// markClean ends page p's dirty state once its diff has been taken: the
+// twin goes back to the free list and the interval's extent tracking is
+// reset.
+func (c *Cache) markClean(p layout.PageID, ps *pageState) {
+	if len(c.freeTwins) < maxFreeTwins {
+		c.freeTwins = append(c.freeTwins, ps.twin)
+	}
+	ps.dirty = false
+	ps.twin = nil
+	ps.wtracked = false
+	ps.wext = nil
+	delete(c.dirtyPages, p)
 }
 
 func (c *Cache) pageIndex(p layout.PageID) int {
@@ -588,13 +633,7 @@ func (c *Cache) ensureValidRange(p layout.PageID, off, n int) (*lineEntry, error
 func (c *Cache) demoteStale(p layout.PageID, le *lineEntry, ps *pageState) error {
 	if ps.dirty {
 		base := c.pageBaseInLine(p)
-		d := diffPage(uint64(p), le.data[base:base+c.geo.PageSize], ps.twin)
-		c.clock.Advance(c.cfg.CPU.DiffTime(c.geo.PageSize))
-		c.st.DiffsCreated++
-		if prior := c.owned.Take(p); prior != nil {
-			d.Runs = append(prior, d.Runs...)
-		}
-		c.st.DiffBytes += int64(d.PayloadBytes())
+		d := c.diffForHome(p, le.data[base:base+c.geo.PageSize], ps.twin)
 		at, err := c.be.FlushEvict([]proto.PageDiff{d}, c.clock.Now())
 		if err != nil {
 			return fmt.Errorf("pagecache: stale-demotion flush: %w", err)
@@ -602,11 +641,7 @@ func (c *Cache) demoteStale(p layout.PageID, le *lineEntry, ps *pageState) error
 		c.clock.AdvanceTo(at)
 		c.st.MsgsSent++
 		c.st.InvalFlushes++
-		ps.dirty = false
-		ps.twin = nil
-		ps.wtracked = false
-		ps.wext = nil
-		delete(c.dirtyPages, p)
+		c.markClean(p, ps)
 		c.flushedDirty[p] = struct{}{}
 	}
 	ps.valid = false
@@ -694,8 +729,9 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 	// intact and simply refaults later.
 	off := 0
 	for _, l := range fullLines {
-		c.install(l, data[off:off+c.geo.LineSize()])
-		off += c.geo.LineSize()
+		end := off + c.geo.LineSize()
+		c.install(l, data[off:end:end]) // clipped: the line may be adopted
+		off = end
 	}
 	for _, p := range pages {
 		c.installPage(p, data[off:off+c.geo.PageSize])
@@ -811,12 +847,14 @@ func (c *Cache) install(line layout.LineID, data []byte) *lineEntry {
 	le, ok := c.lines[line]
 	if !ok {
 		c.evictIfFull()
+		// A new entry adopts the fetched bytes as its storage (see
+		// Backend: the slice is the cache's). The modelled copy is still
+		// charged below.
 		le = &lineEntry{
 			id:    line,
-			data:  make([]byte, c.geo.LineSize()),
+			data:  data,
 			pages: make([]pageState, c.geo.LinePages),
 		}
-		copy(le.data, data)
 		c.lines[line] = le
 	} else {
 		for i := range le.pages {
@@ -1011,22 +1049,9 @@ func (c *Cache) diffDirtyPages(le *lineEntry, flushed bool) []proto.PageDiff {
 		}
 		p := first + layout.PageID(i)
 		base := i * c.geo.PageSize
-		d := diffPage(uint64(p), le.data[base:base+c.geo.PageSize], ps.twin)
-		c.clock.Advance(c.cfg.CPU.DiffTime(c.geo.PageSize))
-		c.st.DiffsCreated++
-		// Anything retained from earlier lazily-owned intervals must
-		// travel too: the home clears our ownership when these bytes
-		// arrive.
-		if prior := c.owned.Take(p); prior != nil {
-			d.Runs = append(prior, d.Runs...)
-		}
-		c.st.DiffBytes += int64(d.PayloadBytes())
+		d := c.diffForHome(p, le.data[base:base+c.geo.PageSize], ps.twin)
 		diffs = append(diffs, d)
-		ps.dirty = false
-		ps.twin = nil
-		ps.wtracked = false
-		ps.wext = nil
-		delete(c.dirtyPages, p)
+		c.markClean(p, ps)
 		if flushed {
 			c.flushedDirty[p] = struct{}{}
 		}
@@ -1043,77 +1068,95 @@ const (
 	hi64 = 0x8080808080808080
 )
 
-// diffPage builds maximal changed-byte runs of cur against twin. The
-// scan is word-wide: equal regions are skipped eight bytes per compare,
-// and inside a run the first equal byte is found with one XOR plus a
-// zero-byte test per word — run edges stay byte-precise, so the output
-// is identical to the byte-wise diffPageGeneric (a property test holds
-// the two together).
-func diffPage(page uint64, cur, twin []byte) proto.PageDiff {
-	d := proto.PageDiff{Page: page}
+// nextRun finds the first maximal run of bytes at or after from in which
+// cur differs from twin: cur[i:j]. With no further difference it returns
+// i == j == len(cur). The scan is word-wide: equal regions are skipped
+// eight bytes per compare, and inside a run the first equal byte is
+// found with one XOR plus a zero-byte test per word — run edges stay
+// byte-precise.
+func nextRun(cur, twin []byte, from int) (i, j int) {
 	n := len(cur)
-	i := 0
-	for i < n {
-		// Skip equal bytes: whole words first, then the byte tail (which
-		// also positions i on the exact first differing byte of an
-		// unequal word).
-		for i+8 <= n && binary.LittleEndian.Uint64(cur[i:]) == binary.LittleEndian.Uint64(twin[i:]) {
-			i += 8
-		}
-		for i < n && cur[i] == twin[i] {
-			i++
-		}
-		if i >= n {
-			break
-		}
-		// Run body: extend while bytes differ; a zero byte in the XOR is
-		// the first equal byte and ends the run.
-		j := i + 1
-		for j < n {
-			if j+8 <= n {
-				x := binary.LittleEndian.Uint64(cur[j:]) ^ binary.LittleEndian.Uint64(twin[j:])
-				if z := (x - lo64) &^ x & hi64; z != 0 {
-					j += bits.TrailingZeros64(z) >> 3
-					break
-				}
-				j += 8
-				continue
-			}
-			if cur[j] == twin[j] {
+	i = from
+	// Skip equal bytes: whole words first, then the byte tail (which also
+	// positions i on the exact first differing byte of an unequal word).
+	for i+8 <= n && binary.LittleEndian.Uint64(cur[i:]) == binary.LittleEndian.Uint64(twin[i:]) {
+		i += 8
+	}
+	for i < n && cur[i] == twin[i] {
+		i++
+	}
+	if i >= n {
+		return n, n
+	}
+	// Run body: extend while bytes differ; a zero byte in the XOR is the
+	// first equal byte and ends the run.
+	j = i + 1
+	for j < n {
+		if j+8 <= n {
+			x := binary.LittleEndian.Uint64(cur[j:]) ^ binary.LittleEndian.Uint64(twin[j:])
+			if z := (x - lo64) &^ x & hi64; z != 0 {
+				j += bits.TrailingZeros64(z) >> 3
 				break
 			}
-			j++
+			j += 8
+			continue
 		}
-		d.Runs = append(d.Runs, proto.DiffRun{
-			Off:  uint32(i),
-			Data: append([]byte(nil), cur[i:j]...),
-		})
-		i = j
+		if cur[j] == twin[j] {
+			break
+		}
+		j++
 	}
+	return i, j
+}
+
+// diffForHome builds the diff of dirty page p that is about to travel to
+// its home, charging the modelled diff and counting the bytes shipped.
+// Anything retained from earlier lazily-owned intervals travels with
+// it: the home clears our ownership when these bytes arrive.
+func (c *Cache) diffForHome(p layout.PageID, cur, twin []byte) proto.PageDiff {
+	d := diffPage(uint64(p), cur, twin)
+	c.clock.Advance(c.cfg.CPU.DiffTime(c.geo.PageSize))
+	c.st.DiffsCreated++
+	if prior := c.owned.Take(p); prior != nil {
+		d.Runs = append(prior, d.Runs...)
+	}
+	n := int64(d.PayloadBytes())
+	c.st.DiffBytes += n
+	c.st.BytesSent += n
 	return d
 }
 
-// diffPageGeneric is the reference byte-wise differ diffPage must match
-// bit for bit; kept for the property/fuzz tests and the benchmark.
-func diffPageGeneric(page uint64, cur, twin []byte) proto.PageDiff {
-	d := proto.PageDiff{Page: page}
-	i := 0
-	for i < len(cur) {
-		if cur[i] == twin[i] {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(cur) && cur[j] != twin[j] {
-			j++
-		}
-		d.Runs = append(d.Runs, proto.DiffRun{
-			Off:  uint32(i),
-			Data: append([]byte(nil), cur[i:j]...),
-		})
-		i = j
+// diffPage builds the maximal changed-byte runs of cur against twin for
+// shipping.
+func diffPage(page uint64, cur, twin []byte) proto.PageDiff {
+	return proto.PageDiff{Page: page, Runs: collectRuns(cur, func(from int) (int, int) {
+		return nextRun(cur, twin, from)
+	})}
+}
+
+// collectRuns builds the run list of the src ranges next enumerates
+// (next(from) is the first range [i, j) at or after from, i == len(src)
+// when there is none). A first pass counts runs and bytes, so the list
+// and one data arena are each allocated exactly once whatever the run
+// count; every run's Data is a capacity-clipped slice of the arena, so
+// an append to one run can never write into its neighbour.
+func collectRuns(src []byte, next func(from int) (i, j int)) []proto.DiffRun {
+	nruns, nbytes := 0, 0
+	for i, j := next(0); i < len(src); i, j = next(j) {
+		nruns++
+		nbytes += j - i
 	}
-	return d
+	if nruns == 0 {
+		return nil
+	}
+	runs := make([]proto.DiffRun, 0, nruns)
+	arena := make([]byte, 0, nbytes)
+	for i, j := next(0); i < len(src); i, j = next(j) {
+		a := len(arena)
+		arena = append(arena, src[i:j]...)
+		runs = append(runs, proto.DiffRun{Off: uint32(i), Data: arena[a:len(arena):len(arena)]})
+	}
+	return runs
 }
 
 // ---------------------------------------------------------------------
@@ -1208,22 +1251,16 @@ func (c *Cache) BeginRelease() *ReleaseSet {
 				continue // dirty state (and the twin) stays until FinishRelease
 			}
 			base := i * c.geo.PageSize
-			d := diffPage(uint64(p), le.data[base:base+c.geo.PageSize], ps.twin)
+			changed := c.owned.PutDiff(p, le.data[base:base+c.geo.PageSize], ps.twin)
 			c.clock.Advance(c.cfg.CPU.DiffTime(c.geo.PageSize))
 			c.st.DiffsCreated++
-			ps.dirty = false
-			ps.twin = nil
-			delete(c.dirtyPages, p)
-			if len(d.Runs) == 0 {
-				ps.wtracked = false
-				ps.wext = nil
+			if !changed {
+				c.markClean(p, ps)
 				continue // silent stores: nothing changed, nothing to tell anyone
 			}
 			rs.Pages = append(rs.Pages, uint64(p))
 			rs.Pages = appendExtentWords(rs.Pages, ps)
-			ps.wtracked = false
-			ps.wext = nil
-			c.owned.Put(p, d.Runs)
+			c.markClean(p, ps)
 			c.st.OwnedClaims++
 			b := rs.batchFor(home, rs.Tag)
 			b.OwnedPages = append(b.OwnedPages, uint64(p))
@@ -1244,12 +1281,14 @@ func (c *Cache) BeginRelease() *ReleaseSet {
 		delete(c.flushedDirty, p)
 	}
 
-	// Consistency-region store records, routed to each record's home.
+	// Consistency-region store records, routed to each record's home and
+	// (in the write notice) to the manager: two copies leave the thread.
 	for _, rec := range c.records {
 		p := c.geo.PageOf(layout.Addr(rec.Addr))
 		b := rs.batchFor(c.geo.HomeOf(p), rs.Tag)
 		b.Records = append(b.Records, rec)
 		rs.Records = append(rs.Records, rec)
+		c.st.BytesSent += 2 * int64(len(rec.Data))
 	}
 	c.records = nil
 	return rs
@@ -1278,20 +1317,10 @@ func (c *Cache) FinishRelease(rs *ReleaseSet) {
 	for _, dd := range rs.deferred {
 		ps := &dd.le.pages[dd.idx]
 		base := dd.idx * c.geo.PageSize
-		d := diffPage(uint64(dd.page), dd.le.data[base:base+c.geo.PageSize], ps.twin)
-		c.clock.Advance(c.cfg.CPU.DiffTime(c.geo.PageSize))
-		c.st.DiffsCreated++
-		if prior := c.owned.Take(dd.page); prior != nil {
-			d.Runs = append(prior, d.Runs...)
-		}
-		c.st.DiffBytes += int64(d.PayloadBytes())
+		d := c.diffForHome(dd.page, dd.le.data[base:base+c.geo.PageSize], ps.twin)
 		b := rs.batchFor(dd.home, rs.Tag)
 		b.Diffs = append(b.Diffs, d)
-		ps.dirty = false
-		ps.twin = nil
-		ps.wtracked = false
-		ps.wext = nil
-		delete(c.dirtyPages, dd.page)
+		c.markClean(dd.page, ps)
 	}
 	rs.deferred = nil
 	// Batches that ended up with nothing to say (e.g. only silent
@@ -1400,13 +1429,7 @@ func (c *Cache) invalidate(p layout.PageID, tag proto.IntervalTag, ext []byteRan
 		// refetch returns the merge. (True sharing without a lock is a
 		// data race; either order is acceptable then.)
 		base := c.pageIndex(p) * c.geo.PageSize
-		d := diffPage(uint64(p), le.data[base:base+c.geo.PageSize], ps.twin)
-		c.clock.Advance(c.cfg.CPU.DiffTime(c.geo.PageSize))
-		c.st.DiffsCreated++
-		if prior := c.owned.Take(p); prior != nil {
-			d.Runs = append(prior, d.Runs...)
-		}
-		c.st.DiffBytes += int64(d.PayloadBytes())
+		d := c.diffForHome(p, le.data[base:base+c.geo.PageSize], ps.twin)
 		at, err := c.be.FlushEvict([]proto.PageDiff{d}, c.clock.Now())
 		if err != nil {
 			return fmt.Errorf("pagecache: invalidation flush: %w", err)
@@ -1414,11 +1437,7 @@ func (c *Cache) invalidate(p layout.PageID, tag proto.IntervalTag, ext []byteRan
 		c.clock.AdvanceTo(at)
 		c.st.MsgsSent++
 		c.st.InvalFlushes++
-		ps.dirty = false
-		ps.twin = nil
-		ps.wtracked = false
-		ps.wext = nil
-		delete(c.dirtyPages, p)
+		c.markClean(p, ps)
 		c.flushedDirty[p] = struct{}{}
 	}
 	if ps.valid {
@@ -1567,19 +1586,9 @@ func (c *Cache) FlushRange(first layout.PageID, npages uint64) error {
 		le := c.lines[c.geo.LineOf(p)]
 		ps := &le.pages[c.pageIndex(p)]
 		base := c.pageBaseInLine(p)
-		d := diffPage(uint64(p), le.data[base:base+c.geo.PageSize], ps.twin)
-		c.clock.Advance(c.cfg.CPU.DiffTime(c.geo.PageSize))
-		c.st.DiffsCreated++
-		if prior := c.owned.Take(p); prior != nil {
-			d.Runs = append(prior, d.Runs...)
-		}
-		c.st.DiffBytes += int64(d.PayloadBytes())
+		d := c.diffForHome(p, le.data[base:base+c.geo.PageSize], ps.twin)
 		diffs = append(diffs, d)
-		ps.dirty = false
-		ps.twin = nil
-		ps.wtracked = false
-		ps.wext = nil
-		delete(c.dirtyPages, p)
+		c.markClean(p, ps)
 		c.flushedDirty[p] = struct{}{}
 	}
 	at, err := c.be.FlushSync(diffs, c.clock.Now())

@@ -489,92 +489,6 @@ func TestSpanReleasePublishesExtentWords(t *testing.T) {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Word-wide diff.
-
-// Property: the vectorized diffPage produces byte-for-byte the same
-// runs as the byte-wise reference, for every size (including sizes not
-// divisible by 8) and change pattern.
-func TestDiffPageWordMatchesGeneric(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		size := 1 + rng.Intn(600) // deliberately not 8-aligned
-		twin := make([]byte, size)
-		rng.Read(twin)
-		cur := append([]byte(nil), twin...)
-		switch rng.Intn(4) {
-		case 0: // sparse single-byte flips
-			for i := 0; i < rng.Intn(10); i++ {
-				cur[rng.Intn(size)] ^= byte(1 + rng.Intn(255))
-			}
-		case 1: // one dense run
-			lo := rng.Intn(size)
-			hi := lo + 1 + rng.Intn(size-lo)
-			rng.Read(cur[lo:hi])
-		case 2: // everything changed
-			for i := range cur {
-				cur[i] ^= 0xFF
-			}
-		case 3: // nothing changed
-		}
-		a, b := diffPage(3, cur, twin), diffPageGeneric(3, cur, twin)
-		if len(a.Runs) != len(b.Runs) {
-			return false
-		}
-		for i := range a.Runs {
-			if a.Runs[i].Off != b.Runs[i].Off || !bytes.Equal(a.Runs[i].Data, b.Runs[i].Data) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Pinpoint the word-scan edge cases: runs starting/ending mid-word, at
-// word boundaries, and in the sub-word tail.
-func TestDiffPageWordEdges(t *testing.T) {
-	size := 64
-	for lo := 0; lo < size; lo++ {
-		for n := 1; n <= 17 && lo+n <= size; n++ {
-			twin := make([]byte, size)
-			cur := make([]byte, size)
-			for i := lo; i < lo+n; i++ {
-				cur[i] = 0xAB
-			}
-			d := diffPage(0, cur, twin)
-			if len(d.Runs) != 1 || int(d.Runs[0].Off) != lo || len(d.Runs[0].Data) != n {
-				t.Fatalf("lo=%d n=%d: got runs %+v", lo, n, d.Runs)
-			}
-		}
-	}
-}
-
-func BenchmarkDiffPageWord(b *testing.B)    { benchDiffPage(b, diffPage) }
-func BenchmarkDiffPageGeneric(b *testing.B) { benchDiffPage(b, diffPageGeneric) }
-
-func benchDiffPage(b *testing.B, fn func(uint64, []byte, []byte) proto.PageDiff) {
-	rng := rand.New(rand.NewSource(1))
-	twin := make([]byte, 4096)
-	rng.Read(twin)
-	cur := append([]byte(nil), twin...)
-	// A realistic release: a handful of dirty runs on the page.
-	for i := 0; i < 6; i++ {
-		lo := rng.Intn(4000)
-		rng.Read(cur[lo : lo+64])
-	}
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := fn(0, cur, twin)
-		if len(d.Runs) == 0 {
-			b.Fatal("no runs")
-		}
-	}
-}
-
 func BenchmarkSpanRead(b *testing.B)    { benchAccess(b, true) }
 func BenchmarkElementRead(b *testing.B) { benchAccess(b, false) }
 

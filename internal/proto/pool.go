@@ -12,9 +12,16 @@ import "sync"
 // explicitly PutBufs it back, and must only do so once nothing aliases
 // the buffer any more. Encode and Marshal always copy payload bytes
 // into their own frame, so "after Reply returns" is a safe release
-// point for a reply payload. Buffers decoded with DecodeAlias are the
-// opposite case — they alias a wire body the pool never owns and must
-// never be PutBuf'd.
+// point for a reply payload.
+//
+// A wire body is the opposite case. Encode's result belongs to the
+// transport and then to its one receiver, and everything decoded with
+// DecodeAlias — every response (scl's decodeResponse), every diff batch
+// at a memory server, every lock grant at a thread — points into it: a
+// fetched line becomes the client cache's line storage and is written
+// through for as long as it is resident. So a body, or any payload
+// decoded from one, must never be PutBuf'd: the pool would hand a live
+// cache line to the next GetBuf.
 
 // poolMinShift..poolMaxShift bound the size classes (4 KiB .. 1 MiB);
 // requests outside the range fall back to the garbage collector.

@@ -313,10 +313,15 @@ func (r *Reader) U64s() []uint64 {
 
 // retain is what payload-carrying Unmarshals apply to a Bytes() result
 // they store: a copy by default (the wire buffer's lifetime is not
-// theirs), the alias itself under DecodeAlias.
+// theirs), the alias itself under DecodeAlias — clipped to its length,
+// so an append to the payload reallocates instead of running on into
+// the rest of the body.
 func (r *Reader) retain(p []byte) []byte {
-	if r.noCopy || p == nil {
-		return p
+	if p == nil {
+		return nil
+	}
+	if r.noCopy {
+		return p[:len(p):len(p)]
 	}
 	return append([]byte(nil), p...)
 }

@@ -399,3 +399,93 @@ func TestSpanExtentRoundTrip(t *testing.T) {
 	}}}
 	roundTrip(t, in, &BarrierResp{})
 }
+
+// Encode returns a buffer of its own each time, also when many
+// goroutines share the scratch pool — and the bytes are what marshalling
+// into an empty Writer gives.
+func TestEncodeFreshAndConcurrent(t *testing.T) {
+	msg := func(seed byte) *DiffBatch {
+		return &DiffBatch{
+			Tag:     IntervalTag{Writer: uint32(seed), Interval: 3},
+			Diffs:   []PageDiff{{Page: 4, Runs: []DiffRun{{Off: 8, Data: bytes.Repeat([]byte{seed}, 300)}}}},
+			Records: []StoreRecord{{Addr: 64, Data: []byte{seed, 2, 3}}},
+		}
+	}
+	want := func(m Msg) []byte {
+		var w Writer
+		m.Marshal(&w)
+		return w.B
+	}
+	a, b := Encode(msg(1)), Encode(msg(2))
+	if !bytes.Equal(a, want(msg(1))) || !bytes.Equal(b, want(msg(2))) {
+		t.Fatal("Encode bytes differ from a plain Marshal")
+	}
+	for i := range a[:cap(a)] {
+		a[:cap(a)][i] = 0xFF
+	}
+	if !bytes.Equal(b, want(msg(2))) || !bytes.Equal(Encode(msg(2)), b) {
+		t.Fatal("Encode results share memory with each other or with the scratch")
+	}
+	if Encode(&Ack{}) != nil {
+		t.Fatal("an empty body must stay nil")
+	}
+	done := make(chan bool)
+	for g := 0; g < 8; g++ {
+		go func(seed byte) {
+			ok := true
+			for i := 0; i < 200; i++ {
+				m := msg(seed)
+				ok = ok && bytes.Equal(Encode(m), want(m))
+			}
+			done <- ok
+		}(byte(g))
+	}
+	for g := 0; g < 8; g++ {
+		if !<-done {
+			t.Error("concurrent Encode produced wrong bytes")
+		}
+	}
+}
+
+// DecodeAlias hands out payloads that point into the body, clipped to
+// their length; Decode hands out copies. A body may be decoded again (a
+// retried handler) and gives the same message.
+func TestDecodeAliasOwnership(t *testing.T) {
+	line := bytes.Repeat([]byte{7}, 64)
+	body := Encode(&FetchLineResp{Data: line})
+	pristine := append([]byte(nil), body...)
+
+	var copied, first, second FetchLineResp
+	if err := Decode(&copied, body); err != nil {
+		t.Fatal(err)
+	}
+	copied.Data[0] = 99
+	if !bytes.Equal(body, pristine) {
+		t.Fatal("Decode's payload aliases the body")
+	}
+	if err := DecodeAlias(&first, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeAlias(&second, body); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Data, line) || !bytes.Equal(second.Data, line) {
+		t.Fatal("a second decode of the same body differs")
+	}
+	if &first.Data[0] != &body[len(body)-len(line)] {
+		t.Fatal("DecodeAlias copied the line")
+	}
+
+	// A payload in the middle of a body: appending to it must reallocate,
+	// not run on into the next field.
+	batch := Encode(&DiffBatch{Records: []StoreRecord{{Addr: 1, Data: []byte{1, 2}}, {Addr: 2, Data: []byte{3, 4}}}})
+	pristine = append([]byte(nil), batch...)
+	var db DiffBatch
+	if err := DecodeAlias(&db, batch); err != nil {
+		t.Fatal(err)
+	}
+	db.Records[0].Data = append(db.Records[0].Data, 0xEE, 0xEE, 0xEE)
+	if !bytes.Equal(batch, pristine) || !bytes.Equal(db.Records[1].Data, []byte{3, 4}) {
+		t.Fatal("append to an aliased payload wrote into the body")
+	}
+}

@@ -1,6 +1,9 @@
 package proto
 
-import "errors"
+import (
+	"errors"
+	"sync"
+)
 
 // Msg is implemented by every protocol message body.
 type Msg interface {
@@ -12,25 +15,46 @@ type Msg interface {
 	Unmarshal(r *Reader)
 }
 
-// Encode serializes m (body only; the transport frames it).
+// encodeScratch recycles the Writers Encode marshals into, so a
+// message's many small appends grow a buffer that already exists
+// instead of a fresh one per call.
+var encodeScratch = sync.Pool{New: func() any { return new(Writer) }}
+
+// maxEncodeScratch is the largest buffer kept for reuse; a rare huge
+// message (a replication snapshot) is left to the collector.
+const maxEncodeScratch = 1 << poolMaxShift
+
+// Encode serializes m (body only; the transport frames it). The result
+// is a fresh buffer, allocated once at the encoded size, that the
+// caller — and whoever the transport hands it to — owns outright.
 func Encode(m Msg) []byte {
-	var w Writer
-	m.Marshal(&w)
-	return w.B
+	w := encodeScratch.Get().(*Writer)
+	m.Marshal(w)
+	body := append([]byte(nil), w.B...)
+	if cap(w.B) <= maxEncodeScratch {
+		w.B = w.B[:0]
+		encodeScratch.Put(w)
+	}
+	return body
 }
 
-// Decode fills m from body, returning any decoding error.
+// Decode fills m from body, returning any decoding error. Byte payloads
+// are copied out of body.
 func Decode(m Msg, body []byte) error {
 	r := Reader{B: body}
 	m.Unmarshal(&r)
 	return r.Err()
 }
 
-// DecodeAlias fills m from body like Decode, but byte payloads (diff
-// runs, store records) alias body instead of being copied. The caller
-// must keep body alive and unmodified for as long as it uses m — the
-// memory-server diff path qualifies, because applying a diff copies its
-// runs into pages and re-encoding for replication copies them again.
+// DecodeAlias fills m from body like Decode, but byte payloads (fetched
+// lines, diff runs, store records, shipped pages) alias body instead of
+// being copied. The caller must own body: nothing else may write it,
+// recycle it or decode it into something that is written through, for
+// as long as m's payloads are in use. Every wire body qualifies — a
+// transport delivers each encoded message to exactly one receiver in a
+// buffer of its own — and a body may be decoded again (a retried
+// handler) as long as every decode treats the payloads as read-only or
+// only one of them takes ownership.
 func DecodeAlias(m Msg, body []byte) error {
 	r := Reader{B: body, noCopy: true}
 	m.Unmarshal(&r)
@@ -306,7 +330,7 @@ type FetchLineResp struct {
 
 func (m *FetchLineResp) Kind() Kind          { return KFetchLineResp }
 func (m *FetchLineResp) Marshal(w *Writer)   { w.Bytes(m.Data) }
-func (m *FetchLineResp) Unmarshal(r *Reader) { m.Data = append([]byte(nil), r.Bytes()...) }
+func (m *FetchLineResp) Unmarshal(r *Reader) { m.Data = r.retain(r.Bytes()) }
 
 // FetchLinesReq asks a home server for several cache lines and/or
 // individual pages at once — fetch combining: an acquire that
@@ -345,7 +369,7 @@ type FetchLinesResp struct {
 
 func (m *FetchLinesResp) Kind() Kind          { return KFetchLinesResp }
 func (m *FetchLinesResp) Marshal(w *Writer)   { w.Bytes(m.Data) }
-func (m *FetchLinesResp) Unmarshal(r *Reader) { m.Data = append([]byte(nil), r.Bytes()...) }
+func (m *FetchLinesResp) Unmarshal(r *Reader) { m.Data = r.retain(r.Bytes()) }
 
 // DiffBatch carries one interval's worth of updates to one home server:
 // page diffs from ordinary regions (shared pages, shipped eagerly),

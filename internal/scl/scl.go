@@ -112,8 +112,9 @@ func (r *Request) Decode(m proto.Msg) error {
 
 // DecodeAlias unmarshals like Decode but lets m's byte payloads alias
 // the request body instead of copying them (see proto.DecodeAlias).
-// The body stays reachable as long as m does, so the only obligation on
-// the caller is not to mutate the aliased bytes.
+// The body stays reachable as long as m does, and a request body is
+// never pooled, so the only obligation on the caller is not to mutate
+// the aliased bytes (the replication log may hold the same body).
 func (r *Request) DecodeAlias(m proto.Msg) error {
 	if m.Kind() != r.kind {
 		return fmt.Errorf("scl: decoding %v request into %v", r.kind, m.Kind())
@@ -208,7 +209,10 @@ func (e *RemoteError) Error() string { return fmt.Sprintf("scl: remote error: %s
 func (e *RemoteError) Unwrap() error { return proto.CodeErr(e.Code) }
 
 // decodeResponse interprets a raw response, translating wire-level
-// errors.
+// errors. resp's byte payloads alias body (proto.DecodeAlias): both
+// transports hand a call its reply in a buffer of its own, so the caller
+// of Call owns those bytes — a fetched line is installed in the cache
+// without another copy.
 func decodeResponse(kind proto.Kind, body []byte, resp proto.Msg) error {
 	if kind == proto.KError {
 		var pe proto.Error
@@ -220,5 +224,5 @@ func decodeResponse(kind proto.Kind, body []byte, resp proto.Msg) error {
 	if kind != resp.Kind() {
 		return fmt.Errorf("scl: got %v response, want %v", kind, resp.Kind())
 	}
-	return proto.Decode(resp, body)
+	return proto.DecodeAlias(resp, body)
 }

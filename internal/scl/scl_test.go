@@ -240,3 +240,79 @@ func TestTCPHostileFrameClosesConnection(t *testing.T) {
 		t.Fatalf("endpoint unhealthy after hostile frame: %v", err)
 	}
 }
+
+// A reply's payload aliases the reply body, and that body is the
+// caller's alone: two clients that fetch the same server page and
+// scribble over what they got — while the server keeps serving it — never
+// touch the server's page or each other's reply. Run under -race.
+func runReplyOwnership(t *testing.T, cliA, cliB, srv Endpoint, srvID NodeID) {
+	t.Helper()
+	const rounds = 50
+	page := make([]byte, 4096)
+	for i := range page {
+		page[i] = byte(i)
+	}
+	want := append([]byte(nil), page...)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			req, ok := srv.Recv()
+			if !ok || req.Kind() == proto.KShutdown {
+				return
+			}
+			req.Reply(&proto.FetchLineResp{Data: page}, req.Arrive()+req.Svc())
+		}
+	}()
+	var clients sync.WaitGroup
+	for _, cli := range []Endpoint{cliA, cliB} {
+		clients.Add(1)
+		go func(cli Endpoint) {
+			defer clients.Done()
+			for i := 0; i < rounds; i++ {
+				var resp proto.FetchLineResp
+				if _, err := cli.Call(srvID, &proto.FetchLineReq{Line: 1}, &resp, 0); err != nil {
+					t.Errorf("Call: %v", err)
+					return
+				}
+				if string(resp.Data) != string(want) {
+					t.Errorf("round %d: reply differs from the server's page", i)
+					return
+				}
+				for j := range resp.Data { // what a cache does to an adopted line
+					resp.Data[j] = 0xEE
+				}
+			}
+		}(cli)
+	}
+	clients.Wait()
+	if _, err := cliA.Post(srvID, &proto.Shutdown{}, 0); err != nil {
+		t.Fatalf("Post: %v", err)
+	}
+	wg.Wait()
+	if string(page) != string(want) {
+		t.Error("a client's writes reached the server's page")
+	}
+	cliA.Close()
+	cliB.Close()
+	srv.Close()
+}
+
+func TestSimReplyOwnership(t *testing.T) {
+	f := simnet.NewFabric(testModel)
+	runReplyOwnership(t, NewSimEndpoint(f, 1), NewSimEndpoint(f, 3), NewSimEndpoint(f, 2), 2)
+}
+
+func TestTCPReplyOwnership(t *testing.T) {
+	book := NewAddressBook()
+	var eps [3]Endpoint
+	for i := range eps {
+		ep, err := NewTCPEndpoint(NodeID(i+1), "127.0.0.1:0", book, testModel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[i] = ep
+	}
+	runReplyOwnership(t, eps[0], eps[2], eps[1], 2)
+}

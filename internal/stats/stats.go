@@ -127,7 +127,13 @@ type Thread struct {
 	NoticesReceived int64 // write notices processed at acquires
 
 	// Communication.
-	MsgsSent      int64
+	MsgsSent int64
+	// BytesSent is the payload the thread's cache put on the wire: every
+	// diff byte shipped to a home (DiffBytes) plus every store-record
+	// byte, once for the record's home and once for the manager's write
+	// notice. Headers, and retained diffs a home pulls through the cache
+	// agent, are not counted. BytesReceived is its mirror: fetched line
+	// and page bytes.
 	BytesSent     int64
 	BytesReceived int64
 
