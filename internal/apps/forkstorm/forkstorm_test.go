@@ -127,9 +127,8 @@ func TestForkFreeReuse(t *testing.T) {
 	runForkFreeReuse(t, newRT(t))
 }
 
-// The same lifecycle on an unsequenced fabric: shard workers run as real
-// goroutines there, so the unmap purge goes through the shard queues and
-// the ack join instead of inline dispatch.
+// The same lifecycle on an unsequenced fabric, where the clients reach
+// the servers concurrently in real time.
 func TestForkFreeReuseUnsequenced(t *testing.T) {
 	runForkFreeReuse(t, newRT(t, func(c *core.Config) {
 		c.Faults = faultnet.New(faultnet.Config{Seed: 11}) // no kills: just an unsequenced fabric

@@ -19,10 +19,9 @@ import (
 // sensitivity — a map-order fan-out, a racy clock fold, an unsequenced
 // wakeup — shows up here as a counter or time mismatch.
 func TestMicroDeterministicOnSimFabric(t *testing.T) {
-	// The sharded variants exercise the dispatcher split/join paths: on
-	// a sequenced fabric shard items run inline on the dispatcher (see
-	// memserver and manager package docs), so determinism must survive
-	// requests being split across per-shard calendars and rejoined —
+	// The sharded variants exercise the dispatcher split/join paths:
+	// determinism must survive requests being split across per-shard
+	// calendars and rejoined —
 	// page shards on the servers, lock/barrier homes on the manager
 	// (which also switch the lock path to peer-to-peer handoff).
 	//

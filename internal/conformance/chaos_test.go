@@ -91,7 +91,7 @@ func chaosKillLockHolderAndMemserver(t *testing.T, shards int) {
 	cfg.ServerShards = shards
 	// The manager homes shard alongside the servers: the shards=4 leg
 	// proves reclamation (lease fencing, barrier recount, parked-lock
-	// grants) holds when sync state is spread across worker-mode homes.
+	// grants) holds when sync state is spread across several homes.
 	cfg.ManagerShards = shards
 	cfg.CacheLines = 4 // far below the working set: constant fetch/evict traffic
 	// The lease must tolerate race-detector and CI scheduling jitter: a

@@ -75,14 +75,15 @@ func TestPeerToPeerHandoffCarriesValues(t *testing.T) {
 	}
 }
 
-// TestWorkerModeDisjointLockHammer drives the manager's worker mode —
-// an unsequenced fabric (the retry layer keeps the fabric real-time)
-// with several homes — with disjoint per-lock traffic spread across the
-// homes, under the race detector in CI. Each lock guards its own
-// counter, so any cross-home ordering bug in the ticketed notice
-// directory (an acquire overtaking a release routed to a different
-// home) shows up as a lost increment.
-func TestWorkerModeDisjointLockHammer(t *testing.T) {
+// TestUnsequencedMultiHomeLockHammer drives a manager with several homes
+// on an unsequenced fabric (the retry layer keeps the fabric real-time),
+// so its one goroutine serves clients that run concurrently in real
+// time, with disjoint per-lock traffic spread across the homes, under
+// the race detector in CI. Each lock guards its own counter, so any
+// cross-home ordering bug in the ticketed notice directory (an acquire
+// overtaking a release routed to a different home) shows up as a lost
+// increment.
+func TestUnsequencedMultiHomeLockHammer(t *testing.T) {
 	const (
 		p      = 8
 		nlocks = 4

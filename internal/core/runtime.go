@@ -107,12 +107,12 @@ type Config struct {
 	// per node).
 	ThreadsPerNode int
 	// ServerShards splits each memory server's page space into this many
-	// independently scheduled shards (0 or 1 = the historical single
-	// event loop). Shards map line-granularly via Geometry.ShardOf;
-	// fetches, diff batches and evict flushes against disjoint shards
-	// are served concurrently, and the dispatcher splits multi-shard
-	// requests and joins the replies. Per-page interval-tag semantics
-	// and sequenced-run determinism are preserved.
+	// shards, each with its own service calendar (0 or 1 = one).
+	// Shards map line-granularly via Geometry.ShardOf; fetches, diff
+	// batches and evict flushes against disjoint shards overlap in
+	// virtual time, and the server splits multi-shard requests and
+	// joins the replies. Per-page interval-tag semantics and
+	// sequenced-run determinism are preserved.
 	ServerShards int
 	// HotBytes, when positive, puts each memory server's page store
 	// behind a tiered layout: at most HotBytes of uncompressed pages per
@@ -484,9 +484,8 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		mg := manager.New(mgrEP, cfg.Geo)
 		mg.SetShards(cfg.ManagerShards)
-		// Same inline-on-sequenced rule as the memory servers: the
-		// sequencer grants one message at a time, so shard goroutines
-		// could not overlap and would deadlock the runnable-token ledger.
+		// Peer-to-peer lock handoff needs the sequenced fabric's
+		// delivery order.
 		mg.SetSequenced(rt.fabric != nil && rt.fabric.Sequenced())
 		if rt.livenessEnabled() {
 			// Every replica gets the lease table and data-node list: a
@@ -527,12 +526,6 @@ func New(cfg Config) (*Runtime, error) {
 		srv := memserver.New(srvEP, i, cfg.Geo, cfg.CPU, agentAddr)
 		srv.SetShards(cfg.ServerShards)
 		srv.SetTier(cfg.HotBytes, tierModel, rt.tier)
-		// On the sequenced fabric the server processes shard items
-		// inline — worker goroutines would deadlock the runnable-token
-		// ledger (see the memserver package doc) and could not overlap
-		// in real time anyway, since the sequencer grants one message
-		// at a time.
-		srv.SetSequenced(rt.fabric != nil && rt.fabric.Sequenced())
 		if rt.livenessEnabled() {
 			srv.SetLiveness(cfg.Liveness.Live)
 		}
@@ -566,7 +559,7 @@ func New(cfg Config) (*Runtime, error) {
 			// The standby shards identically to its primary, so the
 			// per-shard replication stream routes each forwarded
 			// sub-batch wholly to the matching shard, preserving
-			// per-page apply order. (Standby runs are never sequenced.)
+			// per-page apply order.
 			sb.SetShards(cfg.ServerShards)
 			// Same budget as the primary: after a promotion the survivor
 			// must fit the same memory envelope.
@@ -961,9 +954,8 @@ func (rt *Runtime) drainServers() error {
 		// arrival) would overtake the queued batches it is supposed to
 		// prove drained. Wait for each home's stream to quiesce instead.
 		for i := range rt.servers {
-			// Sequenced servers process shard items inline on the
-			// dispatcher, so a quiesced port means a fully drained
-			// server regardless of shard count.
+			// A server is one goroutine, so a quiesced port means a
+			// fully drained server regardless of shard count.
 			rt.fabric.Quiesce(rt.homeNode(i))
 		}
 		return nil

@@ -1,47 +1,27 @@
 package manager
 
-import (
-	"sync"
-
-	"repro/internal/proto"
-)
+import "repro/internal/proto"
 
 // noticeBoard is the write-notice directory: release intervals stamped
 // with a global sequence number, plus each thread's pruning horizon.
 //
-// The directory stays logically shared even when the manager's
-// synchronization state is sharded into homes: the acquire protocol
-// carries a single scalar horizon (LastSeen), so notice sequencing must
-// stay globally ordered for lazy release consistency to hold across
-// locks homed on different shards. The board is therefore one
-// mutex-protected structure reached from every home; the serialization
-// the benchmark measures is virtual-time (per-home clocks), which does
-// shard, while this Go-level mutex is held only for map/slice work.
+// One board serves every home: the acquire protocol carries a single
+// scalar horizon (LastSeen), so notice sequencing must stay globally
+// ordered for lazy release consistency to hold across locks homed on
+// different shards. Like the homes, it belongs to the manager's one
+// goroutine.
 //
-// Sequence numbers are TICKETS issued by the dispatcher in arrival
-// order, not by the home that eventually stores the interval. In worker
-// mode the homes run concurrently, so a release routed to one home and
-// an acquire routed to another could otherwise race: a client posts its
-// one-way unlock and then arrives at a barrier, and the barrier's home
-// must not release the round before the unlock's interval is in the
-// directory. The dispatcher reserves a ticket for every
-// interval-carrying request as it arrives; the home later fills it (or
-// cancels it, for a fenced release), and acquires wait until the board
-// is contiguous up to their arrival horizon. Every wait is on a
-// strictly earlier-dispatched item sitting ahead in some home's queue,
-// so the earliest unfilled ticket can always make progress — there is
-// no cyclic wait. In inline mode (one home, or a sequenced fabric)
-// reserve/fill/acquire run back to back on the dispatcher goroutine and
-// the waits never fire.
+// Sequence numbers are TICKETS. The dispatcher reserves one, in arrival
+// order, for every interval-carrying request before the request's home
+// runs; the home then fills it with the interval, or refuses the release
+// (fenced, malformed or a duplicate) and leaves the ticket unfilled, a
+// permanent gap in the numbering. Reserve, fill and any acquire the
+// request triggers run back to back, so at every acquire each issued
+// ticket is settled and the delivery frontier is the last ticket issued.
 type noticeBoard struct {
-	mu sync.Mutex
-	cv *sync.Cond
+	issued uint64 // last ticket handed out by the dispatcher
 
-	issued     uint64              // last ticket handed out by the dispatcher
-	contiguous uint64              // all tickets <= contiguous are filled or cancelled
-	pending    map[uint64]struct{} // reserved tickets not yet filled/cancelled
-
-	notices  []proto.Notice // filled intervals, sorted by Seq
+	notices  []proto.Notice // filled intervals, ascending Seq
 	lastSeen map[uint32]uint64
 	// lastInterval tracks each writer's highest filled interval number.
 	// Interval numbers are assigned client-side and monotonic per
@@ -53,22 +33,17 @@ type noticeBoard struct {
 }
 
 func newBoard(st *Stats) *noticeBoard {
-	b := &noticeBoard{
-		pending:      make(map[uint64]struct{}),
+	return &noticeBoard{
 		lastSeen:     make(map[uint32]uint64),
 		lastInterval: make(map[uint32]uint64),
 		stats:        st,
 	}
-	b.cv = sync.NewCond(&b.mu)
-	return b
 }
 
 // ensure makes sure a thread participates in the pruning horizon.
 // Threads register explicitly at spawn; acquires also auto-register so
 // the manager never prunes a notice an active thread has not seen.
 func (b *noticeBoard) ensure(thread uint32, lastSeen uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if _, ok := b.lastSeen[thread]; !ok {
 		b.lastSeen[thread] = lastSeen
 	}
@@ -77,18 +52,7 @@ func (b *noticeBoard) ensure(thread uint32, lastSeen uint64) {
 // reserve hands out the next ticket. Called by the dispatcher, in
 // arrival order, for every request that will post an interval.
 func (b *noticeBoard) reserve() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.issued++
-	b.pending[b.issued] = struct{}{}
-	return b.issued
-}
-
-// horizon returns the youngest ticket issued so far: the arrival
-// horizon attached to requests that acquire without posting.
-func (b *noticeBoard) horizon() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.issued
 }
 
@@ -96,87 +60,35 @@ func (b *noticeBoard) horizon() uint64 {
 // directory (or was pruned after being delivered): the duplicate test
 // for re-issued releases after a manager failover.
 func (b *noticeBoard) filled(writer uint32, interval uint64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return interval != 0 && interval <= b.lastInterval[writer]
 }
 
-// fill stores the interval for a reserved ticket.
+// fill stores the interval for the ticket just reserved.
 func (b *noticeBoard) fill(seq uint64, tag proto.IntervalTag, pages []uint64, records []proto.StoreRecord) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if tag.Interval > b.lastInterval[tag.Writer] {
 		b.lastInterval[tag.Writer] = tag.Interval
 	}
-	n := proto.Notice{Seq: seq, Tag: tag, Pages: pages, Records: records}
-	i := len(b.notices)
-	for i > 0 && b.notices[i-1].Seq > seq {
-		i--
-	}
-	b.notices = append(b.notices, proto.Notice{})
-	copy(b.notices[i+1:], b.notices[i:])
-	b.notices[i] = n
+	b.notices = append(b.notices, proto.Notice{Seq: seq, Tag: tag, Pages: pages, Records: records})
 	b.stats.NoticesStored.Add(1)
-	b.complete(seq)
 }
 
-// cancel abandons a reserved ticket (a fenced release whose interval
-// must not enter the directory). The seq becomes a permanent gap.
-func (b *noticeBoard) cancel(seq uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.complete(seq)
-}
-
-// complete marks a ticket done and advances the contiguous frontier.
-// Caller holds mu.
-func (b *noticeBoard) complete(seq uint64) {
-	delete(b.pending, seq)
-	adv := false
-	for b.contiguous < b.issued {
-		if _, open := b.pending[b.contiguous+1]; open {
-			break
-		}
-		b.contiguous++
-		adv = true
+// acquire serves an acquire point: it returns the notices the thread
+// has not seen plus the delivery frontier (the thread's new horizon),
+// advances that horizon, and prunes.
+func (b *noticeBoard) acquire(thread uint32, since uint64) ([]proto.Notice, uint64) {
+	ns := b.after(since, b.issued)
+	if b.issued > b.lastSeen[thread] {
+		b.lastSeen[thread] = b.issued
 	}
-	if adv {
-		b.cv.Broadcast()
-	}
-}
-
-// acquire serves an acquire point: once every interval that arrived
-// before the acquirer's horizon is in the directory, it returns the
-// notices the thread has not seen plus the delivery frontier (the
-// thread's new horizon), advances that horizon, and prunes.
-func (b *noticeBoard) acquire(thread uint32, since, horizon uint64) ([]proto.Notice, uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.contiguous < horizon {
-		b.cv.Wait()
-	}
-	ns := b.after(since, b.contiguous)
-	if b.contiguous > b.lastSeen[thread] {
-		b.lastSeen[thread] = b.contiguous
-	}
-	seq := b.contiguous
 	b.prune()
-	return ns, seq
+	return ns, b.issued
 }
 
-// rangeAfter returns the notices with since < Seq <= upTo, for
-// composing the backlog a peer-to-peer handoff carries (bounded by the
-// holder's acquire point: later notices are delivered at the
+// after copies the notices with since < Seq <= upTo, so the batch a
+// caller holds is unaffected by later fills and prunes. Besides acquire
+// it composes the backlog a peer-to-peer handoff carries (bounded by
+// the holder's acquire point: later notices are delivered at the
 // successor's next acquire).
-func (b *noticeBoard) rangeAfter(since, upTo uint64) []proto.Notice {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.after(since, upTo)
-}
-
-// after copies notices with since < Seq <= upTo. Caller holds mu. The
-// copy (rather than an aliasing subslice) keeps worker-mode shards from
-// racing a concurrent insert; encoded replies are unchanged by it.
 func (b *noticeBoard) after(since, upTo uint64) []proto.Notice {
 	i := len(b.notices)
 	for i > 0 && b.notices[i-1].Seq > since {
@@ -196,8 +108,6 @@ func (b *noticeBoard) after(since, upTo uint64) []proto.Notice {
 
 // saw advances a thread's horizon to seq (never backwards) and prunes.
 func (b *noticeBoard) saw(thread uint32, seq uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if seq > b.lastSeen[thread] {
 		b.lastSeen[thread] = seq
 	}
@@ -208,16 +118,13 @@ func (b *noticeBoard) saw(thread uint32, seq uint64) {
 // lastInterval entry stays: a late duplicate of the corpse's release
 // must still be recognized as one.
 func (b *noticeBoard) dropThread(tid uint32) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	delete(b.lastSeen, tid)
 	b.prune()
 }
 
-// prune drops notices below every remaining thread's horizon. Caller
-// holds mu.
+// prune drops notices below every remaining thread's horizon.
 func (b *noticeBoard) prune() {
-	min := b.contiguous
+	min := b.issued
 	for _, s := range b.lastSeen {
 		if s < min {
 			min = s

@@ -2,6 +2,8 @@ package manager
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -17,9 +19,14 @@ import (
 // installs no shutdown cleanup: liveness tests end the manager
 // themselves.
 func newLiveEnv(t *testing.T, lease time.Duration, live *stats.Liveness) *testEnv {
+	return newLiveEnvHomes(t, lease, live, 1)
+}
+
+func newLiveEnvHomes(t *testing.T, lease time.Duration, live *stats.Liveness, homes int) *testEnv {
 	t.Helper()
 	env := &testEnv{fab: simnet.NewFabric(testLink)}
 	env.mgr = New(scl.NewSimEndpoint(env.fab, mgrNode), layout.DefaultGeometry())
+	env.mgr.SetShards(homes)
 	env.mgr.EnableLiveness(lease, live, nil)
 	env.wg.Add(1)
 	go func() {
@@ -56,54 +63,70 @@ func (c *client) beatFor(id uint32, bye bool) {
 	}
 }
 
-// Satellite: every flavour of parked waiter — lock queue, barrier
-// arrival, cond waiter — must observe a typed proto.ErrShutdown when
-// the manager shuts down, never a hang or an untyped failure.
+// Every flavour of parked waiter — lock queue, barrier arrival, cond
+// waiter — must observe a typed proto.ErrShutdown when the manager shuts
+// down, never a hang or an untyped failure; with several homes the
+// waiters are parked on more than one of them.
 func TestShutdownFailsParkedWaitersTyped(t *testing.T) {
-	env := newLiveEnv(t, time.Hour, nil)
-	holder := env.client(t, 1)
-	locker := env.client(t, 2)
-	arriver := env.client(t, 3)
-	sleeper := env.client(t, 4)
+	const heldLock, condLock, cond, bar = 1, 2, 8, 9
+	for _, homes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("homes=%d", homes), func(t *testing.T) {
+			env := newLiveEnvHomes(t, time.Hour, nil, homes)
+			parkedOn := map[int]bool{
+				env.mgr.shardOf(heldLock): true, env.mgr.shardOf(cond): true, env.mgr.shardOf(bar): true,
+			}
+			if homes > 1 && len(parkedOn) < 2 {
+				t.Fatalf("the parked waiters share one home of %d; pick other ids", homes)
+			}
+			holder := env.client(t, 1)
+			locker := env.client(t, 2)
+			arriver := env.client(t, 3)
+			sleeper := env.client(t, 4)
 
-	if _, err := holder.lock(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sleeper.lock(2); err != nil {
-		t.Fatal(err)
-	}
+			if _, err := holder.lock(heldLock); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sleeper.lock(condLock); err != nil {
+				t.Fatal(err)
+			}
 
-	errs := make(chan error, 3)
-	go func() {
-		_, err := locker.lock(1) // parks behind holder
-		errs <- err
-	}()
-	go func() {
-		_, err := arriver.barrier(9, 2, nil) // parks: second arrival never comes
-		errs <- err
-	}()
-	go func() {
-		sleeper.interval++
-		var resp proto.CondWaitResp
-		_, err := sleeper.ep.Call(mgrNode, &proto.CondWaitReq{
-			Cond: 8, Lock: 2, Thread: sleeper.id,
-			LastSeen: sleeper.lastSeen, Interval: sleeper.interval,
-		}, &resp, sleeper.at)
-		errs <- err
-	}()
+			errs := make(chan error, 3)
+			go func() {
+				_, err := locker.lock(heldLock) // parks behind holder
+				errs <- err
+			}()
+			go func() {
+				_, err := arriver.barrier(bar, 2, nil) // parks: second arrival never comes
+				errs <- err
+			}()
+			go func() {
+				sleeper.interval++
+				var resp proto.CondWaitResp
+				_, err := sleeper.ep.Call(mgrNode, &proto.CondWaitReq{
+					Cond: cond, Lock: condLock, Thread: sleeper.id,
+					LastSeen: sleeper.lastSeen, Interval: sleeper.interval,
+				}, &resp, sleeper.at)
+				errs <- err
+			}()
 
-	// Give the three calls time to park in the manager's event loop.
-	time.Sleep(25 * time.Millisecond)
-	env.shutdown(t)
+			// All three are parked once the lock wait is queued and the
+			// barrier arrival and the cond wait have stored their intervals.
+			st := env.mgr.Stats()
+			for st.LockWaits.Load() < 1 || st.CondWaits.Load() < 1 || st.NoticesStored.Load() < 2 {
+				runtime.Gosched()
+			}
+			env.shutdown(t)
 
-	for i := 0; i < 3; i++ {
-		err := <-errs
-		if err == nil {
-			t.Fatal("a parked waiter completed successfully across shutdown")
-		}
-		if !errors.Is(err, proto.ErrShutdown) {
-			t.Errorf("parked waiter error not typed as shutdown: %v", err)
-		}
+			for i := 0; i < 3; i++ {
+				err := <-errs
+				if err == nil {
+					t.Fatal("a parked waiter completed successfully across shutdown")
+				}
+				if !errors.Is(err, proto.ErrShutdown) {
+					t.Errorf("parked waiter error not typed as shutdown: %v", err)
+				}
+			}
+		})
 	}
 }
 

@@ -6,15 +6,16 @@
 //
 // Every synchronization operation in Samhita goes through the manager —
 // the paper explicitly calls out the resulting overhead (Section V) —
-// and historically the manager was a single event loop whose one
-// virtual clock serialized all of it. The manager is now split into a
-// dispatcher and a configurable number of synchronization homes
-// (shards): the dispatcher decodes each request once and routes it by
-// lock/barrier/condition id (or allocation zone) to a home, and each
-// home runs its own state machine with its own virtual clock, so
-// traffic on unrelated synchronization objects no longer queues behind
-// one clock. With a single home (the default) the behavior — times,
-// message bytes, grant order — is exactly the historical one.
+// and a manager whose one virtual clock serialized all of it would be
+// the bottleneck. The manager is one goroutine: a dispatcher over a
+// configurable number of synchronization homes (shards). The dispatcher
+// decodes each request once and routes it by lock/barrier/condition id
+// (or allocation zone) to a home, and each home is a state machine with
+// its own virtual clock, so traffic on unrelated synchronization
+// objects no longer queues behind one clock. The homes shard virtual
+// time, not the host: the dispatcher runs each home's work in turn.
+// With a single home (the default) the times, message bytes and grant
+// order are those of a single event loop.
 //
 // On a sequenced fabric a sharded manager additionally hands contended
 // locks over peer-to-peer: the home names the next waiter to the
@@ -36,7 +37,6 @@ package manager
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -104,7 +104,6 @@ type Manager struct {
 	p2p       bool // peer-to-peer lock handoff (sharded + sequenced)
 	shards    []*shard
 	zoneShard [3]int // home shard of the arena/shared/striped zones
-	wg        sync.WaitGroup
 
 	arenaZone   *Zone
 	sharedZone  *Zone
@@ -117,8 +116,8 @@ type Manager struct {
 
 	// Liveness (nil live == disabled). Heartbeats are wall-clock
 	// driven and processed at zero virtual cost, so enabling liveness
-	// does not perturb a run's virtual-time results. The lease table is
-	// dispatcher-owned; reclamation fans out to the homes.
+	// does not perturb a run's virtual-time results. Reclamation fans
+	// out from the lease table to the homes.
 	live        *stats.Liveness
 	tr          *trace.Collector
 	lease       time.Duration
@@ -190,18 +189,9 @@ func (m *Manager) setShards(n int) {
 }
 
 // SetSequenced tells the manager it runs on a deterministic sequenced
-// fabric: shards execute inline on the dispatcher goroutine (the
-// sequencer already provides one-at-a-time delivery), and — when
-// sharded — contended locks are handed over peer-to-peer. Must be
-// called before Run.
+// fabric, where a sharded manager hands contended locks over
+// peer-to-peer. Must be called before Run.
 func (m *Manager) SetSequenced(b bool) { m.sequenced = b }
-
-// inline reports whether shard state machines run on the dispatcher
-// goroutine (single home, deterministic sequenced mode, or a replicated
-// manager — applying a replicated log must be deterministic, and a
-// promotion must not have to quiesce worker goroutines) instead of
-// worker goroutines.
-func (m *Manager) inline() bool { return m.nshards == 1 || m.sequenced || m.repl != nil }
 
 // shardOf maps a synchronization object id to its home shard with a
 // splitmix64-style finalizer, mirroring layout.Geometry.ShardOf for
@@ -262,21 +252,9 @@ func (m *Manager) Clock() vtime.Time {
 	return max
 }
 
-// toShard delivers one work item to a home: executed immediately in
-// inline mode, queued to the home's goroutine otherwise.
-func (m *Manager) toShard(sh *shard, it mgrItem) {
-	if m.inline() {
-		sh.process(it)
-		return
-	}
-	sh.ch <- it
-}
-
 // dispatch routes a decoded request to its home shard. Requests that
 // carry a release interval reserve their directory ticket HERE, in
-// arrival order, so worker-mode homes cannot reorder the notice
-// directory; everything else is stamped with the arrival horizon its
-// acquires must wait for (see noticeBoard).
+// arrival order (see noticeBoard).
 func (m *Manager) dispatch(idx int, req *scl.Request, msg proto.Msg) {
 	m.dispatchAt(idx, req, msg, 0)
 }
@@ -290,16 +268,14 @@ func (m *Manager) dispatchAt(idx int, req *scl.Request, msg proto.Msg, floor vti
 	switch msg.(type) {
 	case *proto.UnlockReq, *proto.BarrierReq, *proto.CondWaitReq:
 		tick = m.board.reserve()
-	default:
-		tick = m.board.horizon()
 	}
-	m.toShard(m.shards[idx], mgrItem{kind: itemReq, req: req, msg: msg, at: floor, tick: tick})
+	m.shards[idx].process(mgrItem{kind: itemReq, req: req, msg: msg, at: floor, tick: tick})
 }
 
 // routeErr charges and answers a request that failed to decode. Shard
 // zero handles these so the single-home clock accounting is unchanged.
 func (m *Manager) routeErr(req *scl.Request, err error) {
-	m.toShard(m.shards[0], mgrItem{kind: itemErr, req: req, err: err})
+	m.shards[0].process(mgrItem{kind: itemErr, req: req, err: err})
 }
 
 // post sends a one-way message (NextWaiter, LockGrant, WriterDead) to a
@@ -314,35 +290,17 @@ func (m *Manager) post(node uint32, msg proto.Msg, at vtime.Time) {
 	_, _ = m.ep.Post(scl.NodeID(node), msg, at)
 }
 
-// startWorkers launches one goroutine per home (worker mode only).
-func (m *Manager) startWorkers() {
+// failParked completes every parked waiter at every home with a
+// classified error (see shard.failParked).
+func (m *Manager) failParked(code uint16, why string) {
 	for _, sh := range m.shards {
-		m.wg.Add(1)
-		go sh.run()
+		sh.failParked(code, why)
 	}
-}
-
-// stopShards fails every parked waiter and, in worker mode, stops the
-// home goroutines.
-func (m *Manager) stopShards(code uint16, why string) {
-	if m.inline() {
-		for _, sh := range m.shards {
-			sh.failParked(code, why)
-		}
-		return
-	}
-	for _, sh := range m.shards {
-		sh.ch <- mgrItem{kind: itemStop, code: code, why: why}
-	}
-	m.wg.Wait()
 }
 
 // Run processes requests until Shutdown or endpoint closure.
 func (m *Manager) Run() {
 	m.p2p = m.nshards > 1 && m.sequenced
-	if !m.inline() {
-		m.startWorkers()
-	}
 	if r := m.repl; r != nil && r.leader {
 		r.mu.Lock()
 		m.startRenewal()
@@ -355,7 +313,7 @@ func (m *Manager) Run() {
 			// The endpoint died under us (e.g. a fault injector killed
 			// the manager node): parked waiters learn the peer died,
 			// not that it shut down in an orderly way.
-			m.stopShards(proto.CodePeerDied, "manager endpoint closed")
+			m.failParked(proto.CodePeerDied, "manager endpoint closed")
 			return
 		}
 		if m.handleOne(req) {
@@ -406,16 +364,14 @@ func (m *Manager) handleOne(req *scl.Request) (stop bool) {
 	// shuts all of them down), and a deposed leader must never convert
 	// a client's orderly stop into a retryable NotLeader.
 	if req.Kind() == proto.KShutdown {
-		if m.inline() {
-			sh := m.shards[0]
-			sh.clock.AdvanceTo(req.Arrive())
-			sh.clock.Advance(req.Svc())
-			sh.mirror.Store(sh.clock.Now())
-		}
+		sh := m.shards[0]
+		sh.clock.AdvanceTo(req.Arrive())
+		sh.clock.Advance(req.Svc())
+		sh.mirror.Store(sh.clock.Now())
 		if !req.OneWay() {
 			req.Reply(&proto.Ack{}, m.Clock())
 		}
-		m.stopShards(proto.CodeShutdown, "manager shut down")
+		m.failParked(proto.CodeShutdown, "manager shut down")
 		return true
 	}
 	// Standby (or deposed) replicas refuse the client plane with the
@@ -657,14 +613,10 @@ func (m *Manager) reap(now time.Time) {
 // removes it from the write-notice horizon. markDead additionally
 // fences future grants at the homes.
 func (m *Manager) reclaimThread(tid uint32, markDead bool) {
-	tick := m.board.horizon()
 	for _, sh := range m.shards {
-		m.toShard(sh, mgrItem{kind: itemReclaim, tid: tid, markDead: markDead, tick: tick})
+		sh.process(mgrItem{kind: itemReclaim, tid: tid, markDead: markDead})
 	}
-	// The thread no longer pins the write-notice horizon. In worker
-	// mode this runs before the homes drain their queues; dropping the
-	// horizon early only delays pruning of anything an in-flight grant
-	// re-pins, never loses a notice.
+	// The thread no longer pins the write-notice horizon.
 	m.board.dropThread(tid)
 }
 

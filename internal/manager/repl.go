@@ -23,9 +23,9 @@ package manager
 //     with CodeNotLeader so clients re-issue against the successor.
 //   - Followers apply accepted entries through the SAME handlers the
 //     leader ran, as replayed requests whose replies go nowhere;
-//     outbound posts are suppressed while following. Replicated
-//     managers always run their shards inline, so applying the log is
-//     deterministic regardless of the shard count.
+//     outbound posts are suppressed while following. The manager is
+//     one goroutine, so applying the log is deterministic regardless
+//     of the shard count.
 //   - The log is truncated to what every live follower acked AND the
 //     leader applied; a follower whose next expected index was
 //     truncated away is caught up with a full state snapshot
@@ -254,11 +254,7 @@ func (m *Manager) demote(why string) {
 	if m.tr != nil {
 		m.traceLive("manager-deposed", map[string]any{"replica": r.self, "term": r.term, "why": why})
 	}
-	// Replicated managers always run inline, so the shards are owned by
-	// the goroutine running this.
-	for _, sh := range m.shards {
-		sh.failParked(proto.CodeNotLeader, "manager leader deposed")
-	}
+	m.failParked(proto.CodeNotLeader, "manager leader deposed")
 }
 
 // handleReplAppend is the follower half of the append path.

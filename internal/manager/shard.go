@@ -89,7 +89,6 @@ const (
 	itemCondPark                 // cross-shard: park a cond waiter here
 	itemLockWake                 // cross-shard: a signaled waiter re-acquires
 	itemReclaim                  // liveness: reclaim a thread's sync state
-	itemStop                     // shut the shard down
 )
 
 // mgrItem is one unit of work for a shard. The dispatcher decodes each
@@ -107,29 +106,26 @@ type mgrItem struct {
 	at       vtime.Time // causal floor: itemLockWake's cond home, itemReq's replication round
 	tid      uint32     // itemReclaim
 	markDead bool       // itemReclaim: also fence future grants
-	code     uint16     // itemStop
-	why      string     // itemStop
-	// tick is the request's notice-directory position: a reserved
-	// ticket for interval-carrying requests, the arrival horizon for
-	// everything else. Cross-shard items inherit the originating
-	// item's tick.
+	// tick is the notice-directory ticket the dispatcher reserved for an
+	// interval-carrying itemReq (zero otherwise). The handler fills it;
+	// one that returns without filling (a fenced, malformed or duplicate
+	// release) leaves that seq a permanent gap.
 	tick uint64
 }
 
 // shard is one synchronization home: it owns a disjoint set of locks,
 // barriers, conditions and allocation zones, with its own virtual
 // clock, so independent sync traffic no longer serializes on a single
-// manager clock. In inline mode (one shard, or a sequenced fabric) the
-// dispatcher calls process directly; otherwise each shard runs its own
-// goroutine fed by ch.
+// manager clock. The homes are state machines, not goroutines: the
+// dispatcher (or another home, for cross-shard work) calls process
+// directly.
 type shard struct {
 	m  *Manager
 	id int
-	ch chan mgrItem
 
 	clock  *vtime.Clock
 	mirror atomicTime // clock published for cross-goroutine readers
-	tick   uint64     // directory ticket/horizon of the item in flight
+	tick   uint64     // directory ticket of the request in flight
 
 	locks       map[uint32]*lockState
 	barriers    map[uint32]*barrierState
@@ -137,13 +133,10 @@ type shard struct {
 	deadThreads map[uint32]bool // skip dead threads when granting locks
 }
 
-const shardQueueDepth = 1024
-
 func newShard(m *Manager, id int) *shard {
 	return &shard{
 		m:           m,
 		id:          id,
-		ch:          make(chan mgrItem, shardQueueDepth),
 		clock:       vtime.NewClock(0),
 		locks:       make(map[uint32]*lockState),
 		barriers:    make(map[uint32]*barrierState),
@@ -152,22 +145,11 @@ func newShard(m *Manager, id int) *shard {
 	}
 }
 
-// run drains the shard's queue until an itemStop (worker mode only).
-func (sh *shard) run() {
-	defer sh.m.wg.Done()
-	for it := range sh.ch {
-		if sh.process(it) {
-			return
-		}
-	}
-}
-
-// process executes one item and publishes the advanced clock. Returns
-// true when the shard should stop.
-func (sh *shard) process(it mgrItem) (stop bool) {
-	sh.tick = it.tick
+// process executes one item and publishes the advanced clock.
+func (sh *shard) process(it mgrItem) {
 	switch it.kind {
 	case itemReq:
+		sh.tick = it.tick
 		sh.clock.AdvanceTo(it.req.Arrive())
 		// A replicated mutation is applied only after the slowest
 		// follower acked it; the round's completion time floors the
@@ -189,12 +171,8 @@ func (sh *shard) process(it mgrItem) (stop bool) {
 		sh.wakeFromCond(it.lock, it.wake)
 	case itemReclaim:
 		sh.reclaim(it.tid, it.markDead)
-	case itemStop:
-		sh.failParked(it.code, it.why)
-		stop = true
 	}
 	sh.mirror.Store(sh.clock.Now())
-	return stop
 }
 
 func (sh *shard) handle(req *scl.Request, msg proto.Msg) {
@@ -360,7 +338,7 @@ func (sh *shard) handleLock(req *scl.Request, lr *proto.LockReq) {
 		// lost to a leader failover and the client re-issued. Re-answer
 		// from the recorded tenure without granting again, so grant
 		// conservation holds across the failover.
-		ns := m.board.rangeAfter(lr.LastSeen, ls.grantSeq)
+		ns := m.board.after(lr.LastSeen, ls.grantSeq)
 		req.Reply(&proto.LockResp{Seq: ls.grantSeq, Notices: ns}, sh.clock.Now())
 		return
 	}
@@ -413,7 +391,7 @@ func (sh *shard) grant(id uint32, ls *lockState, w waiter) {
 	ls.gen++
 	ls.trainLeft = 0
 	m.stats.LockGrants.Add(1)
-	ns, seq := m.board.acquire(w.thread, w.lastSeen, sh.tick)
+	ns, seq := m.board.acquire(w.thread, w.lastSeen)
 	ls.grantSeq = seq
 	now := sh.clock.Now()
 	switch {
@@ -501,7 +479,7 @@ func (sh *shard) composeTrain(ls *lockState) []proto.SuccAnn {
 		train = append(train, proto.SuccAnn{
 			Waiter:     w.thread,
 			WaiterNode: w.node,
-			Notices:    m.board.rangeAfter(w.lastSeen, ls.grantSeq),
+			Notices:    m.board.after(w.lastSeen, ls.grantSeq),
 		})
 		if len(train) == maxTrain {
 			break
@@ -523,7 +501,6 @@ func (sh *shard) handleUnlock(req *scl.Request, ur *proto.UnlockReq) {
 		// in the directory and the lock has moved on; ack without
 		// re-filling or re-releasing. Checked before the holder test:
 		// the lock is usually held by someone else by now.
-		m.board.cancel(sh.tick)
 		if !req.OneWay() {
 			req.Reply(&proto.Ack{}, sh.clock.Now())
 		}
@@ -533,9 +510,8 @@ func (sh *shard) handleUnlock(req *scl.Request, ur *proto.UnlockReq) {
 		// One-way: the lock was force-released after the sender was
 		// declared dead (or the sender is confused); dropping the
 		// request is the only fence available. Its reserved directory
-		// ticket is cancelled — the corpse's interval must not become
+		// ticket stays unfilled — the corpse's interval must not become
 		// visible to acquirers that already moved past the reclamation.
-		m.board.cancel(sh.tick)
 		if !req.OneWay() {
 			req.ReplyError(fmt.Errorf("manager: unlock of lock %d by non-holder thread %d", ur.Lock, ur.Thread), sh.clock.Now())
 		}
@@ -639,7 +615,6 @@ func (sh *shard) release(id uint32, ls *lockState) {
 func (sh *shard) handleBarrier(req *scl.Request, br *proto.BarrierReq) {
 	m := sh.m
 	if br.Count == 0 {
-		m.board.cancel(sh.tick)
 		req.ReplyError(fmt.Errorf("manager: barrier %d arrival with zero count", br.Barrier), sh.clock.Now())
 		return
 	}
@@ -659,7 +634,6 @@ func (sh *shard) handleBarrier(req *scl.Request, br *proto.BarrierReq) {
 		sh.barriers[br.Barrier] = bs
 	}
 	if bs.count != br.Count {
-		m.board.cancel(sh.tick)
 		req.ReplyError(fmt.Errorf("manager: barrier %d count mismatch: %d vs %d", br.Barrier, br.Count, bs.count), sh.clock.Now())
 		return
 	}
@@ -669,8 +643,7 @@ func (sh *shard) handleBarrier(req *scl.Request, br *proto.BarrierReq) {
 			// to a leader failover and the client re-issued. Its
 			// interval was filled by the original arrival; answer with
 			// the directory frontier without re-counting.
-			m.board.cancel(sh.tick)
-			ns, seq := m.board.acquire(br.Thread, br.LastSeen, sh.tick)
+			ns, seq := m.board.acquire(br.Thread, br.LastSeen)
 			req.Reply(&proto.BarrierResp{Seq: seq, Notices: ns}, sh.clock.Now())
 			return
 		}
@@ -678,7 +651,6 @@ func (sh *shard) handleBarrier(req *scl.Request, br *proto.BarrierReq) {
 			// Counted (as a replayed arrival applied from the log) but
 			// the round is still pending: attach the live request so
 			// the eventual release answers it.
-			m.board.cancel(sh.tick)
 			for i := range bs.arrived {
 				if bs.arrived[i].thread == br.Thread {
 					bs.arrived[i].req = req
@@ -721,7 +693,7 @@ func (sh *shard) releaseBarrier(bs *barrierState, svc vtime.Time) {
 	if m.nshards == 1 {
 		for _, w := range bs.arrived {
 			sh.clock.Advance(svc)
-			ns, seq := m.board.acquire(w.thread, w.lastSeen, sh.tick)
+			ns, seq := m.board.acquire(w.thread, w.lastSeen)
 			w.req.Reply(&proto.BarrierResp{Seq: seq, Notices: ns}, sh.clock.Now())
 		}
 		bs.arrived = bs.arrived[:0]
@@ -732,7 +704,7 @@ func (sh *shard) releaseBarrier(bs *barrierState, svc vtime.Time) {
 	for j, w := range bs.arrived {
 		depth := vtime.Time(bits.Len(uint(j + 1)))
 		at := start + svc*depth
-		ns, seq := m.board.acquire(w.thread, w.lastSeen, sh.tick)
+		ns, seq := m.board.acquire(w.thread, w.lastSeen)
 		w.req.Reply(&proto.BarrierResp{Seq: seq, Notices: ns}, at)
 		if at > maxAt {
 			maxAt = at
@@ -796,10 +768,8 @@ func (sh *shard) handleCondWait(req *scl.Request, cw *proto.CondWaitReq) {
 		// Duplicate of a wait already applied (reply lost to a leader
 		// failover): the thread is parked on the condition, queued at
 		// the lock after a signal, or already re-granted. Re-attach the
-		// live request wherever the replayed one sits. Replicated
-		// managers run inline, so the condition's home (possibly
-		// another shard) is reachable from this goroutine.
-		m.board.cancel(sh.tick)
+		// live request wherever the replayed one sits — the condition's
+		// home may be another shard.
 		ch := m.shards[m.shardOf(cw.Cond)]
 		for i := range ch.cond(cw.Cond).waiters {
 			ce := &ch.cond(cw.Cond).waiters[i]
@@ -809,7 +779,7 @@ func (sh *shard) handleCondWait(req *scl.Request, cw *proto.CondWaitReq) {
 			}
 		}
 		if ls.held && ls.holder == cw.Thread {
-			ns := m.board.rangeAfter(cw.LastSeen, ls.grantSeq)
+			ns := m.board.after(cw.LastSeen, ls.grantSeq)
 			req.Reply(&proto.CondWaitResp{Seq: ls.grantSeq, Notices: ns}, sh.clock.Now())
 			return
 		}
@@ -825,7 +795,6 @@ func (sh *shard) handleCondWait(req *scl.Request, cw *proto.CondWaitReq) {
 		return
 	}
 	if !ls.held || ls.holder != cw.Thread {
-		m.board.cancel(sh.tick)
 		req.ReplyError(fmt.Errorf("manager: cond wait on lock %d by non-holder thread %d", cw.Lock, cw.Thread), sh.clock.Now())
 		return
 	}
@@ -845,7 +814,7 @@ func (sh *shard) handleCondWait(req *scl.Request, cw *proto.CondWaitReq) {
 		},
 		lock: cw.Lock,
 	}
-	m.toShard(m.shards[m.shardOf(cw.Cond)], mgrItem{kind: itemCondPark, cond: cw.Cond, park: entry, tick: sh.tick})
+	m.shards[m.shardOf(cw.Cond)].process(mgrItem{kind: itemCondPark, cond: cw.Cond, park: entry})
 	sh.release(cw.Lock, ls)
 }
 
@@ -867,8 +836,8 @@ func (sh *shard) handleCondSignal(req *scl.Request, sr *proto.CondSignalReq) {
 	// returns; it competes with ordinary lock requests in FIFO order at
 	// the lock's own home.
 	for _, cw := range woken {
-		m.toShard(m.shards[m.shardOf(cw.lock)], mgrItem{
-			kind: itemLockWake, lock: cw.lock, wake: cw.w, at: sh.clock.Now(), tick: sh.tick,
+		m.shards[m.shardOf(cw.lock)].process(mgrItem{
+			kind: itemLockWake, lock: cw.lock, wake: cw.w, at: sh.clock.Now(),
 		})
 	}
 }

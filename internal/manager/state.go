@@ -222,13 +222,12 @@ func decodeU32U64Map(r *proto.Reader) map[uint32]uint64 {
 	return mp
 }
 
-// encode serializes the directory. Snapshots are taken between requests
-// on an inline (replicated) manager, so no tickets are pending.
+// encode serializes the directory. The second word is the delivery
+// frontier, which equals issued whenever a snapshot can be taken
+// (between requests); the format keeps it.
 func (b *noticeBoard) encode(w *proto.Writer) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	w.U64(b.issued)
-	w.U64(b.contiguous)
+	w.U64(b.issued)
 	proto.MarshalNotices(w, b.notices)
 	encodeU32U64Map(w, b.lastSeen)
 	encodeU32U64Map(w, b.lastInterval)
@@ -236,7 +235,7 @@ func (b *noticeBoard) encode(w *proto.Writer) {
 
 func (b *noticeBoard) decode(r *proto.Reader) {
 	b.issued = r.U64()
-	b.contiguous = r.U64()
+	r.U64() // delivery frontier == issued
 	b.notices = proto.UnmarshalNotices(r)
 	b.lastSeen = decodeU32U64Map(r)
 	b.lastInterval = decodeU32U64Map(r)

@@ -5,16 +5,14 @@
 // compute threads on the coprocessor fault cache lines in from it and
 // ship modifications back.
 //
-// A memory server is a dispatcher goroutine over its SCL endpoint plus
-// N page shards (Geometry.ShardOf, line-granular so a single-line fetch
-// never splits). With one shard — the default — the dispatcher handles
-// everything inline and the server behaves exactly like the historical
-// single-goroutine event loop. With more, each shard runs its own
-// worker goroutine with its own calendar, parked-fetch table, page map
-// and ownership table, so traffic against disjoint shards is served
-// concurrently; the dispatcher splits multi-shard DiffBatch/FetchLines
-// requests and joins the per-shard replies. The server is also the
-// *home* of its pages in the home-based lazy-release protocol:
+// A memory server is one goroutine: an event loop over its SCL endpoint
+// that owns N page shards (Geometry.ShardOf, line-granular so a
+// single-line fetch never splits; one shard by default). Each shard has
+// its own calendar, parked-fetch table, page map and ownership table;
+// the loop splits a DiffBatch/FetchLines request that spans shards,
+// runs every share on its shard in turn and joins the per-shard
+// replies. The server is also the *home* of its pages in the home-based
+// lazy-release protocol:
 //
 //   - FetchLineReq: assemble and return one multi-page cache line. The
 //     request quotes, per page, the interval tags whose DiffBatches must
@@ -42,25 +40,17 @@
 // ordering constraints flow through interval tags, and Clock() merges
 // the shard calendars. Pages are materialized lazily and zero-filled.
 //
-// Shards execute in one of two modes. On an unsequenced fabric (chaos
-// runs, standbys, real transports) each shard runs a worker goroutine
-// and disjoint-shard requests proceed in parallel in real time. On a
-// sequenced fabric (deterministic clean runs) the dispatcher processes
-// every shard item inline instead: the sequencer's runnable-token
-// ledger grants one message at a time, so worker concurrency there
-// would be fictitious — worse, a queued item would have to hold a
-// runnable token while its shard blocks in a diff-pull Call, which
-// deadlocks the ledger (the pull's grant needs run==0, the token's
-// retirement needs the worker). Inline execution keeps the server a
-// single goroutine exactly like the historical event loop — Quiesce
-// still proves it drained — while the per-shard calendars still overlap
-// service windows in virtual time, which is where the sharded speedup
-// comes from.
+// Sharding is a virtual-time model, not host parallelism: the shards'
+// calendars overlap service windows in virtual time, which is where the
+// sharded speedup comes from, while on the host one goroutine serves
+// every shard. So a quiesced port (or an acked Ping) means a fully
+// drained server whatever the shard count, and a shard blocking in a
+// diff-pull Call blocks the server, exactly as with one shard. Servers
+// still run in parallel with each other and with the compute threads.
 package memserver
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/layout"
@@ -69,11 +59,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/vtime"
 )
-
-// shardQueueDepth bounds each shard worker's queue; the dispatcher
-// blocks when a shard is this far behind (backpressure, like the
-// fabric's own inbox).
-const shardQueueDepth = 1024
 
 // Stats aggregates one memory server's activity. Counter fields are
 // updated atomically so tests and harnesses may read them while the
@@ -107,8 +92,8 @@ type Stats struct {
 // panics loudly).
 type AgentAddr func(writer uint32) scl.NodeID
 
-// Server is one memory server instance: a dispatcher over its endpoint
-// plus one or more page shards.
+// Server is one memory server instance: an event loop over its endpoint
+// that owns one or more page shards.
 type Server struct {
 	ep        scl.Endpoint
 	index     int // which server this is (for home validation)
@@ -118,12 +103,6 @@ type Server struct {
 
 	nshards int
 	shards  []*shard
-	// sequenced selects inline shard execution (see the package doc):
-	// no worker goroutines, the dispatcher processes each item on its
-	// shard directly, and determinism follows from the fabric's grant
-	// order alone.
-	sequenced bool
-	wg        sync.WaitGroup // shard workers (unsequenced multi-shard mode)
 
 	// Checkpoint/failover state. A warm standby runs the same Server
 	// code with standby=true: it applies the diff stream its primary
@@ -151,7 +130,7 @@ type Server struct {
 	// the same dead lease; the generation (stamped by the leader that
 	// first reaped it, re-broadcast verbatim on promotion) makes the
 	// duplicate obituary a no-op instead of a second barrier-free
-	// unpark sweep. Touched only by the Recv dispatcher goroutine.
+	// unpark sweep.
 	obitGen map[uint32]uint64
 
 	stats Stats
@@ -200,8 +179,8 @@ func (s *Server) Stats() *Stats { return &s.stats }
 // NumShards reports how many page shards the server runs.
 func (s *Server) NumShards() int { return s.nshards }
 
-// SetShards splits the server's page space into n independently
-// scheduled shards (n < 1 means 1). Must be called before Run.
+// SetShards splits the server's page space into n shards, each with its
+// own service calendar (n < 1 means 1). Must be called before Run.
 func (s *Server) SetShards(n int) {
 	if n < 1 {
 		n = 1
@@ -216,7 +195,6 @@ func (s *Server) setShards(n int) {
 		s.shards[i] = &shard{
 			srv:         s,
 			id:          i,
-			ch:          make(chan shardItem, shardQueueDepth),
 			pages:       make(map[layout.PageID][]byte),
 			appliedAt:   make(map[proto.IntervalTag]vtime.Time),
 			parked:      make(map[*parkedFetch]struct{}),
@@ -225,15 +203,6 @@ func (s *Server) setShards(n int) {
 		}
 	}
 }
-
-// SetSequenced tells the server its fabric delivers messages under the
-// deterministic sequencer, selecting inline shard execution instead of
-// worker goroutines (see the package doc). Must be called before Run.
-func (s *Server) SetSequenced(sequenced bool) { s.sequenced = sequenced }
-
-// inline reports whether shard items are processed on the dispatcher
-// goroutine (single shard, or any shard count on a sequenced fabric).
-func (s *Server) inline() bool { return s.nshards == 1 || s.sequenced }
 
 // SetStandby marks the server as a warm standby: it applies forwarded
 // diff traffic but answers fetches with proto.ErrNotPromoted until a
@@ -265,16 +234,12 @@ func (s *Server) Clock() vtime.Time {
 }
 
 // Run processes requests until a Shutdown message arrives or the
-// endpoint closes. With one shard it is the server's only goroutine;
-// with more it dispatches to the shard workers it starts.
+// endpoint closes. It is the server's only goroutine.
 func (s *Server) Run() {
-	if !s.inline() {
-		s.startWorkers()
-	}
 	for {
 		req, ok := s.ep.Recv()
 		if !ok {
-			s.stopWorkers(proto.CodePeerDied, "memory server endpoint closed")
+			s.failParked(proto.CodePeerDied, "memory server endpoint closed")
 			return
 		}
 		switch req.Kind() {
@@ -287,7 +252,9 @@ func (s *Server) Run() {
 		case proto.KEvictFlush:
 			s.dispatchEvictFlush(req)
 		case proto.KPing:
-			s.handlePing(req)
+			// Everything received before the ping is already applied
+			// (the drain idiom relies on this); ack at the merged clock.
+			req.Reply(&proto.Ack{}, s.Clock())
 		case proto.KSealAS:
 			s.dispatchSealAS(req)
 		case proto.KForkMap:
@@ -298,7 +265,7 @@ func (s *Server) Run() {
 			s.dispatchWriterDead(req)
 		case proto.KPromote:
 			// Idempotent: the runtime may re-promote on a retried
-			// failover. Fetches already queued at shards were sent by
+			// failover. Fetches already in the inbox were sent by
 			// fetchers racing the failover; serving them post-flip is
 			// safe because quoted interval tags, not the flag, gate
 			// data freshness.
@@ -315,7 +282,7 @@ func (s *Server) Run() {
 			if !req.OneWay() {
 				req.Reply(&proto.Ack{}, s.Clock())
 			}
-			s.stopWorkers(proto.CodeShutdown, "memory server shut down")
+			s.failParked(proto.CodeShutdown, "memory server shut down")
 			return
 		default:
 			if !req.OneWay() {
@@ -325,40 +292,12 @@ func (s *Server) Run() {
 	}
 }
 
-// startWorkers launches one worker goroutine per shard (unsequenced
-// multi-shard mode only).
-func (s *Server) startWorkers() {
+// failParked answers every parked fetch on every shard with a typed
+// error (shutdown or peer death).
+func (s *Server) failParked(code uint16, why string) {
 	for _, sh := range s.shards {
-		s.wg.Add(1)
-		go sh.run()
+		sh.failParked(code, why)
 	}
-}
-
-// stopWorkers fails all parked fetches and, in worker mode, stops every
-// worker after it drains its backlog.
-func (s *Server) stopWorkers(code uint16, why string) {
-	if s.inline() {
-		for _, sh := range s.shards {
-			sh.failParked(code, why)
-		}
-		return
-	}
-	for _, sh := range s.shards {
-		sh.ch <- shardItem{kind: itemStop, code: code, why: why}
-	}
-	s.wg.Wait()
-}
-
-// enqueue hands an item to its shard: processed inline on the
-// dispatcher in inline mode (preserving the historical single-goroutine
-// behaviour — and, with one shard, its exact virtual times), queued to
-// the shard's worker otherwise.
-func (s *Server) enqueue(sh *shard, it shardItem) {
-	if s.inline() {
-		sh.process(it)
-		return
-	}
-	sh.ch <- it
 }
 
 // ackFor builds the ack join for an RPC-style request split across n
@@ -368,23 +307,6 @@ func (s *Server) ackFor(req *scl.Request, n int) *ackJoin {
 		return nil
 	}
 	return &ackJoin{req: req, remaining: n}
-}
-
-func (s *Server) handlePing(req *scl.Request) {
-	if s.inline() {
-		// Inline processing means everything received before the ping
-		// is already applied; ack at the merged clock.
-		req.Reply(&proto.Ack{}, s.Clock())
-		return
-	}
-	// Worker mode: the ping ack must prove everything enqueued before
-	// it has been processed (the drain idiom relies on this), so it
-	// joins a marker through every shard queue and answers at the max
-	// shard clock.
-	j := &ackJoin{req: req, remaining: s.nshards}
-	for _, sh := range s.shards {
-		s.enqueue(sh, shardItem{kind: itemPing, ack: j})
-	}
 }
 
 // dispatchWriterDead fans a manager obituary to every shard: each
@@ -405,7 +327,7 @@ func (s *Server) dispatchWriterDead(req *scl.Request) {
 		s.obitGen[m.Writer] = m.Gen
 	}
 	for _, sh := range s.shards {
-		s.enqueue(sh, shardItem{kind: itemWriterDead, writer: m.Writer})
+		sh.writerDead(m.Writer)
 	}
 }
 
@@ -470,11 +392,6 @@ func (s *Server) routeFetch(req *scl.Request, lines []layout.LineID, pages []lay
 	}
 	s.stats.Fetches.Add(1)
 
-	if s.nshards == 1 {
-		s.shards[0].serveFetch(&subFetch{req: req, lines: lines, pages: pages, needs: needs, multi: multi})
-		return
-	}
-
 	subs := make([]*subFetch, s.nshards)
 	sub := func(id int) *subFetch {
 		if subs[id] == nil {
@@ -513,7 +430,7 @@ func (s *Server) routeFetch(req *scl.Request, lines []layout.LineID, pages []lay
 		// directly from the shard (no join, no reassembly).
 		f := subs[single]
 		f.lineOffs, f.pageOffs = nil, nil
-		s.enqueue(s.shards[single], shardItem{kind: itemFetch, sub: f})
+		s.shards[single].serveFetch(f)
 		return
 	}
 	s.stats.SplitFetches.Add(1)
@@ -525,7 +442,7 @@ func (s *Server) routeFetch(req *scl.Request, lines []layout.LineID, pages []lay
 			continue
 		}
 		f.join = j
-		s.enqueue(s.shards[id], shardItem{kind: itemFetch, sub: f})
+		s.shards[id].serveFetch(f)
 	}
 }
 
@@ -537,10 +454,6 @@ func (s *Server) dispatchDiffBatch(req *scl.Request) {
 		panic(fmt.Sprintf("memserver: bad DiffBatch: %v", err))
 	}
 	s.stats.DiffBatches.Add(1)
-	if s.nshards == 1 {
-		s.shards[0].applyBatch(req, &m, s.ackFor(req, 1), false)
-		return
-	}
 	subs := make([]*proto.DiffBatch, s.nshards)
 	sub := func(id int) *proto.DiffBatch {
 		if subs[id] == nil {
@@ -573,18 +486,16 @@ func (s *Server) dispatchDiffBatch(req *scl.Request) {
 	if count == 0 {
 		// A batch naming no pages still marks its tag: route it whole
 		// to shard 0 so the tag is applied and replicated exactly once.
-		s.enqueue(s.shards[0], shardItem{kind: itemBatch, req: req, batch: &m, ack: s.ackFor(req, 1)})
-		return
+		subs[0], count = &m, 1
 	}
 	if count > 1 {
 		s.stats.SplitBatches.Add(1)
 	}
 	j := s.ackFor(req, count)
 	for id, b := range subs {
-		if b == nil {
-			continue
+		if b != nil {
+			s.shards[id].applyBatch(req, b, j, count > 1)
 		}
-		s.enqueue(s.shards[id], shardItem{kind: itemBatch, req: req, batch: b, ack: j, split: count > 1})
 	}
 }
 
@@ -594,10 +505,6 @@ func (s *Server) dispatchEvictFlush(req *scl.Request) {
 		panic(fmt.Sprintf("memserver: bad EvictFlush: %v", err))
 	}
 	s.stats.EvictFlushes.Add(1)
-	if s.nshards == 1 {
-		s.shards[0].applyFlush(req, &m, s.ackFor(req, 1), false)
-		return
-	}
 	subs := make([]*proto.EvictFlush, s.nshards)
 	for i := range m.Diffs {
 		id := s.geo.ShardOf(layout.PageID(m.Diffs[i].Page), s.nshards)
@@ -613,17 +520,15 @@ func (s *Server) dispatchEvictFlush(req *scl.Request) {
 		}
 	}
 	if count == 0 {
-		s.enqueue(s.shards[0], shardItem{kind: itemFlush, req: req, flush: &m, ack: s.ackFor(req, 1)})
-		return
+		subs[0], count = &m, 1
 	}
 	if count > 1 {
 		s.stats.SplitBatches.Add(1)
 	}
 	j := s.ackFor(req, count)
 	for id, f := range subs {
-		if f == nil {
-			continue
+		if f != nil {
+			s.shards[id].applyFlush(req, f, j, count > 1)
 		}
-		s.enqueue(s.shards[id], shardItem{kind: itemFlush, req: req, flush: f, ack: j, split: count > 1})
 	}
 }

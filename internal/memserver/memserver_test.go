@@ -3,7 +3,9 @@ package memserver
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -255,34 +257,59 @@ func TestWrongHomeRejected(t *testing.T) {
 	}
 }
 
+// Shutdown answers every parked fetch with the typed shutdown error, on
+// every shard: a single-line fetch and a combined fetch whose pages
+// spread over the shards all quote a tag that never lands.
 func TestShutdownFailsParkedFetch(t *testing.T) {
-	geo := layout.DefaultGeometry()
-	f := simnet.NewFabric(testLink)
-	srv := New(scl.NewSimEndpoint(f, 100), 0, geo, vtime.DefaultCPU, nil)
-	cli := scl.NewSimEndpoint(f, 1)
-	done := make(chan struct{})
-	go func() { srv.Run(); close(done) }()
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			f := simnet.NewFabric(testLink)
+			srv := New(scl.NewSimEndpoint(f, 100), 0, shardGeo, vtime.DefaultCPU, nil)
+			srv.SetShards(shards)
+			done := make(chan struct{})
+			go func() { srv.Run(); close(done) }()
 
-	errc := make(chan error, 1)
-	go func() {
-		var resp proto.FetchLineResp
-		_, err := cli.Call(100, &proto.FetchLineReq{
-			Line:  0,
-			Needs: []proto.PageNeed{{Page: 0, Tags: []proto.IntervalTag{{Writer: 1, Interval: 1}}}},
-		}, &resp, 0)
-		errc <- err
-	}()
-	for srv.Stats().ParkedFetches.Load() == 0 {
+			never := []proto.IntervalTag{{Writer: 1, Interval: 1}}
+			const npages = 8
+			var pages []uint64
+			var needs []proto.PageNeed
+			onShard := make(map[int]bool)
+			for p := uint64(0); p < npages; p++ {
+				pages = append(pages, p)
+				needs = append(needs, proto.PageNeed{Page: p, Tags: never})
+				onShard[shardGeo.ShardOf(layout.PageID(p), shards)] = true
+			}
+			if shards > 1 && len(onShard) < 2 {
+				t.Fatalf("%d pages landed on %d shard(s); the test needs several", npages, len(onShard))
+			}
+
+			errc := make(chan error, 2)
+			go func() {
+				var resp proto.FetchLineResp
+				_, err := scl.NewSimEndpoint(f, 1).Call(100, &proto.FetchLineReq{Line: 0, Needs: needs[:1]}, &resp, 0)
+				errc <- err
+			}()
+			go func() {
+				var resp proto.FetchLinesResp
+				_, err := scl.NewSimEndpoint(f, 2).Call(100, &proto.FetchLinesReq{Pages: pages, Needs: needs}, &resp, 0)
+				errc <- err
+			}()
+			for srv.Stats().ParkedFetches.Load() < int64(1+len(onShard)) {
+				runtime.Gosched()
+			}
+			if _, err := scl.NewSimEndpoint(f, 3).Post(100, &proto.Shutdown{}, 0); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := <-errc; err == nil {
+					t.Error("parked fetch survived shutdown without error")
+				} else if !errors.Is(err, proto.ErrShutdown) {
+					t.Errorf("parked fetch error not typed as shutdown: %v", err)
+				}
+			}
+			<-done
+		})
 	}
-	if _, err := cli.Post(100, &proto.Shutdown{}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err == nil {
-		t.Fatal("parked fetch survived shutdown without error")
-	} else if !errors.Is(err, proto.ErrShutdown) {
-		t.Fatalf("parked fetch error not typed as shutdown: %v", err)
-	}
-	<-done
 }
 
 // A warm standby applies the primary's replicated diff stream but

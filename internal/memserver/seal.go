@@ -2,7 +2,6 @@ package memserver
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/layout"
 	"repro/internal/proto"
@@ -20,11 +19,10 @@ type sealInfo struct {
 
 // sealJoin joins the per-shard completions of a SealAS. Like fetchJoin
 // it keeps the lowest-numbered failing shard's error so the winning
-// error does not depend on shard completion order, but the success
-// reply is a bare Ack — the frames stay on the server.
+// error does not depend on the order parked shares complete in, but the
+// success reply is a bare Ack — the frames stay on the server.
 type sealJoin struct {
 	req       *scl.Request
-	mu        sync.Mutex
 	remaining int
 	done      vtime.Time
 	err       error
@@ -33,7 +31,6 @@ type sealJoin struct {
 }
 
 func (j *sealJoin) complete(shardID int, at vtime.Time, err error, code uint16) {
-	j.mu.Lock()
 	if at > j.done {
 		j.done = at
 	}
@@ -41,9 +38,7 @@ func (j *sealJoin) complete(shardID int, at vtime.Time, err error, code uint16) 
 		j.err, j.errShard, j.errCode = err, shardID, code
 	}
 	j.remaining--
-	last := j.remaining == 0
-	j.mu.Unlock()
-	if !last {
+	if j.remaining > 0 {
 		return
 	}
 	if j.err != nil {
@@ -121,7 +116,7 @@ func (s *Server) dispatchSealAS(req *scl.Request) {
 			continue
 		}
 		f.seal = &sealInfo{snap: m.Snap, split: count > 1, join: j}
-		s.enqueue(s.shards[id], shardItem{kind: itemFetch, sub: f})
+		s.shards[id].serveFetch(f)
 	}
 }
 
@@ -236,9 +231,9 @@ func (s *Server) handleForkMap(req *scl.Request) {
 // from the snap store (so no page can resolve through the dead range
 // again), released snapshots drop their sealed frames, and each shard
 // purges the private pages the fork materialized in the range. The ack
-// is withheld until every shard has purged — the caller's Unmapped
-// FreeReq, which lets the manager reuse the striped space, must not
-// race a shard still holding the old bytes. Replicated to the standby
+// follows the purge — the caller's Unmapped FreeReq, which lets the
+// manager reuse the striped space, must not race a shard still holding
+// the old bytes. Replicated to the standby
 // like ForkMap so a promoted standby does not resurrect the range.
 func (s *Server) handleForkUnmap(req *scl.Request) {
 	var m proto.ForkUnmap
@@ -273,37 +268,15 @@ func (s *Server) handleForkUnmap(req *scl.Request) {
 			s.live.ReplBatches.Add(1)
 		}
 	}
-	// Purge the fork's private pages shard by shard. Like writerDead this
-	// is teardown bookkeeping with no virtual-time cost, but unlike it the
-	// purge must be acknowledged: it goes through the shard queues (the
-	// workers own sh.pages) and the reply joins every shard's completion.
-	subs := make([][]layout.PageID, s.nshards)
+	// Purge the fork's private pages from their shards. Like writerDead
+	// this is teardown bookkeeping with no virtual-time cost.
 	for i := uint64(0); i < m.NPages; i++ {
 		p := base + layout.PageID(i)
-		if s.geo.HomeOf(p) != s.index {
-			continue
-		}
-		id := s.geo.ShardOf(p, s.nshards)
-		subs[id] = append(subs[id], p)
-	}
-	count := 0
-	for _, pages := range subs {
-		if pages != nil {
-			count++
+		if s.geo.HomeOf(p) == s.index {
+			s.shards[s.geo.ShardOf(p, s.nshards)].dropPage(p)
 		}
 	}
-	at := req.Arrive() + req.Svc()
-	if count == 0 {
-		if !req.OneWay() {
-			req.Reply(&proto.Ack{}, at)
-		}
-		return
-	}
-	j := s.ackFor(req, count)
-	for id, pages := range subs {
-		if pages == nil {
-			continue
-		}
-		s.enqueue(s.shards[id], shardItem{kind: itemUnmap, unpages: pages, ack: j, at: at})
+	if !req.OneWay() {
+		req.Reply(&proto.Ack{}, req.Arrive()+req.Svc())
 	}
 }

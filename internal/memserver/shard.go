@@ -25,35 +25,6 @@ const (
 	maxApplyWorkers    = 4
 )
 
-type itemKind uint8
-
-const (
-	itemFetch itemKind = iota
-	itemBatch
-	itemFlush
-	itemPing
-	itemWriterDead
-	itemUnmap
-	itemStop
-)
-
-// shardItem is one unit of work on a shard's queue. Exactly one of the
-// payload fields is set, per kind.
-type shardItem struct {
-	kind   itemKind
-	req    *scl.Request      // itemBatch/itemFlush: originating request (for Arrive/Svc)
-	sub    *subFetch         // itemFetch
-	batch  *proto.DiffBatch  // itemBatch: this shard's sub-batch
-	flush  *proto.EvictFlush // itemFlush: this shard's sub-flush
-	ack     *ackJoin          // itemBatch/itemFlush/itemPing/itemUnmap: reply join (nil for one-way)
-	split   bool              // itemBatch/itemFlush: one share of a multi-shard request
-	writer  uint32            // itemWriterDead
-	unpages []layout.PageID   // itemUnmap: this shard's pages of a dead fork range
-	at      vtime.Time        // itemUnmap: completion time for the ack join
-	code    uint16            // itemStop
-	why     string            // itemStop
-}
-
 // subFetch is one shard's share of a fetch: the lines, pages and
 // interval-tag needs that map to this shard. An unsplit fetch (join
 // nil) is replied to directly; a split one copies its segments into
@@ -80,10 +51,9 @@ type subFetch struct {
 // and the last one to finish replies: with the full payload at the max
 // per-shard completion time, or — if any shard failed — with the
 // lowest-numbered failing shard's error, so the winning error does not
-// depend on shard completion order.
+// depend on the order parked shares complete in.
 type fetchJoin struct {
 	req       *scl.Request
-	mu        sync.Mutex
 	remaining int
 	data      []byte
 	done      vtime.Time
@@ -93,7 +63,6 @@ type fetchJoin struct {
 }
 
 func (j *fetchJoin) complete(s *Server, shardID int, at vtime.Time, err error, code uint16) {
-	j.mu.Lock()
 	if at > j.done {
 		j.done = at
 	}
@@ -101,9 +70,7 @@ func (j *fetchJoin) complete(s *Server, shardID int, at vtime.Time, err error, c
 		j.err, j.errShard, j.errCode = err, shardID, code
 	}
 	j.remaining--
-	last := j.remaining == 0
-	j.mu.Unlock()
-	if !last {
+	if j.remaining > 0 {
 		return
 	}
 	if j.err != nil {
@@ -118,26 +85,20 @@ func (j *fetchJoin) complete(s *Server, shardID int, at vtime.Time, err error, c
 }
 
 // ackJoin joins the per-shard completions of an RPC-style (non-one-way)
-// split request, or of a broadcast ping; the last shard acks at the max
-// completion time.
+// split request; the last shard acks at the max completion time.
 type ackJoin struct {
 	req       *scl.Request
-	mu        sync.Mutex
 	remaining int
 	done      vtime.Time
 }
 
 func (j *ackJoin) complete(at vtime.Time) {
-	j.mu.Lock()
 	if at > j.done {
 		j.done = at
 	}
 	j.remaining--
-	last := j.remaining == 0
-	done := j.done
-	j.mu.Unlock()
-	if last {
-		j.req.Reply(&proto.Ack{}, done)
+	if j.remaining == 0 {
+		j.req.Reply(&proto.Ack{}, j.done)
 	}
 }
 
@@ -152,16 +113,14 @@ type parkedFetch struct {
 // shard owns a disjoint, line-granular slice of the server's page space
 // (Geometry.ShardOf) plus everything whose consistency is per-page:
 // the service calendar, applied-tag table, parked fetches and lazy
-// ownership claims. With one shard the dispatcher calls process
-// directly; with more, run drains ch on a dedicated worker goroutine.
+// ownership claims. All of it belongs to the server's one goroutine.
 type shard struct {
 	srv *Server
 	id  int
-	ch  chan shardItem
 
 	cal calendar
-	// clock mirrors cal.maxEnd (updated only via book) so the
-	// dispatcher's Clock() can merge shard clocks without locking.
+	// clock mirrors cal.maxEnd (updated only via book) so Clock() can
+	// merge shard clocks from another goroutine (tests, the runtime).
 	clock atomic.Int64
 
 	pages     map[layout.PageID][]byte
@@ -183,43 +142,6 @@ type shard struct {
 	tier    *tierStore
 	pending vtime.Time
 	scratch []byte
-}
-
-// run is the shard worker loop (unsequenced multi-shard mode): drain
-// the queue until the dispatcher sends a stop marker, which arrives
-// behind any backlog and fails whatever is still parked.
-func (sh *shard) run() {
-	defer sh.srv.wg.Done()
-	for {
-		it := <-sh.ch
-		if it.kind == itemStop {
-			sh.failParked(it.code, it.why)
-			return
-		}
-		sh.process(it)
-	}
-}
-
-func (sh *shard) process(it shardItem) {
-	switch it.kind {
-	case itemFetch:
-		sh.serveFetch(it.sub)
-	case itemBatch:
-		sh.applyBatch(it.req, it.batch, it.ack, it.split)
-	case itemFlush:
-		sh.applyFlush(it.req, it.flush, it.ack, it.split)
-	case itemPing:
-		it.ack.complete(sh.cal.maxEnd)
-	case itemWriterDead:
-		sh.writerDead(it.writer)
-	case itemUnmap:
-		sh.dropPages(it.unpages)
-		if it.ack != nil {
-			it.ack.complete(it.at)
-		}
-	default:
-		panic(fmt.Sprintf("memserver: unexpected shard item kind %d", it.kind))
-	}
 }
 
 // book books a service slot on the shard calendar, keeping the atomic
@@ -746,24 +668,20 @@ func (sh *shard) readPage(p layout.PageID) []byte {
 	return sh.scratch
 }
 
-// dropPages discards the private pages a dead fork materialized on this
-// shard — hot copies, cold blobs and lazy ownership claims — so the
-// striped space can be reused without the old bytes bleeding into a
-// later allocation. Pure bookkeeping, no virtual-time cost: teardown
-// happens off the data path, like writerDead.
-func (sh *shard) dropPages(pages []layout.PageID) {
-	for _, p := range pages {
-		delete(sh.owner, p)
-		if _, ok := sh.pages[p]; ok {
-			delete(sh.pages, p)
-			if sh.tier != nil {
-				sh.tier.forget(sh, p)
-			}
-			continue
-		}
+// dropPage discards a private page a dead fork materialized on this
+// shard — hot copy, cold blob and lazy ownership claim — so the striped
+// space can be reused without the old bytes bleeding into a later
+// allocation. Pure bookkeeping, no virtual-time cost: teardown happens
+// off the data path, like writerDead.
+func (sh *shard) dropPage(p layout.PageID) {
+	delete(sh.owner, p)
+	if _, ok := sh.pages[p]; ok {
+		delete(sh.pages, p)
 		if sh.tier != nil {
-			sh.tier.dropCold(sh, p)
+			sh.tier.forget(sh, p)
 		}
+	} else if sh.tier != nil {
+		sh.tier.dropCold(sh, p)
 	}
 }
 

@@ -24,8 +24,9 @@ var shardGeo = layout.Geometry{
 }
 
 // newShardedHarness boots one server with the given shard count on an
-// unsequenced fabric (so a multi-shard server runs real worker
-// goroutines) and returns a client-endpoint factory.
+// unsequenced fabric (so its clients run concurrently in real time
+// against the server's one goroutine) and returns a client-endpoint
+// factory.
 func newShardedHarness(t *testing.T, geo layout.Geometry, shards int) (*Server, func(node scl.NodeID) scl.Endpoint) {
 	t.Helper()
 	f := simnet.NewFabric(testLink)

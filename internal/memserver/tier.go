@@ -3,7 +3,6 @@ package memserver
 import (
 	"encoding/binary"
 	"sort"
-	"sync"
 
 	"repro/internal/layout"
 	"repro/internal/stats"
@@ -254,13 +253,10 @@ func (t *tierStore) enforce(sh *shard) {
 // allocation — no page copies. Frames live at server (not shard) level
 // because ShardOf is not congruent between an original page and its
 // image in a fork range, so a shard serving a forked page may need a
-// frame another shard sealed. The mutex covers the rare writes (seal,
-// fork registration); reads take the read lock on the page-miss path
-// only.
+// frame another shard sealed.
 // ---------------------------------------------------------------------------
 
 type snapStore struct {
-	mu    sync.RWMutex
 	snaps map[uint64]map[layout.PageID][]byte // snap id -> orig page -> frame
 	forks []forkRange                         // sorted by base page
 }
@@ -279,8 +275,6 @@ func newSnapStore() *snapStore {
 // ensure creates the frame map for a snapshot so that "sealed with zero
 // frames" is distinguishable from "never sealed here".
 func (ss *snapStore) ensure(snap uint64) map[layout.PageID][]byte {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	m := ss.snaps[snap]
 	if m == nil {
 		m = make(map[layout.PageID][]byte)
@@ -292,9 +286,7 @@ func (ss *snapStore) ensure(snap uint64) map[layout.PageID][]byte {
 // store records one sealed frame (blob nil means explicit zero; zero
 // pages are normally just omitted).
 func (ss *snapStore) store(snap uint64, p layout.PageID, blob []byte) {
-	ss.mu.Lock()
 	ss.snaps[snap][p] = blob
-	ss.mu.Unlock()
 }
 
 // register adds (or idempotently re-adds) a fork range mapping and
@@ -305,8 +297,6 @@ func (ss *snapStore) store(snap uint64, p layout.PageID, blob []byte) {
 // range's pages (lookup resolves through the single greatest-base
 // entry and relies on ranges being disjoint).
 func (ss *snapStore) register(fr forkRange) int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	end := fr.base + layout.PageID(fr.npages)
 	kept := ss.forks[:0]
 	removed := 0
@@ -328,8 +318,6 @@ func (ss *snapStore) register(fr forkRange) int {
 // unregister removes the fork range rooted at base, reporting whether
 // one was registered.
 func (ss *snapStore) unregister(base layout.PageID) bool {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	i := sort.Search(len(ss.forks), func(i int) bool { return ss.forks[i].base >= base })
 	if i >= len(ss.forks) || ss.forks[i].base != base {
 		return false
@@ -344,8 +332,6 @@ func (ss *snapStore) unregister(base layout.PageID) bool {
 // only after every fork is gone) are dropped defensively so lookup can
 // never resolve through a released snapshot.
 func (ss *snapStore) release(snap uint64) int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	frames, ok := ss.snaps[snap]
 	if !ok {
 		return 0
@@ -365,8 +351,6 @@ func (ss *snapStore) release(snap uint64) int {
 // registered fork range it returns the sealed frame for the congruent
 // original page (nil frame = zero page) and ok=true.
 func (ss *snapStore) lookup(p layout.PageID) (blob []byte, ok bool) {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
 	i := sort.Search(len(ss.forks), func(i int) bool { return ss.forks[i].base > p })
 	if i == 0 {
 		return nil, false

@@ -107,7 +107,7 @@ const (
 	KSnapshotASResp
 	KForkASReq
 	KForkASResp
-	KSealAS // thread -> memory server: capture current frames for a snapshot
+	KSealAS  // thread -> memory server: capture current frames for a snapshot
 	KForkMap // thread -> memory server: map a forked range onto sealed frames
 
 	// Snapshot/fork teardown. FreeResp (the FreeReq answer) reports when

@@ -13,6 +13,7 @@
 package scl
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/proto"
@@ -164,14 +165,27 @@ func (e *SimEndpoint) ID() NodeID { return e.port.ID() }
 func (e *SimEndpoint) Call(dst NodeID, req proto.Msg, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
 	kind, body, doneAt, err := e.port.Call(dst, uint16(req.Kind()), proto.Encode(req), at)
 	if err != nil {
-		return at, err
+		return at, simSendErr(err)
 	}
 	return doneAt, decodeResponse(proto.Kind(kind), body, resp)
 }
 
 // Post implements Endpoint.
 func (e *SimEndpoint) Post(dst NodeID, m proto.Msg, at vtime.Time) (vtime.Time, error) {
-	return e.port.Post(dst, uint16(m.Kind()), proto.Encode(m), at)
+	doneAt, err := e.port.Post(dst, uint16(m.Kind()), proto.Encode(m), at)
+	return doneAt, simSendErr(err)
+}
+
+// simSendErr types a send to a port that is gone (the peer exited or was
+// killed and its port is already unregistered) like the fault injector
+// types a send to a node it killed: transient, unwrapping to
+// proto.ErrPeerDied, so the retry and failover layers treat both the
+// same. Any other fabric error passes through.
+func simSendErr(err error) error {
+	if errors.Is(err, simnet.ErrPeerGone) {
+		return Transient(fmt.Errorf("%w: %w", err, proto.ErrPeerDied))
+	}
+	return err
 }
 
 // Recv implements Endpoint.

@@ -100,6 +100,27 @@ func TestSimEndpoint(t *testing.T) {
 	runEndpointSuite(t, cli, srv, 2)
 }
 
+// A send to a port that was never registered, or that has closed, is a
+// dead peer: retryable, and a failover trigger once retries run out.
+func TestSimSendToGonePortIsPeerDeath(t *testing.T) {
+	f := simnet.NewFabric(testModel)
+	cli := NewSimEndpoint(f, 1)
+	defer cli.Close()
+	closed := NewSimEndpoint(f, 2)
+	closed.Close()
+	for _, dst := range []NodeID{2, 10} {
+		var ack proto.Ack
+		_, callErr := cli.Call(dst, &proto.Ping{}, &ack, 0)
+		_, postErr := cli.Post(dst, &proto.Ping{}, 0)
+		for op, err := range map[string]error{"Call": callErr, "Post": postErr} {
+			if !errors.Is(err, proto.ErrPeerDied) || !IsTransient(err) {
+				t.Errorf("%s to gone port %d: %v (ErrPeerDied=%v transient=%v)",
+					op, dst, err, errors.Is(err, proto.ErrPeerDied), IsTransient(err))
+			}
+		}
+	}
+}
+
 func TestTCPEndpoint(t *testing.T) {
 	book := NewAddressBook()
 	srv, err := NewTCPEndpoint(2, "127.0.0.1:0", book, testModel)

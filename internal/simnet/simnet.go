@@ -19,6 +19,7 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -147,12 +148,17 @@ func (f *Fabric) NewPort(id NodeID) *Port {
 	return p
 }
 
+// ErrPeerGone is wrapped by every send that fails because the
+// destination port does not exist or has closed: the peer exited or was
+// killed. It never describes the sender's own port.
+var ErrPeerGone = errors.New("simnet: peer gone")
+
 func (f *Fabric) port(id NodeID) (*Port, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	p, ok := f.ports[id]
 	if !ok {
-		return nil, fmt.Errorf("simnet: no port %d", id)
+		return nil, fmt.Errorf("simnet: no port %d: %w", id, ErrPeerGone)
 	}
 	return p, nil
 }
@@ -178,7 +184,7 @@ func (f *Fabric) deliver(src, dst NodeID, m *Message, sendTime vtime.Time) (send
 	case p.inbox <- m:
 		return senderDone, nil
 	case <-p.closed:
-		return senderDone, fmt.Errorf("simnet: port %d closed", dst)
+		return senderDone, fmt.Errorf("simnet: port %d closed: %w", dst, ErrPeerGone)
 	}
 }
 
