@@ -197,9 +197,6 @@ func (m *Manager) SetSequenced(b bool) { m.sequenced = b }
 // splitmix64-style finalizer, mirroring layout.Geometry.ShardOf for
 // pages.
 func (m *Manager) shardOf(id uint32) int {
-	if m.nshards == 1 {
-		return 0
-	}
 	x := uint64(id)
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
@@ -410,83 +407,47 @@ func (m *Manager) handleOne(req *scl.Request) (stop bool) {
 // It is shared by the dispatcher and by followers replaying the
 // replicated log, so route decisions are identical on every replica.
 func (m *Manager) decodeReq(req *scl.Request) (proto.Msg, int, error) {
-	switch req.Kind() {
-	case proto.KAllocReq:
-		var ar proto.AllocReq
-		if err := req.Decode(&ar); err != nil {
-			return nil, 0, err
+	msg := proto.New(req.Kind())
+	if msg == nil {
+		return nil, 0, fmt.Errorf("manager: unexpected %v", req.Kind())
+	}
+	if err := req.Decode(msg); err != nil {
+		if req.Kind() == proto.KUnlockReq && req.OneWay() {
+			// Nobody to answer; an undecodable unlock is a protocol bug.
+			panic(fmt.Sprintf("manager: bad UnlockReq: %v", err))
 		}
+		return nil, 0, err
+	}
+	switch r := msg.(type) {
+	case *proto.AllocReq:
 		zi := 0
-		switch ar.Strategy {
+		switch r.Strategy {
 		case proto.AllocShared:
 			zi = 1
 		case proto.AllocStriped:
 			zi = 2
 		}
-		return &ar, m.zoneShard[zi], nil
-	case proto.KFreeReq:
-		var fr proto.FreeReq
-		if err := req.Decode(&fr); err != nil {
-			return nil, 0, err
-		}
-		return &fr, m.zoneShard[zoneIndexOf(layout.Addr(fr.Addr))], nil
-	case proto.KRegisterReq:
-		var rr proto.RegisterReq
-		if err := req.Decode(&rr); err != nil {
-			return nil, 0, err
-		}
-		return &rr, m.shardOf(rr.Thread), nil
-	case proto.KLockReq:
-		var lr proto.LockReq
-		if err := req.Decode(&lr); err != nil {
-			return nil, 0, err
-		}
-		return &lr, m.shardOf(lr.Lock), nil
-	case proto.KUnlockReq:
-		var ur proto.UnlockReq
-		if err := req.Decode(&ur); err != nil {
-			if req.OneWay() {
-				// Nobody to answer; an undecodable unlock is a
-				// protocol bug.
-				panic(fmt.Sprintf("manager: bad UnlockReq: %v", err))
-			}
-			return nil, 0, err
-		}
-		return &ur, m.shardOf(ur.Lock), nil
-	case proto.KBarrierReq:
-		var br proto.BarrierReq
-		if err := req.Decode(&br); err != nil {
-			return nil, 0, err
-		}
-		return &br, m.shardOf(br.Barrier), nil
-	case proto.KCondWaitReq:
-		var cw proto.CondWaitReq
-		if err := req.Decode(&cw); err != nil {
-			return nil, 0, err
-		}
-		// A condition wait releases its lock, so it runs at the
-		// LOCK's home; parking at the condition's home is a
-		// cross-shard item from there.
-		return &cw, m.shardOf(cw.Lock), nil
-	case proto.KCondSignalReq:
-		var sr proto.CondSignalReq
-		if err := req.Decode(&sr); err != nil {
-			return nil, 0, err
-		}
-		return &sr, m.shardOf(sr.Cond), nil
-	case proto.KSnapshotASReq:
-		var sr proto.SnapshotASReq
-		if err := req.Decode(&sr); err != nil {
-			return nil, 0, err
-		}
+		return msg, m.zoneShard[zi], nil
+	case *proto.FreeReq:
+		return msg, m.zoneShard[zoneIndexOf(layout.Addr(r.Addr))], nil
+	case *proto.RegisterReq:
+		return msg, m.shardOf(r.Thread), nil
+	case *proto.LockReq:
+		return msg, m.shardOf(r.Lock), nil
+	case *proto.UnlockReq:
+		return msg, m.shardOf(r.Lock), nil
+	case *proto.BarrierReq:
+		return msg, m.shardOf(r.Barrier), nil
+	case *proto.CondWaitReq:
+		// A condition wait releases its lock, so it runs at the LOCK's
+		// home; parking at the condition's home is a cross-shard item
+		// from there.
+		return msg, m.shardOf(r.Lock), nil
+	case *proto.CondSignalReq:
+		return msg, m.shardOf(r.Cond), nil
+	case *proto.SnapshotASReq, *proto.ForkASReq:
 		// Snapshot/fork state lives with the striped zone it describes.
-		return &sr, m.zoneShard[2], nil
-	case proto.KForkASReq:
-		var fr proto.ForkASReq
-		if err := req.Decode(&fr); err != nil {
-			return nil, 0, err
-		}
-		return &fr, m.zoneShard[2], nil
+		return msg, m.zoneShard[2], nil
 	default:
 		return nil, 0, fmt.Errorf("manager: unexpected %v", req.Kind())
 	}

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -200,11 +201,7 @@ func decodeU32Set(r *proto.Reader) map[uint32]bool {
 }
 
 func encodeU32U64Map(w *proto.Writer, mp map[uint32]uint64) {
-	ids := make([]uint32, 0, len(mp))
-	for id := range mp {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := sortedKeys(mp)
 	w.U64(uint64(len(ids)))
 	for _, id := range ids {
 		w.U32(id)
@@ -228,7 +225,7 @@ func decodeU32U64Map(r *proto.Reader) map[uint32]uint64 {
 func (b *noticeBoard) encode(w *proto.Writer) {
 	w.U64(b.issued)
 	w.U64(b.issued)
-	proto.MarshalNotices(w, b.notices)
+	proto.Notices(w, nil, &b.notices)
 	encodeU32U64Map(w, b.lastSeen)
 	encodeU32U64Map(w, b.lastInterval)
 }
@@ -236,7 +233,7 @@ func (b *noticeBoard) encode(w *proto.Writer) {
 func (b *noticeBoard) decode(r *proto.Reader) {
 	b.issued = r.U64()
 	r.U64() // delivery frontier == issued
-	b.notices = proto.UnmarshalNotices(r)
+	proto.Notices(nil, r, &b.notices)
 	b.lastSeen = decodeU32U64Map(r)
 	b.lastInterval = decodeU32U64Map(r)
 }
@@ -270,7 +267,7 @@ func decodeWaiter(r *proto.Reader) waiter {
 }
 
 func (sh *shard) encode(w *proto.Writer) {
-	lockIDs := sortedKeysL(sh.locks)
+	lockIDs := sortedKeys(sh.locks)
 	w.U64(uint64(len(lockIDs)))
 	for _, id := range lockIDs {
 		ls := sh.locks[id]
@@ -285,7 +282,7 @@ func (sh *shard) encode(w *proto.Writer) {
 			encodeWaiter(w, &ls.queue[i])
 		}
 	}
-	barIDs := sortedKeysB(sh.barriers)
+	barIDs := sortedKeys(sh.barriers)
 	w.U64(uint64(len(barIDs)))
 	for _, id := range barIDs {
 		bs := sh.barriers[id]
@@ -299,7 +296,7 @@ func (sh *shard) encode(w *proto.Writer) {
 			encodeWaiter(w, &bs.arrived[i])
 		}
 	}
-	condIDs := sortedKeysC(sh.conds)
+	condIDs := sortedKeys(sh.conds)
 	w.U64(uint64(len(condIDs)))
 	for _, id := range condIDs {
 		cs := sh.conds[id]
@@ -356,29 +353,11 @@ func (sh *shard) decode(r *proto.Reader) {
 	sh.deadThreads = decodeU32Set(r)
 }
 
-func sortedKeysL(m map[uint32]*lockState) []uint32 {
+func sortedKeys[V any](m map[uint32]V) []uint32 {
 	ks := make([]uint32, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-func sortedKeysB(m map[uint32]*barrierState) []uint32 {
-	ks := make([]uint32, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-func sortedKeysC(m map[uint32]*condState) []uint32 {
-	ks := make([]uint32, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks)
 	return ks
 }

@@ -1,0 +1,218 @@
+package proto
+
+import "sync"
+
+// Msg is implemented by every protocol message body.
+type Msg interface {
+	// Kind identifies the message type on the wire.
+	Kind() Kind
+	// Walk names the body's fields, in wire order, against c. The same
+	// walk encodes or decodes, depending on c's direction; it is the
+	// only place the message's field order is written down.
+	Walk(c *Codec)
+}
+
+// Codec carries one message through its walk. Each primitive takes a
+// pointer to a field and either appends the field to the codec's Writer
+// (encoding, which never writes through the pointer) or fills it from
+// the codec's Reader (decoding). Both states are held by value, so a
+// codec is a single object, and Encode and Decode recycle that object:
+// a walk is an interface call, which would otherwise move a codec of its
+// own to the heap per message.
+type Codec struct {
+	w     Writer
+	r     Reader
+	dec   bool // direction: fill fields from r instead of appending them to w
+	alias bool // decoding: Payload fields alias r.B instead of copying
+}
+
+// U8 walks one byte.
+func (c *Codec) U8(v *uint8) {
+	if c.dec {
+		*v = c.r.U8()
+	} else {
+		c.w.U8(*v)
+	}
+}
+
+// Bool walks a flag stored as one byte (1 or 0; any non-zero byte
+// decodes as true).
+func (c *Codec) Bool(v *bool) {
+	if c.dec {
+		*v = c.r.U8() != 0
+	} else if *v {
+		c.w.U8(1)
+	} else {
+		c.w.U8(0)
+	}
+}
+
+// U16 walks a varint-encoded uint16.
+func (c *Codec) U16(v *uint16) {
+	if c.dec {
+		*v = c.r.U16()
+	} else {
+		c.w.U64(uint64(*v))
+	}
+}
+
+// U32 walks a varint-encoded uint32.
+func (c *Codec) U32(v *uint32) {
+	if c.dec {
+		*v = c.r.U32()
+	} else {
+		c.w.U32(*v)
+	}
+}
+
+// U64 walks a varint-encoded uint64.
+func (c *Codec) U64(v *uint64) {
+	if c.dec {
+		*v = c.r.U64()
+	} else {
+		c.w.U64(*v)
+	}
+}
+
+// U64s walks a length-prefixed slice of uint64.
+func (c *Codec) U64s(v *[]uint64) {
+	if c.dec {
+		*v = c.r.U64s()
+	} else {
+		c.w.U64s(*v)
+	}
+}
+
+// Bytes walks a length-prefixed byte string that always decodes to a
+// copy: for bytes that outlive the body whichever way it was decoded.
+func (c *Codec) Bytes(p *[]byte) {
+	if c.dec {
+		*p = append([]byte(nil), c.r.Bytes()...)
+	} else {
+		c.w.Bytes(*p)
+	}
+}
+
+// Payload walks a length-prefixed byte string that the decoded message
+// may share with the wire body: it is Bytes, except that under
+// DecodeAlias the field is the body's own bytes — clipped to their
+// length, so an append to the payload reallocates instead of running on
+// into the rest of the body. It is for bytes the receiver reads, or
+// takes over, while it still owns the body (DESIGN.md §11).
+func (c *Codec) Payload(p *[]byte) {
+	if c.dec && c.alias {
+		b := c.r.Bytes()
+		*p = b[:len(b):len(b)]
+	} else {
+		c.Bytes(p)
+	}
+}
+
+// String walks a length-prefixed string.
+func (c *Codec) String(s *string) {
+	if c.dec {
+		*s = string(c.r.Bytes())
+	} else {
+		c.w.U64(uint64(len(*s)))
+		c.w.B = append(c.w.B, *s...)
+	}
+}
+
+// tail guards a trailing group of fields that is omitted when zero, so
+// that a message without it keeps its older, shorter encoding: the walk
+// visits the group when encoding a message that has it set, and when
+// decoding a body that has bytes left.
+func (c *Codec) tail(set bool) bool {
+	if c.dec {
+		return c.r.err == nil && c.r.Remaining() > 0
+	}
+	return set
+}
+
+// list walks a count-prefixed list, element by element. Decoding rejects
+// a count larger than the bytes that are left — every element takes at
+// least one — before allocating anything for it, so a hostile length
+// costs nothing; a count of zero decodes to an empty, non-nil slice.
+func list[T any](c *Codec, s *[]T, walk func(*Codec, *T)) {
+	n := uint64(len(*s))
+	c.U64(&n)
+	if c.dec {
+		if c.r.err != nil || n > uint64(c.r.Remaining()) {
+			c.r.fail()
+			return
+		}
+		*s = make([]T, n)
+	}
+	elems := *s
+	for i := range elems {
+		walk(c, &elems[i])
+	}
+}
+
+// codecs recycles the codecs Encode and Decode walk with. A pooled
+// codec is ready to encode: its Writer is empty (but keeps its buffer,
+// so a message's many small appends grow a buffer that already exists)
+// and its Reader is zero.
+var codecs = sync.Pool{New: func() any { return new(Codec) }}
+
+// maxEncodeScratch is the largest Writer buffer kept for reuse; a rare
+// huge message (a replication snapshot) is left to the collector.
+const maxEncodeScratch = 1 << poolMaxShift
+
+// Encode serializes m (body only; the transport frames it). The result
+// is a fresh buffer, allocated once at the encoded size, that the
+// caller — and whoever the transport hands it to — owns outright.
+func Encode(m Msg) []byte {
+	c := codecs.Get().(*Codec)
+	m.Walk(c)
+	body := append([]byte(nil), c.w.B...)
+	if cap(c.w.B) <= maxEncodeScratch {
+		c.w.B = c.w.B[:0]
+		codecs.Put(c)
+	}
+	return body
+}
+
+// Decode fills m from body, returning any decoding error. Byte payloads
+// are copied out of body.
+func Decode(m Msg, body []byte) error { return decode(m, body, false) }
+
+// DecodeAlias fills m from body like Decode, but Payload fields (fetched
+// lines, diff runs, store records, shipped pages, a replication
+// snapshot's state) alias body instead of being copied. The caller must
+// own body: nothing else may write it, recycle it or decode it into
+// something that is written through, for as long as m's payloads are in
+// use. Every wire body qualifies — a transport delivers each encoded
+// message to exactly one receiver in a buffer of its own — and a body
+// may be decoded again (a retried handler) as long as every decode
+// treats the payloads as read-only or only one of them takes ownership.
+func DecodeAlias(m Msg, body []byte) error { return decode(m, body, true) }
+
+func decode(m Msg, body []byte, alias bool) error {
+	c := codecs.Get().(*Codec)
+	c.r.B, c.dec, c.alias = body, true, alias
+	m.Walk(c)
+	err := c.r.err
+	c.r, c.dec, c.alias = Reader{}, false, false
+	codecs.Put(c)
+	return err
+}
+
+// Notices is the notice-list walk, exported for the manager's
+// replication snapshot, which serializes its notice directory outside
+// any wire message: it appends *ns to w or, when w is nil, fills *ns
+// from r, copying the record payloads.
+func Notices(w *Writer, r *Reader, ns *[]Notice) {
+	var c Codec
+	if w != nil {
+		c.w = *w
+	} else {
+		c.r, c.dec = *r, true
+	}
+	list(&c, ns, walkNotice)
+	if w != nil {
+		*w = c.w
+	} else {
+		*r = c.r
+	}
+}

@@ -1,0 +1,184 @@
+package proto
+
+import (
+	"reflect"
+	"testing"
+)
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// A 16-bit field is a varint on the wire; a value that does not fit must
+// be rejected like an oversized U32 is, not truncated into a valid code
+// (0x10002 would read as CodePeerDied).
+func TestU16FieldsRejectOverflow(t *testing.T) {
+	const hostile = 0x10000 + uint32(CodePeerDied)
+	grant := func(code uint32) []byte {
+		var w Writer
+		w.U32(5) // Lock
+		w.U64(1) // Gen
+		w.U64(2) // Seq
+		for i := 0; i < 4; i++ {
+			w.U64(0) // Notices, Inline, Train, PageData
+		}
+		w.U32(code)
+		return w.B
+	}
+	errorMsg := func(code uint32) []byte {
+		var w Writer
+		w.U32(code)
+		w.Bytes([]byte("boom"))
+		return w.B
+	}
+	appendMsg := func(kind uint32) []byte {
+		var w Writer
+		w.U64(3) // Term
+		w.U64(1) // one entry
+		w.U64(41)
+		w.U64(3)
+		w.U32(104)
+		w.U32(kind)
+		w.Bytes([]byte{1, 2, 3})
+		return w.B
+	}
+	cases := []struct {
+		field string
+		kind  Kind
+		body  func(uint32) []byte
+		got   func(Msg) uint16
+	}{
+		{"LockGrant.Code", KLockGrant, grant, func(m Msg) uint16 { return m.(*LockGrant).Code }},
+		{"Error.Code", KError, errorMsg, func(m Msg) uint16 { return m.(*Error).Code }},
+		{"ReplEntry.Kind", KReplAppend, appendMsg, func(m Msg) uint16 { return m.(*ReplAppend).Entries[0].Kind }},
+	}
+	for _, c := range cases {
+		m := New(c.kind)
+		if err := Decode(m, c.body(0xFFFF)); err != nil || c.got(m) != 0xFFFF {
+			t.Errorf("%s: 0xFFFF decoded to %#x, %v", c.field, c.got(m), err)
+		}
+		if err := Decode(New(c.kind), c.body(hostile)); err == nil {
+			t.Errorf("%s: wire value %#x accepted", c.field, hostile)
+		}
+	}
+}
+
+// A count of zero decodes to an empty, non-nil slice for every list of
+// every message, whichever walk owns it.
+func TestEmptyListsDecodeAlike(t *testing.T) {
+	for k := KInvalid + 1; k < kindEnd; k++ {
+		m := New(k)
+		// A body of zeros is every field zero and every list empty; ten of
+		// them cover the longest fixed prefix plus the lists behind it.
+		if err := Decode(m, make([]byte, 10)); err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		eachSlice(reflect.ValueOf(m), "", func(path string, s reflect.Value) {
+			if s.Type().Elem().Kind() != reflect.Uint8 && s.IsNil() {
+				t.Errorf("%v: empty %s decoded to nil", k, path)
+			}
+		})
+	}
+}
+
+// allocSamples are the four messages the benchmark's proto driver
+// measures (benchmark/layers.go protoSamples), with the allocations one
+// Decode into a new message costs: the message, its lists and its
+// payload copies, and nothing for the codec.
+func allocSamples() []struct {
+	name   string
+	msg    Msg
+	allocs float64
+} {
+	records := func(n int) []StoreRecord {
+		rs := make([]StoreRecord, n)
+		for i := range rs {
+			rs[i] = StoreRecord{Addr: uint64(1<<34 + 24*i), Data: make([]byte, 24)}
+		}
+		return rs
+	}
+	diffs := make([]PageDiff, 8)
+	for i := range diffs {
+		diffs[i].Page = uint64(100 + i)
+		for r := 0; r < 4; r++ {
+			diffs[i].Runs = append(diffs[i].Runs, DiffRun{Off: uint32(1024 * r), Data: make([]byte, 256)})
+		}
+	}
+	notices := make([]Notice, 8)
+	for i := range notices {
+		notices[i] = Notice{Seq: uint64(i + 1), Tag: IntervalTag{Writer: uint32(i + 1), Interval: 9}, Pages: []uint64{uint64(i)}, Records: records(2)}
+	}
+	return []struct {
+		name   string
+		msg    Msg
+		allocs float64
+	}{
+		{"fetch_resp", &FetchLineResp{Data: make([]byte, 16<<10)}, 2},
+		{"diff_batch", &DiffBatch{Tag: IntervalTag{Writer: 3, Interval: 7}, Diffs: diffs}, 42},
+		{"lock_resp", &LockResp{Seq: 8, Notices: notices, Gen: 5}, 34},
+		{"unlock_req", &UnlockReq{Lock: 4, Thread: 3, Interval: 7, Records: records(16)}, 18},
+	}
+}
+
+// Encode allocates the body and nothing else; Decode allocates what the
+// message holds and nothing for the walk. Both depend on the codec
+// being one recycled object: a walk is an interface call, so a codec
+// (or a Reader) made per call goes to the heap, one more object per
+// message, which the end-to-end host_allocs bound (2 %) does not have
+// room for on the message-heavy workloads.
+func TestCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	for _, s := range allocSamples() {
+		body := Encode(s.msg)
+		if got := testing.AllocsPerRun(100, func() { Encode(s.msg) }); got != 1 {
+			t.Errorf("%s: Encode allocates %v objects, want 1", s.name, got)
+		}
+		var err error
+		got := testing.AllocsPerRun(100, func() { err = Decode(New(s.msg.Kind()), body) })
+		if err != nil || got != s.allocs {
+			t.Errorf("%s: Decode allocates %v objects (err %v), want %v", s.name, got, err, s.allocs)
+		}
+	}
+}
+
+// FuzzDecode feeds arbitrary bodies to every kind's walk, in both
+// decode modes. Decoding never panics; no list is ever sized beyond the
+// body that claims it (every element takes at least a byte), whether or
+// not the decode goes on to fail; the two modes accept the same bodies;
+// and what does decode re-encodes to a body that decodes to an equal
+// message.
+func FuzzDecode(f *testing.F) {
+	for _, s := range wireSamples() {
+		f.Add(uint16(s.msg.Kind()), Encode(s.msg))
+	}
+	f.Fuzz(func(t *testing.T, kind uint16, body []byte) {
+		m, aliased := New(Kind(kind)), New(Kind(kind))
+		if m == nil {
+			return
+		}
+		err, errAliased := Decode(m, body), DecodeAlias(aliased, body)
+		for _, d := range []Msg{m, aliased} {
+			eachSlice(reflect.ValueOf(d), "", func(path string, s reflect.Value) {
+				if s.Len() > len(body) {
+					t.Fatalf("%v%s: %d elements from a %d-byte body", d.Kind(), path, s.Len(), len(body))
+				}
+			})
+		}
+		if (err == nil) != (errAliased == nil) {
+			t.Fatalf("%v: Decode: %v, DecodeAlias: %v", m.Kind(), err, errAliased)
+		}
+		if err != nil {
+			return
+		}
+		again := New(m.Kind())
+		if err := Decode(again, Encode(m)); err != nil {
+			t.Fatalf("%v: re-encoded body does not decode: %v", m.Kind(), err)
+		}
+		// Equal up to nil against empty, which a present-but-empty trailing
+		// list turns into on the way round.
+		if normalize(again) != normalize(m) || normalize(aliased) != normalize(m) {
+			t.Fatalf("%v: round trip mismatch:\n in: %#v\nout: %#v", m.Kind(), m, again)
+		}
+	})
+}

@@ -4,15 +4,15 @@ import "sync"
 
 // Payload buffer pool. The memory-server hot path assembles a reply
 // payload (up to a whole cache line plus pages), hands it to a message
-// whose Marshal copies it into the wire frame, and then has no further
-// use for it — a steady stream of large, short-lived allocations.
+// that Encode copies into the wire body, and then has no further use
+// for it — a steady stream of large, short-lived allocations.
 // GetBuf/PutBuf recycle those buffers through size-classed sync.Pools.
 //
 // Ownership rule: the producer that GetBufs a buffer owns it until it
 // explicitly PutBufs it back, and must only do so once nothing aliases
-// the buffer any more. Encode and Marshal always copy payload bytes
-// into their own frame, so "after Reply returns" is a safe release
-// point for a reply payload.
+// the buffer any more. Encode always copies payload bytes into the
+// body it returns, so "after Reply returns" is a safe release point for
+// a reply payload.
 //
 // A wire body is the opposite case. Encode's result belongs to the
 // transport and then to its one receiver, and everything decoded with

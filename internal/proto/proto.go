@@ -23,6 +23,28 @@
 //     needs; the home delays the reply until those DiffBatches have been
 //     applied, which restores causality without any blocking at release
 //     time.
+//
+// # Adding a message
+//
+// A message's field order is written down once, in its walk; nothing is
+// generated and nothing mirrors it.
+//
+//  1. Declare the struct in types.go and a K… constant just above
+//     kindEnd, so the existing kind numbers stay.
+//  2. Give it Kind and Walk. Walk calls one Codec primitive per field, in
+//     wire order: U8/Bool/U16/U32/U64, U64s, String, list(c, &m.Xs,
+//     walkX) with the sub-struct's own walk, Payload for bytes the
+//     receiver may use in place while it owns the body, Bytes for bytes
+//     that outlive it. A field added to an existing message goes last,
+//     in a c.tail group, so messages without it keep their encoding.
+//  3. Add the row to the kinds table: name and fresh[T].
+//  4. Add a populated sample to wireSamples (wire_test.go), one per form
+//     of an optional tail, and record it with "go test ./internal/proto
+//     -run TestWireGolden -update". testdata/wire.golden must only gain
+//     lines: the virtual-time results are functions of encoded sizes.
+//
+// The round-trip, truncation, ownership and fuzz tests walk the table
+// and the samples; they cover a new message without being edited.
 package proto
 
 import (
@@ -118,59 +140,84 @@ const (
 	// named snapshots' sealed frames) from a home server.
 	KFreeResp
 	KForkUnmap // thread -> memory server: drop a fork mapping / sealed frames
+
+	kindEnd // one past the last kind; add new kinds above it
 )
 
-var kindNames = map[Kind]string{
-	KInvalid:        "invalid",
-	KFetchLineReq:   "fetch-line-req",
-	KFetchLineResp:  "fetch-line-resp",
-	KDiffBatch:      "diff-batch",
-	KEvictFlush:     "evict-flush",
-	KDiffPullReq:    "diff-pull-req",
-	KDiffPullResp:   "diff-pull-resp",
-	KAllocReq:       "alloc-req",
-	KAllocResp:      "alloc-resp",
-	KFreeReq:        "free-req",
-	KRegisterReq:    "register-req",
-	KLockReq:        "lock-req",
-	KLockResp:       "lock-resp",
-	KUnlockReq:      "unlock-req",
-	KBarrierReq:     "barrier-req",
-	KBarrierResp:    "barrier-resp",
-	KCondWaitReq:    "cond-wait-req",
-	KCondWaitResp:   "cond-wait-resp",
-	KCondSignalReq:  "cond-signal-req",
-	KAck:            "ack",
-	KPing:           "ping",
-	KShutdown:       "shutdown",
-	KError:          "error",
-	KHeartbeat:      "heartbeat",
-	KPromote:        "promote",
-	KFetchLinesReq:  "fetch-lines-req",
-	KFetchLinesResp: "fetch-lines-resp",
-	KNextWaiter:     "next-waiter",
-	KLockGrant:      "lock-grant",
-	KWriterDead:     "writer-dead",
-	KReplAppend:     "repl-append",
-	KReplAck:        "repl-ack",
-	KPromoteMgr:     "promote-mgr",
-	KReplSnapshot:   "repl-snapshot",
-	KReclaimEvent:   "reclaim-event",
-	KSnapshotASReq:  "snapshot-as-req",
-	KSnapshotASResp: "snapshot-as-resp",
-	KForkASReq:      "fork-as-req",
-	KForkASResp:     "fork-as-resp",
-	KSealAS:         "seal-as",
-	KForkMap:        "fork-map",
-	KFreeResp:       "free-resp",
-	KForkUnmap:      "fork-unmap",
+// kinds is the one table of message kinds: each kind's printed name and
+// a constructor of its empty message. The tests walk [1, kindEnd) and
+// fail on a kind without a row.
+var kinds = [kindEnd]struct {
+	name string
+	new  func() Msg
+}{
+	KInvalid:        {name: "invalid"},
+	KFetchLineReq:   {"fetch-line-req", fresh[FetchLineReq]},
+	KFetchLineResp:  {"fetch-line-resp", fresh[FetchLineResp]},
+	KDiffBatch:      {"diff-batch", fresh[DiffBatch]},
+	KEvictFlush:     {"evict-flush", fresh[EvictFlush]},
+	KDiffPullReq:    {"diff-pull-req", fresh[DiffPullReq]},
+	KDiffPullResp:   {"diff-pull-resp", fresh[DiffPullResp]},
+	KAllocReq:       {"alloc-req", fresh[AllocReq]},
+	KAllocResp:      {"alloc-resp", fresh[AllocResp]},
+	KFreeReq:        {"free-req", fresh[FreeReq]},
+	KRegisterReq:    {"register-req", fresh[RegisterReq]},
+	KLockReq:        {"lock-req", fresh[LockReq]},
+	KLockResp:       {"lock-resp", fresh[LockResp]},
+	KUnlockReq:      {"unlock-req", fresh[UnlockReq]},
+	KBarrierReq:     {"barrier-req", fresh[BarrierReq]},
+	KBarrierResp:    {"barrier-resp", fresh[BarrierResp]},
+	KCondWaitReq:    {"cond-wait-req", fresh[CondWaitReq]},
+	KCondWaitResp:   {"cond-wait-resp", fresh[CondWaitResp]},
+	KCondSignalReq:  {"cond-signal-req", fresh[CondSignalReq]},
+	KAck:            {"ack", fresh[Ack]},
+	KPing:           {"ping", fresh[Ping]},
+	KShutdown:       {"shutdown", fresh[Shutdown]},
+	KError:          {"error", fresh[Error]},
+	KHeartbeat:      {"heartbeat", fresh[Heartbeat]},
+	KPromote:        {"promote", fresh[Promote]},
+	KFetchLinesReq:  {"fetch-lines-req", fresh[FetchLinesReq]},
+	KFetchLinesResp: {"fetch-lines-resp", fresh[FetchLinesResp]},
+	KNextWaiter:     {"next-waiter", fresh[NextWaiter]},
+	KLockGrant:      {"lock-grant", fresh[LockGrant]},
+	KWriterDead:     {"writer-dead", fresh[WriterDead]},
+	KReplAppend:     {"repl-append", fresh[ReplAppend]},
+	KReplAck:        {"repl-ack", fresh[ReplAck]},
+	KPromoteMgr:     {"promote-mgr", fresh[PromoteMgr]},
+	KReplSnapshot:   {"repl-snapshot", fresh[ReplSnapshot]},
+	KReclaimEvent:   {"reclaim-event", fresh[ReclaimEvent]},
+	KSnapshotASReq:  {"snapshot-as-req", fresh[SnapshotASReq]},
+	KSnapshotASResp: {"snapshot-as-resp", fresh[SnapshotASResp]},
+	KForkASReq:      {"fork-as-req", fresh[ForkASReq]},
+	KForkASResp:     {"fork-as-resp", fresh[ForkASResp]},
+	KSealAS:         {"seal-as", fresh[SealAS]},
+	KForkMap:        {"fork-map", fresh[ForkMap]},
+	KFreeResp:       {"free-resp", fresh[FreeResp]},
+	KForkUnmap:      {"fork-unmap", fresh[ForkUnmap]},
+}
+
+// fresh is the kinds-table constructor of message type T.
+func fresh[T any, P interface {
+	*T
+	Msg
+}]() Msg {
+	return P(new(T))
 }
 
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k < kindEnd && kinds[k].name != "" {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("kind(%d)", uint16(k))
+}
+
+// New returns an empty message of kind k, ready to Decode into, or nil
+// when k is not a message kind.
+func New(k Kind) Msg {
+	if k < kindEnd && kinds[k].new != nil {
+		return kinds[k].new()
+	}
+	return nil
 }
 
 // ErrTruncated is returned when a message body ends before decoding
@@ -215,9 +262,6 @@ type Reader struct {
 	B   []byte
 	off int
 	err error
-	// noCopy lets retain return aliases into B instead of copies; set
-	// only by DecodeAlias, whose callers own B for the aliases' lifetime.
-	noCopy bool
 }
 
 // Err reports the first error encountered while decoding.
@@ -262,6 +306,16 @@ func (r *Reader) U32() uint32 {
 		return 0
 	}
 	return uint32(v)
+}
+
+// U16 reads a varint-encoded uint16.
+func (r *Reader) U16() uint16 {
+	v := r.U64()
+	if v > 0xFFFF {
+		r.fail()
+		return 0
+	}
+	return uint16(v)
 }
 
 // I64 reads a zigzag varint-encoded int64.
@@ -309,21 +363,6 @@ func (r *Reader) U64s() []uint64 {
 		out[i] = r.U64()
 	}
 	return out
-}
-
-// retain is what payload-carrying Unmarshals apply to a Bytes() result
-// they store: a copy by default (the wire buffer's lifetime is not
-// theirs), the alias itself under DecodeAlias — clipped to its length,
-// so an append to the payload reallocates instead of running on into
-// the rest of the body.
-func (r *Reader) retain(p []byte) []byte {
-	if p == nil {
-		return nil
-	}
-	if r.noCopy {
-		return p[:len(p):len(p)]
-	}
-	return append([]byte(nil), p...)
 }
 
 // Remaining reports how many undecoded bytes are left.

@@ -29,112 +29,29 @@ func normalize(m Msg) string {
 	return string(Encode(m))
 }
 
+// Every kind in [1, kindEnd) has a row in the kind table and at least
+// one wire sample, and every sample decodes into the table's empty
+// message and re-encodes to the same bytes. A new K… constant without a
+// table row or without a sample fails here.
 func TestRoundTripAllMessages(t *testing.T) {
-	msgs := []struct {
-		in, out Msg
-	}{
-		{
-			&FetchLineReq{Line: 7, Needs: []PageNeed{
-				{Page: 28, Tags: []IntervalTag{{Writer: 1, Interval: 3}, {Writer: 2, Interval: 9}}},
-				{Page: 29, Tags: nil},
-			}},
-			&FetchLineReq{},
-		},
-		{&FetchLineResp{Data: []byte{1, 2, 3, 0, 255}}, &FetchLineResp{}},
-		{&DiffPullReq{Pages: []uint64{1, 2, 3}}, &DiffPullReq{}},
-		{
-			&DiffPullResp{Diffs: []PageDiff{{Page: 4, Runs: []DiffRun{{Off: 1, Data: []byte{5}}}}}},
-			&DiffPullResp{},
-		},
-		{
-			&DiffBatch{
-				Tag: IntervalTag{Writer: 5, Interval: 11},
-				Diffs: []PageDiff{
-					{Page: 3, Runs: []DiffRun{{Off: 0, Data: []byte{9}}, {Off: 100, Data: []byte{1, 2}}}},
-					{Page: 4, Runs: nil},
-				},
-				Records:    []StoreRecord{{Addr: 4096, Data: []byte{8, 7, 6, 5, 4, 3, 2, 1}}},
-				EmptyPages: []uint64{77, 78},
-				OwnedPages: []uint64{90, 91},
-			},
-			&DiffBatch{},
-		},
-		{
-			&EvictFlush{Writer: 3, Diffs: []PageDiff{{Page: 1, Runs: []DiffRun{{Off: 4, Data: []byte{1}}}}}},
-			&EvictFlush{},
-		},
-		{&AllocReq{Thread: 2, Size: 1 << 20, Align: 64, Strategy: AllocStriped}, &AllocReq{}},
-		{&AllocResp{Addr: 1 << 33}, &AllocResp{}},
-		{&FreeReq{Thread: 1, Addr: 12345}, &FreeReq{}},
-		{&FreeReq{Thread: 1, Addr: 12345, Seq: 7, Unmapped: true}, &FreeReq{}},
-		{&FreeResp{Fork: true, Snap: 3, NPages: 16, Release: []uint64{3, 9}}, &FreeResp{}},
-		{&FreeResp{}, &FreeResp{}},
-		{&ForkUnmap{Base: 1 << 20, NPages: 16, Release: []uint64{4}}, &ForkUnmap{}},
-		{&ForkUnmap{Release: []uint64{5}}, &ForkUnmap{}},
-		{&RegisterReq{Thread: 6, Node: 2}, &RegisterReq{}},
-		{&LockReq{Lock: 9, Thread: 4, LastSeen: 77}, &LockReq{}},
-		{
-			&LockResp{Seq: 80, Notices: []Notice{{
-				Seq: 78, Tag: IntervalTag{Writer: 1, Interval: 2},
-				Pages:   []uint64{10, 11},
-				Records: []StoreRecord{{Addr: 40960, Data: []byte{1, 2, 3, 4}}},
-			}}},
-			&LockResp{},
-		},
-		{
-			&UnlockReq{Lock: 9, Thread: 4, Interval: 6, Pages: []uint64{1, 2, 3},
-				Records: []StoreRecord{{Addr: 8, Data: []byte{0}}}},
-			&UnlockReq{},
-		},
-		{
-			&BarrierReq{Barrier: 1, Count: 16, Thread: 0, LastSeen: 5, Interval: 2, Pages: []uint64{9}},
-			&BarrierReq{},
-		},
-		{&BarrierResp{Seq: 10, Notices: nil}, &BarrierResp{}},
-		{
-			&CondWaitReq{Cond: 2, Lock: 3, Thread: 1, LastSeen: 4, Interval: 5, Pages: []uint64{6}},
-			&CondWaitReq{},
-		},
-		{&LockResp{Seq: 80, Gen: 3, Queued: true}, &LockResp{}},
-		{
-			&UnlockReq{Lock: 9, Thread: 4, Interval: 6, Pages: []uint64{1},
-				Records: []StoreRecord{{Addr: 8, Data: []byte{0}}}, HandedOff: 12},
-			&UnlockReq{},
-		},
-		{
-			&NextWaiter{Lock: 5, Gen: 2, Seq: 90,
-				Train: []SuccAnn{
-					{Waiter: 7, WaiterNode: 107,
-						Notices: []Notice{{Seq: 88, Tag: IntervalTag{Writer: 3, Interval: 4}, Pages: []uint64{12}}}},
-					{Waiter: 9, WaiterNode: 109, Notices: []Notice{}},
-				}},
-			&NextWaiter{},
-		},
-		{
-			&LockGrant{Lock: 5, Gen: 3, Seq: 91,
-				Notices: []Notice{{Seq: 89, Tag: IntervalTag{Writer: 2, Interval: 8}}},
-				Inline: []Notice{{Tag: IntervalTag{Writer: 6, Interval: 9},
-					Pages:   []uint64{3, 4},
-					Records: []StoreRecord{{Addr: 16, Data: []byte{1, 2, 3, 4}}}}},
-				Train: []SuccAnn{{Waiter: 11, WaiterNode: 111, Notices: []Notice{}}},
-				PageData: []PagePayload{
-					{Page: 3, Data: []byte{9, 8, 7}},
-					{Page: 4, Data: nil},
-				}},
-			&LockGrant{},
-		},
-		{&LockGrant{Lock: 5, Gen: 1, Code: CodeShutdown}, &LockGrant{}},
-		{&CondWaitResp{Seq: 42}, &CondWaitResp{}},
-		{&CondSignalReq{Cond: 2, Thread: 7, Broadcast: true}, &CondSignalReq{}},
-		{&CondSignalReq{Cond: 2, Thread: 7, Broadcast: false}, &CondSignalReq{}},
-		{&WriterDead{Writer: 9}, &WriterDead{}},
-		{&Ack{}, &Ack{}},
-		{&Ping{}, &Ping{}},
-		{&Shutdown{}, &Shutdown{}},
-		{&Error{Text: "boom"}, &Error{}},
+	sampled := make(map[Kind]bool)
+	for _, s := range wireSamples() {
+		sampled[s.msg.Kind()] = true
+		roundTrip(t, s.msg, New(s.msg.Kind()))
 	}
-	for _, m := range msgs {
-		roundTrip(t, m.in, m.out)
+	for k := KInvalid + 1; k < kindEnd; k++ {
+		m := New(k)
+		switch {
+		case kinds[k].name == "" || m == nil:
+			t.Errorf("kind %d has no row in the kind table", k)
+		case m.Kind() != k:
+			t.Errorf("kind table row %v builds a %v", k, m.Kind())
+		case !sampled[k]:
+			t.Errorf("%v has no sample in wireSamples", k)
+		}
+	}
+	if New(KInvalid) != nil || New(kindEnd) != nil {
+		t.Error("New built a message for a kind that is not one")
 	}
 }
 
@@ -144,7 +61,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 func TestHandoffFieldsOmittedWhenZero(t *testing.T) {
 	var w Writer
 	w.U64(7)
-	marshalNotices(&w, nil)
+	w.U64(0) // no notices
 	if got := Encode(&LockResp{Seq: 7}); !bytes.Equal(got, w.B) {
 		t.Errorf("classic LockResp encoding changed: %v vs %v", got, w.B)
 	}
@@ -153,7 +70,7 @@ func TestHandoffFieldsOmittedWhenZero(t *testing.T) {
 	u.U32(4)
 	u.U64(6)
 	u.U64s(nil)
-	marshalRecords(&u, nil)
+	u.U64(0) // no records
 	if got := Encode(&UnlockReq{Lock: 9, Thread: 4, Interval: 6}); !bytes.Equal(got, u.B) {
 		t.Errorf("classic UnlockReq encoding changed: %v vs %v", got, u.B)
 	}
@@ -168,15 +85,27 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
+// tailKinds are the messages that end in a group omitted when zero: the
+// only ones a proper prefix of whose encoding can be a whole message.
+var tailKinds = map[Kind]bool{
+	KFreeReq: true, KLockResp: true, KUnlockReq: true,
+	KBarrierReq: true, KWriterDead: true, KSealAS: true,
+}
+
+// Every proper prefix of every sample is rejected, except the one cut
+// that removes exactly a trailing group: that prefix is the message's
+// older encoding and must decode to what encodes to those bytes.
 func TestDecodeTruncated(t *testing.T) {
-	full := Encode(&DiffBatch{
-		Tag:   IntervalTag{Writer: 1, Interval: 2},
-		Diffs: []PageDiff{{Page: 3, Runs: []DiffRun{{Off: 1, Data: []byte{1, 2, 3}}}}},
-	})
-	for cut := 0; cut < len(full); cut++ {
-		var out DiffBatch
-		if err := Decode(&out, full[:cut]); err == nil {
-			t.Fatalf("decoding %d/%d bytes succeeded unexpectedly", cut, len(full))
+	for _, s := range wireSamples() {
+		full := Encode(s.msg)
+		for cut := 0; cut < len(full); cut++ {
+			out := New(s.msg.Kind())
+			if err := Decode(out, full[:cut]); err != nil {
+				continue
+			}
+			if !tailKinds[out.Kind()] || !bytes.Equal(Encode(out), full[:cut]) {
+				t.Errorf("%s: decoding %d/%d bytes succeeded unexpectedly", s.name, cut, len(full))
+			}
 		}
 	}
 }
@@ -401,8 +330,8 @@ func TestSpanExtentRoundTrip(t *testing.T) {
 }
 
 // Encode returns a buffer of its own each time, also when many
-// goroutines share the scratch pool — and the bytes are what marshalling
-// into an empty Writer gives.
+// goroutines share the scratch pool — and the bytes are what walking the
+// message with a codec of its own gives.
 func TestEncodeFreshAndConcurrent(t *testing.T) {
 	msg := func(seed byte) *DiffBatch {
 		return &DiffBatch{
@@ -412,13 +341,13 @@ func TestEncodeFreshAndConcurrent(t *testing.T) {
 		}
 	}
 	want := func(m Msg) []byte {
-		var w Writer
-		m.Marshal(&w)
-		return w.B
+		var c Codec
+		m.Walk(&c)
+		return c.w.B
 	}
 	a, b := Encode(msg(1)), Encode(msg(2))
 	if !bytes.Equal(a, want(msg(1))) || !bytes.Equal(b, want(msg(2))) {
-		t.Fatal("Encode bytes differ from a plain Marshal")
+		t.Fatal("Encode bytes differ from a walk with a fresh codec")
 	}
 	for i := range a[:cap(a)] {
 		a[:cap(a)][i] = 0xFF
@@ -447,39 +376,86 @@ func TestEncodeFreshAndConcurrent(t *testing.T) {
 	}
 }
 
-// DecodeAlias hands out payloads that point into the body, clipped to
-// their length; Decode hands out copies. A body may be decoded again (a
-// retried handler) and gives the same message.
-func TestDecodeAliasOwnership(t *testing.T) {
-	line := bytes.Repeat([]byte{7}, 64)
-	body := Encode(&FetchLineResp{Data: line})
-	pristine := append([]byte(nil), body...)
+// eachSlice calls fn for every slice reachable from v (a message or a
+// pointer to one), with the chain of field names that leads to it.
+func eachSlice(v reflect.Value, path string, fn func(path string, s reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		eachSlice(v.Elem(), path, fn)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			eachSlice(v.Field(i), path+"."+v.Type().Field(i).Name, fn)
+		}
+	case reflect.Slice:
+		fn(path, v)
+		if v.Type().Elem().Kind() == reflect.Struct {
+			for i := 0; i < v.Len(); i++ {
+				eachSlice(v.Index(i), path, fn)
+			}
+		}
+	}
+}
 
-	var copied, first, second FetchLineResp
-	if err := Decode(&copied, body); err != nil {
-		t.Fatal(err)
+// eachPayload calls fn for every non-empty []byte field of m.
+func eachPayload(m Msg, fn func(path string, b []byte)) {
+	eachSlice(reflect.ValueOf(m), "", func(path string, s reflect.Value) {
+		if s.Type().Elem().Kind() == reflect.Uint8 && s.Len() > 0 {
+			fn(path, s.Bytes())
+		}
+	})
+}
+
+func pointsInto(b, body []byte) bool {
+	for i := range body {
+		if &body[i] == &b[0] {
+			return true
+		}
 	}
-	copied.Data[0] = 99
-	if !bytes.Equal(body, pristine) {
-		t.Fatal("Decode's payload aliases the body")
-	}
-	if err := DecodeAlias(&first, body); err != nil {
-		t.Fatal(err)
-	}
-	if err := DecodeAlias(&second, body); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Data, line) || !bytes.Equal(second.Data, line) {
-		t.Fatal("a second decode of the same body differs")
-	}
-	if &first.Data[0] != &body[len(body)-len(line)] {
-		t.Fatal("DecodeAlias copied the line")
+	return false
+}
+
+// The per-field ownership rule of DESIGN.md §11, over every sample:
+// Decode hands out copies only; DecodeAlias hands out every byte field
+// as an alias into the body, clipped to its length, except a log
+// entry's Body, which outlives the append that carried it. A body may
+// be decoded again (a retried handler) and gives the same message.
+func TestDecodeAliasOwnership(t *testing.T) {
+	for _, s := range wireSamples() {
+		body := Encode(s.msg)
+		pristine := append([]byte(nil), body...)
+		copied, first, second := New(s.msg.Kind()), New(s.msg.Kind()), New(s.msg.Kind())
+		if err := Decode(copied, body); err != nil {
+			t.Fatal(err)
+		}
+		eachPayload(copied, func(path string, b []byte) {
+			if pointsInto(b, body) {
+				t.Errorf("%s: Decode's %s aliases the body", s.name, path)
+			}
+		})
+		if err := DecodeAlias(first, body); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeAlias(second, body); err != nil {
+			t.Fatal(err)
+		}
+		eachPayload(first, func(path string, b []byte) {
+			owned := path == ".Entries.Body"
+			if pointsInto(b, body) == owned {
+				t.Errorf("%s: DecodeAlias's %s: copied = %v, want %v", s.name, path, !owned, owned)
+			}
+			if !owned && cap(b) != len(b) {
+				t.Errorf("%s: %s is not clipped to its length", s.name, path)
+			}
+		})
+		if !bytes.Equal(body, pristine) || normalize(first) != normalize(second) {
+			t.Errorf("%s: a second decode of the same body differs", s.name)
+		}
 	}
 
 	// A payload in the middle of a body: appending to it must reallocate,
 	// not run on into the next field.
 	batch := Encode(&DiffBatch{Records: []StoreRecord{{Addr: 1, Data: []byte{1, 2}}, {Addr: 2, Data: []byte{3, 4}}}})
-	pristine = append([]byte(nil), batch...)
+	pristine := append([]byte(nil), batch...)
 	var db DiffBatch
 	if err := DecodeAlias(&db, batch); err != nil {
 		t.Fatal(err)

@@ -1,65 +1,6 @@
 package proto
 
-import (
-	"errors"
-	"sync"
-)
-
-// Msg is implemented by every protocol message body.
-type Msg interface {
-	// Kind identifies the message type on the wire.
-	Kind() Kind
-	// Marshal appends the body encoding to w.
-	Marshal(w *Writer)
-	// Unmarshal decodes the body from r.
-	Unmarshal(r *Reader)
-}
-
-// encodeScratch recycles the Writers Encode marshals into, so a
-// message's many small appends grow a buffer that already exists
-// instead of a fresh one per call.
-var encodeScratch = sync.Pool{New: func() any { return new(Writer) }}
-
-// maxEncodeScratch is the largest buffer kept for reuse; a rare huge
-// message (a replication snapshot) is left to the collector.
-const maxEncodeScratch = 1 << poolMaxShift
-
-// Encode serializes m (body only; the transport frames it). The result
-// is a fresh buffer, allocated once at the encoded size, that the
-// caller — and whoever the transport hands it to — owns outright.
-func Encode(m Msg) []byte {
-	w := encodeScratch.Get().(*Writer)
-	m.Marshal(w)
-	body := append([]byte(nil), w.B...)
-	if cap(w.B) <= maxEncodeScratch {
-		w.B = w.B[:0]
-		encodeScratch.Put(w)
-	}
-	return body
-}
-
-// Decode fills m from body, returning any decoding error. Byte payloads
-// are copied out of body.
-func Decode(m Msg, body []byte) error {
-	r := Reader{B: body}
-	m.Unmarshal(&r)
-	return r.Err()
-}
-
-// DecodeAlias fills m from body like Decode, but byte payloads (fetched
-// lines, diff runs, store records, shipped pages) alias body instead of
-// being copied. The caller must own body: nothing else may write it,
-// recycle it or decode it into something that is written through, for
-// as long as m's payloads are in use. Every wire body qualifies — a
-// transport delivers each encoded message to exactly one receiver in a
-// buffer of its own — and a body may be decoded again (a retried
-// handler) as long as every decode treats the payloads as read-only or
-// only one of them takes ownership.
-func DecodeAlias(m Msg, body []byte) error {
-	r := Reader{B: body, noCopy: true}
-	m.Unmarshal(&r)
-	return r.Err()
-}
+import "errors"
 
 // IntervalTag identifies one release interval of one writer. Interval
 // numbers are assigned locally by each thread (monotonically increasing),
@@ -71,20 +12,20 @@ type IntervalTag struct {
 	Interval uint64
 }
 
-func (t IntervalTag) marshal(w *Writer) {
-	w.U32(t.Writer)
-	w.U64(t.Interval)
-}
-
-func (t *IntervalTag) unmarshal(r *Reader) {
-	t.Writer = r.U32()
-	t.Interval = r.U64()
+func walkTag(c *Codec, t *IntervalTag) {
+	c.U32(&t.Writer)
+	c.U64(&t.Interval)
 }
 
 // DiffRun is one maximal run of changed bytes within a page.
 type DiffRun struct {
 	Off  uint32 // byte offset within the page
 	Data []byte // new contents
+}
+
+func walkRun(c *Codec, r *DiffRun) {
+	c.U32(&r.Off)
+	c.Payload(&r.Data)
 }
 
 // PageDiff is the set of changed byte runs of one page, computed by
@@ -94,27 +35,9 @@ type PageDiff struct {
 	Runs []DiffRun
 }
 
-func (d *PageDiff) marshal(w *Writer) {
-	w.U64(d.Page)
-	w.U64(uint64(len(d.Runs)))
-	for i := range d.Runs {
-		w.U32(d.Runs[i].Off)
-		w.Bytes(d.Runs[i].Data)
-	}
-}
-
-func (d *PageDiff) unmarshal(r *Reader) {
-	d.Page = r.U64()
-	n := r.U64()
-	if r.Err() != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return
-	}
-	d.Runs = make([]DiffRun, n)
-	for i := range d.Runs {
-		d.Runs[i].Off = r.U32()
-		d.Runs[i].Data = r.retain(r.Bytes())
-	}
+func walkDiff(c *Codec, d *PageDiff) {
+	c.U64(&d.Page)
+	list(c, &d.Runs, walkRun)
 }
 
 // PayloadBytes reports the number of data bytes carried by the diff.
@@ -134,26 +57,9 @@ type StoreRecord struct {
 	Data []byte
 }
 
-func marshalRecords(w *Writer, recs []StoreRecord) {
-	w.U64(uint64(len(recs)))
-	for i := range recs {
-		w.U64(recs[i].Addr)
-		w.Bytes(recs[i].Data)
-	}
-}
-
-func unmarshalRecords(r *Reader) []StoreRecord {
-	n := r.U64()
-	if r.Err() != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return nil
-	}
-	recs := make([]StoreRecord, n)
-	for i := range recs {
-		recs[i].Addr = r.U64()
-		recs[i].Data = r.retain(r.Bytes())
-	}
-	return recs
+func walkRecord(c *Codec, r *StoreRecord) {
+	c.U64(&r.Addr)
+	c.Payload(&r.Data)
 }
 
 // RecordBytes sums the payload bytes of a record list.
@@ -219,47 +125,12 @@ type Notice struct {
 	Records []StoreRecord
 }
 
-func (n *Notice) marshal(w *Writer) {
-	w.U64(n.Seq)
-	n.Tag.marshal(w)
-	w.U64s(n.Pages)
-	marshalRecords(w, n.Records)
+func walkNotice(c *Codec, n *Notice) {
+	c.U64(&n.Seq)
+	walkTag(c, &n.Tag)
+	c.U64s(&n.Pages)
+	list(c, &n.Records, walkRecord)
 }
-
-func (n *Notice) unmarshal(r *Reader) {
-	n.Seq = r.U64()
-	n.Tag.unmarshal(r)
-	n.Pages = r.U64s()
-	n.Records = unmarshalRecords(r)
-}
-
-func marshalNotices(w *Writer, ns []Notice) {
-	w.U64(uint64(len(ns)))
-	for i := range ns {
-		ns[i].marshal(w)
-	}
-}
-
-func unmarshalNotices(r *Reader) []Notice {
-	n := r.U64()
-	if r.Err() != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return nil
-	}
-	ns := make([]Notice, n)
-	for i := range ns {
-		ns[i].unmarshal(r)
-	}
-	return ns
-}
-
-// MarshalNotices appends a notice list to w. Exported for the manager's
-// replication snapshot, which serializes the notice directory outside
-// any wire message.
-func MarshalNotices(w *Writer, ns []Notice) { marshalNotices(w, ns) }
-
-// UnmarshalNotices reads a notice list written by MarshalNotices.
-func UnmarshalNotices(r *Reader) []Notice { return unmarshalNotices(r) }
 
 // ---------------------------------------------------------------------
 // Memory-server messages.
@@ -271,6 +142,11 @@ type PageNeed struct {
 	Tags []IntervalTag
 }
 
+func walkNeed(c *Codec, n *PageNeed) {
+	c.U64(&n.Page)
+	list(c, &n.Tags, walkTag)
+}
+
 // FetchLineReq asks a home server for one cache line (LinePages
 // consecutive pages, all homed on that server).
 type FetchLineReq struct {
@@ -280,47 +156,9 @@ type FetchLineReq struct {
 
 func (m *FetchLineReq) Kind() Kind { return KFetchLineReq }
 
-func (m *FetchLineReq) Marshal(w *Writer) {
-	w.U64(m.Line)
-	marshalNeeds(w, m.Needs)
-}
-
-func (m *FetchLineReq) Unmarshal(r *Reader) {
-	m.Line = r.U64()
-	m.Needs = unmarshalNeeds(r)
-}
-
-func marshalNeeds(w *Writer, needs []PageNeed) {
-	w.U64(uint64(len(needs)))
-	for i := range needs {
-		w.U64(needs[i].Page)
-		w.U64(uint64(len(needs[i].Tags)))
-		for j := range needs[i].Tags {
-			needs[i].Tags[j].marshal(w)
-		}
-	}
-}
-
-func unmarshalNeeds(r *Reader) []PageNeed {
-	n := r.U64()
-	if r.Err() != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return nil
-	}
-	needs := make([]PageNeed, n)
-	for i := range needs {
-		needs[i].Page = r.U64()
-		k := r.U64()
-		if r.Err() != nil || k > uint64(r.Remaining()) {
-			r.fail()
-			return nil
-		}
-		needs[i].Tags = make([]IntervalTag, k)
-		for j := range needs[i].Tags {
-			needs[i].Tags[j].unmarshal(r)
-		}
-	}
-	return needs
+func (m *FetchLineReq) Walk(c *Codec) {
+	c.U64(&m.Line)
+	list(c, &m.Needs, walkNeed)
 }
 
 // FetchLineResp carries the line contents.
@@ -328,9 +166,11 @@ type FetchLineResp struct {
 	Data []byte
 }
 
-func (m *FetchLineResp) Kind() Kind          { return KFetchLineResp }
-func (m *FetchLineResp) Marshal(w *Writer)   { w.Bytes(m.Data) }
-func (m *FetchLineResp) Unmarshal(r *Reader) { m.Data = r.retain(r.Bytes()) }
+func (m *FetchLineResp) Kind() Kind { return KFetchLineResp }
+
+func (m *FetchLineResp) Walk(c *Codec) {
+	c.Payload(&m.Data)
+}
 
 // FetchLinesReq asks a home server for several cache lines and/or
 // individual pages at once — fetch combining: an acquire that
@@ -349,16 +189,10 @@ type FetchLinesReq struct {
 
 func (m *FetchLinesReq) Kind() Kind { return KFetchLinesReq }
 
-func (m *FetchLinesReq) Marshal(w *Writer) {
-	w.U64s(m.Lines)
-	w.U64s(m.Pages)
-	marshalNeeds(w, m.Needs)
-}
-
-func (m *FetchLinesReq) Unmarshal(r *Reader) {
-	m.Lines = r.U64s()
-	m.Pages = r.U64s()
-	m.Needs = unmarshalNeeds(r)
+func (m *FetchLinesReq) Walk(c *Codec) {
+	c.U64s(&m.Lines)
+	c.U64s(&m.Pages)
+	list(c, &m.Needs, walkNeed)
 }
 
 // FetchLinesResp carries the contents of every requested line, then
@@ -367,9 +201,11 @@ type FetchLinesResp struct {
 	Data []byte
 }
 
-func (m *FetchLinesResp) Kind() Kind          { return KFetchLinesResp }
-func (m *FetchLinesResp) Marshal(w *Writer)   { w.Bytes(m.Data) }
-func (m *FetchLinesResp) Unmarshal(r *Reader) { m.Data = r.retain(r.Bytes()) }
+func (m *FetchLinesResp) Kind() Kind { return KFetchLinesResp }
+
+func (m *FetchLinesResp) Walk(c *Codec) {
+	c.Payload(&m.Data)
+}
 
 // DiffBatch carries one interval's worth of updates to one home server:
 // page diffs from ordinary regions (shared pages, shipped eagerly),
@@ -389,31 +225,12 @@ type DiffBatch struct {
 
 func (m *DiffBatch) Kind() Kind { return KDiffBatch }
 
-func (m *DiffBatch) Marshal(w *Writer) {
-	m.Tag.marshal(w)
-	w.U64(uint64(len(m.Diffs)))
-	for i := range m.Diffs {
-		m.Diffs[i].marshal(w)
-	}
-	marshalRecords(w, m.Records)
-	w.U64s(m.EmptyPages)
-	w.U64s(m.OwnedPages)
-}
-
-func (m *DiffBatch) Unmarshal(r *Reader) {
-	m.Tag.unmarshal(r)
-	n := r.U64()
-	if r.Err() != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return
-	}
-	m.Diffs = make([]PageDiff, n)
-	for i := range m.Diffs {
-		m.Diffs[i].unmarshal(r)
-	}
-	m.Records = unmarshalRecords(r)
-	m.EmptyPages = r.U64s()
-	m.OwnedPages = r.U64s()
+func (m *DiffBatch) Walk(c *Codec) {
+	walkTag(c, &m.Tag)
+	list(c, &m.Diffs, walkDiff)
+	list(c, &m.Records, walkRecord)
+	c.U64s(&m.EmptyPages)
+	c.U64s(&m.OwnedPages)
 }
 
 // DiffPullReq asks a writer's cache agent for the retained diffs of
@@ -423,9 +240,11 @@ type DiffPullReq struct {
 	Pages []uint64
 }
 
-func (m *DiffPullReq) Kind() Kind          { return KDiffPullReq }
-func (m *DiffPullReq) Marshal(w *Writer)   { w.U64s(m.Pages) }
-func (m *DiffPullReq) Unmarshal(r *Reader) { m.Pages = r.U64s() }
+func (m *DiffPullReq) Kind() Kind { return KDiffPullReq }
+
+func (m *DiffPullReq) Walk(c *Codec) {
+	c.U64s(&m.Pages)
+}
 
 // DiffPullResp returns the retained diffs. A page missing from Diffs
 // has no retained data (it was flushed or never owned); the home treats
@@ -436,23 +255,8 @@ type DiffPullResp struct {
 
 func (m *DiffPullResp) Kind() Kind { return KDiffPullResp }
 
-func (m *DiffPullResp) Marshal(w *Writer) {
-	w.U64(uint64(len(m.Diffs)))
-	for i := range m.Diffs {
-		m.Diffs[i].marshal(w)
-	}
-}
-
-func (m *DiffPullResp) Unmarshal(r *Reader) {
-	n := r.U64()
-	if r.Err() != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return
-	}
-	m.Diffs = make([]PageDiff, n)
-	for i := range m.Diffs {
-		m.Diffs[i].unmarshal(r)
-	}
+func (m *DiffPullResp) Walk(c *Codec) {
+	list(c, &m.Diffs, walkDiff)
 }
 
 // EvictFlush carries the diff of a dirty page evicted mid-interval. The
@@ -465,25 +269,9 @@ type EvictFlush struct {
 
 func (m *EvictFlush) Kind() Kind { return KEvictFlush }
 
-func (m *EvictFlush) Marshal(w *Writer) {
-	w.U32(m.Writer)
-	w.U64(uint64(len(m.Diffs)))
-	for i := range m.Diffs {
-		m.Diffs[i].marshal(w)
-	}
-}
-
-func (m *EvictFlush) Unmarshal(r *Reader) {
-	m.Writer = r.U32()
-	n := r.U64()
-	if r.Err() != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return
-	}
-	m.Diffs = make([]PageDiff, n)
-	for i := range m.Diffs {
-		m.Diffs[i].unmarshal(r)
-	}
+func (m *EvictFlush) Walk(c *Codec) {
+	c.U32(&m.Writer)
+	list(c, &m.Diffs, walkDiff)
 }
 
 // ---------------------------------------------------------------------
@@ -512,20 +300,12 @@ type AllocReq struct {
 
 func (m *AllocReq) Kind() Kind { return KAllocReq }
 
-func (m *AllocReq) Marshal(w *Writer) {
-	w.U32(m.Thread)
-	w.U64(m.Size)
-	w.U32(m.Align)
-	w.U8(m.Strategy)
-	w.U64(m.Seq)
-}
-
-func (m *AllocReq) Unmarshal(r *Reader) {
-	m.Thread = r.U32()
-	m.Size = r.U64()
-	m.Align = r.U32()
-	m.Strategy = r.U8()
-	m.Seq = r.U64()
+func (m *AllocReq) Walk(c *Codec) {
+	c.U32(&m.Thread)
+	c.U64(&m.Size)
+	c.U32(&m.Align)
+	c.U8(&m.Strategy)
+	c.U64(&m.Seq)
 }
 
 // AllocResp returns the base address of the allocation.
@@ -533,9 +313,11 @@ type AllocResp struct {
 	Addr uint64
 }
 
-func (m *AllocResp) Kind() Kind          { return KAllocResp }
-func (m *AllocResp) Marshal(w *Writer)   { w.U64(m.Addr) }
-func (m *AllocResp) Unmarshal(r *Reader) { m.Addr = r.U64() }
+func (m *AllocResp) Kind() Kind { return KAllocResp }
+
+func (m *AllocResp) Walk(c *Codec) {
+	c.U64(&m.Addr)
+}
 
 // RegisterReq announces a compute thread to the manager before it runs
 // (the manager is responsible for thread placement, Section II). A
@@ -549,14 +331,9 @@ type RegisterReq struct {
 
 func (m *RegisterReq) Kind() Kind { return KRegisterReq }
 
-func (m *RegisterReq) Marshal(w *Writer) {
-	w.U32(m.Thread)
-	w.U32(m.Node)
-}
-
-func (m *RegisterReq) Unmarshal(r *Reader) {
-	m.Thread = r.U32()
-	m.Node = r.U32()
+func (m *RegisterReq) Walk(c *Codec) {
+	c.U32(&m.Thread)
+	c.U32(&m.Node)
 }
 
 // FreeReq releases an allocation made through the manager. Seq is the
@@ -579,20 +356,13 @@ type FreeReq struct {
 
 func (m *FreeReq) Kind() Kind { return KFreeReq }
 
-func (m *FreeReq) Marshal(w *Writer) {
-	w.U32(m.Thread)
-	w.U64(m.Addr)
-	w.U64(m.Seq)
-	if m.Unmapped {
-		w.U8(1)
+func (m *FreeReq) Walk(c *Codec) {
+	c.U32(&m.Thread)
+	c.U64(&m.Addr)
+	c.U64(&m.Seq)
+	if c.tail(m.Unmapped) {
+		c.Bool(&m.Unmapped)
 	}
-}
-
-func (m *FreeReq) Unmarshal(r *Reader) {
-	m.Thread = r.U32()
-	m.Addr = r.U64()
-	m.Seq = r.U64()
-	m.Unmapped = r.Err() == nil && r.Remaining() > 0 && r.U8() != 0
 }
 
 // FreeResp answers a FreeReq. For an ordinary free every field is
@@ -614,22 +384,11 @@ type FreeResp struct {
 
 func (m *FreeResp) Kind() Kind { return KFreeResp }
 
-func (m *FreeResp) Marshal(w *Writer) {
-	if m.Fork {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-	w.U64(m.Snap)
-	w.U64(m.NPages)
-	w.U64s(m.Release)
-}
-
-func (m *FreeResp) Unmarshal(r *Reader) {
-	m.Fork = r.U8() != 0
-	m.Snap = r.U64()
-	m.NPages = r.U64()
-	m.Release = r.U64s()
+func (m *FreeResp) Walk(c *Codec) {
+	c.Bool(&m.Fork)
+	c.U64(&m.Snap)
+	c.U64(&m.NPages)
+	c.U64s(&m.Release)
 }
 
 // LockReq acquires a mutex. LastSeen is the highest notice sequence the
@@ -642,16 +401,10 @@ type LockReq struct {
 
 func (m *LockReq) Kind() Kind { return KLockReq }
 
-func (m *LockReq) Marshal(w *Writer) {
-	w.U32(m.Lock)
-	w.U32(m.Thread)
-	w.U64(m.LastSeen)
-}
-
-func (m *LockReq) Unmarshal(r *Reader) {
-	m.Lock = r.U32()
-	m.Thread = r.U32()
-	m.LastSeen = r.U64()
+func (m *LockReq) Walk(c *Codec) {
+	c.U32(&m.Lock)
+	c.U32(&m.Thread)
+	c.U64(&m.LastSeen)
 }
 
 // LockResp grants the mutex. Seq is the new LastSeen.
@@ -671,25 +424,12 @@ type LockResp struct {
 
 func (m *LockResp) Kind() Kind { return KLockResp }
 
-func (m *LockResp) Marshal(w *Writer) {
-	w.U64(m.Seq)
-	marshalNotices(w, m.Notices)
-	if m.Gen != 0 || m.Queued {
-		w.U64(m.Gen)
-		if m.Queued {
-			w.U8(1)
-		} else {
-			w.U8(0)
-		}
-	}
-}
-
-func (m *LockResp) Unmarshal(r *Reader) {
-	m.Seq = r.U64()
-	m.Notices = unmarshalNotices(r)
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Gen = r.U64()
-		m.Queued = r.U8() != 0
+func (m *LockResp) Walk(c *Codec) {
+	c.U64(&m.Seq)
+	list(c, &m.Notices, walkNotice)
+	if c.tail(m.Gen != 0 || m.Queued) {
+		c.U64(&m.Gen)
+		c.Bool(&m.Queued)
 	}
 }
 
@@ -713,25 +453,14 @@ type UnlockReq struct {
 
 func (m *UnlockReq) Kind() Kind { return KUnlockReq }
 
-func (m *UnlockReq) Marshal(w *Writer) {
-	w.U32(m.Lock)
-	w.U32(m.Thread)
-	w.U64(m.Interval)
-	w.U64s(m.Pages)
-	marshalRecords(w, m.Records)
-	if m.HandedOff != 0 {
-		w.U32(m.HandedOff)
-	}
-}
-
-func (m *UnlockReq) Unmarshal(r *Reader) {
-	m.Lock = r.U32()
-	m.Thread = r.U32()
-	m.Interval = r.U64()
-	m.Pages = r.U64s()
-	m.Records = unmarshalRecords(r)
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.HandedOff = r.U32()
+func (m *UnlockReq) Walk(c *Codec) {
+	c.U32(&m.Lock)
+	c.U32(&m.Thread)
+	c.U64(&m.Interval)
+	c.U64s(&m.Pages)
+	list(c, &m.Records, walkRecord)
+	if c.tail(m.HandedOff != 0) {
+		c.U32(&m.HandedOff)
 	}
 }
 
@@ -759,29 +488,16 @@ type BarrierReq struct {
 
 func (m *BarrierReq) Kind() Kind { return KBarrierReq }
 
-func (m *BarrierReq) Marshal(w *Writer) {
-	w.U32(m.Barrier)
-	w.U32(m.Count)
-	w.U32(m.Thread)
-	w.U64(m.LastSeen)
-	w.U64(m.Interval)
-	w.U64s(m.Pages)
-	marshalRecords(w, m.Records)
-	if m.Epoch != 0 {
-		w.U64(m.Epoch)
-	}
-}
-
-func (m *BarrierReq) Unmarshal(r *Reader) {
-	m.Barrier = r.U32()
-	m.Count = r.U32()
-	m.Thread = r.U32()
-	m.LastSeen = r.U64()
-	m.Interval = r.U64()
-	m.Pages = r.U64s()
-	m.Records = unmarshalRecords(r)
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Epoch = r.U64()
+func (m *BarrierReq) Walk(c *Codec) {
+	c.U32(&m.Barrier)
+	c.U32(&m.Count)
+	c.U32(&m.Thread)
+	c.U64(&m.LastSeen)
+	c.U64(&m.Interval)
+	c.U64s(&m.Pages)
+	list(c, &m.Records, walkRecord)
+	if c.tail(m.Epoch != 0) {
+		c.U64(&m.Epoch)
 	}
 }
 
@@ -793,14 +509,9 @@ type BarrierResp struct {
 
 func (m *BarrierResp) Kind() Kind { return KBarrierResp }
 
-func (m *BarrierResp) Marshal(w *Writer) {
-	w.U64(m.Seq)
-	marshalNotices(w, m.Notices)
-}
-
-func (m *BarrierResp) Unmarshal(r *Reader) {
-	m.Seq = r.U64()
-	m.Notices = unmarshalNotices(r)
+func (m *BarrierResp) Walk(c *Codec) {
+	c.U64(&m.Seq)
+	list(c, &m.Notices, walkNotice)
 }
 
 // CondWaitReq atomically releases the named mutex (posting the release
@@ -819,24 +530,14 @@ type CondWaitReq struct {
 
 func (m *CondWaitReq) Kind() Kind { return KCondWaitReq }
 
-func (m *CondWaitReq) Marshal(w *Writer) {
-	w.U32(m.Cond)
-	w.U32(m.Lock)
-	w.U32(m.Thread)
-	w.U64(m.LastSeen)
-	w.U64(m.Interval)
-	w.U64s(m.Pages)
-	marshalRecords(w, m.Records)
-}
-
-func (m *CondWaitReq) Unmarshal(r *Reader) {
-	m.Cond = r.U32()
-	m.Lock = r.U32()
-	m.Thread = r.U32()
-	m.LastSeen = r.U64()
-	m.Interval = r.U64()
-	m.Pages = r.U64s()
-	m.Records = unmarshalRecords(r)
+func (m *CondWaitReq) Walk(c *Codec) {
+	c.U32(&m.Cond)
+	c.U32(&m.Lock)
+	c.U32(&m.Thread)
+	c.U64(&m.LastSeen)
+	c.U64(&m.Interval)
+	c.U64s(&m.Pages)
+	list(c, &m.Records, walkRecord)
 }
 
 // CondWaitResp returns from a condition wait with the mutex re-held.
@@ -847,14 +548,9 @@ type CondWaitResp struct {
 
 func (m *CondWaitResp) Kind() Kind { return KCondWaitResp }
 
-func (m *CondWaitResp) Marshal(w *Writer) {
-	w.U64(m.Seq)
-	marshalNotices(w, m.Notices)
-}
-
-func (m *CondWaitResp) Unmarshal(r *Reader) {
-	m.Seq = r.U64()
-	m.Notices = unmarshalNotices(r)
+func (m *CondWaitResp) Walk(c *Codec) {
+	c.U64(&m.Seq)
+	list(c, &m.Notices, walkNotice)
 }
 
 // CondSignalReq wakes one (or all) waiters of a condition variable.
@@ -866,20 +562,10 @@ type CondSignalReq struct {
 
 func (m *CondSignalReq) Kind() Kind { return KCondSignalReq }
 
-func (m *CondSignalReq) Marshal(w *Writer) {
-	w.U32(m.Cond)
-	w.U32(m.Thread)
-	if m.Broadcast {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-func (m *CondSignalReq) Unmarshal(r *Reader) {
-	m.Cond = r.U32()
-	m.Thread = r.U32()
-	m.Broadcast = r.U8() != 0
+func (m *CondSignalReq) Walk(c *Codec) {
+	c.U32(&m.Cond)
+	c.U32(&m.Thread)
+	c.Bool(&m.Broadcast)
 }
 
 // SuccAnn pre-announces one queued waiter to the chain of holders that
@@ -894,39 +580,10 @@ type SuccAnn struct {
 	Notices    []Notice
 }
 
-func (a *SuccAnn) marshal(w *Writer) {
-	w.U32(a.Waiter)
-	w.U32(a.WaiterNode)
-	marshalNotices(w, a.Notices)
-}
-
-func (a *SuccAnn) unmarshal(r *Reader) {
-	a.Waiter = r.U32()
-	a.WaiterNode = r.U32()
-	a.Notices = unmarshalNotices(r)
-}
-
-func marshalTrain(w *Writer, train []SuccAnn) {
-	w.U64(uint64(len(train)))
-	for i := range train {
-		train[i].marshal(w)
-	}
-}
-
-func unmarshalTrain(r *Reader) []SuccAnn {
-	n := r.U64()
-	if r.Err() != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	train := make([]SuccAnn, n)
-	for i := range train {
-		train[i].unmarshal(r)
-	}
-	return train
+func walkSucc(c *Codec, a *SuccAnn) {
+	c.U32(&a.Waiter)
+	c.U32(&a.WaiterNode)
+	list(c, &a.Notices, walkNotice)
 }
 
 // NextWaiter is the manager telling the current lock holder who to hand
@@ -950,18 +607,11 @@ type NextWaiter struct {
 
 func (m *NextWaiter) Kind() Kind { return KNextWaiter }
 
-func (m *NextWaiter) Marshal(w *Writer) {
-	w.U32(m.Lock)
-	w.U64(m.Gen)
-	w.U64(m.Seq)
-	marshalTrain(w, m.Train)
-}
-
-func (m *NextWaiter) Unmarshal(r *Reader) {
-	m.Lock = r.U32()
-	m.Gen = r.U64()
-	m.Seq = r.U64()
-	m.Train = unmarshalTrain(r)
+func (m *NextWaiter) Walk(c *Codec) {
+	c.U32(&m.Lock)
+	c.U64(&m.Gen)
+	c.U64(&m.Seq)
+	list(c, &m.Train, walkSucc)
 }
 
 // PagePayload carries one whole page's current bytes inside a
@@ -974,29 +624,9 @@ type PagePayload struct {
 	Data []byte
 }
 
-func marshalPagePayloads(w *Writer, ps []PagePayload) {
-	w.U64(uint64(len(ps)))
-	for i := range ps {
-		w.U64(ps[i].Page)
-		w.Bytes(ps[i].Data)
-	}
-}
-
-func unmarshalPagePayloads(r *Reader) []PagePayload {
-	n := r.U64()
-	if r.Err() != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	ps := make([]PagePayload, n)
-	for i := range ps {
-		ps[i].Page = r.U64()
-		ps[i].Data = r.retain(r.Bytes())
-	}
-	return ps
+func walkPagePayload(c *Codec, p *PagePayload) {
+	c.U64(&p.Page)
+	c.Payload(&p.Data)
 }
 
 // LockGrant completes a queued acquire that was answered with
@@ -1026,26 +656,15 @@ type LockGrant struct {
 
 func (m *LockGrant) Kind() Kind { return KLockGrant }
 
-func (m *LockGrant) Marshal(w *Writer) {
-	w.U32(m.Lock)
-	w.U64(m.Gen)
-	w.U64(m.Seq)
-	marshalNotices(w, m.Notices)
-	marshalNotices(w, m.Inline)
-	marshalTrain(w, m.Train)
-	marshalPagePayloads(w, m.PageData)
-	w.U32(uint32(m.Code))
-}
-
-func (m *LockGrant) Unmarshal(r *Reader) {
-	m.Lock = r.U32()
-	m.Gen = r.U64()
-	m.Seq = r.U64()
-	m.Notices = unmarshalNotices(r)
-	m.Inline = unmarshalNotices(r)
-	m.Train = unmarshalTrain(r)
-	m.PageData = unmarshalPagePayloads(r)
-	m.Code = uint16(r.U32())
+func (m *LockGrant) Walk(c *Codec) {
+	c.U32(&m.Lock)
+	c.U64(&m.Gen)
+	c.U64(&m.Seq)
+	list(c, &m.Notices, walkNotice)
+	list(c, &m.Inline, walkNotice)
+	list(c, &m.Train, walkSucc)
+	list(c, &m.PageData, walkPagePayload)
+	c.U16(&m.Code)
 }
 
 // ---------------------------------------------------------------------
@@ -1054,25 +673,22 @@ func (m *LockGrant) Unmarshal(r *Reader) {
 // Ack is the empty success response.
 type Ack struct{}
 
-func (m *Ack) Kind() Kind          { return KAck }
-func (m *Ack) Marshal(w *Writer)   {}
-func (m *Ack) Unmarshal(r *Reader) {}
+func (m *Ack) Kind() Kind    { return KAck }
+func (m *Ack) Walk(c *Codec) {}
 
 // Ping is a synchronous no-op used to drain a server's queue: because
 // every endpoint's inbox is a single FIFO, the Ack proves everything
 // posted before the Ping has been processed.
 type Ping struct{}
 
-func (m *Ping) Kind() Kind          { return KPing }
-func (m *Ping) Marshal(w *Writer)   {}
-func (m *Ping) Unmarshal(r *Reader) {}
+func (m *Ping) Kind() Kind    { return KPing }
+func (m *Ping) Walk(c *Codec) {}
 
 // Shutdown asks a server to stop after draining its queue.
 type Shutdown struct{}
 
-func (m *Shutdown) Kind() Kind          { return KShutdown }
-func (m *Shutdown) Marshal(w *Writer)   {}
-func (m *Shutdown) Unmarshal(r *Reader) {}
+func (m *Shutdown) Kind() Kind    { return KShutdown }
+func (m *Shutdown) Walk(c *Codec) {}
 
 // Error codes carried by Error responses, so clients can distinguish
 // failure classes (orderly shutdown, peer death, unpromoted standby)
@@ -1138,14 +754,9 @@ type Error struct {
 
 func (m *Error) Kind() Kind { return KError }
 
-func (m *Error) Marshal(w *Writer) {
-	w.U32(uint32(m.Code))
-	w.Bytes([]byte(m.Text))
-}
-
-func (m *Error) Unmarshal(r *Reader) {
-	m.Code = uint16(r.U32())
-	m.Text = string(r.Bytes())
+func (m *Error) Walk(c *Codec) {
+	c.U16(&m.Code)
+	c.String(&m.Text)
 }
 
 // ---------------------------------------------------------------------
@@ -1175,31 +786,19 @@ type Heartbeat struct {
 
 func (m *Heartbeat) Kind() Kind { return KHeartbeat }
 
-func (m *Heartbeat) Marshal(w *Writer) {
-	w.U32(m.Member)
-	w.U8(m.Class)
-	w.U32(m.Node)
-	if m.Bye {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-func (m *Heartbeat) Unmarshal(r *Reader) {
-	m.Member = r.U32()
-	m.Class = r.U8()
-	m.Node = r.U32()
-	m.Bye = r.U8() != 0
+func (m *Heartbeat) Walk(c *Codec) {
+	c.U32(&m.Member)
+	c.U8(&m.Class)
+	c.U32(&m.Node)
+	c.Bool(&m.Bye)
 }
 
 // Promote turns a warm-standby memory server into the primary for its
 // home index. Idempotent: an already-promoted server acks again.
 type Promote struct{}
 
-func (m *Promote) Kind() Kind          { return KPromote }
-func (m *Promote) Marshal(w *Writer)   {}
-func (m *Promote) Unmarshal(r *Reader) {}
+func (m *Promote) Kind() Kind    { return KPromote }
+func (m *Promote) Walk(c *Codec) {}
 
 // WriterDead is the manager's obituary for a reaped compute thread,
 // broadcast one-way to every memory server and warm standby. A writer
@@ -1224,17 +823,10 @@ type WriterDead struct {
 
 func (m *WriterDead) Kind() Kind { return KWriterDead }
 
-func (m *WriterDead) Marshal(w *Writer) {
-	w.U32(m.Writer)
-	if m.Gen != 0 {
-		w.U64(m.Gen)
-	}
-}
-
-func (m *WriterDead) Unmarshal(r *Reader) {
-	m.Writer = r.U32()
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Gen = r.U64()
+func (m *WriterDead) Walk(c *Codec) {
+	c.U32(&m.Writer)
+	if c.tail(m.Gen != 0) {
+		c.U64(&m.Gen)
 	}
 }
 
@@ -1255,20 +847,12 @@ type ReplEntry struct {
 	Body  []byte
 }
 
-func (e *ReplEntry) marshal(w *Writer) {
-	w.U64(e.Index)
-	w.U64(e.Term)
-	w.U32(e.Src)
-	w.U32(uint32(e.Kind))
-	w.Bytes(e.Body)
-}
-
-func (e *ReplEntry) unmarshal(r *Reader) {
-	e.Index = r.U64()
-	e.Term = r.U64()
-	e.Src = r.U32()
-	e.Kind = uint16(r.U32())
-	e.Body = append([]byte(nil), r.Bytes()...)
+func walkEntry(c *Codec, e *ReplEntry) {
+	c.U64(&e.Index)
+	c.U64(&e.Term)
+	c.U32(&e.Src)
+	c.U16(&e.Kind)
+	c.Bytes(&e.Body)
 }
 
 // ReplAppend carries log entries from the manager leader to a follower
@@ -1282,25 +866,9 @@ type ReplAppend struct {
 
 func (m *ReplAppend) Kind() Kind { return KReplAppend }
 
-func (m *ReplAppend) Marshal(w *Writer) {
-	w.U64(m.Term)
-	w.U64(uint64(len(m.Entries)))
-	for i := range m.Entries {
-		m.Entries[i].marshal(w)
-	}
-}
-
-func (m *ReplAppend) Unmarshal(r *Reader) {
-	m.Term = r.U64()
-	n := r.U64()
-	if r.Err() != nil || n > uint64(r.Remaining()) {
-		r.fail()
-		return
-	}
-	m.Entries = make([]ReplEntry, n)
-	for i := range m.Entries {
-		m.Entries[i].unmarshal(r)
-	}
+func (m *ReplAppend) Walk(c *Codec) {
+	c.U64(&m.Term)
+	list(c, &m.Entries, walkEntry)
 }
 
 // ReplAck answers a ReplAppend. OK means every entry up to NextIndex-1
@@ -1316,20 +884,10 @@ type ReplAck struct {
 
 func (m *ReplAck) Kind() Kind { return KReplAck }
 
-func (m *ReplAck) Marshal(w *Writer) {
-	if m.OK {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-	w.U64(m.Term)
-	w.U64(m.NextIndex)
-}
-
-func (m *ReplAck) Unmarshal(r *Reader) {
-	m.OK = r.U8() != 0
-	m.Term = r.U64()
-	m.NextIndex = r.U64()
+func (m *ReplAck) Walk(c *Codec) {
+	c.Bool(&m.OK)
+	c.U64(&m.Term)
+	c.U64(&m.NextIndex)
 }
 
 // PromoteMgr turns a follower manager replica into the leader, under a
@@ -1340,9 +898,11 @@ type PromoteMgr struct {
 	Term uint64
 }
 
-func (m *PromoteMgr) Kind() Kind          { return KPromoteMgr }
-func (m *PromoteMgr) Marshal(w *Writer)   { w.U64(m.Term) }
-func (m *PromoteMgr) Unmarshal(r *Reader) { m.Term = r.U64() }
+func (m *PromoteMgr) Kind() Kind { return KPromoteMgr }
+
+func (m *PromoteMgr) Walk(c *Codec) {
+	c.U64(&m.Term)
+}
 
 // ReplSnapshot installs a full manager state snapshot on a follower
 // whose next expected index has been truncated out of the leader's log.
@@ -1356,16 +916,10 @@ type ReplSnapshot struct {
 
 func (m *ReplSnapshot) Kind() Kind { return KReplSnapshot }
 
-func (m *ReplSnapshot) Marshal(w *Writer) {
-	w.U64(m.Term)
-	w.U64(m.Index)
-	w.Bytes(m.State)
-}
-
-func (m *ReplSnapshot) Unmarshal(r *Reader) {
-	m.Term = r.U64()
-	m.Index = r.U64()
-	m.State = append([]byte(nil), r.Bytes()...)
+func (m *ReplSnapshot) Walk(c *Codec) {
+	c.U64(&m.Term)
+	c.U64(&m.Index)
+	c.Payload(&m.State)
 }
 
 // ReclaimEvent is a log-entry-only message (never sent on its own): the
@@ -1381,16 +935,10 @@ type ReclaimEvent struct {
 
 func (m *ReclaimEvent) Kind() Kind { return KReclaimEvent }
 
-func (m *ReclaimEvent) Marshal(w *Writer) {
-	w.U32(m.Thread)
-	w.U32(m.Node)
-	w.U64(m.Gen)
-}
-
-func (m *ReclaimEvent) Unmarshal(r *Reader) {
-	m.Thread = r.U32()
-	m.Node = r.U32()
-	m.Gen = r.U64()
+func (m *ReclaimEvent) Walk(c *Codec) {
+	c.U32(&m.Thread)
+	c.U32(&m.Node)
+	c.U64(&m.Gen)
 }
 
 // ---------------------------------------------------------------------
@@ -1412,18 +960,11 @@ type SnapshotASReq struct {
 
 func (m *SnapshotASReq) Kind() Kind { return KSnapshotASReq }
 
-func (m *SnapshotASReq) Marshal(w *Writer) {
-	w.U32(m.Thread)
-	w.U64(m.Base)
-	w.U64(m.NPages)
-	w.U64(m.Seq)
-}
-
-func (m *SnapshotASReq) Unmarshal(r *Reader) {
-	m.Thread = r.U32()
-	m.Base = r.U64()
-	m.NPages = r.U64()
-	m.Seq = r.U64()
+func (m *SnapshotASReq) Walk(c *Codec) {
+	c.U32(&m.Thread)
+	c.U64(&m.Base)
+	c.U64(&m.NPages)
+	c.U64(&m.Seq)
 }
 
 // SnapshotASResp returns the snapshot id (never 0).
@@ -1431,9 +972,11 @@ type SnapshotASResp struct {
 	Snap uint64
 }
 
-func (m *SnapshotASResp) Kind() Kind          { return KSnapshotASResp }
-func (m *SnapshotASResp) Marshal(w *Writer)   { w.U64(m.Snap) }
-func (m *SnapshotASResp) Unmarshal(r *Reader) { m.Snap = r.U64() }
+func (m *SnapshotASResp) Kind() Kind { return KSnapshotASResp }
+
+func (m *SnapshotASResp) Walk(c *Codec) {
+	c.U64(&m.Snap)
+}
 
 // ForkASReq asks the manager for a copy-on-write fork of a sealed
 // snapshot: a fresh striped range, aligned exactly like the original so
@@ -1450,16 +993,10 @@ type ForkASReq struct {
 
 func (m *ForkASReq) Kind() Kind { return KForkASReq }
 
-func (m *ForkASReq) Marshal(w *Writer) {
-	w.U32(m.Thread)
-	w.U64(m.Snap)
-	w.U64(m.Seq)
-}
-
-func (m *ForkASReq) Unmarshal(r *Reader) {
-	m.Thread = r.U32()
-	m.Snap = r.U64()
-	m.Seq = r.U64()
+func (m *ForkASReq) Walk(c *Codec) {
+	c.U32(&m.Thread)
+	c.U64(&m.Snap)
+	c.U64(&m.Seq)
 }
 
 // ForkASResp returns the forked range's base plus the snapshot geometry
@@ -1472,16 +1009,10 @@ type ForkASResp struct {
 
 func (m *ForkASResp) Kind() Kind { return KForkASResp }
 
-func (m *ForkASResp) Marshal(w *Writer) {
-	w.U64(m.Base)
-	w.U64(m.OrigBase)
-	w.U64(m.NPages)
-}
-
-func (m *ForkASResp) Unmarshal(r *Reader) {
-	m.Base = r.U64()
-	m.OrigBase = r.U64()
-	m.NPages = r.U64()
+func (m *ForkASResp) Walk(c *Codec) {
+	c.U64(&m.Base)
+	c.U64(&m.OrigBase)
+	c.U64(&m.NPages)
 }
 
 // SealAS asks a home server to capture the current contents of the
@@ -1504,23 +1035,13 @@ type SealAS struct {
 
 func (m *SealAS) Kind() Kind { return KSealAS }
 
-func (m *SealAS) Marshal(w *Writer) {
-	w.U64(m.Snap)
-	w.U64(m.Base)
-	w.U64(m.NPages)
-	marshalNeeds(w, m.Needs)
-	if len(m.Pages) > 0 {
-		w.U64s(m.Pages)
-	}
-}
-
-func (m *SealAS) Unmarshal(r *Reader) {
-	m.Snap = r.U64()
-	m.Base = r.U64()
-	m.NPages = r.U64()
-	m.Needs = unmarshalNeeds(r)
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Pages = r.U64s()
+func (m *SealAS) Walk(c *Codec) {
+	c.U64(&m.Snap)
+	c.U64(&m.Base)
+	c.U64(&m.NPages)
+	list(c, &m.Needs, walkNeed)
+	if c.tail(len(m.Pages) > 0) {
+		c.U64s(&m.Pages)
 	}
 }
 
@@ -1539,18 +1060,11 @@ type ForkMap struct {
 
 func (m *ForkMap) Kind() Kind { return KForkMap }
 
-func (m *ForkMap) Marshal(w *Writer) {
-	w.U64(m.Snap)
-	w.U64(m.Base)
-	w.U64(m.OrigBase)
-	w.U64(m.NPages)
-}
-
-func (m *ForkMap) Unmarshal(r *Reader) {
-	m.Snap = r.U64()
-	m.Base = r.U64()
-	m.OrigBase = r.U64()
-	m.NPages = r.U64()
+func (m *ForkMap) Walk(c *Codec) {
+	c.U64(&m.Snap)
+	c.U64(&m.Base)
+	c.U64(&m.OrigBase)
+	c.U64(&m.NPages)
 }
 
 // ForkUnmap undoes a ForkMap on a home server: the fork-range entry
@@ -1569,14 +1083,8 @@ type ForkUnmap struct {
 
 func (m *ForkUnmap) Kind() Kind { return KForkUnmap }
 
-func (m *ForkUnmap) Marshal(w *Writer) {
-	w.U64(m.Base)
-	w.U64(m.NPages)
-	w.U64s(m.Release)
-}
-
-func (m *ForkUnmap) Unmarshal(r *Reader) {
-	m.Base = r.U64()
-	m.NPages = r.U64()
-	m.Release = r.U64s()
+func (m *ForkUnmap) Walk(c *Codec) {
+	c.U64(&m.Base)
+	c.U64(&m.NPages)
+	c.U64s(&m.Release)
 }
