@@ -1,6 +1,8 @@
 // Command samhita-bench regenerates the paper's evaluation: every
 // result figure (3-13) and the design-choice ablations, printed as
-// aligned text tables (and optionally CSV files for plotting).
+// aligned text tables (and optionally CSV files for plotting); measures
+// the BENCH_micro.json table and gates it exactly; and runs one
+// micro-benchmark configuration (Figure 2) on either backend.
 //
 // Usage:
 //
@@ -12,12 +14,18 @@
 //	samhita-bench -all -csv out/        # also write out/figNN.csv
 //	samhita-bench -figure 3 -faults     # same figure under injected transport faults
 //	samhita-bench -all -quick -standby  # with warm-standby replicated memory servers
-//	samhita-bench -json BENCH_micro.json            # machine-readable micro benchmark
-//	samhita-bench -json out.json -baseline BENCH_micro.json  # + CI regression gate
+//	samhita-bench -json out.json -baseline BENCH_micro.json  # the 26 CI points + exact gate
+//	samhita-bench -json BENCH_micro.json -max-p 1024         # all 33 points
 //	samhita-bench -stream-span -server-shards 4 -manager-shards 4  # span data-plane smoke
+//	samhita-bench -micro -p 16 -mode strided -M 10 -S 4      # one micro-benchmark run
+//	samhita-bench -micro -backend pthreads -p 8 -M 100
+//	samhita-bench -micro -p 8 -faults                        # transport chaos, masked by retries
+//	samhita-bench -micro -servers 2 -kill-server 1           # crash a memory server; standby failover
 //
-// Reported times are virtual-model times (see DESIGN.md), so the output
-// is deterministic up to scheduling of symmetric lock acquisitions.
+// The runtime flags (topology, tier, link, faults, kills) are the shared
+// set of internal/cliflags; samhita-info lists them. Reported times are
+// virtual-model times (see DESIGN.md), so the output is deterministic up
+// to scheduling of symmetric lock acquisitions.
 package main
 
 import (
@@ -25,12 +33,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
-	samhita "repro"
 	"repro/internal/bench"
+	"repro/internal/cliflags"
 	"repro/internal/stats"
 )
 
@@ -44,70 +51,59 @@ func main() {
 		quick     = flag.Bool("quick", false, "reduced problem sizes")
 		csvDir    = flag.String("csv", "", "directory to write CSV files into")
 
-		jsonOut      = flag.String("json", "", "measure the micro-benchmark suite and write it as JSON to this file")
-		sweep        = flag.String("sweep", "", "comma-separated population-sweep thread counts for -json (e.g. 256,1024)")
-		streamSpan   = flag.Bool("stream-span", false, "smoke-check the span-recast stream kernel: element and span runs must produce identical checksums")
-		baseline     = flag.String("baseline", "", "compare the -json measurement against this stored JSON; exit non-zero on >20% sync-time or message regression")
-		depth        = flag.Int("prefetch-depth", 0, "prefetch depth for every Samhita runtime (0 = one line ahead)")
-		serverShards = flag.Int("server-shards", 1, "split each memory server into this many independently scheduled page shards")
-		mgrShards    = flag.Int("manager-shards", 1, "split the manager into this many synchronization homes")
-		mgrReplicas  = flag.Int("manager-replicas", 1, "replicate the manager behind a consensus log across this many replicas (adds a replicated strided point to -json)")
-		hotBytes     = flag.Int64("hot-bytes", 0, "per-server hot-set budget in bytes; pages past it demote compressed to the cold tier (adds tiered points to -json; 0 = untiered)")
-		coldPreset   = flag.String("cold-preset", "", "cold-tier cost model: cold-nvme (default) or cold-remote")
-		forks        = flag.Int("forks", 0, "add a fork-storm point to -json: this many copy-on-write address-space forks off one sealed snapshot")
+		jsonOut    = flag.String("json", "", "measure the BENCH_micro.json table and write it as JSON to this file")
+		maxP       = flag.Int("max-p", 256, "largest thread count -json measures (256 = the 26 CI points, 1024 = all 33)")
+		baseline   = flag.String("baseline", "", "compare the -json measurement against this stored JSON; exit non-zero on any difference")
+		streamSpan = flag.Bool("stream-span", false, "smoke-check the span-recast stream kernel: element and span runs must produce identical checksums")
 
-		faults     = flag.Bool("faults", false, "inject transport faults (masked by retries) into every Samhita runtime")
-		faultSeed  = flag.Int64("fault-seed", 1, "fault schedule seed")
-		faultDrop  = flag.Float64("fault-drop", 0.05, "per-attempt drop probability")
-		faultDelay = flag.Float64("fault-delay", 0.02, "per-attempt delay probability")
-		faultDup   = flag.Float64("fault-dup", 0.01, "duplicate-response probability")
-		standby    = flag.Bool("standby", false, "boot warm-standby memory servers with heartbeat liveness in every Samhita runtime")
+		micro = flag.Bool("micro", false, "run one micro-benchmark configuration and print its measurement record")
+		mp    microParams
 	)
+	flag.StringVar(&mp.backend, "backend", "samhita", "-micro: samhita or pthreads")
+	flag.IntVar(&mp.p, "p", 8, "-micro: compute threads")
+	flag.StringVar(&mp.mode, "mode", "local", "-micro: allocation mode: local, global, strided, random")
+	flag.IntVar(&mp.prm.N, "N", 10, "-micro: outer iterations")
+	flag.IntVar(&mp.prm.M, "M", 10, "-micro: inner iterations")
+	flag.IntVar(&mp.prm.S, "S", 2, "-micro: rows per thread")
+	flag.IntVar(&mp.prm.B, "B", 256, "-micro: doubles per row")
+	rtFlags := cliflags.Register(flag.CommandLine, cliflags.Topology|cliflags.OneRun|cliflags.Faults|cliflags.Kills)
 	flag.Parse()
 
 	opts := bench.Options{}.WithDefaults()
 	if *quick {
 		opts = bench.Quick()
 	}
-	opts.PrefetchDepth = *depth
-	opts.ServerShards = *serverShards
-	opts.ManagerShards = *mgrShards
-	opts.ManagerReplicas = *mgrReplicas
-	opts.HotBytes = *hotBytes
-	opts.ColdPreset = *coldPreset
-	opts.Forks = *forks
-	opts.Agg = new(stats.Run)
-	if *hotBytes > 0 || *forks > 0 {
-		opts.Tier = new(samhita.TierStats)
+	if err := rtFlags.Apply(&opts.Cfg, &opts.Faults); err != nil {
+		fatalf("%v", err)
 	}
-	if *sweep != "" {
-		for _, s := range strings.Split(*sweep, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 2 {
-				fatalf("bad -sweep entry %q", s)
-			}
-			opts.SweepPops = append(opts.SweepPops, n)
+	if *micro {
+		if err := runMicro(opts.Cfg, opts.Faults, rtFlags.Trace, mp); err != nil {
+			fatalf("%v", err)
 		}
+		return
 	}
-	if *faults {
-		opts.FaultSeed = *faultSeed
-		opts.FaultDrop = *faultDrop
-		opts.FaultDelay = *faultDelay
-		opts.FaultDup = *faultDup
+	if opts.Cfg.Transport != nil || opts.Cfg.Trace != nil {
+		fatalf("-transport and -trace bind to one runtime: use them with -micro")
 	}
-	if *standby {
-		opts.Standby = true
-		opts.Live = new(samhita.LivenessStats)
-	}
-	if *faults || *standby {
-		pol := samhita.DefaultRetryPolicy
-		opts.Retry = &pol
-		opts.Net = new(samhita.NetStats)
-	}
-
 	if !*all && *figure == 0 && !*ablations && *ablation == "" && !*scenario && *jsonOut == "" && !*streamSpan {
 		flag.Usage()
 		os.Exit(2)
+	}
+
+	// One set of collectors for every runtime booted below.
+	opts.Agg = new(stats.Run)
+	if opts.Cfg.HotBytes > 0 || *jsonOut != "" {
+		opts.Cfg.Tier = new(stats.Tier)
+	}
+	if opts.Cfg.Retry != nil {
+		opts.Cfg.Net = new(stats.Net)
+	}
+	if lc := opts.Cfg.Liveness; lc != nil {
+		lc.Live = new(stats.Liveness)
+		// Sweeps measure replication overhead, not detection latency,
+		// and boot far more threads than cores; a generous lease keeps
+		// starved heartbeats from fencing live threads.
+		lc.MissedBeats = 200
 	}
 
 	if *streamSpan {
@@ -119,14 +115,14 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		mb, err := bench.MicroBenchSuite(opts)
+		mb, err := bench.MicroBenchSuite(opts, *maxP)
 		if err != nil {
 			fatalf("micro suite: %v", err)
 		}
 		if err := mb.WriteFile(*jsonOut); err != nil {
 			fatalf("write %s: %v", *jsonOut, err)
 		}
-		fmt.Printf("wrote %s\n", *jsonOut)
+		fmt.Printf("wrote %s (%d points)\n", *jsonOut, len(mb.Points))
 		for _, pt := range mb.Points {
 			if pt.ManagerReplicas > 1 {
 				fmt.Printf("replicated manager (%d replicas, %s): %d log entries, %d snapshots, %d elections\n",
@@ -142,10 +138,10 @@ func main() {
 			if err != nil {
 				fatalf("baseline: %v", err)
 			}
-			if err := bench.CheckRegression(base, mb, 0.20); err != nil {
+			if err := bench.CheckRegression(base, mb, *maxP); err != nil {
 				fatalf("%v", err)
 			}
-			fmt.Printf("no regression vs %s (20%% gate)\n", *baseline)
+			fmt.Printf("every point equals %s\n", *baseline)
 		}
 	}
 
@@ -206,14 +202,14 @@ func main() {
 	if len(opts.Agg.Threads) > 0 {
 		fmt.Println(opts.Agg.ReleaseLine())
 	}
-	if opts.Net != nil {
-		fmt.Println(opts.Net.Summary())
+	if opts.Cfg.Net != nil {
+		fmt.Println(opts.Cfg.Net.Summary())
 	}
-	if opts.Tier != nil {
-		fmt.Println(opts.Tier.Summary())
+	if opts.Cfg.Tier != nil {
+		fmt.Println(opts.Cfg.Tier.Summary())
 	}
-	if opts.Live != nil {
-		fmt.Println(opts.Live.Summary())
+	if opts.Cfg.Liveness != nil {
+		fmt.Println(opts.Cfg.Liveness.Live.Summary())
 	}
 }
 

@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/apps/forkstorm"
 	"repro/internal/apps/kv"
+	"repro/internal/cliflags"
 	"repro/internal/conformance"
 	"repro/internal/core"
 	"repro/internal/faultnet"
@@ -53,26 +54,15 @@ func main() {
 		seed    = flag.Int64("seed", -1, "replay a single seed instead of sweeping")
 		verbose = flag.Bool("v", false, "print every program/config")
 
-		faults     = flag.Bool("faults", false, "inject transport faults, masked by retries, during every run")
-		faultDrop  = flag.Float64("fault-drop", 0.15, "per-attempt drop probability")
-		faultDelay = flag.Float64("fault-delay", 0.05, "per-attempt delay probability")
-		faultDup   = flag.Float64("fault-dup", 0.05, "duplicate-response probability")
-
-		killServer  = flag.Int("kill-server", -1, "crash this memory-server index mid-run; boots warm standbys so the check must still pass")
-		killAfter   = flag.Int("kill-after", 30, "send attempts to the victim before -kill-server fires")
-		killManager = flag.Bool("kill-manager", false, "crash the manager leader mid-run; requires -manager-replicas > 1 for the check to survive")
-
 		kvMode    = flag.Bool("kv", false, "check the DSM-backed KV service instead of random programs: no acked write may be lost and error responses must stay bounded")
 		kvErrFrac = flag.Float64("kv-max-errors", 0.10, "highest tolerated fraction of KV requests answered with an error response under -kv")
 
 		forkMode    = flag.Bool("forkstorm", false, "check the snapshot/fork contract instead of random programs: every fork accounted for, bit-exact sealed reads, bounded errors")
 		forkErrFrac = flag.Float64("fork-max-errors", 0.25, "highest tolerated fraction of forks surfacing a Recover error under -forkstorm with faults")
-		hotBytes    = flag.Int64("hot-bytes", 0, "per-server hot-set budget in bytes (0 = untiered); tiering must never change a checked value")
-
-		shardsOverride = flag.Int("server-shards", 0, "force this many page shards per memory server (0 = fuzzed per seed)")
-		mgrOverride    = flag.Int("manager-shards", 0, "force this many sync homes inside the manager (0 = fuzzed per seed)")
-		mgrReplicas    = flag.Int("manager-replicas", 1, "replicate the manager behind a consensus log across this many replicas")
 	)
+	// Topology flags force a value on every seed (unset = fuzzed per
+	// seed); tiering, faults and kills must never change a checked value.
+	rtFlags := cliflags.Register(flag.CommandLine, cliflags.Topology|cliflags.Faults|cliflags.Kills)
 	flag.Parse()
 
 	seeds := make([]int64, 0, *runs)
@@ -90,23 +80,14 @@ func main() {
 	for _, sd := range seeds {
 		prog := conformance.Generate(sd)
 		cfg := randomConfig(sd * 31)
-		if *shardsOverride > 0 {
-			cfg.ServerShards = *shardsOverride
-		}
-		if *mgrOverride > 0 {
-			cfg.ManagerShards = *mgrOverride
-		}
-		if *mgrReplicas > 1 {
-			cfg.ManagerReplicas = *mgrReplicas
-		}
-		cfg.HotBytes = *hotBytes
+		sched := faultnet.Config{Seed: sd*101 + 7}
 		if *forkMode {
 			// The storm allocates small images; stripe them anyway so the
 			// snapshot verbs (striped-zone only) accept them and the forks
 			// spread across every server.
 			cfg.StripeMin = 4096
 		}
-		if *faults || *killServer >= 0 || *killManager {
+		if rtFlags.Chaos() {
 			// No per-attempt timeout: protocol calls park legitimately on
 			// locks and barriers; connection death, not timers, unsticks
 			// them. Drops are pre-send, so retries stay exactly-once at
@@ -116,44 +97,16 @@ func main() {
 				Backoff:     50 * time.Microsecond,
 				BackoffCap:  2 * time.Millisecond,
 			}
-			fc := faultnet.Config{Seed: sd*101 + 7}
-			if *faults {
-				fc.DropProb = *faultDrop
-				fc.DelayProb = *faultDelay
-				fc.MaxDelay = 200 * time.Microsecond
-				fc.DupProb = *faultDup
-				fc.Partitions = []faultnet.Partition{{Node: 10, After: 20, Len: 5}}
-			}
-			if *killServer >= 0 {
-				if *killServer >= cfg.Geo.NumServers {
-					cfg.Geo.NumServers = *killServer + 1
-				}
-				fc.Kills = []faultnet.Kill{{
-					Node:  core.ServerNode(*killServer),
-					After: *killAfter,
-				}}
-				// Warm standbys + heartbeat membership: the killed
-				// primary fails over and the consistency contract must
-				// hold regardless.
-				cfg.Liveness = &core.LivenessConfig{Standby: true}
-			}
-			if *killManager {
-				// Crash the leader once real sync traffic has reached it;
-				// with replicas the promoted follower replays the log and
-				// the check must still pass. A generous lease keeps the
-				// failover stall from fencing live threads.
-				fc.Kills = append(fc.Kills, faultnet.Kill{
-					Node:  core.ManagerNode(),
-					After: *killAfter,
-				})
-				if cfg.Liveness == nil {
-					cfg.Liveness = &core.LivenessConfig{}
-				}
-				if cfg.Liveness.MissedBeats < 25 {
-					cfg.Liveness.MissedBeats = 25
-				}
-			}
-			cfg.Faults = faultnet.New(fc)
+		}
+		if rtFlags.Faults {
+			sched.MaxDelay = 200 * time.Microsecond
+			sched.Partitions = []faultnet.Partition{{Node: 10, After: 20, Len: 5}}
+		}
+		if err := rtFlags.Apply(&cfg, &sched); err != nil {
+			fatalf("%v", err)
+		}
+		if sched.Active() {
+			cfg.Faults = faultnet.New(sched)
 		}
 		if *verbose {
 			fmt.Printf("seed %d: threads=%d rounds=%d slots=%d accums=%d locks=%d | lines=%d cache=%d servers=%d prefetch=%v finegrain=%v\n",
@@ -171,7 +124,7 @@ func main() {
 			// as above. The error cap only binds when faults are injected;
 			// clean runs must not error at all.
 			frac := 0.0
-			if *faults || *killServer >= 0 || *killManager {
+			if rtFlags.Chaos() {
 				frac = *forkErrFrac
 			}
 			prm := forkstorm.Params{ImageBytes: 64 << 10, Forks: 24, ReadsPerFork: 3, WritesPerFork: 1, Seed: uint64(sd) + 1}
@@ -182,7 +135,7 @@ func main() {
 			// error cap only binds when faults are injected; clean runs
 			// must not error at all.
 			frac := 0.0
-			if *faults || *killServer >= 0 || *killManager {
+			if rtFlags.Chaos() {
 				frac = *kvErrFrac
 			}
 			prm := kv.Params{Buckets: 32, Keys: 256, Ops: 32, Seed: uint64(sd) + 1}
@@ -211,11 +164,11 @@ func main() {
 			fmt.Printf("seed %d: %d consistency violations, e.g. %s\n", sd, len(viols), viols[0])
 		}
 	}
-	if *faults || *killServer >= 0 || *killManager {
+	if rtFlags.Chaos() {
 		fmt.Printf("\nfault injection: %d drops injected, %d retries absorbed, %d kills, %d failovers\n",
 			drops, retries, kills, failovers)
 	}
-	if *killManager {
+	if rtFlags.KillManager {
 		fmt.Printf("manager replication: %d leader failovers, %d elections\n", mgrFailovers, mgrElections)
 	}
 	fmt.Printf("\n%d/%d passed in %v\n", len(seeds)-failures, len(seeds), time.Since(start).Round(time.Millisecond))

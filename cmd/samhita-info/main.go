@@ -6,10 +6,12 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 
 	samhita "repro"
 	"repro/internal/bench"
+	"repro/internal/cliflags"
 	"repro/internal/vtime"
 )
 
@@ -46,7 +48,7 @@ func main() {
 	fmt.Println("snapshot/fork verbs (thread API):")
 	fmt.Println("  SnapshotAS(base, npages) seals the range's page versions behind a refcounted snapshot id;")
 	fmt.Println("  ForkAS(snap) maps a fresh O(1) copy-on-write range over the sealed frames (private copy on")
-	fmt.Println("  first write). Exercised by the forkstorm workload (samhita-bench -forks N).")
+	fmt.Println("  first write). Exercised by the forkstorm workload (a samhita-bench -json point).")
 	fmt.Println()
 
 	fmt.Println("interconnect presets:")
@@ -68,9 +70,16 @@ func main() {
 		hw.FlopTime, hw.AccessTime, hw.LockTime, hw.BarrierBase, hw.BarrierPerThread, hw.CoherenceMiss)
 	fmt.Println()
 
-	fmt.Println("robustness (off by default; see samhita-micro/-bench flags):")
-	fmt.Println("  retry policy + fault injection (-faults), warm-standby memory servers with heartbeat")
-	fmt.Println("  liveness (-standby), replicated manager failover (-manager-replicas).")
+	fmt.Println("runtime flags (internal/cliflags; samhita-bench registers every group, samhita-conform all")
+	fmt.Println("but transport/trace; a flag overrides the command's base configuration only when set):")
+	for _, g := range cliflags.Groups {
+		fmt.Printf("  %s:\n", g.Name)
+		fs := flag.NewFlagSet("", flag.ContinueOnError)
+		cliflags.Register(fs, g.Group)
+		fs.VisitAll(func(fl *flag.Flag) {
+			fmt.Printf("    -%-17s %s (default %q)\n", fl.Name, fl.Usage, fl.DefValue)
+		})
+	}
 	fmt.Println()
 
 	fmt.Println("experiments (regenerate with samhita-bench):")

@@ -16,12 +16,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/pthreads"
-	"repro/internal/scl"
 	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/vtime"
@@ -52,77 +50,20 @@ type Options struct {
 	JacobiN, JacobiIters int
 	// MDParticles/MDSteps size Figure 13.
 	MDParticles, MDSteps int
-	// Samhita runtime knobs.
-	Link       vtime.LinkModel
-	CacheLines int
-	Prefetch   bool
-	// PrefetchDepth is how many lines ahead anticipatory paging runs
-	// (0 = the paper's one-line-ahead default).
-	PrefetchDepth int
-	NumServers    int
-	Striped       bool
-	LinePages     int
-	// ServerShards splits each memory server into this many
-	// independently scheduled page shards (0 or 1 = the single event
-	// loop). The bench suite measures both shard counts when it is > 1.
-	ServerShards int
-	// ManagerShards splits the manager's synchronization state into
-	// this many homes (0 or 1 = the single-loop manager).
-	ManagerShards int
-	// ManagerReplicas replicates the manager's state machine behind a
-	// consensus log across this many replicas (0 or 1 = single
-	// manager). The bench suite adds a replicated strided point when it
-	// is > 1 so the log's overhead is measured and gated.
-	ManagerReplicas int
-	// DisableFineGrain degrades RegC to page-grained LRC (ablation c).
-	DisableFineGrain bool
-	// NoRecordCoalesce turns off append-time coalescing of adjacent
-	// consistency-region store records (record-plane ablation).
-	NoRecordCoalesce bool
-	// HotBytes, when positive, tiers every memory server the
-	// experiments boot: at most HotBytes of uncompressed pages per
-	// server stay hot, the rest is demoted word-run-compressed to a
-	// cold tier priced by ColdPreset. The -json suite adds tiered
-	// strided points (and tiered sweep points) when it is > 0 so the
-	// out-of-core penalty is measured and gated.
-	HotBytes int64
-	// ColdPreset names the cold tier's cost model ("cold-nvme" or
-	// "cold-remote"); empty = the runtime default. Only consulted when
-	// HotBytes > 0.
-	ColdPreset string
-	// Forks, when positive, adds a fork-storm workload point to the
-	// -json suite: Forks O(1) copy-on-write address-space forks off one
-	// sealed snapshot, reporting fork-to-first-op latency quantiles
-	// against the eager-copy cold-start baseline.
-	Forks int
-	// SweepPops lists population-sweep thread counts (e.g. 256, 1024);
-	// for each, the -json suite measures the micro kernel and the KV
-	// service across the multi-server/multi-shard/multi-manager
-	// topology matrix. Empty = no sweep points.
-	SweepPops []int
-	// Transport-robustness knobs: Retry, if non-nil, wraps every
-	// endpoint of every Samhita runtime the experiments boot;
-	// FaultDrop/FaultDelay/FaultDup (seeded by FaultSeed) add a fresh
-	// fault injector per runtime, which implies a default retry policy
-	// so the figures still complete. Standby boots warm-standby memory
-	// servers with heartbeat liveness in every runtime.
-	Retry                           *scl.RetryPolicy
-	FaultSeed                       int64
-	FaultDrop, FaultDelay, FaultDup float64
-	Standby                         bool
-	// Net and Live, when non-nil, accumulate the transport and
-	// liveness counters across every runtime an experiment boots, so a
-	// whole figure sweep reports one total at the end.
-	Net  *stats.Net
-	Live *stats.Liveness
+	// Cfg is the template every Samhita runtime the experiments boot is
+	// copied from; an experiment varies it per runtime through
+	// newSamhita's overrides. Net, Tier and Liveness.Live set here are
+	// shared by those runtimes and so accumulate across a whole sweep.
+	// The zero value means core.DefaultConfig (see WithDefaults).
+	Cfg core.Config
+	// Faults, when Active, is the fault schedule: every runtime gets a
+	// fresh injector built from it, since an injector binds to one
+	// fabric. Set Cfg.Retry as well or the faults surface as errors.
+	Faults faultnet.Config
 	// Agg, when non-nil, accumulates the per-thread counters of every
 	// Samhita run an experiment boots, so samhita-bench can report one
 	// release-path/prefetch efficiency summary at the end.
 	Agg *stats.Run
-	// Tier, when non-nil, accumulates the tiered-page-store counters
-	// (hot hits, tier moves, seals, CoW breaks) across every runtime an
-	// experiment boots.
-	Tier *stats.Tier
 }
 
 // WithDefaults fills unset fields with the paper's parameters.
@@ -166,28 +107,15 @@ func (o Options) WithDefaults() Options {
 	if o.MDSteps == 0 {
 		o.MDSteps = 5
 	}
-	if o.Link.Name == "" {
-		o.Link = vtime.QDRInfiniBand
+	if o.Cfg.Geo.PageSize == 0 {
+		o.Cfg = core.DefaultConfig()
 	}
-	if o.CacheLines == 0 {
-		o.CacheLines = 4096
-	}
-	if o.NumServers == 0 {
-		o.NumServers = 1
-	}
-	if o.LinePages == 0 {
-		o.LinePages = 4
-	}
-	if !o.Striped {
-		o.Striped = true // only ablation (d) turns this off, explicitly
-	}
-	o.Prefetch = true
 	return o
 }
 
 // Quick returns options small enough for tests and testing.B.
 func Quick() Options {
-	return Options{
+	o := Options{
 		N: 3, B: 64,
 		Ms:   []int{1, 10},
 		Ss:   []int{1, 2},
@@ -197,73 +125,21 @@ func Quick() Options {
 		FixedP:   4,
 		JacobiN:  64, JacobiIters: 3,
 		MDParticles: 64, MDSteps: 3,
-		CacheLines: 256,
 	}.WithDefaults()
+	o.Cfg.CacheLines = 256
+	return o
 }
 
-// quirk: WithDefaults forces Prefetch=true and Striped=true; ablations
-// construct their variant runtimes directly.
-
-// newSamhita builds a Samhita runtime from the options.
-func (o Options) newSamhita(overrides ...func(*core.Config)) (vm.VM, error) {
-	cfg := core.DefaultConfig()
-	cfg.Link = o.Link
-	cfg.CacheLines = o.CacheLines
-	cfg.Prefetch = o.Prefetch
-	cfg.PrefetchDepth = o.PrefetchDepth
-	cfg.Geo.NumServers = o.NumServers
-	cfg.Geo.Striped = o.Striped
-	cfg.Geo.LinePages = o.LinePages
-	cfg.ServerShards = o.ServerShards
-	cfg.ManagerShards = o.ManagerShards
-	cfg.ManagerReplicas = o.ManagerReplicas
-	cfg.DisableFineGrain = o.DisableFineGrain
-	cfg.NoRecordCoalesce = o.NoRecordCoalesce
-	cfg.HotBytes = o.HotBytes
-	if o.ColdPreset != "" {
-		cfg.ColdPreset = o.ColdPreset
-	}
-	o.applyRobustness(&cfg)
+// newSamhita boots a Samhita runtime from a copy of the template.
+func (o Options) newSamhita(overrides ...func(*core.Config)) (*core.Runtime, error) {
+	cfg := o.Cfg
 	for _, f := range overrides {
 		f(&cfg)
 	}
+	if o.Faults.Active() {
+		cfg.Faults = faultnet.New(o.Faults)
+	}
 	return core.New(cfg)
-}
-
-// applyRobustness wires the transport-robustness options into one
-// runtime configuration: a copy of the retry policy, a fresh fault
-// injector (injectors bind to one fabric), warm standbys, and the
-// shared sweep-wide counter collectors.
-func (o Options) applyRobustness(cfg *core.Config) {
-	if o.Retry != nil {
-		pol := *o.Retry
-		cfg.Retry = &pol
-	}
-	if o.FaultDrop > 0 || o.FaultDelay > 0 || o.FaultDup > 0 {
-		cfg.Faults = faultnet.New(faultnet.Config{
-			Seed:      o.FaultSeed,
-			DropProb:  o.FaultDrop,
-			DelayProb: o.FaultDelay,
-			MaxDelay:  200 * time.Microsecond,
-			DupProb:   o.FaultDup,
-		})
-	}
-	if o.Standby {
-		// Benchmarks measure replication overhead, not detection
-		// latency, and boot far more threads than cores; a generous
-		// lease keeps starved heartbeats from fencing live threads.
-		cfg.Liveness = &core.LivenessConfig{Standby: true, MissedBeats: 200, Live: o.Live}
-	}
-	if (cfg.Faults != nil || cfg.Liveness != nil) && cfg.Retry == nil {
-		pol := scl.DefaultRetryPolicy
-		cfg.Retry = &pol
-	}
-	if o.Net != nil {
-		cfg.Net = o.Net
-	}
-	if o.Tier != nil {
-		cfg.Tier = o.Tier
-	}
 }
 
 // newPthreads builds the baseline (capped at 8 cores like the paper's

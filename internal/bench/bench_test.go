@@ -7,7 +7,7 @@ import (
 
 func TestQuickOptionsValid(t *testing.T) {
 	o := Quick()
-	if o.N == 0 || o.B == 0 || len(o.SmhCores) == 0 || o.Link.Name == "" {
+	if o.N == 0 || o.B == 0 || len(o.SmhCores) == 0 || o.Cfg.Link.Name == "" {
 		t.Fatalf("Quick() left fields unset: %+v", o)
 	}
 }

@@ -4,21 +4,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 
+	"repro/internal/apps/forkstorm"
 	"repro/internal/apps/kernels"
+	"repro/internal/apps/kv"
+	"repro/internal/apps/pagerank"
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/vm"
 )
 
 // This file is the machine-readable face of the micro-benchmark: one
 // JSON document (BENCH_micro.json) records the release-path and
-// prefetch efficiency of a fixed set of configurations, and
+// prefetch efficiency of the configurations in table, and
 // CheckRegression gates CI on it. Reported times are virtual-model
 // times over the sequenced simulated fabric, so the numbers are
-// bit-stable across machines — a regression is a code change, not
-// noise, which is what lets the gate be strict.
+// bit-stable across machines — a difference is a code change, not
+// noise, which is what lets the gate be exact.
 
 // MicroPoint is one measured micro-benchmark configuration.
 type MicroPoint struct {
@@ -103,9 +106,7 @@ type MicroPoint struct {
 	P999Ns int64 `json:"p999Ns,omitempty"`
 
 	// Tiered-store counters (tiered points only). HotHitRate is the
-	// fraction of server page touches served from the hot set —
-	// CheckRegression gates it from below (a lower rate is a thrash
-	// regression).
+	// fraction of server page touches served from the hot set.
 	HotHitRate float64 `json:"hotHitRate,omitempty"`
 	Promotions int64   `json:"promotions,omitempty"`
 	Demotions  int64   `json:"demotions,omitempty"`
@@ -166,227 +167,199 @@ type MicroBench struct {
 	Points    []MicroPoint `json:"points"`
 }
 
-// MeasureMicro boots a fresh Samhita runtime from the options, runs the
-// micro kernel once and returns the measured point.
-func (o Options) MeasureMicro(p int, prm kernels.MicroParams) (MicroPoint, error) {
-	v, err := o.newSamhita()
+// row is one BENCH_micro.json point as the document identifies it: the
+// workload, its parameters in the four slots every point records, and
+// the topology it runs on. Zero servers is the template's single
+// server (the document omits the field there).
+type row struct {
+	workload string            // "" = the micro kernel; "kv", "pagerank", "forkstorm"
+	mode     kernels.AllocMode // micro kernel only
+	p        int
+	// micro N/M/S/B; kv Ops/Keys/Buckets/GetPct; pagerank
+	// Iters/Vertices/AvgDeg; forkstorm
+	// Forks/ImageBytes/ReadsPerFork/WritesPerFork.
+	n, m, s, b int
+
+	servers, shards, homes, replicas int
+	hot                              int64 // per-server hot-set budget; 0 = untiered
+	spans, nocoal                    bool
+	wide                             int
+}
+
+const (
+	strided = kernels.AllocStrided
+	local   = kernels.AllocLocal
+	random  = kernels.AllocRandom
+	// hotBudget squeezes the strided point's working set out of core.
+	hotBudget = 96 << 10
+)
+
+// table is BENCH_micro.json, in file order. CI measures the rows with
+// p <= 256; the P=1024 block costs minutes and is measured on demand.
+var table = []row{
+	// The paper's Figure 10/11 configuration (16 threads, M=10, S=2),
+	// a local-mode control and the random scatter, unsharded.
+	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 1, homes: 1, replicas: 1},
+	{mode: local, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 1, homes: 1, replicas: 1},
+	{mode: random, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 1, homes: 1, replicas: 1},
+	// The shard-sensitive modes on sharded servers, then with sharded
+	// manager homes too, then behind the replicated manager's log.
+	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 1, replicas: 1},
+	{mode: random, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 1, replicas: 1},
+	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1},
+	{mode: random, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1},
+	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 3},
+	// Span-recast twins, then the record-plane trio on a 64-slot
+	// accumulator burst: uncoalesced elements, coalesced elements, one
+	// span record.
+	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1, spans: true},
+	{mode: random, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1, spans: true},
+	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1, wide: 64, nocoal: true},
+	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1, wide: 64},
+	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1, wide: 64, spans: true},
+	// Serving-scale workloads on the element and span planes.
+	{workload: "kv", p: 16, n: 64, m: 512, s: 64, b: 90, shards: 4, homes: 4, replicas: 1},
+	{workload: "pagerank", p: 16, n: 3, m: 192, s: 6, shards: 4, homes: 4, replicas: 1},
+	{workload: "kv", p: 16, n: 64, m: 512, s: 64, b: 90, shards: 4, homes: 4, replicas: 1, spans: true},
+	{workload: "pagerank", p: 16, n: 3, m: 192, s: 6, shards: 4, homes: 4, replicas: 1, spans: true},
+	// The strided point out of core, and 10k copy-on-write forks off
+	// one sealed 1 MiB image on the same tiered servers.
+	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1, hot: hotBudget},
+	{workload: "forkstorm", p: 16, n: 10000, m: 1 << 20, s: 4, b: 1, shards: 4, homes: 4, replicas: 1, hot: hotBudget},
+	// Population sweep: a small kernel (the sync plane is what scales)
+	// and the KV service on a fixed keyspace, on four servers:
+	// unsharded, sharded, replicated; then the kernel out of core.
+	{mode: strided, p: 256, n: 3, m: 5, s: 1, b: 64, servers: 4, shards: 1, homes: 4, replicas: 1},
+	{workload: "kv", p: 256, n: 8, m: 2048, s: 128, b: 90, servers: 4, shards: 1, homes: 4, replicas: 1, spans: true},
+	{mode: strided, p: 256, n: 3, m: 5, s: 1, b: 64, servers: 4, shards: 4, homes: 4, replicas: 1},
+	{workload: "kv", p: 256, n: 8, m: 2048, s: 128, b: 90, servers: 4, shards: 4, homes: 4, replicas: 1, spans: true},
+	{mode: strided, p: 256, n: 3, m: 5, s: 1, b: 64, servers: 4, shards: 4, homes: 4, replicas: 3},
+	{workload: "kv", p: 256, n: 8, m: 2048, s: 128, b: 90, servers: 4, shards: 4, homes: 4, replicas: 3, spans: true},
+	{mode: strided, p: 256, n: 3, m: 5, s: 1, b: 64, servers: 4, shards: 4, homes: 4, replicas: 1, hot: hotBudget},
+	{mode: strided, p: 1024, n: 3, m: 5, s: 1, b: 64, servers: 4, shards: 1, homes: 4, replicas: 1},
+	{workload: "kv", p: 1024, n: 8, m: 2048, s: 128, b: 90, servers: 4, shards: 1, homes: 4, replicas: 1, spans: true},
+	{mode: strided, p: 1024, n: 3, m: 5, s: 1, b: 64, servers: 4, shards: 4, homes: 4, replicas: 1},
+	{workload: "kv", p: 1024, n: 8, m: 2048, s: 128, b: 90, servers: 4, shards: 4, homes: 4, replicas: 1, spans: true},
+	{mode: strided, p: 1024, n: 3, m: 5, s: 1, b: 64, servers: 4, shards: 4, homes: 4, replicas: 3},
+	{workload: "kv", p: 1024, n: 8, m: 2048, s: 128, b: 90, servers: 4, shards: 4, homes: 4, replicas: 3, spans: true},
+	{mode: strided, p: 1024, n: 3, m: 5, s: 1, b: 64, servers: 4, shards: 4, homes: 4, replicas: 1, hot: hotBudget},
+}
+
+// measure boots the template on the row's topology, runs the row's
+// workload once and returns the point. Its identity comes from the row;
+// every point counts its own tier events.
+func (o Options) measure(r row) (MicroPoint, error) {
+	rt, err := o.newSamhita(func(c *core.Config) {
+		if r.servers > 0 {
+			c.Geo.NumServers = r.servers
+		}
+		c.ServerShards, c.ManagerShards, c.ManagerReplicas = r.shards, r.homes, r.replicas
+		c.HotBytes, c.NoRecordCoalesce = r.hot, r.nocoal
+		c.Tier = nil
+	})
 	if err != nil {
 		return MicroPoint{}, err
 	}
-	defer v.Close()
-	base := tierBaseline(v)
-	res, err := kernels.RunMicro(v, p, prm)
-	if err != nil {
-		return MicroPoint{}, err
-	}
-	o.aggregate(res.Run)
-	tot := res.Run.Totals()
-	shards := o.ServerShards
-	if shards == 0 {
-		shards = 1
-	}
-	mgrShards := o.ManagerShards
-	if mgrShards == 0 {
-		mgrShards = 1
-	}
-	replicas := o.ManagerReplicas
-	if replicas == 0 {
-		replicas = 1
-	}
-	servers := 0
-	if o.NumServers > 1 {
-		servers = o.NumServers
-	}
+	defer func() {
+		rt.Close()
+		if o.Cfg.Tier != nil {
+			o.Cfg.Tier.Add(rt.TierStats())
+		}
+	}()
 	pt := MicroPoint{
-		P: p, Mode: prm.Mode.String(),
-		N: prm.N, M: prm.M, S: prm.S, B: prm.B,
-		PrefetchDepth:   o.PrefetchDepth,
-		ServerShards:    shards,
-		ManagerShards:   mgrShards,
-		ManagerReplicas: replicas,
-		Servers:         servers,
-		Spans:           prm.UseSpans,
-		WideGsum:        prm.WideGsum,
-		NoCoalesce:      o.NoRecordCoalesce,
-
-		RecordsLogged: tot.RecordsLogged,
-		RecordBytes:   tot.RecordBytes + 16*tot.RecordsLogged,
-
-		ComputeMaxNs: int64(res.Run.MaxComputeTime()),
-		SyncMaxNs:    int64(res.Run.MaxSyncTime()),
-		TotalMaxNs:   int64(res.Run.MaxTotalTime()),
-
-		Releases:            tot.Releases,
-		MsgsPerRelease:      stats.Rate(tot.MsgsSent, tot.Releases),
-		DiffBytesPerRelease: stats.Rate(tot.DiffBytes, tot.Releases),
-
-		PrefetchIssued:    tot.PrefetchIssued,
-		PrefetchHitRate:   stats.Rate(tot.PrefetchHits+tot.PrefetchLate, tot.PrefetchIssued),
-		PrefetchWasteRate: stats.Rate(tot.PrefetchWasted, tot.PrefetchIssued),
+		Workload: r.workload, P: r.p, N: r.n, M: r.m, S: r.s, B: r.b,
+		PrefetchDepth: o.Cfg.PrefetchDepth,
+		Servers:       r.servers, ServerShards: r.shards, ManagerShards: r.homes, ManagerReplicas: r.replicas,
+		Spans: r.spans, WideGsum: r.wide, NoCoalesce: r.nocoal, HotBytes: r.hot,
 	}
-	if rt, ok := v.(*core.Runtime); ok {
-		if rt.Fabric() != nil {
-			pt.FabricMsgs = rt.Fabric().Messages()
-			pt.FabricBytes = rt.Fabric().Bytes()
+	var run *stats.Run
+	switch r.workload {
+	case "":
+		pt.Mode = r.mode.String()
+		res, err := kernels.RunMicro(rt, r.p, kernels.MicroParams{N: r.n, M: r.m, S: r.s, B: r.b, Mode: r.mode, UseSpans: r.spans, WideGsum: r.wide})
+		if err != nil {
+			return pt, err
 		}
-		if live := rt.ReplLiveness(); live != nil {
-			pt.MgrReplEntries = live.MgrReplEntries.Load()
-			pt.MgrSnapshots = live.MgrSnapshots.Load()
-			pt.MgrElections = live.MgrElections.Load()
+		run = res.Run
+	case "kv":
+		pt.Mode = "open"
+		res, err := kv.Run(rt, r.p, kv.Params{Ops: r.n, Keys: r.m, Buckets: r.s, GetPct: r.b, UseSpans: r.spans})
+		if err != nil {
+			return pt, err
 		}
-		o.fillTier(&pt, rt, base)
+		run = res.Run
+		pt.Ops, pt.P50Ns, pt.P99Ns, pt.P999Ns = res.Ops, int64(res.P50), int64(res.P99), int64(res.P999)
+	case "pagerank":
+		pt.Mode = "pull"
+		prm := pagerank.Params{Iters: r.n, Vertices: r.m, AvgDeg: r.s, UseSpans: r.spans}
+		res, err := pagerank.Run(rt, r.p, prm)
+		if err != nil {
+			return pt, err
+		}
+		if _, want := pagerank.Reference(r.p, prm); res.Checksum != want {
+			return pt, fmt.Errorf("pagerank checksum %v != sequential reference %v", res.Checksum, want)
+		}
+		run = res.Run
+	case "forkstorm":
+		pt.Mode = "storm"
+		res, err := forkstorm.Run(rt, r.p, forkstorm.Params{Forks: r.n, ImageBytes: r.m, ReadsPerFork: r.s, WritesPerFork: r.b})
+		if err != nil {
+			return pt, err
+		}
+		if res.Errors > 0 {
+			return pt, fmt.Errorf("forkstorm: %d fork iterations errored", res.Errors)
+		}
+		run = res.Run
+		pt.Forks, pt.ColdStartNs = res.Forks, int64(res.ColdStartNs)
+		pt.ForkP50Ns, pt.ForkP99Ns, pt.ForkP999Ns = int64(res.P50), int64(res.P99), int64(res.P999)
+	default:
+		return pt, fmt.Errorf("bench: unknown workload %q", r.workload)
+	}
+	o.aggregate(run)
+
+	tot := run.Totals()
+	pt.ComputeMaxNs = int64(run.MaxComputeTime())
+	pt.SyncMaxNs = int64(run.MaxSyncTime())
+	pt.TotalMaxNs = int64(run.MaxTotalTime())
+	pt.Releases = tot.Releases
+	pt.MsgsPerRelease = stats.Rate(tot.MsgsSent, tot.Releases)
+	pt.DiffBytesPerRelease = stats.Rate(tot.DiffBytes, tot.Releases)
+	pt.PrefetchIssued = tot.PrefetchIssued
+	pt.PrefetchHitRate = stats.Rate(tot.PrefetchHits+tot.PrefetchLate, tot.PrefetchIssued)
+	pt.PrefetchWasteRate = stats.Rate(tot.PrefetchWasted, tot.PrefetchIssued)
+	pt.RecordsLogged = tot.RecordsLogged
+	pt.RecordBytes = tot.RecordBytes + 16*tot.RecordsLogged
+	if fab := rt.Fabric(); fab != nil {
+		pt.FabricMsgs, pt.FabricBytes = fab.Messages(), fab.Bytes()
+	}
+	if live := rt.ReplLiveness(); live != nil {
+		pt.MgrReplEntries = live.MgrReplEntries.Load()
+		pt.MgrSnapshots = live.MgrSnapshots.Load()
+		pt.MgrElections = live.MgrElections.Load()
+	}
+	if r.hot > 0 {
+		ts := rt.TierStats()
+		pt.ColdPreset = o.Cfg.ColdPreset
+		pt.HotHitRate = ts.HotHitRate()
+		pt.Promotions, pt.Demotions = ts.Promotions.Load(), ts.Demotions.Load()
 	}
 	return pt, nil
 }
 
-// tierBase is a pre-run snapshot of the tier counters, so per-point
-// numbers stay correct even when Options.Tier shares one accumulator
-// across a whole suite.
-type tierBase struct{ hits, promotions, demotions int64 }
-
-func tierBaseline(v vm.VM) tierBase {
-	rt, ok := v.(*core.Runtime)
-	if !ok {
-		return tierBase{}
-	}
-	ts := rt.TierStats()
-	return tierBase{ts.HotHits.Load(), ts.Promotions.Load(), ts.Demotions.Load()}
-}
-
-// fillTier stamps a tiered point's identity and counters. Untiered runs
-// (HotBytes 0) leave every field zero, so legacy keys and documents are
-// untouched.
-func (o Options) fillTier(pt *MicroPoint, rt *core.Runtime, base tierBase) {
-	if o.HotBytes <= 0 {
-		return
-	}
-	pt.HotBytes = o.HotBytes
-	pt.ColdPreset = o.ColdPreset
-	ts := rt.TierStats()
-	hits := ts.HotHits.Load() - base.hits
-	promotions := ts.Promotions.Load() - base.promotions
-	pt.HotHitRate = stats.Rate(hits, hits+promotions)
-	pt.Promotions = promotions
-	pt.Demotions = ts.Demotions.Load() - base.demotions
-}
-
-// MicroBenchSuite measures the standard point set: the paper's Figure
-// 10/11 configuration (16 threads, strided allocation, M=10, S=2) at
-// the configured prefetch depth, a local-mode control, and a
-// random-scatter point (the worst case for server-shard contention).
-// The base points always run unsharded; when the options ask for more
-// server or manager shards, the shard-sensitive modes (strided, random)
-// are measured again at those shard counts so the document captures the
-// speedup.
-func MicroBenchSuite(o Options) (*MicroBench, error) {
+// MicroBenchSuite measures the table's rows with at most maxP threads,
+// in order.
+func MicroBenchSuite(o Options, maxP int) (*MicroBench, error) {
 	mb := &MicroBench{Benchmark: "samhita-micro"}
-	type pointCfg struct {
-		p         int
-		mode      kernels.AllocMode
-		shards    int
-		mgrShards int
-		replicas  int
-		spans     bool
-		wide      int
-		nocoal    bool
-	}
-	cfgs := []pointCfg{
-		{p: 16, mode: kernels.AllocStrided, shards: 1, mgrShards: 1, replicas: 1},
-		{p: 16, mode: kernels.AllocLocal, shards: 1, mgrShards: 1, replicas: 1},
-		{p: 16, mode: kernels.AllocRandom, shards: 1, mgrShards: 1, replicas: 1},
-	}
-	if o.ServerShards > 1 {
-		cfgs = append(cfgs,
-			pointCfg{p: 16, mode: kernels.AllocStrided, shards: o.ServerShards, mgrShards: 1, replicas: 1},
-			pointCfg{p: 16, mode: kernels.AllocRandom, shards: o.ServerShards, mgrShards: 1, replicas: 1},
-		)
-	}
-	if o.ManagerShards > 1 {
-		// The manager-sharding points ride on the sharded servers when
-		// those are requested too, capturing the combined hot path.
-		sh := o.ServerShards
-		if sh < 1 {
-			sh = 1
+	for i, r := range table {
+		if r.p > maxP {
+			continue
 		}
-		cfgs = append(cfgs,
-			pointCfg{p: 16, mode: kernels.AllocStrided, shards: sh, mgrShards: o.ManagerShards, replicas: 1},
-			pointCfg{p: 16, mode: kernels.AllocRandom, shards: sh, mgrShards: o.ManagerShards, replicas: 1},
-		)
-	}
-	if o.ManagerReplicas > 1 {
-		// The replicated-manager point measures the consensus log's
-		// overhead on the sync-heaviest mode, riding on whatever shard
-		// counts are requested (replica-to-replica links are intra-node,
-		// so the cost measured is the log protocol, not the wire).
-		sh := o.ServerShards
-		if sh < 1 {
-			sh = 1
-		}
-		mgr := o.ManagerShards
-		if mgr < 1 {
-			mgr = 1
-		}
-		cfgs = append(cfgs, pointCfg{p: 16, mode: kernels.AllocStrided, shards: sh, mgrShards: mgr, replicas: o.ManagerReplicas})
-	}
-	if o.ServerShards > 1 && o.ManagerShards > 1 {
-		// Span-recast points on the combined sharded hot path: the same
-		// kernels with the row loop moved onto the bulk accessors. The
-		// strided/random compute times here against their element twins
-		// are the headline number of the span data plane (partial
-		// staleness suppressing false-sharing refetch faults).
-		cfgs = append(cfgs,
-			pointCfg{p: 16, mode: kernels.AllocStrided, shards: o.ServerShards, mgrShards: o.ManagerShards, replicas: 1, spans: true},
-			pointCfg{p: 16, mode: kernels.AllocRandom, shards: o.ServerShards, mgrShards: o.ManagerShards, replicas: 1, spans: true},
-		)
-		// Record-plane trio on a region-heavy point (64-slot accumulator
-		// burst under the lock): uncoalesced elements, coalesced elements
-		// and one span record, in that order, so the document shows what
-		// each half of the record plane buys.
-		const wideW = 64
-		cfgs = append(cfgs,
-			pointCfg{p: 16, mode: kernels.AllocStrided, shards: o.ServerShards, mgrShards: o.ManagerShards, replicas: 1, wide: wideW, nocoal: true},
-			pointCfg{p: 16, mode: kernels.AllocStrided, shards: o.ServerShards, mgrShards: o.ManagerShards, replicas: 1, wide: wideW},
-			pointCfg{p: 16, mode: kernels.AllocStrided, shards: o.ServerShards, mgrShards: o.ManagerShards, replicas: 1, wide: wideW, spans: true},
-		)
-	}
-	for _, c := range cfgs {
-		po := o
-		po.ServerShards = c.shards
-		po.ManagerShards = c.mgrShards
-		po.ManagerReplicas = c.replicas
-		po.NoRecordCoalesce = c.nocoal
-		// The standard points always run untiered, so their keys and
-		// numbers are stable whatever tier knobs the invocation carries;
-		// tierForkPoints adds the tiered twins.
-		po.HotBytes, po.ColdPreset = 0, ""
-		prm := kernels.MicroParams{N: o.N, M: o.MidM, S: o.MidS, B: o.B, Mode: c.mode, UseSpans: c.spans, WideGsum: c.wide}
-		pt, err := po.MeasureMicro(c.p, prm)
+		pt, err := o.measure(r)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("table row %d: %w", i, err)
 		}
 		mb.Points = append(mb.Points, pt)
 	}
-	// Serving-scale workloads: the open-loop KV service (p50/p99/p999
-	// become gated numbers) and the irregular PageRank kernel, each on
-	// the element and span data planes.
-	wl, err := workloadPoints(o)
-	if err != nil {
-		return nil, err
-	}
-	mb.Points = append(mb.Points, wl...)
-	// Tiered-store and fork-storm points (opt-in via HotBytes / Forks).
-	tf, err := tierForkPoints(o)
-	if err != nil {
-		return nil, err
-	}
-	mb.Points = append(mb.Points, tf...)
-	// Population sweep (opt-in via SweepPops: these are the expensive
-	// points).
-	sw, err := sweepPoints(o)
-	if err != nil {
-		return nil, err
-	}
-	mb.Points = append(mb.Points, sw...)
 	return mb, nil
 }
 
@@ -412,55 +385,41 @@ func ReadMicroBench(path string) (*MicroBench, error) {
 	return mb, nil
 }
 
-// CheckRegression compares current against baseline point by point
-// (matched on configuration) and returns an error naming every point
-// whose sync time, fabric message count, fabric byte volume or p99
-// service latency grew by more than tol (e.g. 0.20 = 20%). Baseline points absent from current
-// are ignored; new current points pass (there is nothing to compare
-// them to).
-func CheckRegression(baseline, current *MicroBench, tol float64) error {
-	base := make(map[string]MicroPoint, len(baseline.Points))
-	for _, p := range baseline.Points {
-		base[p.key()] = p
+// CheckRegression compares current against baseline point by point,
+// matched on configuration. The numbers are virtual-model results over
+// the sequenced fabric, so the gate is exact: it returns an error naming
+// every point that differs from its baseline in any field, and every
+// baseline point with at most maxP threads that current lacks. Current
+// points the baseline has never seen pass.
+func CheckRegression(baseline, current *MicroBench, maxP int) error {
+	cur := make(map[string]MicroPoint, len(current.Points))
+	for _, p := range current.Points {
+		cur[p.key()] = p
 	}
 	var bad []string
-	for _, cur := range current.Points {
-		b, ok := base[cur.key()]
-		if !ok {
-			continue
-		}
-		if b.SyncMaxNs > 0 && float64(cur.SyncMaxNs) > float64(b.SyncMaxNs)*(1+tol) {
-			bad = append(bad, fmt.Sprintf("%s: sync %dns > baseline %dns by more than %.0f%%",
-				cur.key(), cur.SyncMaxNs, b.SyncMaxNs, tol*100))
-		}
-		if b.FabricMsgs > 0 && float64(cur.FabricMsgs) > float64(b.FabricMsgs)*(1+tol) {
-			bad = append(bad, fmt.Sprintf("%s: fabric msgs %d > baseline %d by more than %.0f%%",
-				cur.key(), cur.FabricMsgs, b.FabricMsgs, tol*100))
-		}
-		if b.FabricBytes > 0 && float64(cur.FabricBytes) > float64(b.FabricBytes)*(1+tol) {
-			bad = append(bad, fmt.Sprintf("%s: fabric bytes %d > baseline %d by more than %.0f%%",
-				cur.key(), cur.FabricBytes, b.FabricBytes, tol*100))
-		}
-		if b.P99Ns > 0 && float64(cur.P99Ns) > float64(b.P99Ns)*(1+tol) {
-			bad = append(bad, fmt.Sprintf("%s: p99 latency %dns > baseline %dns by more than %.0f%%",
-				cur.key(), cur.P99Ns, b.P99Ns, tol*100))
-		}
-		// Tiered points: the hot-hit rate is gated from BELOW — a drop
-		// means the hot set started thrashing (more promotions per touch),
-		// which is a regression even if virtual time squeaks through.
-		if b.HotHitRate > 0 && cur.HotHitRate < b.HotHitRate*(1-tol) {
-			bad = append(bad, fmt.Sprintf("%s: hot-hit rate %.4f < baseline %.4f by more than %.0f%%",
-				cur.key(), cur.HotHitRate, b.HotHitRate, tol*100))
-		}
-		// Fork-storm points: fork-to-first-op p99 is the workload's
-		// headline number.
-		if b.ForkP99Ns > 0 && float64(cur.ForkP99Ns) > float64(b.ForkP99Ns)*(1+tol) {
-			bad = append(bad, fmt.Sprintf("%s: fork p99 %dns > baseline %dns by more than %.0f%%",
-				cur.key(), cur.ForkP99Ns, b.ForkP99Ns, tol*100))
+	for _, b := range baseline.Points {
+		c, ok := cur[b.key()]
+		switch {
+		case !ok && b.P <= maxP:
+			bad = append(bad, b.key()+": not measured")
+		case ok && c != b:
+			bad = append(bad, b.key()+": "+strings.Join(diffFields(b, c), ", "))
 		}
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("benchmark regression:\n  %s", strings.Join(bad, "\n  "))
+		return fmt.Errorf("benchmark differs from baseline:\n  %s", strings.Join(bad, "\n  "))
 	}
 	return nil
+}
+
+// diffFields names the fields in which cur departs from base.
+func diffFields(base, cur MicroPoint) []string {
+	var out []string
+	vb, vc := reflect.ValueOf(base), reflect.ValueOf(cur)
+	for i := 0; i < vb.NumField(); i++ {
+		if b, c := vb.Field(i).Interface(), vc.Field(i).Interface(); b != c {
+			out = append(out, fmt.Sprintf("%s %v, baseline %v", vb.Type().Field(i).Name, c, b))
+		}
+	}
+	return out
 }

@@ -4,8 +4,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/apps/kernels"
 )
 
 func TestMicroBenchFileRoundTrip(t *testing.T) {
@@ -30,87 +28,96 @@ func TestMicroBenchFileRoundTrip(t *testing.T) {
 	}
 }
 
+// The gate is exact: any field of a matched point that differs fails,
+// in either direction, and so does a baseline point the run should have
+// measured but did not.
 func TestCheckRegression(t *testing.T) {
-	base := &MicroBench{Points: []MicroPoint{{
+	micro := MicroPoint{
 		P: 16, Mode: "strided", N: 10, M: 10, S: 2, B: 256,
-		SyncMaxNs: 1_000_000, FabricMsgs: 1000,
-	}}}
-	within := &MicroBench{Points: []MicroPoint{{
-		P: 16, Mode: "strided", N: 10, M: 10, S: 2, B: 256,
-		SyncMaxNs: 1_150_000, FabricMsgs: 1100,
-	}}}
-	if err := CheckRegression(base, within, 0.20); err != nil {
-		t.Errorf("15%% growth tripped the 20%% gate: %v", err)
+		SyncMaxNs: 1_000_000, FabricMsgs: 1000, MsgsPerRelease: 3.5,
 	}
-	over := &MicroBench{Points: []MicroPoint{{
-		P: 16, Mode: "strided", N: 10, M: 10, S: 2, B: 256,
-		SyncMaxNs: 1_250_000, FabricMsgs: 1000,
-	}}}
-	err := CheckRegression(base, over, 0.20)
-	if err == nil || !strings.Contains(err.Error(), "sync") {
-		t.Errorf("25%% sync growth passed the 20%% gate: %v", err)
-	}
-	msgs := &MicroBench{Points: []MicroPoint{{
-		P: 16, Mode: "strided", N: 10, M: 10, S: 2, B: 256,
-		SyncMaxNs: 1_000_000, FabricMsgs: 1500,
-	}}}
-	err = CheckRegression(base, msgs, 0.20)
-	if err == nil || !strings.Contains(err.Error(), "msgs") {
-		t.Errorf("50%% message growth passed the 20%% gate: %v", err)
-	}
-	// A differently configured point has no baseline partner and passes.
-	other := &MicroBench{Points: []MicroPoint{{
-		P: 8, Mode: "local", N: 10, M: 10, S: 2, B: 256,
-		SyncMaxNs: 9_000_000, FabricMsgs: 9000,
-	}}}
-	if err := CheckRegression(base, other, 0.20); err != nil {
-		t.Errorf("unmatched point failed the gate: %v", err)
-	}
-}
-
-// MeasureMicro on the sequenced simulated fabric must be bit-stable:
-// the same options yield the same point, which is what justifies a
-// strict CI gate on the stored baseline.
-func TestMeasureMicroDeterministic(t *testing.T) {
-	o := Quick()
-	prm := kernels.MicroParams{N: o.N, M: o.MidM, S: o.MidS, B: o.B, Mode: kernels.AllocStrided}
-	a, err := o.MeasureMicro(4, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := o.MeasureMicro(4, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("measurements differ:\n a: %+v\n b: %+v", a, b)
-	}
-	if a.SyncMaxNs == 0 || a.FabricMsgs == 0 || a.Releases == 0 {
-		t.Fatalf("degenerate measurement: %+v", a)
-	}
-}
-
-// The p99 gate covers workload points: latency regressions in the KV
-// service fail CI like sync-time regressions in the kernels.
-func TestCheckRegressionP99(t *testing.T) {
-	base := &MicroBench{Points: []MicroPoint{{
+	kvPt := MicroPoint{
 		Workload: "kv", P: 16, Mode: "open", N: 64, M: 512, S: 64, B: 90,
 		SyncMaxNs: 1_000_000, P99Ns: 10_000,
-	}}}
-	within := &MicroBench{Points: []MicroPoint{{
-		Workload: "kv", P: 16, Mode: "open", N: 64, M: 512, S: 64, B: 90,
-		SyncMaxNs: 1_000_000, P99Ns: 11_500,
-	}}}
-	if err := CheckRegression(base, within, 0.20); err != nil {
-		t.Errorf("15%% p99 growth tripped the 20%% gate: %v", err)
 	}
-	over := &MicroBench{Points: []MicroPoint{{
-		Workload: "kv", P: 16, Mode: "open", N: 64, M: 512, S: 64, B: 90,
-		SyncMaxNs: 1_000_000, P99Ns: 12_500,
-	}}}
-	err := CheckRegression(base, over, 0.20)
-	if err == nil || !strings.Contains(err.Error(), "p99") {
-		t.Errorf("25%% p99 growth passed the 20%% gate: %v", err)
+	big := micro
+	big.P = 1024
+	base := &MicroBench{Points: []MicroPoint{micro, kvPt, big}}
+	with := func(i int, edit func(*MicroPoint)) *MicroBench {
+		pts := []MicroPoint{micro, kvPt}
+		edit(&pts[i])
+		return &MicroBench{Points: pts}
+	}
+	for _, tc := range []struct {
+		name    string
+		current *MicroBench
+		maxP    int
+		want    []string // substrings of the error; none = must pass
+	}{
+		{"identical", with(0, func(*MicroPoint) {}), 256, nil},
+		{"sync-one-ns-slower", with(0, func(p *MicroPoint) { p.SyncMaxNs++ }), 256,
+			[]string{micro.key(), "SyncMaxNs 1000001, baseline 1000000"}},
+		{"rate-differs", with(0, func(p *MicroPoint) { p.MsgsPerRelease = 3.25 }), 256,
+			[]string{"MsgsPerRelease 3.25, baseline 3.5"}},
+		{"p99-faster", with(1, func(p *MicroPoint) { p.P99Ns = 9_000 }), 256,
+			[]string{kvPt.key(), "P99Ns 9000, baseline 10000"}},
+		{"not-measured", &MicroBench{Points: []MicroPoint{micro}}, 256,
+			[]string{kvPt.key() + ": not measured"}},
+		{"above-max-p-not-expected", with(0, func(*MicroPoint) {}), 256, nil},
+		{"above-max-p-expected", with(0, func(*MicroPoint) {}), 1024,
+			[]string{big.key() + ": not measured"}},
+		{"unseen-point", &MicroBench{Points: []MicroPoint{micro, kvPt, {P: 8, Mode: "local"}}}, 256, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := CheckRegression(base, tc.current, tc.maxP)
+			if len(tc.want) == 0 {
+				if err != nil {
+					t.Fatalf("gate failed: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("gate passed")
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error lacks %q:\n%v", w, err)
+				}
+			}
+		})
+	}
+}
+
+// measure on the sequenced simulated fabric is bit-stable: a table row
+// measured twice gives the same point, latency quantiles included, and
+// that point is the one BENCH_micro.json records at the row's position.
+// That is what justifies an exact gate on the stored baseline.
+func TestMeasureDeterministic(t *testing.T) {
+	recorded, err := ReadMicroBench("../../BENCH_micro.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recorded.Points) != len(table) {
+		t.Fatalf("BENCH_micro.json has %d points, the table %d rows", len(recorded.Points), len(table))
+	}
+	o := Options{}.WithDefaults()
+	for name, i := range map[string]int{"micro": 0, "kv": 13} {
+		t.Run(name, func(t *testing.T) {
+			a, err := o.measure(table[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := o.measure(table[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a != b {
+				t.Fatalf("measurements differ:\n a: %+v\n b: %+v", a, b)
+			}
+			if a != recorded.Points[i] {
+				t.Fatalf("row %d departs from BENCH_micro.json: %s", i, strings.Join(diffFields(recorded.Points[i], a), ", "))
+			}
+		})
 	}
 }
 
@@ -135,26 +142,5 @@ func TestMicroPointKeyIdentity(t *testing.T) {
 	}
 	if !strings.HasSuffix(kvPt.key(), "-wl-kv") {
 		t.Errorf("workload key missing suffix: %q", kvPt.key())
-	}
-}
-
-// MeasureKV on the sequenced fabric must be bit-stable like the micro
-// kernel, including its latency quantiles.
-func TestMeasureKVDeterministic(t *testing.T) {
-	o := Quick()
-	prm := kvQuickParams()
-	a, err := o.MeasureKV(4, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := o.MeasureKV(4, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("kv measurements differ:\n a: %+v\n b: %+v", a, b)
-	}
-	if a.Ops == 0 || a.P50Ns == 0 || a.P99Ns == 0 || a.P999Ns < a.P99Ns || a.P99Ns < a.P50Ns {
-		t.Fatalf("degenerate kv measurement: %+v", a)
 	}
 }

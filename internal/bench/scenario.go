@@ -83,9 +83,10 @@ func ScenarioHeterogeneous(o Options) (*Figure, error) {
 
 		phi := Series{Label: "phi_" + spec.name}
 		for _, p := range phiCores {
-			cfg := core.HeterogeneousConfig()
-			o.applyRobustness(&cfg)
-			rt, err := core.New(cfg)
+			rt, err := o.newSamhita(func(c *core.Config) {
+				het := core.HeterogeneousConfig()
+				c.Link, c.CPU, c.ThreadsPerNode, c.CacheLines = het.Link, het.CPU, het.ThreadsPerNode, het.CacheLines
+			})
 			if err != nil {
 				return nil, err
 			}

@@ -45,9 +45,9 @@ func StreamSpanSmoke(o Options) (string, error) {
 			computeNs: res.Run.MaxComputeTime().Duration().Nanoseconds(),
 			syncNs:    res.Run.MaxSyncTime().Duration().Nanoseconds(),
 		}
-		if rt, ok := smh.(*core.Runtime); ok && rt.Fabric() != nil {
-			out.fabricMsgs = rt.Fabric().Messages()
-			out.fabricBy = rt.Fabric().Bytes()
+		if fab := smh.Fabric(); fab != nil {
+			out.fabricMsgs = fab.Messages()
+			out.fabricBy = fab.Bytes()
 		}
 		return out, nil
 	}

@@ -29,6 +29,10 @@ import (
 // so the killed round falls in a pure-allocation phase, making the
 // deduplicated re-issue an AllocReq specifically.
 func TestAllocReissueLeakAcrossFailover(t *testing.T) {
+	bounded(t, 30*time.Second, func() { allocReissueLeakAcrossFailover(t) })
+}
+
+func allocReissueLeakAcrossFailover(t *testing.T) {
 	const (
 		p        = 4
 		iters    = 16 // allocations per thread before the free phase

@@ -69,7 +69,7 @@ func TestChaosKillLockHolderAndMemserver(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			chaosKillLockHolderAndMemserver(t, shards)
+			bounded(t, 30*time.Second, func() { chaosKillLockHolderAndMemserver(t, shards) })
 		})
 	}
 }
@@ -225,6 +225,10 @@ func chaosKillLockHolderAndMemserver(t *testing.T, shards int) {
 // — parked waiters are completed with the typed failure and new calls
 // exhaust their retries against the dead node — never a hang.
 func TestChaosKillManagerFailsTyped(t *testing.T) {
+	bounded(t, 30*time.Second, func() { chaosKillManagerFailsTyped(t) })
+}
+
+func chaosKillManagerFailsTyped(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 
 	cfg := core.DefaultConfig()

@@ -48,6 +48,10 @@ func forkChaosConfig() core.Config {
 // bit-exact sealed values and keeps its private writes, and errors stay
 // within the Recover budget — never a sealed-read corruption.
 func TestForkStormChaosBothKills(t *testing.T) {
+	bounded(t, 30*time.Second, func() { forkStormChaosBothKills(t) })
+}
+
+func forkStormChaosBothKills(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 
 	cfg := forkChaosConfig()
@@ -91,6 +95,10 @@ func TestForkStormChaosBothKills(t *testing.T) {
 // the failover. A fork caught mid-handshake by the crash may surface as
 // a bounded Recover error; a sealed-read corruption never may.
 func TestForkStormChaosServerKill(t *testing.T) {
+	bounded(t, 30*time.Second, func() { forkStormChaosServerKill(t) })
+}
+
+func forkStormChaosServerKill(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 
 	cfg := forkChaosConfig()

@@ -24,6 +24,10 @@ func kvChaosParams(seed uint64) kv.Params {
 // write present exactly once and zero error responses — the
 // failover machinery, not the Recover escape hatch, absorbs the crash.
 func TestKVChaosManagerLeaderKill(t *testing.T) {
+	bounded(t, 30*time.Second, func() { kVChaosManagerLeaderKill(t) })
+}
+
+func kVChaosManagerLeaderKill(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 
 	cfg := core.DefaultConfig()
@@ -72,6 +76,10 @@ func TestKVChaosManagerLeaderKill(t *testing.T) {
 // must lose no acked write. Like the leader-kill case the error budget
 // is zero: primary failover is supposed to be invisible to clients.
 func TestKVChaosServerKill(t *testing.T) {
+	bounded(t, 30*time.Second, func() { kVChaosServerKill(t) })
+}
+
+func kVChaosServerKill(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 
 	cfg := core.DefaultConfig()
@@ -118,6 +126,10 @@ func TestKVChaosServerKill(t *testing.T) {
 // Recover budget (faults this violent can surface a small number of
 // bounded error responses, never a lost acked write).
 func TestKVChaosBothKills(t *testing.T) {
+	bounded(t, 30*time.Second, func() { kVChaosBothKills(t) })
+}
+
+func kVChaosBothKills(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 
 	cfg := core.DefaultConfig()

@@ -175,61 +175,65 @@ func TestChaosKillManagerLeaderMasked(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			goroutines := runtime.NumGoroutine()
-
-			p := Program{Seed: 7, Threads: 4, Rounds: 6, Slots: 48, Accums: 4, Locks: 2, ReadsPerRound: 4}
-			cfg := core.DefaultConfig()
-			cfg.ManagerShards = 2
-			cfg.ManagerReplicas = 3
-			// Generous membership lease: the failover stall must not fence
-			// live threads whose heartbeats bounce off the dead leader.
-			cfg.Liveness = &core.LivenessConfig{
-				HeartbeatEvery: 2 * time.Millisecond,
-				MissedBeats:    25,
-			}
-			cfg.Retry = &scl.RetryPolicy{
-				MaxAttempts: 8,
-				Backoff:     50 * time.Microsecond,
-				BackoffCap:  time.Millisecond,
-			}
-			inj := faultnet.New(faultnet.Config{
-				Seed:  int64(311 + sc.after),
-				Kills: []faultnet.Kill{{Node: core.ManagerNode(), Kind: sc.kind, After: sc.after}},
-			})
-			cfg.Faults = inj
-			rt, err := core.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			viols, runErr := Run(rt, p)
-			if runErr != nil {
-				t.Fatalf("leader kill leaked to the program: %v", runErr)
-			}
-			for _, v := range viols {
-				t.Errorf("divergence from sequential model after failover: %s", v)
-			}
-
-			nst := rt.NetStats()
-			if nst.InjectedKills.Load() == 0 {
-				t.Fatalf("leader never killed (kind %v after %d) — scenario is vacuous", sc.kind, sc.after)
-			}
-			live := rt.Liveness()
-			if live.MgrFailovers.Load() == 0 {
-				t.Error("no client-driven manager failover recorded")
-			}
-			if live.MgrElections.Load() == 0 {
-				t.Error("no replica promotion recorded")
-			}
-			if live.MgrReplEntries.Load() == 0 {
-				t.Error("replication log recorded no entries — failover had no state to recover")
-			}
-			if err := rt.Close(); err != nil {
-				t.Errorf("close: %v", err)
-			}
-			waitGoroutines(t, goroutines+2)
+			bounded(t, 30*time.Second, func() { chaosKillManagerLeaderMasked(t, sc.kind, sc.after) })
 		})
 	}
+}
+
+func chaosKillManagerLeaderMasked(t *testing.T, kind proto.Kind, after int) {
+	goroutines := runtime.NumGoroutine()
+
+	p := Program{Seed: 7, Threads: 4, Rounds: 6, Slots: 48, Accums: 4, Locks: 2, ReadsPerRound: 4}
+	cfg := core.DefaultConfig()
+	cfg.ManagerShards = 2
+	cfg.ManagerReplicas = 3
+	// Generous membership lease: the failover stall must not fence
+	// live threads whose heartbeats bounce off the dead leader.
+	cfg.Liveness = &core.LivenessConfig{
+		HeartbeatEvery: 2 * time.Millisecond,
+		MissedBeats:    25,
+	}
+	cfg.Retry = &scl.RetryPolicy{
+		MaxAttempts: 8,
+		Backoff:     50 * time.Microsecond,
+		BackoffCap:  time.Millisecond,
+	}
+	inj := faultnet.New(faultnet.Config{
+		Seed:  int64(311 + after),
+		Kills: []faultnet.Kill{{Node: core.ManagerNode(), Kind: kind, After: after}},
+	})
+	cfg.Faults = inj
+	rt, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	viols, runErr := Run(rt, p)
+	if runErr != nil {
+		t.Fatalf("leader kill leaked to the program: %v", runErr)
+	}
+	for _, v := range viols {
+		t.Errorf("divergence from sequential model after failover: %s", v)
+	}
+
+	nst := rt.NetStats()
+	if nst.InjectedKills.Load() == 0 {
+		t.Fatalf("leader never killed (kind %v after %d) — scenario is vacuous", kind, after)
+	}
+	live := rt.Liveness()
+	if live.MgrFailovers.Load() == 0 {
+		t.Error("no client-driven manager failover recorded")
+	}
+	if live.MgrElections.Load() == 0 {
+		t.Error("no replica promotion recorded")
+	}
+	if live.MgrReplEntries.Load() == 0 {
+		t.Error("replication log recorded no entries — failover had no state to recover")
+	}
+	if err := rt.Close(); err != nil {
+		t.Errorf("close: %v", err)
+	}
+	waitGoroutines(t, goroutines+2)
 }
 
 // TestHandoffConservationAcrossFailover extends the lock-handoff
@@ -241,6 +245,10 @@ func TestChaosKillManagerLeaderMasked(t *testing.T) {
 // re-sent requests deduplicated — and the handoff/successor invariant
 // must hold on every replica.
 func TestHandoffConservationAcrossFailover(t *testing.T) {
+	bounded(t, 30*time.Second, func() { handoffConservationAcrossFailover(t) })
+}
+
+func handoffConservationAcrossFailover(t *testing.T) {
 	const (
 		p     = 4
 		iters = 64

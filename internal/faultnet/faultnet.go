@@ -107,6 +107,13 @@ type Config struct {
 	Kills []Kill
 }
 
+// Active reports whether the schedule injects anything. Callers boot an
+// injector only then: a runtime that has one leaves the sequenced
+// fabric.
+func (c Config) Active() bool {
+	return c.DropProb > 0 || c.DelayProb > 0 || c.DupProb > 0 || len(c.Partitions) > 0 || len(c.Kills) > 0
+}
+
 // Injector decides the fate of every message crossing its wrapped
 // endpoints. One injector is shared by all endpoints of a runtime so
 // partitions and the seeded schedule are global, like a real fabric

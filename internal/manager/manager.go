@@ -298,12 +298,13 @@ func (m *Manager) failParked(code uint16, why string) {
 // Run processes requests until Shutdown or endpoint closure.
 func (m *Manager) Run() {
 	m.p2p = m.nshards > 1 && m.sequenced
-	if r := m.repl; r != nil && r.leader {
-		r.mu.Lock()
-		m.startRenewal()
-		r.mu.Unlock()
+	if m.repl != nil && m.lease > 0 {
+		// Wall-clock lease renewal, like heartbeats: clean sequenced
+		// runs have no lease and start no ticker.
+		stop := make(chan struct{})
+		defer close(stop)
+		go m.renewTicker(stop)
 	}
-	defer m.stopRenewal()
 	for {
 		req, ok := m.ep.Recv()
 		if !ok {
@@ -320,13 +321,8 @@ func (m *Manager) Run() {
 }
 
 // handleOne processes one incoming request; stop reports an orderly
-// shutdown. Replicated managers serialize everything (including the
-// lease-renewal goroutine's appends) under repl.mu.
+// shutdown.
 func (m *Manager) handleOne(req *scl.Request) (stop bool) {
-	if r := m.repl; r != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
 	// Heartbeats are wall-clock bookkeeping and carry zero virtual
 	// cost: handled before any clock moves so liveness does not
 	// perturb virtual-time determinism.
@@ -473,7 +469,8 @@ func zoneIndexOf(addr layout.Addr) int {
 // handleHeartbeat renews (or, with Bye, retires) a member's lease and
 // reaps members whose lease has expired. Server heartbeats double as
 // the reap prodder: the lease table keeps advancing even when every
-// compute thread is parked or dead.
+// compute thread is parked or dead. A replicated leader also renews its
+// own lease here (renewTicker's empty beats guarantee the prod).
 func (m *Manager) handleHeartbeat(req *scl.Request) {
 	if m.live == nil {
 		return // liveness disabled: ignore
@@ -523,7 +520,14 @@ func (m *Manager) handleHeartbeat(req *scl.Request) {
 			}
 		}
 	}
+	if m.isFollower() {
+		// Reaps are the leader's to make and reach a follower through
+		// the log; one made here could not be replicated and would leave
+		// the member wrongly dead at promotion.
+		return
+	}
 	m.reap(now)
+	m.renewLease(now)
 }
 
 // reap declares members whose lease expired dead and reclaims their

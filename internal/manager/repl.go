@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/proto"
@@ -57,12 +56,9 @@ type Replication struct {
 	Live  *stats.Liveness
 }
 
-// replState is a manager's replication role and log bookkeeping. All of
-// it is guarded by mu: the dispatcher takes mu around every message and
-// the lease-renewal goroutine takes it around each empty append.
+// replState is a manager's replication role and log bookkeeping. Like
+// all manager state it belongs to the Run goroutine alone.
 type replState struct {
-	mu sync.Mutex
-
 	self     int
 	replicas []scl.NodeID
 	live     *stats.Liveness
@@ -75,7 +71,7 @@ type replState struct {
 	acc     replog.Acceptor
 	applied uint64 // entries externalized to the shard state machines
 
-	renewStop chan struct{} // closes to stop the lease-renewal goroutine
+	lastPush time.Time // wall clock of the last push to the followers
 }
 
 // SetReplication turns this manager into replica cfg.Self of a
@@ -145,6 +141,7 @@ func (m *Manager) replicateEvent(kind proto.Kind, msg proto.Msg) bool {
 // each live follower and truncates the acked+applied prefix.
 func (m *Manager) pushToPeers(at vtime.Time) (floor vtime.Time, ok bool) {
 	r := m.repl
+	r.lastPush = time.Now()
 	floor = at
 	peers := r.prop.LivePeers()
 	sort.Ints(peers)
@@ -441,48 +438,36 @@ func (m *Manager) promote(term uint64) {
 			m.post(uint32(node), &proto.WriterDead{Writer: k.id, Gen: mem.reapGen}, 0)
 		}
 	}
-	m.startRenewal()
 }
 
-// startRenewal launches the leader-lease loop: an empty append to the
-// followers every half lease. Its real job is detecting the leader's
-// OWN death while idle — a killed node's outbound calls fail terminally,
-// which demotes it so parked clients get their CodeNotLeader within a
-// bounded stall instead of hanging until the next mutation. Liveness
-// must be enabled (the loop is wall-clock driven, like heartbeats).
-func (m *Manager) startRenewal() {
-	r := m.repl
-	if r == nil || m.lease <= 0 || r.renewStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	r.renewStop = stop
-	every := m.lease / 2
-	if every <= 0 {
-		every = time.Millisecond
-	}
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				r.mu.Lock()
-				if r.leader && !r.deposed {
-					m.pushToPeers(m.Clock())
-				}
-				r.mu.Unlock()
-			}
+// renewTicker prods a replicated manager with an empty heartbeat every
+// half lease, until stop closes or the post fails terminally (the node
+// was crash-killed, or the runtime is tearing the transport down). It
+// touches no manager state: handleHeartbeat, on the Run goroutine, is
+// where the prod becomes a lease renewal.
+func (m *Manager) renewTicker(stop <-chan struct{}) {
+	t := time.NewTicker(max(m.lease/2, time.Millisecond))
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
 		}
-	}()
+		if _, err := m.ep.Post(m.ep.ID(), &proto.Heartbeat{}, 0); err != nil && !scl.IsTransient(err) {
+			return
+		}
+	}
 }
 
-// stopRenewal stops the lease-renewal goroutine, if running.
-func (m *Manager) stopRenewal() {
-	if r := m.repl; r != nil && r.renewStop != nil {
-		close(r.renewStop)
-		r.renewStop = nil
+// renewLease is the leader lease: an empty append to the followers once
+// half a lease has passed without a push. Its real job is detecting the
+// leader's OWN death while idle — a killed node's outbound calls fail
+// terminally, which demotes it so parked clients get their
+// CodeNotLeader within a bounded stall instead of hanging until the
+// next mutation.
+func (m *Manager) renewLease(now time.Time) {
+	if r := m.repl; r != nil && r.leader && now.Sub(r.lastPush) >= m.lease/2 {
+		m.pushToPeers(m.Clock())
 	}
 }

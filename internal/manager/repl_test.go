@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/layout"
 	"repro/internal/proto"
@@ -26,6 +27,13 @@ type replEnv struct {
 
 func newReplEnv(t *testing.T, shards int) *replEnv {
 	t.Helper()
+	return newReplEnvLease(t, shards, 0)
+}
+
+// newReplEnvLease also turns liveness on at both replicas when lease is
+// positive, which is what arms the leader's lease renewal.
+func newReplEnvLease(t *testing.T, shards int, lease time.Duration) *replEnv {
+	t.Helper()
 	env := &replEnv{fab: simnet.NewFabric(testLink)}
 	nodes := []scl.NodeID{mgrNode, followerNode}
 	env.leader = New(scl.NewSimEndpoint(env.fab, mgrNode), layout.DefaultGeometry())
@@ -34,6 +42,10 @@ func newReplEnv(t *testing.T, shards int) *replEnv {
 	env.follower = New(scl.NewSimEndpoint(env.fab, followerNode), layout.DefaultGeometry())
 	env.follower.SetShards(shards)
 	env.follower.SetReplication(Replication{Self: 1, Nodes: nodes})
+	if lease > 0 {
+		env.leader.EnableLiveness(lease, nil, nil)
+		env.follower.EnableLiveness(lease, nil, nil)
+	}
 	env.wg.Add(2)
 	go func() {
 		defer env.wg.Done()
@@ -55,6 +67,23 @@ func newReplEnv(t *testing.T, shards int) *replEnv {
 		env.wg.Wait()
 	})
 	return env
+}
+
+// An idle leader still pushes an empty append to its followers every
+// half lease: the ticker only posts the manager a heartbeat, and the Run
+// goroutine does the push. The follower gets the same prods and must
+// neither push nor reap.
+func TestIdleLeaderRenewsItsLease(t *testing.T) {
+	env := newReplEnvLease(t, 1, 4*time.Millisecond)
+	appends := &env.leader.repl.live.MgrReplAppends
+	for deadline := time.Now().Add(5 * time.Second); appends.Load() < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle leader made %d lease-renewal appends in 5s, want at least 3", appends.Load())
+		}
+	}
+	if n := env.follower.repl.live.MgrReplAppends.Load(); n != 0 {
+		t.Errorf("follower pushed %d appends", n)
+	}
 }
 
 func (e *replEnv) client(t *testing.T, id uint32) *client {

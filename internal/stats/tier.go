@@ -25,6 +25,19 @@ type Tier struct {
 	CoWBreaks    atomic.Int64 // fork pages privatized on first write
 }
 
+// Add folds another collector's counts into t, so a caller that gives
+// each runtime its own Tier can still report one total.
+func (t *Tier) Add(o *Tier) {
+	t.HotHits.Add(o.HotHits.Load())
+	t.Promotions.Add(o.Promotions.Load())
+	t.Demotions.Add(o.Demotions.Load())
+	t.ColdBytes.Add(o.ColdBytes.Load())
+	t.CompressedBytes.Add(o.CompressedBytes.Load())
+	t.SealedPages.Add(o.SealedPages.Load())
+	t.SnapshotRefs.Add(o.SnapshotRefs.Load())
+	t.CoWBreaks.Add(o.CoWBreaks.Load())
+}
+
 // Summary renders the non-zero tier counters on one line (or "no tier
 // events" when the store never tiered or sealed anything).
 func (t *Tier) Summary() string {

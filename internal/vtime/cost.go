@@ -162,6 +162,17 @@ var (
 	}
 )
 
+// LinkPreset resolves an interconnect preset by its Name ("qdr-ib",
+// "pcie-scif", "intra-node").
+func LinkPreset(name string) (LinkModel, bool) {
+	for _, l := range []LinkModel{QDRInfiniBand, PCIeSCIF, IntraNode} {
+		if l.Name == name {
+			return l, true
+		}
+	}
+	return LinkModel{}, false
+}
+
 // TierPreset resolves a cold-tier preset by name; it returns false for
 // names it does not know.
 func TierPreset(name string) (TierModel, bool) {
