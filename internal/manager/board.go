@@ -73,14 +73,19 @@ func (b *noticeBoard) fill(seq uint64, tag proto.IntervalTag, pages []uint64, re
 }
 
 // acquire serves an acquire point: it returns the notices the thread
-// has not seen plus the delivery frontier (the thread's new horizon),
-// advances that horizon, and prunes.
-func (b *noticeBoard) acquire(thread uint32, since uint64) ([]proto.Notice, uint64) {
+// has not seen plus the delivery frontier, advances the thread's horizon,
+// and prunes. The horizon moves to the frontier only when the answer is
+// delivered to the thread. An answer that reaches nobody (a follower
+// applying the log, a replay waiter's no-op reply) moves it only to
+// since, which the thread itself claimed: the thread may yet re-issue the
+// request from that horizon to a promoted replica, which must still hold
+// every notice above it.
+func (b *noticeBoard) acquire(thread uint32, since uint64, delivered bool) ([]proto.Notice, uint64) {
 	ns := b.after(since, b.issued)
-	if b.issued > b.lastSeen[thread] {
-		b.lastSeen[thread] = b.issued
+	if delivered {
+		since = b.issued
 	}
-	b.prune()
+	b.saw(thread, since)
 	return ns, b.issued
 }
 
@@ -136,6 +141,10 @@ func (b *noticeBoard) prune() {
 	}
 	if cut > 0 {
 		b.stats.NoticesPruned.Add(int64(cut))
-		b.notices = append([]proto.Notice(nil), b.notices[cut:]...)
+		// Drop the prefix in place; clearing it lets go of the pruned
+		// intervals' page lists and records before fill's next growth
+		// leaves the old array behind.
+		clear(b.notices[:cut])
+		b.notices = b.notices[cut:]
 	}
 }

@@ -32,7 +32,7 @@ func TestBoardTicketsNumberInDispatchOrder(t *testing.T) {
 			t.Fatalf("ticket %d issued as %d", want, got)
 		}
 	}
-	ns, frontier := b.acquire(9, 0)
+	ns, frontier := b.acquire(9, 0, true)
 	if got := seqs(ns); !reflect.DeepEqual(got, []uint64{1, 2, 3, 4}) {
 		t.Fatalf("directory order %v, want 1..4", got)
 	}
@@ -52,7 +52,7 @@ func TestBoardCancelledTicketLeavesPermanentGap(t *testing.T) {
 	b.ensure(1, 0)
 	release(b, 1, 1)
 	gap := b.reserve() // fenced release: no fill
-	ns, frontier := b.acquire(2, 0)
+	ns, frontier := b.acquire(2, 0, true)
 	if frontier != gap {
 		t.Fatalf("frontier %d after an unfilled ticket, want %d", frontier, gap)
 	}
@@ -62,7 +62,7 @@ func TestBoardCancelledTicketLeavesPermanentGap(t *testing.T) {
 	if next := release(b, 1, 2); next != gap+1 {
 		t.Fatalf("ticket after the gap is %d, want %d", next, gap+1)
 	}
-	ns, frontier = b.acquire(3, 0)
+	ns, frontier = b.acquire(3, 0, true)
 	if got := seqs(ns); !reflect.DeepEqual(got, []uint64{1, 3}) || frontier != 3 {
 		t.Fatalf("acquire delivered %v at frontier %d, want [1 3] at 3", got, frontier)
 	}
@@ -74,7 +74,7 @@ func TestBoardAcquireAdvancesHorizonToLastIssued(t *testing.T) {
 	b.ensure(2, 0)
 	release(b, 1, 1)
 	release(b, 1, 2)
-	ns, frontier := b.acquire(2, 0)
+	ns, frontier := b.acquire(2, 0, true)
 	if len(ns) != 2 || frontier != b.issued {
 		t.Fatalf("acquire: %d notices at frontier %d, want 2 at %d", len(ns), frontier, b.issued)
 	}
@@ -83,7 +83,7 @@ func TestBoardAcquireAdvancesHorizonToLastIssued(t *testing.T) {
 	}
 	// Nothing new: the next acquire from the returned horizon is empty and
 	// the frontier holds.
-	ns, again := b.acquire(2, frontier)
+	ns, again := b.acquire(2, frontier, true)
 	if len(ns) != 0 || again != frontier {
 		t.Fatalf("idle acquire: %d notices at %d, want 0 at %d", len(ns), again, frontier)
 	}
@@ -109,7 +109,7 @@ func TestBoardFilledDedupesReissuedInterval(t *testing.T) {
 		t.Error("another writer's interval reported filled")
 	}
 	// The record outlives both the notice and the writer's membership.
-	b.acquire(1, 0)
+	b.acquire(1, 0, true)
 	b.dropThread(1)
 	if len(b.notices) != 0 || !b.filled(1, 5) {
 		t.Errorf("after prune and drop: %d notices, filled=%v; want 0, true", len(b.notices), b.filled(1, 5))
@@ -125,7 +125,7 @@ func TestBoardPruneRespectsSlowestThread(t *testing.T) {
 	for i := uint64(1); i <= 3; i++ {
 		release(b, 1, i)
 	}
-	b.acquire(1, 0)
+	b.acquire(1, 0, true)
 	if len(b.notices) != 3 || st.NoticesPruned.Load() != 0 {
 		t.Fatalf("pruned past thread 2's horizon: %d notices left, %d pruned", len(b.notices), st.NoticesPruned.Load())
 	}
@@ -149,20 +149,20 @@ func TestBoardEncodeRoundTrip(t *testing.T) {
 	seq := b.reserve()
 	b.fill(seq, proto.IntervalTag{Writer: 2, Interval: 4}, nil,
 		[]proto.StoreRecord{{Addr: 64, Data: []byte{1, 2, 3}}})
-	b.acquire(1, 0)
+	b.acquire(1, 0, true)
 
-	w := &proto.Writer{}
-	b.encode(w)
-	r := &proto.Reader{B: w.B}
-	if issued, frontier := r.U64(), r.U64(); issued != 3 || frontier != 3 {
-		t.Fatalf("leading words %d, %d; want 3, 3", issued, frontier)
+	enc := proto.Marshal(func(c *proto.Codec) { walkBoard(c, b) })
+	if enc[0] != 3 || enc[1] != 3 {
+		t.Fatalf("leading words %d, %d; want 3, 3", enc[0], enc[1])
 	}
 
 	got := newBoard(new(Stats))
-	r = &proto.Reader{B: w.B}
-	got.decode(r)
-	if r.Err() != nil || r.Remaining() != 0 {
-		t.Fatalf("decode: err %v, %d bytes left", r.Err(), r.Remaining())
+	if err := proto.Unmarshal(enc, func(c *proto.Codec) { walkBoard(c, got) }); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	var past uint8
+	if err := proto.Unmarshal(enc, func(c *proto.Codec) { walkBoard(c, newBoard(new(Stats))); c.U8(&past) }); err == nil {
+		t.Fatal("decode left bytes behind: one more field decoded after the board")
 	}
 	if got.issued != b.issued || !reflect.DeepEqual(got.lastSeen, b.lastSeen) ||
 		!reflect.DeepEqual(got.lastInterval, b.lastInterval) {
@@ -171,12 +171,42 @@ func TestBoardEncodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(seqs(got.notices), []uint64{1, 3}) {
 		t.Fatalf("decoded directory %v, want [1 3]", seqs(got.notices))
 	}
-	w2 := &proto.Writer{}
-	got.encode(w2)
-	if !bytes.Equal(w.B, w2.B) {
+	if again := proto.Marshal(func(c *proto.Codec) { walkBoard(c, got) }); !bytes.Equal(enc, again) {
 		t.Fatal("re-encoding the decoded board changed the bytes")
 	}
 	if next := got.reserve(); next != 4 {
 		t.Fatalf("first ticket after restore is %d, want 4", next)
+	}
+}
+
+// ROADMAP 1(c). An answer nobody receives (a follower applying the log,
+// a replay waiter's no-op reply) must leave the directory able to answer
+// the same acquire again: after a failover the thread re-issues it with
+// the horizon it really has.
+func TestBoardUndeliveredAcquireKeepsNoticesForTheReissue(t *testing.T) {
+	st := new(Stats)
+	b := newBoard(st)
+	b.ensure(1, 0)
+	b.ensure(2, 0)
+	release(b, 1, 1, 24)
+	// Replayed: thread 2's lock grant, then a barrier release to both.
+	b.acquire(2, 0, false)
+	b.acquire(1, 0, false)
+	b.acquire(2, 0, false)
+	if st.NoticesPruned.Load() != 0 {
+		t.Fatalf("replayed answers pruned %d notices no thread has received", st.NoticesPruned.Load())
+	}
+	// The live re-issue, with the thread's true horizon, still gets page 24.
+	ns, frontier := b.acquire(2, 0, true)
+	if got := seqs(ns); !reflect.DeepEqual(got, []uint64{1}) || frontier != 1 {
+		t.Fatalf("re-issued acquire delivered %v at frontier %d, want [1] at 1", got, frontier)
+	}
+	// A replayed acquire still moves the horizon to what the request
+	// itself claimed, so a follower's directory stays one acquire behind
+	// instead of growing without bound.
+	release(b, 2, 1, 25)
+	b.acquire(1, 1, false)
+	if got := seqs(b.notices); !reflect.DeepEqual(got, []uint64{2}) {
+		t.Fatalf("directory %v after every thread claimed horizon 1, want [2]", got)
 	}
 }

@@ -193,6 +193,40 @@ func TestLeaseReclaimsDeadLockHolder(t *testing.T) {
 	env.shutdown(t)
 }
 
+// ROADMAP 1(e). A lease measures the member's silence, not the manager's.
+// When nothing reached the manager for longer than a lease (in the chaos
+// tests: its goroutine was starved or blocked in a replication push), the
+// first heartbeat it then handles is ahead of every other member's in the
+// inbox; judging them by the wall clock reaped every live member at once.
+func TestManagerStallDoesNotExpireLiveMembers(t *testing.T) {
+	live := new(stats.Liveness)
+	const lease = 40 * time.Millisecond
+	env := newLiveEnv(t, lease, live)
+	a, b := env.client(t, 601), env.client(t, 602)
+	a.beat(false)
+	b.beat(false)
+	time.Sleep(3 * lease) // the manager sees nothing: its inbox is empty, as if it were not running
+	a.beat(false)
+	b.beat(false)
+	if _, err := b.lock(1); err != nil {
+		t.Fatalf("live member fenced after the manager's own gap: %v", err)
+	}
+	if n := live.ThreadsDead.Load(); n != 0 {
+		t.Fatalf("%d members declared dead across a gap in which the manager did not look", n)
+	}
+	// Real silence is still detected: b stops, a keeps the table moving.
+	for deadline := time.Now().Add(5 * time.Second); live.ThreadsDead.Load() == 0; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("silent member was never declared dead")
+		}
+		a.beat(false)
+	}
+	if _, err := b.lock(2); !errors.Is(err, proto.ErrPeerDied) {
+		t.Errorf("silent member's request: %v, want ErrPeerDied", err)
+	}
+	env.shutdown(t)
+}
+
 // Regression: a graceful Bye from a thread still holding sync state must
 // reclaim that state. Before the fix the member simply left the table —
 // no lease could ever expire for it, so a lock it held leaked forever

@@ -101,31 +101,22 @@ type Manager struct {
 
 	nshards   int
 	sequenced bool
-	p2p       bool // peer-to-peer lock handoff (sharded + sequenced)
-	shards    []*shard
+	p2p       bool   // peer-to-peer lock handoff (sharded + sequenced)
 	zoneShard [3]int // home shard of the arena/shared/striped zones
 
-	arenaZone   *Zone
-	sharedZone  *Zone
-	stripedZone *Zone
-	// snaps is the snapshot/fork table; owned by the striped zone's home
-	// shard, replicated with the rest of the state (stateVersion 3).
-	snaps *snapState
-
-	board *noticeBoard
+	// The replicated state: zones, snapshot/fork table, notice directory,
+	// homes and membership (state.go).
+	tables
 
 	// Liveness (nil live == disabled). Heartbeats are wall-clock
 	// driven and processed at zero virtual cost, so enabling liveness
 	// does not perturb a run's virtual-time results. Reclamation fans
 	// out from the lease table to the homes.
-	live        *stats.Liveness
-	tr          *trace.Collector
-	lease       time.Duration
-	members     map[memberKey]*member
-	deadNodes   map[uint32]bool // fence requests from declared-dead nodes
-	liveThreads atomic.Int64    // thread members not declared dead
-	dataNodes   []scl.NodeID    // memory servers + standbys, for WriterDead obituaries
-	obitGen     uint64          // monotonic generation stamped on WriterDead obituaries
+	live      *stats.Liveness
+	tr        *trace.Collector
+	lease     time.Duration
+	lastReap  time.Time    // wall clock of the last pass over the lease table
+	dataNodes []scl.NodeID // memory servers + standbys, for WriterDead obituaries
 
 	// Replication (nil = single manager, bit-identical to the
 	// historical behavior). See repl.go.
@@ -134,11 +125,15 @@ type Manager struct {
 	stats Stats
 }
 
-// memberKey identifies a liveness participant.
-type memberKey struct {
-	class uint8 // proto.MemberThread or proto.MemberServer
-	id    uint32
-}
+// memberKey identifies a liveness participant: its class
+// (proto.MemberThread or proto.MemberServer) above its 32-bit id, so
+// keys order by class, then id.
+type memberKey uint64
+
+func memberOf(class uint8, id uint32) memberKey { return memberKey(class)<<32 | memberKey(id) }
+
+func (k memberKey) class() uint8 { return uint8(k >> 32) }
+func (k memberKey) id() uint32   { return uint32(k) }
 
 // member is one row of the manager's lease table.
 type member struct {
@@ -150,17 +145,7 @@ type member struct {
 
 // New creates a manager serving the given endpoint.
 func New(ep scl.Endpoint, geo layout.Geometry) *Manager {
-	m := &Manager{
-		ep:          ep,
-		geo:         geo,
-		arenaZone:   NewZone("arena", ArenaZoneBase, arenaZoneEnd),
-		sharedZone:  NewZone("shared", SharedZoneBase, sharedZoneEnd),
-		stripedZone: NewZone("striped", StripedZoneBase, stripedZoneEnd),
-		snaps:       newSnapState(),
-		members:     make(map[memberKey]*member),
-		deadNodes:   make(map[uint32]bool),
-	}
-	m.board = newBoard(&m.stats)
+	m := &Manager{ep: ep, geo: geo}
 	m.setShards(1)
 	return m
 }
@@ -177,10 +162,7 @@ func (m *Manager) SetShards(n int) {
 
 func (m *Manager) setShards(n int) {
 	m.nshards = n
-	m.shards = make([]*shard, n)
-	for i := range m.shards {
-		m.shards[i] = newShard(m, i)
-	}
+	m.tables = newTables(m, n)
 	// Each allocation zone gets a fixed home so zone state stays
 	// single-owner; the ids are salted out of the sync-id space.
 	for i := range m.zoneShard {
@@ -249,30 +231,25 @@ func (m *Manager) Clock() vtime.Time {
 	return max
 }
 
-// dispatch routes a decoded request to its home shard. Requests that
+// dispatchAt routes a decoded request to its home shard. Requests that
 // carry a release interval reserve their directory ticket HERE, in
-// arrival order (see noticeBoard).
-func (m *Manager) dispatch(idx int, req *scl.Request, msg proto.Msg) {
-	m.dispatchAt(idx, req, msg, 0)
-}
-
-// dispatchAt is dispatch with an extra virtual-time floor: a replicated
-// leader's mutation is applied only after the slowest follower acked it,
-// so the shard clock (and the client's reply) carries the replication
-// round's latency.
+// arrival order (see noticeBoard). floor is an extra virtual-time floor:
+// a replicated leader's mutation is applied only after the slowest
+// follower acked it, so the shard clock (and the client's reply) carries
+// the replication round's latency.
 func (m *Manager) dispatchAt(idx int, req *scl.Request, msg proto.Msg, floor vtime.Time) {
 	var tick uint64
 	switch msg.(type) {
 	case *proto.UnlockReq, *proto.BarrierReq, *proto.CondWaitReq:
 		tick = m.board.reserve()
 	}
-	m.shards[idx].process(mgrItem{kind: itemReq, req: req, msg: msg, at: floor, tick: tick})
+	m.shards[idx].serve(req, msg, floor, tick)
 }
 
 // routeErr charges and answers a request that failed to decode. Shard
 // zero handles these so the single-home clock accounting is unchanged.
 func (m *Manager) routeErr(req *scl.Request, err error) {
-	m.shards[0].process(mgrItem{kind: itemErr, req: req, err: err})
+	m.shards[0].refuse(req, err)
 }
 
 // post sends a one-way message (NextWaiter, LockGrant, WriterDead) to a
@@ -491,7 +468,7 @@ func (m *Manager) handleHeartbeat(req *scl.Request) {
 	m.live.Heartbeats.Add(1)
 	now := time.Now()
 	if hb.Member != 0 || hb.Class != 0 {
-		k := memberKey{class: hb.Class, id: hb.Member}
+		k := memberOf(hb.Class, hb.Member)
 		switch mem, ok := m.members[k]; {
 		case hb.Bye:
 			// Graceful departure: the member leaves the table instead of
@@ -503,11 +480,11 @@ func (m *Manager) handleHeartbeat(req *scl.Request) {
 			// must be reclaimed here or it leaks forever. The thread is
 			// NOT marked dead: a later re-registration is legitimate.
 			delete(m.members, k)
-			if ok && k.class == proto.MemberThread {
+			if ok && k.class() == proto.MemberThread {
 				if !mem.dead {
-					m.liveThreads.Add(-1)
+					m.liveThreads--
 				}
-				m.reclaimThread(k.id, false)
+				m.reclaimThread(k.id(), false)
 			}
 		case ok:
 			if !mem.dead {
@@ -515,8 +492,8 @@ func (m *Manager) handleHeartbeat(req *scl.Request) {
 			}
 		default:
 			m.members[k] = &member{node: hb.Node, lastBeat: now}
-			if k.class == proto.MemberThread {
-				m.liveThreads.Add(1)
+			if k.class() == proto.MemberThread {
+				m.liveThreads++
 			}
 		}
 	}
@@ -531,8 +508,19 @@ func (m *Manager) handleHeartbeat(req *scl.Request) {
 }
 
 // reap declares members whose lease expired dead and reclaims their
-// synchronization state.
+// synchronization state. A lease measures a member's silence, not the
+// manager's: after a gap in which this goroutine did not look at the
+// table (it was starved or blocked, or nobody prodded it), the beats
+// live members sent meanwhile are still queued behind the one being
+// handled. A gap therefore counts against a member for at most a
+// quarter lease; every member is credited the rest.
 func (m *Manager) reap(now time.Time) {
+	if unseen := now.Sub(m.lastReap) - m.lease/4; unseen > 0 && !m.lastReap.IsZero() {
+		for _, mem := range m.members {
+			mem.lastBeat = mem.lastBeat.Add(unseen)
+		}
+	}
+	m.lastReap = now
 	for k, mem := range m.members {
 		if mem.dead || now.Sub(mem.lastBeat) <= m.lease {
 			continue
@@ -541,10 +529,10 @@ func (m *Manager) reap(now time.Time) {
 		m.deadNodes[mem.node] = true
 		if m.tr != nil {
 			m.traceLive("member-dead", map[string]any{
-				"class": k.class, "id": k.id, "node": mem.node,
+				"class": k.class(), "id": k.id(), "node": mem.node,
 			})
 		}
-		switch k.class {
+		switch k.class() {
 		case proto.MemberThread:
 			m.obitGen++
 			mem.reapGen = m.obitGen
@@ -553,12 +541,12 @@ func (m *Manager) reap(now time.Time) {
 			// never re-reaps the same lease (no double barrier
 			// recomputation, no duplicate obituary generation).
 			if !m.replicateEvent(proto.KReclaimEvent,
-				&proto.ReclaimEvent{Thread: k.id, Node: mem.node, Gen: m.obitGen}) {
+				&proto.ReclaimEvent{Thread: k.id(), Node: mem.node, Gen: m.obitGen}) {
 				continue // deposed mid-reap: the new leader owns this decision
 			}
 			m.live.ThreadsDead.Add(1)
-			m.liveThreads.Add(-1)
-			m.reclaimThread(k.id, true)
+			m.liveThreads--
+			m.reclaimThread(k.id(), true)
 			// Obituary to the data plane: the dead writer may have
 			// announced a release whose DiffBatch it never shipped, and
 			// the servers must not park fetches on that tag forever.
@@ -566,7 +554,7 @@ func (m *Manager) reap(now time.Time) {
 			// drive this path. The generation lets servers deduplicate
 			// when a promoted manager re-broadcasts.
 			for _, node := range m.dataNodes {
-				m.post(uint32(node), &proto.WriterDead{Writer: k.id, Gen: mem.reapGen}, 0)
+				m.post(uint32(node), &proto.WriterDead{Writer: k.id(), Gen: mem.reapGen}, 0)
 			}
 		case proto.MemberServer:
 			m.live.ServersDead.Add(1)
@@ -579,7 +567,7 @@ func (m *Manager) reap(now time.Time) {
 // fences future grants at the homes.
 func (m *Manager) reclaimThread(tid uint32, markDead bool) {
 	for _, sh := range m.shards {
-		sh.process(mgrItem{kind: itemReclaim, tid: tid, markDead: markDead})
+		sh.reclaim(tid, markDead)
 	}
 	// The thread no longer pins the write-notice horizon.
 	m.board.dropThread(tid)

@@ -335,7 +335,7 @@ func (m *Manager) applyEntry(e proto.ReplEntry) {
 		// corruption, not client error.
 		panic(fmt.Sprintf("manager: bad replicated %v entry: %v", kind, err))
 	}
-	m.dispatch(idx, req, msg)
+	m.dispatchAt(idx, req, msg, 0)
 }
 
 // applyReclaimEvent replays a lease reap the leader replicated before
@@ -344,7 +344,7 @@ func (m *Manager) applyEntry(e proto.ReplEntry) {
 // can never both recompute the same barriers); obituary generations are
 // remembered for the promotion-time re-broadcast.
 func (m *Manager) applyReclaimEvent(re *proto.ReclaimEvent) {
-	k := memberKey{class: proto.MemberThread, id: re.Thread}
+	k := memberOf(proto.MemberThread, re.Thread)
 	mem, ok := m.members[k]
 	switch {
 	case !ok:
@@ -354,7 +354,7 @@ func (m *Manager) applyReclaimEvent(re *proto.ReclaimEvent) {
 		return // duplicate (snapshot + log overlap)
 	default:
 		mem.dead = true
-		m.liveThreads.Add(-1)
+		m.liveThreads--
 	}
 	mem.reapGen = re.Gen
 	if re.Gen > m.obitGen {
@@ -417,11 +417,11 @@ func (m *Manager) promote(term uint64) {
 			continue
 		}
 		mem.lastBeat = now
-		if k.class == proto.MemberThread {
+		if k.class() == proto.MemberThread {
 			live++
 		}
 	}
-	m.liveThreads.Store(live)
+	m.liveThreads = live
 	r.live.MgrElections.Add(1)
 	if m.tr != nil {
 		m.traceLive("manager-promoted", map[string]any{"replica": r.self, "term": term})
@@ -431,11 +431,11 @@ func (m *Manager) promote(term uint64) {
 	// and posting the WriterDead. The servers deduplicate by
 	// generation, so the overlap with the old leader's posts is safe.
 	for k, mem := range m.members {
-		if k.class != proto.MemberThread || !mem.dead {
+		if k.class() != proto.MemberThread || !mem.dead {
 			continue
 		}
 		for _, node := range m.dataNodes {
-			m.post(uint32(node), &proto.WriterDead{Writer: k.id, Gen: mem.reapGen}, 0)
+			m.post(uint32(node), &proto.WriterDead{Writer: k.id(), Gen: mem.reapGen}, 0)
 		}
 	}
 }

@@ -248,3 +248,49 @@ func TestSnapshotRoundTripRestoresParkedWaiters(t *testing.T) {
 		t.Fatalf("post-promotion unlock left lock 3 = %+v, want granted to restored waiter 1", ls)
 	}
 }
+
+// ROADMAP 1(c), end to end at one replica. A follower applies a lock
+// handover from the log: thread 1 releases lock 7 with a write notice,
+// the grant to thread 2 and thread 1's next acquire are answered into
+// the void. The leader dies before thread 2 hears of its grant, the
+// follower is promoted, and thread 2 re-issues its LockReq with the
+// horizon it really has. The promoted replica must answer with thread
+// 1's notice, or thread 2 never invalidates the page.
+func TestReissuedAcquireAfterFailoverStillCarriesItsNotices(t *testing.T) {
+	fab := simnet.NewFabric(testLink)
+	b := New(scl.NewSimEndpoint(fab, followerNode), layout.DefaultGeometry())
+	b.SetReplication(Replication{Self: 1, Nodes: []scl.NodeID{499, followerNode}})
+	apply := func(src uint32, msg proto.Msg) {
+		b.applyEntry(proto.ReplEntry{Src: src, Kind: uint16(msg.Kind()), Body: proto.Encode(msg)})
+	}
+	apply(1, &proto.LockReq{Lock: 7, Thread: 1})
+	apply(2, &proto.LockReq{Lock: 7, Thread: 2}) // parks behind thread 1
+	apply(1, &proto.UnlockReq{Lock: 7, Thread: 1, Interval: 1, Pages: []uint64{24}})
+	apply(1, &proto.LockReq{Lock: 8, Thread: 1})
+	b.promote(2)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b.Run()
+	}()
+	cli := scl.NewSimEndpoint(fab, 2)
+	t.Cleanup(func() {
+		var ack proto.Ack
+		if _, err := cli.Call(followerNode, &proto.Shutdown{}, &ack, 0); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		<-done
+	})
+	var lr proto.LockResp
+	if _, err := cli.Call(followerNode, &proto.LockReq{Lock: 7, Thread: 2}, &lr, 0); err != nil {
+		t.Fatalf("re-issued lock: %v", err)
+	}
+	if !noticePages(lr.Notices)[24] || lr.Seq != 1 {
+		t.Fatalf("re-issued acquire answered seq %d with pages %v, want seq 1 with page 24",
+			lr.Seq, noticePages(lr.Notices))
+	}
+	if grants := b.stats.LockGrants.Load(); grants != 3 {
+		t.Errorf("%d grants after the re-issue, want 3 (answered from the recorded tenure)", grants)
+	}
+}

@@ -81,44 +81,13 @@ type condState struct {
 	waiters []condEntry
 }
 
-type itemKind uint8
-
-const (
-	itemReq      itemKind = iota // a decoded client request
-	itemErr                      // a request that failed to decode
-	itemCondPark                 // cross-shard: park a cond waiter here
-	itemLockWake                 // cross-shard: a signaled waiter re-acquires
-	itemReclaim                  // liveness: reclaim a thread's sync state
-)
-
-// mgrItem is one unit of work for a shard. The dispatcher decodes each
-// request once and routes it to the home shard; shards exchange
-// cross-shard work (cond park/wake, reclamation) with the same type.
-type mgrItem struct {
-	kind     itemKind
-	req      *scl.Request
-	msg      proto.Msg  // itemReq: the decoded request
-	err      error      // itemErr
-	cond     uint32     // itemCondPark: condition id
-	park     condEntry  // itemCondPark
-	lock     uint32     // itemLockWake: lock to re-acquire
-	wake     waiter     // itemLockWake
-	at       vtime.Time // causal floor: itemLockWake's cond home, itemReq's replication round
-	tid      uint32     // itemReclaim
-	markDead bool       // itemReclaim: also fence future grants
-	// tick is the notice-directory ticket the dispatcher reserved for an
-	// interval-carrying itemReq (zero otherwise). The handler fills it;
-	// one that returns without filling (a fenced, malformed or duplicate
-	// release) leaves that seq a permanent gap.
-	tick uint64
-}
-
 // shard is one synchronization home: it owns a disjoint set of locks,
 // barriers, conditions and allocation zones, with its own virtual
 // clock, so independent sync traffic no longer serializes on a single
-// manager clock. The homes are state machines, not goroutines: the
-// dispatcher (or another home, for cross-shard work) calls process
-// directly.
+// manager clock. The homes are state machines called directly, by the
+// dispatcher and, for cross-shard work (parking and waking a condition
+// waiter, reclamation), by one another; every entry point publishes the
+// clock it advanced in mirror.
 type shard struct {
 	m  *Manager
 	id int
@@ -145,34 +114,43 @@ func newShard(m *Manager, id int) *shard {
 	}
 }
 
-// process executes one item and publishes the advanced clock.
-func (sh *shard) process(it mgrItem) {
-	switch it.kind {
-	case itemReq:
-		sh.tick = it.tick
-		sh.clock.AdvanceTo(it.req.Arrive())
-		// A replicated mutation is applied only after the slowest
-		// follower acked it; the round's completion time floors the
-		// clock so replication latency is visible in the reply.
-		sh.clock.AdvanceTo(it.at)
-		sh.clock.Advance(it.req.Svc())
-		sh.handle(it.req, it.msg)
-	case itemErr:
-		sh.clock.AdvanceTo(it.req.Arrive())
-		sh.clock.Advance(it.req.Svc())
-		if !it.req.OneWay() {
-			it.req.ReplyError(it.err, sh.clock.Now())
-		}
-	case itemCondPark:
-		cs := sh.cond(it.cond)
-		cs.waiters = append(cs.waiters, it.park)
-	case itemLockWake:
-		sh.clock.AdvanceTo(it.at)
-		sh.wakeFromCond(it.lock, it.wake)
-	case itemReclaim:
-		sh.reclaim(it.tid, it.markDead)
+// serve runs one decoded client request. tick is the notice-directory
+// ticket the dispatcher reserved for an interval-carrying request (zero
+// otherwise): the handler fills it, and one that returns without filling
+// (a fenced, malformed or duplicate release) leaves that seq a permanent
+// gap. A replicated mutation is applied only after the slowest follower
+// acked it; floor, the round's completion time, is folded into the clock
+// so replication latency is visible in the reply.
+func (sh *shard) serve(req *scl.Request, msg proto.Msg, floor vtime.Time, tick uint64) {
+	sh.tick = tick
+	sh.clock.AdvanceTo(req.Arrive())
+	sh.clock.AdvanceTo(floor)
+	sh.clock.Advance(req.Svc())
+	sh.handle(req, msg)
+	sh.mirror.Store(sh.clock.Now())
+}
+
+// refuse charges and answers a request that failed to decode.
+func (sh *shard) refuse(req *scl.Request, err error) {
+	sh.clock.AdvanceTo(req.Arrive())
+	sh.clock.Advance(req.Svc())
+	if !req.OneWay() {
+		req.ReplyError(err, sh.clock.Now())
 	}
 	sh.mirror.Store(sh.clock.Now())
+}
+
+// heard reports whether a reply to req reaches a client: this replica
+// leads and req is not a log replay. Only then may the reply's notices
+// advance the client's horizon (see noticeBoard.acquire).
+func (sh *shard) heard(req *scl.Request) bool {
+	return !sh.m.isFollower() && !req.Replayed()
+}
+
+// reaches is heard for a parked waiter. A detached waiter's grant is a
+// post, which a leader always sends.
+func (sh *shard) reaches(w *waiter) bool {
+	return !sh.m.isFollower() && (w.detached || !w.req.Replayed())
 }
 
 func (sh *shard) handle(req *scl.Request, msg proto.Msg) {
@@ -340,6 +318,9 @@ func (sh *shard) handleLock(req *scl.Request, lr *proto.LockReq) {
 		// conservation holds across the failover.
 		ns := m.board.after(lr.LastSeen, ls.grantSeq)
 		req.Reply(&proto.LockResp{Seq: ls.grantSeq, Notices: ns}, sh.clock.Now())
+		if sh.heard(req) {
+			m.board.saw(lr.Thread, ls.grantSeq)
+		}
 		return
 	}
 	if m.replicated() && ls.held {
@@ -391,7 +372,7 @@ func (sh *shard) grant(id uint32, ls *lockState, w waiter) {
 	ls.gen++
 	ls.trainLeft = 0
 	m.stats.LockGrants.Add(1)
-	ns, seq := m.board.acquire(w.thread, w.lastSeen)
+	ns, seq := m.board.acquire(w.thread, w.lastSeen, sh.reaches(&w))
 	ls.grantSeq = seq
 	now := sh.clock.Now()
 	switch {
@@ -643,7 +624,7 @@ func (sh *shard) handleBarrier(req *scl.Request, br *proto.BarrierReq) {
 			// to a leader failover and the client re-issued. Its
 			// interval was filled by the original arrival; answer with
 			// the directory frontier without re-counting.
-			ns, seq := m.board.acquire(br.Thread, br.LastSeen)
+			ns, seq := m.board.acquire(br.Thread, br.LastSeen, sh.heard(req))
 			req.Reply(&proto.BarrierResp{Seq: seq, Notices: ns}, sh.clock.Now())
 			return
 		}
@@ -693,7 +674,7 @@ func (sh *shard) releaseBarrier(bs *barrierState, svc vtime.Time) {
 	if m.nshards == 1 {
 		for _, w := range bs.arrived {
 			sh.clock.Advance(svc)
-			ns, seq := m.board.acquire(w.thread, w.lastSeen)
+			ns, seq := m.board.acquire(w.thread, w.lastSeen, sh.reaches(&w))
 			w.req.Reply(&proto.BarrierResp{Seq: seq, Notices: ns}, sh.clock.Now())
 		}
 		bs.arrived = bs.arrived[:0]
@@ -704,7 +685,7 @@ func (sh *shard) releaseBarrier(bs *barrierState, svc vtime.Time) {
 	for j, w := range bs.arrived {
 		depth := vtime.Time(bits.Len(uint(j + 1)))
 		at := start + svc*depth
-		ns, seq := m.board.acquire(w.thread, w.lastSeen)
+		ns, seq := m.board.acquire(w.thread, w.lastSeen, sh.reaches(&w))
 		w.req.Reply(&proto.BarrierResp{Seq: seq, Notices: ns}, at)
 		if at > maxAt {
 			maxAt = at
@@ -732,7 +713,7 @@ func (sh *shard) recheckBarrier(id uint32, bs *barrierState) {
 		sh.releaseBarrier(bs, bs.arrived[len(bs.arrived)-1].req.Svc())
 		return
 	}
-	if live := int(m.liveThreads.Load()); bs.effective() > live {
+	if live := int(m.liveThreads); bs.effective() > live {
 		if m.isFollower() {
 			// A follower's liveThreads is not meaningful (heartbeats
 			// only reach the leader); the unsatisfiability decision is
@@ -781,6 +762,9 @@ func (sh *shard) handleCondWait(req *scl.Request, cw *proto.CondWaitReq) {
 		if ls.held && ls.holder == cw.Thread {
 			ns := m.board.after(cw.LastSeen, ls.grantSeq)
 			req.Reply(&proto.CondWaitResp{Seq: ls.grantSeq, Notices: ns}, sh.clock.Now())
+			if sh.heard(req) {
+				m.board.saw(cw.Thread, ls.grantSeq)
+			}
 			return
 		}
 		for i := range ls.queue {
@@ -814,7 +798,8 @@ func (sh *shard) handleCondWait(req *scl.Request, cw *proto.CondWaitReq) {
 		},
 		lock: cw.Lock,
 	}
-	m.shards[m.shardOf(cw.Cond)].process(mgrItem{kind: itemCondPark, cond: cw.Cond, park: entry})
+	cs := m.shards[m.shardOf(cw.Cond)].cond(cw.Cond)
+	cs.waiters = append(cs.waiters, entry)
 	sh.release(cw.Lock, ls)
 }
 
@@ -836,16 +821,17 @@ func (sh *shard) handleCondSignal(req *scl.Request, sr *proto.CondSignalReq) {
 	// returns; it competes with ordinary lock requests in FIFO order at
 	// the lock's own home.
 	for _, cw := range woken {
-		m.shards[m.shardOf(cw.lock)].process(mgrItem{
-			kind: itemLockWake, lock: cw.lock, wake: cw.w, at: sh.clock.Now(),
-		})
+		m.shards[m.shardOf(cw.lock)].wakeFromCond(cw.lock, cw.w, sh.clock.Now())
 	}
 }
 
 // wakeFromCond runs at the lock's home when a signaled waiter tries to
-// re-acquire its mutex.
-func (sh *shard) wakeFromCond(lockID uint32, w waiter) {
+// re-acquire its mutex; at, the clock of the condition's home, is its
+// causal floor.
+func (sh *shard) wakeFromCond(lockID uint32, w waiter, at vtime.Time) {
 	m := sh.m
+	sh.clock.AdvanceTo(at)
+	sh.mirror.Store(sh.clock.Now())
 	// The same deadThreads fence release() applies: a waiter whose
 	// thread was declared dead between park and wake must not be handed
 	// the lock. It was already popped from the cond queue, so
@@ -942,6 +928,7 @@ func (sh *shard) reclaim(tid uint32, markDead bool) {
 		bs.arrived = kept
 		sh.recheckBarrier(id, bs)
 	}
+	sh.mirror.Store(sh.clock.Now())
 }
 
 // failParked completes every parked waiter at this home with a

@@ -183,121 +183,28 @@ func (ss *snapState) originFreed(addr uint64) (release []uint64, npages uint64) 
 	return release, npages
 }
 
-// encode/decode follow the state.go conventions: sorted iteration for
-// byte-determinism, varint fields throughout.
-func (ss *snapState) encode(w *proto.Writer) {
-	w.U64(ss.nextSnap)
-	ids := make([]uint64, 0, len(ss.snaps))
-	for id := range ss.snaps {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.U64(uint64(len(ids)))
-	for _, id := range ids {
-		si := ss.snaps[id]
-		w.U64(id)
-		w.U64(si.origBase)
-		w.U64(si.npages)
-		w.I64(si.refs)
-		if si.handleGone {
-			w.U8(1)
-		} else {
-			w.U8(0)
-		}
-	}
-	bases := make([]uint64, 0, len(ss.forks))
-	for b := range ss.forks {
-		bases = append(bases, b)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	w.U64(uint64(len(bases)))
-	for _, b := range bases {
-		w.U64(b)
-		w.U64(ss.forks[b])
-	}
-	writers := make([]uint32, 0, len(ss.lastSnap))
-	for wr := range ss.lastSnap {
-		writers = append(writers, wr)
-	}
-	sort.Slice(writers, func(i, j int) bool { return writers[i] < writers[j] })
-	w.U64(uint64(len(writers)))
-	for _, wr := range writers {
-		r := ss.lastSnap[wr]
-		w.U32(wr)
-		w.U64(r.seq)
-		w.U64(r.snap)
-	}
-	writers = writers[:0]
-	for wr := range ss.lastFork {
-		writers = append(writers, wr)
-	}
-	sort.Slice(writers, func(i, j int) bool { return writers[i] < writers[j] })
-	w.U64(uint64(len(writers)))
-	for _, wr := range writers {
-		r := ss.lastFork[wr]
-		w.U32(wr)
-		w.U64(r.seq)
-		w.U64(r.resp.Base)
-		w.U64(r.resp.OrigBase)
-		w.U64(r.resp.NPages)
-	}
-	writers = writers[:0]
-	for wr := range ss.lastFreeFork {
-		writers = append(writers, wr)
-	}
-	sort.Slice(writers, func(i, j int) bool { return writers[i] < writers[j] })
-	w.U64(uint64(len(writers)))
-	for _, wr := range writers {
-		r := ss.lastFreeFork[wr]
-		w.U32(wr)
-		w.U64(r.seq)
-		if r.resp.Fork {
-			w.U8(1)
-		} else {
-			w.U8(0)
-		}
-		w.U64(r.resp.Snap)
-		w.U64(r.resp.NPages)
-		w.U64s(r.resp.Release)
-	}
-}
-
-func (ss *snapState) decode(r *proto.Reader) {
-	ss.nextSnap = r.U64()
-	ns := r.U64()
-	for i := uint64(0); i < ns && r.Err() == nil; i++ {
-		id := r.U64()
-		si := &snapInfo{origBase: r.U64(), npages: r.U64(), refs: r.I64()}
-		si.handleGone = r.U8() != 0
-		ss.snaps[id] = si
-	}
-	nf := r.U64()
-	for i := uint64(0); i < nf && r.Err() == nil; i++ {
-		b := r.U64()
-		ss.forks[b] = r.U64()
-	}
-	nl := r.U64()
-	for i := uint64(0); i < nl && r.Err() == nil; i++ {
-		wr := r.U32()
-		ss.lastSnap[wr] = snapRecord{seq: r.U64(), snap: r.U64()}
-	}
-	nk := r.U64()
-	for i := uint64(0); i < nk && r.Err() == nil; i++ {
-		wr := r.U32()
-		rec := forkRecord{seq: r.U64()}
-		rec.resp.Base = r.U64()
-		rec.resp.OrigBase = r.U64()
-		rec.resp.NPages = r.U64()
-		ss.lastFork[wr] = rec
-	}
-	nff := r.U64()
-	for i := uint64(0); i < nff && r.Err() == nil; i++ {
-		wr := r.U32()
-		rec := freeForkRecord{seq: r.U64()}
-		rec.resp.Fork = r.U8() != 0
-		rec.resp.Snap = r.U64()
-		rec.resp.NPages = r.U64()
-		rec.resp.Release = r.U64s()
-		ss.lastFreeFork[wr] = rec
-	}
+// walkSnapState is the table's part of the replication snapshot. The
+// two reply records are laid out as the replies themselves are on the
+// wire.
+func walkSnapState(c *proto.Codec, ss *snapState) {
+	c.U64(&ss.nextSnap)
+	proto.Map(c, &ss.snaps, (*proto.Codec).U64, at(func(c *proto.Codec, si *snapInfo) {
+		c.U64(&si.origBase)
+		c.U64(&si.npages)
+		c.I64(&si.refs)
+		c.Bool(&si.handleGone)
+	}))
+	proto.Map(c, &ss.forks, (*proto.Codec).U64, (*proto.Codec).U64)
+	proto.Map(c, &ss.lastSnap, (*proto.Codec).U32, func(c *proto.Codec, r *snapRecord) {
+		c.U64(&r.seq)
+		c.U64(&r.snap)
+	})
+	proto.Map(c, &ss.lastFork, (*proto.Codec).U32, func(c *proto.Codec, r *forkRecord) {
+		c.U64(&r.seq)
+		r.resp.Walk(c)
+	})
+	proto.Map(c, &ss.lastFreeFork, (*proto.Codec).U32, func(c *proto.Codec, r *freeForkRecord) {
+		c.U64(&r.seq)
+		r.resp.Walk(c)
+	})
 }

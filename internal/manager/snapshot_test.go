@@ -88,14 +88,11 @@ func TestSnapStateEncodeRoundTrip(t *testing.T) {
 		Fork: true, Snap: 2, NPages: 4, Release: []uint64{2},
 	}}
 
-	var w proto.Writer
-	ss.encode(&w)
+	enc := proto.Marshal(func(c *proto.Codec) { walkSnapState(c, ss) })
 
 	got := newSnapState()
-	r := &proto.Reader{B: w.B}
-	got.decode(r)
-	if r.Err() != nil {
-		t.Fatalf("decode: %v", r.Err())
+	if err := proto.Unmarshal(enc, func(c *proto.Codec) { walkSnapState(c, got) }); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	si := got.snaps[2]
 	if si == nil || si.origBase != 0x1000 || si.npages != 4 || si.refs != 2 || !si.handleGone {
@@ -107,9 +104,7 @@ func TestSnapStateEncodeRoundTrip(t *testing.T) {
 		t.Fatalf("decoded lastFreeFork = %+v", rec)
 	}
 
-	var w2 proto.Writer
-	got.encode(&w2)
-	if !bytes.Equal(w.B, w2.B) {
+	if again := proto.Marshal(func(c *proto.Codec) { walkSnapState(c, got) }); !bytes.Equal(enc, again) {
 		t.Fatal("snapState encoding does not round-trip byte-identically")
 	}
 }

@@ -63,14 +63,14 @@ func goldenManager(t *testing.T) *Manager {
 
 	// Membership: both classes, one thread dead with its obituary
 	// generation.
-	m.members[memberKey{class: proto.MemberThread, id: 2}] = &member{node: 102, dead: true, reapGen: 1}
-	m.members[memberKey{class: proto.MemberServer, id: 0}] = &member{node: 10}
-	m.members[memberKey{class: proto.MemberThread, id: 300}] = &member{node: 400}
-	m.members[memberKey{class: proto.MemberThread, id: 1}] = &member{node: 101}
+	m.members[memberOf(proto.MemberThread, 2)] = &member{node: 102, dead: true, reapGen: 1}
+	m.members[memberOf(proto.MemberServer, 0)] = &member{node: 10}
+	m.members[memberOf(proto.MemberThread, 300)] = &member{node: 400}
+	m.members[memberOf(proto.MemberThread, 1)] = &member{node: 101}
 	m.deadNodes[102] = true
 	m.deadNodes[77] = true
 	m.obitGen = 1
-	m.liveThreads.Store(2)
+	m.liveThreads = 2
 
 	// Homes. Lock 3 is held with a parked and a detached waiter, lock 8 is
 	// free; barrier 9 is half arrived; condition 10 has one waiter.

@@ -1,6 +1,10 @@
 package proto
 
-import "sync"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
 
 // Msg is implemented by every protocol message body.
 type Msg interface {
@@ -25,6 +29,11 @@ type Codec struct {
 	dec   bool // direction: fill fields from r instead of appending them to w
 	alias bool // decoding: Payload fields alias r.B instead of copying
 }
+
+// Decoding reports the walk's direction, for the few walks that must do
+// more than name fields when filling them (allocate what a pointer
+// field points to, rebuild what is derived from the decoded fields).
+func (c *Codec) Decoding() bool { return c.dec }
 
 // U8 walks one byte.
 func (c *Codec) U8(v *uint8) {
@@ -71,6 +80,15 @@ func (c *Codec) U64(v *uint64) {
 		*v = c.r.U64()
 	} else {
 		c.w.U64(*v)
+	}
+}
+
+// I64 walks a zigzag-varint-encoded int64.
+func (c *Codec) I64(v *int64) {
+	if c.dec {
+		*v = c.r.I64()
+	} else {
+		c.w.I64(*v)
 	}
 }
 
@@ -129,24 +147,67 @@ func (c *Codec) tail(set bool) bool {
 	return set
 }
 
-// list walks a count-prefixed list, element by element. Decoding rejects
+// List walks a count-prefixed list, element by element. Decoding rejects
 // a count larger than the bytes that are left — every element takes at
 // least one — before allocating anything for it, so a hostile length
 // costs nothing; a count of zero decodes to an empty, non-nil slice.
-func list[T any](c *Codec, s *[]T, walk func(*Codec, *T)) {
-	n := uint64(len(*s))
-	c.U64(&n)
+func List[T any](c *Codec, s *[]T, walk func(*Codec, *T)) {
+	n, ok := c.count(len(*s))
+	if !ok {
+		return
+	}
 	if c.dec {
-		if c.r.err != nil || n > uint64(c.r.Remaining()) {
-			c.r.fail()
-			return
-		}
 		*s = make([]T, n)
 	}
 	elems := *s
 	for i := range elems {
 		walk(c, &elems[i])
 	}
+}
+
+// Map walks a count-prefixed map as key, value pairs in ascending key
+// order, whatever order the map was filled in: equal maps encode to
+// equal bytes. Decoding guards the count as List does, and a count of
+// zero decodes to an empty, non-nil map.
+func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, key func(*Codec, *K), val func(*Codec, *V)) {
+	n, ok := c.count(len(*m))
+	if !ok {
+		return
+	}
+	if c.dec {
+		*m = make(map[K]V, n)
+		for ; n > 0 && c.r.err == nil; n-- {
+			var k K
+			var v V
+			key(c, &k)
+			val(c, &v)
+			(*m)[k] = v
+		}
+		return
+	}
+	keys := make([]K, 0, n)
+	for k := range *m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		v := (*m)[k]
+		key(c, &k)
+		val(c, &v)
+	}
+}
+
+// count walks the element count that prefixes a list or map. A decoded
+// count larger than the bytes that are left fails the decode: ok is
+// false and the caller allocates nothing.
+func (c *Codec) count(have int) (n int, ok bool) {
+	v := uint64(have)
+	c.U64(&v)
+	if c.dec && (c.r.err != nil || v > uint64(c.r.Remaining())) {
+		c.r.fail()
+		return 0, false
+	}
+	return int(v), true
 }
 
 // codecs recycles the codecs Encode and Decode walk with. A pooled
@@ -165,6 +226,19 @@ const maxEncodeScratch = 1 << poolMaxShift
 func Encode(m Msg) []byte {
 	c := codecs.Get().(*Codec)
 	m.Walk(c)
+	return c.finish()
+}
+
+// Marshal is Encode for bytes that are no wire message (the manager's
+// replication snapshot): it runs walk against an encoding codec.
+func Marshal(walk func(*Codec)) []byte {
+	c := codecs.Get().(*Codec)
+	walk(c)
+	return c.finish()
+}
+
+// finish copies the encoded bytes out and recycles the codec.
+func (c *Codec) finish() []byte {
 	body := append([]byte(nil), c.w.B...)
 	if cap(c.w.B) <= maxEncodeScratch {
 		c.w.B = c.w.B[:0]
@@ -189,30 +263,29 @@ func Decode(m Msg, body []byte) error { return decode(m, body, false) }
 func DecodeAlias(m Msg, body []byte) error { return decode(m, body, true) }
 
 func decode(m Msg, body []byte, alias bool) error {
+	c := decoder(body, alias)
+	m.Walk(c)
+	return c.done()
+}
+
+// Unmarshal runs walk against a codec decoding body, the inverse of
+// Marshal; byte payloads are copied out of body.
+func Unmarshal(body []byte, walk func(*Codec)) error {
+	c := decoder(body, false)
+	walk(c)
+	return c.done()
+}
+
+func decoder(body []byte, alias bool) *Codec {
 	c := codecs.Get().(*Codec)
 	c.r.B, c.dec, c.alias = body, true, alias
-	m.Walk(c)
+	return c
+}
+
+// done recycles a decoding codec and reports the first decoding error.
+func (c *Codec) done() error {
 	err := c.r.err
 	c.r, c.dec, c.alias = Reader{}, false, false
 	codecs.Put(c)
 	return err
-}
-
-// Notices is the notice-list walk, exported for the manager's
-// replication snapshot, which serializes its notice directory outside
-// any wire message: it appends *ns to w or, when w is nil, fills *ns
-// from r, copying the record payloads.
-func Notices(w *Writer, r *Reader, ns *[]Notice) {
-	var c Codec
-	if w != nil {
-		c.w = *w
-	} else {
-		c.r, c.dec = *r, true
-	}
-	list(&c, ns, walkNotice)
-	if w != nil {
-		*w = c.w
-	} else {
-		*r = c.r
-	}
 }

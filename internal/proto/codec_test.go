@@ -182,3 +182,66 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+func walkTestMap(m *map[uint32]int64) func(*Codec) {
+	return func(c *Codec) { Map(c, m, (*Codec).U32, (*Codec).I64) }
+}
+
+// Map's bytes are a function of the map's contents alone: pairs leave in
+// ascending key order however the map was filled, and come back equal.
+func TestMapWalksInAscendingKeyOrder(t *testing.T) {
+	want := []byte{3, 1, 2, 7, 1, 0xAC, 0x02, 5} // count; 1:+1, 7:-1, 300:-3 (zigzag)
+	for _, order := range [][]uint32{{1, 7, 300}, {300, 7, 1}, {7, 300, 1}} {
+		m := make(map[uint32]int64)
+		for _, k := range order {
+			m[k] = map[uint32]int64{1: 1, 7: -1, 300: -3}[k]
+		}
+		got := Marshal(walkTestMap(&m))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("filled in order %v: % x, want % x", order, got, want)
+		}
+		var back map[uint32]int64
+		if err := Unmarshal(got, walkTestMap(&back)); err != nil || !reflect.DeepEqual(back, m) {
+			t.Fatalf("decoded %v, %v; want %v", back, err, m)
+		}
+	}
+}
+
+func TestMapEmptyIsOneZeroByte(t *testing.T) {
+	for _, m := range []map[uint32]int64{nil, {}} {
+		if got := Marshal(walkTestMap(&m)); !reflect.DeepEqual(got, []byte{0}) {
+			t.Fatalf("empty map encodes to % x, want 00", got)
+		}
+	}
+	var back map[uint32]int64
+	if err := Unmarshal([]byte{0}, walkTestMap(&back)); err != nil || back == nil || len(back) != 0 {
+		t.Fatalf("decoded %v, %v; want an empty, non-nil map", back, err)
+	}
+}
+
+// A count larger than the bytes behind it fails the decode before
+// anything is allocated for it, and so does a key that does not fit.
+func TestMapRejectsHostileCount(t *testing.T) {
+	var w Writer
+	w.U64(1 << 40)
+	w.U32(1)
+	w.I64(1)
+	var m map[uint32]int64
+	walk := walkTestMap(&m)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := Unmarshal(w.B, walk); err == nil {
+			t.Fatal("a 2^40-pair map in 3 bytes decoded")
+		}
+	})
+	if len(m) != 0 || (!raceEnabled && allocs > 0) {
+		t.Fatalf("hostile count cost %.0f allocations and left %d pairs", allocs, len(m))
+	}
+
+	w = Writer{}
+	w.U64(1)
+	w.U64(1 << 32) // a key that is no uint32
+	w.I64(1)
+	if err := Unmarshal(w.B, walkTestMap(&m)); err == nil {
+		t.Fatal("a 33-bit key decoded into a uint32 map")
+	}
+}

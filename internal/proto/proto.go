@@ -32,7 +32,7 @@
 //  1. Declare the struct in types.go and a K… constant just above
 //     kindEnd, so the existing kind numbers stay.
 //  2. Give it Kind and Walk. Walk calls one Codec primitive per field, in
-//     wire order: U8/Bool/U16/U32/U64, U64s, String, list(c, &m.Xs,
+//     wire order: U8/Bool/U16/U32/U64, U64s, String, List(c, &m.Xs,
 //     walkX) with the sub-struct's own walk, Payload for bytes the
 //     receiver may use in place while it owns the body, Bytes for bytes
 //     that outlive it. A field added to an existing message goes last,
@@ -257,15 +257,12 @@ func (w *Writer) U64s(vs []uint64) {
 }
 
 // Reader consumes binary fields from a buffer. The first decoding error
-// sticks; callers check Err once at the end.
+// sticks in err; a codec checks it once at the end.
 type Reader struct {
 	B   []byte
 	off int
 	err error
 }
-
-// Err reports the first error encountered while decoding.
-func (r *Reader) Err() error { return r.err }
 
 func (r *Reader) fail() {
 	if r.err == nil {

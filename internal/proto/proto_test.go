@@ -158,7 +158,7 @@ func TestPrimitiveRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		return r.Err() == nil && r.Remaining() == 0
+		return r.err == nil && r.Remaining() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

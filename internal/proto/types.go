@@ -37,7 +37,7 @@ type PageDiff struct {
 
 func walkDiff(c *Codec, d *PageDiff) {
 	c.U64(&d.Page)
-	list(c, &d.Runs, walkRun)
+	List(c, &d.Runs, walkRun)
 }
 
 // PayloadBytes reports the number of data bytes carried by the diff.
@@ -125,11 +125,13 @@ type Notice struct {
 	Records []StoreRecord
 }
 
-func walkNotice(c *Codec, n *Notice) {
+// WalkNotice is exported for the manager's replication snapshot, which
+// carries the notice directory outside any wire message.
+func WalkNotice(c *Codec, n *Notice) {
 	c.U64(&n.Seq)
 	walkTag(c, &n.Tag)
 	c.U64s(&n.Pages)
-	list(c, &n.Records, walkRecord)
+	List(c, &n.Records, walkRecord)
 }
 
 // ---------------------------------------------------------------------
@@ -144,7 +146,7 @@ type PageNeed struct {
 
 func walkNeed(c *Codec, n *PageNeed) {
 	c.U64(&n.Page)
-	list(c, &n.Tags, walkTag)
+	List(c, &n.Tags, walkTag)
 }
 
 // FetchLineReq asks a home server for one cache line (LinePages
@@ -158,7 +160,7 @@ func (m *FetchLineReq) Kind() Kind { return KFetchLineReq }
 
 func (m *FetchLineReq) Walk(c *Codec) {
 	c.U64(&m.Line)
-	list(c, &m.Needs, walkNeed)
+	List(c, &m.Needs, walkNeed)
 }
 
 // FetchLineResp carries the line contents.
@@ -192,7 +194,7 @@ func (m *FetchLinesReq) Kind() Kind { return KFetchLinesReq }
 func (m *FetchLinesReq) Walk(c *Codec) {
 	c.U64s(&m.Lines)
 	c.U64s(&m.Pages)
-	list(c, &m.Needs, walkNeed)
+	List(c, &m.Needs, walkNeed)
 }
 
 // FetchLinesResp carries the contents of every requested line, then
@@ -227,8 +229,8 @@ func (m *DiffBatch) Kind() Kind { return KDiffBatch }
 
 func (m *DiffBatch) Walk(c *Codec) {
 	walkTag(c, &m.Tag)
-	list(c, &m.Diffs, walkDiff)
-	list(c, &m.Records, walkRecord)
+	List(c, &m.Diffs, walkDiff)
+	List(c, &m.Records, walkRecord)
 	c.U64s(&m.EmptyPages)
 	c.U64s(&m.OwnedPages)
 }
@@ -256,7 +258,7 @@ type DiffPullResp struct {
 func (m *DiffPullResp) Kind() Kind { return KDiffPullResp }
 
 func (m *DiffPullResp) Walk(c *Codec) {
-	list(c, &m.Diffs, walkDiff)
+	List(c, &m.Diffs, walkDiff)
 }
 
 // EvictFlush carries the diff of a dirty page evicted mid-interval. The
@@ -271,7 +273,7 @@ func (m *EvictFlush) Kind() Kind { return KEvictFlush }
 
 func (m *EvictFlush) Walk(c *Codec) {
 	c.U32(&m.Writer)
-	list(c, &m.Diffs, walkDiff)
+	List(c, &m.Diffs, walkDiff)
 }
 
 // ---------------------------------------------------------------------
@@ -426,7 +428,7 @@ func (m *LockResp) Kind() Kind { return KLockResp }
 
 func (m *LockResp) Walk(c *Codec) {
 	c.U64(&m.Seq)
-	list(c, &m.Notices, walkNotice)
+	List(c, &m.Notices, WalkNotice)
 	if c.tail(m.Gen != 0 || m.Queued) {
 		c.U64(&m.Gen)
 		c.Bool(&m.Queued)
@@ -458,7 +460,7 @@ func (m *UnlockReq) Walk(c *Codec) {
 	c.U32(&m.Thread)
 	c.U64(&m.Interval)
 	c.U64s(&m.Pages)
-	list(c, &m.Records, walkRecord)
+	List(c, &m.Records, walkRecord)
 	if c.tail(m.HandedOff != 0) {
 		c.U32(&m.HandedOff)
 	}
@@ -495,7 +497,7 @@ func (m *BarrierReq) Walk(c *Codec) {
 	c.U64(&m.LastSeen)
 	c.U64(&m.Interval)
 	c.U64s(&m.Pages)
-	list(c, &m.Records, walkRecord)
+	List(c, &m.Records, walkRecord)
 	if c.tail(m.Epoch != 0) {
 		c.U64(&m.Epoch)
 	}
@@ -511,7 +513,7 @@ func (m *BarrierResp) Kind() Kind { return KBarrierResp }
 
 func (m *BarrierResp) Walk(c *Codec) {
 	c.U64(&m.Seq)
-	list(c, &m.Notices, walkNotice)
+	List(c, &m.Notices, WalkNotice)
 }
 
 // CondWaitReq atomically releases the named mutex (posting the release
@@ -537,7 +539,7 @@ func (m *CondWaitReq) Walk(c *Codec) {
 	c.U64(&m.LastSeen)
 	c.U64(&m.Interval)
 	c.U64s(&m.Pages)
-	list(c, &m.Records, walkRecord)
+	List(c, &m.Records, walkRecord)
 }
 
 // CondWaitResp returns from a condition wait with the mutex re-held.
@@ -550,7 +552,7 @@ func (m *CondWaitResp) Kind() Kind { return KCondWaitResp }
 
 func (m *CondWaitResp) Walk(c *Codec) {
 	c.U64(&m.Seq)
-	list(c, &m.Notices, walkNotice)
+	List(c, &m.Notices, WalkNotice)
 }
 
 // CondSignalReq wakes one (or all) waiters of a condition variable.
@@ -583,7 +585,7 @@ type SuccAnn struct {
 func walkSucc(c *Codec, a *SuccAnn) {
 	c.U32(&a.Waiter)
 	c.U32(&a.WaiterNode)
-	list(c, &a.Notices, walkNotice)
+	List(c, &a.Notices, WalkNotice)
 }
 
 // NextWaiter is the manager telling the current lock holder who to hand
@@ -611,7 +613,7 @@ func (m *NextWaiter) Walk(c *Codec) {
 	c.U32(&m.Lock)
 	c.U64(&m.Gen)
 	c.U64(&m.Seq)
-	list(c, &m.Train, walkSucc)
+	List(c, &m.Train, walkSucc)
 }
 
 // PagePayload carries one whole page's current bytes inside a
@@ -660,10 +662,10 @@ func (m *LockGrant) Walk(c *Codec) {
 	c.U32(&m.Lock)
 	c.U64(&m.Gen)
 	c.U64(&m.Seq)
-	list(c, &m.Notices, walkNotice)
-	list(c, &m.Inline, walkNotice)
-	list(c, &m.Train, walkSucc)
-	list(c, &m.PageData, walkPagePayload)
+	List(c, &m.Notices, WalkNotice)
+	List(c, &m.Inline, WalkNotice)
+	List(c, &m.Train, walkSucc)
+	List(c, &m.PageData, walkPagePayload)
 	c.U16(&m.Code)
 }
 
@@ -868,7 +870,7 @@ func (m *ReplAppend) Kind() Kind { return KReplAppend }
 
 func (m *ReplAppend) Walk(c *Codec) {
 	c.U64(&m.Term)
-	list(c, &m.Entries, walkEntry)
+	List(c, &m.Entries, walkEntry)
 }
 
 // ReplAck answers a ReplAppend. OK means every entry up to NextIndex-1
@@ -1039,7 +1041,7 @@ func (m *SealAS) Walk(c *Codec) {
 	c.U64(&m.Snap)
 	c.U64(&m.Base)
 	c.U64(&m.NPages)
-	list(c, &m.Needs, walkNeed)
+	List(c, &m.Needs, walkNeed)
 	if c.tail(len(m.Pages) > 0) {
 		c.U64s(&m.Pages)
 	}

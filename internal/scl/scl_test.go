@@ -121,6 +121,39 @@ func TestSimSendToGonePortIsPeerDeath(t *testing.T) {
 	}
 }
 
+// A call already pending at a peer that dies (queued in its inbox, or
+// received and parked) fails the same way, instead of waiting for a
+// reply nobody will send.
+func TestSimCallPendingAtDyingPeerIsPeerDeath(t *testing.T) {
+	f := simnet.NewFabric(testModel)
+	srv := NewSimEndpoint(f, 2)
+	errs := make(chan error, 2)
+	for _, id := range []NodeID{1, 3} {
+		cli := NewSimEndpoint(f, id)
+		defer cli.Close()
+		go func() {
+			var ack proto.Ack
+			_, err := cli.Call(2, &proto.Ping{}, &ack, 0)
+			errs <- err
+		}()
+	}
+	if _, ok := srv.Recv(); !ok { // one call parked; the other queued, or about to find the port gone
+		t.Fatal("Recv failed")
+	}
+	srv.Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, proto.ErrPeerDied) || !IsTransient(err) {
+				t.Errorf("call pending at a dying peer: %v (ErrPeerDied=%v transient=%v)",
+					err, errors.Is(err, proto.ErrPeerDied), IsTransient(err))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a call pending at a dead peer is still waiting")
+		}
+	}
+}
+
 func TestTCPEndpoint(t *testing.T) {
 	book := NewAddressBook()
 	srv, err := NewTCPEndpoint(2, "127.0.0.1:0", book, testModel)

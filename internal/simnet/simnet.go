@@ -50,9 +50,8 @@ type Message struct {
 	Arrive vtime.Time // virtual arrival time at the receiver
 	Svc    vtime.Time // per-request service time of the incoming link
 
-	reply  chan *Message // non-nil for RPC requests
-	fabric *Fabric
-	dst    NodeID
+	reply chan *Message // non-nil for RPC requests
+	dst   NodeID
 }
 
 // Fabric connects a set of ports with a (possibly heterogeneous) link
@@ -163,12 +162,10 @@ func (f *Fabric) port(id NodeID) (*Port, error) {
 	return p, nil
 }
 
-// deliver computes timing, accounts traffic and enqueues the message.
-func (f *Fabric) deliver(src, dst NodeID, m *Message, sendTime vtime.Time) (senderDone vtime.Time, err error) {
-	p, err := f.port(dst)
-	if err != nil {
-		return sendTime, err
-	}
+// deliver computes timing, accounts traffic and enqueues the message at
+// p, the destination's port.
+func (f *Fabric) deliver(src NodeID, p *Port, m *Message, sendTime vtime.Time) (senderDone vtime.Time, err error) {
+	dst := p.id
 	link := f.Link(src, dst)
 	size := len(m.Body) + HeaderBytes
 	senderDone = sendTime + link.SendOverhead
@@ -205,28 +202,38 @@ func (p *Port) ID() NodeID { return p.id }
 // delivery: this is the asynchronous, RDMA-write-flavoured path used
 // for DiffBatch and EvictFlush traffic).
 func (p *Port) Post(dst NodeID, kind uint16, body []byte, at vtime.Time) (vtime.Time, error) {
-	m := &Message{Src: p.id, Kind: kind, Body: body, fabric: p.fabric, dst: dst}
-	return p.fabric.deliver(p.id, dst, m, at)
+	to, err := p.fabric.port(dst)
+	if err != nil {
+		return at, err
+	}
+	m := &Message{Src: p.id, Kind: kind, Body: body, dst: dst}
+	return p.fabric.deliver(p.id, to, m, at)
 }
 
 // Call performs a synchronous RPC: it sends the request and blocks until
 // the response arrives. It returns the response kind and body and the
-// caller's virtual time at which the response is in hand.
+// caller's virtual time at which the response is in hand. A call whose
+// destination closes before answering — the request still queued in its
+// inbox, or parked by it for a deferred reply — fails with ErrPeerGone
+// instead of waiting for a reply nobody will send.
 func (p *Port) Call(dst NodeID, kind uint16, body []byte, at vtime.Time) (respKind uint16, respBody []byte, doneAt vtime.Time, err error) {
-	m := &Message{
-		Src:    p.id,
-		Kind:   kind,
-		Body:   body,
-		reply:  make(chan *Message, 1),
-		fabric: p.fabric,
-		dst:    dst,
+	to, err := p.fabric.port(dst)
+	if err != nil {
+		return 0, nil, at, err
 	}
-	if _, err := p.fabric.deliver(p.id, dst, m, at); err != nil {
+	m := &Message{
+		Src:   p.id,
+		Kind:  kind,
+		Body:  body,
+		reply: make(chan *Message, 1),
+		dst:   dst,
+	}
+	if _, err := p.fabric.deliver(p.id, to, m, at); err != nil {
 		return 0, nil, at, err
 	}
 	// Sequenced fabrics count the caller as parked while it waits; the
 	// replier issues the wake token (see Reply), so the reply path needs
-	// no Resume here — only the close path restores the token itself.
+	// no Resume here — only the close paths restore the token themselves.
 	seq := p.fabric.seq
 	if seq != nil {
 		seq.Pause()
@@ -235,11 +242,20 @@ func (p *Port) Call(dst NodeID, kind uint16, body []byte, at vtime.Time) (respKi
 	case resp := <-m.reply:
 		return resp.Kind, resp.Body, vtime.Max(at, resp.Arrive), nil
 	case <-p.closed:
-		if seq != nil {
-			seq.Resume()
+		err = fmt.Errorf("simnet: port %d closed during call", p.id)
+	case <-to.closed:
+		// The peer may have answered on its way out.
+		select {
+		case resp := <-m.reply:
+			return resp.Kind, resp.Body, vtime.Max(at, resp.Arrive), nil
+		default:
 		}
-		return 0, nil, at, fmt.Errorf("simnet: port %d closed during call", p.id)
+		err = fmt.Errorf("simnet: port %d closed before answering: %w", dst, ErrPeerGone)
 	}
+	if seq != nil {
+		seq.Resume()
+	}
+	return 0, nil, at, err
 }
 
 // Recv blocks until a message arrives or the port is closed. The second
@@ -310,11 +326,20 @@ func (r *Request) Svc() vtime.Time { return r.msg.Svc }
 func (r *Request) OneWay() bool { return r.msg.reply == nil }
 
 // Reply answers an RPC request at the given virtual time on the
-// responder's clock. Replying to a one-way message panics — that is
-// always a protocol bug.
+// responder's clock; once the responder's port has closed it does
+// nothing. Replying to a one-way message panics — that is always a
+// protocol bug.
 func (r *Request) Reply(kind uint16, body []byte, at vtime.Time) {
 	if r.msg.reply == nil {
 		panic(fmt.Sprintf("simnet: reply to one-way %d message", r.msg.Kind))
+	}
+	// A closed port is a node that is gone, and a node that is gone
+	// answers nobody: whatever its owner still does with requests it had
+	// taken, their callers learn of the closure instead (see Call).
+	select {
+	case <-r.port.closed:
+		return
+	default:
 	}
 	link := r.port.fabric.Link(r.port.id, r.msg.Src)
 	size := len(body) + HeaderBytes

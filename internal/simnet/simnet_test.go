@@ -1,9 +1,11 @@
 package simnet
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/vtime"
 )
@@ -249,8 +251,8 @@ func TestArrivalLowerBoundProperty(t *testing.T) {
 		}
 	}()
 	prop := func(at uint32, size uint16) bool {
-		m := &Message{Src: 1, Kind: 1, Body: make([]byte, int(size)%2048), fabric: f, dst: 2}
-		_, err := f.deliver(1, 2, m, vtime.Time(at))
+		m := &Message{Src: 1, Kind: 1, Body: make([]byte, int(size)%2048), dst: 2}
+		_, err := f.deliver(1, b, m, vtime.Time(at))
 		if err != nil {
 			return false
 		}
@@ -261,4 +263,60 @@ func TestArrivalLowerBoundProperty(t *testing.T) {
 	}
 	a.Close()
 	b.Close()
+}
+
+// A call waits on its destination as well as on its reply: a request
+// still queued at a port that closes, and one the port's owner received
+// and parked for a deferred reply, both fail typed instead of hanging.
+func TestCallFailsWhenDestinationCloses(t *testing.T) {
+	f := NewFabric(testModel)
+	srv := f.NewPort(2)
+	errs := make(chan error, 2)
+	call := func(id NodeID) {
+		p := f.NewPort(id)
+		go func() {
+			_, _, _, err := p.Call(2, 1, nil, 0)
+			errs <- err
+		}()
+	}
+	call(1)
+	if _, ok := srv.Recv(); !ok { // parked: taken, never answered
+		t.Fatal("Recv failed")
+	}
+	call(3)
+	for deadline := time.Now().Add(5 * time.Second); len(srv.inbox) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second call never reached the inbox")
+		}
+	}
+	srv.Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrPeerGone) {
+				t.Errorf("call pending at a closed port: %v, want ErrPeerGone", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a call pending at a closed port is still waiting")
+		}
+	}
+}
+
+// A peer that answers and then closes has answered: the caller takes the
+// reply whichever of the two it notices first.
+func TestCallTakesReplySentBeforeClose(t *testing.T) {
+	f := NewFabric(testModel)
+	cli := f.NewPort(1)
+	for i := 0; i < 200; i++ {
+		srv := f.NewPort(2)
+		go func() {
+			req, _ := srv.Recv()
+			req.Reply(9, nil, req.Arrive())
+			srv.Close()
+		}()
+		if kind, _, _, err := cli.Call(2, 1, nil, 0); err != nil || kind != 9 {
+			t.Fatalf("round %d: kind %d, err %v; want the reply", i, kind, err)
+		}
+		srv.Close() // idempotent; frees id 2 for the next round even if the goroutine has not got there
+	}
 }
