@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -106,7 +105,7 @@ func TestConvoyGrantBodiesGolden(t *testing.T) {
 		if err := proto.Decode(&g, body); err != nil {
 			t.Fatalf("hop %d: %v", i, err)
 		}
-		if n := len(g.Train); n > longest {
+		if n := g.Train.Len(); n > longest {
 			longest = n
 		}
 		fmt.Fprintf(&got, "hop %d: %x\n", i, body)
@@ -124,19 +123,17 @@ func TestConvoyGrantBodiesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal([]byte(got.String()), want) {
-		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-			var g, w string
-			if i < len(gotLines) {
-				g = gotLines[i]
-			}
-			if i < len(wantLines) {
-				w = wantLines[i]
-			}
-			if g != w {
-				t.Fatalf("line %d:\n got %s\nwant %s", i+1, g, w)
-			}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("line %d:\n got %s\nwant %s", i+1, g, w)
 		}
 	}
 }

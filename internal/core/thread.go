@@ -111,11 +111,13 @@ type grantMsg struct {
 // train's notice batches were composed at; inline accumulates the
 // closing intervals of the train holders so far (oldest first), which
 // every later successor needs on top of its manager-composed batch.
+// Both lists stay in wire form (aliasing the announcement or grant body
+// they arrived in): this thread only forwards them.
 type succTrain struct {
 	gen    uint64
 	seq    uint64
-	train  []proto.SuccAnn
-	inline []proto.Notice
+	train  proto.Train
+	inline proto.NoticeList
 }
 
 var _ vm.Thread = (*Thread)(nil)
@@ -225,8 +227,9 @@ func (t *Thread) agentLoop() {
 				req.Arrive()+req.Svc()+t.rt.cfg.CPU.CopyTime(payload))
 		case proto.KNextWaiter:
 			// Announcement and grant bodies have this one receiver: their
-			// notices' store records alias the body instead of being copied
-			// record by record. Everything downstream only reads them.
+			// wire-form lists, and the store records materialised out of
+			// them, alias the body instead of being copied. Everything
+			// downstream only reads them.
 			var nw proto.NextWaiter
 			if err := req.DecodeAlias(&nw); err != nil {
 				panic(fmt.Sprintf("core: bad NextWaiter: %v", err))
@@ -928,7 +931,7 @@ func (t *Thread) awaitGrant(lock uint32) grantMsg {
 // announcement train, it is installed so this thread's own release can
 // keep passing the lock waiter-to-waiter.
 func (t *Thread) applyGrant(lock uint32, g *proto.LockGrant) {
-	t.applyNotices(g.Seq, g.Notices)
+	t.applyNotices(g.Seq, g.Notices.Notices())
 	// Install lock-carried pages before the inline intervals: the
 	// shipped bytes are the releaser's post-write copy (newer than every
 	// interval this grant names), so inline records replaying on top are
@@ -942,8 +945,10 @@ func (t *Thread) applyGrant(lock uint32, g *proto.LockGrant) {
 		// the train may still need it.
 		t.tenureCold[layout.PageID(pp.Page)] = true
 	}
-	var inline []proto.Notice
-	for _, n := range g.Inline {
+	// The materialised list is this call's own: filter it in place.
+	all := g.Inline.Notices()
+	inline := all[:0]
+	for _, n := range all {
 		if len(n.Pages) > 0 || len(n.Records) > 0 {
 			inline = append(inline, n)
 		}
@@ -959,7 +964,7 @@ func (t *Thread) applyGrant(lock uint32, g *proto.LockGrant) {
 	}
 	t.ho.heldGen[lock] = g.Gen
 	t.ho.acquireSeq[lock] = t.lastSeen
-	if len(g.Train) > 0 {
+	if g.Train.Len() > 0 {
 		t.ho.succ[lock] = &succTrain{gen: g.Gen, seq: g.Seq, train: g.Train, inline: g.Inline}
 	}
 	t.ho.mu.Unlock()
@@ -1068,11 +1073,13 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 	delete(t.ho.heldGen, m.id)
 	delete(t.ho.acquireSeq, m.id)
 	t.ho.mu.Unlock()
-	if ss != nil && held && ss.gen == gen && t.lastSeen == aseq && len(ss.train) > 0 {
-		head := ss.train[0]
-		inline := make([]proto.Notice, 0, len(ss.inline)+1)
-		inline = append(inline, ss.inline...)
-		inline = append(inline, proto.Notice{Tag: rs.Tag, Pages: rs.Pages, Records: rs.Records})
+	if ss != nil && held && ss.gen == gen && t.lastSeen == aseq && ss.train.Len() > 0 {
+		// The head's backlog goes out as the bytes it came in as and the
+		// rest of the train as a sub-slice of them; only the head's two
+		// ids are read. Inline may alias a body that can be decoded again,
+		// so the closing interval is appended to a copy of it.
+		head, rest := ss.train.Head()
+		inline := ss.inline.With(&proto.Notice{Tag: rs.Tag, Pages: rs.Pages, Records: rs.Records})
 		// Ship the current bytes of record-bearing pages this tenure had
 		// to fetch in-region (or received the same way): the successor is
 		// almost certainly cold on exactly those, and a mid-tenure fetch
@@ -1093,7 +1100,7 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 		}
 		gat, err := t.ep.Post(scl.NodeID(head.WaiterNode), &proto.LockGrant{
 			Lock: m.id, Gen: gen + 1, Seq: ss.seq, Notices: head.Notices,
-			Inline: inline, Train: ss.train[1:], PageData: pageData,
+			Inline: inline, Train: rest, PageData: pageData,
 		}, t.clock.Now())
 		if err != nil {
 			t.fail("unlock", err)

@@ -82,19 +82,39 @@ func (b *noticeBoard) fill(seq uint64, tag proto.IntervalTag, pages []uint64, re
 // every notice above it.
 func (b *noticeBoard) acquire(thread uint32, since uint64, delivered bool) ([]proto.Notice, uint64) {
 	ns := b.after(since, b.issued)
+	b.settle(thread, since, delivered)
+	return ns, b.issued
+}
+
+// acquireWire is acquire for an answer that travels in wire form (a
+// detached waiter's LockGrant): the backlog is encoded straight from the
+// directory, ahead of the prune, and never copied notice by notice.
+func (b *noticeBoard) acquireWire(thread uint32, since uint64, delivered bool) (proto.NoticeList, uint64) {
+	ns := proto.NoticesOf(b.span(since, b.issued))
+	b.settle(thread, since, delivered)
+	return ns, b.issued
+}
+
+// settle moves the thread's horizon after an acquire (see acquire).
+func (b *noticeBoard) settle(thread uint32, since uint64, delivered bool) {
 	if delivered {
 		since = b.issued
 	}
 	b.saw(thread, since)
-	return ns, b.issued
 }
 
 // after copies the notices with since < Seq <= upTo, so the batch a
-// caller holds is unaffected by later fills and prunes. Besides acquire
-// it composes the backlog a peer-to-peer handoff carries (bounded by
-// the holder's acquire point: later notices are delivered at the
-// successor's next acquire).
+// caller holds is unaffected by later fills and prunes.
 func (b *noticeBoard) after(since, upTo uint64) []proto.Notice {
+	return append([]proto.Notice(nil), b.span(since, upTo)...)
+}
+
+// span is the directory's own notices with since < Seq <= upTo: a view,
+// good until the next fill or prune. It is what a caller that encodes at
+// once reads from: the backlogs of a handoff train (each bounded by the
+// holder's acquire point; later notices are delivered at the successor's
+// next acquire) and acquireWire.
+func (b *noticeBoard) span(since, upTo uint64) []proto.Notice {
 	i := len(b.notices)
 	for i > 0 && b.notices[i-1].Seq > since {
 		i--
@@ -106,9 +126,8 @@ func (b *noticeBoard) after(since, upTo uint64) []proto.Notice {
 	if i > j {
 		i = j
 	}
-	out := append([]proto.Notice(nil), b.notices[i:j]...)
-	b.stats.NoticesSent.Add(int64(len(out)))
-	return out
+	b.stats.NoticesSent.Add(int64(j - i))
+	return b.notices[i:j]
 }
 
 // saw advances a thread's horizon to seq (never backwards) and prunes.

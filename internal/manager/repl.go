@@ -37,7 +37,6 @@ package manager
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/proto"
@@ -143,9 +142,7 @@ func (m *Manager) pushToPeers(at vtime.Time) (floor vtime.Time, ok bool) {
 	r := m.repl
 	r.lastPush = time.Now()
 	floor = at
-	peers := r.prop.LivePeers()
-	sort.Ints(peers)
-	for _, pi := range peers {
+	for _, pi := range r.prop.LivePeers() {
 	peerLoop:
 		for {
 			ents, needSnap := r.prop.Batch(pi)

@@ -372,11 +372,8 @@ func (sh *shard) grant(id uint32, ls *lockState, w waiter) {
 	ls.gen++
 	ls.trainLeft = 0
 	m.stats.LockGrants.Add(1)
-	ns, seq := m.board.acquire(w.thread, w.lastSeen, sh.reaches(&w))
-	ls.grantSeq = seq
 	now := sh.clock.Now()
-	switch {
-	case w.detached:
+	if w.detached {
 		// Central dispatch of an already-answered waiter: the grant is a
 		// one-way post carrying the full notice backlog — and a snapshot
 		// of the remaining queue as an announcement train, so the convoy
@@ -386,24 +383,30 @@ func (sh *shard) grant(id uint32, ls *lockState, w waiter) {
 		// critical sections hand off: a chase can only be delivered while
 		// the holder is parked, and a holder whose working set is warm
 		// never parks between acquire and release.
-		var train []proto.SuccAnn
+		ns, seq := m.board.acquireWire(w.thread, w.lastSeen, sh.reaches(&w))
+		ls.grantSeq = seq
+		var train proto.Train
 		if m.p2p {
 			train = sh.composeTrain(ls)
 		}
 		m.post(w.node, &proto.LockGrant{Lock: id, Gen: ls.gen, Seq: seq, Notices: ns, Train: train}, now)
-		if len(train) > 0 {
-			ls.trainLeft = len(train)
+		if n := train.Len(); n > 0 {
+			ls.trainLeft = n
 			ls.trainSeq = seq
-			m.stats.NextWaiters.Add(int64(len(train)))
+			m.stats.NextWaiters.Add(int64(n))
 		}
-	case w.kind == waitLock:
-		var gen uint64
-		if m.p2p {
-			gen = ls.gen
+	} else {
+		ns, seq := m.board.acquire(w.thread, w.lastSeen, sh.reaches(&w))
+		ls.grantSeq = seq
+		if w.kind == waitLock {
+			var gen uint64
+			if m.p2p {
+				gen = ls.gen
+			}
+			w.req.Reply(&proto.LockResp{Seq: seq, Notices: ns, Gen: gen}, now)
+		} else {
+			w.req.Reply(&proto.CondWaitResp{Seq: seq, Notices: ns}, now)
 		}
-		w.req.Reply(&proto.LockResp{Seq: seq, Notices: ns, Gen: gen}, now)
-	default:
-		w.req.Reply(&proto.CondWaitResp{Seq: seq, Notices: ns}, now)
 	}
 	if m.p2p {
 		sh.maybeSendTrain(id, ls)
@@ -431,7 +434,8 @@ func (sh *shard) maybeSendTrain(id uint32, ls *lockState) {
 		return
 	}
 	train := sh.composeTrain(ls)
-	if len(train) == 0 {
+	n := train.Len()
+	if n == 0 {
 		return
 	}
 	m.post(ls.holderNode, &proto.NextWaiter{
@@ -440,33 +444,30 @@ func (sh *shard) maybeSendTrain(id uint32, ls *lockState) {
 		Seq:   ls.grantSeq,
 		Train: train,
 	}, sh.clock.Now())
-	ls.trainLeft = len(train)
+	ls.trainLeft = n
 	ls.trainSeq = ls.grantSeq
-	m.stats.NextWaiters.Add(int64(len(train)))
+	m.stats.NextWaiters.Add(int64(n))
 }
 
 // composeTrain snapshots the qualifying prefix of the waiter queue as
 // announcement-train entries, each with the notice batch covering (that
 // waiter's horizon, the current grantSeq]. Only plain detached live lock
 // waiters qualify; the first cond re-acquirer or dead thread ends the
-// snapshot and keeps the central path for the rest.
-func (sh *shard) composeTrain(ls *lockState) []proto.SuccAnn {
-	m := sh.m
-	var train []proto.SuccAnn
+// snapshot and keeps the central path for the rest. Every backlog is
+// encoded straight from the directory: the train leaves in wire form and
+// no holder along it decodes more than its own successor's two ids.
+func (sh *shard) composeTrain(ls *lockState) proto.Train {
+	var train proto.TrainWriter
 	for _, w := range ls.queue {
 		if w.kind != waitLock || !w.detached || sh.deadThreads[w.thread] {
 			break
 		}
-		train = append(train, proto.SuccAnn{
-			Waiter:     w.thread,
-			WaiterNode: w.node,
-			Notices:    m.board.after(w.lastSeen, ls.grantSeq),
-		})
-		if len(train) == maxTrain {
+		train.Add(w.thread, w.node, sh.m.board.span(w.lastSeen, ls.grantSeq))
+		if train.Len() == maxTrain {
 			break
 		}
 	}
-	return train
+	return train.Train()
 }
 
 // handleUnlock accepts both forms of unlock: the classic acknowledged

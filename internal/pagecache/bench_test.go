@@ -180,3 +180,87 @@ func BenchmarkFaultInstall(b *testing.B) {
 		}
 	}
 }
+
+const (
+	benchNoticeWriters = 15 // a 16-thread barrier reply: everyone else's release
+	benchNoticePages   = 4  // pages each release names, two extents apiece
+)
+
+// benchNotices is a barrier reply as jacobi sees one: every other
+// writer's release, each naming a few pages of this thread's resident
+// halo with the byte extents its spans wrote. Interval numbers are
+// stamped by the caller, one release round per apply.
+func benchNotices() []proto.Notice {
+	ns := make([]proto.Notice, benchNoticeWriters)
+	for w := range ns {
+		ns[w].Tag.Writer = uint32(w + 2)
+		for p := 0; p < benchNoticePages; p++ {
+			ns[w].Pages = append(ns[w].Pages, uint64(w*benchNoticePages+p),
+				proto.PackSpanExtent(64*w, 32), proto.PackSpanExtent(2048+64*w, 32))
+		}
+	}
+	return ns
+}
+
+// applyRound delivers one release round and then revalidates the named
+// pages' needs the way the refetch that follows an acquire does, so the
+// next round starts from the state jacobi's next iteration starts from.
+// The stale-range lists are left standing (a refetch would drop them,
+// and the next round would allocate them again: that list is not what
+// ApplyNotices' scratch and the tag recycling are about).
+func applyRound(tb testing.TB, c *Cache, ns []proto.Notice, round uint64) {
+	for i := range ns {
+		ns[i].Tag.Interval = round
+	}
+	if err := c.ApplyNotices(ns); err != nil {
+		tb.Fatal(err)
+	}
+	for p := 0; p < benchNoticeWriters*benchNoticePages; p++ {
+		c.clearNeeds(layout.PageID(p))
+	}
+}
+
+// residentCache holds every page benchNotices names, valid.
+func residentCache(tb testing.TB) *Cache {
+	c := benchCache(0)
+	var buf [8]byte
+	for p := 0; p < benchNoticeWriters*benchNoticePages; p++ {
+		if err := c.Read(layout.Addr(p*benchPageSize), buf[:]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c
+}
+
+// BenchmarkApplyNotices is the acquire side of a jacobi barrier: 15
+// notices, 60 resident pages going partially stale, 120 extents.
+func BenchmarkApplyNotices(b *testing.B) {
+	c, ns := residentCache(b), benchNotices()
+	applyRound(b, c, ns, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		applyRound(b, c, ns, uint64(i+2))
+	}
+	benchSink += int(c.st.PartialInvals)
+}
+
+// A notice naming a resident page by its extents allocates nothing once
+// the cache is warm: the extent list is the cache's scratch and the
+// page's tag list is one a revalidated page gave back.
+func TestApplyNoticesAllocs(t *testing.T) {
+	c, ns := residentCache(t), benchNotices()
+	round := uint64(1)
+	applyRound(t, c, ns, round)
+	before := c.st.PartialInvals
+	allocs := testing.AllocsPerRun(50, func() {
+		round++
+		applyRound(t, c, ns, round)
+	})
+	if got, want := c.st.PartialInvals-before, int64(51*benchNoticeWriters*benchNoticePages); got != want {
+		t.Fatalf("%d partial invalidations, want %d: the pages are not resident and valid", got, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("a release round over resident pages allocates %v objects, want 0", allocs)
+	}
+}

@@ -25,9 +25,11 @@
 package pagecache
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -280,7 +282,7 @@ type prefetchEntry struct {
 	h  *Handoff
 	// needsSent records which tags were quoted per page at issue time;
 	// pages whose needs grew since must not be installed as valid.
-	needsSent map[layout.PageID]map[proto.IntervalTag]struct{}
+	needsSent map[layout.PageID][]proto.IntervalTag
 	issuedAt  vtime.Time
 }
 
@@ -306,9 +308,16 @@ type Cache struct {
 	lastStride int64
 
 	// pageNeeds records, for every page that is not resident-and-valid,
-	// the interval tags a future fetch must wait for. Entries are
-	// cleared when the page is installed valid.
-	pageNeeds map[layout.PageID]map[proto.IntervalTag]struct{}
+	// the interval tags a future fetch must wait for, in the order a
+	// request quotes them (cmpTag). Entries are cleared when the page is
+	// installed valid (clearNeeds), which leaves the tag list in freeTags
+	// for the next page that goes invalid.
+	pageNeeds map[layout.PageID][]proto.IntervalTag
+	freeTags  [][]proto.IntervalTag
+
+	// extScratch is ApplyNotices' extent list, reused from page to page:
+	// invalidate reads it and keeps none of it.
+	extScratch []byteRange
 
 	// interval bookkeeping (one interval = release to release).
 	interval     uint64
@@ -352,7 +361,7 @@ func New(cfg Config, be Backend, clock *vtime.Clock, st *stats.Thread) *Cache {
 		lines:        make(map[layout.LineID]*lineEntry),
 		pending:      make(map[layout.LineID]*prefetchEntry),
 		capacity:     cfg.CapacityLines,
-		pageNeeds:    make(map[layout.PageID]map[proto.IntervalTag]struct{}),
+		pageNeeds:    make(map[layout.PageID][]proto.IntervalTag),
 		dirtyPages:   make(map[layout.PageID]struct{}),
 		flushedDirty: make(map[layout.PageID]struct{}),
 		shared:       make(map[layout.PageID]struct{}),
@@ -874,7 +883,7 @@ func (c *Cache) install(line layout.LineID, data []byte) *lineEntry {
 			// ranges — if any — stay in force, and so do the interval
 			// tags a future refetch of it must quote.)
 			le.pages[i].stale = nil
-			delete(c.pageNeeds, first+layout.PageID(i))
+			c.clearNeeds(first + layout.PageID(i))
 		}
 	}
 	c.clock.Advance(c.cfg.CPU.CopyTime(c.geo.LineSize()))
@@ -898,7 +907,7 @@ func (c *Cache) installPage(p layout.PageID, data []byte) {
 	copy(le.data[base:base+c.geo.PageSize], data)
 	le.pages[c.pageIndex(p)].valid = true
 	le.pages[c.pageIndex(p)].stale = nil
-	delete(c.pageNeeds, p)
+	c.clearNeeds(p)
 	c.clock.Advance(c.cfg.CPU.CopyTime(c.geo.PageSize))
 	c.useTick++
 	le.lastUse = c.useTick
@@ -916,26 +925,19 @@ func (c *Cache) needsFor(line layout.LineID) []proto.PageNeed {
 		if len(tags) == 0 {
 			continue
 		}
-		pn := proto.PageNeed{Page: uint64(p), Tags: sortedTags(tags)}
+		pn := proto.PageNeed{Page: uint64(p), Tags: slices.Clone(tags)}
 		needs = append(needs, pn)
 	}
 	return needs
 }
 
-// sortedTags renders a tag set in a stable order so message bytes do not
-// depend on map iteration.
-func sortedTags(tags map[proto.IntervalTag]struct{}) []proto.IntervalTag {
-	out := make([]proto.IntervalTag, 0, len(tags))
-	for tag := range tags {
-		out = append(out, tag)
+// cmpTag is the order a page's tags are kept and quoted in: by writer,
+// then interval, so message bytes are a function of the tag set.
+func cmpTag(a, b proto.IntervalTag) int {
+	if c := cmp.Compare(a.Writer, b.Writer); c != 0 {
+		return c
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Writer != out[j].Writer {
-			return out[i].Writer < out[j].Writer
-		}
-		return out[i].Interval < out[j].Interval
-	})
-	return out
+	return cmp.Compare(a.Interval, b.Interval)
 }
 
 // needFor collects the outstanding interval tags of a single page (nil
@@ -945,20 +947,16 @@ func (c *Cache) needFor(p layout.PageID) []proto.PageNeed {
 	if len(tags) == 0 {
 		return nil
 	}
-	return []proto.PageNeed{{Page: uint64(p), Tags: sortedTags(tags)}}
+	return []proto.PageNeed{{Page: uint64(p), Tags: slices.Clone(tags)}}
 }
 
-func (c *Cache) needsSnapshot(line layout.LineID) map[layout.PageID]map[proto.IntervalTag]struct{} {
-	snap := make(map[layout.PageID]map[proto.IntervalTag]struct{})
+func (c *Cache) needsSnapshot(line layout.LineID) map[layout.PageID][]proto.IntervalTag {
+	snap := make(map[layout.PageID][]proto.IntervalTag)
 	first := c.geo.FirstPage(line)
 	for i := 0; i < c.geo.LinePages; i++ {
 		p := first + layout.PageID(i)
-		if tags, ok := c.pageNeeds[p]; ok && len(tags) > 0 {
-			cp := make(map[proto.IntervalTag]struct{}, len(tags))
-			for t := range tags {
-				cp[t] = struct{}{}
-			}
-			snap[p] = cp
+		if tags := c.pageNeeds[p]; len(tags) > 0 {
+			snap[p] = slices.Clone(tags)
 		}
 	}
 	return snap
@@ -970,10 +968,9 @@ func (c *Cache) prefetchStale(line layout.LineID, pe *prefetchEntry) bool {
 	first := c.geo.FirstPage(line)
 	for i := 0; i < c.geo.LinePages; i++ {
 		p := first + layout.PageID(i)
-		cur := c.pageNeeds[p]
 		sent := pe.needsSent[p]
-		for tag := range cur {
-			if _, ok := sent[tag]; !ok {
+		for _, tag := range c.pageNeeds[p] {
+			if _, ok := slices.BinarySearchFunc(sent, tag, cmpTag); !ok {
 				return true
 			}
 		}
@@ -1360,12 +1357,13 @@ func (c *Cache) ApplyNotices(notices []proto.Notice) error {
 			if proto.IsSpanExtent(pu) {
 				continue // malformed leading extent word; skip defensively
 			}
-			var ext []byteRange
+			ext := c.extScratch[:0]
 			for k < len(n.Pages) && proto.IsSpanExtent(n.Pages[k]) {
 				off, ln := proto.SpanExtent(n.Pages[k])
 				ext = append(ext, byteRange{off, off + ln})
 				k++
 			}
+			c.extScratch = ext
 			if err := c.invalidate(layout.PageID(pu), n.Tag, ext); err != nil {
 				return err
 			}
@@ -1519,7 +1517,7 @@ func (c *Cache) InstallGrantPage(p layout.PageID, data []byte) bool {
 	base := c.pageBaseInLine(p)
 	copy(le.data[base:base+c.geo.PageSize], data)
 	ps.valid = true
-	delete(c.pageNeeds, p)
+	c.clearNeeds(p)
 	c.clock.Advance(c.cfg.CPU.CopyTime(c.geo.PageSize))
 	c.useTick++
 	le.lastUse = c.useTick
@@ -1528,12 +1526,23 @@ func (c *Cache) InstallGrantPage(p layout.PageID, data []byte) bool {
 }
 
 func (c *Cache) addNeed(p layout.PageID, tag proto.IntervalTag) {
-	tags, ok := c.pageNeeds[p]
-	if !ok {
-		tags = make(map[proto.IntervalTag]struct{})
-		c.pageNeeds[p] = tags
+	tags, known := c.pageNeeds[p]
+	i, dup := slices.BinarySearchFunc(tags, tag, cmpTag)
+	if dup {
+		return
 	}
-	tags[tag] = struct{}{}
+	if n := len(c.freeTags); !known && n > 0 {
+		tags, c.freeTags = c.freeTags[n-1], c.freeTags[:n-1]
+	}
+	c.pageNeeds[p] = slices.Insert(tags, i, tag)
+}
+
+// clearNeeds forgets p's tags: the page is valid again.
+func (c *Cache) clearNeeds(p layout.PageID) {
+	if tags, ok := c.pageNeeds[p]; ok {
+		c.freeTags = append(c.freeTags, tags[:0])
+		delete(c.pageNeeds, p)
+	}
 }
 
 // DrainPrefetches waits for every in-flight prefetch and discards the
@@ -1651,7 +1660,7 @@ func (c *Cache) RangeNeeds(first layout.PageID, npages uint64) []proto.PageNeed 
 		if p < first || uint64(p-first) >= npages || len(tags) == 0 {
 			continue
 		}
-		needs = append(needs, proto.PageNeed{Page: uint64(p), Tags: sortedTags(tags)})
+		needs = append(needs, proto.PageNeed{Page: uint64(p), Tags: slices.Clone(tags)})
 	}
 	sort.Slice(needs, func(i, j int) bool { return needs[i].Page < needs[j].Page })
 	return needs

@@ -27,7 +27,9 @@ type Codec struct {
 	w     Writer
 	r     Reader
 	dec   bool // direction: fill fields from r instead of appending them to w
-	alias bool // decoding: Payload fields alias r.B instead of copying
+	alias bool // decoding: Payload fields and wire-form lists alias r.B instead of copying
+
+	noticeModes // decoding a notice list in two passes (wire.go)
 }
 
 // Decoding reports the walk's direction, for the few walks that must do
@@ -94,20 +96,26 @@ func (c *Codec) I64(v *int64) {
 
 // U64s walks a length-prefixed slice of uint64.
 func (c *Codec) U64s(v *[]uint64) {
-	if c.dec {
-		*v = c.r.U64s()
-	} else {
+	switch {
+	case !c.dec:
 		c.w.U64s(*v)
+	case c.skim || c.slab:
+		c.words(v)
+	default:
+		*v = c.r.U64s()
 	}
 }
 
 // Bytes walks a length-prefixed byte string that always decodes to a
 // copy: for bytes that outlive the body whichever way it was decoded.
 func (c *Codec) Bytes(p *[]byte) {
-	if c.dec {
-		*p = append([]byte(nil), c.r.Bytes()...)
-	} else {
+	switch {
+	case !c.dec:
 		c.w.Bytes(*p)
+	case c.skim:
+		c.r.Bytes()
+	default:
+		*p = append([]byte(nil), c.r.Bytes()...)
 	}
 }
 
@@ -118,7 +126,7 @@ func (c *Codec) Bytes(p *[]byte) {
 // into the rest of the body. It is for bytes the receiver reads, or
 // takes over, while it still owns the body (DESIGN.md §11).
 func (c *Codec) Payload(p *[]byte) {
-	if c.dec && c.alias {
+	if c.dec && c.alias && !c.skim {
 		b := c.r.Bytes()
 		*p = b[:len(b):len(b)]
 	} else {
@@ -253,7 +261,8 @@ func Decode(m Msg, body []byte) error { return decode(m, body, false) }
 
 // DecodeAlias fills m from body like Decode, but Payload fields (fetched
 // lines, diff runs, store records, shipped pages, a replication
-// snapshot's state) alias body instead of being copied. The caller must
+// snapshot's state) and wire-form lists (NoticeList, Train) alias body
+// instead of being copied. The caller must
 // own body: nothing else may write it, recycle it or decode it into
 // something that is written through, for as long as m's payloads are in
 // use. Every wire body qualifies — a transport delivers each encoded

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -83,11 +85,13 @@ func TestEmptyListsDecodeAlike(t *testing.T) {
 // allocSamples are the four messages the benchmark's proto driver
 // measures (benchmark/layers.go protoSamples), with the allocations one
 // Decode into a new message costs: the message, its lists and its
-// payload copies, and nothing for the codec.
+// payload copies, and nothing for the codec. aliased is the same count
+// under DecodeAlias, which owes no payload copies.
 func allocSamples() []struct {
-	name   string
-	msg    Msg
-	allocs float64
+	name    string
+	msg     Msg
+	allocs  float64
+	aliased float64
 } {
 	records := func(n int) []StoreRecord {
 		rs := make([]StoreRecord, n)
@@ -108,14 +112,17 @@ func allocSamples() []struct {
 		notices[i] = Notice{Seq: uint64(i + 1), Tag: IntervalTag{Writer: uint32(i + 1), Interval: 9}, Pages: []uint64{uint64(i)}, Records: records(2)}
 	}
 	return []struct {
-		name   string
-		msg    Msg
-		allocs float64
+		name    string
+		msg     Msg
+		allocs  float64
+		aliased float64
 	}{
-		{"fetch_resp", &FetchLineResp{Data: make([]byte, 16<<10)}, 2},
-		{"diff_batch", &DiffBatch{Tag: IntervalTag{Writer: 3, Interval: 7}, Diffs: diffs}, 42},
-		{"lock_resp", &LockResp{Seq: 8, Notices: notices, Gen: 5}, 34},
-		{"unlock_req", &UnlockReq{Lock: 4, Thread: 3, Interval: 7, Records: records(16)}, 18},
+		{"fetch_resp", &FetchLineResp{Data: make([]byte, 16<<10)}, 2, 1},
+		{"diff_batch", &DiffBatch{Tag: IntervalTag{Writer: 3, Interval: 7}, Diffs: diffs}, 42, 10},
+		// The message, the three slabs of its notice list (wire.go) and the
+		// 16 record payloads a copying decode owes.
+		{"lock_resp", &LockResp{Seq: 8, Notices: notices, Gen: 5}, 20, 4},
+		{"unlock_req", &UnlockReq{Lock: 4, Thread: 3, Interval: 7, Records: records(16)}, 18, 2},
 	}
 }
 
@@ -139,6 +146,147 @@ func TestCodecAllocs(t *testing.T) {
 		if err != nil || got != s.allocs {
 			t.Errorf("%s: Decode allocates %v objects (err %v), want %v", s.name, got, err, s.allocs)
 		}
+		got = testing.AllocsPerRun(100, func() { err = DecodeAlias(New(s.msg.Kind()), body) })
+		if err != nil || got != s.aliased {
+			t.Errorf("%s: DecodeAlias allocates %v objects (err %v), want %v", s.name, got, err, s.aliased)
+		}
+	}
+}
+
+// trainOf composes a k-entry train whose every backlog is ns.
+func trainOf(k int, ns []Notice) Train {
+	var w TrainWriter
+	for i := 0; i < k; i++ {
+		w.Add(uint32(i+1), uint32(100+i), ns)
+	}
+	return w.Train()
+}
+
+// A holder forwards a train by reading its head and re-encoding the
+// rest as bytes: what that allocates (the grant's body, the Inline copy
+// its closing interval is appended to) does not depend on how many
+// announcements are left.
+func TestTrainForwardIsConstantAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	backlog := allocSamples()[2].msg.(*LockResp).Notices
+	closing := Notice{Tag: IntervalTag{Writer: 9, Interval: 4}, Pages: []uint64{3}, Records: backlog[0].Records}
+	forward := func(k int) float64 {
+		var g LockGrant
+		if err := DecodeAlias(&g, Encode(&LockGrant{Lock: 1, Gen: 2, Seq: 3, Inline: NoticesOf(backlog[:2]), Train: trainOf(k, backlog)})); err != nil {
+			t.Fatal(err)
+		}
+		var dst uint32
+		allocs := testing.AllocsPerRun(100, func() {
+			head, rest := g.Train.Head()
+			dst = head.WaiterNode
+			Encode(&LockGrant{Lock: g.Lock, Gen: g.Gen + 1, Seq: g.Seq, Notices: head.Notices, Inline: g.Inline.With(&closing), Train: rest})
+		})
+		if dst != 100 {
+			t.Fatalf("head of a %d-entry train names node %d", k, dst)
+		}
+		return allocs
+	}
+	short, long := forward(2), forward(32)
+	if short != long || long > 3 {
+		t.Fatalf("forwarding a 2-entry train allocates %v objects, a 32-entry one %v; want the same, at most 3", short, long)
+	}
+}
+
+// wireBytes is how a list of n elements whose encodings are b reads on
+// the wire.
+func wireBytes(n int, b []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(n)), b...)
+}
+
+// checkNoticeWire holds a notice list as the wire has it (count, then
+// elements, then whatever follows) against the decode the slabs
+// replaced, the generic List over WalkNotice: the skim stops where that
+// walk stops, counts what it allocates, and got, what the codec made of
+// the same bytes, encodes to what it encodes to.
+func checkNoticeWire(t *testing.T, where string, wire []byte, got []Notice) {
+	t.Helper()
+	var ref []Notice
+	var walked int
+	if err := Unmarshal(wire, func(c *Codec) {
+		List(c, &ref, WalkNotice)
+		walked = c.r.off
+	}); err != nil {
+		t.Fatalf("%s: accepted by the skim, refused by the walk: %v", where, err)
+	}
+	c := decoder(wire, true)
+	n, _ := c.count(0)
+	c.nwords, c.nrecs = 0, 0
+	c.skimEach(n, skimNotice)
+	skimmed, words, recs := c.r.off, c.nwords, c.nrecs
+	if err := c.done(); err != nil {
+		t.Fatalf("%s: skim: %v", where, err)
+	}
+	for i := range ref {
+		words -= len(ref[i].Pages)
+		recs -= len(ref[i].Records)
+	}
+	if skimmed != walked || n != len(ref) || words != 0 || recs != 0 {
+		t.Fatalf("%s: skim ends at %d of %d notices, the walk at %d of %d; %d page words and %d records unaccounted",
+			where, skimmed, n, walked, len(ref), words, recs)
+	}
+	list := func(ns []Notice) []byte { return Marshal(func(c *Codec) { List(c, &ns, WalkNotice) }) }
+	if len(got) != len(ref) || !bytes.Equal(list(got), list(ref)) {
+		t.Fatalf("%s: decoded %#v, the walk %#v", where, got, ref)
+	}
+}
+
+// checkWireLists runs checkNoticeWire over every notice list of an
+// accepted body, consumed or in wire form, and checks that a wire-form
+// list goes back on the wire as the bytes it came off as, whole or
+// forwarded with its head taken.
+func checkWireLists(t *testing.T, m Msg, body []byte) {
+	t.Helper()
+	consumed := func(got []Notice) {
+		r := Reader{B: body}
+		r.U64() // Seq
+		checkNoticeWire(t, m.Kind().String(), body[r.off:], got)
+	}
+	notices := func(where string, l NoticeList) {
+		checkNoticeWire(t, where, wireBytes(l.n, l.b), l.Notices())
+		if l.n > 0 && !bytes.Contains(body, wireBytes(l.n, l.b)) {
+			t.Fatalf("%s: not the body's bytes", where)
+		}
+		want := append(append([]byte{0, 0, 0}, wireBytes(l.n, l.b)...), 0, 0, 0, 0)
+		if got := Encode(&LockGrant{Notices: l}); !bytes.Equal(got, want) {
+			t.Fatalf("%s: re-encoded % x, want % x", where, got, want)
+		}
+	}
+	train := func(tr Train) {
+		for left := tr.n; left > 0; left-- {
+			if want := append([]byte{0, 0, 0}, wireBytes(tr.n, tr.b)...); !bytes.Equal(Encode(&NextWaiter{Train: tr}), want) {
+				t.Fatalf("train: %d entries re-encode to other bytes", tr.n)
+			}
+			head, rest := tr.Head()
+			notices("train entry", head.Notices)
+			if rest.n != left-1 || !bytes.HasSuffix(tr.b, rest.b) {
+				t.Fatalf("train: %d entries left after the head of %d", rest.n, left)
+			}
+			tr = rest
+		}
+		if tr.n != 0 || tr.b != nil {
+			t.Fatalf("train: exhausted train holds %d entries, %d bytes", tr.n, len(tr.b))
+		}
+	}
+	switch m := m.(type) {
+	case *LockResp:
+		consumed(m.Notices)
+	case *BarrierResp:
+		consumed(m.Notices)
+	case *CondWaitResp:
+		consumed(m.Notices)
+	case *NextWaiter:
+		train(m.Train)
+	case *LockGrant:
+		notices("grant notices", m.Notices)
+		notices("grant inline", m.Inline)
+		train(m.Train)
 	}
 }
 
@@ -146,8 +294,9 @@ func TestCodecAllocs(t *testing.T) {
 // decode modes. Decoding never panics; no list is ever sized beyond the
 // body that claims it (every element takes at least a byte), whether or
 // not the decode goes on to fail; the two modes accept the same bodies;
-// and what does decode re-encodes to a body that decodes to an equal
-// message.
+// what does decode re-encodes to a body that decodes to an equal
+// message; and every notice list in it, consumed or kept in wire form,
+// is what the plain walk makes of the same bytes (checkWireLists).
 func FuzzDecode(f *testing.F) {
 	for _, s := range wireSamples() {
 		f.Add(uint16(s.msg.Kind()), Encode(s.msg))
@@ -180,6 +329,8 @@ func FuzzDecode(f *testing.F) {
 		if normalize(again) != normalize(m) || normalize(aliased) != normalize(m) {
 			t.Fatalf("%v: round trip mismatch:\n in: %#v\nout: %#v", m.Kind(), m, again)
 		}
+		checkWireLists(t, m, body)
+		checkWireLists(t, aliased, body)
 	})
 }
 

@@ -37,6 +37,12 @@
 //     receiver may use in place while it owns the body, Bytes for bytes
 //     that outlive it. A field added to an existing message goes last,
 //     in a c.tail group, so messages without it keep their encoding.
+//     A list of notices is Notices(c, &m.Ns) when the receiver applies
+//     it (three allocations, however long) and a NoticeList or Train
+//     field (walkNoticeList, walkTrain) when the receiver passes it on:
+//     a list is wire-form exactly when some node forwards it without
+//     looking inside, as a lock holder does with the train it hands
+//     down (wire.go). The bytes on the wire are the same three ways.
 //  3. Add the row to the kinds table: name and fresh[T].
 //  4. Add a populated sample to wireSamples (wire_test.go), one per form
 //     of an optional tail, and record it with "go test ./internal/proto

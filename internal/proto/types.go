@@ -131,7 +131,7 @@ func WalkNotice(c *Codec, n *Notice) {
 	c.U64(&n.Seq)
 	walkTag(c, &n.Tag)
 	c.U64s(&n.Pages)
-	List(c, &n.Records, walkRecord)
+	c.records(&n.Records)
 }
 
 // ---------------------------------------------------------------------
@@ -428,7 +428,7 @@ func (m *LockResp) Kind() Kind { return KLockResp }
 
 func (m *LockResp) Walk(c *Codec) {
 	c.U64(&m.Seq)
-	List(c, &m.Notices, WalkNotice)
+	Notices(c, &m.Notices)
 	if c.tail(m.Gen != 0 || m.Queued) {
 		c.U64(&m.Gen)
 		c.Bool(&m.Queued)
@@ -513,7 +513,7 @@ func (m *BarrierResp) Kind() Kind { return KBarrierResp }
 
 func (m *BarrierResp) Walk(c *Codec) {
 	c.U64(&m.Seq)
-	List(c, &m.Notices, WalkNotice)
+	Notices(c, &m.Notices)
 }
 
 // CondWaitReq atomically releases the named mutex (posting the release
@@ -552,7 +552,7 @@ func (m *CondWaitResp) Kind() Kind { return KCondWaitResp }
 
 func (m *CondWaitResp) Walk(c *Codec) {
 	c.U64(&m.Seq)
-	List(c, &m.Notices, WalkNotice)
+	Notices(c, &m.Notices)
 }
 
 // CondSignalReq wakes one (or all) waiters of a condition variable.
@@ -575,24 +575,32 @@ func (m *CondSignalReq) Walk(c *Codec) {
 // manager-composed backlog (Waiter's horizon, anchor], where the anchor
 // is the board sequence the tenure the train was dispatched under
 // acquired at; everything a later train holder adds above the anchor
-// travels as the grant's Inline intervals.
+// travels as the grant's Inline intervals. The backlog is in wire form:
+// the holder that grants to Waiter sends it on as the grant's Notices
+// without decoding it.
 type SuccAnn struct {
 	Waiter     uint32 // successor thread
 	WaiterNode uint32 // fabric node to post the LockGrant to
-	Notices    []Notice
+	Notices    NoticeList
 }
 
 func walkSucc(c *Codec, a *SuccAnn) {
+	walkSuccWaiter(c, a)
+	walkNoticeList(c, &a.Notices)
+}
+
+// walkSuccWaiter walks the fields ahead of the backlog; TrainWriter.Add
+// follows it with a backlog that is not in wire form yet.
+func walkSuccWaiter(c *Codec, a *SuccAnn) {
 	c.U32(&a.Waiter)
 	c.U32(&a.WaiterNode)
-	List(c, &a.Notices, WalkNotice)
 }
 
 // NextWaiter is the manager telling the current lock holder who to hand
 // the lock to when it releases (peer-to-peer handoff, Munin-style
 // distributed lock ownership). Train is a snapshot of the waiter queue:
-// the holder grants to Train[0] at its release and forwards the rest of
-// the train inside the LockGrant, so a convoy of k waiters costs one
+// the holder grants to the train's head at its release and forwards the
+// rest of it inside the LockGrant, so a convoy of k waiters costs one
 // announcement and k direct holder-to-waiter hops — an announcement
 // that chased each new holder through the manager would always lose the
 // race against a short critical section. Seq is the board sequence the
@@ -604,7 +612,7 @@ type NextWaiter struct {
 	Lock  uint32
 	Gen   uint64 // holder tenure the train starts at
 	Seq   uint64 // anchor board sequence covered by the train's batches
-	Train []SuccAnn
+	Train Train
 }
 
 func (m *NextWaiter) Kind() Kind { return KNextWaiter }
@@ -613,7 +621,7 @@ func (m *NextWaiter) Walk(c *Codec) {
 	c.U32(&m.Lock)
 	c.U64(&m.Gen)
 	c.U64(&m.Seq)
-	List(c, &m.Train, walkSucc)
+	walkTrain(c, &m.Train)
 }
 
 // PagePayload carries one whole page's current bytes inside a
@@ -645,13 +653,17 @@ func walkPagePayload(c *Codec, p *PagePayload) {
 // train's anchor; the Inline intervals above it are redelivered by the
 // directory later and deduplicated at the receiver). A nonzero Code
 // aborts the acquire (manager shutdown while queued, or eviction).
+//
+// The three lists are in wire form: the receiver forwards Train (and,
+// with one interval appended, Inline) to the next holder, and
+// materialises Notices and Inline only to apply them.
 type LockGrant struct {
 	Lock     uint32
 	Gen      uint64
 	Seq      uint64
-	Notices  []Notice
-	Inline   []Notice // closing intervals applied in order after Notices
-	Train    []SuccAnn
+	Notices  NoticeList
+	Inline   NoticeList // closing intervals applied in order after Notices
+	Train    Train
 	PageData []PagePayload
 	Code     uint16
 }
@@ -662,9 +674,9 @@ func (m *LockGrant) Walk(c *Codec) {
 	c.U32(&m.Lock)
 	c.U64(&m.Gen)
 	c.U64(&m.Seq)
-	List(c, &m.Notices, WalkNotice)
-	List(c, &m.Inline, WalkNotice)
-	List(c, &m.Train, walkSucc)
+	walkNoticeList(c, &m.Notices)
+	walkNoticeList(c, &m.Inline)
+	walkTrain(c, &m.Train)
 	List(c, &m.PageData, walkPagePayload)
 	c.U16(&m.Code)
 }

@@ -26,6 +26,7 @@ package replog
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/proto"
 )
@@ -41,6 +42,7 @@ type Proposer struct {
 	last    uint64            // highest appended index (0 = none)
 
 	peers map[int]*peerState
+	live  []int // ids of the peers not yet dropped, ascending
 }
 
 type peerState struct {
@@ -64,6 +66,10 @@ func NewProposer(term uint64, peerIDs []int, startIndex uint64) *Proposer {
 	for _, id := range peerIDs {
 		p.peers[id] = &peerState{next: startIndex, alive: true}
 	}
+	for id := range p.peers {
+		p.live = append(p.live, id)
+	}
+	slices.Sort(p.live)
 	return p
 }
 
@@ -137,22 +143,17 @@ func (p *Proposer) SnapshotInstalled(peer int, index uint64) {
 // DropPeer marks a follower dead: it stops gating truncation and Batch
 // callers should stop sending to it.
 func (p *Proposer) DropPeer(peer int) {
-	if ps := p.peers[peer]; ps != nil {
+	if ps := p.peers[peer]; ps != nil && ps.alive {
 		ps.alive = false
+		// A new list, not an edit of the one a caller may be ranging over.
+		p.live = slices.DeleteFunc(slices.Clone(p.live), func(id int) bool { return id == peer })
 	}
 }
 
-// LivePeers returns the ids of followers not yet dropped, in no
-// particular order.
-func (p *Proposer) LivePeers() []int {
-	var ids []int
-	for id, ps := range p.peers {
-		if ps.alive {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
+// LivePeers returns the ids of followers not yet dropped, ascending. The
+// slice is the proposer's own and is never edited: a DropPeer during a
+// loop over it replaces it and leaves the loop its snapshot.
+func (p *Proposer) LivePeers() []int { return p.live }
 
 // Truncate drops every entry that (a) every live follower has
 // acknowledged and (b) the caller has applied — appliedFloor is the
@@ -190,26 +191,27 @@ type Acceptor struct {
 // state machine; ack is the answer to ship back. A stale-term sender is
 // rejected with the follower's term (deposing it); a gap is rejected
 // with the next index the follower expects.
+//
+// An append carries one run of the leader's log, so what it adds is one
+// run of m.Entries: apply is that sub-slice, not a copy. Entries ahead of
+// it repeat accepted slots (a resend after a lost ack) and are skipped;
+// anything behind it that does not continue the run is a gap.
 func (a *Acceptor) Offer(m *proto.ReplAppend) (apply []proto.ReplEntry, ack proto.ReplAck) {
 	if m.Term < a.Term {
 		return nil, proto.ReplAck{OK: false, Term: a.Term, NextIndex: a.Last + 1}
 	}
 	a.Term = m.Term
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		switch {
-		case e.Index <= a.Last:
-			// Duplicate of an already-accepted slot (a resend after a
-			// partial ack): already applied, skip.
-		case e.Index == a.Last+1:
-			apply = append(apply, *e)
-			a.Last++
-		default:
-			// Gap: the sender must back up (or snapshot us).
-			return apply, proto.ReplAck{OK: false, Term: a.Term, NextIndex: a.Last + 1}
-		}
+	from := 0
+	for from < len(m.Entries) && m.Entries[from].Index <= a.Last {
+		from++
 	}
-	return apply, proto.ReplAck{OK: true, Term: a.Term, NextIndex: a.Last + 1}
+	to := from
+	for to < len(m.Entries) && m.Entries[to].Index == a.Last+1 {
+		a.Last++
+		to++
+	}
+	// The sender of a gap must back up (or snapshot us).
+	return m.Entries[from:to:to], proto.ReplAck{OK: to == len(m.Entries), Term: a.Term, NextIndex: a.Last + 1}
 }
 
 // InstallSnapshot resets the acceptor to a snapshot covering everything

@@ -1,6 +1,7 @@
 package replog
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/proto"
@@ -172,5 +173,64 @@ func TestSnapshotCatchUp(t *testing.T) {
 	}
 	if err := a2.InstallSnapshot(0, 9); err == nil {
 		t.Fatal("stale-term snapshot accepted")
+	}
+}
+
+// LivePeers is ascending whatever order the ids were given in, costs
+// nothing per call, and a DropPeer in the middle of a loop over it
+// neither skips nor repeats a peer (pushToPeers drops the peers it
+// cannot reach as it goes).
+func TestLivePeersAscendingAndStableUnderDrop(t *testing.T) {
+	p := NewProposer(1, []int{3, 1, 2, 4}, 1)
+	if allocs := testing.AllocsPerRun(100, func() { _ = p.LivePeers() }); allocs != 0 {
+		t.Fatalf("LivePeers allocates %v objects", allocs)
+	}
+	var seen []int
+	for _, id := range p.LivePeers() {
+		seen = append(seen, id)
+		if id == 2 {
+			p.DropPeer(1)
+			p.DropPeer(2)
+		}
+	}
+	if want := []int{1, 2, 3, 4}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("looped over %v, want %v", seen, want)
+	}
+	if got, want := p.LivePeers(), []int{3, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("live after the drops = %v, want %v", got, want)
+	}
+	p.DropPeer(2) // again: no effect
+	p.DropPeer(9) // unknown: no effect
+	if got := p.LivePeers(); len(got) != 2 {
+		t.Fatalf("live = %v", got)
+	}
+}
+
+// What an append adds is one run of its entries: Offer hands that run
+// out as a sub-slice, skips the accepted slots ahead of it, and answers
+// anything behind it that does not continue it with the index it wants.
+func TestOfferAppliesOneRunWithoutCopying(t *testing.T) {
+	p := NewProposer(1, []int{1}, 1)
+	for i := 0; i < 5; i++ {
+		entry(t, p, byte(i))
+	}
+	ents, _ := p.Batch(1)
+	a := Acceptor{Term: 1, Last: 2} // slots 1 and 2 already accepted
+	var apply []proto.ReplEntry
+	var ack proto.ReplAck
+	if allocs := testing.AllocsPerRun(1, func() {
+		a.Last = 2
+		apply, ack = a.Offer(&proto.ReplAppend{Term: 1, Entries: ents})
+	}); allocs != 0 {
+		t.Fatalf("Offer allocates %v objects", allocs)
+	}
+	if len(apply) != 3 || &apply[0] != &ents[2] || !ack.OK || ack.NextIndex != 6 {
+		t.Fatalf("apply = %d entries (aliasing the append: %v), ack %+v", len(apply), len(apply) > 0 && &apply[0] == &ents[2], ack)
+	}
+	// A slot repeated behind the run does not continue it.
+	b := Acceptor{Term: 1}
+	apply, ack = b.Offer(&proto.ReplAppend{Term: 1, Entries: []proto.ReplEntry{ents[0], ents[1], ents[0], ents[2]}})
+	if len(apply) != 2 || ack.OK || ack.NextIndex != 3 || b.Last != 2 {
+		t.Fatalf("apply = %d entries, ack %+v, last %d", len(apply), ack, b.Last)
 	}
 }

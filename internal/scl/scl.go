@@ -54,7 +54,12 @@ type Request struct {
 	svc      vtime.Time
 	oneway   bool
 	replayed bool
-	reply    func(kind uint16, body []byte, at vtime.Time)
+	// A request is answered through reply, or, when that is nil, through
+	// sim: the fabric's own two-word request held by value, which spares
+	// a simulated receive the fabric request and the method-value closure
+	// it would otherwise allocate beside this one.
+	reply func(kind uint16, body []byte, at vtime.Time)
+	sim   simnet.Request
 }
 
 // NewReplayRequest fabricates a request that was never received from
@@ -125,7 +130,11 @@ func (r *Request) DecodeAlias(m proto.Msg) error {
 
 // Reply answers the request at virtual time at on the responder's clock.
 func (r *Request) Reply(m proto.Msg, at vtime.Time) {
-	r.reply(uint16(m.Kind()), proto.Encode(m), at)
+	reply := r.reply
+	if reply == nil {
+		reply = r.sim.Reply
+	}
+	reply(uint16(m.Kind()), proto.Encode(m), at)
 }
 
 // ReplyError answers the request with a protocol-level error
@@ -201,7 +210,7 @@ func (e *SimEndpoint) Recv() (*Request, bool) {
 		arrive: sr.Arrive(),
 		svc:    sr.Svc(),
 		oneway: sr.OneWay(),
-		reply:  sr.Reply,
+		sim:    sr,
 	}, true
 }
 

@@ -64,40 +64,35 @@ func (nopGate) Pause()  {}
 // sequenced fabric (custom transports, fault/retry/liveness runs).
 func NopGate() Gate { return nopGate{} }
 
-// seqMsg is one undelivered message in the global order heap.
-type seqMsg struct {
-	m    *Message
-	port *seqPort
-	no   uint64 // insertion tiebreak (last resort)
-}
-
 // seqLess is the deterministic delivery order: virtual arrival, then
-// sender, then receiver, then kind. The insertion number only breaks
-// ties between messages identical on all four — which concurrent
-// senders cannot legitimately produce.
-func seqLess(a, b *seqMsg) bool {
-	if a.m.Arrive != b.m.Arrive {
-		return a.m.Arrive < b.m.Arrive
+// sender, then receiver, then kind. The insertion number (Message.no)
+// only breaks ties between messages identical on all four — which
+// concurrent senders cannot legitimately produce.
+func seqLess(a, b *Message) bool {
+	if a.Arrive != b.Arrive {
+		return a.Arrive < b.Arrive
 	}
-	if a.m.Src != b.m.Src {
-		return a.m.Src < b.m.Src
+	if a.Src != b.Src {
+		return a.Src < b.Src
 	}
-	if a.m.dst != b.m.dst {
-		return a.m.dst < b.m.dst
+	if a.dst != b.dst {
+		return a.dst < b.dst
 	}
-	if a.m.Kind != b.m.Kind {
-		return a.m.Kind < b.m.Kind
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
 	}
 	return a.no < b.no
 }
 
-// seqHeap is a min-heap of undelivered messages.
-type seqHeap []*seqMsg
+// seqHeap is a min-heap of undelivered messages. It is intrusive: the
+// sequencer's two words per entry (port, no) live on the Message, so
+// queueing a message allocates nothing.
+type seqHeap []*Message
 
 func (h seqHeap) Len() int            { return len(h) }
 func (h seqHeap) Less(i, j int) bool  { return seqLess(h[i], h[j]) }
 func (h seqHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *seqHeap) Push(x interface{}) { *h = append(*h, x.(*seqMsg)) }
+func (h *seqHeap) Push(x interface{}) { *h = append(*h, x.(*Message)) }
 func (h *seqHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -110,11 +105,28 @@ func (h *seqHeap) Pop() interface{} {
 // seqPort is the sequencer's view of one port.
 type seqPort struct {
 	id      NodeID
-	grantq  []*Message // delivered, awaiting Recv pickup (in grant order)
+	grantq  []*Message // delivered, awaiting Recv pickup (in grant order) from ghead on
+	ghead   int        // grantq[:ghead] is picked up; both reset when the queue drains
 	pending int        // undelivered messages for this port still in the heap
 	waiting int        // goroutines parked in Recv
 	closed  bool
 	cond    *sync.Cond
+}
+
+// granted reports how many delivered messages await pickup.
+func (p *seqPort) granted() int { return len(p.grantq) - p.ghead }
+
+// take picks up the oldest delivered message. Advancing a head index,
+// where re-slicing from the front would walk the array's capacity away
+// and reallocate on every few appends, lets one array serve the port for
+// good.
+func (p *seqPort) take() *Message {
+	m := p.grantq[p.ghead]
+	p.grantq[p.ghead] = nil
+	if p.ghead++; p.ghead == len(p.grantq) {
+		p.grantq, p.ghead = p.grantq[:0], 0
+	}
+	return m
 }
 
 // Sequencer orders message delivery by virtual arrival time.
@@ -171,7 +183,8 @@ func (s *Sequencer) insert(m *Message) {
 		return // racing a close; the sender's deliver already validated dst
 	}
 	s.no++
-	heap.Push(&s.heap, &seqMsg{m: m, port: p, no: s.no})
+	m.port, m.no = p, s.no
+	heap.Push(&s.heap, m)
 	p.pending++
 	if s.run == 0 {
 		s.step()
@@ -182,13 +195,13 @@ func (s *Sequencer) insert(m *Message) {
 // one wakes a parked receiver. Caller holds s.mu with s.run == 0.
 func (s *Sequencer) step() {
 	for s.heap.Len() > 0 {
-		e := heap.Pop(&s.heap).(*seqMsg)
-		p := e.port
+		m := heap.Pop(&s.heap).(*Message)
+		p := m.port
 		p.pending--
 		if p.closed {
 			continue // dropped, like a send to a closed port
 		}
-		p.grantq = append(p.grantq, e.m)
+		p.grantq = append(p.grantq, m)
 		if p.waiting > 0 {
 			// Transfer a token to the receiver we are about to wake.
 			s.run++
@@ -210,9 +223,8 @@ func (s *Sequencer) recv(id NodeID) (*Message, bool) {
 		return nil, false
 	}
 	for {
-		if len(p.grantq) > 0 {
-			m := p.grantq[0]
-			p.grantq = p.grantq[1:]
+		if p.granted() > 0 {
+			m := p.take()
 			s.idle.Broadcast()
 			return m, true
 		}
@@ -231,7 +243,7 @@ func (s *Sequencer) recv(id NodeID) (*Message, bool) {
 			s.step()
 		}
 		s.idle.Broadcast()
-		for len(p.grantq) == 0 && !p.closed {
+		for p.granted() == 0 && !p.closed {
 			p.cond.Wait()
 		}
 		p.waiting--
@@ -259,10 +271,10 @@ func (s *Sequencer) takePendingFor(p *seqPort) *Message {
 		p.pending = 0
 		return nil
 	}
-	e := s.heap[best]
+	m := s.heap[best]
 	heap.Remove(&s.heap, best)
 	p.pending--
-	return e.m
+	return m
 }
 
 // close marks the port closed and wakes its parked receivers (issuing
@@ -293,7 +305,7 @@ func (s *Sequencer) quiesce(id NodeID) {
 	if !ok {
 		return
 	}
-	if p.pending == 0 && len(p.grantq) == 0 && (p.waiting > 0 || p.closed) {
+	if p.pending == 0 && p.granted() == 0 && (p.waiting > 0 || p.closed) {
 		return
 	}
 	// Park while watching: the waiter must release its token or the
@@ -302,7 +314,7 @@ func (s *Sequencer) quiesce(id NodeID) {
 	if s.run == 0 {
 		s.step()
 	}
-	for !(p.pending == 0 && len(p.grantq) == 0 && (p.waiting > 0 || p.closed)) {
+	for !(p.pending == 0 && p.granted() == 0 && (p.waiting > 0 || p.closed)) {
 		s.idle.Wait()
 	}
 	s.run++

@@ -50,8 +50,22 @@ type Message struct {
 	Arrive vtime.Time // virtual arrival time at the receiver
 	Svc    vtime.Time // per-request service time of the incoming link
 
-	reply chan *Message // non-nil for RPC requests
+	reply chan response // non-nil for RPC requests
 	dst   NodeID
+
+	// The sequencer's heap entry (seq.go): the destination's sequencer
+	// port and the insertion number, set by insert.
+	port *seqPort
+	no   uint64
+}
+
+// response is what a Call gets back. It travels by value: a reply is
+// never queued at a port or ordered by the sequencer, so it needs none
+// of a Message's routing fields and no object of its own.
+type response struct {
+	kind   uint16
+	body   []byte
+	arrive vtime.Time
 }
 
 // Fabric connects a set of ports with a (possibly heterogeneous) link
@@ -225,7 +239,7 @@ func (p *Port) Call(dst NodeID, kind uint16, body []byte, at vtime.Time) (respKi
 		Src:   p.id,
 		Kind:  kind,
 		Body:  body,
-		reply: make(chan *Message, 1),
+		reply: make(chan response, 1),
 		dst:   dst,
 	}
 	if _, err := p.fabric.deliver(p.id, to, m, at); err != nil {
@@ -240,14 +254,14 @@ func (p *Port) Call(dst NodeID, kind uint16, body []byte, at vtime.Time) (respKi
 	}
 	select {
 	case resp := <-m.reply:
-		return resp.Kind, resp.Body, vtime.Max(at, resp.Arrive), nil
+		return resp.kind, resp.body, vtime.Max(at, resp.arrive), nil
 	case <-p.closed:
 		err = fmt.Errorf("simnet: port %d closed during call", p.id)
 	case <-to.closed:
 		// The peer may have answered on its way out.
 		select {
 		case resp := <-m.reply:
-			return resp.Kind, resp.Body, vtime.Max(at, resp.Arrive), nil
+			return resp.kind, resp.body, vtime.Max(at, resp.arrive), nil
 		default:
 		}
 		err = fmt.Errorf("simnet: port %d closed before answering: %w", dst, ErrPeerGone)
@@ -260,25 +274,22 @@ func (p *Port) Call(dst NodeID, kind uint16, body []byte, at vtime.Time) (respKi
 
 // Recv blocks until a message arrives or the port is closed. The second
 // result is false when the port has been closed.
-func (p *Port) Recv() (*Request, bool) {
+func (p *Port) Recv() (Request, bool) {
 	if p.fabric.seq != nil {
 		m, ok := p.fabric.seq.recv(p.id)
-		if !ok {
-			return nil, false
-		}
-		return &Request{msg: m, port: p}, true
+		return Request{msg: m, port: p}, ok
 	}
 	select {
 	case m := <-p.inbox:
-		return &Request{msg: m, port: p}, true
+		return Request{msg: m, port: p}, true
 	case <-p.closed:
 		// Drain anything already queued so in-flight RPCs fail fast
 		// rather than hang; then report closure.
 		select {
 		case m := <-p.inbox:
-			return &Request{msg: m, port: p}, true
+			return Request{msg: m, port: p}, true
 		default:
-			return nil, false
+			return Request{}, false
 		}
 	}
 }
@@ -300,7 +311,7 @@ func (p *Port) Close() {
 // Request is a received message plus the means to answer it, possibly
 // later and from a different goroutine (deferred replies are how the
 // manager parks lock waiters and how a memory server parks fetches that
-// must wait for in-flight diffs).
+// must wait for in-flight diffs). It is two words and travels by value.
 type Request struct {
 	msg  *Message
 	port *Port
@@ -343,12 +354,7 @@ func (r *Request) Reply(kind uint16, body []byte, at vtime.Time) {
 	}
 	link := r.port.fabric.Link(r.port.id, r.msg.Src)
 	size := len(body) + HeaderBytes
-	resp := &Message{
-		Src:    r.port.id,
-		Kind:   kind,
-		Body:   body,
-		Arrive: link.Deliver(at+link.SendOverhead, size),
-	}
+	resp := response{kind: kind, body: body, arrive: link.Deliver(at+link.SendOverhead, size)}
 	r.port.fabric.msgs.Add(1)
 	r.port.fabric.bytes.Add(int64(size))
 	// On a sequenced fabric the caller parked in Call without a token;
