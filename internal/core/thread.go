@@ -52,6 +52,14 @@ type Thread struct {
 	// lastSeen is the highest manager notice sequence applied.
 	lastSeen uint64
 
+	// The messages of a mutex passage, kept here because a message handed
+	// to an Endpoint escapes: a local one is a heap object per call. Each
+	// is set whole before its call, so nothing of the last passage (and no
+	// tail field a decode would leave alone) survives into the next.
+	lockReq   proto.LockReq
+	lockResp  proto.LockResp
+	unlockReq proto.UnlockReq
+
 	// tenureCold marks pages this thread had to fetch while inside a
 	// consistency region, or received ready-made with a peer-to-peer
 	// grant. A successor on the handoff chain is very likely cold on
@@ -814,23 +822,31 @@ func (t *Thread) startManagerCall(req proto.Msg, resp proto.Msg, at vtime.Time) 
 func (t *Thread) finishRelease(rs *pagecache.ReleaseSet) {
 	start := t.clock.Now()
 	t.cache.FinishRelease(rs)
+	homes := 0
+	for _, b := range rs.ByHome {
+		if b != nil {
+			homes++
+		}
+	}
 	if tr := t.rt.cfg.Trace; tr != nil && (len(rs.Pages) > 0 || len(rs.Records) > 0) {
 		defer func() {
 			tr.Span(t.actor, trace.CatRelease, "release", start, t.clock.Now(),
-				map[string]any{"pages": len(rs.Pages), "records": len(rs.Records), "homes": len(rs.ByHome)})
+				map[string]any{"pages": len(rs.Pages), "records": len(rs.Records), "homes": homes})
 		}()
 	}
-	if len(rs.ByHome) == 0 {
+	if homes == 0 {
 		return
 	}
-	// Deterministic fan-out order: the clock advance sequence (and, with
-	// a standby, each call's issue time) must not depend on map order.
-	homes := sortedHomes(rs.ByHome)
+	// ByHome is in home order, so the clock advance sequence (and, with a
+	// standby, each call's issue time) is deterministic.
 	if !t.rt.standbyEnabled() {
 		// One-way posts: nothing blocks, the sender only pays the
 		// serialized send overheads.
-		for _, home := range homes {
-			at, err := t.sendHome(home, rs.ByHome[home], t.clock.Now())
+		for home, b := range rs.ByHome {
+			if b == nil {
+				continue
+			}
+			at, err := t.sendHome(home, b, t.clock.Now())
 			if err != nil {
 				t.fail("diff batch", err)
 			}
@@ -843,22 +859,26 @@ func (t *Thread) finishRelease(rs *pagecache.ReleaseSet) {
 	// concurrently (send overheads still serialize on the NIC) and join
 	// at the latest ack instead of chaining the round trips.
 	sendAt := t.clock.Now()
-	ch := make(chan callResult, len(homes))
-	for i, home := range homes {
-		issue := sendAt + vtime.Time(i)*t.rt.cfg.Link.SendOverhead
+	ch := make(chan callResult, homes)
+	issue := sendAt
+	for home, b := range rs.ByHome {
+		if b == nil {
+			continue
+		}
 		t.st.MsgsSent++
 		t.rt.gate.Resume()
-		go func(home int, issue vtime.Time) {
+		go func(home int, b *proto.DiffBatch, issue vtime.Time) {
 			var ack proto.Ack
-			at, err := t.callHome(home, rs.ByHome[home], &ack, issue)
+			at, err := t.callHome(home, b, &ack, issue)
 			t.rt.gate.Resume()
 			ch <- callResult{at: at, err: err}
 			t.rt.gate.Pause()
-		}(home, issue)
+		}(home, b, issue)
+		issue += t.rt.cfg.Link.SendOverhead
 	}
 	join := t.clock.Now()
 	var firstErr error
-	for range homes {
+	for i := 0; i < homes; i++ {
 		t.rt.gate.Pause()
 		r := <-ch
 		if r.err != nil && firstErr == nil {
@@ -993,10 +1013,10 @@ func (m *smhMutex) Lock(th vm.Thread) {
 		}()
 	}
 	t.clock.Advance(t.rt.cfg.CPU.LockTime)
-	var resp proto.LockResp
-	at, err := t.mgrCall(&proto.LockReq{
-		Lock: m.id, Thread: t.writer, LastSeen: t.lastSeen,
-	}, &resp, t.clock.Now())
+	t.lockReq = proto.LockReq{Lock: m.id, Thread: t.writer, LastSeen: t.lastSeen}
+	t.lockResp = proto.LockResp{}
+	resp := &t.lockResp
+	at, err := t.mgrCall(&t.lockReq, resp, t.clock.Now())
 	if err != nil {
 		t.fail("lock", err)
 	}
@@ -1109,10 +1129,11 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 		t.st.MsgsSent++
 		handedOff = head.Waiter
 	}
-	ur := &proto.UnlockReq{
+	t.unlockReq = proto.UnlockReq{
 		Lock: m.id, Thread: t.writer, Interval: rs.Tag.Interval,
 		Pages: rs.Pages, Records: rs.Records, HandedOff: handedOff,
 	}
+	ur := &t.unlockReq
 	var at vtime.Time
 	var err error
 	if t.rt.cfg.ManagerReplicas > 1 {

@@ -79,9 +79,13 @@ func (b *noticeBoard) fill(seq uint64, tag proto.IntervalTag, pages []uint64, re
 // applying the log, a replay waiter's no-op reply) moves it only to
 // since, which the thread itself claimed: the thread may yet re-issue the
 // request from that horizon to a promoted replica, which must still hold
-// every notice above it.
+// every notice above it. Such an answer is never encoded either, so its
+// backlog is counted (span) but not copied.
 func (b *noticeBoard) acquire(thread uint32, since uint64, delivered bool) ([]proto.Notice, uint64) {
-	ns := b.after(since, b.issued)
+	var ns []proto.Notice
+	if backlog := b.span(since, b.issued); delivered {
+		ns = append(ns, backlog...)
+	}
 	b.settle(thread, since, delivered)
 	return ns, b.issued
 }

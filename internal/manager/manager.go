@@ -272,8 +272,12 @@ func (m *Manager) failParked(code uint16, why string) {
 	}
 }
 
-// Run processes requests until Shutdown or endpoint closure.
+// Run processes requests until Shutdown or endpoint closure, and closes
+// the endpoint on the way out: a stopped manager must refuse calls, not
+// leave an open port nobody reads, or a leader still pushing to a follower
+// that consumed its Shutdown first would block for good.
 func (m *Manager) Run() {
+	defer m.ep.Close()
 	m.p2p = m.nshards > 1 && m.sequenced
 	if m.repl != nil && m.lease > 0 {
 		// Wall-clock lease renewal, like heartbeats: clean sequenced

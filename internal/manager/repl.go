@@ -71,6 +71,16 @@ type replState struct {
 	applied uint64 // entries externalized to the shard state machines
 
 	lastPush time.Time // wall clock of the last push to the followers
+
+	// The leader's call (push, pushAck) and the follower's decode and
+	// answer (in, inAck), kept here because a message handed to an Endpoint
+	// escapes: a local one is a heap object per follower per mutation. The
+	// two appends stay apart: push.Entries is a view of the proposer's log,
+	// which a decode into the same message would overwrite.
+	push    proto.ReplAppend
+	pushAck proto.ReplAck
+	in      proto.ReplAppend
+	inAck   proto.ReplAck
 }
 
 // SetReplication turns this manager into replica cfg.Self of a
@@ -115,10 +125,12 @@ func (m *Manager) isFollower() bool { return m.repl != nil && !m.repl.leader }
 // shard clock advances to it so replication latency is on the
 // critical path it really occupies. ok=false means this leader was
 // deposed mid-round; the caller answers CodeNotLeader.
+//
+// The log holds the request's own body, not a copy: a body is its
+// receiver's buffer on both transports and nothing writes it after the
+// decode (DESIGN.md §11).
 func (m *Manager) replicate(req *scl.Request) (floor vtime.Time, ok bool) {
-	r := m.repl
-	body := append([]byte(nil), req.Body()...)
-	r.prop.Append(uint32(req.Src()), req.Kind(), body)
+	m.repl.prop.Append(uint32(req.Src()), req.Kind(), req.Body())
 	return m.pushToPeers(req.Arrive())
 }
 
@@ -156,8 +168,11 @@ func (m *Manager) pushToPeers(at vtime.Time) (floor vtime.Time, ok bool) {
 				}
 				continue
 			}
-			var ack proto.ReplAck
-			doneAt, err := m.ep.Call(r.replicas[pi], &proto.ReplAppend{Term: r.term, Entries: ents}, &ack, at)
+			// A decode leaves tail fields it does not find alone, so the
+			// ack starts from zero each round.
+			r.push, r.pushAck = proto.ReplAppend{Term: r.term, Entries: ents}, proto.ReplAck{}
+			ack := &r.pushAck
+			doneAt, err := m.ep.Call(r.replicas[pi], &r.push, ack, at)
 			if err != nil {
 				if isPeerGone(err) {
 					r.prop.DropPeer(pi)
@@ -175,7 +190,7 @@ func (m *Manager) pushToPeers(at vtime.Time) (floor vtime.Time, ok bool) {
 			if doneAt > floor {
 				floor = doneAt
 			}
-			if r.prop.Ack(pi, &ack) {
+			if r.prop.Ack(pi, ack) {
 				m.demote(fmt.Sprintf("deposed by replica %d (term %d)", pi, ack.Term))
 				return 0, false
 			}
@@ -251,15 +266,20 @@ func (m *Manager) demote(why string) {
 	m.failParked(proto.CodeNotLeader, "manager leader deposed")
 }
 
-// handleReplAppend is the follower half of the append path.
+// handleReplAppend is the follower half of the append path. The append
+// is decoded in place: r.in's entry list is scratch that the next append
+// overwrites, and each entry's Body is a window into this request's own
+// body. Entries are therefore applied by value, and what a handler keeps
+// of one (a parked replay request) is that Body, which keeps the append's
+// body alive — never the list.
 func (m *Manager) handleReplAppend(req *scl.Request) {
 	r := m.repl
 	if r == nil {
 		req.ReplyErrorCode(proto.CodeGeneric, fmt.Errorf("manager: not a replica"), m.Clock())
 		return
 	}
-	var ra proto.ReplAppend
-	if err := req.Decode(&ra); err != nil {
+	ra := &r.in
+	if err := req.DecodeAlias(ra); err != nil {
 		req.ReplyError(err, m.Clock())
 		return
 	}
@@ -269,18 +289,20 @@ func (m *Manager) handleReplAppend(req *scl.Request) {
 		} else {
 			// A stale old leader appending to the new one: the higher
 			// term in the nack deposes it.
-			req.Reply(&proto.ReplAck{OK: false, Term: r.term, NextIndex: r.acc.Last + 1}, m.Clock())
+			r.inAck = proto.ReplAck{OK: false, Term: r.term, NextIndex: r.acc.Last + 1}
+			req.Reply(&r.inAck, m.Clock())
 			return
 		}
 	}
-	apply, ack := r.acc.Offer(&ra)
+	var apply []proto.ReplEntry
+	apply, r.inAck = r.acc.Offer(ra)
 	if r.acc.Term > r.term {
 		r.term = r.acc.Term
 	}
-	for i := range apply {
-		m.applyEntry(apply[i])
+	for _, e := range apply {
+		m.applyEntry(e)
 	}
-	req.Reply(&ack, m.Clock())
+	req.Reply(&r.inAck, m.Clock())
 }
 
 // handleReplSnapshot installs a full-state snapshot on a lagging

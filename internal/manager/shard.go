@@ -95,6 +95,9 @@ type shard struct {
 	clock  *vtime.Clock
 	mirror atomicTime // clock published for cross-goroutine readers
 	tick   uint64     // directory ticket of the request in flight
+	// lockResp is the answer to an acquire, kept here because a message
+	// handed to Reply escapes; Reply encodes it before it returns.
+	lockResp proto.LockResp
 
 	locks       map[uint32]*lockState
 	barriers    map[uint32]*barrierState
@@ -352,7 +355,8 @@ func (sh *shard) handleLock(req *scl.Request, lr *proto.LockReq) {
 			// LockGrant instead of a manager round trip.
 			w.detached = true
 			w.req = nil
-			req.Reply(&proto.LockResp{Queued: true}, sh.clock.Now())
+			sh.lockResp = proto.LockResp{Queued: true}
+			req.Reply(&sh.lockResp, sh.clock.Now())
 			ls.queue = append(ls.queue, w)
 			sh.maybeSendTrain(lr.Lock, ls)
 			return
@@ -403,7 +407,8 @@ func (sh *shard) grant(id uint32, ls *lockState, w waiter) {
 			if m.p2p {
 				gen = ls.gen
 			}
-			w.req.Reply(&proto.LockResp{Seq: seq, Notices: ns, Gen: gen}, now)
+			sh.lockResp = proto.LockResp{Seq: seq, Notices: ns, Gen: gen}
+			w.req.Reply(&sh.lockResp, now)
 		} else {
 			w.req.Reply(&proto.CondWaitResp{Seq: seq, Notices: ns}, now)
 		}

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/layout"
@@ -318,6 +317,11 @@ type Cache struct {
 	// extScratch is ApplyNotices' extent list, reused from page to page:
 	// invalidate reads it and keeps none of it.
 	extScratch []byteRange
+
+	// lineScratch and pageScratch are BeginRelease's sorted dirty-line and
+	// early-flushed-page lists, reused from release to release.
+	lineScratch []layout.LineID
+	pageScratch []layout.PageID
 
 	// interval bookkeeping (one interval = release to release).
 	interval     uint64
@@ -841,7 +845,7 @@ func (c *Cache) pageCompanions(line layout.LineID) []layout.PageID {
 		out = append(out, p)
 	}
 	// Deterministic choice when the candidate set is capped.
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	if len(out) > maxCombinePages {
 		out = out[:maxCombinePages]
 	}
@@ -1169,9 +1173,10 @@ type ReleaseSet struct {
 	Pages []uint64
 	// Records is the consistency-region store log for the write notice.
 	Records []proto.StoreRecord
-	// ByHome maps memory-server index to the DiffBatch bound for it.
-	// Complete only after FinishRelease.
-	ByHome map[int]*proto.DiffBatch
+	// ByHome is indexed by memory-server index: the DiffBatch bound for
+	// that home, nil where the release has nothing to tell it, and empty
+	// when it has nothing to tell any. Complete only after FinishRelease.
+	ByHome []*proto.DiffBatch
 
 	// deferred holds the shared dirty pages whose diff computation
 	// FinishRelease performs off the release's critical path.
@@ -1209,10 +1214,7 @@ func (c *Cache) CollectRelease() *ReleaseSet {
 func (c *Cache) BeginRelease() *ReleaseSet {
 	c.interval++
 	c.st.Releases++
-	rs := &ReleaseSet{
-		Tag:    proto.IntervalTag{Writer: c.cfg.Writer, Interval: c.interval},
-		ByHome: make(map[int]*proto.DiffBatch),
-	}
+	rs := &ReleaseSet{Tag: proto.IntervalTag{Writer: c.cfg.Writer, Interval: c.interval}}
 
 	// Ordinary-region dirty pages from resident lines: shared pages ship
 	// eager diffs (computed in FinishRelease); unshared pages retain
@@ -1224,13 +1226,14 @@ func (c *Cache) BeginRelease() *ReleaseSet {
 	// Scan in line order: the notice page list, the per-home batch
 	// contents and the diff-time clock advances must not depend on map
 	// iteration order.
-	dirtyLines := make([]layout.LineID, 0, len(c.lines))
+	dirtyLines := c.lineScratch[:0]
 	for id, le := range c.lines {
 		if lineDirty(le) {
 			dirtyLines = append(dirtyLines, id)
 		}
 	}
-	sort.Slice(dirtyLines, func(i, j int) bool { return dirtyLines[i] < dirtyLines[j] })
+	slices.Sort(dirtyLines)
+	c.lineScratch = dirtyLines
 	for _, id := range dirtyLines {
 		le := c.lines[id]
 		first := c.geo.FirstPage(le.id)
@@ -1259,35 +1262,36 @@ func (c *Cache) BeginRelease() *ReleaseSet {
 			rs.Pages = appendExtentWords(rs.Pages, ps)
 			c.markClean(p, ps)
 			c.st.OwnedClaims++
-			b := rs.batchFor(home, rs.Tag)
+			b := c.batchFor(rs, home)
 			b.OwnedPages = append(b.OwnedPages, uint64(p))
 		}
 	}
 
 	// Pages flushed early by eviction/invalidation: bytes are home, but
 	// the tag must still be marked and peers must still invalidate.
-	flushed := make([]layout.PageID, 0, len(c.flushedDirty))
+	flushed := c.pageScratch[:0]
 	for p := range c.flushedDirty {
 		flushed = append(flushed, p)
 	}
-	sort.Slice(flushed, func(i, j int) bool { return flushed[i] < flushed[j] })
+	slices.Sort(flushed)
+	c.pageScratch = flushed
 	for _, p := range flushed {
 		rs.Pages = append(rs.Pages, uint64(p))
-		b := rs.batchFor(c.geo.HomeOf(p), rs.Tag)
+		b := c.batchFor(rs, c.geo.HomeOf(p))
 		b.EmptyPages = append(b.EmptyPages, uint64(p))
-		delete(c.flushedDirty, p)
 	}
+	clear(c.flushedDirty)
 
 	// Consistency-region store records, routed to each record's home and
-	// (in the write notice) to the manager: two copies leave the thread.
+	// (in the write notice, which takes the log itself) to the manager:
+	// two copies leave the thread.
 	for _, rec := range c.records {
 		p := c.geo.PageOf(layout.Addr(rec.Addr))
-		b := rs.batchFor(c.geo.HomeOf(p), rs.Tag)
+		b := c.batchFor(rs, c.geo.HomeOf(p))
 		b.Records = append(b.Records, rec)
-		rs.Records = append(rs.Records, rec)
 		c.st.BytesSent += 2 * int64(len(rec.Data))
 	}
-	c.records = nil
+	rs.Records, c.records = c.records, nil
 	return rs
 }
 
@@ -1315,24 +1319,22 @@ func (c *Cache) FinishRelease(rs *ReleaseSet) {
 		ps := &dd.le.pages[dd.idx]
 		base := dd.idx * c.geo.PageSize
 		d := c.diffForHome(dd.page, dd.le.data[base:base+c.geo.PageSize], ps.twin)
-		b := rs.batchFor(dd.home, rs.Tag)
+		b := c.batchFor(rs, dd.home)
 		b.Diffs = append(b.Diffs, d)
 		c.markClean(dd.page, ps)
 	}
 	rs.deferred = nil
-	// Batches that ended up with nothing to say (e.g. only silent
-	// unshared stores) are dropped entirely.
-	for home, b := range rs.ByHome {
-		if len(b.Diffs) == 0 && len(b.Records) == 0 && len(b.EmptyPages) == 0 && len(b.OwnedPages) == 0 {
-			delete(rs.ByHome, home)
-		}
-	}
 }
 
-func (rs *ReleaseSet) batchFor(home int, tag proto.IntervalTag) *proto.DiffBatch {
-	b, ok := rs.ByHome[home]
-	if !ok {
-		b = &proto.DiffBatch{Tag: tag}
+// batchFor is the release's batch for home, made on first use: a batch
+// exists only once it has something to carry.
+func (c *Cache) batchFor(rs *ReleaseSet, home int) *proto.DiffBatch {
+	if rs.ByHome == nil {
+		rs.ByHome = make([]*proto.DiffBatch, c.geo.NumServers)
+	}
+	b := rs.ByHome[home]
+	if b == nil {
+		b = &proto.DiffBatch{Tag: rs.Tag}
 		rs.ByHome[home] = b
 	}
 	return b
@@ -1554,7 +1556,7 @@ func (c *Cache) DrainPrefetches() {
 	for line := range c.pending {
 		lines = append(lines, line)
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	slices.Sort(lines)
 	for _, line := range lines {
 		pe := c.pending[line]
 		pe.h.beginWait() // park only if the helper has not delivered yet
@@ -1589,7 +1591,7 @@ func (c *Cache) FlushRange(first layout.PageID, npages uint64) error {
 	}
 	// Page order: the diff-time clock advances and the per-home batch
 	// contents must not depend on map iteration.
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	slices.Sort(pages)
 	diffs := make([]proto.PageDiff, 0, len(pages))
 	for _, p := range pages {
 		le := c.lines[c.geo.LineOf(p)]
@@ -1630,7 +1632,7 @@ func (c *Cache) DropRange(first layout.PageID, npages uint64) {
 			lines = append(lines, line)
 		}
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	slices.Sort(lines)
 	for _, line := range lines {
 		pe := c.pending[line]
 		pe.h.beginWait() // park only if the helper has not delivered yet
@@ -1644,7 +1646,7 @@ func (c *Cache) DropRange(first layout.PageID, npages uint64) {
 			lines = append(lines, line)
 		}
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	slices.Sort(lines)
 	for _, line := range lines {
 		c.evict(c.lines[line])
 	}
@@ -1662,7 +1664,7 @@ func (c *Cache) RangeNeeds(first layout.PageID, npages uint64) []proto.PageNeed 
 		}
 		needs = append(needs, proto.PageNeed{Page: uint64(p), Tags: slices.Clone(tags)})
 	}
-	sort.Slice(needs, func(i, j int) bool { return needs[i].Page < needs[j].Page })
+	slices.SortFunc(needs, func(a, b proto.PageNeed) int { return cmp.Compare(a.Page, b.Page) })
 	return needs
 }
 

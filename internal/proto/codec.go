@@ -106,31 +106,23 @@ func (c *Codec) U64s(v *[]uint64) {
 	}
 }
 
-// Bytes walks a length-prefixed byte string that always decodes to a
-// copy: for bytes that outlive the body whichever way it was decoded.
-func (c *Codec) Bytes(p *[]byte) {
+// Payload walks a length-prefixed byte string. Decode fills the field
+// with a copy; under DecodeAlias the field is the body's own bytes —
+// clipped to their length, so an append to the payload reallocates
+// instead of running on into the rest of the body. It is for bytes the
+// receiver reads, or takes over, while it still owns the body
+// (DESIGN.md §11).
+func (c *Codec) Payload(p *[]byte) {
 	switch {
 	case !c.dec:
 		c.w.Bytes(*p)
 	case c.skim:
 		c.r.Bytes()
-	default:
-		*p = append([]byte(nil), c.r.Bytes()...)
-	}
-}
-
-// Payload walks a length-prefixed byte string that the decoded message
-// may share with the wire body: it is Bytes, except that under
-// DecodeAlias the field is the body's own bytes — clipped to their
-// length, so an append to the payload reallocates instead of running on
-// into the rest of the body. It is for bytes the receiver reads, or
-// takes over, while it still owns the body (DESIGN.md §11).
-func (c *Codec) Payload(p *[]byte) {
-	if c.dec && c.alias && !c.skim {
+	case c.alias:
 		b := c.r.Bytes()
 		*p = b[:len(b):len(b)]
-	} else {
-		c.Bytes(p)
+	default:
+		*p = append([]byte(nil), c.r.Bytes()...)
 	}
 }
 
@@ -158,14 +150,22 @@ func (c *Codec) tail(set bool) bool {
 // List walks a count-prefixed list, element by element. Decoding rejects
 // a count larger than the bytes that are left — every element takes at
 // least one — before allocating anything for it, so a hostile length
-// costs nothing; a count of zero decodes to an empty, non-nil slice.
+// costs nothing; a count of zero decodes to an empty, non-nil slice. A
+// destination that already has the capacity is cleared and filled in
+// place: a caller that decodes into the same message again and again (a
+// manager follower's appends) must keep no element of the last decode.
 func List[T any](c *Codec, s *[]T, walk func(*Codec, *T)) {
 	n, ok := c.count(len(*s))
 	if !ok {
 		return
 	}
 	if c.dec {
-		*s = make([]T, n)
+		if *s != nil && cap(*s) >= n {
+			clear(*s)
+			*s = (*s)[:n]
+		} else {
+			*s = make([]T, n)
+		}
 	}
 	elems := *s
 	for i := range elems {

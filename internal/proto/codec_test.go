@@ -82,7 +82,7 @@ func TestEmptyListsDecodeAlike(t *testing.T) {
 	}
 }
 
-// allocSamples are the four messages the benchmark's proto driver
+// allocSamples are the five messages the benchmark's proto driver
 // measures (benchmark/layers.go protoSamples), with the allocations one
 // Decode into a new message costs: the message, its lists and its
 // payload copies, and nothing for the codec. aliased is the same count
@@ -111,6 +111,10 @@ func allocSamples() []struct {
 	for i := range notices {
 		notices[i] = Notice{Seq: uint64(i + 1), Tag: IntervalTag{Writer: uint32(i + 1), Interval: 9}, Pages: []uint64{uint64(i)}, Records: records(2)}
 	}
+	entries := make([]ReplEntry, 8)
+	for i := range entries {
+		entries[i] = ReplEntry{Index: uint64(i + 1), Term: 1, Src: 100, Kind: uint16(KUnlockReq), Body: make([]byte, 96)}
+	}
 	return []struct {
 		name    string
 		msg     Msg
@@ -123,6 +127,10 @@ func allocSamples() []struct {
 		// 16 record payloads a copying decode owes.
 		{"lock_resp", &LockResp{Seq: 8, Notices: notices, Gen: 5}, 20, 4},
 		{"unlock_req", &UnlockReq{Lock: 4, Thread: 3, Interval: 7, Records: records(16)}, 18, 2},
+		// The message, its entry list and, copying, the 8 entry bodies: a
+		// follower decodes with DecodeAlias into a message it keeps, which
+		// costs nothing at all (TestListReusesCapacity).
+		{"repl_append", &ReplAppend{Term: 1, Entries: entries}, 10, 2},
 	}
 }
 
@@ -332,6 +340,58 @@ func FuzzDecode(f *testing.F) {
 		checkWireLists(t, m, body)
 		checkWireLists(t, aliased, body)
 	})
+}
+
+// A destination with room is filled in place: a follower's append costs
+// no allocation. What it held is gone first, so a shorter list shows
+// nothing of a longer one, and a hostile count is refused before the
+// destination is touched.
+func TestListReusesCapacity(t *testing.T) {
+	entry := func(i uint64) ReplEntry {
+		return ReplEntry{Index: i, Term: 2, Src: 9, Kind: uint16(KLockReq), Body: []byte{byte(i), 1, 2}}
+	}
+	long := Encode(&ReplAppend{Term: 2, Entries: []ReplEntry{entry(1), entry(2), entry(3)}})
+	short := Encode(&ReplAppend{Term: 2, Entries: []ReplEntry{{Index: 4, Term: 2}}})
+	var ra ReplAppend
+	if err := DecodeAlias(&ra, long); err != nil {
+		t.Fatal(err)
+	}
+	first := &ra.Entries[0]
+	kept := ra.Entries[0].Body // what a parked replay request holds
+	if err := DecodeAlias(&ra, short); err != nil {
+		t.Fatal(err)
+	}
+	if &ra.Entries[0] != first || len(ra.Entries) != 1 {
+		t.Fatalf("a 1-entry list was not decoded into the room of a 3-entry one: %+v", ra.Entries)
+	}
+	if e := ra.Entries[0]; e.Index != 4 || e.Src != 0 || e.Kind != 0 || len(e.Body) != 0 {
+		t.Fatalf("the reused slot kept fields of its last entry: %+v", e)
+	}
+	if stale := ra.Entries[:3][1:]; stale[0].Body != nil || stale[1].Body != nil {
+		t.Fatal("slots past the new length still hold the last decode's bodies")
+	}
+	if !pointsInto(kept, long) || kept[0] != 1 {
+		t.Fatal("a retained body was touched by the next decode")
+	}
+	if !raceEnabled {
+		if got := testing.AllocsPerRun(100, func() { _ = DecodeAlias(&ra, long) }); got != 0 {
+			t.Fatalf("DecodeAlias into a kept ReplAppend allocates %v objects, want 0", got)
+		}
+	}
+
+	var w Writer
+	w.U64(2) // Term
+	w.U64(3) // three entries, one byte left
+	w.U8(0)
+	if err := DecodeAlias(&ra, long); err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeAlias(&ra, w.B); err == nil {
+		t.Fatal("a 3-entry list in 1 byte decoded")
+	}
+	if len(ra.Entries) != 3 || ra.Entries[2].Index != 3 {
+		t.Fatalf("a refused count reached the destination: %+v", ra.Entries)
+	}
 }
 
 func walkTestMap(m *map[uint32]int64) func(*Codec) {

@@ -33,10 +33,10 @@
 //     kindEnd, so the existing kind numbers stay.
 //  2. Give it Kind and Walk. Walk calls one Codec primitive per field, in
 //     wire order: U8/Bool/U16/U32/U64, U64s, String, List(c, &m.Xs,
-//     walkX) with the sub-struct's own walk, Payload for bytes the
-//     receiver may use in place while it owns the body, Bytes for bytes
-//     that outlive it. A field added to an existing message goes last,
-//     in a c.tail group, so messages without it keep their encoding.
+//     walkX) with the sub-struct's own walk, Payload for bytes (a copy
+//     under Decode; under DecodeAlias the receiver uses them in place
+//     while it owns the body). A field added to an existing message goes
+//     last, in a c.tail group, so messages without it keep their encoding.
 //     A list of notices is Notices(c, &m.Ns) when the receiver applies
 //     it (three allocations, however long) and a NoticeList or Train
 //     field (walkNoticeList, walkTrain) when the receiver passes it on:

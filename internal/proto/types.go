@@ -866,7 +866,7 @@ func walkEntry(c *Codec, e *ReplEntry) {
 	c.U64(&e.Term)
 	c.U32(&e.Src)
 	c.U16(&e.Kind)
-	c.Bytes(&e.Body)
+	c.Payload(&e.Body)
 }
 
 // ReplAppend carries log entries from the manager leader to a follower

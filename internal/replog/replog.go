@@ -173,7 +173,15 @@ func (p *Proposer) Truncate(appliedFloor uint64) int {
 	if n > len(p.entries) {
 		n = len(p.entries)
 	}
-	p.entries = p.entries[n:]
+	// Clearing lets go of the dropped bodies. An emptied log starts over
+	// at the front of its array; slicing to the empty tail would leave the
+	// next Append no room and make it reallocate.
+	clear(p.entries[:n])
+	if n == len(p.entries) {
+		p.entries = p.entries[:0]
+	} else {
+		p.entries = p.entries[n:]
+	}
 	p.first += uint64(n)
 	return n
 }

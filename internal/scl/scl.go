@@ -68,16 +68,10 @@ type Request struct {
 // the handlers park these requests in lock queues and barrier tables
 // exactly like live ones. Replies go nowhere (the live client is
 // answered by the leader, or re-issues after a failover), which
-// Replayed lets the handlers detect.
+// Replayed lets the handlers detect. The request keeps body for as long
+// as a handler keeps the request.
 func NewReplayRequest(src NodeID, kind proto.Kind, body []byte, at vtime.Time) *Request {
-	return &Request{
-		src:      src,
-		kind:     kind,
-		body:     body,
-		arrive:   at,
-		replayed: true,
-		reply:    func(uint16, []byte, vtime.Time) {},
-	}
+	return &Request{src: src, kind: kind, body: body, arrive: at, replayed: true}
 }
 
 // Replayed reports whether the request was fabricated by a log replay
@@ -129,7 +123,12 @@ func (r *Request) DecodeAlias(m proto.Msg) error {
 }
 
 // Reply answers the request at virtual time at on the responder's clock.
+// A replayed request has nobody to answer, so its reply is not even
+// encoded.
 func (r *Request) Reply(m proto.Msg, at vtime.Time) {
+	if r.replayed {
+		return
+	}
 	reply := r.reply
 	if reply == nil {
 		reply = r.sim.Reply

@@ -80,10 +80,16 @@ func TestSequencedDeliveryIsInVirtualOrder(t *testing.T) {
 	}
 }
 
-// A sequenced round trip allocates the request and its reply channel
-// (a channel of pointer-bearing elements is two objects) and nothing
-// for the sequencer's bookkeeping, the receive or the reply.
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// A sequenced round trip allocates the request and nothing else: the
+// reply channel is recycled, and the sequencer's bookkeeping, the receive
+// and the reply cost nothing.
 func TestSequencedCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	_, cli, _, stop := seqEcho()
 	defer stop()
 	body := make([]byte, 64)
@@ -93,8 +99,8 @@ func TestSequencedCallAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ { // grow the heap and the grant queue once
 		call()
 	}
-	if got := testing.AllocsPerRun(200, call); err != nil || got > 3 {
-		t.Fatalf("a sequenced call allocates %v objects (err %v), want at most 3", got, err)
+	if got := testing.AllocsPerRun(200, call); err != nil || got > 1 {
+		t.Fatalf("a sequenced call allocates %v objects (err %v), want at most 1", got, err)
 	}
 }
 

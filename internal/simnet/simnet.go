@@ -50,8 +50,9 @@ type Message struct {
 	Arrive vtime.Time // virtual arrival time at the receiver
 	Svc    vtime.Time // per-request service time of the incoming link
 
-	reply chan response // non-nil for RPC requests
-	dst   NodeID
+	reply   chan response // non-nil for RPC requests
+	replied atomic.Bool   // set by the first Reply; any later one is dropped
+	dst     NodeID
 
 	// The sequencer's heap entry (seq.go): the destination's sequencer
 	// port and the insertion number, set by insert.
@@ -67,6 +68,14 @@ type response struct {
 	body   []byte
 	arrive vtime.Time
 }
+
+// replyChans recycles the one-slot channels calls wait on. A channel
+// comes back only from a call that received its response from it: a
+// request is answered at most once (Message.replied), so that channel is
+// empty and nothing will send on it again. A call that gave up on a
+// closed port abandons its channel to the collector instead, because the
+// answer may still land in it.
+var replyChans = sync.Pool{New: func() any { return make(chan response, 1) }}
 
 // Fabric connects a set of ports with a (possibly heterogeneous) link
 // model.
@@ -235,13 +244,8 @@ func (p *Port) Call(dst NodeID, kind uint16, body []byte, at vtime.Time) (respKi
 	if err != nil {
 		return 0, nil, at, err
 	}
-	m := &Message{
-		Src:   p.id,
-		Kind:  kind,
-		Body:  body,
-		reply: make(chan response, 1),
-		dst:   dst,
-	}
+	reply := replyChans.Get().(chan response)
+	m := &Message{Src: p.id, Kind: kind, Body: body, reply: reply, dst: dst}
 	if _, err := p.fabric.deliver(p.id, to, m, at); err != nil {
 		return 0, nil, at, err
 	}
@@ -253,14 +257,16 @@ func (p *Port) Call(dst NodeID, kind uint16, body []byte, at vtime.Time) (respKi
 		seq.Pause()
 	}
 	select {
-	case resp := <-m.reply:
+	case resp := <-reply:
+		replyChans.Put(reply)
 		return resp.kind, resp.body, vtime.Max(at, resp.arrive), nil
 	case <-p.closed:
 		err = fmt.Errorf("simnet: port %d closed during call", p.id)
 	case <-to.closed:
 		// The peer may have answered on its way out.
 		select {
-		case resp := <-m.reply:
+		case resp := <-reply:
+			replyChans.Put(reply)
 			return resp.kind, resp.body, vtime.Max(at, resp.arrive), nil
 		default:
 		}
@@ -338,11 +344,16 @@ func (r *Request) OneWay() bool { return r.msg.reply == nil }
 
 // Reply answers an RPC request at the given virtual time on the
 // responder's clock; once the responder's port has closed it does
-// nothing. Replying to a one-way message panics — that is always a
-// protocol bug.
+// nothing. Only the first reply to a request counts: the caller's channel
+// is recycled once it has been read (replyChans), so a second answer
+// would reach somebody else's call. Replying to a one-way message
+// panics — that is always a protocol bug.
 func (r *Request) Reply(kind uint16, body []byte, at vtime.Time) {
 	if r.msg.reply == nil {
 		panic(fmt.Sprintf("simnet: reply to one-way %d message", r.msg.Kind))
+	}
+	if r.msg.replied.Swap(true) {
+		return
 	}
 	// A closed port is a node that is gone, and a node that is gone
 	// answers nobody: whatever its owner still does with requests it had

@@ -320,3 +320,83 @@ func TestCallTakesReplySentBeforeClose(t *testing.T) {
 		srv.Close() // idempotent; frees id 2 for the next round even if the goroutine has not got there
 	}
 }
+
+// parkedCall starts a call from cli to srv and returns the request as
+// srv's owner holds it, with the channel the result arrives on.
+func parkedCall(t *testing.T, cli, srv *Port, kind uint16) (Request, <-chan result) {
+	t.Helper()
+	done := make(chan result, 1)
+	go func() {
+		k, _, _, err := cli.Call(srv.ID(), kind, nil, 0)
+		done <- result{k, err}
+	}()
+	req, ok := srv.Recv()
+	if !ok || req.Kind() != kind {
+		t.Fatalf("Recv: kind %d, ok %v; want request %d", req.Kind(), ok, kind)
+	}
+	return req, done
+}
+
+type result struct {
+	kind uint16
+	err  error
+}
+
+// Only the first reply to a request counts. The caller's channel goes
+// back to the free list once it has been read, so a second answer would
+// land in whichever call took the channel next.
+func TestSecondReplyIsDropped(t *testing.T) {
+	f := NewFabric(testModel)
+	cli, srv := f.NewPort(1), f.NewPort(2)
+	reused := false
+	for round := 0; round < 100 && !reused; round++ {
+		first, done := parkedCall(t, cli, srv, 1)
+		first.Reply(10, nil, first.Arrive())
+		if r := <-done; r.err != nil || r.kind != 10 {
+			t.Fatalf("first call: %+v", r)
+		}
+		sent := f.Messages()
+		second, done := parkedCall(t, cli, srv, 2)
+		reused = reused || second.msg.reply == first.msg.reply
+		first.Reply(11, nil, first.Arrive()) // must reach nobody
+		if f.Messages() != sent+1 {
+			t.Fatal("a dropped reply was charged to the wire")
+		}
+		second.Reply(20, nil, second.Arrive())
+		if r := <-done; r.err != nil || r.kind != 20 {
+			t.Fatalf("second call got %+v, want its own reply 20", r)
+		}
+		if len(second.msg.reply) != 0 {
+			t.Fatal("a reply is left over in the recycled channel")
+		}
+	}
+	if !reused && !raceEnabled {
+		t.Fatal("no call in 100 rounds reused the channel of the one before: the test proved nothing")
+	}
+}
+
+// A call that gives up because the peer closed keeps its channel out of
+// the free list: a reply racing the close may still land in it, and must
+// not become the answer to a later call.
+func TestFailedCallAbandonsItsChannel(t *testing.T) {
+	f := NewFabric(testModel)
+	cli, gone, srv := f.NewPort(1), f.NewPort(2), f.NewPort(3)
+	lost, done := parkedCall(t, cli, gone, 1)
+	gone.Close()
+	if r := <-done; !errors.Is(r.err, ErrPeerGone) {
+		t.Fatalf("call to a closing port: %+v, want ErrPeerGone", r)
+	}
+	// What a Reply that passed its closed-port check just before the
+	// close does next.
+	lost.msg.reply <- response{kind: 66}
+	for i := 0; i < 50; i++ {
+		req, done := parkedCall(t, cli, srv, 2)
+		if req.msg.reply == lost.msg.reply {
+			t.Fatal("the failed call's channel was recycled")
+		}
+		req.Reply(20, nil, req.Arrive())
+		if r := <-done; r.err != nil || r.kind != 20 {
+			t.Fatalf("call %d after the failure got %+v, want its own reply 20", i, r)
+		}
+	}
+}
