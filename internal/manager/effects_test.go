@@ -1,0 +1,346 @@
+package manager
+
+import (
+	"encoding/hex"
+	"fmt"
+	"os"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/layout"
+	"repro/internal/proto"
+	"repro/internal/scl"
+	"repro/internal/simnet"
+	"repro/internal/vtime"
+)
+
+// testdata/effects.golden pins everything a manager externalises over a
+// scripted run of every client-plane request kind: each reply and each
+// post as "dst kind at hex(body)", grouped by destination node in the
+// order that node was sent them. (Order across nodes is not recorded:
+// Shutdown fails the parked waiters of several locks in map order.) The
+// file was written by the manager as it stood before its transitions
+// queued their effects, driven through a sequenced fabric.
+
+const effectsGoldenPath = "testdata/effects.golden"
+
+// effect is one recorded send.
+type effectLine struct {
+	dst  uint32
+	kind proto.Kind
+	at   vtime.Time
+	body []byte
+}
+
+// effectsDriver delivers the script's requests to a manager and records
+// what the manager sends.
+type effectsDriver interface {
+	// send delivers one request from node. A call returns the body of its
+	// answer; a post, and a call that parks (its answer comes with some
+	// later request), return nil.
+	send(node uint32, kind proto.Kind, body []byte, oneway, parks bool) []byte
+}
+
+// effectsScript is the run. Thread t lives at node 10+t; node 19 is a
+// controller that holds no synchronization state. With two homes, locks
+// 2, 3, 4 and condition 8 are homed at shard 0 and locks 1, barriers 9,
+// 11 and conditions 10, 13 at shard 1.
+type effectsScript struct {
+	d        effectsDriver
+	interval map[uint32]uint64
+}
+
+func (s *effectsScript) call(t uint32, m proto.Msg) []byte {
+	return s.d.send(10+t, m.Kind(), proto.Encode(m), false, false)
+}
+
+func (s *effectsScript) park(t uint32, m proto.Msg) {
+	s.d.send(10+t, m.Kind(), proto.Encode(m), false, true)
+}
+
+func (s *effectsScript) post(t uint32, m proto.Msg) {
+	s.d.send(10+t, m.Kind(), proto.Encode(m), true, false)
+}
+
+// next closes thread t's current interval.
+func (s *effectsScript) next(t uint32) uint64 {
+	s.interval[t]++
+	return s.interval[t]
+}
+
+func (s *effectsScript) lock(t, lock uint32, lastSeen uint64) {
+	s.call(t, &proto.LockReq{Lock: lock, Thread: t, LastSeen: lastSeen})
+}
+
+func (s *effectsScript) unlock(t, lock, handedOff uint32, pages []uint64, records []proto.StoreRecord) *proto.UnlockReq {
+	return &proto.UnlockReq{Lock: lock, Thread: t, Interval: s.next(t), Pages: pages, Records: records, HandedOff: handedOff}
+}
+
+func effectsRecords(seed byte) []proto.StoreRecord {
+	return []proto.StoreRecord{
+		{Addr: uint64(SharedZoneBase) + 8*uint64(seed), Data: []byte{seed, seed + 1, seed + 2}},
+		{Addr: uint64(SharedZoneBase) + 4096, Data: []byte{0xff}},
+	}
+}
+
+func (s *effectsScript) run(t *testing.T) {
+	for th := uint32(1); th <= 4; th++ {
+		s.call(th, &proto.RegisterReq{Thread: th})
+	}
+
+	// Lock 1: an uncontended acquire, two detached waiters, a handoff down
+	// the announced train, a central release to a detached waiter, and a
+	// one-way unlock.
+	s.lock(1, 1, 0)
+	s.lock(2, 1, 0)
+	s.lock(3, 1, 0)
+	s.call(1, s.unlock(1, 1, 2, []uint64{4, 5}, nil))
+	s.call(2, s.unlock(2, 1, 0, nil, effectsRecords(1)))
+	s.post(3, s.unlock(3, 1, 0, []uint64{6, proto.PackSpanExtent(16, 8)}, effectsRecords(2)))
+
+	// Lock 2: three detached waiters behind the holder, so the central
+	// grant to the first carries the other two as a train.
+	s.lock(1, 2, 2)
+	s.lock(2, 2, 1)
+	s.lock(3, 2, 0)
+	s.lock(4, 2, 0)
+	s.call(1, s.unlock(1, 2, 0, []uint64{7}, nil))
+	s.call(2, s.unlock(2, 2, 3, nil, nil))
+	s.call(3, s.unlock(3, 2, 4, nil, effectsRecords(3)))
+	s.post(4, s.unlock(4, 2, 0, []uint64{8}, nil))
+
+	// A four-way barrier: three arrivals park, the fourth releases all.
+	for th := uint32(1); th <= 4; th++ {
+		br := &proto.BarrierReq{Barrier: 9, Count: 4, Thread: th, LastSeen: uint64(th), Interval: s.next(th), Pages: []uint64{20 + uint64(th)}}
+		if th == 3 {
+			br.Records = effectsRecords(4)
+		}
+		if th < 4 {
+			s.park(th, br)
+		} else {
+			s.call(th, br)
+		}
+	}
+
+	// Condition 8 under lock 1, at different homes: the signalled waiter
+	// queues behind the signaller, ahead of a detached waiter, and is
+	// granted at the signaller's unlock.
+	s.lock(1, 1, 8)
+	s.park(1, &proto.CondWaitReq{Cond: 8, Lock: 1, Thread: 1, LastSeen: 8, Interval: s.next(1), Pages: []uint64{12}})
+	s.lock(2, 1, 8)
+	s.call(2, &proto.CondSignalReq{Cond: 8, Thread: 2})
+	s.lock(3, 1, 8)
+	s.call(2, s.unlock(2, 1, 0, []uint64{13}, nil))
+	s.call(1, s.unlock(1, 1, 3, nil, effectsRecords(5)))
+	s.call(3, s.unlock(3, 1, 0, nil, nil))
+
+	// Condition 10 under lock 2: a broadcast wakes two waiters; the lock
+	// is free, so the first is granted at once and the second queues.
+	s.lock(1, 2, 12)
+	s.park(1, &proto.CondWaitReq{Cond: 10, Lock: 2, Thread: 1, LastSeen: 12, Interval: s.next(1)})
+	s.lock(3, 2, 12)
+	s.park(3, &proto.CondWaitReq{Cond: 10, Lock: 2, Thread: 3, LastSeen: 12, Interval: s.next(3), Records: effectsRecords(6)})
+	s.call(2, &proto.CondSignalReq{Cond: 10, Thread: 2, Broadcast: true})
+	s.call(1, s.unlock(1, 2, 0, []uint64{14}, nil))
+	s.call(3, s.unlock(3, 2, 0, nil, nil))
+
+	// Allocation: each strategy and an unknown one, a free, a free outside
+	// every zone, then snapshot, fork, the two-phase free of the fork and
+	// the free of the original that releases the snapshot.
+	addr := func(body []byte) uint64 {
+		var resp proto.AllocResp
+		if err := proto.Decode(&resp, body); err != nil {
+			t.Fatalf("alloc answered % x: %v", body, err)
+		}
+		return resp.Addr
+	}
+	geo := layout.DefaultGeometry()
+	s.call(1, &proto.AllocReq{Thread: 1, Size: 256 << 10, Align: 16, Strategy: proto.AllocArenaChunk, Seq: 1})
+	shared := addr(s.call(1, &proto.AllocReq{Thread: 1, Size: 100, Align: 64, Strategy: proto.AllocShared, Seq: 2}))
+	striped := addr(s.call(1, &proto.AllocReq{Thread: 1, Size: 4 * uint64(geo.PageSize), Strategy: proto.AllocStriped, Seq: 3}))
+	s.call(1, &proto.AllocReq{Thread: 1, Size: 64, Strategy: 9, Seq: 4})
+	s.call(1, &proto.FreeReq{Thread: 1, Addr: shared, Seq: 5})
+	s.call(1, &proto.FreeReq{Thread: 1, Addr: 64})
+	var snap proto.SnapshotASResp
+	if err := proto.Decode(&snap, s.call(2, &proto.SnapshotASReq{Thread: 2, Base: striped, NPages: 4, Seq: 1})); err != nil {
+		t.Fatal(err)
+	}
+	var fork proto.ForkASResp
+	if err := proto.Decode(&fork, s.call(2, &proto.ForkASReq{Thread: 2, Snap: snap.Snap, Seq: 2})); err != nil {
+		t.Fatal(err)
+	}
+	s.call(2, &proto.FreeReq{Thread: 2, Addr: fork.Base, Seq: 3})
+	s.call(2, &proto.FreeReq{Thread: 2, Addr: fork.Base, Seq: 4, Unmapped: true})
+	s.call(1, &proto.FreeReq{Thread: 1, Addr: striped, Seq: 6})
+
+	// A kind that is no message, and a lock request cut short.
+	s.d.send(19, proto.Kind(0x7fff), nil, false, false)
+	s.d.send(19, proto.KLockReq, []byte{0x80}, false, false)
+
+	// Shutdown with a detached lock waiter, a barrier arrival and a
+	// condition waiter parked.
+	s.lock(1, 3, 0)
+	s.lock(2, 3, 0)
+	s.lock(4, 4, 16)
+	s.park(4, &proto.CondWaitReq{Cond: 13, Lock: 4, Thread: 4, LastSeen: 16, Interval: s.next(4), Pages: []uint64{15}})
+	s.park(3, &proto.BarrierReq{Barrier: 11, Count: 2, Thread: 3, LastSeen: 16, Interval: s.next(3)})
+	s.d.send(19, proto.KShutdown, nil, false, false)
+}
+
+// formatEffects renders the recorded sends, one line each, grouped by
+// destination in ascending node order. Within a group the order is the
+// slice's.
+func formatEffects(lines []effectLine) string {
+	slices.SortStableFunc(lines, func(a, b effectLine) int { return int(a.dst) - int(b.dst) })
+	var sb strings.Builder
+	for _, l := range lines {
+		body := "-"
+		if len(l.body) > 0 {
+			body = hex.EncodeToString(l.body)
+		}
+		fmt.Fprintf(&sb, "%d %v %d %s\n", l.dst, l.kind, l.at, body)
+	}
+	return sb.String()
+}
+
+// fabricDriver runs the script against a manager on a sequenced fabric.
+// Request i leaves its node at virtual time 3000*i, so the manager takes
+// the requests in script order whatever the host scheduler does. Posts
+// are recorded where the manager sends them (a tapping endpoint), replies
+// where the callers receive them, their send time recovered from the
+// arrival time.
+type fabricDriver struct {
+	t     *testing.T
+	fab   *simnet.Fabric
+	gate  simnet.Gate
+	ports map[uint32]*simnet.Port
+	sent  int
+
+	mu      sync.Mutex
+	replies []effectLine
+	parked  sync.WaitGroup
+}
+
+type tapEndpoint struct {
+	scl.Endpoint
+	posts *[]effectLine
+}
+
+func (e tapEndpoint) Post(dst scl.NodeID, m proto.Msg, at vtime.Time) (vtime.Time, error) {
+	*e.posts = append(*e.posts, effectLine{dst: uint32(dst), kind: m.Kind(), at: at, body: proto.Encode(m)})
+	return e.Endpoint.Post(dst, m, at)
+}
+
+func (d *fabricDriver) send(node uint32, kind proto.Kind, body []byte, oneway, parks bool) []byte {
+	d.t.Helper()
+	port := d.ports[node]
+	if port == nil {
+		port = d.fab.NewPort(simnet.NodeID(node))
+		d.ports[node] = port
+	}
+	d.sent++
+	at := vtime.Time(3000 * d.sent)
+	if oneway {
+		if _, err := port.Post(mgrNode, uint16(kind), body, at); err != nil {
+			d.t.Fatalf("request %d: %v", d.sent, err)
+		}
+		return nil
+	}
+	call := func() []byte {
+		respKind, resp, doneAt, err := port.Call(mgrNode, uint16(kind), body, at)
+		if err != nil {
+			d.t.Errorf("request from node %d at %d: %v", node, at, err)
+			return nil
+		}
+		if doneAt == at {
+			// Call reports max(at, arrival): an answer that arrived before
+			// the call was made has lost its send time.
+			d.t.Errorf("the answer to node %d's call at %d arrived no later than the call", node, at)
+		}
+		sentAt := doneAt - testLink.Deliver(testLink.SendOverhead, len(resp)+simnet.HeaderBytes)
+		d.mu.Lock()
+		d.replies = append(d.replies, effectLine{dst: node, kind: proto.Kind(respKind), at: sentAt, body: resp})
+		d.mu.Unlock()
+		return resp
+	}
+	if !parks {
+		return call()
+	}
+	d.parked.Add(1)
+	d.gate.Resume()
+	go func() {
+		defer d.parked.Done()
+		defer d.gate.Pause()
+		call()
+	}()
+	return nil
+}
+
+func TestEffectsGolden(t *testing.T) {
+	fab := simnet.NewFabric(testLink)
+	fab.Sequence()
+	gate := fab.Gate()
+	var posts []effectLine
+	m := New(tapEndpoint{scl.NewSimEndpoint(fab, mgrNode), &posts}, layout.DefaultGeometry())
+	m.SetShards(2)
+	m.SetSequenced(true)
+	done := make(chan struct{})
+	gate.Resume()
+	go func() {
+		defer close(done)
+		defer gate.Pause()
+		m.Run()
+	}()
+	gate.Resume() // this goroutine
+	d := &fabricDriver{t: t, fab: fab, gate: gate, ports: make(map[uint32]*simnet.Port)}
+	(&effectsScript{d: d, interval: make(map[uint32]uint64)}).run(t)
+	<-done
+	d.parked.Wait()
+	gate.Pause()
+
+	// One node's sends, in the order the manager made them: by send time,
+	// and at one time a reply before the posts its transition went on to
+	// make. Posts are already in send order.
+	lines := append(d.replies, posts...)
+	slices.SortStableFunc(lines, func(a, b effectLine) int {
+		if a.dst != b.dst {
+			return int(a.dst) - int(b.dst)
+		}
+		return int(a.at - b.at)
+	})
+	got := formatEffects(lines)
+
+	if *update {
+		if err := os.WriteFile(effectsGoldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(effectsGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("the manager's sends differ from %s:\n%s", effectsGoldenPath, diffLines(string(want), got))
+	}
+}
+
+// diffLines reports the first line at which two texts differ.
+func diffLines(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d:\n got %s\nwant %s", i+1, gl, wl)
+		}
+	}
+	return "no difference"
+}
