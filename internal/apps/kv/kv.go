@@ -72,7 +72,7 @@ type Params struct {
 	RecordArrivals bool
 	// DumpKeys captures every key's final (value, version) pair in
 	// Result.Vals/Vers, indexed by key; the per-key linearizability
-	// test checks them against the analytically replayed acked set.
+	// test checks them against the analytically recomputed acked set.
 	DumpKeys bool
 	// Recover converts a panicking request (an accessor or lock failure
 	// under injected faults that the retry/failover machinery could not

@@ -21,10 +21,11 @@ import (
 // five entries with gap nacks and resends, to two followers: the subject,
 // through handleReplAppend, and an oracle, through the copy-everything
 // path the in-place one replaced (oracleAppend). After every append their
-// states must be the same bytes and every parked replay request must
-// still hold the body it was parked with; at the end the subject is
-// promoted and each waiter parked long ago is granted what its request
-// asked for.
+// states must be the same bytes and no waiter parked at the subject may
+// hold a ticket, let alone a piece of the append that parked it (a waiter
+// keeps nothing of its call but whom to answer and the pickup cost); at
+// the end the subject is promoted and each waiter parked long ago is
+// granted what its request asked for.
 
 // The subject sits at followerNode; the oracle needs a node of its own.
 const aliasOracle scl.NodeID = followerNode + 1
@@ -44,9 +45,11 @@ func oracleAppend(t *testing.T, m *Manager, body []byte) proto.ReplAck {
 	if r.acc.Term > r.term {
 		r.term = r.acc.Term
 	}
+	m.replaying = true
 	for i := range apply {
 		m.applyEntry(apply[i])
 	}
+	m.replaying = false
 	return ack
 }
 
@@ -302,7 +305,7 @@ func newAliasFollower(fab *simnet.Fabric, node scl.NodeID) *Manager {
 // the test is about.
 func (p *aliasPair) deliver(body []byte) proto.ReplAck {
 	p.t.Helper()
-	p.subject.handleOne(scl.NewReplayRequest(mgrNode, proto.KReplAppend, body, 0))
+	p.subject.step(&call{src: mgrNode, kind: proto.KReplAppend, body: body})
 	got, want := p.subject.repl.inAck, oracleAppend(p.t, p.oracle, body)
 	if got != want {
 		p.t.Fatalf("append %d: ack %+v, the copying path answers %+v", p.appends, got, want)
@@ -351,20 +354,17 @@ func (p *aliasPair) ship() {
 	p.checkParked()
 }
 
-// checkParked finds every parked waiter of the subject and compares the
-// request it holds with the one the model parked.
+// checkParked finds every parked waiter of the subject: each is one the
+// model parked, sits at its thread's node and holds no ticket.
 func (p *aliasPair) checkParked() {
 	p.t.Helper()
 	found := 0
 	check := func(w *waiter) {
-		want, ok := p.md.requests[w.thread]
-		switch {
+		switch _, ok := p.md.requests[w.thread]; {
 		case !ok:
 			p.t.Fatalf("append %d: thread %d is parked at the follower and not in the model", p.appends, w.thread)
-		case w.req == nil || !w.req.Replayed() || w.req.Src() != aliasNode(w.thread):
-			p.t.Fatalf("append %d: thread %d is parked with %+v", p.appends, w.thread, w.req)
-		case !bytes.Equal(w.req.Body(), want):
-			p.t.Fatalf("append %d: thread %d's parked request reads % x, was parked as % x", p.appends, w.thread, w.req.Body(), want)
+		case w.to != nil || scl.NodeID(w.node) != aliasNode(w.thread):
+			p.t.Fatalf("append %d: thread %d is parked as %+v", p.appends, w.thread, *w)
 		}
 		found++
 	}
@@ -510,8 +510,8 @@ func TestFollowerAppliesAppendsInPlaceWithoutAliasing(t *testing.T) {
 	}
 
 	// Lock 9. Thread 9 re-issues its acquire while still queued: the live
-	// request takes the replayed one's place. Thread 7 unlocks, which
-	// grants thread 8 through its replay request; thread 8 re-issues and
+	// request takes its stand-in's place. Thread 7 unlocks, which grants
+	// thread 8 through a waiter that answers nobody; thread 8 re-issues and
 	// is answered from the recorded tenure, then unlocks, which grants
 	// thread 9's live request.
 	c7, c8, c9 := client(7), client(8), client(9)
@@ -533,8 +533,8 @@ func TestFollowerAppliesAppendsInPlaceWithoutAliasing(t *testing.T) {
 	md.owes("thread 9, re-attached in the queue", c9.th.lastSeen, md.issued, resp9.Notices)
 
 	// Barrier 2: thread 13 completes the round, which releases the two
-	// replayed arrivals; each re-issues its arrival and is answered as a
-	// duplicate of a released round.
+	// arrivals parked from the log; each re-issues its arrival and is
+	// answered as a duplicate of a released round.
 	c13 := client(13)
 	c13.th.epoch++
 	interval, pages, records := md.release(c13.th)
@@ -553,8 +553,9 @@ func TestFollowerAppliesAppendsInPlaceWithoutAliasing(t *testing.T) {
 		md.owes("a barrier arrival released while parked", again.LastSeen, md.issued, resp.Notices)
 	}
 
-	// Condition 9: a signal wakes thread 10, which takes lock 8 through
-	// its replay request; its re-issued wait is answered from the tenure.
+	// Condition 9: a signal wakes thread 10, which takes lock 8 through a
+	// waiter that answers nobody; its re-issued wait is answered from the
+	// tenure.
 	var ack proto.Ack
 	c13.call(&proto.CondSignalReq{Cond: 9, Thread: 13}, &ack)
 	var again proto.CondWaitReq

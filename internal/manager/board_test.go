@@ -194,14 +194,14 @@ func TestBoardUndeliveredAcquireKeepsNoticesForTheReissue(t *testing.T) {
 	b.acquire(1, 0, false)
 	b.acquire(2, 0, false)
 	if st.NoticesPruned.Load() != 0 {
-		t.Fatalf("replayed answers pruned %d notices no thread has received", st.NoticesPruned.Load())
+		t.Fatalf("undelivered answers pruned %d notices no thread has received", st.NoticesPruned.Load())
 	}
 	// The live re-issue, with the thread's true horizon, still gets page 24.
 	ns, frontier := b.acquire(2, 0, true)
 	if got := seqs(ns); !reflect.DeepEqual(got, []uint64{1}) || frontier != 1 {
 		t.Fatalf("re-issued acquire delivered %v at frontier %d, want [1] at 1", got, frontier)
 	}
-	// A replayed acquire still moves the horizon to what the request
+	// An undelivered acquire still moves the horizon to what the request
 	// itself claimed, so a follower's directory stays one acquire behind
 	// instead of growing without bound.
 	release(b, 2, 1, 25)

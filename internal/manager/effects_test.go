@@ -6,13 +6,10 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/layout"
 	"repro/internal/proto"
-	"repro/internal/scl"
-	"repro/internal/simnet"
 	"repro/internal/vtime"
 )
 
@@ -22,11 +19,13 @@ import (
 // order that node was sent them. (Order across nodes is not recorded:
 // Shutdown fails the parked waiters of several locks in map order.) The
 // file was written by the manager as it stood before its transitions
-// queued their effects, driven through a sequenced fabric.
+// queued their effects, driven through a sequenced fabric (commit 564a933
+// has that driver); the same script now runs fabric-free through step and
+// must reproduce it byte for byte.
 
 const effectsGoldenPath = "testdata/effects.golden"
 
-// effect is one recorded send.
+// effectLine is one recorded send.
 type effectLine struct {
 	dst  uint32
 	kind proto.Kind
@@ -34,34 +33,23 @@ type effectLine struct {
 	body []byte
 }
 
-// effectsDriver delivers the script's requests to a manager and records
-// what the manager sends.
-type effectsDriver interface {
-	// send delivers one request from node. A call returns the body of its
-	// answer; a post, and a call that parks (its answer comes with some
-	// later request), return nil.
-	send(node uint32, kind proto.Kind, body []byte, oneway, parks bool) []byte
-}
-
 // effectsScript is the run. Thread t lives at node 10+t; node 19 is a
 // controller that holds no synchronization state. With two homes, locks
 // 2, 3, 4 and condition 8 are homed at shard 0 and locks 1, barriers 9,
 // 11 and conditions 10, 13 at shard 1.
 type effectsScript struct {
-	d        effectsDriver
+	e        *stepEnv
 	interval map[uint32]uint64
 }
 
+// call delivers a request of thread t's and returns the body of its
+// answer, nil when the call parks.
 func (s *effectsScript) call(t uint32, m proto.Msg) []byte {
-	return s.d.send(10+t, m.Kind(), proto.Encode(m), false, false)
-}
-
-func (s *effectsScript) park(t uint32, m proto.Msg) {
-	s.d.send(10+t, m.Kind(), proto.Encode(m), false, true)
+	return s.e.replies[s.e.send(10+t, m.Kind(), proto.Encode(m), false)].body
 }
 
 func (s *effectsScript) post(t uint32, m proto.Msg) {
-	s.d.send(10+t, m.Kind(), proto.Encode(m), true, false)
+	s.e.send(10+t, m.Kind(), proto.Encode(m), true)
 }
 
 // next closes thread t's current interval.
@@ -117,18 +105,14 @@ func (s *effectsScript) run(t *testing.T) {
 		if th == 3 {
 			br.Records = effectsRecords(4)
 		}
-		if th < 4 {
-			s.park(th, br)
-		} else {
-			s.call(th, br)
-		}
+		s.call(th, br)
 	}
 
 	// Condition 8 under lock 1, at different homes: the signalled waiter
 	// queues behind the signaller, ahead of a detached waiter, and is
 	// granted at the signaller's unlock.
 	s.lock(1, 1, 8)
-	s.park(1, &proto.CondWaitReq{Cond: 8, Lock: 1, Thread: 1, LastSeen: 8, Interval: s.next(1), Pages: []uint64{12}})
+	s.call(1, &proto.CondWaitReq{Cond: 8, Lock: 1, Thread: 1, LastSeen: 8, Interval: s.next(1), Pages: []uint64{12}})
 	s.lock(2, 1, 8)
 	s.call(2, &proto.CondSignalReq{Cond: 8, Thread: 2})
 	s.lock(3, 1, 8)
@@ -139,9 +123,9 @@ func (s *effectsScript) run(t *testing.T) {
 	// Condition 10 under lock 2: a broadcast wakes two waiters; the lock
 	// is free, so the first is granted at once and the second queues.
 	s.lock(1, 2, 12)
-	s.park(1, &proto.CondWaitReq{Cond: 10, Lock: 2, Thread: 1, LastSeen: 12, Interval: s.next(1)})
+	s.call(1, &proto.CondWaitReq{Cond: 10, Lock: 2, Thread: 1, LastSeen: 12, Interval: s.next(1)})
 	s.lock(3, 2, 12)
-	s.park(3, &proto.CondWaitReq{Cond: 10, Lock: 2, Thread: 3, LastSeen: 12, Interval: s.next(3), Records: effectsRecords(6)})
+	s.call(3, &proto.CondWaitReq{Cond: 10, Lock: 2, Thread: 3, LastSeen: 12, Interval: s.next(3), Records: effectsRecords(6)})
 	s.call(2, &proto.CondSignalReq{Cond: 10, Thread: 2, Broadcast: true})
 	s.call(1, s.unlock(1, 2, 0, []uint64{14}, nil))
 	s.call(3, s.unlock(3, 2, 0, nil, nil))
@@ -176,17 +160,17 @@ func (s *effectsScript) run(t *testing.T) {
 	s.call(1, &proto.FreeReq{Thread: 1, Addr: striped, Seq: 6})
 
 	// A kind that is no message, and a lock request cut short.
-	s.d.send(19, proto.Kind(0x7fff), nil, false, false)
-	s.d.send(19, proto.KLockReq, []byte{0x80}, false, false)
+	s.e.send(19, proto.Kind(0x7fff), nil, false)
+	s.e.send(19, proto.KLockReq, []byte{0x80}, false)
 
 	// Shutdown with a detached lock waiter, a barrier arrival and a
 	// condition waiter parked.
 	s.lock(1, 3, 0)
 	s.lock(2, 3, 0)
 	s.lock(4, 4, 16)
-	s.park(4, &proto.CondWaitReq{Cond: 13, Lock: 4, Thread: 4, LastSeen: 16, Interval: s.next(4), Pages: []uint64{15}})
-	s.park(3, &proto.BarrierReq{Barrier: 11, Count: 2, Thread: 3, LastSeen: 16, Interval: s.next(3)})
-	s.d.send(19, proto.KShutdown, nil, false, false)
+	s.call(4, &proto.CondWaitReq{Cond: 13, Lock: 4, Thread: 4, LastSeen: 16, Interval: s.next(4), Pages: []uint64{15}})
+	s.call(3, &proto.BarrierReq{Barrier: 11, Count: 2, Thread: 3, LastSeen: 16, Interval: s.next(3)})
+	s.e.send(19, proto.KShutdown, nil, false)
 }
 
 // formatEffects renders the recorded sends, one line each, grouped by
@@ -205,111 +189,14 @@ func formatEffects(lines []effectLine) string {
 	return sb.String()
 }
 
-// fabricDriver runs the script against a manager on a sequenced fabric.
-// Request i leaves its node at virtual time 3000*i, so the manager takes
-// the requests in script order whatever the host scheduler does. Posts
-// are recorded where the manager sends them (a tapping endpoint), replies
-// where the callers receive them, their send time recovered from the
-// arrival time.
-type fabricDriver struct {
-	t     *testing.T
-	fab   *simnet.Fabric
-	gate  simnet.Gate
-	ports map[uint32]*simnet.Port
-	sent  int
-
-	mu      sync.Mutex
-	replies []effectLine
-	parked  sync.WaitGroup
-}
-
-type tapEndpoint struct {
-	scl.Endpoint
-	posts *[]effectLine
-}
-
-func (e tapEndpoint) Post(dst scl.NodeID, m proto.Msg, at vtime.Time) (vtime.Time, error) {
-	*e.posts = append(*e.posts, effectLine{dst: uint32(dst), kind: m.Kind(), at: at, body: proto.Encode(m)})
-	return e.Endpoint.Post(dst, m, at)
-}
-
-func (d *fabricDriver) send(node uint32, kind proto.Kind, body []byte, oneway, parks bool) []byte {
-	d.t.Helper()
-	port := d.ports[node]
-	if port == nil {
-		port = d.fab.NewPort(simnet.NodeID(node))
-		d.ports[node] = port
-	}
-	d.sent++
-	at := vtime.Time(3000 * d.sent)
-	if oneway {
-		if _, err := port.Post(mgrNode, uint16(kind), body, at); err != nil {
-			d.t.Fatalf("request %d: %v", d.sent, err)
-		}
-		return nil
-	}
-	call := func() []byte {
-		respKind, resp, doneAt, err := port.Call(mgrNode, uint16(kind), body, at)
-		if err != nil {
-			d.t.Errorf("request from node %d at %d: %v", node, at, err)
-			return nil
-		}
-		if doneAt == at {
-			// Call reports max(at, arrival): an answer that arrived before
-			// the call was made has lost its send time.
-			d.t.Errorf("the answer to node %d's call at %d arrived no later than the call", node, at)
-		}
-		sentAt := doneAt - testLink.Deliver(testLink.SendOverhead, len(resp)+simnet.HeaderBytes)
-		d.mu.Lock()
-		d.replies = append(d.replies, effectLine{dst: node, kind: proto.Kind(respKind), at: sentAt, body: resp})
-		d.mu.Unlock()
-		return resp
-	}
-	if !parks {
-		return call()
-	}
-	d.parked.Add(1)
-	d.gate.Resume()
-	go func() {
-		defer d.parked.Done()
-		defer d.gate.Pause()
-		call()
-	}()
-	return nil
-}
-
 func TestEffectsGolden(t *testing.T) {
-	fab := simnet.NewFabric(testLink)
-	fab.Sequence()
-	gate := fab.Gate()
-	var posts []effectLine
-	m := New(tapEndpoint{scl.NewSimEndpoint(fab, mgrNode), &posts}, layout.DefaultGeometry())
-	m.SetShards(2)
-	m.SetSequenced(true)
-	done := make(chan struct{})
-	gate.Resume()
-	go func() {
-		defer close(done)
-		defer gate.Pause()
-		m.Run()
-	}()
-	gate.Resume() // this goroutine
-	d := &fabricDriver{t: t, fab: fab, gate: gate, ports: make(map[uint32]*simnet.Port)}
-	(&effectsScript{d: d, interval: make(map[uint32]uint64)}).run(t)
-	<-done
-	d.parked.Wait()
-	gate.Pause()
-
-	// One node's sends, in the order the manager made them: by send time,
-	// and at one time a reply before the posts its transition went on to
-	// make. Posts are already in send order.
-	lines := append(d.replies, posts...)
-	slices.SortStableFunc(lines, func(a, b effectLine) int {
-		if a.dst != b.dst {
-			return int(a.dst) - int(b.dst)
-		}
-		return int(a.at - b.at)
-	})
+	e := newStepEnv(t, 2, 0, nil)
+	e.mgr.SetSequenced(true)
+	(&effectsScript{e: e, interval: make(map[uint32]uint64)}).run(t)
+	lines := make([]effectLine, len(e.sends))
+	for i, eff := range e.sends {
+		lines[i] = effectLine{dst: eff.dst(e.from), kind: eff.kind, at: eff.at, body: eff.body}
+	}
 	got := formatEffects(lines)
 
 	if *update {

@@ -1,8 +1,12 @@
 package manager
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -27,6 +31,61 @@ func TestManagerHasNoMutex(t *testing.T) {
 		for i, line := range strings.Split(string(src), "\n") {
 			if strings.Contains(line, "sync.Mutex") || strings.Contains(line, "sync.RWMutex") {
 				t.Errorf("%s:%d: %s", f, i+1, strings.TrimSpace(line))
+			}
+		}
+	}
+}
+
+// The manager has one door (DESIGN.md §13). Run alone reads the wall
+// clock; the endpoint is touched only by Run, by flush, and by the two
+// replication calls a transition makes itself and the ticker that prods
+// it; and the homes, the tables and the directory know neither a
+// replica's role nor how a reply is sent.
+func TestManagerHasOneDoor(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	door := map[string][]string{
+		"time.Now": {"Run"},
+		".ep.":     {"Run", "flush", "pushToPeers", "sendSnapshot", "renewTicker"},
+	}
+	sealed := map[string]bool{"shard.go": true, "snapshot.go": true, "board.go": true, "state.go": true, "zone.go": true}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), f, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// where maps each byte of the file to the function it is in.
+		where := make([]string, len(src))
+		for _, d := range file.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				for i := fn.Pos() - file.FileStart; i < fn.End()-file.FileStart; i++ {
+					where[i] = fn.Name.Name
+				}
+			}
+		}
+		for word, allowed := range door {
+			for at := 0; ; at++ {
+				i := strings.Index(string(src[at:]), word)
+				if i < 0 {
+					break
+				}
+				if at += i; !slices.Contains(allowed, where[at]) {
+					t.Errorf("%s: %s in %q, allowed only in %v", f, word, where[at], allowed)
+				}
+			}
+		}
+		for _, word := range []string{"isFollower", "scl.Endpoint", ".Reply(", "ReplyBody"} {
+			if sealed[f] && strings.Contains(string(src), word) {
+				t.Errorf("%s names %s", f, word)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,13 +14,10 @@ import (
 	"repro/internal/stats"
 )
 
-// newLiveEnv builds a manager with liveness enabled. Unlike newEnv it
-// installs no shutdown cleanup: liveness tests end the manager
-// themselves.
-func newLiveEnv(t *testing.T, lease time.Duration, live *stats.Liveness) *testEnv {
-	return newLiveEnvHomes(t, lease, live, 1)
-}
-
+// newLiveEnvHomes builds a manager with liveness enabled and runs it on a
+// fabric. Unlike newEnv it installs no shutdown cleanup: the test ends the
+// manager itself. It keeps the Run shell under test; the lease table's
+// own tests below drive step with wall readings of their choosing.
 func newLiveEnvHomes(t *testing.T, lease time.Duration, live *stats.Liveness, homes int) *testEnv {
 	t.Helper()
 	env := &testEnv{fab: simnet.NewFabric(testLink)}
@@ -44,23 +40,6 @@ func (e *testEnv) shutdown(t *testing.T) {
 		t.Errorf("shutdown: %v", err)
 	}
 	e.wg.Wait()
-}
-
-func (c *client) beat(bye bool) {
-	c.t.Helper()
-	c.beatFor(c.id, bye)
-}
-
-// beatFor posts a heartbeat on behalf of member id — used when the
-// member's own client struct is busy in a blocked call on another
-// goroutine.
-func (c *client) beatFor(id uint32, bye bool) {
-	c.t.Helper()
-	if _, err := c.ep.Post(mgrNode, &proto.Heartbeat{
-		Member: id, Class: proto.MemberThread, Node: id, Bye: bye,
-	}, 0); err != nil {
-		c.t.Fatalf("heartbeat: %v", err)
-	}
 }
 
 // Every flavour of parked waiter — lock queue, barrier arrival, cond
@@ -130,45 +109,43 @@ func TestShutdownFailsParkedWaitersTyped(t *testing.T) {
 	}
 }
 
+// shutdown stops a step-driven manager the way a client would.
+func (e *stepEnv) shutdown() {
+	e.t.Helper()
+	if err := e.client(999).call(&proto.Shutdown{}, &proto.Ack{}); err != nil {
+		e.t.Errorf("shutdown: %v", err)
+	}
+}
+
 // The lease table must declare a silent lock holder dead, force-release
 // its lock to the parked waiter, fence its later requests with a typed
 // proto.ErrPeerDied, and complete barriers at the reduced membership.
 func TestLeaseReclaimsDeadLockHolder(t *testing.T) {
 	live := new(stats.Liveness)
-	env := newLiveEnv(t, 10*time.Millisecond, live)
-	dead := env.client(t, 601)
-	alive := env.client(t, 602)
-	prodder := env.client(t, 603)
+	env := newStepEnv(t, 1, 10*time.Millisecond, live)
+	dead := env.client(601)
+	alive := env.client(602)
+	prodder := env.client(603)
 
 	dead.beat(false)
 	alive.beat(false)
 	if _, err := dead.lock(1); err != nil {
 		t.Fatal(err)
 	}
-
-	granted := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, err := alive.lock(1) // parks behind the soon-dead holder
-		granted <- err
-	}()
+	granted := alive.start(alive.lockReq(1)) // parks behind the soon-dead holder
 
 	// The dead client goes silent; the prodder keeps beating on behalf
 	// of itself and the parked live member, which is also what prods the
 	// manager's reaper.
-	deadline := time.Now().Add(5 * time.Second)
-	for live.ThreadsDead.Load() == 0 {
-		if time.Now().After(deadline) {
+	for beats := 0; live.ThreadsDead.Load() == 0; beats++ {
+		if beats > 10 {
 			t.Fatal("holder was never declared dead")
 		}
-		time.Sleep(2 * time.Millisecond)
+		env.advance(2 * time.Millisecond)
 		prodder.beatFor(602, false)
 		prodder.beat(false)
 	}
-	wg.Wait()
-	if err := <-granted; err != nil {
+	if err := env.result(granted, &proto.LockResp{}); err != nil {
 		t.Fatalf("parked waiter not granted the reclaimed lock: %v", err)
 	}
 	if live.LocksReclaimed.Load() == 0 {
@@ -184,13 +161,13 @@ func TestLeaseReclaimsDeadLockHolder(t *testing.T) {
 
 	// SPMD barriers complete at the reduced membership: a 2-party
 	// barrier is satisfied by the single live thread.
-	if _, err := alive.barrier(7, 2, nil); err != nil {
+	if err := alive.call(alive.barrierReq(7, 2), &proto.BarrierResp{}); err != nil {
 		t.Fatalf("barrier did not recompute around the dead thread: %v", err)
 	}
-	if err := alive.unlock(1, nil, nil); err != nil {
+	if err := alive.unlock(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	env.shutdown(t)
+	env.shutdown()
 }
 
 // ROADMAP 1(e). A lease measures the member's silence, not the manager's.
@@ -201,11 +178,11 @@ func TestLeaseReclaimsDeadLockHolder(t *testing.T) {
 func TestManagerStallDoesNotExpireLiveMembers(t *testing.T) {
 	live := new(stats.Liveness)
 	const lease = 40 * time.Millisecond
-	env := newLiveEnv(t, lease, live)
-	a, b := env.client(t, 601), env.client(t, 602)
+	env := newStepEnv(t, 1, lease, live)
+	a, b := env.client(601), env.client(602)
 	a.beat(false)
 	b.beat(false)
-	time.Sleep(3 * lease) // the manager sees nothing: its inbox is empty, as if it were not running
+	env.advance(3 * lease) // the manager sees nothing: no call reaches it, as if it were not running
 	a.beat(false)
 	b.beat(false)
 	if _, err := b.lock(1); err != nil {
@@ -215,16 +192,17 @@ func TestManagerStallDoesNotExpireLiveMembers(t *testing.T) {
 		t.Fatalf("%d members declared dead across a gap in which the manager did not look", n)
 	}
 	// Real silence is still detected: b stops, a keeps the table moving.
-	for deadline := time.Now().Add(5 * time.Second); live.ThreadsDead.Load() == 0; time.Sleep(2 * time.Millisecond) {
-		if time.Now().After(deadline) {
+	for beats := 0; live.ThreadsDead.Load() == 0; beats++ {
+		if beats > 40 {
 			t.Fatal("silent member was never declared dead")
 		}
+		env.advance(2 * time.Millisecond)
 		a.beat(false)
 	}
 	if _, err := b.lock(2); !errors.Is(err, proto.ErrPeerDied) {
 		t.Errorf("silent member's request: %v, want ErrPeerDied", err)
 	}
-	env.shutdown(t)
+	env.shutdown()
 }
 
 // Regression: a graceful Bye from a thread still holding sync state must
@@ -233,10 +211,10 @@ func TestManagerStallDoesNotExpireLiveMembers(t *testing.T) {
 // and the parked waiter below hung.
 func TestByeReclaimsHeldSyncState(t *testing.T) {
 	live := new(stats.Liveness)
-	env := newLiveEnv(t, time.Hour, live) // lease can never expire: only Bye reclaims
-	holder := env.client(t, 1)
-	waiter := env.client(t, 2)
-	third := env.client(t, 3)
+	env := newStepEnv(t, 1, time.Hour, live) // lease can never expire: only Bye reclaims
+	holder := env.client(1)
+	waiter := env.client(2)
+	third := env.client(3)
 
 	holder.beat(false)
 	waiter.beat(false)
@@ -245,18 +223,14 @@ func TestByeReclaimsHeldSyncState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	granted := make(chan error, 1)
-	go func() {
-		_, err := waiter.lock(1) // parks behind holder
-		granted <- err
-	}()
-	for env.mgr.Stats().LockWaits.Load() == 0 {
-		time.Sleep(time.Millisecond)
+	granted := waiter.start(waiter.lockReq(1)) // parks behind holder
+	if env.answered(granted) || env.mgr.Stats().LockWaits.Load() == 0 {
+		t.Fatal("the second acquire did not park")
 	}
 
 	// The holder departs gracefully without unlocking.
 	holder.beat(true)
-	if err := <-granted; err != nil {
+	if err := env.result(granted, &proto.LockResp{}); err != nil {
 		t.Fatalf("parked waiter not granted the lock left behind by a Bye: %v", err)
 	}
 	if live.LocksReclaimed.Load() == 0 {
@@ -265,26 +239,22 @@ func TestByeReclaimsHeldSyncState(t *testing.T) {
 	if n := live.ThreadsDead.Load(); n != 0 {
 		t.Errorf("graceful Bye declared the member dead (%d)", n)
 	}
-	if err := waiter.unlock(1, nil, nil); err != nil {
+	if err := waiter.unlock(1, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// A Bye also recomputes barriers: with the waiter parked at a
 	// 2-party barrier, the third member's departure completes the round
 	// at the reduced membership instead of leaving it stuck.
-	arrived := make(chan error, 1)
-	go func() {
-		_, err := waiter.barrier(7, 2, nil)
-		arrived <- err
-	}()
-	for env.mgr.Stats().NoticesStored.Load() < 2 {
-		time.Sleep(time.Millisecond)
+	arrived := waiter.start(waiter.barrierReq(7, 2))
+	if env.answered(arrived) || env.mgr.Stats().NoticesStored.Load() < 2 {
+		t.Fatal("the barrier arrival did not park")
 	}
 	third.beat(true)
-	if err := <-arrived; err != nil {
+	if err := env.result(arrived, &proto.BarrierResp{}); err != nil {
 		t.Fatalf("barrier did not recompute around the departed member: %v", err)
 	}
-	env.shutdown(t)
+	env.shutdown()
 }
 
 // Regression: handleCondSignal's uncontended re-acquire must apply the
@@ -295,25 +265,21 @@ func TestByeReclaimsHeldSyncState(t *testing.T) {
 // corpse and the signaler's next acquire hung forever.
 func TestCondSignalEvictsDeadWaiter(t *testing.T) {
 	live := new(stats.Liveness)
-	env := newLiveEnv(t, 10*time.Millisecond, live)
-	w := env.client(t, 601)
-	sig := env.client(t, 602)
+	env := newStepEnv(t, 1, 10*time.Millisecond, live)
+	w := env.client(601)
+	sig := env.client(602)
 
 	// Member 601 self-reports a node id that is not where its requests
 	// come from, then goes silent: the death fences node 9601 while
 	// requests from node 601 keep flowing.
-	if _, err := sig.ep.Post(mgrNode, &proto.Heartbeat{
-		Member: 601, Class: proto.MemberThread, Node: 9601,
-	}, 0); err != nil {
-		t.Fatal(err)
-	}
+	skewed := &proto.Heartbeat{Member: 601, Class: proto.MemberThread, Node: 9601}
+	env.send(sig.id, skewed.Kind(), proto.Encode(skewed), true)
 	sig.beat(false)
-	deadline := time.Now().Add(5 * time.Second)
-	for live.ThreadsDead.Load() == 0 {
-		if time.Now().After(deadline) {
+	for beats := 0; live.ThreadsDead.Load() == 0; beats++ {
+		if beats > 10 {
 			t.Fatal("member 601 was never declared dead")
 		}
-		time.Sleep(2 * time.Millisecond)
+		env.advance(2 * time.Millisecond)
 		sig.beat(false)
 	}
 
@@ -322,27 +288,17 @@ func TestCondSignalEvictsDeadWaiter(t *testing.T) {
 	if _, err := w.lock(1); err != nil {
 		t.Fatal(err)
 	}
-	waitErr := make(chan error, 1)
-	go func() {
-		w.interval++
-		var resp proto.CondWaitResp
-		_, err := w.ep.Call(mgrNode, &proto.CondWaitReq{
-			Cond: 8, Lock: 1, Thread: w.id,
-			LastSeen: w.lastSeen, Interval: w.interval,
-		}, &resp, w.at)
-		waitErr <- err
-	}()
-	for env.mgr.Stats().CondWaits.Load() == 0 {
-		time.Sleep(time.Millisecond)
+	waiting := w.start(w.condWaitReq(8, 1))
+	if env.answered(waiting) || env.mgr.Stats().CondWaits.Load() == 0 {
+		t.Fatal("the condition wait did not park")
 	}
 
 	evictedBefore := live.WaitersEvicted.Load()
-	var ack proto.Ack
-	if _, err := sig.ep.Call(mgrNode, &proto.CondSignalReq{Cond: 8, Thread: sig.id}, &ack, sig.at); err != nil {
+	if err := sig.call(&proto.CondSignalReq{Cond: 8, Thread: sig.id}, &proto.Ack{}); err != nil {
 		t.Fatal(err)
 	}
 	// The woken corpse is evicted with a typed error, not granted.
-	if err := <-waitErr; err == nil {
+	if err := env.result(waiting, &proto.CondWaitResp{}); err == nil {
 		t.Fatal("cond wait by a dead-declared thread was granted the lock")
 	} else if !errors.Is(err, proto.ErrPeerDied) {
 		t.Errorf("eviction error not typed as peer death: %v", err)
@@ -355,10 +311,10 @@ func TestCondSignalEvictsDeadWaiter(t *testing.T) {
 	if _, err := sig.lock(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := sig.unlock(1, nil, nil); err != nil {
+	if err := sig.unlock(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	env.shutdown(t)
+	env.shutdown()
 }
 
 // Regression: malformed heartbeats must be observable — counted in
@@ -366,37 +322,30 @@ func TestCondSignalEvictsDeadWaiter(t *testing.T) {
 // silently dropped while the sender's lease quietly starves.
 func TestMalformedHeartbeatIsCounted(t *testing.T) {
 	live := new(stats.Liveness)
-	env := newLiveEnv(t, time.Hour, live)
-	// Raw port: a dangling varint continuation byte fails Heartbeat
-	// decode at the manager.
-	raw := env.fab.NewPort(888)
-	if _, err := raw.Post(mgrNode, uint16(proto.KHeartbeat), []byte{0x80}, 0); err != nil {
-		t.Fatal(err)
+	env := newStepEnv(t, 1, time.Hour, live)
+	// A dangling varint continuation byte fails Heartbeat decode at the
+	// manager.
+	env.send(888, proto.KHeartbeat, []byte{0x80}, true)
+	if live.HeartbeatsMalformed.Load() == 0 {
+		t.Fatal("malformed heartbeat was never counted")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for live.HeartbeatsMalformed.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("malformed heartbeat was never counted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	env.shutdown(t)
+	env.shutdown()
 }
 
 // A member that says goodbye (Bye heartbeat) leaves the lease table
 // gracefully: it is not declared dead and liveness counters stay quiet.
 func TestByeRemovesMemberWithoutDeath(t *testing.T) {
 	live := new(stats.Liveness)
-	env := newLiveEnv(t, 10*time.Millisecond, live)
-	c := env.client(t, 1)
-	prodder := env.client(t, 2)
+	env := newStepEnv(t, 1, 10*time.Millisecond, live)
+	c := env.client(1)
+	prodder := env.client(2)
 
 	c.beat(false)
 	c.beat(true) // goodbye
-	deadline := time.Now().Add(100 * time.Millisecond)
-	for time.Now().Before(deadline) {
+	// Ten leases pass.
+	for beats := 0; beats < 50; beats++ {
 		prodder.beat(false)
-		time.Sleep(2 * time.Millisecond)
+		env.advance(2 * time.Millisecond)
 	}
 	if n := live.ThreadsDead.Load(); n != 0 {
 		t.Fatalf("retired member declared dead (%d)", n)
@@ -405,8 +354,8 @@ func TestByeRemovesMemberWithoutDeath(t *testing.T) {
 	if _, err := c.lock(1); err != nil {
 		t.Fatalf("request from a retired member failed: %v", err)
 	}
-	if err := c.unlock(1, nil, nil); err != nil {
+	if err := c.unlock(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	env.shutdown(t)
+	env.shutdown()
 }

@@ -36,6 +36,7 @@
 package manager
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -99,9 +100,7 @@ type Manager struct {
 	ep  scl.Endpoint
 	geo layout.Geometry
 
-	nshards   int
 	sequenced bool
-	p2p       bool   // peer-to-peer lock handoff (sharded + sequenced)
 	zoneShard [3]int // home shard of the arena/shared/striped zones
 
 	// The replicated state: zones, snapshot/fork table, notice directory,
@@ -113,16 +112,51 @@ type Manager struct {
 	// does not perturb a run's virtual-time results. Reclamation fans
 	// out from the lease table to the homes.
 	live      *stats.Liveness
+	uncounted stats.Liveness // what tally counts into instead of live; never read
 	tr        *trace.Collector
 	lease     time.Duration
-	lastReap  time.Time    // wall clock of the last pass over the lease table
+	lastReap  time.Time    // wall reading of the last pass over the lease table
 	dataNodes []scl.NodeID // memory servers + standbys, for WriterDead obituaries
 
-	// Replication (nil = single manager, bit-identical to the
-	// historical behavior). See repl.go.
+	// Replication role and log (repl.go). A manager on its own leads a
+	// group of one.
 	repl *replState
 
+	// The call in flight: its wall reading, whether it replays the log,
+	// and the effects it has queued so far (see step and flush).
+	now       time.Time
+	replaying bool
+	out       []effect
+
 	stats Stats
+}
+
+// call is one request as the state machine sees it: a value, made by Run
+// from what the endpoint received or by applyEntry from a log entry.
+type call struct {
+	src    uint32
+	kind   proto.Kind
+	body   []byte
+	arrive vtime.Time
+	svc    vtime.Time
+	// to is whom to answer, held as an identity and handed back to flush.
+	// It is nil when nobody listens: a one-way post, or a log entry the
+	// leader already answered.
+	to *scl.Request
+	// wall is the wall clock when the request was received: the only time
+	// the lease table ever reads.
+	wall time.Time
+}
+
+// effect is one message a transition wants sent: a reply (to, kind and
+// the encoded body) or a post (node, msg).
+type effect struct {
+	to   *scl.Request
+	kind proto.Kind
+	body []byte
+	node uint32
+	msg  proto.Msg
+	at   vtime.Time
 }
 
 // memberKey identifies a liveness participant: its class
@@ -145,8 +179,8 @@ type member struct {
 
 // New creates a manager serving the given endpoint.
 func New(ep scl.Endpoint, geo layout.Geometry) *Manager {
-	m := &Manager{ep: ep, geo: geo}
-	m.setShards(1)
+	m := &Manager{ep: ep, geo: geo, repl: newReplState(0, nil, nil)}
+	m.SetShards(1)
 	return m
 }
 
@@ -154,15 +188,7 @@ func New(ep scl.Endpoint, geo layout.Geometry) *Manager {
 // Must be called before Run. With n == 1 (the default) the manager
 // behaves exactly as the historical single-loop implementation.
 func (m *Manager) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	m.setShards(n)
-}
-
-func (m *Manager) setShards(n int) {
-	m.nshards = n
-	m.tables = newTables(m, n)
+	m.tables = newTables(m, max(n, 1))
 	// Each allocation zone gets a fixed home so zone state stays
 	// single-owner; the ids are salted out of the sync-id space.
 	for i := range m.zoneShard {
@@ -175,6 +201,9 @@ func (m *Manager) setShards(n int) {
 // peer-to-peer. Must be called before Run.
 func (m *Manager) SetSequenced(b bool) { m.sequenced = b }
 
+// p2p reports whether contended locks are handed over peer-to-peer.
+func (m *Manager) p2p() bool { return len(m.shards) > 1 && m.sequenced }
+
 // shardOf maps a synchronization object id to its home shard with a
 // splitmix64-style finalizer, mirroring layout.Geometry.ShardOf for
 // pages.
@@ -183,7 +212,7 @@ func (m *Manager) shardOf(id uint32) int {
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	x ^= x >> 31
-	return int(x % uint64(m.nshards))
+	return int(x % uint64(len(m.shards)))
 }
 
 // EnableLiveness turns on heartbeat membership: participants that miss
@@ -231,165 +260,196 @@ func (m *Manager) Clock() vtime.Time {
 	return max
 }
 
-// dispatchAt routes a decoded request to its home shard. Requests that
-// carry a release interval reserve their directory ticket HERE, in
-// arrival order (see noticeBoard). floor is an extra virtual-time floor:
-// a replicated leader's mutation is applied only after the slowest
-// follower acked it, so the shard clock (and the client's reply) carries
-// the replication round's latency.
-func (m *Manager) dispatchAt(idx int, req *scl.Request, msg proto.Msg, floor vtime.Time) {
-	var tick uint64
-	switch msg.(type) {
-	case *proto.UnlockReq, *proto.BarrierReq, *proto.CondWaitReq:
-		tick = m.board.reserve()
+// reply queues the answer to a call or a parked waiter. It is encoded
+// here: handlers answer from scratch messages and from views of the
+// notice directory that the next fill or prune invalidates. An answer
+// nobody listens for is not even encoded.
+func (m *Manager) reply(to *scl.Request, msg proto.Msg, at vtime.Time) {
+	if to != nil {
+		m.out = append(m.out, effect{to: to, kind: msg.Kind(), body: proto.Encode(msg), at: at})
 	}
-	m.shards[idx].serve(req, msg, floor, tick)
 }
 
-// routeErr charges and answers a request that failed to decode. Shard
-// zero handles these so the single-home clock accounting is unchanged.
-func (m *Manager) routeErr(req *scl.Request, err error) {
-	m.shards[0].refuse(req, err)
+// replyErr queues a classified protocol-level error; the caller's decode
+// turns the code back into its sentinel.
+func (m *Manager) replyErr(to *scl.Request, code uint16, err error, at vtime.Time) {
+	if to != nil {
+		m.reply(to, &proto.Error{Code: code, Text: err.Error()}, at)
+	}
 }
 
-// post sends a one-way message (NextWaiter, LockGrant, WriterDead) to a
-// node. Send failures mean the peer's port closed; the liveness layer,
-// when enabled, is the mechanism that unblocks anyone waiting on it. A
-// follower replica applying the log suppresses posts entirely — the
-// leader already externalized them.
+// post queues a one-way message (NextWaiter, LockGrant, WriterDead) to a
+// node. A log replay queues none: the leader already sent them. This flag
+// and the nil ticket of a call made from the log are the whole rule of
+// what a replica may externalise. A post is encoded only when flush sends
+// it: msg must own its data, no scratch message or notice-directory view.
 func (m *Manager) post(node uint32, msg proto.Msg, at vtime.Time) {
-	if m.isFollower() {
-		return
+	if !m.replaying {
+		m.out = append(m.out, effect{node: node, msg: msg, at: at})
 	}
-	_, _ = m.ep.Post(scl.NodeID(node), msg, at)
+}
+
+// tally is where a transition counts liveness events. core hands every
+// replica the same counters, so a replay, which repeats what the leader
+// already counted, counts into a set nobody reads; so does a manager
+// without liveness.
+func (m *Manager) tally() *stats.Liveness {
+	if m.replaying || m.live == nil {
+		return &m.uncounted
+	}
+	return m.live
+}
+
+// flush sends what the transitions since the last flush queued, in the
+// order they queued it. Nothing else replies or posts. A failed post means
+// the peer's port closed; the liveness layer, when enabled, is what
+// unblocks anyone waiting on it.
+func (m *Manager) flush() {
+	for i := range m.out {
+		if e := &m.out[i]; e.to != nil {
+			e.to.ReplyBody(e.kind, e.body, e.at)
+		} else {
+			_, _ = m.ep.Post(scl.NodeID(e.node), e.msg, e.at)
+		}
+	}
+	clear(m.out)
+	m.out = m.out[:0]
 }
 
 // failParked completes every parked waiter at every home with a
-// classified error (see shard.failParked).
+// classified error (see shard.failParked). That is the leader's to do, and
+// demote's last act as one: a follower's waiters mirror the leader's, and a
+// LockGrant for a detached one would reach its thread once per replica.
 func (m *Manager) failParked(code uint16, why string) {
+	if m.isFollower() {
+		return
+	}
 	for _, sh := range m.shards {
 		sh.failParked(code, why)
 	}
 }
 
-// Run processes requests until Shutdown or endpoint closure, and closes
-// the endpoint on the way out: a stopped manager must refuse calls, not
-// leave an open port nobody reads, or a leader still pushing to a follower
-// that consumed its Shutdown first would block for good.
+// Run is the shell around the state machine: it receives a request, reads
+// the wall clock, makes the call, runs step and flushes the effects, until
+// Shutdown or endpoint closure. It closes the endpoint on the way out: a
+// stopped manager must refuse calls, not leave an open port nobody reads,
+// or a leader still pushing to a follower that consumed its Shutdown first
+// would block for good.
 func (m *Manager) Run() {
 	defer m.ep.Close()
-	m.p2p = m.nshards > 1 && m.sequenced
-	if m.repl != nil && m.lease > 0 {
+	if m.hasPeers() && m.lease > 0 {
 		// Wall-clock lease renewal, like heartbeats: clean sequenced
 		// runs have no lease and start no ticker.
 		stop := make(chan struct{})
 		defer close(stop)
 		go m.renewTicker(stop)
 	}
-	for {
+	// The post statement runs after every pass, the last one included:
+	// no exit leaves a queued effect unsent.
+	for done := false; !done; m.flush() {
 		req, ok := m.ep.Recv()
 		if !ok {
 			// The endpoint died under us (e.g. a fault injector killed
 			// the manager node): parked waiters learn the peer died,
 			// not that it shut down in an orderly way.
 			m.failParked(proto.CodePeerDied, "manager endpoint closed")
-			return
+			done = true
+			continue
 		}
-		if m.handleOne(req) {
-			return
+		c := call{
+			src: uint32(req.Src()), kind: req.Kind(), body: req.Body(),
+			arrive: req.Arrive(), svc: req.Svc(), wall: time.Now(),
 		}
+		if !req.OneWay() {
+			c.to = req
+		}
+		done = m.step(&c)
 	}
 }
 
-// handleOne processes one incoming request; stop reports an orderly
+// step is one transition of the state machine: it changes state, queues
+// effects in m.out and touches neither the endpoint nor a clock (a leader
+// with followers excepted: see pushToPeers). stop reports an orderly
 // shutdown.
-func (m *Manager) handleOne(req *scl.Request) (stop bool) {
+func (m *Manager) step(c *call) (stop bool) {
+	m.now = c.wall
+	switch c.kind {
 	// Heartbeats are wall-clock bookkeeping and carry zero virtual
 	// cost: handled before any clock moves so liveness does not
 	// perturb virtual-time determinism.
-	switch req.Kind() {
 	case proto.KHeartbeat:
-		m.handleHeartbeat(req)
+		m.handleHeartbeat(c)
 		return false
 	// Replication control plane (leader appends, snapshots, the
-	// failover controller's promotion).
-	case proto.KReplAppend:
-		m.handleReplAppend(req)
-		return false
-	case proto.KReplSnapshot:
-		m.handleReplSnapshot(req)
-		return false
-	case proto.KPromoteMgr:
-		m.handlePromote(req)
+	// failover controller's promotion). A group of one has none: a stray
+	// append with a high term must not depose the only manager.
+	case proto.KReplAppend, proto.KReplSnapshot, proto.KPromoteMgr:
+		switch {
+		case !m.hasPeers():
+			m.replyErr(c.to, proto.CodeGeneric, errors.New("manager: not a replica"), m.Clock())
+		case c.kind == proto.KReplAppend:
+			m.handleReplAppend(c)
+		case c.kind == proto.KReplSnapshot:
+			m.handleReplSnapshot(c)
+		default:
+			m.handlePromote(c)
+		}
 		return false
 	}
 	// Fence requests from members the lease table has declared
 	// dead: their state was already reclaimed, so letting them back
 	// in would corrupt lock/barrier bookkeeping.
-	if m.live != nil && m.deadNodes[uint32(req.Src())] {
-		if !req.OneWay() {
-			req.ReplyErrorCode(proto.CodePeerDied,
-				fmt.Errorf("manager: request from dead node %d", req.Src()), m.Clock())
-		}
+	if m.live != nil && m.deadNodes[c.src] {
+		m.replyErr(c.to, proto.CodePeerDied, fmt.Errorf("manager: request from dead node %d", c.src), m.Clock())
 		return false
 	}
 	// Shutdown is handled ahead of the leader fence: it must keep its
 	// terminal CodeShutdown/Ack meaning on every replica (the runtime
 	// shuts all of them down), and a deposed leader must never convert
 	// a client's orderly stop into a retryable NotLeader.
-	if req.Kind() == proto.KShutdown {
-		sh := m.shards[0]
-		sh.clock.AdvanceTo(req.Arrive())
-		sh.clock.Advance(req.Svc())
-		sh.mirror.Store(sh.clock.Now())
-		if !req.OneWay() {
-			req.Reply(&proto.Ack{}, m.Clock())
-		}
+	if c.kind == proto.KShutdown {
+		m.shards[0].charge(c, 0)
+		m.reply(c.to, &proto.Ack{}, m.Clock())
 		m.failParked(proto.CodeShutdown, "manager shut down")
 		return true
 	}
 	// Standby (or deposed) replicas refuse the client plane with the
 	// retryable CodeNotLeader; the runtime's failover redirect is what
 	// turns that refusal into a promotion.
-	if r := m.repl; r != nil && !r.leader {
-		if !req.OneWay() {
-			req.ReplyErrorCode(proto.CodeNotLeader,
-				fmt.Errorf("manager: replica %d is not the leader", r.self), m.Clock())
-		}
+	if m.isFollower() {
+		m.replyErr(c.to, proto.CodeNotLeader, fmt.Errorf("manager: replica %d is not the leader", m.repl.self), m.Clock())
 		return false
 	}
-	msg, idx, err := m.decodeReq(req)
+	msg, idx, err := m.decodeReq(c)
 	if err != nil {
-		m.routeErr(req, err)
+		// Shard zero charges and answers a request that failed to decode,
+		// so the single-home clock accounting is unchanged.
+		sh := m.shards[0]
+		sh.charge(c, 0)
+		sh.fail(c, err)
 		return false
 	}
-	var floor vtime.Time
-	if m.repl != nil {
-		var ok bool
-		if floor, ok = m.replicate(req); !ok {
-			// Deposed mid-round; demote already failed the parked
-			// waiters with the same code.
-			if !req.OneWay() {
-				req.ReplyErrorCode(proto.CodeNotLeader,
-					fmt.Errorf("manager: leader deposed"), m.Clock())
-			}
-			return false
-		}
+	floor, ok := m.replicate(c)
+	if !ok {
+		// Deposed mid-round; demote already failed the parked
+		// waiters with the same code.
+		m.replyErr(c.to, proto.CodeNotLeader, errors.New("manager: leader deposed"), m.Clock())
+		return false
 	}
-	m.dispatchAt(idx, req, msg, floor)
+	m.shards[idx].serve(c, msg, floor)
 	return false
 }
 
 // decodeReq decodes a client-plane request and resolves its home shard.
 // It is shared by the dispatcher and by followers replaying the
 // replicated log, so route decisions are identical on every replica.
-func (m *Manager) decodeReq(req *scl.Request) (proto.Msg, int, error) {
-	msg := proto.New(req.Kind())
+func (m *Manager) decodeReq(c *call) (proto.Msg, int, error) {
+	msg := proto.New(c.kind)
 	if msg == nil {
-		return nil, 0, fmt.Errorf("manager: unexpected %v", req.Kind())
+		return nil, 0, fmt.Errorf("manager: unexpected %v", c.kind)
 	}
-	if err := req.Decode(msg); err != nil {
-		if req.Kind() == proto.KUnlockReq && req.OneWay() {
+	if err := proto.Decode(msg, c.body); err != nil {
+		if c.kind == proto.KUnlockReq && c.to == nil {
 			// Nobody to answer; an undecodable unlock is a protocol bug.
 			panic(fmt.Sprintf("manager: bad UnlockReq: %v", err))
 		}
@@ -426,7 +486,7 @@ func (m *Manager) decodeReq(req *scl.Request) (proto.Msg, int, error) {
 		// Snapshot/fork state lives with the striped zone it describes.
 		return msg, m.zoneShard[2], nil
 	default:
-		return nil, 0, fmt.Errorf("manager: unexpected %v", req.Kind())
+		return nil, 0, fmt.Errorf("manager: unexpected %v", c.kind)
 	}
 }
 
@@ -452,25 +512,22 @@ func zoneIndexOf(addr layout.Addr) int {
 // the reap prodder: the lease table keeps advancing even when every
 // compute thread is parked or dead. A replicated leader also renews its
 // own lease here (renewTicker's empty beats guarantee the prod).
-func (m *Manager) handleHeartbeat(req *scl.Request) {
+func (m *Manager) handleHeartbeat(c *call) {
 	if m.live == nil {
 		return // liveness disabled: ignore
 	}
 	var hb proto.Heartbeat
-	if err := req.Decode(&hb); err != nil {
+	if err := proto.Decode(&hb, c.body); err != nil {
 		// A heartbeat that fails to decode means a version-skewed or
 		// corrupted peer whose lease is silently starving; count it and
 		// leave a trace event instead of dropping it invisibly.
 		m.live.HeartbeatsMalformed.Add(1)
 		if m.tr != nil {
-			m.traceLive("heartbeat-malformed", map[string]any{
-				"src": uint32(req.Src()), "err": err.Error(),
-			})
+			m.traceLive("heartbeat-malformed", map[string]any{"src": c.src, "err": err.Error()})
 		}
 		return
 	}
 	m.live.Heartbeats.Add(1)
-	now := time.Now()
 	if hb.Member != 0 || hb.Class != 0 {
 		k := memberOf(hb.Class, hb.Member)
 		switch mem, ok := m.members[k]; {
@@ -492,10 +549,10 @@ func (m *Manager) handleHeartbeat(req *scl.Request) {
 			}
 		case ok:
 			if !mem.dead {
-				mem.lastBeat = now
+				mem.lastBeat = m.now
 			}
 		default:
-			m.members[k] = &member{node: hb.Node, lastBeat: now}
+			m.members[k] = &member{node: hb.Node, lastBeat: m.now}
 			if k.class() == proto.MemberThread {
 				m.liveThreads++
 			}
@@ -507,8 +564,8 @@ func (m *Manager) handleHeartbeat(req *scl.Request) {
 		// the member wrongly dead at promotion.
 		return
 	}
-	m.reap(now)
-	m.renewLease(now)
+	m.reap()
+	m.renewLease()
 }
 
 // reap declares members whose lease expired dead and reclaims their
@@ -518,50 +575,46 @@ func (m *Manager) handleHeartbeat(req *scl.Request) {
 // live members sent meanwhile are still queued behind the one being
 // handled. A gap therefore counts against a member for at most a
 // quarter lease; every member is credited the rest.
-func (m *Manager) reap(now time.Time) {
-	if unseen := now.Sub(m.lastReap) - m.lease/4; unseen > 0 && !m.lastReap.IsZero() {
+func (m *Manager) reap() {
+	if unseen := m.now.Sub(m.lastReap) - m.lease/4; unseen > 0 && !m.lastReap.IsZero() {
 		for _, mem := range m.members {
 			mem.lastBeat = mem.lastBeat.Add(unseen)
 		}
 	}
-	m.lastReap = now
+	m.lastReap = m.now
 	for k, mem := range m.members {
-		if mem.dead || now.Sub(mem.lastBeat) <= m.lease {
+		if mem.dead || m.now.Sub(mem.lastBeat) <= m.lease {
 			continue
 		}
-		mem.dead = true
-		m.deadNodes[mem.node] = true
 		if m.tr != nil {
 			m.traceLive("member-dead", map[string]any{
 				"class": k.class(), "id": k.id(), "node": mem.node,
 			})
 		}
-		switch k.class() {
-		case proto.MemberThread:
-			m.obitGen++
-			mem.reapGen = m.obitGen
-			// A replicated leader logs the reap BEFORE acting on it: a
-			// follower promoted later finds the member already dead and
-			// never re-reaps the same lease (no double barrier
-			// recomputation, no duplicate obituary generation).
-			if !m.replicateEvent(proto.KReclaimEvent,
-				&proto.ReclaimEvent{Thread: k.id(), Node: mem.node, Gen: m.obitGen}) {
-				continue // deposed mid-reap: the new leader owns this decision
-			}
-			m.live.ThreadsDead.Add(1)
-			m.liveThreads--
-			m.reclaimThread(k.id(), true)
-			// Obituary to the data plane: the dead writer may have
-			// announced a release whose DiffBatch it never shipped, and
-			// the servers must not park fetches on that tag forever.
-			// One-way at zero virtual cost, like the heartbeats that
-			// drive this path. The generation lets servers deduplicate
-			// when a promoted manager re-broadcasts.
-			for _, node := range m.dataNodes {
-				m.post(uint32(node), &proto.WriterDead{Writer: k.id(), Gen: mem.reapGen}, 0)
-			}
-		case proto.MemberServer:
+		if k.class() == proto.MemberServer {
+			mem.dead = true
+			m.deadNodes[mem.node] = true
 			m.live.ServersDead.Add(1)
+			continue
+		}
+		// The leader logs the reap BEFORE acting on it, then applies it
+		// the way a follower does: a follower promoted later finds the
+		// member already dead and never re-reaps the same lease (no
+		// double barrier recomputation, no duplicate obituary generation).
+		re := proto.ReclaimEvent{Thread: k.id(), Node: mem.node, Gen: m.obitGen + 1}
+		if !m.replicateEvent(proto.KReclaimEvent, &re) {
+			continue // deposed mid-reap: the new leader owns this decision
+		}
+		m.live.ThreadsDead.Add(1)
+		m.applyReclaimEvent(&re)
+		// Obituary to the data plane: the dead writer may have
+		// announced a release whose DiffBatch it never shipped, and
+		// the servers must not park fetches on that tag forever.
+		// One-way at zero virtual cost, like the heartbeats that
+		// drive this path. The generation lets servers deduplicate
+		// when a promoted manager re-broadcasts.
+		for _, node := range m.dataNodes {
+			m.post(uint32(node), &proto.WriterDead{Writer: re.Thread, Gen: re.Gen}, 0)
 		}
 	}
 }
@@ -575,6 +628,14 @@ func (m *Manager) reclaimThread(tid uint32, markDead bool) {
 	}
 	// The thread no longer pins the write-notice horizon.
 	m.board.dropThread(tid)
+}
+
+// unsatisfiable reports whether a barrier that needs that many live
+// arrivals can never gather them. The verdict is the leader's: a
+// follower's liveThreads is not meaningful (heartbeats only reach the
+// leader), and the decision arrives via the log or a promotion.
+func (m *Manager) unsatisfiable(need int) bool {
+	return !m.isFollower() && need > int(m.liveThreads)
 }
 
 // traceLive emits one liveness event. Callers check m.tr first, so an

@@ -21,18 +21,19 @@ package manager
 //     sends failing terminally, the self-death signal under a fault
 //     injector — deposes the leader, which fails every parked waiter
 //     with CodeNotLeader so clients re-issue against the successor.
-//   - Followers apply accepted entries through the SAME handlers the
-//     leader ran, as replayed requests whose replies go nowhere;
-//     outbound posts are suppressed while following. The manager is
-//     one goroutine, so applying the log is deterministic regardless
-//     of the shard count.
+//   - Followers apply accepted entries through the SAME transitions the
+//     leader ran, as calls with nobody to answer (call.to is nil) made
+//     under the one replay flag (Manager.replaying) that withholds posts.
+//     The manager is one goroutine, so applying the log is deterministic
+//     regardless of the shard count.
 //   - The log is truncated to what every live follower acked AND the
 //     leader applied; a follower whose next expected index was
 //     truncated away is caught up with a full state snapshot
 //     (manager/state.go) and resumes appends above it.
 //
-// With one replica the log layer is absent entirely (Manager.repl is
-// nil) and the manager is bit-identical to the unreplicated one.
+// A manager on its own is a group of one: it leads no followers, so a
+// mutation costs it one log append and one emptying truncation, and what
+// it sends, when and in what order, is the unreplicated manager's.
 
 import (
 	"errors"
@@ -87,37 +88,41 @@ type replState struct {
 // replicated group. Must be called before Run. Replica 0 starts as the
 // leader under term 1; the others follow until promoted.
 func (m *Manager) SetReplication(cfg Replication) {
-	if len(cfg.Nodes) < 2 {
-		return // a group of one is just the plain manager
+	if len(cfg.Nodes) >= 2 { // New already made the group of one
+		m.repl = newReplState(cfg.Self, cfg.Nodes, cfg.Live)
 	}
-	live := cfg.Live
+}
+
+func newReplState(self int, nodes []scl.NodeID, live *stats.Liveness) *replState {
 	if live == nil {
 		live = new(stats.Liveness)
 	}
-	r := &replState{
-		self:     cfg.Self,
-		replicas: append([]scl.NodeID(nil), cfg.Nodes...),
-		live:     live,
-		term:     1,
-	}
+	r := &replState{self: self, replicas: append([]scl.NodeID(nil), nodes...), live: live, term: 1}
 	r.acc.Term = 1
-	if cfg.Self == 0 {
+	if self == 0 {
 		r.leader = true
 		var peers []int
-		for i := 1; i < len(cfg.Nodes); i++ {
+		for i := 1; i < len(nodes); i++ {
 			peers = append(peers, i)
 		}
 		r.prop = replog.NewProposer(1, peers, 1)
 	}
-	m.repl = r
+	return r
 }
 
-// replicated reports whether this manager is part of a replica group.
-func (m *Manager) replicated() bool { return m.repl != nil }
-
 // isFollower reports whether this manager currently applies the log
-// instead of serving clients (standby replica, or a deposed leader).
-func (m *Manager) isFollower() bool { return m.repl != nil && !m.repl.leader }
+// instead of serving clients (standby replica, or a deposed leader). It
+// decides who refuses the client plane and who makes the decisions that
+// are the leader's alone (reap, unsatisfiable, failing the parked), never
+// what a transition may send: that is call.to and Manager.replaying.
+func (m *Manager) isFollower() bool { return !m.repl.leader }
+
+// hasPeers reports whether this manager is one replica of several: only
+// then is there a replication plane, a lease to renew, or a request
+// re-issued across a failover. The arms that know such a duplicate by what
+// it left behind (a held lock, a filled interval) need a thread's requests
+// in send order; a lone manager's one-way unlock can be overtaken.
+func (m *Manager) hasPeers() bool { return len(m.repl.replicas) > 1 }
 
 // replicate appends one client mutation to the log and pushes it to
 // every live follower before the caller applies it. The returned floor
@@ -129,9 +134,9 @@ func (m *Manager) isFollower() bool { return m.repl != nil && !m.repl.leader }
 // The log holds the request's own body, not a copy: a body is its
 // receiver's buffer on both transports and nothing writes it after the
 // decode (DESIGN.md §11).
-func (m *Manager) replicate(req *scl.Request) (floor vtime.Time, ok bool) {
-	m.repl.prop.Append(uint32(req.Src()), req.Kind(), req.Body())
-	return m.pushToPeers(req.Arrive())
+func (m *Manager) replicate(c *call) (floor vtime.Time, ok bool) {
+	m.repl.prop.Append(c.src, c.kind, c.body)
+	return m.pushToPeers(c.arrive)
 }
 
 // replicateEvent logs a manager-internal decision (a lease reap) so a
@@ -140,8 +145,8 @@ func (m *Manager) replicate(req *scl.Request) (floor vtime.Time, ok bool) {
 // it was about to act on is now the new leader's to make.
 func (m *Manager) replicateEvent(kind proto.Kind, msg proto.Msg) bool {
 	r := m.repl
-	if r == nil || !r.leader || r.deposed {
-		return r == nil // unreplicated managers act directly
+	if !r.leader || r.deposed {
+		return false
 	}
 	r.prop.Append(0, kind, proto.Encode(msg))
 	_, ok := m.pushToPeers(m.Clock())
@@ -149,19 +154,26 @@ func (m *Manager) replicateEvent(kind proto.Kind, msg proto.Msg) bool {
 }
 
 // pushToPeers ships every pending log entry (none = lease renewal) to
-// each live follower and truncates the acked+applied prefix.
+// each live follower and truncates the acked+applied prefix. This Call and
+// sendSnapshot's are the two sends a transition makes itself, because it
+// needs their answer: log, push, then apply. Queueing them would apply a
+// mutation before its followers acked it, or reorder the leader's
+// transitions around the acks and move every virtual time downstream.
 func (m *Manager) pushToPeers(at vtime.Time) (floor vtime.Time, ok bool) {
 	r := m.repl
-	r.lastPush = time.Now()
+	r.lastPush = m.now
+	// A deposition flushes at once: the waiters demote failed are told
+	// before anything else this replica does.
+	deposed := func() (vtime.Time, bool) { m.flush(); return 0, false }
 	floor = at
 	for _, pi := range r.prop.LivePeers() {
 	peerLoop:
 		for {
 			ents, needSnap := r.prop.Batch(pi)
 			if needSnap {
-				dropped, deposed := m.sendSnapshot(pi, at)
-				if deposed {
-					return 0, false
+				dropped, lost := m.sendSnapshot(pi, at)
+				if lost {
+					return deposed()
 				}
 				if dropped {
 					break peerLoop
@@ -183,7 +195,7 @@ func (m *Manager) pushToPeers(at vtime.Time) (floor vtime.Time, ok bool) {
 				// gone (the fault injector killed it): stop
 				// externalizing state.
 				m.demote(fmt.Sprintf("replication to replica %d failed: %v", pi, err))
-				return 0, false
+				return deposed()
 			}
 			r.live.MgrReplAppends.Add(1)
 			r.live.MgrReplEntries.Add(int64(len(ents)))
@@ -192,7 +204,7 @@ func (m *Manager) pushToPeers(at vtime.Time) (floor vtime.Time, ok bool) {
 			}
 			if r.prop.Ack(pi, ack) {
 				m.demote(fmt.Sprintf("deposed by replica %d (term %d)", pi, ack.Term))
-				return 0, false
+				return deposed()
 			}
 			if ack.OK {
 				break peerLoop
@@ -257,30 +269,25 @@ func (m *Manager) demote(why string) {
 	if !r.leader || r.deposed {
 		return
 	}
-	r.leader = false
 	r.deposed = true
 	r.live.MgrDeposed.Add(1)
 	if m.tr != nil {
 		m.traceLive("manager-deposed", map[string]any{"replica": r.self, "term": r.term, "why": why})
 	}
 	m.failParked(proto.CodeNotLeader, "manager leader deposed")
+	r.leader = false
 }
 
 // handleReplAppend is the follower half of the append path. The append
 // is decoded in place: r.in's entry list is scratch that the next append
-// overwrites, and each entry's Body is a window into this request's own
-// body. Entries are therefore applied by value, and what a handler keeps
-// of one (a parked replay request) is that Body, which keeps the append's
-// body alive — never the list.
-func (m *Manager) handleReplAppend(req *scl.Request) {
+// overwrites, and each entry's Body is a window into this call's own
+// body. Entries are applied by value, and nothing of one outlives its
+// transition: a parked waiter holds no part of the call that parked it.
+func (m *Manager) handleReplAppend(c *call) {
 	r := m.repl
-	if r == nil {
-		req.ReplyErrorCode(proto.CodeGeneric, fmt.Errorf("manager: not a replica"), m.Clock())
-		return
-	}
 	ra := &r.in
-	if err := req.DecodeAlias(ra); err != nil {
-		req.ReplyError(err, m.Clock())
+	if err := proto.DecodeAlias(ra, c.body); err != nil {
+		m.replyErr(c.to, proto.CodeGeneric, err, m.Clock())
 		return
 	}
 	if r.leader {
@@ -290,7 +297,7 @@ func (m *Manager) handleReplAppend(req *scl.Request) {
 			// A stale old leader appending to the new one: the higher
 			// term in the nack deposes it.
 			r.inAck = proto.ReplAck{OK: false, Term: r.term, NextIndex: r.acc.Last + 1}
-			req.Reply(&r.inAck, m.Clock())
+			m.reply(c.to, &r.inAck, m.Clock())
 			return
 		}
 	}
@@ -299,31 +306,29 @@ func (m *Manager) handleReplAppend(req *scl.Request) {
 	if r.acc.Term > r.term {
 		r.term = r.acc.Term
 	}
+	m.replaying = true
 	for _, e := range apply {
 		m.applyEntry(e)
 	}
-	req.Reply(&r.inAck, m.Clock())
+	m.replaying = false
+	m.reply(c.to, &r.inAck, m.Clock())
 }
 
 // handleReplSnapshot installs a full-state snapshot on a lagging
 // follower.
-func (m *Manager) handleReplSnapshot(req *scl.Request) {
+func (m *Manager) handleReplSnapshot(c *call) {
 	r := m.repl
-	if r == nil {
-		req.ReplyErrorCode(proto.CodeGeneric, fmt.Errorf("manager: not a replica"), m.Clock())
-		return
-	}
 	var rs proto.ReplSnapshot
-	if err := req.DecodeAlias(&rs); err != nil {
-		req.ReplyError(err, m.Clock())
+	if err := proto.DecodeAlias(&rs, c.body); err != nil {
+		m.replyErr(c.to, proto.CodeGeneric, err, m.Clock())
 		return
 	}
 	if r.leader && rs.Term <= r.term {
-		req.Reply(&proto.ReplAck{OK: false, Term: r.term, NextIndex: r.acc.Last + 1}, m.Clock())
+		m.reply(c.to, &proto.ReplAck{OK: false, Term: r.term, NextIndex: r.acc.Last + 1}, m.Clock())
 		return
 	}
 	if err := r.acc.InstallSnapshot(rs.Term, rs.Index); err != nil {
-		req.Reply(&proto.ReplAck{OK: false, Term: r.acc.Term, NextIndex: r.acc.Last + 1}, m.Clock())
+		m.reply(c.to, &proto.ReplAck{OK: false, Term: r.acc.Term, NextIndex: r.acc.Last + 1}, m.Clock())
 		return
 	}
 	if err := m.restoreState(rs.State); err != nil {
@@ -331,8 +336,13 @@ func (m *Manager) handleReplSnapshot(req *scl.Request) {
 		// protocol bug, not a runtime condition.
 		panic(fmt.Sprintf("manager: bad replication snapshot: %v", err))
 	}
+	// A lease is wall-clock and meaningless across nodes: every restored
+	// member starts a new one here.
+	for _, mem := range m.members {
+		mem.lastBeat = m.now
+	}
 	r.term = r.acc.Term
-	req.Reply(&proto.ReplAck{OK: true, Term: r.acc.Term, NextIndex: r.acc.Last + 1}, m.Clock())
+	m.reply(c.to, &proto.ReplAck{OK: true, Term: r.acc.Term, NextIndex: r.acc.Last + 1}, m.Clock())
 }
 
 // applyEntry runs one accepted log entry through the shard state
@@ -347,21 +357,21 @@ func (m *Manager) applyEntry(e proto.ReplEntry) {
 		m.applyReclaimEvent(&re)
 		return
 	}
-	req := scl.NewReplayRequest(scl.NodeID(e.Src), kind, e.Body, 0)
-	msg, idx, err := m.decodeReq(req)
+	c := call{src: e.Src, kind: kind, body: e.Body}
+	msg, idx, err := m.decodeReq(&c)
 	if err != nil {
 		// Entries were decodable at the leader; a mismatch here means
 		// corruption, not client error.
 		panic(fmt.Sprintf("manager: bad replicated %v entry: %v", kind, err))
 	}
-	m.dispatchAt(idx, req, msg, 0)
+	m.shards[idx].serve(&c, msg, 0)
 }
 
-// applyReclaimEvent replays a lease reap the leader replicated before
-// acting on it. The member is marked dead so a later promotion of this
-// replica never re-reaps the same lease (and so the old and new leader
-// can never both recompute the same barriers); obituary generations are
-// remembered for the promotion-time re-broadcast.
+// applyReclaimEvent acts on a lease reap, at the leader that just logged
+// it and at every follower that replays it. The member is marked dead so a
+// later promotion of this replica never re-reaps the same lease (and so
+// the old and new leader can never both recompute the same barriers);
+// obituary generations are remembered for the promotion-time re-broadcast.
 func (m *Manager) applyReclaimEvent(re *proto.ReclaimEvent) {
 	k := memberOf(proto.MemberThread, re.Thread)
 	mem, ok := m.members[k]
@@ -386,28 +396,24 @@ func (m *Manager) applyReclaimEvent(re *proto.ReclaimEvent) {
 // handlePromote makes this replica the leader under a strictly higher
 // term. Idempotent: a duplicate promotion (a client retry) at or below
 // the current term of an active leader just acks.
-func (m *Manager) handlePromote(req *scl.Request) {
+func (m *Manager) handlePromote(c *call) {
 	r := m.repl
-	if r == nil {
-		req.ReplyErrorCode(proto.CodeGeneric, fmt.Errorf("manager: not a replica"), m.Clock())
-		return
-	}
 	var pm proto.PromoteMgr
-	if err := req.Decode(&pm); err != nil {
-		req.ReplyError(err, m.Clock())
+	if err := proto.Decode(&pm, c.body); err != nil {
+		m.replyErr(c.to, proto.CodeGeneric, err, m.Clock())
 		return
 	}
 	if r.leader && !r.deposed && pm.Term <= r.term {
-		req.Reply(&proto.Ack{}, m.Clock())
+		m.reply(c.to, &proto.Ack{}, m.Clock())
 		return
 	}
 	if pm.Term <= r.term {
-		req.ReplyErrorCode(proto.CodeGeneric,
+		m.replyErr(c.to, proto.CodeGeneric,
 			fmt.Errorf("manager: stale promotion to term %d (replica %d is at term %d)", pm.Term, r.self, r.term), m.Clock())
 		return
 	}
 	m.promote(pm.Term)
-	req.Reply(&proto.Ack{}, m.Clock())
+	m.reply(c.to, &proto.Ack{}, m.Clock())
 }
 
 // promote turns this follower into the leader.
@@ -429,13 +435,12 @@ func (m *Manager) promote(term uint64) {
 	// Every surviving member gets a fresh lease: none of them could
 	// heartbeat this replica before learning it leads, and a reap storm
 	// at promotion would undo the failover the replication paid for.
-	now := time.Now()
 	var live int64
 	for k, mem := range m.members {
 		if mem.dead {
 			continue
 		}
-		mem.lastBeat = now
+		mem.lastBeat = m.now
 		if k.class() == proto.MemberThread {
 			live++
 		}
@@ -485,8 +490,8 @@ func (m *Manager) renewTicker(stop <-chan struct{}) {
 // terminally, which demotes it so parked clients get their
 // CodeNotLeader within a bounded stall instead of hanging until the
 // next mutation.
-func (m *Manager) renewLease(now time.Time) {
-	if r := m.repl; r != nil && r.leader && now.Sub(r.lastPush) >= m.lease/2 {
+func (m *Manager) renewLease() {
+	if r := m.repl; r.leader && m.now.Sub(r.lastPush) >= m.lease/2 {
 		m.pushToPeers(m.Clock())
 	}
 }

@@ -157,7 +157,7 @@ func TestFailoverCarriesStateAndDeposesStaleLeader(t *testing.T) {
 		}
 	}
 
-	// The promoted replica serves the same acquire from its replayed
+	// The promoted replica serves the same acquire from its replicated
 	// state: every pre-failover write notice, at a seq that advanced.
 	var lr proto.LockResp
 	if _, err := c3.ep.Call(followerNode, &proto.LockReq{Lock: 7, Thread: 3}, &lr, 0); err != nil {

@@ -20,16 +20,47 @@ const (
 // waiter is a thread parked on a lock (directly or resuming from a
 // condition wait).
 type waiter struct {
-	req      *scl.Request
+	// to and svc are all a waiter keeps of the call that parked it: whom
+	// to answer and what picking the request up cost. A waiter with no
+	// ticket and not detached stands in for a request somebody else holds:
+	// it was applied from the log or restored from a snapshot, and the
+	// thread re-issues the request to whichever replica leads.
+	to       *scl.Request
+	svc      vtime.Time
 	thread   uint32
 	node     uint32
 	lastSeen uint64
 	kind     waitKind
 	// detached marks a waiter whose LockReq was already answered with
 	// Queued (peer-to-peer handoff mode): its grant — or its eviction —
-	// travels as a one-way LockGrant, never as a reply. req is nil.
+	// travels as a one-way LockGrant, never as a reply. to is nil.
 	detached bool
 }
+
+// park makes the waiter a call leaves behind.
+func park(c *call, thread uint32, lastSeen uint64, kind waitKind) waiter {
+	return waiter{to: c.to, svc: c.svc, thread: thread, node: c.src, lastSeen: lastSeen, kind: kind}
+}
+
+// standsIn reports whether w stands in for a request of thread's, which
+// the thread has now re-issued (see waiter).
+func (w *waiter) standsIn(thread uint32) bool {
+	return w.thread == thread && w.to == nil && !w.detached
+}
+
+// standIn finds thread's stand-in among ws.
+func standIn(ws []waiter, thread uint32) *waiter {
+	for i := range ws {
+		if ws[i].standsIn(thread) {
+			return &ws[i]
+		}
+	}
+	return nil
+}
+
+// attach hands a re-issued request's ticket to the waiter that stood in
+// for it, preserving its place.
+func (w *waiter) attach(c *call, lastSeen uint64) { w.to, w.svc, w.lastSeen = c.to, c.svc, lastSeen }
 
 type lockState struct {
 	held   bool
@@ -96,7 +127,7 @@ type shard struct {
 	mirror atomicTime // clock published for cross-goroutine readers
 	tick   uint64     // directory ticket of the request in flight
 	// lockResp is the answer to an acquire, kept here because a message
-	// handed to Reply escapes; Reply encodes it before it returns.
+	// handed to reply escapes; reply encodes it before it returns.
 	lockResp proto.LockResp
 
 	locks       map[uint32]*lockState
@@ -117,83 +148,80 @@ func newShard(m *Manager, id int) *shard {
 	}
 }
 
-// serve runs one decoded client request. tick is the notice-directory
-// ticket the dispatcher reserved for an interval-carrying request (zero
-// otherwise): the handler fills it, and one that returns without filling
-// (a fenced, malformed or duplicate release) leaves that seq a permanent
-// gap. A replicated mutation is applied only after the slowest follower
-// acked it; floor, the round's completion time, is folded into the clock
-// so replication latency is visible in the reply.
-func (sh *shard) serve(req *scl.Request, msg proto.Msg, floor vtime.Time, tick uint64) {
-	sh.tick = tick
-	sh.clock.AdvanceTo(req.Arrive())
-	sh.clock.AdvanceTo(floor)
-	sh.clock.Advance(req.Svc())
-	sh.handle(req, msg)
-	sh.mirror.Store(sh.clock.Now())
-}
-
-// refuse charges and answers a request that failed to decode.
-func (sh *shard) refuse(req *scl.Request, err error) {
-	sh.clock.AdvanceTo(req.Arrive())
-	sh.clock.Advance(req.Svc())
-	if !req.OneWay() {
-		req.ReplyError(err, sh.clock.Now())
-	}
-	sh.mirror.Store(sh.clock.Now())
-}
-
-// heard reports whether a reply to req reaches a client: this replica
-// leads and req is not a log replay. Only then may the reply's notices
-// advance the client's horizon (see noticeBoard.acquire).
-func (sh *shard) heard(req *scl.Request) bool {
-	return !sh.m.isFollower() && !req.Replayed()
-}
-
-// reaches is heard for a parked waiter. A detached waiter's grant is a
-// post, which a leader always sends.
-func (sh *shard) reaches(w *waiter) bool {
-	return !sh.m.isFollower() && (w.detached || !w.req.Replayed())
-}
-
-func (sh *shard) handle(req *scl.Request, msg proto.Msg) {
+// serve runs one decoded client request at its home. A request that
+// carries a release interval reserves its notice-directory ticket here, in
+// arrival order (see noticeBoard): the handler fills it, and one that
+// returns without filling (a fenced, malformed or duplicate release)
+// leaves that seq a permanent gap. A replicated mutation is applied only
+// after the slowest follower acked it; floor, the round's completion time,
+// is folded into the clock so replication latency is visible in the reply.
+func (sh *shard) serve(c *call, msg proto.Msg, floor vtime.Time) {
+	sh.charge(c, floor)
 	switch mm := msg.(type) {
 	case *proto.AllocReq:
-		sh.handleAlloc(req, mm)
+		sh.handleAlloc(c, mm)
 	case *proto.FreeReq:
-		sh.handleFree(req, mm)
+		sh.handleFree(c, mm)
 	case *proto.RegisterReq:
-		sh.handleRegister(req, mm)
+		sh.m.board.ensure(mm.Thread, 0)
+		sh.answer(c, &proto.Ack{})
 	case *proto.LockReq:
-		sh.handleLock(req, mm)
+		sh.handleLock(c, mm)
 	case *proto.UnlockReq:
-		sh.handleUnlock(req, mm)
+		sh.tick = sh.m.board.reserve()
+		sh.handleUnlock(c, mm)
 	case *proto.BarrierReq:
-		sh.handleBarrier(req, mm)
+		sh.tick = sh.m.board.reserve()
+		sh.handleBarrier(c, mm)
 	case *proto.CondWaitReq:
-		sh.handleCondWait(req, mm)
+		sh.tick = sh.m.board.reserve()
+		sh.handleCondWait(c, mm)
 	case *proto.CondSignalReq:
-		sh.handleCondSignal(req, mm)
+		sh.handleCondSignal(c, mm)
 	case *proto.SnapshotASReq:
-		sh.handleSnapshotAS(req, mm)
+		sh.handleSnapshotAS(c, mm)
 	case *proto.ForkASReq:
-		sh.handleForkAS(req, mm)
+		sh.handleForkAS(c, mm)
 	}
+	sh.mirror.Store(sh.clock.Now())
+}
+
+// charge moves the clock past a request's arrival (and floor) and its
+// pickup, and publishes it.
+func (sh *shard) charge(c *call, floor vtime.Time) {
+	sh.clock.AdvanceTo(c.arrive)
+	sh.clock.AdvanceTo(floor)
+	sh.clock.Advance(c.svc)
+	sh.mirror.Store(sh.clock.Now())
+}
+
+// answer queues the reply to the call in flight at this home's clock;
+// fail queues its refusal.
+func (sh *shard) answer(c *call, msg proto.Msg) { sh.m.reply(c.to, msg, sh.clock.Now()) }
+
+func (sh *shard) fail(c *call, err error) {
+	sh.m.replyErr(c.to, proto.CodeGeneric, err, sh.clock.Now())
+}
+
+// reaches reports whether the answer to a parked waiter gets to its
+// thread: through the ticket it holds, or as the post a detached waiter is
+// granted by, which only a log replay withholds. Only then may the
+// answer's notices advance the thread's horizon (see noticeBoard.acquire);
+// for the call in flight the same test is c.to != nil.
+func (sh *shard) reaches(w *waiter) bool {
+	return w.to != nil || (w.detached && !sh.m.replaying)
 }
 
 // ---------------------------------------------------------------------
 // Allocation.
 
-func (sh *shard) handleAlloc(req *scl.Request, ar *proto.AllocReq) {
+func (sh *shard) handleAlloc(c *call, ar *proto.AllocReq) {
 	m := sh.m
 	align := int(ar.Align)
 	if align < 16 {
 		align = 16
 	}
-	var (
-		zone *Zone
-		err  error
-	)
+	var zone *Zone
 	switch ar.Strategy {
 	case proto.AllocArenaChunk:
 		// Arena chunks are line-aligned so no two threads' arenas ever
@@ -205,10 +233,7 @@ func (sh *shard) handleAlloc(req *scl.Request, ar *proto.AllocReq) {
 	case proto.AllocStriped:
 		zone, align = m.stripedZone, m.geo.LineSize()*m.geo.NumServers
 	default:
-		err = fmt.Errorf("manager: unknown allocation strategy %d", ar.Strategy)
-	}
-	if err != nil {
-		req.ReplyError(err, sh.clock.Now())
+		sh.fail(c, fmt.Errorf("manager: unknown allocation strategy %d", ar.Strategy))
 		return
 	}
 	// A request re-issued across a failover (same writer, same Seq) was
@@ -217,20 +242,20 @@ func (sh *shard) handleAlloc(req *scl.Request, ar *proto.AllocReq) {
 	// with the original address instead of leaking a second block.
 	if addr, ok := zone.DedupAlloc(ar.Thread, ar.Seq); ok {
 		m.stats.DedupAllocs.Add(1)
-		req.Reply(&proto.AllocResp{Addr: uint64(addr)}, sh.clock.Now())
+		sh.answer(c, &proto.AllocResp{Addr: uint64(addr)})
 		return
 	}
 	addr, err := zone.Alloc(ar.Size, align)
 	if err != nil {
-		req.ReplyError(err, sh.clock.Now())
+		sh.fail(c, err)
 		return
 	}
 	zone.NoteAlloc(ar.Thread, ar.Seq, addr)
 	m.stats.Allocs.Add(1)
-	req.Reply(&proto.AllocResp{Addr: uint64(addr)}, sh.clock.Now())
+	sh.answer(c, &proto.AllocResp{Addr: uint64(addr)})
 }
 
-func (sh *shard) handleFree(req *scl.Request, fr *proto.FreeReq) {
+func (sh *shard) handleFree(c *call, fr *proto.FreeReq) {
 	m := sh.m
 	addr := layout.Addr(fr.Addr)
 	var zone *Zone
@@ -242,7 +267,7 @@ func (sh *shard) handleFree(req *scl.Request, fr *proto.FreeReq) {
 	case m.stripedZone.Contains(addr):
 		zone = m.stripedZone
 	default:
-		req.ReplyError(fmt.Errorf("manager: free of address %#x outside all zones", fr.Addr), sh.clock.Now())
+		sh.fail(c, fmt.Errorf("manager: free of address %#x outside all zones", fr.Addr))
 		return
 	}
 	ss := m.snaps
@@ -257,14 +282,14 @@ func (sh *shard) handleFree(req *scl.Request, fr *proto.FreeReq) {
 			if rec, ok := ss.lastFreeFork[fr.Thread]; ok && fr.Seq != 0 && rec.seq == fr.Seq {
 				m.stats.DedupFrees.Add(1)
 				resp := rec.resp
-				req.Reply(&resp, sh.clock.Now())
+				sh.answer(c, &resp)
 				return
 			}
 			resp := ss.forkFree(fr.Addr, snap)
 			if fr.Seq != 0 {
 				ss.lastFreeFork[fr.Thread] = freeForkRecord{seq: fr.Seq, resp: resp}
 			}
-			req.Reply(&resp, sh.clock.Now())
+			sh.answer(c, &resp)
 			return
 		}
 	}
@@ -272,11 +297,11 @@ func (sh *shard) handleFree(req *scl.Request, fr *proto.FreeReq) {
 	// idempotently instead of double-freeing.
 	if zone.DedupFree(fr.Thread, fr.Seq) {
 		m.stats.DedupFrees.Add(1)
-		req.Reply(&proto.FreeResp{}, sh.clock.Now())
+		sh.answer(c, &proto.FreeResp{})
 		return
 	}
 	if err := zone.Free(addr); err != nil {
-		req.ReplyError(err, sh.clock.Now())
+		sh.fail(c, err)
 		return
 	}
 	zone.NoteFree(fr.Thread, fr.Seq)
@@ -290,12 +315,7 @@ func (sh *shard) handleFree(req *scl.Request, fr *proto.FreeReq) {
 		resp.Release, resp.NPages = ss.originFreed(fr.Addr)
 	}
 	m.stats.Frees.Add(1)
-	req.Reply(resp, sh.clock.Now())
-}
-
-func (sh *shard) handleRegister(req *scl.Request, rr *proto.RegisterReq) {
-	sh.m.board.ensure(rr.Thread, 0)
-	req.Reply(&proto.Ack{}, sh.clock.Now())
+	sh.answer(c, resp)
 }
 
 // ---------------------------------------------------------------------
@@ -310,53 +330,41 @@ func (sh *shard) lock(id uint32) *lockState {
 	return ls
 }
 
-func (sh *shard) handleLock(req *scl.Request, lr *proto.LockReq) {
+func (sh *shard) handleLock(c *call, lr *proto.LockReq) {
 	m := sh.m
 	m.board.ensure(lr.Thread, lr.LastSeen)
 	ls := sh.lock(lr.Lock)
-	if m.replicated() && ls.held && ls.holder == lr.Thread {
+	if m.hasPeers() && ls.held && ls.holder == lr.Thread {
 		// Duplicate of an acquire already granted — the grant reply was
 		// lost to a leader failover and the client re-issued. Re-answer
 		// from the recorded tenure without granting again, so grant
 		// conservation holds across the failover.
 		ns := m.board.after(lr.LastSeen, ls.grantSeq)
-		req.Reply(&proto.LockResp{Seq: ls.grantSeq, Notices: ns}, sh.clock.Now())
-		if sh.heard(req) {
+		sh.answer(c, &proto.LockResp{Seq: ls.grantSeq, Notices: ns})
+		if c.to != nil {
 			m.board.saw(lr.Thread, ls.grantSeq)
 		}
 		return
 	}
-	if m.replicated() && ls.held {
-		// A re-issued acquire whose first copy is still queued (as a
-		// replayed waiter applied from the log): attach the live
-		// request to it, preserving its FIFO position.
-		for i := range ls.queue {
-			qw := &ls.queue[i]
-			if qw.thread == lr.Thread && qw.req != nil && qw.req.Replayed() {
-				qw.req = req
-				qw.lastSeen = lr.LastSeen
-				return
-			}
-		}
-	}
-	w := waiter{
-		req:      req,
-		thread:   lr.Thread,
-		node:     uint32(req.Src()),
-		lastSeen: lr.LastSeen,
-		kind:     waitLock,
-	}
+	w := park(c, lr.Thread, lr.LastSeen, waitLock)
 	if ls.held {
+		// A re-issued acquire whose first copy is still queued (as a
+		// waiter applied from the log): attach the live
+		// request to it, preserving its FIFO position.
+		if qw := standIn(ls.queue, lr.Thread); qw != nil {
+			qw.attach(c, lr.LastSeen)
+			return
+		}
 		m.stats.LockWaits.Add(1)
-		if m.p2p {
+		if m.p2p() {
 			// Detach the waiter: answer its RPC now with Queued so the
 			// grant — composed by the current holder at its release, or
 			// by this home as a fallback — can arrive as a one-way
 			// LockGrant instead of a manager round trip.
 			w.detached = true
-			w.req = nil
+			w.to = nil
 			sh.lockResp = proto.LockResp{Queued: true}
-			req.Reply(&sh.lockResp, sh.clock.Now())
+			sh.answer(c, &sh.lockResp)
 			ls.queue = append(ls.queue, w)
 			sh.maybeSendTrain(lr.Lock, ls)
 			return
@@ -390,7 +398,7 @@ func (sh *shard) grant(id uint32, ls *lockState, w waiter) {
 		ns, seq := m.board.acquireWire(w.thread, w.lastSeen, sh.reaches(&w))
 		ls.grantSeq = seq
 		var train proto.Train
-		if m.p2p {
+		if m.p2p() {
 			train = sh.composeTrain(ls)
 		}
 		m.post(w.node, &proto.LockGrant{Lock: id, Gen: ls.gen, Seq: seq, Notices: ns, Train: train}, now)
@@ -404,16 +412,16 @@ func (sh *shard) grant(id uint32, ls *lockState, w waiter) {
 		ls.grantSeq = seq
 		if w.kind == waitLock {
 			var gen uint64
-			if m.p2p {
+			if m.p2p() {
 				gen = ls.gen
 			}
 			sh.lockResp = proto.LockResp{Seq: seq, Notices: ns, Gen: gen}
-			w.req.Reply(&sh.lockResp, now)
+			m.reply(w.to, &sh.lockResp, now)
 		} else {
-			w.req.Reply(&proto.CondWaitResp{Seq: seq, Notices: ns}, now)
+			m.reply(w.to, &proto.CondWaitResp{Seq: seq, Notices: ns}, now)
 		}
 	}
-	if m.p2p {
+	if m.p2p() {
 		sh.maybeSendTrain(id, ls)
 	}
 }
@@ -479,18 +487,16 @@ func (sh *shard) composeTrain(ls *lockState) proto.Train {
 // round trip, and the pipelined one-way post (the releaser overlaps its
 // diff shipping with this notice; interval tags at the homes restore
 // the ordering the missing ack used to provide).
-func (sh *shard) handleUnlock(req *scl.Request, ur *proto.UnlockReq) {
+func (sh *shard) handleUnlock(c *call, ur *proto.UnlockReq) {
 	m := sh.m
 	ls := sh.lock(ur.Lock)
-	if m.replicated() && m.board.filled(ur.Thread, ur.Interval) {
+	if m.hasPeers() && m.board.filled(ur.Thread, ur.Interval) {
 		// Duplicate of a release already applied — the ack was lost to
 		// a leader failover and the client re-issued. The interval is
 		// in the directory and the lock has moved on; ack without
 		// re-filling or re-releasing. Checked before the holder test:
 		// the lock is usually held by someone else by now.
-		if !req.OneWay() {
-			req.Reply(&proto.Ack{}, sh.clock.Now())
-		}
+		sh.answer(c, &proto.Ack{})
 		return
 	}
 	if !ls.held || ls.holder != ur.Thread {
@@ -499,20 +505,16 @@ func (sh *shard) handleUnlock(req *scl.Request, ur *proto.UnlockReq) {
 		// request is the only fence available. Its reserved directory
 		// ticket stays unfilled — the corpse's interval must not become
 		// visible to acquirers that already moved past the reclamation.
-		if !req.OneWay() {
-			req.ReplyError(fmt.Errorf("manager: unlock of lock %d by non-holder thread %d", ur.Lock, ur.Thread), sh.clock.Now())
-		}
+		sh.fail(c, fmt.Errorf("manager: unlock of lock %d by non-holder thread %d", ur.Lock, ur.Thread))
 		return
 	}
 	m.stats.Unlocks.Add(1)
-	if m.p2p && ur.HandedOff != 0 {
-		sh.completeHandoff(ur.Lock, ls, ur, req)
+	if m.p2p() && ur.HandedOff != 0 {
+		sh.completeHandoff(c, ur.Lock, ls, ur)
 		return
 	}
 	m.board.fill(sh.tick, proto.IntervalTag{Writer: ur.Thread, Interval: ur.Interval}, ur.Pages, ur.Records)
-	if !req.OneWay() {
-		req.Reply(&proto.Ack{}, sh.clock.Now())
-	}
+	sh.answer(c, &proto.Ack{})
 	sh.release(ur.Lock, ls)
 }
 
@@ -520,7 +522,7 @@ func (sh *shard) handleUnlock(req *scl.Request, ur *proto.UnlockReq) {
 // forwarded the lock (with notices) to the successor named by the last
 // NextWaiter; the manager re-points its bookkeeping without composing a
 // grant of its own.
-func (sh *shard) completeHandoff(id uint32, ls *lockState, ur *proto.UnlockReq, req *scl.Request) {
+func (sh *shard) completeHandoff(c *call, id uint32, ls *lockState, ur *proto.UnlockReq) {
 	m := sh.m
 	prevSeq := ls.grantSeq
 	seq := sh.tick
@@ -536,9 +538,7 @@ func (sh *shard) completeHandoff(id uint32, ls *lockState, ur *proto.UnlockReq, 
 		// The named successor is no longer queued; fall back to a
 		// central release. The rest of the train (if any) is moot — the
 		// old holder already dropped its copy at this unlock.
-		if !req.OneWay() {
-			req.Reply(&proto.Ack{}, sh.clock.Now())
-		}
+		sh.answer(c, &proto.Ack{})
 		sh.release(id, ls)
 		return
 	}
@@ -566,9 +566,7 @@ func (sh *shard) completeHandoff(id uint32, ls *lockState, ur *proto.UnlockReq, 
 	m.board.saw(w.thread, anchor)
 	m.stats.LockGrants.Add(1)
 	m.stats.Handoffs.Add(1)
-	if !req.OneWay() {
-		req.Reply(&proto.Ack{}, sh.clock.Now())
-	}
+	sh.answer(c, &proto.Ack{})
 	sh.maybeSendTrain(id, ls)
 }
 
@@ -586,9 +584,7 @@ func (sh *shard) release(id uint32, ls *lockState) {
 		next := ls.queue[0]
 		ls.queue = ls.queue[1:]
 		if sh.deadThreads[next.thread] {
-			if m.live != nil {
-				m.live.WaitersEvicted.Add(1)
-			}
+			m.tally().WaitersEvicted.Add(1)
 			continue
 		}
 		sh.grant(id, ls, next)
@@ -599,10 +595,10 @@ func (sh *shard) release(id uint32, ls *lockState) {
 // ---------------------------------------------------------------------
 // Barriers.
 
-func (sh *shard) handleBarrier(req *scl.Request, br *proto.BarrierReq) {
+func (sh *shard) handleBarrier(c *call, br *proto.BarrierReq) {
 	m := sh.m
 	if br.Count == 0 {
-		req.ReplyError(fmt.Errorf("manager: barrier %d arrival with zero count", br.Barrier), sh.clock.Now())
+		sh.fail(c, fmt.Errorf("manager: barrier %d arrival with zero count", br.Barrier))
 		return
 	}
 	m.board.ensure(br.Thread, br.LastSeen)
@@ -621,27 +617,26 @@ func (sh *shard) handleBarrier(req *scl.Request, br *proto.BarrierReq) {
 		sh.barriers[br.Barrier] = bs
 	}
 	if bs.count != br.Count {
-		req.ReplyError(fmt.Errorf("manager: barrier %d count mismatch: %d vs %d", br.Barrier, br.Count, bs.count), sh.clock.Now())
+		sh.fail(c, fmt.Errorf("manager: barrier %d count mismatch: %d vs %d", br.Barrier, br.Count, bs.count))
 		return
 	}
-	if m.replicated() && br.Epoch != 0 {
+	if br.Epoch != 0 {
 		if br.Epoch <= bs.epoch {
 			// This round already released — the release reply was lost
 			// to a leader failover and the client re-issued. Its
 			// interval was filled by the original arrival; answer with
 			// the directory frontier without re-counting.
-			ns, seq := m.board.acquire(br.Thread, br.LastSeen, sh.heard(req))
-			req.Reply(&proto.BarrierResp{Seq: seq, Notices: ns}, sh.clock.Now())
+			ns, seq := m.board.acquire(br.Thread, br.LastSeen, c.to != nil)
+			sh.answer(c, &proto.BarrierResp{Seq: seq, Notices: ns})
 			return
 		}
 		if bs.counted[br.Thread] >= br.Epoch {
-			// Counted (as a replayed arrival applied from the log) but
+			// Counted (as an arrival applied from the log) but
 			// the round is still pending: attach the live request so
 			// the eventual release answers it.
 			for i := range bs.arrived {
 				if bs.arrived[i].thread == br.Thread {
-					bs.arrived[i].req = req
-					bs.arrived[i].lastSeen = br.LastSeen
+					bs.arrived[i].attach(c, br.LastSeen)
 				}
 			}
 			return
@@ -652,16 +647,11 @@ func (sh *shard) handleBarrier(req *scl.Request, br *proto.BarrierReq) {
 	// immediately so every later acquire (including the other
 	// arrivals) sees it.
 	m.board.fill(sh.tick, proto.IntervalTag{Writer: br.Thread, Interval: br.Interval}, br.Pages, br.Records)
-	bs.arrived = append(bs.arrived, waiter{
-		req:      req,
-		thread:   br.Thread,
-		node:     uint32(req.Src()),
-		lastSeen: br.LastSeen,
-	})
+	bs.arrived = append(bs.arrived, park(c, br.Thread, br.LastSeen, waitLock))
 	if len(bs.arrived) < bs.effective() {
 		return
 	}
-	sh.releaseBarrier(bs, req.Svc())
+	sh.releaseBarrier(bs, c.svc)
 }
 
 // releaseBarrier completes a barrier round, answering every parked
@@ -673,15 +663,15 @@ func (sh *shard) handleBarrier(req *scl.Request, br *proto.BarrierReq) {
 func (sh *shard) releaseBarrier(bs *barrierState, svc vtime.Time) {
 	m := sh.m
 	m.stats.BarrierRounds.Add(1)
-	if m.live != nil && len(bs.dead) > 0 {
-		m.live.BarriersRecomputed.Add(1)
+	if len(bs.dead) > 0 {
+		m.tally().BarriersRecomputed.Add(1)
 	}
 	bs.epoch++
-	if m.nshards == 1 {
+	if len(m.shards) == 1 {
 		for _, w := range bs.arrived {
 			sh.clock.Advance(svc)
 			ns, seq := m.board.acquire(w.thread, w.lastSeen, sh.reaches(&w))
-			w.req.Reply(&proto.BarrierResp{Seq: seq, Notices: ns}, sh.clock.Now())
+			m.reply(w.to, &proto.BarrierResp{Seq: seq, Notices: ns}, sh.clock.Now())
 		}
 		bs.arrived = bs.arrived[:0]
 		return
@@ -692,7 +682,7 @@ func (sh *shard) releaseBarrier(bs *barrierState, svc vtime.Time) {
 		depth := vtime.Time(bits.Len(uint(j + 1)))
 		at := start + svc*depth
 		ns, seq := m.board.acquire(w.thread, w.lastSeen, sh.reaches(&w))
-		w.req.Reply(&proto.BarrierResp{Seq: seq, Notices: ns}, at)
+		m.reply(w.to, &proto.BarrierResp{Seq: seq, Notices: ns}, at)
 		if at > maxAt {
 			maxAt = at
 		}
@@ -716,21 +706,15 @@ func (sh *shard) recheckBarrier(id uint32, bs *barrierState) {
 				"barrier": id, "count": bs.count, "effective": bs.effective(),
 			})
 		}
-		sh.releaseBarrier(bs, bs.arrived[len(bs.arrived)-1].req.Svc())
+		sh.releaseBarrier(bs, bs.arrived[len(bs.arrived)-1].svc)
 		return
 	}
-	if live := int(m.liveThreads); bs.effective() > live {
-		if m.isFollower() {
-			// A follower's liveThreads is not meaningful (heartbeats
-			// only reach the leader); the unsatisfiability decision is
-			// the leader's and arrives via the log or a promotion.
-			return
-		}
+	if m.unsatisfiable(bs.effective()) {
 		err := fmt.Errorf("manager: barrier %d unsatisfiable: needs %d live arrivals, %d live threads",
-			id, bs.effective(), live)
-		for _, w := range bs.arrived {
-			m.live.WaitersFailed.Add(1)
-			w.req.ReplyErrorCode(proto.CodePeerDied, err, sh.clock.Now())
+			id, bs.effective(), m.liveThreads)
+		for i := range bs.arrived {
+			m.tally().WaitersFailed.Add(1)
+			sh.failWaiter(0, &bs.arrived[i], proto.CodePeerDied, err)
 		}
 		bs.arrived = bs.arrived[:0]
 	}
@@ -748,44 +732,39 @@ func (sh *shard) cond(id uint32) *condState {
 	return cs
 }
 
-func (sh *shard) handleCondWait(req *scl.Request, cw *proto.CondWaitReq) {
+func (sh *shard) handleCondWait(c *call, cw *proto.CondWaitReq) {
 	m := sh.m
 	ls := sh.lock(cw.Lock)
-	if m.replicated() && m.board.filled(cw.Thread, cw.Interval) {
+	if m.hasPeers() && m.board.filled(cw.Thread, cw.Interval) {
 		// Duplicate of a wait already applied (reply lost to a leader
 		// failover): the thread is parked on the condition, queued at
 		// the lock after a signal, or already re-granted. Re-attach the
-		// live request wherever the replayed one sits — the condition's
+		// live request wherever its stand-in sits — the condition's
 		// home may be another shard.
-		ch := m.shards[m.shardOf(cw.Cond)]
-		for i := range ch.cond(cw.Cond).waiters {
-			ce := &ch.cond(cw.Cond).waiters[i]
-			if ce.w.thread == cw.Thread && ce.w.req != nil && ce.w.req.Replayed() {
-				ce.w.req = req
+		parked := m.shards[m.shardOf(cw.Cond)].cond(cw.Cond).waiters
+		for i := range parked {
+			if w := &parked[i].w; w.standsIn(cw.Thread) {
+				w.attach(c, w.lastSeen)
 				return
 			}
 		}
 		if ls.held && ls.holder == cw.Thread {
 			ns := m.board.after(cw.LastSeen, ls.grantSeq)
-			req.Reply(&proto.CondWaitResp{Seq: ls.grantSeq, Notices: ns}, sh.clock.Now())
-			if sh.heard(req) {
+			sh.answer(c, &proto.CondWaitResp{Seq: ls.grantSeq, Notices: ns})
+			if c.to != nil {
 				m.board.saw(cw.Thread, ls.grantSeq)
 			}
 			return
 		}
-		for i := range ls.queue {
-			qw := &ls.queue[i]
-			if qw.thread == cw.Thread && qw.req != nil && qw.req.Replayed() {
-				qw.req = req
-				return
-			}
+		if qw := standIn(ls.queue, cw.Thread); qw != nil {
+			qw.attach(c, qw.lastSeen)
+			return
 		}
-		req.ReplyErrorCode(proto.CodeGeneric,
-			fmt.Errorf("manager: duplicate cond wait by thread %d has no parked original", cw.Thread), sh.clock.Now())
+		sh.fail(c, fmt.Errorf("manager: duplicate cond wait by thread %d has no parked original", cw.Thread))
 		return
 	}
 	if !ls.held || ls.holder != cw.Thread {
-		req.ReplyError(fmt.Errorf("manager: cond wait on lock %d by non-holder thread %d", cw.Lock, cw.Thread), sh.clock.Now())
+		sh.fail(c, fmt.Errorf("manager: cond wait on lock %d by non-holder thread %d", cw.Lock, cw.Thread))
 		return
 	}
 	m.board.ensure(cw.Thread, cw.LastSeen)
@@ -794,35 +773,22 @@ func (sh *shard) handleCondWait(req *scl.Request, cw *proto.CondWaitReq) {
 	// condition's home, which may be another shard), drop the lock
 	// (possibly granting it onward).
 	m.board.fill(sh.tick, proto.IntervalTag{Writer: cw.Thread, Interval: cw.Interval}, cw.Pages, cw.Records)
-	entry := condEntry{
-		w: waiter{
-			req:      req,
-			thread:   cw.Thread,
-			node:     uint32(req.Src()),
-			lastSeen: cw.LastSeen,
-			kind:     waitCond,
-		},
-		lock: cw.Lock,
-	}
 	cs := m.shards[m.shardOf(cw.Cond)].cond(cw.Cond)
-	cs.waiters = append(cs.waiters, entry)
+	cs.waiters = append(cs.waiters, condEntry{w: park(c, cw.Thread, cw.LastSeen, waitCond), lock: cw.Lock})
 	sh.release(cw.Lock, ls)
 }
 
-func (sh *shard) handleCondSignal(req *scl.Request, sr *proto.CondSignalReq) {
+func (sh *shard) handleCondSignal(c *call, sr *proto.CondSignalReq) {
 	m := sh.m
 	m.stats.CondSignals.Add(1)
 	cs := sh.cond(sr.Cond)
-	n := 1
+	n := min(1, len(cs.waiters))
 	if sr.Broadcast {
-		n = len(cs.waiters)
-	}
-	if n > len(cs.waiters) {
 		n = len(cs.waiters)
 	}
 	woken := append([]condEntry(nil), cs.waiters[:n]...)
 	cs.waiters = append(cs.waiters[:0:0], cs.waiters[n:]...)
-	req.Reply(&proto.Ack{}, sh.clock.Now())
+	sh.answer(c, &proto.Ack{})
 	// Each woken thread must re-acquire its mutex before its wait
 	// returns; it competes with ordinary lock requests in FIFO order at
 	// the lock's own home.
@@ -844,11 +810,8 @@ func (sh *shard) wakeFromCond(lockID uint32, w waiter, at vtime.Time) {
 	// reclaimThread can never evict it later — answer its parked call
 	// with the eviction error instead of leaving it to hang.
 	if sh.deadThreads[w.thread] {
-		if m.live != nil {
-			m.live.WaitersEvicted.Add(1)
-		}
-		w.req.ReplyErrorCode(proto.CodePeerDied,
-			fmt.Errorf("manager: thread %d declared dead", w.thread), sh.clock.Now())
+		m.tally().WaitersEvicted.Add(1)
+		sh.failWaiter(lockID, &w, proto.CodePeerDied, fmt.Errorf("manager: thread %d declared dead", w.thread))
 		return
 	}
 	ls := sh.lock(lockID)
@@ -879,12 +842,8 @@ func (sh *shard) reclaim(tid uint32, markDead bool) {
 	// ErrPeerDied instead of hanging forever.
 	evictErr := fmt.Errorf("manager: thread %d declared dead", tid)
 	evict := func(id uint32, w waiter) {
-		m.live.WaitersEvicted.Add(1)
-		if w.detached {
-			m.post(w.node, &proto.LockGrant{Lock: id, Code: proto.CodePeerDied}, sh.clock.Now())
-			return
-		}
-		w.req.ReplyErrorCode(proto.CodePeerDied, evictErr, sh.clock.Now())
+		m.tally().WaitersEvicted.Add(1)
+		sh.failWaiter(id, &w, proto.CodePeerDied, evictErr)
 	}
 	for id, ls := range sh.locks {
 		kept := ls.queue[:0]
@@ -897,7 +856,7 @@ func (sh *shard) reclaim(tid uint32, markDead bool) {
 		}
 		ls.queue = kept
 		if ls.held && ls.holder == tid {
-			m.live.LocksReclaimed.Add(1)
+			m.tally().LocksReclaimed.Add(1)
 			if m.tr != nil {
 				m.traceLive("lock-reclaimed", map[string]any{"lock": id, "holder": tid})
 			}
@@ -940,33 +899,36 @@ func (sh *shard) reclaim(tid uint32, markDead bool) {
 // failParked completes every parked waiter at this home with a
 // classified error so no thread ever hangs on a manager that stopped:
 // code is proto.CodeShutdown for an orderly stop, proto.CodePeerDied
-// when the manager itself went away. Detached waiters already received
-// their Queued reply, so the failure travels as a LockGrant carrying
-// the code.
+// when the manager itself went away.
 func (sh *shard) failParked(code uint16, why string) {
-	m := sh.m
 	err := fmt.Errorf("manager: %s", why)
-	now := sh.clock.Now()
 	for id, ls := range sh.locks {
-		for _, w := range ls.queue {
-			if w.detached {
-				m.post(w.node, &proto.LockGrant{Lock: id, Code: code}, now)
-				continue
-			}
-			w.req.ReplyErrorCode(code, err, now)
+		for i := range ls.queue {
+			sh.failWaiter(id, &ls.queue[i], code, err)
 		}
 		ls.queue = nil
 	}
 	for _, bs := range sh.barriers {
-		for _, w := range bs.arrived {
-			w.req.ReplyErrorCode(code, err, now)
+		for i := range bs.arrived {
+			sh.failWaiter(0, &bs.arrived[i], code, err)
 		}
 		bs.arrived = nil
 	}
 	for _, cs := range sh.conds {
-		for _, cw := range cs.waiters {
-			cw.w.req.ReplyErrorCode(code, err, now)
+		for i := range cs.waiters {
+			sh.failWaiter(0, &cs.waiters[i].w, code, err)
 		}
 		cs.waiters = nil
 	}
+}
+
+// failWaiter completes one parked waiter with a classified error. A
+// detached waiter already received its Queued reply, so its failure
+// travels as a LockGrant carrying the code.
+func (sh *shard) failWaiter(lock uint32, w *waiter, code uint16, err error) {
+	if w.detached {
+		sh.m.post(w.node, &proto.LockGrant{Lock: lock, Code: code}, sh.clock.Now())
+		return
+	}
+	sh.m.replyErr(w.to, code, err, sh.clock.Now())
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/layout"
 	"repro/internal/proto"
-	"repro/internal/scl"
 )
 
 // snapState is the manager's address-space snapshot/fork table, owned —
@@ -65,19 +64,19 @@ func newSnapState() *snapState {
 	}
 }
 
-func (sh *shard) handleSnapshotAS(req *scl.Request, sr *proto.SnapshotASReq) {
+func (sh *shard) handleSnapshotAS(c *call, sr *proto.SnapshotASReq) {
 	m := sh.m
 	ss := m.snaps
 	if sr.Seq != 0 {
 		if rec, ok := ss.lastSnap[sr.Thread]; ok && rec.seq == sr.Seq {
 			m.stats.DedupAllocs.Add(1)
-			req.Reply(&proto.SnapshotASResp{Snap: rec.snap}, sh.clock.Now())
+			sh.answer(c, &proto.SnapshotASResp{Snap: rec.snap})
 			return
 		}
 	}
 	base := layout.Addr(sr.Base)
 	if sr.NPages == 0 || !m.stripedZone.Contains(base) {
-		req.ReplyError(fmt.Errorf("manager: snapshot of %#x (+%d pages) outside the striped zone", sr.Base, sr.NPages), sh.clock.Now())
+		sh.fail(c, fmt.Errorf("manager: snapshot of %#x (+%d pages) outside the striped zone", sr.Base, sr.NPages))
 		return
 	}
 	// Fork pages must be homed by the server holding the congruent sealed
@@ -85,7 +84,7 @@ func (sh *shard) handleSnapshotAS(req *scl.Request, sr *proto.SnapshotASReq) {
 	// boundary — the alignment every striped allocation gets. Reject a
 	// mid-buffer snapshot that breaks the congruence.
 	if align := uint64(m.geo.LineSize() * m.geo.NumServers); sr.Base%align != 0 {
-		req.ReplyError(fmt.Errorf("manager: snapshot base %#x not stripe-group aligned (%d)", sr.Base, align), sh.clock.Now())
+		sh.fail(c, fmt.Errorf("manager: snapshot base %#x not stripe-group aligned (%d)", sr.Base, align))
 		return
 	}
 	ss.nextSnap++
@@ -94,23 +93,23 @@ func (sh *shard) handleSnapshotAS(req *scl.Request, sr *proto.SnapshotASReq) {
 	if sr.Seq != 0 {
 		ss.lastSnap[sr.Thread] = snapRecord{seq: sr.Seq, snap: id}
 	}
-	req.Reply(&proto.SnapshotASResp{Snap: id}, sh.clock.Now())
+	sh.answer(c, &proto.SnapshotASResp{Snap: id})
 }
 
-func (sh *shard) handleForkAS(req *scl.Request, fr *proto.ForkASReq) {
+func (sh *shard) handleForkAS(c *call, fr *proto.ForkASReq) {
 	m := sh.m
 	ss := m.snaps
 	if fr.Seq != 0 {
 		if rec, ok := ss.lastFork[fr.Thread]; ok && rec.seq == fr.Seq {
 			m.stats.DedupAllocs.Add(1)
 			resp := rec.resp
-			req.Reply(&resp, sh.clock.Now())
+			sh.answer(c, &resp)
 			return
 		}
 	}
 	si, ok := ss.snaps[fr.Snap]
 	if !ok {
-		req.ReplyError(fmt.Errorf("manager: fork of unknown snapshot %d", fr.Snap), sh.clock.Now())
+		sh.fail(c, fmt.Errorf("manager: fork of unknown snapshot %d", fr.Snap))
 		return
 	}
 	// The fork's base gets the striped zone's stripe-group alignment —
@@ -120,7 +119,7 @@ func (sh *shard) handleForkAS(req *scl.Request, fr *proto.ForkASReq) {
 	align := m.geo.LineSize() * m.geo.NumServers
 	addr, err := m.stripedZone.Alloc(si.npages*uint64(m.geo.PageSize), align)
 	if err != nil {
-		req.ReplyError(err, sh.clock.Now())
+		sh.fail(c, err)
 		return
 	}
 	si.refs++
@@ -130,7 +129,7 @@ func (sh *shard) handleForkAS(req *scl.Request, fr *proto.ForkASReq) {
 	if fr.Seq != 0 {
 		ss.lastFork[fr.Thread] = forkRecord{seq: fr.Seq, resp: resp}
 	}
-	req.Reply(&resp, sh.clock.Now())
+	sh.answer(c, &resp)
 }
 
 // forkFree runs phase one of freeing a forked range: the fork's table

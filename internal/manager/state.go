@@ -2,20 +2,18 @@ package manager
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/layout"
 	"repro/internal/proto"
-	"repro/internal/scl"
 )
 
 // Replication snapshot: the full semantic state of a manager, used to
 // catch a follower up when the entries it still needs have been
 // truncated out of the leader's log. Everything a log replay would have
 // built is here — zones, notice directory, lock/barrier/cond tables,
-// membership — EXCEPT live parked requests: a snapshot-restored replica
-// holds replay waiters (no-op replies) in their place, exactly as if it
-// had applied the log, and the live clients re-issue after a failover.
+// membership — EXCEPT whom to answer: a snapshot-restored replica's
+// parked waiters hold no ticket, exactly as if it had applied the log,
+// and the live clients re-issue after a failover.
 //
 // Each table is written down once, as a walk against the bidirectional
 // proto.Codec that wire messages use: the same walk encodes a table or
@@ -166,31 +164,21 @@ func walkMemberKey(c *proto.Codec, k *memberKey) {
 }
 
 // walkMember leaves lastBeat out: it is wall-clock and meaningless
-// across nodes, so the restorer re-stamps it.
+// across nodes, so the restorer re-stamps it (handleReplSnapshot).
 func walkMember(c *proto.Codec, mem *member) {
 	c.U32(&mem.node)
 	c.Bool(&mem.dead)
 	c.U64(&mem.reapGen)
-	if c.Decoding() {
-		mem.lastBeat = time.Now()
-	}
 }
 
-// walkWaiter flattens a parked waiter; the restored form is a replay
-// waiter (no-op reply) — see the comment at the top of the file.
+// walkWaiter flattens a parked waiter; the restored form holds no ticket
+// (see the comment at the top of the file).
 func walkWaiter(c *proto.Codec, w *waiter) {
 	c.U32(&w.thread)
 	c.U32(&w.node)
 	c.U64(&w.lastSeen)
 	c.U8((*uint8)(&w.kind))
 	c.Bool(&w.detached)
-	if c.Decoding() && !w.detached {
-		kind := proto.KLockReq
-		if w.kind == waitCond {
-			kind = proto.KCondWaitReq
-		}
-		w.req = scl.NewReplayRequest(scl.NodeID(w.node), kind, nil, 0)
-	}
 }
 
 func walkShard(c *proto.Codec, sh *shard) {

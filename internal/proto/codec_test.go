@@ -357,7 +357,7 @@ func TestListReusesCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := &ra.Entries[0]
-	kept := ra.Entries[0].Body // what a parked replay request holds
+	kept := ra.Entries[0].Body // a window into the first append, held across the second
 	if err := DecodeAlias(&ra, short); err != nil {
 		t.Fatal(err)
 	}

@@ -417,9 +417,8 @@ func pointsInto(b, body []byte) bool {
 // The per-field ownership rule of DESIGN.md §11, over every sample:
 // Decode hands out copies only; DecodeAlias hands out every byte field
 // as an alias into the body, clipped to its length — a log entry's Body
-// included: a follower's parked replay requests keep the append that
-// carried them alive. A body may be decoded again (a retried handler)
-// and gives the same message.
+// included. A body may be decoded again (a retried handler) and gives the
+// same message.
 func TestDecodeAliasOwnership(t *testing.T) {
 	for _, s := range wireSamples() {
 		body := Encode(s.msg)

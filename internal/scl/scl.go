@@ -47,13 +47,12 @@ type Endpoint interface {
 // later and from another goroutine (deferred replies implement lock
 // queues, barrier parking and fetch-after-diff waits).
 type Request struct {
-	src      NodeID
-	kind     proto.Kind
-	body     []byte
-	arrive   vtime.Time
-	svc      vtime.Time
-	oneway   bool
-	replayed bool
+	src    NodeID
+	kind   proto.Kind
+	body   []byte
+	arrive vtime.Time
+	svc    vtime.Time
+	oneway bool
 	// A request is answered through reply, or, when that is nil, through
 	// sim: the fabric's own two-word request held by value, which spares
 	// a simulated receive the fabric request and the method-value closure
@@ -61,22 +60,6 @@ type Request struct {
 	reply func(kind uint16, body []byte, at vtime.Time)
 	sim   simnet.Request
 }
-
-// NewReplayRequest fabricates a request that was never received from
-// the fabric: a manager follower replica re-applies replicated log
-// entries through the same handlers the leader ran them through, and
-// the handlers park these requests in lock queues and barrier tables
-// exactly like live ones. Replies go nowhere (the live client is
-// answered by the leader, or re-issues after a failover), which
-// Replayed lets the handlers detect. The request keeps body for as long
-// as a handler keeps the request.
-func NewReplayRequest(src NodeID, kind proto.Kind, body []byte, at vtime.Time) *Request {
-	return &Request{src: src, kind: kind, body: body, arrive: at, replayed: true}
-}
-
-// Replayed reports whether the request was fabricated by a log replay
-// (its Reply is a no-op).
-func (r *Request) Replayed() bool { return r.replayed }
 
 // Src reports the sending node.
 func (r *Request) Src() NodeID { return r.src }
@@ -123,17 +106,17 @@ func (r *Request) DecodeAlias(m proto.Msg) error {
 }
 
 // Reply answers the request at virtual time at on the responder's clock.
-// A replayed request has nobody to answer, so its reply is not even
-// encoded.
-func (r *Request) Reply(m proto.Msg, at vtime.Time) {
-	if r.replayed {
-		return
-	}
+func (r *Request) Reply(m proto.Msg, at vtime.Time) { r.ReplyBody(m.Kind(), proto.Encode(m), at) }
+
+// ReplyBody is Reply for an answer that is already encoded: a responder
+// that composes its answers first and sends them afterwards keeps bodies,
+// not messages.
+func (r *Request) ReplyBody(kind proto.Kind, body []byte, at vtime.Time) {
 	reply := r.reply
 	if reply == nil {
 		reply = r.sim.Reply
 	}
-	reply(uint16(m.Kind()), proto.Encode(m), at)
+	reply(uint16(kind), body, at)
 }
 
 // ReplyError answers the request with a protocol-level error
