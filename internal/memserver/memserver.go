@@ -8,48 +8,54 @@
 // A memory server is one goroutine: an event loop over its SCL endpoint
 // that owns N page shards (Geometry.ShardOf, line-granular so a
 // single-line fetch never splits; one shard by default). Each shard has
-// its own calendar, parked-fetch table, page map and ownership table;
-// the loop splits a DiffBatch/FetchLines request that spans shards,
-// runs every share on its shard in turn and joins the per-shard
-// replies. The server is also the *home* of its pages in the home-based
-// lazy-release protocol:
+// its own calendar, parked fetches, page map and ownership table. Every
+// request that names pages is split the same way: one splitter hands
+// each shard its share, the shares run on their shards in turn, and one
+// join answers when the last is done. A request that lands on one shard
+// is a share of one. The server is also the *home* of its pages in the
+// home-based lazy-release protocol:
 //
-//   - FetchLineReq: assemble and return one multi-page cache line. The
-//     request quotes, per page, the interval tags whose DiffBatches must
-//     already be applied (write notices the fetcher has seen); a fetch
-//     that arrives before those diffs is parked and answered as soon as
-//     the last one lands. Pages still lazily owned by a writer are
-//     pulled up to date on demand first. Parking is per page shard:
-//     a split fetch can have one shard's half parked while another
-//     shard's half is already copied into the joined reply.
-//   - DiffBatch (one-way): apply page diffs and fine-grained store
-//     records for one release interval, record ownership claims, then
-//     mark the interval tag applied and wake any parked fetches waiting
-//     on it. Each shard marks the tag for its own pages — equivalent to
-//     the unsharded behaviour because a fetch only quotes a tag against
-//     pages the tagged batch names, which land on the same shard.
-//   - EvictFlush (one-way): apply the diff of a dirty page the cache had
-//     to evict mid-interval; the owning interval's later DiffBatch lists
-//     the page as already flushed.
-//   - DiffPull (outgoing): ask a writer's cache agent for the retained
-//     diffs of pages it lazily owns.
+//   - FetchLineReq / FetchLinesReq: assemble and return lines and pages.
+//     The request quotes, per page, the interval tags whose DiffBatches
+//     must already be applied (write notices the fetcher has seen); a
+//     share that arrives before those diffs parks on its shard, and
+//     parked shares wake in the order they parked. Pages still lazily
+//     owned by a writer are pulled up to date on demand first.
+//   - DiffBatch: apply page diffs and fine-grained store records for one
+//     release interval, record ownership claims, then mark the interval
+//     tag applied and wake the fetches waiting on it. Each shard marks
+//     the tag for its own pages: a fetch only quotes a tag against pages
+//     the tagged batch names, which land on the same shard.
+//   - EvictFlush: the diff of a dirty page the cache had to evict
+//     mid-interval, applied as an untagged batch; the owning interval's
+//     later DiffBatch lists the page as already flushed.
+//   - SealAS / ForkMap / ForkUnmap: snapshots and copy-on-write forks
+//     (seal.go, tier.go).
+//
+// The server is a state machine behind one door. Run makes a call value
+// of each request it receives, step runs the transition, and flush
+// alone answers: a transition queues its replies in s.out. The two sends
+// a transition needs an answer to, a diff pull from a writer's cache
+// agent and a forward to the warm standby, go through s.call, which
+// flushes first.
 //
 // Virtual time at the server is one service calendar per shard (see
-// calendar.go): each request books the earliest idle slot at or after
-// its own virtual arrival on its shard's calendar, cross-request
-// ordering constraints flow through interval tags, and Clock() merges
-// the shard calendars. Pages are materialized lazily and zero-filled.
+// calendar.go): each share books the earliest idle slot at or after its
+// own virtual arrival on its shard's calendar, cross-request ordering
+// constraints flow through interval tags, and Clock() merges the shard
+// calendars. Pages are materialized lazily and zero-filled.
 //
 // Sharding is a virtual-time model, not host parallelism: the shards'
 // calendars overlap service windows in virtual time, which is where the
 // sharded speedup comes from, while on the host one goroutine serves
 // every shard. So a quiesced port (or an acked Ping) means a fully
 // drained server whatever the shard count, and a shard blocking in a
-// diff-pull Call blocks the server, exactly as with one shard. Servers
-// still run in parallel with each other and with the compute threads.
+// diff pull blocks the server, exactly as with one shard. Servers still
+// run in parallel with each other and with the compute threads.
 package memserver
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -105,11 +111,10 @@ type Server struct {
 	shards  []*shard
 
 	// Checkpoint/failover state. A warm standby runs the same Server
-	// code with standby=true: it applies the diff stream its primary
+	// code with standby=true: it applies the mutations its primary
 	// forwards but refuses fetches until promoted. A primary with a
-	// replica configured forwards every applied DiffBatch/EvictFlush
-	// (and the bytes of every on-demand pull) to it, shard by shard:
-	// each shard forwards its own applied sub-batches, and the standby's
+	// replica configured forwards every applied mutation (and the bytes
+	// of every on-demand pull) to it, shard by shard: the standby's
 	// identical shard mapping routes every forward wholly to the
 	// matching shard, preserving per-page apply order.
 	standby    atomic.Bool
@@ -133,7 +138,87 @@ type Server struct {
 	// unpark sweep.
 	obitGen map[uint32]uint64
 
+	// out holds the replies queued since the last flush; tap, set only by
+	// tests that step the server without a fabric, takes them in flush's
+	// place. parts is the splitter's scratch: each shard's share of the
+	// request being split. joins holds answered joins for reuse.
+	out   []effect
+	tap   func([]effect)
+	parts []*share
+	joins []*join
+
 	stats Stats
+}
+
+// call is one request as the server sees it: a value Run makes from what
+// the endpoint received. (No transition asks who sent it.)
+type call struct {
+	kind   proto.Kind
+	body   []byte
+	arrive vtime.Time
+	svc    vtime.Time
+	// to is whom to answer, held as an identity and handed back to flush;
+	// nil for a one-way message.
+	to *scl.Request
+}
+
+// effect is one queued reply: whom to answer, and the encoded answer.
+type effect struct {
+	to   *scl.Request
+	kind proto.Kind
+	body []byte
+	at   vtime.Time
+}
+
+// join answers a request once the last of its shares is done: at the
+// latest share's completion, with the lowest-numbered failing shard's
+// error if any failed (so the answer does not depend on the order parked
+// shares complete in), else with an Ack or, for a fetch, the assembled
+// data. It keeps whom to answer and the request's timing, never the
+// request itself. Once it has answered nothing refers to it or its
+// shares, and it is reused, shares and all, so a request costs no
+// allocation of its own.
+type join struct {
+	to      *scl.Request
+	kind    proto.Kind // of the request
+	mute    bool       // a share made a forward the standby may lack: answer nobody (see Server.forward)
+	errCode uint16
+	// A share may start at begin and books svc of fixed service on top of
+	// its own work; see dispatch.
+	begin, svc vtime.Time
+	shares     []*share
+	remaining  int
+	done       vtime.Time
+	err        error
+	errShard   int
+	data       []byte // a fetch's reply, assembled in a pooled buffer
+	snap       uint64 // a seal's snapshot
+}
+
+// share is one shard's part of a request.
+type share struct {
+	j *join
+	// A fetch or a seal: the lines and pages to serve or seal, where each
+	// lands in j.data (lines, then pages), and the interval tags quoted
+	// against this shard's pages.
+	lines []layout.LineID
+	pages []layout.PageID
+	offs  []int
+	needs []proto.PageNeed
+	// A batch: a DiffBatch's part, or an EvictFlush's as an untagged
+	// batch.
+	batch proto.DiffBatch
+}
+
+// reset empties p for another request, keeping the room its lists grew
+// and letting go of what they held.
+func (p *share) reset() {
+	clear(p.needs)
+	clear(p.batch.Diffs)
+	clear(p.batch.Records)
+	*p = share{lines: p.lines[:0], pages: p.pages[:0], offs: p.offs[:0], needs: p.needs[:0], batch: proto.DiffBatch{
+		Diffs: p.batch.Diffs[:0], Records: p.batch.Records[:0], EmptyPages: p.batch.EmptyPages[:0], OwnedPages: p.batch.OwnedPages[:0],
+	}}
 }
 
 // New creates a memory server with the given endpoint and home index,
@@ -147,7 +232,7 @@ func New(ep scl.Endpoint, index int, geo layout.Geometry, cpu vtime.CPUModel, ag
 		agentAddr: agentAddr,
 		snaps:     newSnapStore(),
 	}
-	s.setShards(1)
+	s.SetShards(1)
 	return s
 }
 
@@ -164,10 +249,7 @@ func (s *Server) SetTier(hotBytes int64, model vtime.TierModel, st *stats.Tier) 
 	if hotBytes <= 0 {
 		return
 	}
-	per := hotBytes / int64(s.nshards)
-	if per < int64(s.geo.PageSize) {
-		per = int64(s.geo.PageSize)
-	}
+	per := max(hotBytes/int64(s.nshards), int64(s.geo.PageSize))
 	for _, sh := range s.shards {
 		sh.tier = newTierStore(per, model, st)
 	}
@@ -182,22 +264,15 @@ func (s *Server) NumShards() int { return s.nshards }
 // SetShards splits the server's page space into n shards, each with its
 // own service calendar (n < 1 means 1). Must be called before Run.
 func (s *Server) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.setShards(n)
-}
-
-func (s *Server) setShards(n int) {
-	s.nshards = n
-	s.shards = make([]*shard, n)
+	s.nshards = max(n, 1)
+	s.shards = make([]*shard, s.nshards)
+	s.parts = make([]*share, s.nshards)
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			srv:         s,
 			id:          i,
 			pages:       make(map[layout.PageID][]byte),
 			appliedAt:   make(map[proto.IntervalTag]vtime.Time),
-			parked:      make(map[*parkedFetch]struct{}),
 			owner:       make(map[layout.PageID]uint32),
 			deadWriters: make(map[uint32]struct{}),
 		}
@@ -226,97 +301,386 @@ func (s *Server) SetLiveness(live *stats.Liveness) { s.live = live }
 func (s *Server) Clock() vtime.Time {
 	var m vtime.Time
 	for _, sh := range s.shards {
-		if c := vtime.Time(sh.clock.Load()); c > m {
-			m = c
-		}
+		m = max(m, vtime.Time(sh.clock.Load()))
 	}
 	return m
 }
 
-// Run processes requests until a Shutdown message arrives or the
-// endpoint closes. It is the server's only goroutine.
+// Run is the shell around the server's transitions: it receives a
+// request, makes the call, runs step and flushes the replies step
+// queued, until a Shutdown message arrives or the endpoint closes. It is
+// the server's only goroutine.
 func (s *Server) Run() {
-	for {
+	// The post statement runs after every pass, the last one included:
+	// no exit leaves a queued reply unsent.
+	for done := false; !done; s.flush() {
 		req, ok := s.ep.Recv()
 		if !ok {
 			s.failParked(proto.CodePeerDied, "memory server endpoint closed")
-			return
+			done = true
+			continue
 		}
-		switch req.Kind() {
-		case proto.KFetchLineReq:
-			s.dispatchFetchLine(req)
-		case proto.KFetchLinesReq:
-			s.dispatchFetchLines(req)
-		case proto.KDiffBatch:
-			s.dispatchDiffBatch(req)
-		case proto.KEvictFlush:
-			s.dispatchEvictFlush(req)
-		case proto.KPing:
-			// Everything received before the ping is already applied
-			// (the drain idiom relies on this); ack at the merged clock.
-			req.Reply(&proto.Ack{}, s.Clock())
-		case proto.KSealAS:
-			s.dispatchSealAS(req)
-		case proto.KForkMap:
-			s.handleForkMap(req)
-		case proto.KForkUnmap:
-			s.handleForkUnmap(req)
-		case proto.KWriterDead:
-			s.dispatchWriterDead(req)
-		case proto.KPromote:
-			// Idempotent: the runtime may re-promote on a retried
-			// failover. Fetches already in the inbox were sent by
-			// fetchers racing the failover; serving them post-flip is
-			// safe because quoted interval tags, not the flag, gate
-			// data freshness.
-			if s.standby.Load() {
-				s.standby.Store(false)
-				if s.live != nil {
-					s.live.Promotions.Add(1)
-				}
-			}
-			if !req.OneWay() {
-				req.Reply(&proto.Ack{}, s.Clock())
-			}
-		case proto.KShutdown:
-			if !req.OneWay() {
-				req.Reply(&proto.Ack{}, s.Clock())
-			}
-			s.failParked(proto.CodeShutdown, "memory server shut down")
-			return
-		default:
-			if !req.OneWay() {
-				req.ReplyError(fmt.Errorf("memserver: unexpected %v", req.Kind()), s.Clock())
-			}
+		c := call{kind: req.Kind(), body: req.Body(), arrive: req.Arrive(), svc: req.Svc()}
+		if !req.OneWay() {
+			c.to = req
 		}
+		done = s.step(&c)
 	}
 }
 
-// failParked answers every parked fetch on every shard with a typed
-// error (shutdown or peer death).
+// step is one transition: it changes state and queues replies in s.out.
+// Its only I/O is s.call. stop reports an orderly shutdown.
+func (s *Server) step(c *call) (stop bool) {
+	switch c.kind {
+	case proto.KFetchLineReq, proto.KFetchLinesReq:
+		s.fetch(c)
+	case proto.KDiffBatch:
+		var m proto.DiffBatch
+		mustDecode(c, &m)
+		s.stats.DiffBatches.Add(1)
+		s.batch(c, &m)
+	case proto.KEvictFlush:
+		var m proto.EvictFlush
+		mustDecode(c, &m)
+		s.stats.EvictFlushes.Add(1)
+		s.batch(c, &proto.DiffBatch{Tag: proto.IntervalTag{Writer: m.Writer}, Diffs: m.Diffs})
+	case proto.KSealAS:
+		s.seal(c)
+	case proto.KForkMap:
+		s.forkMap(c)
+	case proto.KForkUnmap:
+		s.forkUnmap(c)
+	case proto.KWriterDead:
+		s.writerDead(c)
+	case proto.KPing:
+		// Everything received before the ping is already applied (the
+		// drain idiom relies on this); ack at the merged clock.
+		s.reply(c.to, &proto.Ack{}, s.Clock())
+	case proto.KPromote:
+		// Idempotent: the runtime may re-promote on a retried failover.
+		// Fetches already in the inbox were sent by fetchers racing the
+		// failover; serving them post-flip is safe because quoted
+		// interval tags, not the flag, gate data freshness.
+		if s.standby.Load() {
+			s.standby.Store(false)
+			if s.live != nil {
+				s.live.Promotions.Add(1)
+			}
+		}
+		s.reply(c.to, &proto.Ack{}, s.Clock())
+	case proto.KShutdown:
+		s.reply(c.to, &proto.Ack{}, s.Clock())
+		s.failParked(proto.CodeShutdown, "memory server shut down")
+		return true
+	default:
+		s.replyErr(c.to, proto.CodeGeneric, fmt.Errorf("memserver: unexpected %v", c.kind), s.Clock())
+	}
+	return false
+}
+
+// mustDecode decodes a one-way message (a mutation or an obituary).
+// There is nobody to tell that it is malformed, and that is a protocol
+// bug, so it fails loudly.
+func mustDecode(c *call, m proto.Msg) {
+	if err := proto.DecodeAlias(m, c.body); err != nil {
+		panic(fmt.Sprintf("memserver: bad %v: %v", c.kind, err))
+	}
+}
+
+// reply queues the answer to a call or to a parked fetch. It is encoded
+// here, so the caller may reuse what msg points into (a fetch's assembly
+// buffer goes back to the pool right after). An answer nobody listens
+// for is not even encoded.
+func (s *Server) reply(to *scl.Request, msg proto.Msg, at vtime.Time) {
+	if to != nil {
+		s.out = append(s.out, effect{to: to, kind: msg.Kind(), body: proto.Encode(msg), at: at})
+	}
+}
+
+// replyErr queues a classified protocol-level error; the caller's decode
+// turns the code back into its sentinel.
+func (s *Server) replyErr(to *scl.Request, code uint16, err error, at vtime.Time) {
+	if to != nil {
+		s.reply(to, &proto.Error{Code: code, Text: err.Error()}, at)
+	}
+}
+
+// flush sends the replies queued since the last flush, in the order they
+// were queued. Nothing else answers a request.
+func (s *Server) flush() {
+	if s.tap != nil {
+		s.tap(s.out)
+	} else {
+		for i := range s.out {
+			e := &s.out[i]
+			e.to.ReplyBody(e.kind, e.body, e.at)
+		}
+	}
+	clear(s.out)
+	s.out = s.out[:0]
+}
+
+// call is the one door for the two sends a transition needs an answer
+// to: a diff pull, whose bytes the same fetch or batch then applies, and
+// a forward, whose ack decides whether the request is answered. Both
+// block the server. call flushes the outbox first, because the server
+// has always answered inline: on a sequenced fabric, a reply still
+// queued here while the server parks in the call would reach its caller
+// only after the sequencer has moved on, and virtual times would move.
+//
+// The pull stays synchronous on purpose. A fetch parked on its pull
+// would let the server book other requests on its calendar before the
+// pulled bytes are applied, and every run that pulls (jacobi pulls 1,632
+// times per traced run, sync-p256 256 times) would move. A virtual
+// deadline on both sends is ROADMAP item 1's.
+func (s *Server) call(dst scl.NodeID, msg, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
+	s.flush()
+	return s.ep.Call(dst, msg, resp, at)
+}
+
+// forward sends an applied mutation to the warm standby and waits for
+// its ack, and reports whether the request that made the forward may be
+// answered. The forward sits between applying a sender's mutation and
+// answering the sender, so an answer means the bytes are on both
+// replicas; the round trip is wall-clock only and moves no virtual time.
+// A dropped forward is retried by the endpoint's retry layer. A forward
+// that failed because the standby is gone (proto.ErrPeerDied) loses
+// nothing a promotion could need. Any other failure may have left the
+// standby without the mutation, so the request gets no answer: its
+// sender re-sends it, to the promoted standby if need be, and
+// re-applying absolute-byte diffs is idempotent.
+func (s *Server) forward(msg proto.Msg, at vtime.Time) bool {
+	if !s.hasReplica {
+		return true
+	}
+	var ack proto.Ack
+	_, err := s.call(s.replica, msg, &ack, at)
+	if s.live != nil {
+		if err != nil {
+			s.live.ReplFailures.Add(1)
+		} else {
+			s.live.ReplBatches.Add(1)
+			s.live.ReplBytes.Add(int64(len(proto.Encode(msg))))
+		}
+	}
+	return err == nil || errors.Is(err, proto.ErrPeerDied)
+}
+
+// failParked fails every parked fetch on every shard with a typed error
+// (shutdown or peer death).
 func (s *Server) failParked(code uint16, why string) {
 	for _, sh := range s.shards {
 		sh.failParked(code, why)
 	}
 }
 
-// ackFor builds the ack join for an RPC-style request split across n
-// shards (nil for one-way traffic, which is never acknowledged).
-func (s *Server) ackFor(req *scl.Request, n int) *ackJoin {
-	if req.OneWay() {
-		return nil
+// newJoin starts the join of a request that will be split.
+func (s *Server) newJoin(c *call) *join {
+	var j *join
+	if n := len(s.joins); n > 0 {
+		j, s.joins = s.joins[n-1], s.joins[:n-1]
+	} else {
+		j = new(join)
 	}
-	return &ackJoin{req: req, remaining: n}
+	j.to, j.kind, j.begin, j.svc = c.to, c.kind, c.arrive, c.svc
+	return j
 }
 
-// dispatchWriterDead fans a manager obituary to every shard: each
-// stops waiting on the dead writer's unapplied interval tags. One-way
-// and free of virtual-time cost, like the liveness plane that sends it.
-func (s *Server) dispatchWriterDead(req *scl.Request) {
-	var m proto.WriterDead
-	if err := req.Decode(&m); err != nil {
-		panic(fmt.Sprintf("memserver: bad WriterDead: %v", err))
+// route returns the share of page p's shard in the request being split,
+// making it on first use.
+func (s *Server) route(j *join, p layout.PageID) *share {
+	return s.part(j, s.geo.ShardOf(p, s.nshards))
+}
+
+func (s *Server) part(j *join, id int) *share {
+	if s.parts[id] == nil {
+		if n := len(j.shares); n < cap(j.shares) && j.shares[:n+1][n] != nil {
+			j.shares = j.shares[:n+1] // kept from the join's last request
+		} else {
+			j.shares = append(j.shares, new(share))
+		}
+		p := j.shares[len(j.shares)-1]
+		p.j = j
+		s.parts[id] = p
 	}
+	return s.parts[id]
+}
+
+// routeNeeds hands each quoted need to its page's shard. A shard with
+// only needs of the request still gets a share, so the tag is awaited
+// where it will be applied.
+func (s *Server) routeNeeds(j *join, needs []proto.PageNeed) {
+	for i := range needs {
+		p := s.route(j, layout.PageID(needs[i].Page))
+		p.needs = append(p.needs, needs[i])
+	}
+}
+
+// dispatch runs the shares of the request just split on their shards, in
+// shard order. A share of one is ready at arrival and pays the fixed
+// service inside its own slot, as a single loop always did. A split
+// request pays it once, as a ready offset: the pickup and the split
+// happen before any shard can start, and only the data-dependent work
+// is charged per shard.
+func (s *Server) dispatch(j *join) {
+	j.remaining = len(j.shares)
+	if j.remaining > 1 {
+		j.begin, j.svc = j.begin+j.svc, 0
+	}
+	for id, p := range s.parts {
+		if p != nil {
+			s.parts[id] = nil
+			s.shards[id].run(p)
+		}
+	}
+}
+
+// complete records that one share of j finished at at on the given
+// shard, failed with err (and code) if err is set. The last one answers.
+func (s *Server) complete(j *join, shard int, at vtime.Time, err error, code uint16) {
+	j.done = max(j.done, at)
+	if err != nil && (j.err == nil || shard < j.errShard) {
+		j.err, j.errShard, j.errCode = err, shard, code
+	}
+	if j.remaining--; j.remaining > 0 {
+		return
+	}
+	fetch := j.kind == proto.KFetchLineReq || j.kind == proto.KFetchLinesReq
+	switch {
+	case j.mute:
+	case j.err != nil:
+		if fetch {
+			s.stats.FailedFetches.Add(1)
+		}
+		s.replyErr(j.to, j.errCode, j.err, j.done)
+	case j.kind == proto.KFetchLineReq && len(j.shares) == 1:
+		s.reply(j.to, &proto.FetchLineResp{Data: j.data}, j.done)
+	case fetch:
+		s.reply(j.to, &proto.FetchLinesResp{Data: j.data}, j.done)
+	default:
+		s.reply(j.to, &proto.Ack{}, j.done)
+	}
+	proto.PutBuf(j.data)
+	s.recycle(j)
+}
+
+// recycle keeps an answered join, and its shares, for another request.
+func (s *Server) recycle(j *join) {
+	for _, p := range j.shares {
+		p.reset()
+	}
+	*j = join{shares: j.shares[:0]}
+	s.joins = append(s.joins, j)
+}
+
+// fetch serves a FetchLineReq or a FetchLinesReq: each shard gets the
+// lines, pages and needs that map to it and copies its segments into
+// the joined reply at offsets fixed here, from the request order.
+func (s *Server) fetch(c *call) {
+	var lines, pages []uint64
+	var needs []proto.PageNeed
+	var err error
+	if c.kind == proto.KFetchLineReq {
+		var m proto.FetchLineReq
+		err = proto.Decode(&m, c.body)
+		lines, needs = []uint64{m.Line}, m.Needs
+	} else {
+		var m proto.FetchLinesReq
+		if err = proto.Decode(&m, c.body); err == nil && len(m.Lines)+len(m.Pages) == 0 {
+			err = fmt.Errorf("memserver %d: empty combined fetch", s.index)
+		}
+		lines, pages, needs = m.Lines, m.Pages, m.Needs
+		if err == nil {
+			s.stats.CombinedReqs.Add(1)
+			s.stats.CombinedExtras.Add(int64(len(lines) + len(pages) - 1))
+		}
+	}
+	if err != nil {
+		s.replyErr(c.to, proto.CodeGeneric, err, s.Clock())
+		return
+	}
+	if s.standby.Load() {
+		// A standby serves no reads until promoted: the typed code lets
+		// a fetcher with a stale address book distinguish "not yet
+		// failed over" from a generic protocol error.
+		s.stats.FailedFetches.Add(1)
+		s.replyErr(c.to, proto.CodeNotPromoted, fmt.Errorf("memserver %d: standby not promoted", s.index), s.Clock())
+		return
+	}
+	for _, l := range lines {
+		if home := s.geo.HomeOf(s.geo.FirstPage(layout.LineID(l))); home != s.index {
+			s.replyErr(c.to, proto.CodeGeneric, fmt.Errorf("memserver %d: line %d homes on server %d", s.index, l, home), s.Clock())
+			return
+		}
+	}
+	for _, p := range pages {
+		if home := s.geo.HomeOf(layout.PageID(p)); home != s.index {
+			s.replyErr(c.to, proto.CodeGeneric, fmt.Errorf("memserver %d: page %d homes on server %d", s.index, p, home), s.Clock())
+			return
+		}
+	}
+	s.stats.Fetches.Add(1)
+	j, size := s.newJoin(c), 0
+	for _, l := range lines {
+		p := s.route(j, s.geo.FirstPage(layout.LineID(l)))
+		p.lines, p.offs = append(p.lines, layout.LineID(l)), append(p.offs, size)
+		size += s.geo.LineSize()
+	}
+	for _, pu := range pages {
+		p := s.route(j, layout.PageID(pu))
+		p.pages, p.offs = append(p.pages, layout.PageID(pu)), append(p.offs, size)
+		size += s.geo.PageSize
+	}
+	s.routeNeeds(j, needs)
+	j.data = proto.GetBuf(size)[:size]
+	if len(j.shares) > 1 {
+		s.stats.SplitFetches.Add(1)
+	}
+	s.dispatch(j)
+}
+
+// batch applies a DiffBatch, or an EvictFlush as an untagged batch: each
+// shard applies the diffs, records, empty pages and claims of its pages.
+func (s *Server) batch(c *call, m *proto.DiffBatch) {
+	j := s.newJoin(c)
+	for i := range m.Diffs {
+		p := s.route(j, layout.PageID(m.Diffs[i].Page))
+		p.batch.Diffs = append(p.batch.Diffs, m.Diffs[i])
+	}
+	for i := range m.Records {
+		p := s.route(j, s.geo.PageOf(layout.Addr(m.Records[i].Addr)))
+		p.batch.Records = append(p.batch.Records, m.Records[i])
+	}
+	for _, pu := range m.EmptyPages {
+		p := s.route(j, layout.PageID(pu))
+		p.batch.EmptyPages = append(p.batch.EmptyPages, pu)
+	}
+	for _, pu := range m.OwnedPages {
+		p := s.route(j, layout.PageID(pu))
+		p.batch.OwnedPages = append(p.batch.OwnedPages, pu)
+	}
+	if len(j.shares) == 0 {
+		// A batch naming no pages still marks its tag: it goes whole to
+		// shard 0, so the tag is applied and forwarded exactly once.
+		s.part(j, 0)
+	}
+	for _, p := range s.parts {
+		if p != nil {
+			p.batch.Tag = m.Tag
+		}
+	}
+	if len(j.shares) > 1 {
+		s.stats.SplitBatches.Add(1)
+	}
+	s.dispatch(j)
+}
+
+// writerDead fans a manager obituary to every shard: each stops waiting
+// on the dead writer's unapplied interval tags. One-way and free of
+// virtual-time cost, like the liveness plane that sends it.
+func (s *Server) writerDead(c *call) {
+	var m proto.WriterDead
+	mustDecode(c, &m)
 	if m.Gen != 0 {
 		if s.obitGen == nil {
 			s.obitGen = make(map[uint32]uint64)
@@ -328,207 +692,5 @@ func (s *Server) dispatchWriterDead(req *scl.Request) {
 	}
 	for _, sh := range s.shards {
 		sh.writerDead(m.Writer)
-	}
-}
-
-func (s *Server) dispatchFetchLine(req *scl.Request) {
-	var m proto.FetchLineReq
-	if err := req.Decode(&m); err != nil {
-		req.ReplyError(err, s.Clock())
-		return
-	}
-	s.routeFetch(req, []layout.LineID{layout.LineID(m.Line)}, nil, m.Needs, false)
-}
-
-func (s *Server) dispatchFetchLines(req *scl.Request) {
-	var m proto.FetchLinesReq
-	if err := req.Decode(&m); err != nil {
-		req.ReplyError(err, s.Clock())
-		return
-	}
-	if len(m.Lines)+len(m.Pages) == 0 {
-		req.ReplyError(fmt.Errorf("memserver %d: empty combined fetch", s.index), s.Clock())
-		return
-	}
-	lines := make([]layout.LineID, len(m.Lines))
-	for i, lu := range m.Lines {
-		lines[i] = layout.LineID(lu)
-	}
-	pages := make([]layout.PageID, len(m.Pages))
-	for i, pu := range m.Pages {
-		pages[i] = layout.PageID(pu)
-	}
-	s.stats.CombinedReqs.Add(1)
-	s.stats.CombinedExtras.Add(int64(len(lines) + len(pages) - 1))
-	s.routeFetch(req, lines, pages, m.Needs, true)
-}
-
-// routeFetch validates a fetch for lines and/or pages, then hands it to
-// its page shard — or, when the request spans several shards, splits it
-// into per-shard halves that assemble disjoint segments of one joined
-// reply. A fetch still parks (now in its pages' shard) until every
-// quoted interval tag has been applied there.
-func (s *Server) routeFetch(req *scl.Request, lines []layout.LineID, pages []layout.PageID, needs []proto.PageNeed, multi bool) {
-	if s.standby.Load() {
-		// A standby serves no reads until promoted: the typed code lets
-		// a fetcher with a stale address book distinguish "not yet
-		// failed over" from a generic protocol error.
-		s.stats.FailedFetches.Add(1)
-		req.ReplyErrorCode(proto.CodeNotPromoted,
-			fmt.Errorf("memserver %d: standby not promoted", s.index), s.Clock())
-		return
-	}
-	for _, line := range lines {
-		if home := s.geo.HomeOf(s.geo.FirstPage(line)); home != s.index {
-			req.ReplyError(fmt.Errorf("memserver %d: line %d homes on server %d", s.index, line, home), s.Clock())
-			return
-		}
-	}
-	for _, p := range pages {
-		if home := s.geo.HomeOf(p); home != s.index {
-			req.ReplyError(fmt.Errorf("memserver %d: page %d homes on server %d", s.index, p, home), s.Clock())
-			return
-		}
-	}
-	s.stats.Fetches.Add(1)
-
-	subs := make([]*subFetch, s.nshards)
-	sub := func(id int) *subFetch {
-		if subs[id] == nil {
-			subs[id] = &subFetch{req: req, multi: multi}
-		}
-		return subs[id]
-	}
-	lineSize := s.geo.LineSize()
-	for i, line := range lines {
-		f := sub(s.geo.ShardOf(s.geo.FirstPage(line), s.nshards))
-		f.lines = append(f.lines, line)
-		f.lineOffs = append(f.lineOffs, i*lineSize)
-	}
-	base := len(lines) * lineSize
-	for i, p := range pages {
-		f := sub(s.geo.ShardOf(p, s.nshards))
-		f.pages = append(f.pages, p)
-		f.pageOffs = append(f.pageOffs, base+i*s.geo.PageSize)
-	}
-	for i := range needs {
-		// A need gates the shard of its page; a shard with only needs
-		// (no data of this request) still gets an empty half so the tag
-		// is awaited where it will be applied.
-		f := sub(s.geo.ShardOf(layout.PageID(needs[i].Page), s.nshards))
-		f.needs = append(f.needs, needs[i])
-	}
-	count, single := 0, 0
-	for id, f := range subs {
-		if f != nil {
-			count++
-			single = id
-		}
-	}
-	if count == 1 {
-		// Whole request on one shard: serve it unsplit, replying
-		// directly from the shard (no join, no reassembly).
-		f := subs[single]
-		f.lineOffs, f.pageOffs = nil, nil
-		s.shards[single].serveFetch(f)
-		return
-	}
-	s.stats.SplitFetches.Add(1)
-	total := len(lines)*lineSize + len(pages)*s.geo.PageSize
-	buf := proto.GetBuf(total)
-	j := &fetchJoin{req: req, remaining: count, data: buf[:total]}
-	for id, f := range subs {
-		if f == nil {
-			continue
-		}
-		f.join = j
-		s.shards[id].serveFetch(f)
-	}
-}
-
-func (s *Server) dispatchDiffBatch(req *scl.Request) {
-	var m proto.DiffBatch
-	if err := req.DecodeAlias(&m); err != nil {
-		// One-way message: nothing to reply to; a decode failure here is
-		// a protocol bug, so fail loudly.
-		panic(fmt.Sprintf("memserver: bad DiffBatch: %v", err))
-	}
-	s.stats.DiffBatches.Add(1)
-	subs := make([]*proto.DiffBatch, s.nshards)
-	sub := func(id int) *proto.DiffBatch {
-		if subs[id] == nil {
-			subs[id] = &proto.DiffBatch{Tag: m.Tag}
-		}
-		return subs[id]
-	}
-	for i := range m.Diffs {
-		b := sub(s.geo.ShardOf(layout.PageID(m.Diffs[i].Page), s.nshards))
-		b.Diffs = append(b.Diffs, m.Diffs[i])
-	}
-	for i := range m.Records {
-		b := sub(s.geo.ShardOf(s.geo.PageOf(layout.Addr(m.Records[i].Addr)), s.nshards))
-		b.Records = append(b.Records, m.Records[i])
-	}
-	for _, pu := range m.EmptyPages {
-		b := sub(s.geo.ShardOf(layout.PageID(pu), s.nshards))
-		b.EmptyPages = append(b.EmptyPages, pu)
-	}
-	for _, pu := range m.OwnedPages {
-		b := sub(s.geo.ShardOf(layout.PageID(pu), s.nshards))
-		b.OwnedPages = append(b.OwnedPages, pu)
-	}
-	count := 0
-	for _, b := range subs {
-		if b != nil {
-			count++
-		}
-	}
-	if count == 0 {
-		// A batch naming no pages still marks its tag: route it whole
-		// to shard 0 so the tag is applied and replicated exactly once.
-		subs[0], count = &m, 1
-	}
-	if count > 1 {
-		s.stats.SplitBatches.Add(1)
-	}
-	j := s.ackFor(req, count)
-	for id, b := range subs {
-		if b != nil {
-			s.shards[id].applyBatch(req, b, j, count > 1)
-		}
-	}
-}
-
-func (s *Server) dispatchEvictFlush(req *scl.Request) {
-	var m proto.EvictFlush
-	if err := req.DecodeAlias(&m); err != nil {
-		panic(fmt.Sprintf("memserver: bad EvictFlush: %v", err))
-	}
-	s.stats.EvictFlushes.Add(1)
-	subs := make([]*proto.EvictFlush, s.nshards)
-	for i := range m.Diffs {
-		id := s.geo.ShardOf(layout.PageID(m.Diffs[i].Page), s.nshards)
-		if subs[id] == nil {
-			subs[id] = &proto.EvictFlush{Writer: m.Writer}
-		}
-		subs[id].Diffs = append(subs[id].Diffs, m.Diffs[i])
-	}
-	count := 0
-	for _, f := range subs {
-		if f != nil {
-			count++
-		}
-	}
-	if count == 0 {
-		subs[0], count = &m, 1
-	}
-	if count > 1 {
-		s.stats.SplitBatches.Add(1)
-	}
-	j := s.ackFor(req, count)
-	for id, f := range subs {
-		if f != nil {
-			s.shards[id].applyFlush(req, f, j, count > 1)
-		}
 	}
 }

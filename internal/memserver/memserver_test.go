@@ -432,3 +432,129 @@ func TestServerClockAdvances(t *testing.T) {
 		t.Fatalf("server clock %v did not pass request arrival", got)
 	}
 }
+
+// Two fetches parked on one tag wake in the order they parked: the first
+// is booked first on the calendar, in every run. The parked fetches used
+// to sit in a Go map, and the run, not the input, picked who went first.
+func TestParkedFetchesWakeInParkOrder(t *testing.T) {
+	tag := proto.IntervalTag{Writer: 2, Interval: 1}
+	fetch := &proto.FetchLineReq{Line: 0, Needs: []proto.PageNeed{{Page: 0, Tags: []proto.IntervalTag{tag}}}}
+	var first [2]vtime.Time
+	for run := 0; run < 40; run++ {
+		f := simnet.NewFabric(testLink)
+		srv := New(scl.NewSimEndpoint(f, 100), 0, layout.DefaultGeometry(), vtime.DefaultCPU, nil)
+		done := make(chan struct{})
+		go func() { srv.Run(); close(done) }()
+		var got [2]vtime.Time
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var resp proto.FetchLineResp
+				at, err := scl.NewSimEndpoint(f, scl.NodeID(i+1)).Call(100, fetch, &resp, 0)
+				if err != nil {
+					t.Errorf("fetch %d: %v", i, err)
+				}
+				got[i] = at
+			}()
+			for srv.Stats().ParkedFetches.Load() <= int64(i) {
+				runtime.Gosched()
+			}
+		}
+		ctl := scl.NewSimEndpoint(f, 3)
+		if _, err := ctl.Post(100, &proto.DiffBatch{Tag: tag}, 0); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		var ack proto.Ack
+		if _, err := ctl.Call(100, &proto.Shutdown{}, &ack, 0); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		if got[0] >= got[1] {
+			t.Fatalf("run %d: the first-parked fetch was answered at %d, the second at %d", run, got[0], got[1])
+		}
+		if run == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d answered at %v, run 0 at %v", run, got, first)
+		}
+	}
+}
+
+// forwardFault is a primary's endpoint whose forwards to the standby fail
+// with err, reporting the kind of each forward it failed on tried.
+type forwardFault struct {
+	scl.Endpoint
+	standby scl.NodeID
+	err     error
+	tried   chan proto.Kind
+}
+
+func (e forwardFault) Call(dst scl.NodeID, req, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
+	if dst == e.standby {
+		e.tried <- req.Kind()
+		return at, e.err
+	}
+	return e.Endpoint.Call(dst, req, resp, at)
+}
+
+// A mutation whose forward may not have reached the standby is not
+// acked, so its sender re-sends it, to the promoted standby if need be
+// (ROADMAP item 9b). A forward that failed because the standby is gone
+// is no reason to hold the ack back.
+func TestNoAckForAForwardTheStandbyMayLack(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		err   error
+		acked bool
+	}{
+		{"untyped failure", errors.New("forward lost"), false},
+		{"standby gone", fmt.Errorf("forward: %w", proto.ErrPeerDied), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := simnet.NewFabric(testLink)
+			ep := scl.NewSimEndpoint(f, 100)
+			tried := make(chan proto.Kind, 1)
+			srv := New(forwardFault{Endpoint: ep, standby: 101, err: tc.err, tried: tried}, 0, layout.DefaultGeometry(), vtime.DefaultCPU, nil)
+			srv.SetReplica(101)
+			done := make(chan struct{})
+			go func() { srv.Run(); close(done) }()
+
+			page0 := []proto.PageDiff{{Page: 0, Runs: []proto.DiffRun{{Off: 0, Data: []byte{1}}}}}
+			reqs := []proto.Msg{
+				&proto.DiffBatch{Tag: proto.IntervalTag{Writer: 1, Interval: 1}, Diffs: page0},
+				&proto.EvictFlush{Writer: 1, Diffs: page0},
+				&proto.SealAS{Snap: 1, NPages: 1},
+				&proto.ForkMap{Snap: 1, Base: 1 << 20, NPages: 1},
+				&proto.ForkUnmap{Base: 1 << 20, NPages: 1},
+			}
+			errs := make([]chan error, len(reqs))
+			for i, m := range reqs {
+				errs[i] = make(chan error, 1)
+				go func() {
+					_, err := scl.NewSimEndpoint(f, scl.NodeID(i+1)).Call(100, m, &proto.Ack{}, 0)
+					errs[i] <- err
+				}()
+				if k := <-tried; k != m.Kind() {
+					t.Fatalf("a %v forwarded a %v", m.Kind(), k)
+				}
+			}
+			var ack proto.Ack
+			if _, err := scl.NewSimEndpoint(f, 99).Call(100, &proto.Shutdown{}, &ack, 0); err != nil {
+				t.Fatal(err)
+			}
+			<-done
+			ep.Close() // a call the server never answered fails now
+			for i, m := range reqs {
+				switch err := <-errs[i]; {
+				case tc.acked && err != nil:
+					t.Errorf("%v: %v", m.Kind(), err)
+				case !tc.acked && err == nil:
+					t.Errorf("%v acked though its forward failed", m.Kind())
+				}
+			}
+		})
+	}
+}

@@ -2,13 +2,12 @@ package memserver
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/layout"
 	"repro/internal/proto"
-	"repro/internal/scl"
 	"repro/internal/vtime"
 )
 
@@ -25,91 +24,6 @@ const (
 	maxApplyWorkers    = 4
 )
 
-// subFetch is one shard's share of a fetch: the lines, pages and
-// interval-tag needs that map to this shard. An unsplit fetch (join
-// nil) is replied to directly; a split one copies its segments into
-// join.data at the recorded offsets and completes the join.
-type subFetch struct {
-	req      *scl.Request
-	lines    []layout.LineID
-	pages    []layout.PageID
-	needs    []proto.PageNeed
-	multi    bool
-	join     *fetchJoin
-	lineOffs []int // parallel to lines: offsets into join.data
-	pageOffs []int // parallel to pages: offsets into join.data
-	// seal, when set, turns this sub-fetch into a snapshot seal: instead
-	// of returning the pages' bytes it freezes them as sealed frames
-	// (see seal.go). It rides the fetch machinery because it has the
-	// same happens-before needs — a seal quoting interval tags must wait
-	// for those diffs exactly like a read would.
-	seal *sealInfo
-}
-
-// fetchJoin reassembles a fetch split across shards. The shards fill
-// disjoint segments of data (a pooled buffer sized to tile exactly),
-// and the last one to finish replies: with the full payload at the max
-// per-shard completion time, or — if any shard failed — with the
-// lowest-numbered failing shard's error, so the winning error does not
-// depend on the order parked shares complete in.
-type fetchJoin struct {
-	req       *scl.Request
-	remaining int
-	data      []byte
-	done      vtime.Time
-	err       error
-	errShard  int
-	errCode   uint16
-}
-
-func (j *fetchJoin) complete(s *Server, shardID int, at vtime.Time, err error, code uint16) {
-	if at > j.done {
-		j.done = at
-	}
-	if err != nil && (j.err == nil || shardID < j.errShard) {
-		j.err, j.errShard, j.errCode = err, shardID, code
-	}
-	j.remaining--
-	if j.remaining > 0 {
-		return
-	}
-	if j.err != nil {
-		s.stats.FailedFetches.Add(1)
-		j.req.ReplyErrorCode(j.errCode, j.err, j.done)
-	} else {
-		j.req.Reply(&proto.FetchLinesResp{Data: j.data}, j.done)
-	}
-	// Reply encoded (copied) the payload; the assembly buffer can go
-	// back to the pool.
-	proto.PutBuf(j.data)
-}
-
-// ackJoin joins the per-shard completions of an RPC-style (non-one-way)
-// split request; the last shard acks at the max completion time.
-type ackJoin struct {
-	req       *scl.Request
-	remaining int
-	done      vtime.Time
-}
-
-func (j *ackJoin) complete(at vtime.Time) {
-	if at > j.done {
-		j.done = at
-	}
-	j.remaining--
-	if j.remaining == 0 {
-		j.req.Reply(&proto.Ack{}, j.done)
-	}
-}
-
-// parkedFetch is a sub-fetch waiting for interval tags to be applied on
-// its shard; waiting shrinks as tags land.
-type parkedFetch struct {
-	sub     *subFetch
-	tags    []proto.IntervalTag
-	waiting map[proto.IntervalTag]struct{}
-}
-
 // shard owns a disjoint, line-granular slice of the server's page space
 // (Geometry.ShardOf) plus everything whose consistency is per-page:
 // the service calendar, applied-tag table, parked fetches and lazy
@@ -125,7 +39,7 @@ type shard struct {
 
 	pages     map[layout.PageID][]byte
 	appliedAt map[proto.IntervalTag]vtime.Time
-	parked    map[*parkedFetch]struct{}
+	parked    []*share // in park order
 	owner     map[layout.PageID]uint32
 	// deadWriters holds writers the manager has reaped: their announced
 	// but unshipped interval tags will never be applied, so fetches must
@@ -152,187 +66,163 @@ func (sh *shard) book(at, dur vtime.Time) vtime.Time {
 	return start
 }
 
-// serveFetch answers a (sub-)fetch immediately or parks it until every
-// quoted interval tag has been applied on this shard.
-func (sh *shard) serveFetch(sub *subFetch) {
-	var tags []proto.IntervalTag
-	waiting := make(map[proto.IntervalTag]struct{})
-	for i := range sub.needs {
-		for _, tag := range sub.needs[i].Tags {
-			tags = append(tags, tag)
-			if _, ok := sh.appliedAt[tag]; !ok {
-				if _, dead := sh.deadWriters[tag.Writer]; dead {
-					continue // the batch will never come; serve what arrived
-				}
-				waiting[tag] = struct{}{}
-			}
-		}
+// run serves one share of a request on this shard.
+func (sh *shard) run(p *share) {
+	switch p.j.kind {
+	case proto.KDiffBatch, proto.KEvictFlush:
+		sh.applyBatch(p)
+	default:
+		sh.serveFetch(p)
 	}
-	if len(waiting) == 0 {
-		sh.replyFetch(sub, tags)
-		return
-	}
-	sh.srv.stats.ParkedFetches.Add(1)
-	sh.parked[&parkedFetch{sub: sub, tags: tags, waiting: waiting}] = struct{}{}
 }
 
-// replyFetch answers a sub-fetch whose needed tags have all been
-// applied: it is ready no earlier than its own arrival and the
-// application times of those tags; lazily-owned pages across all
-// requested lines and pages are pulled up to date (batched per writer);
-// then the assembly books one service slot. A pull that fails (the
-// owning writer's cache agent is unreachable) degrades to a clean
-// protocol error back to the fetcher — ownership is retained so a later
-// fetch can retry — instead of wedging or killing the server.
-func (sh *shard) replyFetch(sub *subFetch, tags []proto.IntervalTag) {
-	if sub.seal != nil {
-		sh.sealPages(sub, tags)
+// serveFetch serves a fetch or seal share at once, or parks it until it
+// is no longer blocked.
+func (sh *shard) serveFetch(p *share) {
+	if sh.blocked(p) {
+		sh.srv.stats.ParkedFetches.Add(1)
+		sh.parked = append(sh.parked, p)
 		return
 	}
-	s := sh.srv
-	ready := sub.req.Arrive()
-	if sub.join != nil {
-		// A split request pays the fixed per-request service cost once:
-		// the dispatcher's pickup and demux happen before any shard can
-		// start, so every share is ready at Arrive+Svc and only the
-		// data-dependent work is charged per shard. (The unsplit path
-		// keeps Svc inside the booked slot, matching the historical
-		// single-loop accounting exactly.)
-		ready += sub.req.Svc()
-	}
-	for _, tag := range tags {
-		if at, ok := sh.appliedAt[tag]; ok && at > ready {
-			ready = at
-		}
-	}
-	if err := sh.pullOwned(sub.lines, sub.pages, &ready); err != nil {
-		err = fmt.Errorf("memserver %d: lines %v pages %v: %w", s.index, sub.lines, sub.pages, err)
-		if sub.join != nil {
-			sub.join.complete(s, sh.id, sh.cal.maxEnd, err, proto.CodeGeneric)
-			return
-		}
-		s.stats.FailedFetches.Add(1)
-		sub.req.ReplyError(err, sh.cal.maxEnd)
-		return
-	}
-	lineSize := s.geo.LineSize()
-	n := lineSize*len(sub.lines) + s.geo.PageSize*len(sub.pages)
-	if sub.join == nil {
-		data := proto.GetBuf(n)
-		for _, line := range sub.lines {
-			first := s.geo.FirstPage(line)
-			for i := 0; i < s.geo.LinePages; i++ {
-				data = append(data, sh.readPage(first+layout.PageID(i))...)
+	sh.serve(p)
+}
+
+// blocked reports whether p quotes an interval tag that has not been
+// applied here and still can be: its writer is not dead.
+func (sh *shard) blocked(p *share) bool {
+	for i := range p.needs {
+		for _, tag := range p.needs[i].Tags {
+			if _, ok := sh.appliedAt[tag]; !ok {
+				if _, dead := sh.deadWriters[tag.Writer]; !dead {
+					return true
+				}
 			}
 		}
-		for _, p := range sub.pages {
-			data = append(data, sh.readPage(p)...)
-		}
-		work := sub.req.Svc() + s.cpu.CopyTime(len(data)) + sh.drainPending()
-		done := sh.book(ready, work) + work
-		s.stats.BytesServed.Add(int64(len(data)))
-		if sub.multi {
-			sub.req.Reply(&proto.FetchLinesResp{Data: data}, done)
+	}
+	return false
+}
+
+// wake serves the parked shares an applied tag or a writer's death has
+// unblocked, in the order they parked: shares that become ready together
+// book the calendar first-parked first, whatever the run.
+func (sh *shard) wake() {
+	parked := sh.parked
+	sh.parked = parked[:0] // refilled in place: serve never parks
+	for _, p := range parked {
+		if sh.blocked(p) {
+			sh.parked = append(sh.parked, p)
 		} else {
-			sub.req.Reply(&proto.FetchLineResp{Data: data}, done)
+			sh.serve(p)
 		}
-		proto.PutBuf(data)
+	}
+	clear(parked[len(sh.parked):])
+}
+
+// ready is when a fetch or seal share whose tags have all landed can
+// start: no earlier than its begin and the application of every tag it
+// quotes, and after the lazily-owned pages it covers have been pulled up
+// to date (batched per writer).
+func (sh *shard) ready(p *share) (vtime.Time, error) {
+	ready := p.j.begin
+	for i := range p.needs {
+		for _, tag := range p.needs[i].Tags {
+			if at, ok := sh.appliedAt[tag]; ok && at > ready {
+				ready = at
+			}
+		}
+	}
+	err := sh.pullOwned(p.j, p.lines, p.pages, &ready)
+	return ready, err
+}
+
+// serve copies a fetch share's segments into its request's reply, or
+// seals a seal share's pages, booking one service slot. A pull that
+// fails (the owning writer's cache agent is unreachable) fails the share
+// with a clean protocol error instead of wedging or killing the server;
+// ownership is retained, so a later fetch can retry.
+func (sh *shard) serve(p *share) {
+	s, j := sh.srv, p.j
+	ready, err := sh.ready(p)
+	if err != nil {
+		if j.kind == proto.KSealAS {
+			err = fmt.Errorf("memserver %d: seal %d: %w", s.index, j.snap, err)
+		} else {
+			err = fmt.Errorf("memserver %d: lines %v pages %v: %w", s.index, p.lines, p.pages, err)
+		}
+		s.complete(j, sh.id, sh.cal.maxEnd, err, proto.CodeGeneric)
 		return
 	}
-	// Split fetch: copy this shard's segments into the joined reply at
-	// the offsets the dispatcher fixed from the request order.
-	for i, line := range sub.lines {
-		off := sub.lineOffs[i]
+	if j.kind == proto.KSealAS {
+		sh.sealPages(p, ready)
+		return
+	}
+	for i, line := range p.lines {
 		first := s.geo.FirstPage(line)
 		for k := 0; k < s.geo.LinePages; k++ {
-			copy(sub.join.data[off+k*s.geo.PageSize:], sh.readPage(first+layout.PageID(k)))
+			copy(j.data[p.offs[i]+k*s.geo.PageSize:], sh.readPage(first+layout.PageID(k)))
 		}
 	}
-	for i, p := range sub.pages {
-		copy(sub.join.data[sub.pageOffs[i]:], sh.readPage(p))
+	for i, pg := range p.pages {
+		copy(j.data[p.offs[len(p.lines)+i]:], sh.readPage(pg))
 	}
-	work := s.cpu.CopyTime(n) + sh.drainPending()
+	n := s.geo.LineSize()*len(p.lines) + s.geo.PageSize*len(p.pages)
+	work := j.svc + s.cpu.CopyTime(n) + sh.drainPending()
 	done := sh.book(ready, work) + work
 	s.stats.BytesServed.Add(int64(n))
-	sub.join.complete(s, sh.id, done, nil, 0)
+	s.complete(j, sh.id, done, nil, 0)
 }
 
-// applyBatch applies this shard's share of a DiffBatch and marks the
-// interval tag applied here.
-func (sh *shard) applyBatch(req *scl.Request, m *proto.DiffBatch, join *ackJoin, split bool) {
-	s := sh.srv
-	ready := req.Arrive()
-	if split {
-		// Fixed per-request service is charged once, as a ready offset
-		// shared by every share (see replyFetch).
-		ready += req.Svc()
-	}
-	// DiffBatch is normally one-way: there is nobody to answer if a pull
+// applyBatch applies this shard's share of a batch and, for a
+// DiffBatch, marks its interval tag applied here.
+func (sh *shard) applyBatch(p *share) {
+	s, j, m := sh.srv, p.j, &p.batch
+	ready := j.begin
+	// A batch is normally one-way: there is nobody to answer if a pull
 	// from an unreachable writer fails mid-apply. The batch still
 	// completes — its tag is marked applied and parked fetches wake —
 	// because the failed pull retained its ownership record, so the
 	// woken fetch re-attempts the pull itself and surfaces a clean error
 	// if the writer is still gone. Stalling the tag would deadlock every
 	// fetcher quoting it.
-	bytes, err := sh.applyDiffs(m.Tag.Writer, m.Diffs, &ready)
+	bytes, err := sh.applyDiffs(j, m.Tag.Writer, m.Diffs, &ready)
 	if err == nil {
 		var rb int
-		rb, err = sh.applyRecords(m.Records, &ready)
+		rb, err = sh.applyRecords(j, m.Records, &ready)
 		bytes += rb
 	}
 	_ = err // counted in PullFailures by pullFrom; the tag must proceed
 	for _, pu := range m.OwnedPages {
-		p := layout.PageID(pu)
+		pg := layout.PageID(pu)
 		// Two writers can each believe they are a page's sole writer the
 		// first time they share it. Pull the previous owner's retained
 		// diffs before handing the claim over, so both writers' bytes
 		// merge at the home (multiple-writer protocol).
-		if prev, ok := sh.owner[p]; ok && prev != m.Tag.Writer {
-			if err := sh.pullFrom(prev, []uint64{pu}, &ready); err != nil {
+		if prev, ok := sh.owner[pg]; ok && prev != m.Tag.Writer {
+			if err := sh.pullFrom(j, prev, []uint64{pu}, &ready); err != nil {
 				// Leave the previous claim in place; the handover will
 				// be re-attempted when the page is next fetched.
 				continue
 			}
 		}
-		sh.owner[p] = m.Tag.Writer
+		sh.owner[pg] = m.Tag.Writer
 		s.stats.OwnedClaims.Add(1)
 	}
-	work := s.cpu.ApplyTime(bytes) + sh.drainPending()
-	if !split {
-		work += req.Svc()
-	}
+	work := s.cpu.ApplyTime(bytes) + sh.drainPending() + j.svc
 	done := sh.book(ready, work) + work
-	sh.appliedAt[m.Tag] = done
-	sh.wakeParked(m.Tag)
-	// Forward to the standby AFTER the local apply (and its pulls),
-	// then ack: a sender whose ack never comes re-sends the batch to
-	// the promoted standby, and re-applying absolute-byte diffs is
-	// idempotent.
-	sh.replicate(m)
-	if join != nil {
-		join.complete(done)
+	var fwd proto.Msg = m
+	if j.kind == proto.KDiffBatch {
+		sh.appliedAt[m.Tag] = done
+		sh.wake()
+	} else if s.hasReplica {
+		// An EvictFlush is forwarded as one, built only when it will be.
+		fwd = &proto.EvictFlush{Writer: m.Tag.Writer, Diffs: m.Diffs}
 	}
-}
-
-// applyFlush applies this shard's share of an EvictFlush.
-func (sh *shard) applyFlush(req *scl.Request, m *proto.EvictFlush, join *ackJoin, split bool) {
-	s := sh.srv
-	ready := req.Arrive()
-	if split {
-		ready += req.Svc()
+	// Forward to the standby after the local apply (and its pulls), then
+	// answer.
+	if !s.forward(fwd, sh.cal.maxEnd) {
+		j.mute = true
 	}
-	// One-way, like DiffBatch: a failed owner pull is counted and the
-	// retained ownership record lets a later fetch retry it.
-	bytes, _ := sh.applyDiffs(m.Writer, m.Diffs, &ready)
-	work := s.cpu.ApplyTime(bytes) + sh.drainPending()
-	if !split {
-		work += req.Svc()
-	}
-	done := sh.book(ready, work) + work
-	sh.replicate(m)
-	if join != nil {
-		join.complete(done)
-	}
+	s.complete(j, sh.id, done, nil, 0)
 }
 
 // applyDiffs installs diffs sent by the given writer, returning the
@@ -353,13 +243,13 @@ func (sh *shard) applyFlush(req *scl.Request, m *proto.EvictFlush, join *ackJoin
 // retried later. (Clean sequenced runs never fail pulls, so this path
 // only differs from the historical partial-apply behaviour under fault
 // injection.)
-func (sh *shard) applyDiffs(writer uint32, diffs []proto.PageDiff, ready *vtime.Time) (int, error) {
+func (sh *shard) applyDiffs(j *join, writer uint32, diffs []proto.PageDiff, ready *vtime.Time) (int, error) {
 	bytes := 0
 	for i := range diffs {
 		d := &diffs[i]
 		p := layout.PageID(d.Page)
 		if prev, ok := sh.owner[p]; ok && prev != writer {
-			if err := sh.pullFrom(prev, []uint64{d.Page}, ready); err != nil {
+			if err := sh.pullFrom(j, prev, []uint64{d.Page}, ready); err != nil {
 				return 0, err
 			}
 		}
@@ -411,13 +301,13 @@ func (sh *shard) applyOne(d *proto.PageDiff) {
 // returning the payload bytes applied. Any retained ownership diff for
 // the page is pulled first: retained bytes are older than the records
 // and must not clobber them later.
-func (sh *shard) applyRecords(recs []proto.StoreRecord, ready *vtime.Time) (int, error) {
+func (sh *shard) applyRecords(j *join, recs []proto.StoreRecord, ready *vtime.Time) (int, error) {
 	bytes := 0
 	for i := range recs {
 		r := &recs[i]
 		p := sh.srv.geo.PageOf(layout.Addr(r.Addr))
 		if prev, ok := sh.owner[p]; ok {
-			if err := sh.pullFrom(prev, []uint64{uint64(p)}, ready); err != nil {
+			if err := sh.pullFrom(j, prev, []uint64{uint64(p)}, ready); err != nil {
 				return bytes, err
 			}
 		}
@@ -442,30 +332,7 @@ func (sh *shard) applyRecords(recs []proto.StoreRecord, ready *vtime.Time) (int,
 // that did arrive rather than parking forever.
 func (sh *shard) writerDead(w uint32) {
 	sh.deadWriters[w] = struct{}{}
-	for pf := range sh.parked {
-		for tag := range pf.waiting {
-			if tag.Writer == w {
-				delete(pf.waiting, tag)
-			}
-		}
-		if len(pf.waiting) == 0 {
-			delete(sh.parked, pf)
-			sh.replyFetch(pf.sub, pf.tags)
-		}
-	}
-}
-
-func (sh *shard) wakeParked(tag proto.IntervalTag) {
-	for pf := range sh.parked {
-		if _, ok := pf.waiting[tag]; !ok {
-			continue
-		}
-		delete(pf.waiting, tag)
-		if len(pf.waiting) == 0 {
-			delete(sh.parked, pf)
-			sh.replyFetch(pf.sub, pf.tags)
-		}
-	}
+	sh.wake()
 }
 
 // pullOwned brings every lazily-owned page of the given lines and
@@ -475,7 +342,7 @@ func (sh *shard) wakeParked(tag proto.IntervalTag) {
 // blocks on each pull — a fetch that hits an owned page pays the extra
 // round trip, which is the single-writer optimization's bargain:
 // writers release for free, occasional readers pay one pull.
-func (sh *shard) pullOwned(lines []layout.LineID, pages []layout.PageID, ready *vtime.Time) error {
+func (sh *shard) pullOwned(j *join, lines []layout.LineID, pages []layout.PageID, ready *vtime.Time) error {
 	byWriter := make(map[uint32][]uint64)
 	for _, line := range lines {
 		first := sh.srv.geo.FirstPage(line)
@@ -497,9 +364,9 @@ func (sh *shard) pullOwned(lines []layout.LineID, pages []layout.PageID, ready *
 	for w := range byWriter {
 		writers = append(writers, w)
 	}
-	sort.Slice(writers, func(i, j int) bool { return writers[i] < writers[j] })
+	slices.Sort(writers)
 	for _, w := range writers {
-		if err := sh.pullFrom(w, byWriter[w], ready); err != nil {
+		if err := sh.pullFrom(j, w, byWriter[w], ready); err != nil {
 			return err
 		}
 	}
@@ -512,7 +379,7 @@ func (sh *shard) pullOwned(lines []layout.LineID, pages []layout.PageID, ready *
 // is unreachable the error is returned (and counted) with ownership
 // left intact, so the pull can be retried by a later fetch — a dead
 // writer must not take the memory server down with it.
-func (sh *shard) pullFrom(w uint32, pages []uint64, ready *vtime.Time) error {
+func (sh *shard) pullFrom(j *join, w uint32, pages []uint64, ready *vtime.Time) error {
 	s := sh.srv
 	if s.standby.Load() {
 		// A standby never pulls: its primary already pulled and
@@ -527,7 +394,7 @@ func (sh *shard) pullFrom(w uint32, pages []uint64, ready *vtime.Time) error {
 		panic(fmt.Sprintf("memserver %d: pages owned by writer %d but no agent address map", s.index, w))
 	}
 	var resp proto.DiffPullResp
-	doneAt, err := s.ep.Call(s.agentAddr(w), &proto.DiffPullReq{Pages: pages}, &resp, *ready)
+	doneAt, err := s.call(s.agentAddr(w), &proto.DiffPullReq{Pages: pages}, &resp, *ready)
 	if err != nil {
 		s.stats.PullFailures.Add(1)
 		return fmt.Errorf("memserver %d: diff pull from writer %d: %w", s.index, w, err)
@@ -550,57 +417,19 @@ func (sh *shard) pullFrom(w uint32, pages []uint64, ready *vtime.Time) error {
 	// retained diffs were taken destructively): replicate them before
 	// applying, so the standby sees them ahead of any batch that
 	// depends on them.
-	sh.replicate(&proto.EvictFlush{Writer: w, Diffs: resp.Diffs})
-	if _, err := sh.applyDiffs(w, resp.Diffs, ready); err != nil {
+	if !s.forward(&proto.EvictFlush{Writer: w, Diffs: resp.Diffs}, sh.cal.maxEnd) {
+		j.mute = true
+	}
+	if _, err := sh.applyDiffs(j, w, resp.Diffs, ready); err != nil {
 		return err
 	}
 	*ready += s.cpu.ApplyTime(pulled)
 	return nil
 }
 
-// replicate forwards an applied mutation to the warm standby and waits
-// for its ack. The forward is per shard: this shard is the only sender
-// of its pages' mutations, and the standby's identical shard mapping
-// routes each forward wholly to the matching shard, so per-page apply
-// order is preserved end to end.
-//
-// The forward is a synchronous call, not a one-way post: it sits inside
-// the window between applying a sender's batch and acking the sender,
-// so the sender's ack means the bytes are durable on BOTH replicas. A
-// one-way forward lost to packet drop (or to this primary's own death)
-// would leave the standby silently missing an interval — after a
-// promotion, fetches quoting that interval's tag would park forever and
-// reads of its pages would return stale bytes. With the call, a dropped
-// forward is retried by the endpoint's retry layer, and a forward this
-// primary cannot complete keeps the sender unacked, so the sender
-// re-sends the batch to the promoted standby itself (re-applying
-// absolute-byte diffs is idempotent). The round trip is wall-clock
-// only: the ack carries no virtual cost, so replication stays invisible
-// to virtual-time results, exactly like the one-way forward was.
-func (sh *shard) replicate(m proto.Msg) {
-	s := sh.srv
-	if !s.hasReplica {
-		return
-	}
-	var ack proto.Ack
-	if _, err := s.ep.Call(s.replica, m, &ack, sh.cal.maxEnd); err != nil {
-		if s.live != nil {
-			s.live.ReplFailures.Add(1)
-		}
-		return
-	}
-	if s.live != nil {
-		s.live.ReplBatches.Add(1)
-		s.live.ReplBytes.Add(int64(len(proto.Encode(m))))
-	}
-}
-
-// page returns the backing bytes of p for mutation, materializing it if
-// absent: promoted from the cold tier, copied out of a sealed snapshot
-// frame (the copy-on-write break — the fork's private page diverges from
-// the shared frame here), or zero-filled. The returned page is always
-// installed in the hot set.
-func (sh *shard) page(p layout.PageID) []byte {
+// hot returns the bytes of p if it is in the hot set, or in the cold
+// tier and promoted back into it; nil otherwise.
+func (sh *shard) hot(p layout.PageID) []byte {
 	if b, ok := sh.pages[p]; ok {
 		if sh.tier != nil {
 			sh.tier.touch(p)
@@ -609,9 +438,19 @@ func (sh *shard) page(p layout.PageID) []byte {
 		return b
 	}
 	if sh.tier != nil {
-		if b := sh.tier.promote(sh, p); b != nil {
-			return b
-		}
+		return sh.tier.promote(sh, p)
+	}
+	return nil
+}
+
+// page returns the backing bytes of p for mutation, materializing it if
+// absent: promoted from the cold tier, copied out of a sealed snapshot
+// frame (the copy-on-write break — the fork's private page diverges from
+// the shared frame here), or zero-filled. The returned page is always
+// installed in the hot set.
+func (sh *shard) page(p layout.PageID) []byte {
+	if b := sh.hot(p); b != nil {
+		return b
 	}
 	b := make([]byte, sh.srv.geo.PageSize)
 	if blob, ok := sh.srv.snaps.lookup(p); ok {
@@ -635,17 +474,8 @@ func (sh *shard) page(p layout.PageID) []byte {
 // storm of forks reading one image costs no per-fork page copies. The
 // caller must copy the result out before the next readPage call.
 func (sh *shard) readPage(p layout.PageID) []byte {
-	if b, ok := sh.pages[p]; ok {
-		if sh.tier != nil {
-			sh.tier.touch(p)
-			sh.tier.st.HotHits.Add(1)
-		}
+	if b := sh.hot(p); b != nil {
 		return b
-	}
-	if sh.tier != nil {
-		if b := sh.tier.promote(sh, p); b != nil {
-			return b
-		}
 	}
 	if blob, ok := sh.srv.snaps.lookup(p); ok {
 		if sh.scratch == nil {
@@ -699,22 +529,13 @@ func (sh *shard) drainPending() vtime.Time {
 	return p
 }
 
-// failParked answers every parked fetch on this shard with a typed
-// error (shutdown or peer death). Split halves complete their join —
-// the join replies once all shards have reported, whether by data or
-// by failure.
+// failParked fails every parked share on this shard with a typed error
+// (shutdown or peer death), in park order. A split request's join
+// answers once all its shares have reported, by data or by failure.
 func (sh *shard) failParked(code uint16, why string) {
-	for pf := range sh.parked {
-		err := fmt.Errorf("memserver: %s with fetch pending", why)
-		if pf.sub.seal != nil {
-			pf.sub.seal.join.complete(sh.id, sh.cal.maxEnd, err, code)
-			continue
-		}
-		if pf.sub.join != nil {
-			pf.sub.join.complete(sh.srv, sh.id, sh.cal.maxEnd, err, code)
-			continue
-		}
-		pf.sub.req.ReplyErrorCode(code, err, sh.cal.maxEnd)
+	parked := sh.parked
+	sh.parked = nil
+	for _, p := range parked {
+		sh.srv.complete(p.j, sh.id, sh.cal.maxEnd, fmt.Errorf("memserver: %s with fetch pending", why), code)
 	}
-	sh.parked = make(map[*parkedFetch]struct{})
 }
