@@ -32,10 +32,11 @@ import (
 	"repro/internal/vtime"
 )
 
-// Node-id plan for the fabric.
+// Node-id plan for the fabric. New rejects a topology that would put two
+// components on one node (checkNodePlan).
 const (
 	managerNode         scl.NodeID = 1
-	failoverCtlNode     scl.NodeID = 3
+	controlNode         scl.NodeID = 3 // the runtime's own endpoint: promotions, drains, shutdown
 	firstMgrReplicaNode scl.NodeID = 4 // manager replicas 1.. (replica 0 is managerNode)
 	firstServerNode     scl.NodeID = 10
 	firstStandbyNode    scl.NodeID = 50
@@ -316,28 +317,22 @@ type Runtime struct {
 	// report spawn/park/exit through it; otherwise it is a no-op.
 	gate simnet.Gate
 
-	mgr      *manager.Manager
-	mgrs     []*manager.Manager // all manager replicas; mgrs[0] == mgr
+	mgrs     []*manager.Manager // all manager replicas, by index
 	servers  []*memserver.Server
 	standbys []*memserver.Server
 	wg       sync.WaitGroup
 
-	// homes is the address book: the fabric node currently serving
-	// each home. Failover atomically redirects an entry to the
-	// promoted standby; data-path senders read it per attempt.
-	homes []atomic.Int64
-	// mgrAddr/mgrIdx are the manager's address-book entry: the fabric
-	// node (and replica index) currently leading. Manager failover
-	// promotes the next replica and redirects them.
-	mgrAddr atomic.Int64
-	mgrIdx  atomic.Int32
+	// The address book: who holds the manager and each home now.
+	mgr   *role
+	homes []*role
+	// ctl is the runtime's own endpoint, the only one that is not a
+	// component's: it promotes, drains and shuts down.
+	ctl scl.Endpoint
 	// replLive collects manager-replication counters (elections, log
 	// appends, snapshots). With the liveness layer on it aliases
 	// cfg.Liveness.Live; on a clean sequenced run it is runtime-private
 	// so the counters stay observable. Nil when ManagerReplicas <= 1.
 	replLive *stats.Liveness
-	failMu   sync.Mutex
-	failCtl  scl.Endpoint // promotion endpoint (nil unless Standby or ManagerReplicas > 1)
 
 	// tier collects the tiered-page-store and snapshot/fork counters
 	// across every memory server (and standby).
@@ -404,6 +399,9 @@ func New(cfg Config) (*Runtime, error) {
 	if err := cfg.Geo.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkNodePlan(&cfg); err != nil {
+		return nil, err
+	}
 	tierModel, ok := vtime.TierPreset(cfg.ColdPreset)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown cold-tier preset %q", cfg.ColdPreset)
@@ -456,11 +454,17 @@ func New(cfg Config) (*Runtime, error) {
 		cfg.Faults.SetNetStats(cfg.Net)
 		cfg.Faults.SetTrace(cfg.Trace)
 	}
-	mgrNodes := make([]scl.NodeID, cfg.ManagerReplicas)
-	for i := range mgrNodes {
-		mgrNodes[i] = MgrReplicaNode(i)
+	ctl, err := rt.newEndpoint(controlNode)
+	if err != nil {
+		return nil, fmt.Errorf("core: control endpoint: %w", err)
 	}
-	rt.mgrAddr.Store(int64(managerNode))
+	rt.ctl = ctl
+	rt.mgr = rt.managerRole()
+	rt.homes = make([]*role, cfg.Geo.NumServers)
+	for i := range rt.homes {
+		rt.homes[i] = rt.homeRole(i)
+	}
+	mgrNodes := rt.mgr.cands
 	var dataNodes []scl.NodeID
 	if rt.livenessEnabled() {
 		rt.hbStop = make(chan struct{})
@@ -513,12 +517,9 @@ func New(cfg Config) (*Runtime, error) {
 			mg.Run()
 		}()
 	}
-	rt.mgr = rt.mgrs[0]
 	agentAddr := func(writer uint32) scl.NodeID { return firstThreadNode + scl.NodeID(writer) }
-	rt.homes = make([]atomic.Int64, cfg.Geo.NumServers)
 	for i := 0; i < cfg.Geo.NumServers; i++ {
 		node := firstServerNode + scl.NodeID(i)
-		rt.homes[i].Store(int64(node))
 		srvEP, err := rt.newEndpoint(node)
 		if err != nil {
 			return nil, fmt.Errorf("core: memory server %d endpoint: %w", i, err)
@@ -545,7 +546,7 @@ func New(cfg Config) (*Runtime, error) {
 			// that severs the node also silences its beats. Server
 			// beats double as the manager's reap prodder.
 			rt.hbWG.Add(1)
-			go rt.serverHeartbeat(srvEP, uint32(i)+1, node)
+			go rt.heartbeat(srvEP, proto.Heartbeat{Member: uint32(i) + 1, Class: proto.MemberServer}, rt.hbStop, &rt.hbWG, false)
 		}
 	}
 	if rt.standbyEnabled() {
@@ -576,72 +577,43 @@ func New(cfg Config) (*Runtime, error) {
 			}()
 		}
 	}
-	if rt.standbyEnabled() || cfg.ManagerReplicas > 1 {
-		ctl, err := rt.newEndpoint(failoverCtlNode)
-		if err != nil {
-			return nil, fmt.Errorf("core: failover endpoint: %w", err)
-		}
-		rt.failCtl = ctl
-	}
 	return rt, nil
 }
 
-// serverHeartbeat posts a memory server's membership beats until Close.
-// A terminal post failure (the node was crash-killed) or a sustained
-// transient failure stops the beats — exactly the silence the manager's
-// lease table is listening for.
-func (rt *Runtime) serverHeartbeat(ep scl.Endpoint, member uint32, node scl.NodeID) {
-	defer rt.hbWG.Done()
-	hb := &proto.Heartbeat{Member: member, Class: proto.MemberServer, Node: uint32(node)}
-	if err := rt.beat(ep, hb); err != nil {
-		return
-	}
+// heartbeat posts member hb's beats from ep to the manager's holder, at
+// once and then every period, until stop closes; then, if bye, a
+// best-effort goodbye, so the manager removes the member instead of
+// declaring it dead. One rule judges every beat. A post that failed
+// terminally (this node was crash-killed) stops the beats: that silence
+// is what the manager's lease table listens for. A transient failure, or
+// a leader gone when replicas can take over, is ridden out, but beats to
+// a lone manager give up after four failures in a row. Beats follow the
+// book and never move it: the next beat reaches whichever replica a
+// client's failover promoted.
+func (rt *Runtime) heartbeat(ep scl.Endpoint, hb proto.Heartbeat, stop <-chan struct{}, wg *sync.WaitGroup, bye bool) {
+	defer wg.Done()
 	tick := time.NewTicker(rt.cfg.Liveness.HeartbeatEvery)
 	defer tick.Stop()
-	fails := 0
-	for {
+	hb.Node = uint32(ep.ID())
+	spare := len(rt.mgr.cands) > 1
+	for fails := 0; ; {
+		if _, err := ep.Post(rt.mgr.node(), &hb, 0); err == nil {
+			fails = 0
+		} else if !scl.IsTransient(err) && !(spare && rt.mgr.gone(err)) {
+			return
+		} else if fails++; fails > 3 && !spare {
+			return
+		}
 		select {
-		case <-rt.hbStop:
+		case <-stop:
+			if bye {
+				hb.Bye = true
+				ep.Post(rt.mgr.node(), &hb, 0) // best-effort
+			}
 			return
 		case <-tick.C:
 		}
-		if !rt.beatOnce(ep, hb, &fails) {
-			return
-		}
 	}
-}
-
-// beat posts one membership heartbeat to the current manager, following
-// the address book. With manager replicas configured a leader death is
-// NOT the heartbeater's death: the beat is dropped and the next tick
-// reaches whichever replica the (client-driven) failover promoted.
-func (rt *Runtime) beat(ep scl.Endpoint, hb *proto.Heartbeat) error {
-	_, err := ep.Post(rt.managerNode(), hb, 0)
-	if err == nil || scl.IsTransient(err) {
-		return nil
-	}
-	if rt.cfg.ManagerReplicas > 1 && isMgrFailure(err) {
-		return nil
-	}
-	return err
-}
-
-// beatOnce is one heartbeat tick: it reports false when the beats must
-// stop (this node's own death, or sustained failure with no replica
-// group to ride it out).
-func (rt *Runtime) beatOnce(ep scl.Endpoint, hb *proto.Heartbeat, fails *int) bool {
-	if _, err := ep.Post(rt.managerNode(), hb, 0); err != nil {
-		replicated := rt.cfg.ManagerReplicas > 1
-		if !scl.IsTransient(err) && !(replicated && isMgrFailure(err)) {
-			return false
-		}
-		if *fails++; *fails > 3 && !replicated {
-			return false
-		}
-	} else {
-		*fails = 0
-	}
-	return true
 }
 
 // newEndpoint attaches one component endpoint, layering the fault
@@ -684,7 +656,7 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 
 // Manager exposes the current leader manager for stats inspection (the
 // only manager, when replication is off).
-func (rt *Runtime) Manager() *manager.Manager { return rt.mgrs[rt.mgrIdx.Load()] }
+func (rt *Runtime) Manager() *manager.Manager { return rt.mgrs[rt.mgr.cur.Load()] }
 
 // Managers exposes every manager replica, by index.
 func (rt *Runtime) Managers() []*manager.Manager { return rt.mgrs }
@@ -699,86 +671,6 @@ func (rt *Runtime) TierStats() *stats.Tier { return rt.tier }
 // Fabric exposes the simulated fabric for traffic accounting; it is
 // nil when the runtime uses a custom transport.
 func (rt *Runtime) Fabric() *simnet.Fabric { return rt.fabric }
-
-func (rt *Runtime) serverNode(home int) scl.NodeID {
-	return firstServerNode + scl.NodeID(home)
-}
-
-// homeNode reads the address-book entry for a home: the primary's node
-// until a failover redirects it to the promoted standby.
-func (rt *Runtime) homeNode(home int) scl.NodeID {
-	return scl.NodeID(rt.homes[home].Load())
-}
-
-// managerNode reads the manager's address-book entry: the current
-// leader's fabric node.
-func (rt *Runtime) managerNode() scl.NodeID {
-	return scl.NodeID(rt.mgrAddr.Load())
-}
-
-// managerFailover promotes the next manager replica and redirects the
-// address book at it. failed is the node the caller's send failed
-// against: concurrent callers for the same death serialize, and all but
-// the first find the book already moved past it. Replicas that are
-// themselves dead are skipped; each promotion carries a strictly higher
-// term, so a deposed old leader can never ack its way back in.
-func (rt *Runtime) managerFailover(failed scl.NodeID) (scl.NodeID, error) {
-	if rt.cfg.ManagerReplicas <= 1 {
-		return 0, fmt.Errorf("core: manager unreachable and no replicas configured")
-	}
-	rt.failMu.Lock()
-	defer rt.failMu.Unlock()
-	if cur := rt.managerNode(); cur != failed {
-		return cur, nil // another caller already failed over
-	}
-	for idx := int(rt.mgrIdx.Load()) + 1; idx < rt.cfg.ManagerReplicas; idx++ {
-		node := MgrReplicaNode(idx)
-		var ack proto.Ack
-		if _, err := rt.failCtl.Call(node, &proto.PromoteMgr{Term: uint64(idx) + 1}, &ack, 0); err != nil {
-			if isPeerFailure(err) {
-				continue // this replica died too; try the next
-			}
-			return 0, fmt.Errorf("core: promoting manager replica %d: %w", idx, err)
-		}
-		rt.mgrIdx.Store(int32(idx))
-		rt.mgrAddr.Store(int64(node))
-		if rt.cfg.Liveness != nil {
-			rt.cfg.Liveness.Live.MgrFailovers.Add(1)
-		}
-		if tr := rt.cfg.Trace; tr != nil {
-			tr.Span("runtime", trace.CatLive, "manager-failover", 0, 0,
-				map[string]any{"replica": idx, "node": uint32(node)})
-		}
-		return node, nil
-	}
-	return 0, fmt.Errorf("core: all %d manager replicas unreachable", rt.cfg.ManagerReplicas)
-}
-
-// failover promotes home's warm standby and redirects the address book
-// at it. Safe to call from any thread; concurrent callers for the same
-// home serialize, and all but the first find the book already updated.
-func (rt *Runtime) failover(home int) (scl.NodeID, error) {
-	if !rt.standbyEnabled() {
-		return 0, fmt.Errorf("core: home %d unreachable and no standby configured", home)
-	}
-	rt.failMu.Lock()
-	defer rt.failMu.Unlock()
-	standbyNode := firstStandbyNode + scl.NodeID(home)
-	if rt.homeNode(home) == standbyNode {
-		return standbyNode, nil // another caller already failed over
-	}
-	var ack proto.Ack
-	if _, err := rt.failCtl.Call(standbyNode, &proto.Promote{}, &ack, 0); err != nil {
-		return 0, fmt.Errorf("core: promoting standby for home %d: %w", home, err)
-	}
-	rt.homes[home].Store(int64(standbyNode))
-	rt.cfg.Liveness.Live.Failovers.Add(1)
-	if tr := rt.cfg.Trace; tr != nil {
-		tr.Span("runtime", trace.CatLive, "failover", 0, 0,
-			map[string]any{"home": home, "node": uint32(standbyNode)})
-	}
-	return standbyNode, nil
-}
 
 // Run implements vm.VM: it spawns p compute threads, registers them with
 // the manager, executes body on each and gathers statistics.
@@ -817,7 +709,7 @@ func (rt *Runtime) Run(p int, body func(t vm.Thread)) (*stats.Run, error) {
 		}(th)
 		if rt.livenessEnabled() {
 			hbWG.Add(1)
-			go rt.threadHeartbeat(th, hbStop, &hbWG)
+			go rt.heartbeat(th.ep, proto.Heartbeat{Member: th.writer, Class: proto.MemberThread}, hbStop, &hbWG, true)
 		}
 	}
 
@@ -885,39 +777,6 @@ func (rt *Runtime) Run(p int, body func(t vm.Thread)) (*stats.Run, error) {
 	return reg.Run(), nil
 }
 
-// threadHeartbeat posts one compute thread's membership beats until the
-// run retires it, then posts a goodbye so the manager removes the
-// member instead of declaring it dead. Beats stop on a terminal post
-// failure — the thread's node was crash-killed — which is exactly what
-// lets the lease table detect the death.
-func (rt *Runtime) threadHeartbeat(th *Thread, stop chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	hb := &proto.Heartbeat{
-		Member: th.writer,
-		Class:  proto.MemberThread,
-		Node:   uint32(firstThreadNode) + th.writer,
-	}
-	if err := rt.beat(th.ep, hb); err != nil {
-		return
-	}
-	tick := time.NewTicker(rt.cfg.Liveness.HeartbeatEvery)
-	defer tick.Stop()
-	fails := 0
-	for {
-		select {
-		case <-stop:
-			bye := *hb
-			bye.Bye = true
-			th.ep.Post(rt.managerNode(), &bye, 0) // best-effort goodbye
-			return
-		case <-tick.C:
-		}
-		if !rt.beatOnce(th.ep, hb, &fails) {
-			return
-		}
-	}
-}
-
 // newThread builds a thread handle placed on a compute node. The
 // protocol writer id comes from a runtime-wide counter, never reused,
 // so interval tags stay unique even when one Runtime executes several
@@ -953,27 +812,16 @@ func (rt *Runtime) drainServers() error {
 		// delivers in virtual-arrival order, so a ping (cheap, early
 		// arrival) would overtake the queued batches it is supposed to
 		// prove drained. Wait for each home's stream to quiesce instead.
-		for i := range rt.servers {
+		for _, h := range rt.homes {
 			// A server is one goroutine, so a quiesced port means a
 			// fully drained server regardless of shard count.
-			rt.fabric.Quiesce(rt.homeNode(i))
+			rt.fabric.Quiesce(h.node())
 		}
 		return nil
 	}
-	ctl, err := rt.newEndpoint(firstThreadNode - 2 - scl.NodeID(rt.nextThread.Add(1)))
-	if err != nil {
-		return fmt.Errorf("core: drain endpoint: %w", err)
-	}
-	defer ctl.Close()
-	for i := range rt.servers {
+	for i, h := range rt.homes {
 		var ack proto.Ack
-		_, err := ctl.Call(rt.homeNode(i), &proto.Ping{}, &ack, 0)
-		if err != nil && isPeerFailure(err) {
-			if node, ferr := rt.failover(i); ferr == nil {
-				_, err = ctl.Call(node, &proto.Ping{}, &ack, 0)
-			}
-		}
-		if err != nil {
+		if _, err := h.call(rt.ctl, &proto.Ping{}, &ack, 0); err != nil {
 			return fmt.Errorf("core: draining memory server %d: %w", i, err)
 		}
 	}
@@ -1002,33 +850,17 @@ func (rt *Runtime) Close() error {
 			close(rt.hbStop)
 			rt.hbWG.Wait()
 		}
-		ctl, err := rt.newEndpoint(firstThreadNode - 1)
-		if err != nil {
-			rt.closeErr = err
-			return
-		}
-		targets := []scl.NodeID{managerNode}
-		for i := 1; i < len(rt.mgrs); i++ {
-			targets = append(targets, MgrReplicaNode(i))
-		}
-		for i := range rt.servers {
-			targets = append(targets, rt.serverNode(i))
-		}
-		for i := range rt.standbys {
-			targets = append(targets, firstStandbyNode+scl.NodeID(i))
-		}
-		for _, dst := range targets {
-			if _, err := ctl.Post(dst, &shutdownMsg, 0); err != nil && !isPeerFailure(err) && rt.closeErr == nil {
-				rt.closeErr = err
+		for _, r := range append([]*role{rt.mgr}, rt.homes...) {
+			for _, dst := range r.cands {
+				if _, err := rt.ctl.Post(dst, &shutdownMsg, 0); err != nil && !isPeerFailure(err) && rt.closeErr == nil {
+					rt.closeErr = err
+				}
 			}
 		}
 		rt.gate.Pause()
 		rt.wg.Wait()
 		rt.gate.Resume()
-		ctl.Close()
-		if rt.failCtl != nil {
-			rt.failCtl.Close()
-		}
+		rt.ctl.Close()
 		if err := rt.transport.Close(); err != nil && rt.closeErr == nil {
 			rt.closeErr = err
 		}

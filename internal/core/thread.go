@@ -177,7 +177,7 @@ func (t *Thread) Cache() *pagecache.Cache { return t.cache }
 // register announces the thread to the manager before the run starts.
 func (t *Thread) register() error {
 	var ack proto.Ack
-	at, err := t.mgrCall(&proto.RegisterReq{Thread: t.writer, Node: t.node}, &ack, t.clock.Now())
+	at, err := t.rt.mgr.call(t.ep, &proto.RegisterReq{Thread: t.writer, Node: t.node}, &ack, t.clock.Now())
 	if err != nil {
 		return err
 	}
@@ -298,7 +298,7 @@ func (t *Thread) flushOwned() error {
 	at := t.clock.Now()
 	for _, home := range sortedHomes(byHome) {
 		var err error
-		at, err = t.sendHome(home, &proto.EvictFlush{Writer: t.writer, Diffs: byHome[home]}, at)
+		at, err = t.rt.homes[home].send(t.ep, &proto.EvictFlush{Writer: t.writer, Diffs: byHome[home]}, at)
 		if err != nil {
 			return fmt.Errorf("final owned flush: %w", err)
 		}
@@ -357,52 +357,6 @@ func (t *Thread) settleSync() {
 // shutdown, unreachability) after the runtime recovers it.
 func (t *Thread) fail(op string, err error) {
 	panic(fmt.Errorf("samhita thread %d: %s: %w", t.id, op, err))
-}
-
-// mgrCall round-trips a request to the manager, following the address
-// book. When the leader is gone or answers as a deposed replica
-// (CodeNotLeader) and a replica group is configured, the failover
-// promotes the next replica and the call is re-issued against it — the
-// manager's dedup paths absorb a mutation the old leader already
-// replicated. With one manager the original error surfaces untouched.
-func (t *Thread) mgrCall(req proto.Msg, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
-	for tries := 0; ; tries++ {
-		node := t.rt.managerNode()
-		doneAt, err := t.ep.Call(node, req, resp, at)
-		if err == nil || !isMgrFailure(err) || tries >= t.rt.cfg.ManagerReplicas {
-			return doneAt, err
-		}
-		if _, ferr := t.rt.managerFailover(node); ferr != nil {
-			return doneAt, err
-		}
-	}
-}
-
-// callHome round-trips a request to a home server, retrying once
-// against the promoted standby when the current home is gone.
-func (t *Thread) callHome(home int, req proto.Msg, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
-	doneAt, err := t.ep.Call(t.rt.homeNode(home), req, resp, at)
-	if err == nil || !isPeerFailure(err) {
-		return doneAt, err
-	}
-	node, ferr := t.rt.failover(home)
-	if ferr != nil {
-		return doneAt, err
-	}
-	return t.ep.Call(node, req, resp, at)
-}
-
-// sendHome ships a one-way mutation to a home server. With a standby
-// configured the send is an acknowledged call instead: the ack proves
-// the primary applied AND forwarded the batch, so a crash between the
-// send and the ack is recovered by re-sending to the promoted standby
-// (re-applying absolute-byte diffs is idempotent).
-func (t *Thread) sendHome(home int, m proto.Msg, at vtime.Time) (vtime.Time, error) {
-	if t.rt.standbyEnabled() {
-		var ack proto.Ack
-		return t.callHome(home, m, &ack, at)
-	}
-	return t.ep.Post(t.rt.homeNode(home), m, at)
 }
 
 // ---------------------------------------------------------------------
@@ -577,7 +531,7 @@ func (t *Thread) managerAlloc(size uint64, strategy uint8) vm.Addr {
 	start := t.clock.Now()
 	t.allocSeq++
 	var resp proto.AllocResp
-	at, err := t.mgrCall(&proto.AllocReq{
+	at, err := t.rt.mgr.call(t.ep, &proto.AllocReq{
 		Thread: t.writer, Size: size, Align: 16, Strategy: strategy, Seq: t.allocSeq,
 	}, &resp, t.clock.Now())
 	if err != nil {
@@ -609,7 +563,7 @@ func (t *Thread) Free(a vm.Addr) {
 	}
 	t.allocSeq++
 	var resp proto.FreeResp
-	at, err := t.mgrCall(&proto.FreeReq{Thread: t.writer, Addr: uint64(a), Seq: t.allocSeq}, &resp, t.clock.Now())
+	at, err := t.rt.mgr.call(t.ep, &proto.FreeReq{Thread: t.writer, Addr: uint64(a), Seq: t.allocSeq}, &resp, t.clock.Now())
 	if err != nil {
 		t.fail("free", err)
 	}
@@ -626,7 +580,7 @@ func (t *Thread) Free(a vm.Addr) {
 		// one more (release-only) fan-out.
 		t.allocSeq++
 		var next proto.FreeResp
-		at, err := t.mgrCall(&proto.FreeReq{Thread: t.writer, Addr: uint64(a), Seq: t.allocSeq, Unmapped: true}, &next, t.clock.Now())
+		at, err := t.rt.mgr.call(t.ep, &proto.FreeReq{Thread: t.writer, Addr: uint64(a), Seq: t.allocSeq, Unmapped: true}, &next, t.clock.Now())
 		if err != nil {
 			t.fail("free", err)
 		}
@@ -651,7 +605,7 @@ func (t *Thread) unmapAtHomes(a vm.Addr, resp *proto.FreeResp) {
 	}
 	for _, home := range t.homesForRange(first, resp.NPages) {
 		var ack proto.Ack
-		at, err := t.callHome(home, m, &ack, t.clock.Now())
+		at, err := t.rt.homes[home].call(t.ep, m, &ack, t.clock.Now())
 		if err != nil {
 			t.fail("free", err)
 		}
@@ -706,7 +660,7 @@ func (t *Thread) SnapshotAS(base vm.Addr, n int) uint64 {
 
 	t.allocSeq++
 	var resp proto.SnapshotASResp
-	at, err := t.mgrCall(&proto.SnapshotASReq{
+	at, err := t.rt.mgr.call(t.ep, &proto.SnapshotASReq{
 		Thread: t.writer, Base: uint64(base), NPages: npages, Seq: t.allocSeq,
 	}, &resp, t.clock.Now())
 	if err != nil {
@@ -722,7 +676,7 @@ func (t *Thread) SnapshotAS(base vm.Addr, n int) uint64 {
 	}
 	for _, home := range t.homesForRange(first, npages) {
 		var ack proto.Ack
-		at, err := t.callHome(home, &proto.SealAS{
+		at, err := t.rt.homes[home].call(t.ep, &proto.SealAS{
 			Snap: resp.Snap, Base: uint64(base), NPages: npages, Needs: needsByHome[home],
 		}, &ack, t.clock.Now())
 		if err != nil {
@@ -753,7 +707,7 @@ func (t *Thread) ForkAS(snap uint64) vm.Addr {
 	start := t.clock.Now()
 	t.allocSeq++
 	var resp proto.ForkASResp
-	at, err := t.mgrCall(&proto.ForkASReq{Thread: t.writer, Snap: snap, Seq: t.allocSeq}, &resp, t.clock.Now())
+	at, err := t.rt.mgr.call(t.ep, &proto.ForkASReq{Thread: t.writer, Snap: snap, Seq: t.allocSeq}, &resp, t.clock.Now())
 	if err != nil {
 		t.fail("fork", err)
 	}
@@ -769,7 +723,7 @@ func (t *Thread) ForkAS(snap uint64) vm.Addr {
 	// fork issued after ForkAS returns must find the mapping.
 	for _, home := range t.homesForRange(first, resp.NPages) {
 		var ack proto.Ack
-		at, err := t.callHome(home, &proto.ForkMap{
+		at, err := t.rt.homes[home].call(t.ep, &proto.ForkMap{
 			Snap: snap, Base: resp.Base, OrigBase: resp.OrigBase, NPages: resp.NPages,
 		}, &ack, t.clock.Now())
 		if err != nil {
@@ -805,7 +759,7 @@ func (t *Thread) startManagerCall(req proto.Msg, resp proto.Msg, at vtime.Time) 
 	t.st.MsgsSent++
 	t.rt.gate.Resume()
 	go func() {
-		doneAt, err := t.mgrCall(req, resp, at)
+		doneAt, err := t.rt.mgr.call(t.ep, req, resp, at)
 		t.rt.gate.Resume() // wake credit for the joining thread
 		ch <- callResult{at: doneAt, err: err}
 		t.rt.gate.Pause() // helper exit
@@ -846,7 +800,7 @@ func (t *Thread) finishRelease(rs *pagecache.ReleaseSet) {
 			if b == nil {
 				continue
 			}
-			at, err := t.sendHome(home, b, t.clock.Now())
+			at, err := t.rt.homes[home].send(t.ep, b, t.clock.Now())
 			if err != nil {
 				t.fail("diff batch", err)
 			}
@@ -869,7 +823,7 @@ func (t *Thread) finishRelease(rs *pagecache.ReleaseSet) {
 		t.rt.gate.Resume()
 		go func(home int, b *proto.DiffBatch, issue vtime.Time) {
 			var ack proto.Ack
-			at, err := t.callHome(home, b, &ack, issue)
+			at, err := t.rt.homes[home].call(t.ep, b, &ack, issue)
 			t.rt.gate.Resume()
 			ch <- callResult{at: at, err: err}
 			t.rt.gate.Pause()
@@ -1016,7 +970,7 @@ func (m *smhMutex) Lock(th vm.Thread) {
 	t.lockReq = proto.LockReq{Lock: m.id, Thread: t.writer, LastSeen: t.lastSeen}
 	t.lockResp = proto.LockResp{}
 	resp := &t.lockResp
-	at, err := t.mgrCall(&t.lockReq, resp, t.clock.Now())
+	at, err := t.rt.mgr.call(t.ep, &t.lockReq, resp, t.clock.Now())
 	if err != nil {
 		t.fail("lock", err)
 	}
@@ -1133,20 +1087,10 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 		Lock: m.id, Thread: t.writer, Interval: rs.Tag.Interval,
 		Pages: rs.Pages, Records: rs.Records, HandedOff: handedOff,
 	}
-	ur := &t.unlockReq
-	var at vtime.Time
-	var err error
-	if t.rt.cfg.ManagerReplicas > 1 {
-		// Replicated manager: the release must be an acknowledged call.
-		// A one-way post could die with the leader without any error
-		// surfacing, silently losing the interval; the ack proves the
-		// release was replicated, and a lost ack is recovered by
-		// re-issuing (the manager dedups by interval).
-		var ack proto.Ack
-		at, err = t.mgrCall(ur, &ack, t.clock.Now())
-	} else {
-		at, err = t.ep.Post(managerNode, ur, t.clock.Now())
-	}
+	// With replicas the release is an acknowledged call (role.send): the
+	// ack proves the release was replicated, and the manager dedups a
+	// re-issued one by interval.
+	at, err := t.rt.mgr.send(t.ep, &t.unlockReq, t.clock.Now())
 	if err != nil {
 		t.fail("unlock", err)
 	}
@@ -1282,7 +1226,7 @@ func (c *smhCond) signal(th vm.Thread, broadcast bool) {
 	t := th.(*Thread)
 	t.settleCompute()
 	var ack proto.Ack
-	at, err := t.mgrCall(&proto.CondSignalReq{
+	at, err := t.rt.mgr.call(t.ep, &proto.CondSignalReq{
 		Cond: c.id, Thread: t.writer, Broadcast: broadcast,
 	}, &ack, t.clock.Now())
 	if err != nil {
@@ -1307,7 +1251,7 @@ func (b *threadBackend) FetchLine(line layout.LineID, needs []proto.PageNeed, at
 	t := b.thread()
 	home := t.rt.cfg.Geo.HomeOf(t.rt.cfg.Geo.FirstPage(line))
 	var resp proto.FetchLineResp
-	doneAt, err := t.callHome(home, &proto.FetchLineReq{
+	doneAt, err := t.rt.homes[home].call(t.ep, &proto.FetchLineReq{
 		Line: uint64(line), Needs: needs,
 	}, &resp, at)
 	if err != nil {
@@ -1361,7 +1305,7 @@ func (b *threadBackend) FetchLines(lines []layout.LineID, pages []layout.PageID,
 		req.Pages = append(req.Pages, uint64(p))
 	}
 	var resp proto.FetchLinesResp
-	doneAt, err := t.callHome(home, req, &resp, at)
+	doneAt, err := t.rt.homes[home].call(t.ep, req, &resp, at)
 	if err != nil {
 		return nil, at, err
 	}
@@ -1385,7 +1329,7 @@ func (b *threadBackend) StartPrefetch(line layout.LineID, needs []proto.PageNeed
 	t.rt.gate.Resume()
 	go func() {
 		var resp proto.FetchLineResp
-		doneAt, err := t.callHome(home, &proto.FetchLineReq{
+		doneAt, err := t.rt.homes[home].call(t.ep, &proto.FetchLineReq{
 			Line: uint64(line), Needs: needs,
 		}, &resp, at)
 		if tr := t.rt.cfg.Trace; tr != nil && err == nil {
@@ -1409,7 +1353,7 @@ func (b *threadBackend) FlushEvict(diffs []proto.PageDiff, at vtime.Time) (vtime
 	}
 	for _, home := range sortedHomes(byHome) {
 		var err error
-		at, err = t.sendHome(home, &proto.EvictFlush{Writer: t.writer, Diffs: byHome[home]}, at)
+		at, err = t.rt.homes[home].send(t.ep, &proto.EvictFlush{Writer: t.writer, Diffs: byHome[home]}, at)
 		if err != nil {
 			return at, err
 		}
@@ -1430,7 +1374,7 @@ func (b *threadBackend) FlushSync(diffs []proto.PageDiff, at vtime.Time) (vtime.
 	}
 	for _, home := range sortedHomes(byHome) {
 		var ack proto.Ack
-		replyAt, err := t.callHome(home, &proto.EvictFlush{Writer: t.writer, Diffs: byHome[home]}, &ack, at)
+		replyAt, err := t.rt.homes[home].call(t.ep, &proto.EvictFlush{Writer: t.writer, Diffs: byHome[home]}, &ack, at)
 		if err != nil {
 			return at, err
 		}

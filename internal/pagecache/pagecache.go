@@ -458,18 +458,7 @@ func (c *Cache) write(addr layout.Addr, data []byte, region, span bool) error {
 				copy(ps.twin[off:], data[:n])
 			}
 		} else {
-			ps := &le.pages[c.pageIndex(page)]
-			if !ps.dirty {
-				base := c.pageBaseInLine(page)
-				ps.twin = c.newTwin(le.data[base : base+c.geo.PageSize])
-				ps.dirty = true
-				c.dirtyPages[page] = struct{}{}
-				c.clock.Advance(c.cfg.CPU.TwinTime)
-				c.st.Twins++
-				ps.wtracked = span
-				ps.wext = ps.wext[:0]
-			}
-			c.noteWriteExtent(ps, off, n, span)
+			c.ordinaryStore(le, page, off, n, span)
 		}
 		base := c.pageBaseInLine(page)
 		copy(le.data[base+off:], data[:n])
@@ -477,6 +466,24 @@ func (c *Cache) write(addr layout.Addr, data []byte, region, span bool) error {
 		addr += layout.Addr(n)
 	}
 	return nil
+}
+
+// ordinaryStore readies page for an ordinary store of [off, off+n): the
+// interval's first such store twins the page, and every one is folded
+// into the page's written extents.
+func (c *Cache) ordinaryStore(le *lineEntry, page layout.PageID, off, n int, span bool) {
+	ps := &le.pages[c.pageIndex(page)]
+	if !ps.dirty {
+		base := c.pageBaseInLine(page)
+		ps.twin = c.newTwin(le.data[base : base+c.geo.PageSize])
+		ps.dirty = true
+		c.dirtyPages[page] = struct{}{}
+		c.clock.Advance(c.cfg.CPU.TwinTime)
+		c.st.Twins++
+		ps.wtracked = span
+		ps.wext = ps.wext[:0]
+	}
+	c.noteWriteExtent(ps, off, n, span)
 }
 
 // logRecord appends one consistency-region store record, extending the
@@ -539,27 +546,17 @@ func (c *Cache) ReadModifyWrite8(addr layout.Addr, region bool, f func(b []byte)
 	if err != nil {
 		return err
 	}
-	ps := &le.pages[c.pageIndex(page)]
-	if !region && !ps.dirty {
-		base := c.pageBaseInLine(page)
-		ps.twin = c.newTwin(le.data[base : base+c.geo.PageSize])
-		ps.dirty = true
-		c.dirtyPages[page] = struct{}{}
-		c.clock.Advance(c.cfg.CPU.TwinTime)
-		c.st.Twins++
-		ps.wtracked = false
-		ps.wext = ps.wext[:0]
+	if !region {
+		c.ordinaryStore(le, page, off, 8, false)
 	}
 	base := c.pageBaseInLine(page)
 	b := le.data[base+off : base+off+8]
 	f(b)
 	if region {
 		c.logRecord(addr, b, page)
-		if ps.dirty {
+		if ps := &le.pages[c.pageIndex(page)]; ps.dirty {
 			copy(ps.twin[off:], b)
 		}
-	} else {
-		c.noteWriteExtent(ps, off, 8, false)
 	}
 	return nil
 }
