@@ -383,7 +383,7 @@ func (e *endpoint) Post(dst scl.NodeID, m proto.Msg, at vtime.Time) (vtime.Time,
 }
 
 // Recv implements scl.Endpoint.
-func (e *endpoint) Recv() (*scl.Request, bool) { return e.inner.Recv() }
+func (e *endpoint) Recv() (scl.Request, bool) { return e.inner.Recv() }
 
 // Close implements scl.Endpoint.
 func (e *endpoint) Close() { e.inner.Close() }

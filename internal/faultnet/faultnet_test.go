@@ -49,8 +49,8 @@ func (f *echoEndpoint) Post(dst scl.NodeID, m proto.Msg, at vtime.Time) (vtime.T
 	return at + 10, nil
 }
 
-func (f *echoEndpoint) Recv() (*scl.Request, bool) { return nil, false }
-func (f *echoEndpoint) Close()                     {}
+func (f *echoEndpoint) Recv() (scl.Request, bool) { return scl.Request{}, false }
+func (f *echoEndpoint) Close()                    {}
 
 // schedule runs n Call verdicts against a fresh injector and returns
 // which attempts were dropped.

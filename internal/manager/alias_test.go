@@ -363,7 +363,7 @@ func (p *aliasPair) checkParked() {
 		switch _, ok := p.md.requests[w.thread]; {
 		case !ok:
 			p.t.Fatalf("append %d: thread %d is parked at the follower and not in the model", p.appends, w.thread)
-		case w.to != nil || scl.NodeID(w.node) != aliasNode(w.thread):
+		case !w.to.OneWay() || scl.NodeID(w.node) != aliasNode(w.thread):
 			p.t.Fatalf("append %d: thread %d is parked as %+v", p.appends, w.thread, *w)
 		}
 		found++

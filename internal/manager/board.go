@@ -21,7 +21,11 @@ import "repro/internal/proto"
 type noticeBoard struct {
 	issued uint64 // last ticket handed out by the dispatcher
 
-	notices  []proto.Notice // filled intervals, ascending Seq
+	notices []proto.Notice // filled intervals, ascending Seq
+	// pruned is what the last prune dropped. It is cleared at the next
+	// fill or prune, not at once, so a view of the directory (span) stays
+	// whole until the answer it went into is encoded.
+	pruned   []proto.Notice
 	lastSeen map[uint32]uint64
 	// lastInterval tracks each writer's highest filled interval number.
 	// Interval numbers are assigned client-side and monotonic per
@@ -65,6 +69,7 @@ func (b *noticeBoard) filled(writer uint32, interval uint64) bool {
 
 // fill stores the interval for the ticket just reserved.
 func (b *noticeBoard) fill(seq uint64, tag proto.IntervalTag, pages []uint64, records []proto.StoreRecord) {
+	b.forget()
 	if tag.Interval > b.lastInterval[tag.Writer] {
 		b.lastInterval[tag.Writer] = tag.Interval
 	}
@@ -79,13 +84,10 @@ func (b *noticeBoard) fill(seq uint64, tag proto.IntervalTag, pages []uint64, re
 // applying the log, a replay waiter's no-op reply) moves it only to
 // since, which the thread itself claimed: the thread may yet re-issue the
 // request from that horizon to a promoted replica, which must still hold
-// every notice above it. Such an answer is never encoded either, so its
-// backlog is counted (span) but not copied.
+// every notice above it. The notices are span's view, taken before the
+// prune: every caller queues its answer, which encodes them, at once.
 func (b *noticeBoard) acquire(thread uint32, since uint64, delivered bool) ([]proto.Notice, uint64) {
-	var ns []proto.Notice
-	if backlog := b.span(since, b.issued); delivered {
-		ns = append(ns, backlog...)
-	}
+	ns := b.span(since, b.issued)
 	b.settle(thread, since, delivered)
 	return ns, b.issued
 }
@@ -113,11 +115,12 @@ func (b *noticeBoard) after(since, upTo uint64) []proto.Notice {
 	return append([]proto.Notice(nil), b.span(since, upTo)...)
 }
 
-// span is the directory's own notices with since < Seq <= upTo: a view,
-// good until the next fill or prune. It is what a caller that encodes at
-// once reads from: the backlogs of a handoff train (each bounded by the
-// holder's acquire point; later notices are delivered at the successor's
-// next acquire) and acquireWire.
+// span is the directory's own notices with since < Seq <= upTo: a view.
+// It stays whole through one prune (see pruned), but not through a fill
+// or a second prune, so its caller encodes it first. It is what a caller
+// that encodes at once reads from: the backlogs of a handoff train (each
+// bounded by the holder's acquire point; later notices are delivered at
+// the successor's next acquire), acquire and acquireWire.
 func (b *noticeBoard) span(since, upTo uint64) []proto.Notice {
 	i := len(b.notices)
 	for i > 0 && b.notices[i-1].Seq > since {
@@ -152,6 +155,7 @@ func (b *noticeBoard) dropThread(tid uint32) {
 
 // prune drops notices below every remaining thread's horizon.
 func (b *noticeBoard) prune() {
+	b.forget()
 	min := b.issued
 	for _, s := range b.lastSeen {
 		if s < min {
@@ -164,10 +168,15 @@ func (b *noticeBoard) prune() {
 	}
 	if cut > 0 {
 		b.stats.NoticesPruned.Add(int64(cut))
-		// Drop the prefix in place; clearing it lets go of the pruned
-		// intervals' page lists and records before fill's next growth
-		// leaves the old array behind.
-		clear(b.notices[:cut])
+		b.pruned = b.notices[:cut]
 		b.notices = b.notices[cut:]
 	}
+}
+
+// forget clears what the last prune dropped, in place: that lets go of
+// the pruned intervals' page lists and records before fill's next growth
+// leaves the old array behind.
+func (b *noticeBoard) forget() {
+	clear(b.pruned)
+	b.pruned = nil
 }

@@ -4,9 +4,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/layout"
 	"repro/internal/proto"
@@ -189,15 +191,22 @@ func formatEffects(lines []effectLine) string {
 	return sb.String()
 }
 
-func TestEffectsGolden(t *testing.T) {
+// runEffects runs the script on a fresh two-home manager, calling
+// afterStep, if set, after every step, and renders what it sent.
+func runEffects(t *testing.T, afterStep func(*Manager)) string {
 	e := newStepEnv(t, 2, 0, nil)
 	e.mgr.SetSequenced(true)
+	e.afterStep = afterStep
 	(&effectsScript{e: e, interval: make(map[uint32]uint64)}).run(t)
 	lines := make([]effectLine, len(e.sends))
 	for i, eff := range e.sends {
 		lines[i] = effectLine{dst: eff.dst(e.from), kind: eff.kind, at: eff.at, body: eff.body}
 	}
-	got := formatEffects(lines)
+	return formatEffects(lines)
+}
+
+func TestEffectsGolden(t *testing.T) {
+	got := runEffects(t, nil)
 
 	if *update {
 		if err := os.WriteFile(effectsGoldenPath, []byte(got), 0o644); err != nil {
@@ -230,4 +239,40 @@ func diffLines(want, got string) string {
 		}
 	}
 	return "no difference"
+}
+
+// A handler keeps fields or slices of the message it serves, never the
+// message, which is the manager's scratch (decodeReq). Garbage written
+// over every scratch message after every step must therefore change
+// nothing the manager sends.
+func TestScratchKeepsNothing(t *testing.T) {
+	got := runEffects(t, func(m *Manager) { poison(reflect.ValueOf(&m.scratch).Elem()) })
+	want, err := os.ReadFile(effectsGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("with its scratch poisoned after every step, the manager's sends differ from %s:\n%s", effectsGoldenPath, diffLines(string(want), got))
+	}
+}
+
+// poison overwrites v and all it holds with garbage: every number all
+// ones, every flag set, every list one poisoned element long.
+func poison(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			poison(reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem())
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		poison(v.Index(0))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(-1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(^uint64(0))
+	}
 }

@@ -40,15 +40,20 @@ func TestManagerHasNoMutex(t *testing.T) {
 // clock; the endpoint is touched only by Run, by flush, and by the two
 // replication calls a transition makes itself and the ticker that prods
 // it; and the homes, the tables and the directory know neither a
-// replica's role nor how a reply is sent.
+// replica's role nor how a reply is sent. A request decodes into the
+// manager's scratch, never into a message of its own (proto.New), and
+// only decodeReq names the scratch: a handler gets the message it serves
+// and nothing it could keep past the call.
 func TestManagerHasOneDoor(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	door := map[string][]string{
-		"time.Now": {"Run"},
-		".ep.":     {"Run", "flush", "pushToPeers", "sendSnapshot", "renewTicker"},
+		"time.Now":   {"Run"},
+		".ep.":       {"Run", "flush", "pushToPeers", "sendSnapshot", "renewTicker"},
+		"proto.New(": nil,
+		".scratch":   {"decodeReq"},
 	}
 	sealed := map[string]bool{"shard.go": true, "snapshot.go": true, "board.go": true, "state.go": true, "zone.go": true}
 	for _, f := range files {

@@ -264,7 +264,7 @@ func TestStepTable(t *testing.T) {
 		state: func(w *Manager) { _ = w.restoreState(leaderState()) },
 		check: func(m *Manager) string {
 			switch mem := m.members[memberOf(proto.MemberThread, 1)]; {
-			case m.shards[0].locks[7].queue[0].to != nil:
+			case !m.shards[0].locks[7].queue[0].to.OneWay():
 				return "a restored waiter holds a ticket"
 			case !mem.lastBeat.Equal(stepEpoch):
 				return "a restored member's lease does not start at the call's wall reading"
@@ -273,6 +273,7 @@ func TestStepTable(t *testing.T) {
 		},
 	}}
 
+	const rowTicket = 1 << 30 // above every ticket a setup hands out
 	for _, row := range rows {
 		t.Run(strings.ReplaceAll(row.name, " ", "_"), func(t *testing.T) {
 			e := newStepEnv(t, 1, time.Hour, nil)
@@ -285,8 +286,8 @@ func TestStepTable(t *testing.T) {
 			before := e.mgr.encodeState()
 
 			msg := row.msg()
-			c := call{src: row.from, kind: msg.Kind(), body: proto.Encode(msg), arrive: 1 << 20, svc: testLink.ServiceTime, to: new(scl.Request), wall: e.wall}
-			e.from[c.to] = row.from
+			c := call{src: row.from, kind: msg.Kind(), body: proto.Encode(msg), arrive: 1 << 20, svc: testLink.ServiceTime, to: ticket(rowTicket), wall: e.wall}
+			e.from[rowTicket] = row.from
 			stop := e.mgr.step(&c)
 			if stop != (msg.Kind() == proto.KShutdown) {
 				t.Errorf("step reports stop=%v", stop)
@@ -442,11 +443,11 @@ func TestFollowerShutdownTellsNobody(t *testing.T) {
 		t.Fatalf("the follower does not mirror the detached waiter: %+v", ls)
 	}
 
-	stop := call{src: 600, kind: proto.KShutdown, to: new(scl.Request), wall: e.wall}
+	stop := call{src: 600, kind: proto.KShutdown, to: ticket(600), wall: e.wall}
 	if !follower.step(&stop) {
 		t.Fatal("the follower did not stop")
 	}
-	if out := takeEffects(follower); len(out) != 1 || out[0].to != stop.to || out[0].kind != proto.KAck {
+	if out := takeEffects(follower); len(out) != 1 || ticketOf(out[0].to) != 600 || out[0].kind != proto.KAck {
 		t.Fatalf("the follower queued %d effects, want the one Ack: %+v", len(out), out)
 	}
 

@@ -123,10 +123,12 @@ type Manager struct {
 	repl *replState
 
 	// The call in flight: its wall reading, whether it replays the log,
-	// and the effects it has queued so far (see step and flush).
+	// the effects it has queued so far (see step and flush), and the
+	// message its body decoded into (see decodeReq).
 	now       time.Time
 	replaying bool
 	out       []effect
+	scratch   scratch
 
 	stats Stats
 }
@@ -139,10 +141,10 @@ type call struct {
 	body   []byte
 	arrive vtime.Time
 	svc    vtime.Time
-	// to is whom to answer, held as an identity and handed back to flush.
-	// It is nil when nobody listens: a one-way post, or a log entry the
-	// leader already answered.
-	to *scl.Request
+	// to is whom to answer, handed back to flush. Nobody listens
+	// (to.OneWay) to a one-way post, or to a log entry the leader already
+	// answered: that call's to is the zero Request.
+	to scl.Request
 	// wall is the wall clock when the request was received: the only time
 	// the lease table ever reads.
 	wall time.Time
@@ -151,7 +153,7 @@ type call struct {
 // effect is one message a transition wants sent: a reply (to, kind and
 // the encoded body) or a post (node, msg).
 type effect struct {
-	to   *scl.Request
+	to   scl.Request
 	kind proto.Kind
 	body []byte
 	node uint32
@@ -262,25 +264,25 @@ func (m *Manager) Clock() vtime.Time {
 
 // reply queues the answer to a call or a parked waiter. It is encoded
 // here: handlers answer from scratch messages and from views of the
-// notice directory that the next fill or prune invalidates. An answer
+// notice directory that a later fill or prune invalidates. An answer
 // nobody listens for is not even encoded.
-func (m *Manager) reply(to *scl.Request, msg proto.Msg, at vtime.Time) {
-	if to != nil {
+func (m *Manager) reply(to scl.Request, msg proto.Msg, at vtime.Time) {
+	if !to.OneWay() {
 		m.out = append(m.out, effect{to: to, kind: msg.Kind(), body: proto.Encode(msg), at: at})
 	}
 }
 
 // replyErr queues a classified protocol-level error; the caller's decode
 // turns the code back into its sentinel.
-func (m *Manager) replyErr(to *scl.Request, code uint16, err error, at vtime.Time) {
-	if to != nil {
+func (m *Manager) replyErr(to scl.Request, code uint16, err error, at vtime.Time) {
+	if !to.OneWay() {
 		m.reply(to, &proto.Error{Code: code, Text: err.Error()}, at)
 	}
 }
 
 // post queues a one-way message (NextWaiter, LockGrant, WriterDead) to a
 // node. A log replay queues none: the leader already sent them. This flag
-// and the nil ticket of a call made from the log are the whole rule of
+// and the zero ticket of a call made from the log are the whole rule of
 // what a replica may externalise. A post is encoded only when flush sends
 // it: msg must own its data, no scratch message or notice-directory view.
 func (m *Manager) post(node uint32, msg proto.Msg, at vtime.Time) {
@@ -306,7 +308,7 @@ func (m *Manager) tally() *stats.Liveness {
 // unblocks anyone waiting on it.
 func (m *Manager) flush() {
 	for i := range m.out {
-		if e := &m.out[i]; e.to != nil {
+		if e := &m.out[i]; !e.to.OneWay() {
 			e.to.ReplyBody(e.kind, e.body, e.at)
 		} else {
 			_, _ = m.ep.Post(scl.NodeID(e.node), e.msg, e.at)
@@ -358,10 +360,7 @@ func (m *Manager) Run() {
 		}
 		c := call{
 			src: uint32(req.Src()), kind: req.Kind(), body: req.Body(),
-			arrive: req.Arrive(), svc: req.Svc(), wall: time.Now(),
-		}
-		if !req.OneWay() {
-			c.to = req
+			arrive: req.Arrive(), svc: req.Svc(), to: req, wall: time.Now(),
 		}
 		done = m.step(&c)
 	}
@@ -440,16 +439,66 @@ func (m *Manager) step(c *call) (stop bool) {
 	return false
 }
 
-// decodeReq decodes a client-plane request and resolves its home shard.
-// It is shared by the dispatcher and by followers replaying the
-// replicated log, so route decisions are identical on every replica.
+// scratch holds one message of each client-plane kind for decodeReq to
+// decode into, so a request costs no message of its own. A handler keeps
+// fields or slices of the message it serves, never the message: the next
+// request of its kind overwrites it.
+type scratch struct {
+	alloc      proto.AllocReq
+	free       proto.FreeReq
+	register   proto.RegisterReq
+	lock       proto.LockReq
+	unlock     proto.UnlockReq
+	barrier    proto.BarrierReq
+	condWait   proto.CondWaitReq
+	condSignal proto.CondSignalReq
+	snapshot   proto.SnapshotASReq
+	fork       proto.ForkASReq
+}
+
+// zeroed empties a scratch message for a decode. A zero message decodes
+// its lists into fresh slices, which the notice directory may keep.
+func zeroed[T any, P interface {
+	*T
+	proto.Msg
+}](p P) proto.Msg {
+	var zero T
+	*p = zero
+	return p
+}
+
+// decodeReq decodes a client-plane request into the manager's scratch
+// and resolves its home shard. It is shared by the dispatcher and by
+// followers replaying the replicated log, so route decisions are
+// identical on every replica.
 func (m *Manager) decodeReq(c *call) (proto.Msg, int, error) {
-	msg := proto.New(c.kind)
-	if msg == nil {
+	var msg proto.Msg
+	switch s := &m.scratch; c.kind {
+	case proto.KAllocReq:
+		msg = zeroed(&s.alloc)
+	case proto.KFreeReq:
+		msg = zeroed(&s.free)
+	case proto.KRegisterReq:
+		msg = zeroed(&s.register)
+	case proto.KLockReq:
+		msg = zeroed(&s.lock)
+	case proto.KUnlockReq:
+		msg = zeroed(&s.unlock)
+	case proto.KBarrierReq:
+		msg = zeroed(&s.barrier)
+	case proto.KCondWaitReq:
+		msg = zeroed(&s.condWait)
+	case proto.KCondSignalReq:
+		msg = zeroed(&s.condSignal)
+	case proto.KSnapshotASReq:
+		msg = zeroed(&s.snapshot)
+	case proto.KForkASReq:
+		msg = zeroed(&s.fork)
+	default:
 		return nil, 0, fmt.Errorf("manager: unexpected %v", c.kind)
 	}
 	if err := proto.Decode(msg, c.body); err != nil {
-		if c.kind == proto.KUnlockReq && c.to == nil {
+		if c.kind == proto.KUnlockReq && c.to.OneWay() {
 			// Nobody to answer; an undecodable unlock is a protocol bug.
 			panic(fmt.Sprintf("manager: bad UnlockReq: %v", err))
 		}

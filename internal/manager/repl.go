@@ -22,8 +22,9 @@ package manager
 //     injector — deposes the leader, which fails every parked waiter
 //     with CodeNotLeader so clients re-issue against the successor.
 //   - Followers apply accepted entries through the SAME transitions the
-//     leader ran, as calls with nobody to answer (call.to is nil) made
-//     under the one replay flag (Manager.replaying) that withholds posts.
+//     leader ran, as calls with nobody to answer (call.to is the zero
+//     Request) made under the one replay flag (Manager.replaying) that
+//     withholds posts.
 //     The manager is one goroutine, so applying the log is deterministic
 //     regardless of the shard count.
 //   - The log is truncated to what every live follower acked AND the

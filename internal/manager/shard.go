@@ -25,7 +25,7 @@ type waiter struct {
 	// ticket and not detached stands in for a request somebody else holds:
 	// it was applied from the log or restored from a snapshot, and the
 	// thread re-issues the request to whichever replica leads.
-	to       *scl.Request
+	to       scl.Request
 	svc      vtime.Time
 	thread   uint32
 	node     uint32
@@ -33,7 +33,7 @@ type waiter struct {
 	kind     waitKind
 	// detached marks a waiter whose LockReq was already answered with
 	// Queued (peer-to-peer handoff mode): its grant — or its eviction —
-	// travels as a one-way LockGrant, never as a reply. to is nil.
+	// travels as a one-way LockGrant, never as a reply. to is nobody.
 	detached bool
 }
 
@@ -45,7 +45,7 @@ func park(c *call, thread uint32, lastSeen uint64, kind waitKind) waiter {
 // standsIn reports whether w stands in for a request of thread's, which
 // the thread has now re-issued (see waiter).
 func (w *waiter) standsIn(thread uint32) bool {
-	return w.thread == thread && w.to == nil && !w.detached
+	return w.thread == thread && w.to.OneWay() && !w.detached
 }
 
 // standIn finds thread's stand-in among ws.
@@ -207,9 +207,9 @@ func (sh *shard) fail(c *call, err error) {
 // thread: through the ticket it holds, or as the post a detached waiter is
 // granted by, which only a log replay withholds. Only then may the
 // answer's notices advance the thread's horizon (see noticeBoard.acquire);
-// for the call in flight the same test is c.to != nil.
+// for the call in flight the same test is !c.to.OneWay().
 func (sh *shard) reaches(w *waiter) bool {
-	return w.to != nil || (w.detached && !sh.m.replaying)
+	return !w.to.OneWay() || (w.detached && !sh.m.replaying)
 }
 
 // ---------------------------------------------------------------------
@@ -341,7 +341,7 @@ func (sh *shard) handleLock(c *call, lr *proto.LockReq) {
 		// conservation holds across the failover.
 		ns := m.board.after(lr.LastSeen, ls.grantSeq)
 		sh.answer(c, &proto.LockResp{Seq: ls.grantSeq, Notices: ns})
-		if c.to != nil {
+		if !c.to.OneWay() {
 			m.board.saw(lr.Thread, ls.grantSeq)
 		}
 		return
@@ -362,7 +362,7 @@ func (sh *shard) handleLock(c *call, lr *proto.LockReq) {
 			// by this home as a fallback — can arrive as a one-way
 			// LockGrant instead of a manager round trip.
 			w.detached = true
-			w.to = nil
+			w.to = scl.Request{}
 			sh.lockResp = proto.LockResp{Queued: true}
 			sh.answer(c, &sh.lockResp)
 			ls.queue = append(ls.queue, w)
@@ -626,7 +626,7 @@ func (sh *shard) handleBarrier(c *call, br *proto.BarrierReq) {
 			// to a leader failover and the client re-issued. Its
 			// interval was filled by the original arrival; answer with
 			// the directory frontier without re-counting.
-			ns, seq := m.board.acquire(br.Thread, br.LastSeen, c.to != nil)
+			ns, seq := m.board.acquire(br.Thread, br.LastSeen, !c.to.OneWay())
 			sh.answer(c, &proto.BarrierResp{Seq: seq, Notices: ns})
 			return
 		}
@@ -751,7 +751,7 @@ func (sh *shard) handleCondWait(c *call, cw *proto.CondWaitReq) {
 		if ls.held && ls.holder == cw.Thread {
 			ns := m.board.after(cw.LastSeen, ls.grantSeq)
 			sh.answer(c, &proto.CondWaitResp{Seq: ls.grantSeq, Notices: ns})
-			if c.to != nil {
+			if !c.to.OneWay() {
 				m.board.saw(cw.Thread, ls.grantSeq)
 			}
 			return

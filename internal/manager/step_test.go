@@ -15,15 +15,25 @@ import (
 
 // A manager is a state machine: step takes a call and queues effects. The
 // helpers here drive one without a fabric, a goroutine or a clock. A ticket
-// (call.to) is a fresh scl.Request used only as an identity; the wall
+// (call.to) is a request that only names a call (see ticket); the wall
 // reading of every call is the test's to choose.
+
+// ticket makes the request a call answers through when the test is its
+// caller: its Src is the ticket's number, n, and nothing else. A ticket's
+// answer is taken from the outbox, never sent.
+func ticket(n uint32) scl.Request {
+	return scl.NewRequest(scl.NodeID(n), 0, nil, func(uint16, []byte, vtime.Time) { panic("a ticket is answered through the wire") })
+}
+
+// ticketOf is the number of the ticket a reply answers.
+func ticketOf(to scl.Request) uint32 { return uint32(to.Src()) }
 
 // takeEffects empties the outbox as flush would and returns what was in
 // it, each post encoded the way flush's Post would encode it.
 func takeEffects(m *Manager) []effect {
 	out := append([]effect(nil), m.out...)
 	for i := range out {
-		if e := &out[i]; e.to == nil {
+		if e := &out[i]; e.to.OneWay() {
 			e.kind, e.body = e.msg.Kind(), proto.Encode(e.msg)
 		}
 	}
@@ -34,9 +44,9 @@ func takeEffects(m *Manager) []effect {
 
 // dst names the node an effect goes to: a post's own, a reply's through
 // the table of who holds which ticket.
-func (e effect) dst(from map[*scl.Request]uint32) uint32 {
-	if e.to != nil {
-		return from[e.to]
+func (e effect) dst(from map[uint32]uint32) uint32 {
+	if !e.to.OneWay() {
+		return from[ticketOf(e.to)]
 	}
 	return e.node
 }
@@ -64,11 +74,13 @@ type stepEnv struct {
 	mgr  *Manager
 	wall time.Time // the wall reading the next call carries
 	sent int
+	// afterStep, if set, runs after every step (see TestScratchKeepsNothing).
+	afterStep func(*Manager)
 
-	from    map[*scl.Request]uint32 // ticket -> the node that holds it
-	sends   []effect                // every effect queued so far, in order
-	replies map[*scl.Request]effect // the answers among them, by ticket
-	posts   []effect                // the posts among them
+	from    map[uint32]uint32 // ticket -> the node that holds it
+	sends   []effect          // every effect queued so far, in order
+	replies map[uint32]effect // the answers among them, by ticket
+	posts   []effect          // the posts among them
 }
 
 // stepEpoch is where a test's wall clock starts; the manager only ever
@@ -81,7 +93,7 @@ func newStepEnv(t *testing.T, homes int, lease time.Duration, live *stats.Livene
 	if lease > 0 {
 		m.EnableLiveness(lease, live, nil)
 	}
-	return &stepEnv{t: t, mgr: m, wall: stepEpoch, from: make(map[*scl.Request]uint32), replies: make(map[*scl.Request]effect)}
+	return &stepEnv{t: t, mgr: m, wall: stepEpoch, from: make(map[uint32]uint32), replies: make(map[uint32]effect)}
 }
 
 // advance moves the wall clock the next calls will read.
@@ -89,47 +101,53 @@ func (e *stepEnv) advance(d time.Duration) { e.wall = e.wall.Add(d) }
 
 // send makes one call from node and files the effects of its transition.
 // Call i leaves its node at virtual time 3000*i and arrives as the test
-// link would deliver it. The ticket is nil for a one-way.
-func (e *stepEnv) send(node uint32, kind proto.Kind, body []byte, oneway bool) *scl.Request {
+// link would deliver it. Its ticket is i, or 0 for a one-way.
+func (e *stepEnv) send(node uint32, kind proto.Kind, body []byte, oneway bool) uint32 {
 	e.sent++
 	c := call{
 		src: node, kind: kind, body: body, wall: e.wall, svc: testLink.ServiceTime,
 		arrive: testLink.Deliver(vtime.Time(3000*e.sent)+testLink.SendOverhead, len(body)+simnet.HeaderBytes),
 	}
+	var tk uint32
 	if !oneway {
-		c.to = new(scl.Request)
-		e.from[c.to] = node
+		tk = uint32(e.sent)
+		c.to = ticket(tk)
+		e.from[tk] = node
 	}
 	e.mgr.step(&c)
+	if e.afterStep != nil {
+		e.afterStep(e.mgr)
+	}
 	e.collect()
-	return c.to
+	return tk
 }
 
 func (e *stepEnv) collect() {
 	for _, eff := range takeEffects(e.mgr) {
 		e.sends = append(e.sends, eff)
-		if eff.to == nil {
+		if eff.to.OneWay() {
 			e.posts = append(e.posts, eff)
 			continue
 		}
-		if _, dup := e.replies[eff.to]; dup {
+		tk := ticketOf(eff.to)
+		if _, dup := e.replies[tk]; dup {
 			e.t.Fatalf("a second answer (%v) to one call", eff.kind)
 		}
-		e.replies[eff.to] = eff
+		e.replies[tk] = eff
 	}
 }
 
 // answered reports whether the call behind ticket has its answer yet.
-func (e *stepEnv) answered(ticket *scl.Request) bool {
-	_, ok := e.replies[ticket]
+func (e *stepEnv) answered(tk uint32) bool {
+	_, ok := e.replies[tk]
 	return ok
 }
 
 // result is what a caller blocked on ticket has in hand now; it fails the
 // test if the call is still parked.
-func (e *stepEnv) result(ticket *scl.Request, resp proto.Msg) error {
+func (e *stepEnv) result(tk uint32, resp proto.Msg) error {
 	e.t.Helper()
-	eff, ok := e.replies[ticket]
+	eff, ok := e.replies[tk]
 	if !ok {
 		e.t.Fatalf("the call waiting for a %v is still parked", resp.Kind())
 	}
@@ -150,7 +168,7 @@ type stepClient struct {
 func (e *stepEnv) client(id uint32) *stepClient { return &stepClient{env: e, id: id} }
 
 // start makes a call and returns its ticket, answered or not.
-func (c *stepClient) start(m proto.Msg) *scl.Request {
+func (c *stepClient) start(m proto.Msg) uint32 {
 	return c.env.send(c.id, m.Kind(), proto.Encode(m), false)
 }
 
@@ -214,10 +232,10 @@ func (w *stepWire) Call(dst scl.NodeID, req, resp proto.Msg, at vtime.Time) (vti
 	if f == nil {
 		return at, scl.ErrUnreachable
 	}
-	c := call{src: uint32(w.id), kind: req.Kind(), body: proto.Encode(req), arrive: at, to: new(scl.Request), wall: w.env.wall}
+	c := call{src: uint32(w.id), kind: req.Kind(), body: proto.Encode(req), arrive: at, to: ticket(uint32(dst)), wall: w.env.wall}
 	f.step(&c)
 	for _, e := range takeEffects(f) {
-		if e.to == c.to {
+		if !e.to.OneWay() && ticketOf(e.to) == uint32(dst) {
 			return at, decodeEffect(e, resp)
 		}
 		w.env.t.Errorf("a follower queued a %v besides its answer", e.kind)
@@ -229,7 +247,7 @@ func (w *stepWire) Post(dst scl.NodeID, m proto.Msg, at vtime.Time) (vtime.Time,
 	panic("a step-driven manager posts through its outbox")
 }
 
-func (w *stepWire) Recv() (*scl.Request, bool) { panic("a step-driven manager receives nothing") }
+func (w *stepWire) Recv() (scl.Request, bool) { panic("a step-driven manager receives nothing") }
 
 func (w *stepWire) Close() {}
 

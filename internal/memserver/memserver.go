@@ -157,14 +157,14 @@ type call struct {
 	body   []byte
 	arrive vtime.Time
 	svc    vtime.Time
-	// to is whom to answer, held as an identity and handed back to flush;
-	// nil for a one-way message.
-	to *scl.Request
+	// to is whom to answer, handed back to flush; nobody (to.OneWay) for
+	// a one-way message.
+	to scl.Request
 }
 
 // effect is one queued reply: whom to answer, and the encoded answer.
 type effect struct {
-	to   *scl.Request
+	to   scl.Request
 	kind proto.Kind
 	body []byte
 	at   vtime.Time
@@ -174,12 +174,12 @@ type effect struct {
 // latest share's completion, with the lowest-numbered failing shard's
 // error if any failed (so the answer does not depend on the order parked
 // shares complete in), else with an Ack or, for a fetch, the assembled
-// data. It keeps whom to answer and the request's timing, never the
-// request itself. Once it has answered nothing refers to it or its
+// data. It keeps whom to answer, by value, and the request's timing.
+// Once it has answered nothing refers to it or its
 // shares, and it is reused, shares and all, so a request costs no
 // allocation of its own.
 type join struct {
-	to      *scl.Request
+	to      scl.Request
 	kind    proto.Kind // of the request
 	mute    bool       // a share made a forward the standby may lack: answer nobody (see Server.forward)
 	errCode uint16
@@ -320,10 +320,7 @@ func (s *Server) Run() {
 			done = true
 			continue
 		}
-		c := call{kind: req.Kind(), body: req.Body(), arrive: req.Arrive(), svc: req.Svc()}
-		if !req.OneWay() {
-			c.to = req
-		}
+		c := call{kind: req.Kind(), body: req.Body(), arrive: req.Arrive(), svc: req.Svc(), to: req}
 		done = s.step(&c)
 	}
 }
@@ -391,16 +388,16 @@ func mustDecode(c *call, m proto.Msg) {
 // here, so the caller may reuse what msg points into (a fetch's assembly
 // buffer goes back to the pool right after). An answer nobody listens
 // for is not even encoded.
-func (s *Server) reply(to *scl.Request, msg proto.Msg, at vtime.Time) {
-	if to != nil {
+func (s *Server) reply(to scl.Request, msg proto.Msg, at vtime.Time) {
+	if !to.OneWay() {
 		s.out = append(s.out, effect{to: to, kind: msg.Kind(), body: proto.Encode(msg), at: at})
 	}
 }
 
 // replyErr queues a classified protocol-level error; the caller's decode
 // turns the code back into its sentinel.
-func (s *Server) replyErr(to *scl.Request, code uint16, err error, at vtime.Time) {
-	if to != nil {
+func (s *Server) replyErr(to scl.Request, code uint16, err error, at vtime.Time) {
+	if !to.OneWay() {
 		s.reply(to, &proto.Error{Code: code, Text: err.Error()}, at)
 	}
 }

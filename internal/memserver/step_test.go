@@ -16,8 +16,9 @@ import (
 
 // A memory server is a state machine: step takes a call and queues
 // replies, and its only I/O is s.call. The helpers here drive one without
-// a fabric or a goroutine. A ticket (call.to) is a fresh scl.Request used
-// only as an identity; the server's tap takes what flush would send.
+// a fabric or a goroutine. A call's ticket (call.to) is a request whose
+// Src is the node that holds it; the server's tap takes what flush would
+// send, so no ticket is ever answered.
 
 // stepEnv is one server, index 0 of effectsGeo's two, with a standby and
 // writer 7's cache agent behind a stepWire. log is every reply and every
@@ -25,13 +26,12 @@ import (
 type stepEnv struct {
 	t    *testing.T
 	srv  *Server
-	from map[*scl.Request]uint32 // ticket -> the node that holds it
 	log  []string
 	sent int
 }
 
 func newStepEnv(t *testing.T, shards int, forwardErr error) *stepEnv {
-	e := &stepEnv{t: t, from: make(map[*scl.Request]uint32)}
+	e := &stepEnv{t: t}
 	wire := &stepWire{env: e, fail: forwardErr, retained: map[uint64][]proto.DiffRun{12: {{Off: 8, Data: []byte{0x71}}}}}
 	e.srv = New(wire, 0, effectsGeo, vtime.DefaultCPU, func(w uint32) scl.NodeID { return 200 + scl.NodeID(w) })
 	e.srv.SetShards(shards)
@@ -39,7 +39,7 @@ func newStepEnv(t *testing.T, shards int, forwardErr error) *stepEnv {
 	e.srv.SetReplica(effectsStandby)
 	e.srv.tap = func(out []effect) {
 		for _, eff := range out {
-			e.log = append(e.log, fmt.Sprintf("%d %v", e.from[eff.to], eff.kind))
+			e.log = append(e.log, fmt.Sprintf("%d %v", eff.to.Src(), eff.kind))
 		}
 	}
 	return e
@@ -54,8 +54,7 @@ func (e *stepEnv) send(node uint32, kind proto.Kind, body []byte, oneway bool) b
 		arrive: testLink.Deliver(vtime.Time(400*e.sent)+testLink.SendOverhead, len(body)+simnet.HeaderBytes),
 	}
 	if !oneway {
-		c.to = new(scl.Request)
-		e.from[c.to] = node
+		c.to = scl.NewRequest(scl.NodeID(node), kind, body, func(uint16, []byte, vtime.Time) { panic("a ticket is answered through the tap") })
 	}
 	stop := e.srv.step(&c)
 	e.srv.flush()
@@ -97,8 +96,8 @@ func (w *stepWire) Call(dst scl.NodeID, req, resp proto.Msg, at vtime.Time) (vti
 func (w *stepWire) Post(scl.NodeID, proto.Msg, vtime.Time) (vtime.Time, error) {
 	panic("a stepped server posts nothing")
 }
-func (w *stepWire) Recv() (*scl.Request, bool) { panic("a stepped server receives nothing") }
-func (w *stepWire) Close()                     { panic("a stepped server closes nothing") }
+func (w *stepWire) Recv() (scl.Request, bool) { panic("a stepped server receives nothing") }
+func (w *stepWire) Close()                    { panic("a stepped server closes nothing") }
 
 // With two shards pages 0-1 and 8-9 are on shard 0, 4-5 and 36-37 on
 // shard 1; with four, pages 0-1 on shard 0, 4-5 on 1, 8-9 on 2, 36-37 on

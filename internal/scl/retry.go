@@ -324,7 +324,7 @@ func (e *RetryEndpoint) Post(dst NodeID, m proto.Msg, at vtime.Time) (vtime.Time
 }
 
 // Recv implements Endpoint.
-func (e *RetryEndpoint) Recv() (*Request, bool) { return e.inner.Recv() }
+func (e *RetryEndpoint) Recv() (Request, bool) { return e.inner.Recv() }
 
 // Close implements Endpoint.
 func (e *RetryEndpoint) Close() { e.inner.Close() }

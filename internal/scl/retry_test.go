@@ -53,8 +53,8 @@ func (f *flakyEndpoint) Post(dst NodeID, m proto.Msg, at vtime.Time) (vtime.Time
 	return at + 10, nil
 }
 
-func (f *flakyEndpoint) Recv() (*Request, bool) { return nil, false }
-func (f *flakyEndpoint) Close()                 {}
+func (f *flakyEndpoint) Recv() (Request, bool) { return Request{}, false }
+func (f *flakyEndpoint) Close()                {}
 
 func TestBackoffExponentialWithCap(t *testing.T) {
 	p := RetryPolicy{Backoff: time.Millisecond, BackoffCap: 5 * time.Millisecond}
@@ -342,8 +342,8 @@ func (f *electionEndpoint) Call(dst NodeID, req proto.Msg, resp proto.Msg, at vt
 func (f *electionEndpoint) Post(dst NodeID, m proto.Msg, at vtime.Time) (vtime.Time, error) {
 	return at, &RemoteError{Code: proto.CodeNotLeader, Text: "election in progress"}
 }
-func (f *electionEndpoint) Recv() (*Request, bool) { return nil, false }
-func (f *electionEndpoint) Close()                 {}
+func (f *electionEndpoint) Recv() (Request, bool) { return Request{}, false }
+func (f *electionEndpoint) Close()                {}
 
 // The election-stall regression: with no per-attempt Timeout, the
 // overall Deadline must still bound a Call whose later attempt is

@@ -38,27 +38,36 @@ type Endpoint interface {
 	Post(dst NodeID, m proto.Msg, at vtime.Time) (vtime.Time, error)
 	// Recv blocks for the next incoming request; ok is false once the
 	// endpoint is closed.
-	Recv() (req *Request, ok bool)
+	Recv() (req Request, ok bool)
 	// Close detaches the endpoint.
 	Close()
 }
 
 // Request is one incoming message plus the means to answer it — possibly
 // later and from another goroutine (deferred replies implement lock
-// queues, barrier parking and fetch-after-diff waits).
+// queues, barrier parking and fetch-after-diff waits). It travels by
+// value, and a copy answers the same caller. Only the first answer to a
+// call counts: the fabric drops a second one (simnet.Message's replied
+// flag), and over TCP it reaches a call that is no longer pending. The
+// zero Request is one nobody waits on.
 type Request struct {
 	src    NodeID
 	kind   proto.Kind
+	wait   bool // the sender waits for an answer
 	body   []byte
 	arrive vtime.Time
 	svc    vtime.Time
-	oneway bool
-	// A request is answered through reply, or, when that is nil, through
-	// sim: the fabric's own two-word request held by value, which spares
-	// a simulated receive the fabric request and the method-value closure
-	// it would otherwise allocate beside this one.
+	// An answer goes through reply or, when that is nil, through sim, the
+	// fabric's own request: a method value of sim would be a closure
+	// allocated on every simulated receive.
 	reply func(kind uint16, body []byte, at vtime.Time)
 	sim   simnet.Request
+}
+
+// NewRequest makes a request from src that reply answers, as the TCP
+// endpoint and any Endpoint outside this package do; nil makes it one-way.
+func NewRequest(src NodeID, kind proto.Kind, body []byte, reply func(kind uint16, body []byte, at vtime.Time)) Request {
+	return Request{src: src, kind: kind, body: body, wait: reply != nil, reply: reply}
 }
 
 // Src reports the sending node.
@@ -73,8 +82,9 @@ func (r *Request) Arrive() vtime.Time { return r.arrive }
 // Svc reports the link's per-request service time.
 func (r *Request) Svc() vtime.Time { return r.svc }
 
-// OneWay reports whether the sender expects no reply.
-func (r *Request) OneWay() bool { return r.oneway }
+// OneWay reports whether nobody waits for an answer: the sender of a
+// one-way message, or nobody at all (the zero Request).
+func (r *Request) OneWay() bool { return !r.wait }
 
 // BodyLen reports the encoded body size in bytes.
 func (r *Request) BodyLen() int { return len(r.body) }
@@ -112,24 +122,19 @@ func (r *Request) Reply(m proto.Msg, at vtime.Time) { r.ReplyBody(m.Kind(), prot
 // that composes its answers first and sends them afterwards keeps bodies,
 // not messages.
 func (r *Request) ReplyBody(kind proto.Kind, body []byte, at vtime.Time) {
-	reply := r.reply
-	if reply == nil {
-		reply = r.sim.Reply
+	switch {
+	case r.reply != nil:
+		r.reply(uint16(kind), body, at)
+	case r.sim != (simnet.Request{}):
+		r.sim.Reply(uint16(kind), body, at)
+	default:
+		panic(fmt.Sprintf("scl: reply to a %v request nobody waits on", r.kind))
 	}
-	reply(uint16(kind), body, at)
 }
 
-// ReplyError answers the request with a protocol-level error
-// (CodeGeneric; use ReplyErrorCode to classify the failure).
+// ReplyError answers the request with a generic protocol-level error.
 func (r *Request) ReplyError(err error, at vtime.Time) {
-	r.ReplyErrorCode(proto.CodeGeneric, err, at)
-}
-
-// ReplyErrorCode answers the request with a classified protocol-level
-// error; the caller's decode turns the code back into its sentinel so
-// clients can errors.Is-match shutdown against peer death.
-func (r *Request) ReplyErrorCode(code uint16, err error, at vtime.Time) {
-	r.Reply(&proto.Error{Code: code, Text: err.Error()}, at)
+	r.Reply(&proto.Error{Code: proto.CodeGeneric, Text: err.Error()}, at)
 }
 
 // SimEndpoint adapts a simnet.Port to the Endpoint interface.
@@ -180,18 +185,18 @@ func simSendErr(err error) error {
 }
 
 // Recv implements Endpoint.
-func (e *SimEndpoint) Recv() (*Request, bool) {
+func (e *SimEndpoint) Recv() (Request, bool) {
 	sr, ok := e.port.Recv()
 	if !ok {
-		return nil, false
+		return Request{}, false
 	}
-	return &Request{
+	return Request{
 		src:    sr.Src(),
 		kind:   proto.Kind(sr.Kind()),
+		wait:   !sr.OneWay(),
 		body:   sr.Body(),
 		arrive: sr.Arrive(),
 		svc:    sr.Svc(),
-		oneway: sr.OneWay(),
 		sim:    sr,
 	}, true
 }

@@ -91,7 +91,7 @@ type TCPEndpoint struct {
 	conns   map[*tcpConn]struct{} // every live connection, dialed or accepted
 	nextReq atomic.Uint64
 
-	inbox  chan *Request
+	inbox  chan Request
 	closed chan struct{}
 	once   sync.Once
 }
@@ -161,7 +161,7 @@ func NewTCPEndpoint(id NodeID, addr string, book *AddressBook, model vtime.LinkM
 		nst:    new(stats.Net),
 		dials:  make(map[NodeID]*tcpConn),
 		conns:  make(map[*tcpConn]struct{}),
-		inbox:  make(chan *Request, 1024),
+		inbox:  make(chan Request, 1024),
 		closed: make(chan struct{}),
 	}
 	book.Set(id, ln.Addr().String())
@@ -270,21 +270,11 @@ func (e *TCPEndpoint) readLoop(tc *tcpConn) {
 	}
 }
 
-func (e *TCPEndpoint) makeRequest(tc *tcpConn, f *frame) *Request {
-	size := len(f.body) + frameHeaderLen + 4
-	arrive := e.model.Deliver(f.vt+e.model.SendOverhead, size)
-	reqID := f.reqID
-	return &Request{
-		src:    0, // TCP transport does not carry the sender id; unused by servers
-		kind:   proto.Kind(f.kind),
-		body:   f.body,
-		arrive: arrive,
-		svc:    e.model.ServiceTime,
-		oneway: f.flags&flagOneWay != 0,
-		reply: func(kind uint16, body []byte, at vtime.Time) {
-			if f.flags&flagOneWay != 0 {
-				panic("scl: reply to one-way TCP message")
-			}
+func (e *TCPEndpoint) makeRequest(tc *tcpConn, f *frame) Request {
+	var reply func(kind uint16, body []byte, at vtime.Time)
+	if f.flags&flagOneWay == 0 {
+		reqID := f.reqID
+		reply = func(kind uint16, body []byte, at vtime.Time) {
 			if err := writeFrame(tc, &frame{flags: flagResponse, kind: kind, reqID: reqID, vt: at, body: body}); err != nil {
 				// The response is lost. Count it and kill the connection
 				// so the caller's pending-call tracking (and any retry
@@ -292,8 +282,13 @@ func (e *TCPEndpoint) makeRequest(tc *tcpConn, f *frame) *Request {
 				e.nst.WriteErrors.Add(1)
 				e.dropConn(tc)
 			}
-		},
+		}
 	}
+	// The TCP transport does not carry the sender id.
+	r := NewRequest(0, proto.Kind(f.kind), f.body, reply)
+	r.arrive = e.model.Deliver(f.vt+e.model.SendOverhead, len(f.body)+frameHeaderLen+4)
+	r.svc = e.model.ServiceTime
+	return r
 }
 
 func (e *TCPEndpoint) conn(dst NodeID) (*tcpConn, error) {
@@ -397,7 +392,7 @@ func (e *TCPEndpoint) Post(dst NodeID, m proto.Msg, at vtime.Time) (vtime.Time, 
 }
 
 // Recv implements Endpoint.
-func (e *TCPEndpoint) Recv() (*Request, bool) {
+func (e *TCPEndpoint) Recv() (Request, bool) {
 	select {
 	case r := <-e.inbox:
 		return r, true
@@ -406,7 +401,7 @@ func (e *TCPEndpoint) Recv() (*Request, bool) {
 		case r := <-e.inbox:
 			return r, true
 		default:
-			return nil, false
+			return Request{}, false
 		}
 	}
 }

@@ -38,7 +38,7 @@ func TestTCPPeerDeathFailsPendingCall(t *testing.T) {
 
 	got := make(chan struct{})
 	go func() {
-		if req, ok := srv.Recv(); ok && req != nil {
+		if _, ok := srv.Recv(); ok {
 			close(got)
 			// Die without replying: every connection closes.
 			srv.Close()
@@ -223,7 +223,7 @@ func TestTCPCallTimeoutAndStaleResponse(t *testing.T) {
 			if !ok {
 				return
 			}
-			go func(req *Request) {
+			go func(req Request) {
 				<-release // answer only when told to — far past the timeout
 				req.Reply(&proto.AllocResp{Addr: 1}, req.Arrive()+req.Svc())
 			}(req)
@@ -267,7 +267,7 @@ func TestTCPReplyWriteErrorCountsAndDropsConn(t *testing.T) {
 	t.Cleanup(srv.Close)
 	addr, _ := book.Lookup(2)
 
-	reqC := make(chan *Request, 1)
+	reqC := make(chan Request, 1)
 	go func() {
 		if req, ok := srv.Recv(); ok {
 			reqC <- req
@@ -285,7 +285,7 @@ func TestTCPReplyWriteErrorCountsAndDropsConn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var req *Request
+	var req Request
 	select {
 	case req = <-reqC:
 	case <-time.After(5 * time.Second):
