@@ -15,7 +15,7 @@ import (
 	"repro/internal/vtime"
 )
 
-var updateConvoy = flag.Bool("update", false, "rewrite testdata/convoy.golden from the current handoff path")
+var updateConvoy = flag.Bool("update", false, "rewrite testdata/convoy.golden and testdata/client.golden from the current code")
 
 const convoyGolden = "testdata/convoy.golden"
 
