@@ -1,0 +1,179 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/layout"
+	"repro/internal/proto"
+	"repro/internal/scl"
+	"repro/internal/simnet"
+	"repro/internal/vtime"
+)
+
+// agentOn builds a thread's cache and its agent with no fabric: a step's
+// only inputs are the call and the thread's state, and its effects wait
+// in the agent's outbox.
+func agentOn() *agent {
+	rt := &Runtime{cfg: testConfig(), gate: simnet.NopGate()}
+	rt.cfg.fillDefaults()
+	th := &Thread{rt: rt, writer: 1, clock: vtime.NewClock(0)}
+	th.initCache()
+	return &agent{t: th}
+}
+
+// agentCall makes the call the agent's shell would make of m arriving at
+// at (arrival plus service), answerable unless oneWay.
+func agentCall(m proto.Msg, at vtime.Time, oneWay bool) call {
+	return rawCall(m.Kind(), proto.Encode(m), at, oneWay)
+}
+
+func rawCall(kind proto.Kind, body []byte, at vtime.Time, oneWay bool) call {
+	var reply func(uint16, []byte, vtime.Time)
+	if !oneWay {
+		reply = func(uint16, []byte, vtime.Time) {}
+	}
+	return call{kind: kind, body: body, at: at, to: scl.NewRequest(200, kind, body, reply)}
+}
+
+// render describes one queued effect: an answer, decoded, or a wake.
+func render(e effect) string {
+	if e.wake != nil {
+		return fmt.Sprintf("wake lock %d gen %d at %d", e.gm.g.Lock, e.gm.g.Gen, e.gm.at)
+	}
+	m := proto.New(e.kind)
+	if err := proto.Decode(m, e.body); err != nil {
+		return fmt.Sprintf("undecodable %v: %v", e.kind, err)
+	}
+	if r, ok := m.(*proto.DiffPullResp); ok {
+		var b strings.Builder
+		for _, d := range r.Diffs {
+			fmt.Fprintf(&b, " page %d: %d bytes in %d runs", d.Page, d.PayloadBytes(), len(d.Runs))
+		}
+		return fmt.Sprintf("%v at %d:%s", e.kind, e.at, b.String())
+	}
+	return fmt.Sprintf("%v at %d: %+v", e.kind, e.at, m)
+}
+
+func TestAgentStepTable(t *testing.T) {
+	const page = layout.PageID(3)
+	cpu := vtime.DefaultCPU
+	if cpu.CopyTime(1024) == 0 {
+		t.Fatal("copying a KiB is free; the pricing row cannot see copy time")
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(a *agent)
+		calls []call
+		want  []string // the effects, one per line, after each step in turn
+		check func(t *testing.T, a *agent)
+	}{
+		{
+			name: "a pull is priced from its own arrival plus copy time",
+			setup: func(a *agent) {
+				cur, twin := make([]byte, 4096), make([]byte, 4096)
+				for i := 1024; i < 2048; i++ {
+					cur[i] = 1
+				}
+				a.t.cache.Owned().PutDiff(page, cur, twin)
+			},
+			calls: []call{
+				agentCall(&proto.DiffPullReq{Pages: []uint64{uint64(page)}}, 1000, false),
+				agentCall(&proto.DiffPullReq{Pages: []uint64{uint64(page)}}, 400, false),
+			},
+			want: []string{
+				fmt.Sprintf("diff-pull-resp at %d: page 3: 1024 bytes in 1 runs", 1000+cpu.CopyTime(1024)),
+				// Taken by the first pull: the second, virtually earlier,
+				// is answered from its own arrival, not after the first.
+				"diff-pull-resp at 400:",
+			},
+		},
+		{
+			name:  "an undecodable pull is answered with an error",
+			calls: []call{rawCall(proto.KDiffPullReq, []byte{0xff, 0xff, 0xff}, 700, false)},
+			want:  []string{"error at 700: &{Code:0 Text:proto: truncated message}"},
+		},
+		{
+			name: "a newer announcement installs, an older one is ignored",
+			calls: []call{
+				agentCall(&proto.NextWaiter{Lock: 7, Gen: 5, Seq: 11}, 100, true),
+				agentCall(&proto.NextWaiter{Lock: 7, Gen: 4, Seq: 12}, 200, true),
+				agentCall(&proto.NextWaiter{Lock: 7, Gen: 6, Seq: 13}, 300, true),
+				agentCall(&proto.NextWaiter{Lock: 7, Gen: 5, Seq: 14}, 400, true),
+			},
+			check: func(t *testing.T, a *agent) {
+				if ss := a.t.ho.succ[7]; ss == nil || ss.gen != 6 || ss.seq != 13 {
+					t.Errorf("lock 7's train is %+v, want gen 6 seq 13", ss)
+				}
+			},
+		},
+		{
+			name: "a grant that arrives before the park is stashed",
+			calls: []call{
+				agentCall(&proto.LockGrant{Lock: 9, Gen: 2, Seq: 4}, 900, true),
+			},
+			check: func(t *testing.T, a *agent) {
+				gm, ok := a.t.ho.grants[9]
+				if !ok || gm.g.Gen != 2 || gm.at != 900 {
+					t.Errorf("stashed grant %+v (present %v), want gen 2 at 900", gm, ok)
+				}
+			},
+		},
+		{
+			name: "a grant that arrives after the park wakes the waiter",
+			setup: func(a *agent) {
+				a.t.ho.grantWait[9] = make(chan grantMsg, 1)
+			},
+			calls: []call{
+				agentCall(&proto.LockGrant{Lock: 9, Gen: 2, Seq: 4}, 900, true),
+			},
+			want: []string{"wake lock 9 gen 2 at 900"},
+			check: func(t *testing.T, a *agent) {
+				if _, ok := a.t.ho.grantWait[9]; ok {
+					t.Error("the woken waiter is still registered")
+				}
+				if _, ok := a.t.ho.grants[9]; ok {
+					t.Error("a grant with a waiter was stashed too")
+				}
+			},
+		},
+		{
+			name: "an unexpected kind is answered with an error, or dropped if one-way",
+			calls: []call{
+				agentCall(&proto.Ping{}, 50, false),
+				agentCall(&proto.Ping{}, 60, true),
+			},
+			want: []string{"error at 50: &{Code:0 Text:core: agent got unexpected ping}"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := agentOn()
+			if tc.setup != nil {
+				tc.setup(a)
+			}
+			var got []string
+			for i := range tc.calls {
+				a.step(&tc.calls[i])
+				for _, e := range a.out {
+					got = append(got, render(e))
+				}
+				a.flush()
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("effects:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Errorf("effect %d:\n got %s\nwant %s", i, got[i], tc.want[i])
+				}
+			}
+			if len(a.out) != 0 {
+				t.Errorf("flush left %d effects queued", len(a.out))
+			}
+			if tc.check != nil {
+				tc.check(t, a)
+			}
+		})
+	}
+}

@@ -125,18 +125,21 @@ func (r *role) call(ep scl.Endpoint, req, resp proto.Msg, at vtime.Time) (vtime.
 	}
 }
 
-// send ships a one-way m from ep to r's holder. A role with a spare
-// candidate gets an acknowledged call instead: a one-way message could
-// die with the holder and no error would surface, while the ack proves
-// the holder applied m (a home: and forwarded it to its standby), so a
-// lost ack is recovered by re-sending to the promoted candidate, whose
-// dedup (absolute-byte diffs, per-writer intervals) makes that safe.
-func (r *role) send(ep scl.Endpoint, m proto.Msg, at vtime.Time) (vtime.Time, error) {
-	if len(r.cands) > 1 {
-		var ack proto.Ack
-		return r.call(ep, m, &ack, at)
+// send ships m from ep to r's holder: a round trip answered into resp,
+// or, with resp nil, a one-way post. A role with a spare candidate gets
+// an acknowledged call instead of a post: a one-way message could die
+// with the holder and no error would surface, while the ack proves the
+// holder applied m (a home: and forwarded it to its standby), so a lost
+// ack is recovered by re-sending to the promoted candidate, whose dedup
+// (absolute-byte diffs, per-writer intervals) makes that safe.
+func (r *role) send(ep scl.Endpoint, m, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
+	if resp == nil && len(r.cands) == 1 {
+		return ep.Post(r.node(), m, at)
 	}
-	return ep.Post(r.node(), m, at)
+	if resp == nil {
+		resp = &proto.Ack{}
+	}
+	return r.call(ep, m, resp, at)
 }
 
 // checkNodePlan rejects a topology the fabric's node plan cannot number:

@@ -1,0 +1,132 @@
+package core
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// parsed is one non-test source file and, for each of its bytes, the
+// name of the function declaration it lies in ("" outside any).
+type parsed struct {
+	path  string
+	src   []byte
+	file  *ast.File
+	fset  *token.FileSet
+	where []string
+}
+
+func parseNonTest(t *testing.T, path string) parsed {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, path, src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	where := make([]string, len(src))
+	for _, d := range file.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok {
+			for i := fn.Pos() - file.FileStart; i < fn.End()-file.FileStart; i++ {
+				where[i] = fn.Name.Name
+			}
+		}
+	}
+	return parsed{path: path, src: src, file: file, fset: fset, where: where}
+}
+
+func (p parsed) in(pos token.Pos) string { return p.where[pos-p.file.FileStart] }
+
+// The compute thread has one door (DESIGN.md §10). Its goroutines start
+// only in spawn (and the two heartbeat loops, which run only on
+// unsequenced fabrics), the sequencer's ledger is kept only by spawn,
+// park and the wake pair (plus New issuing the caller's token and Close
+// retiring it), the cache agent answers only from flush, and the
+// thread's endpoint is used directly only by the agent's receive, the
+// peer-to-peer grant and retirement. Everything else goes through the
+// address book's roles.
+func TestCoreHasOneDoor(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	door := map[string][]string{
+		".gate.":    {"spawn", "park", "wake", "sleep", "New", "Close"},
+		".ep.":      {"run", "Unlock", "Run"},
+		"ReplyBody": {"flush"},
+	}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		p := parseNonTest(t, f)
+		for word, allowed := range door {
+			for at := 0; ; at++ {
+				i := strings.Index(string(p.src[at:]), word)
+				if i < 0 {
+					break
+				}
+				if at += i; !slices.Contains(allowed, p.where[at]) {
+					t.Errorf("%s: %s in %q, allowed only in %v", f, word, p.where[at], allowed)
+				}
+			}
+		}
+		ast.Inspect(p.file, func(n ast.Node) bool {
+			g, ok := n.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			fn := p.in(g.Pos())
+			heartbeat := false
+			if sel, ok := g.Call.Fun.(*ast.SelectorExpr); ok {
+				heartbeat = sel.Sel.Name == "heartbeat"
+			}
+			if fn != "spawn" && !(heartbeat && (fn == "New" || fn == "Run")) {
+				t.Errorf("%s: a go statement in %q; start goroutines with spawn", p.fset.Position(g.Pos()), fn)
+			}
+			return true
+		})
+	}
+}
+
+// Every component that answers requests does it from one flush, with
+// scl.Request.ReplyBody: no non-test code under internal/ calls Reply or
+// ReplyError, which the scl package keeps only for code outside it.
+func TestNothingRepliesOutsideAFlush(t *testing.T) {
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		p := parseNonTest(t, path)
+		ast.Inspect(p.file, func(n ast.Node) bool {
+			c, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := c.Fun.(*ast.SelectorExpr)
+			if !ok || (sel.Sel.Name != "Reply" && sel.Sel.Name != "ReplyError") {
+				return true
+			}
+			// scl's own answering methods are built on each other and on
+			// the fabric's Request.Reply.
+			fn := p.in(c.Pos())
+			if filepath.ToSlash(path) == "../scl/scl.go" && (fn == "ReplyError" || fn == "ReplyBody") {
+				return true
+			}
+			t.Errorf("%s: %s called in %q; queue the answer and send it from a flush with ReplyBody", p.fset.Position(c.Pos()), sel.Sel.Name, fn)
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -468,17 +468,11 @@ func New(cfg Config) (*Runtime, error) {
 	var dataNodes []scl.NodeID
 	if rt.livenessEnabled() {
 		rt.hbStop = make(chan struct{})
-		// The manager sends reaped writers' obituaries to the whole data
-		// plane — standbys included, since a fetch can park at a promoted
-		// standby on a dead writer's never-shipped interval.
-		dataNodes = make([]scl.NodeID, 0, 2*cfg.Geo.NumServers)
-		for i := 0; i < cfg.Geo.NumServers; i++ {
-			dataNodes = append(dataNodes, firstServerNode+scl.NodeID(i))
-		}
-		if rt.standbyEnabled() {
-			for i := 0; i < cfg.Geo.NumServers; i++ {
-				dataNodes = append(dataNodes, firstStandbyNode+scl.NodeID(i))
-			}
+		// The manager sends reaped writers' obituaries to every home's
+		// candidates — standbys included, since a fetch can park at a
+		// promoted standby on a dead writer's never-shipped interval.
+		for _, h := range rt.homes {
+			dataNodes = append(dataNodes, h.cands...)
 		}
 	}
 	for i := 0; i < cfg.ManagerReplicas; i++ {
@@ -509,75 +503,88 @@ func New(cfg Config) (*Runtime, error) {
 			mg.SetReplication(manager.Replication{Self: i, Nodes: mgrNodes, Live: rt.replLive})
 		}
 		rt.mgrs = append(rt.mgrs, mg)
-		rt.wg.Add(1)
-		rt.gate.Resume()
-		go func() {
-			defer rt.wg.Done()
-			defer rt.gate.Pause()
-			mg.Run()
-		}()
+		spawn(rt, &rt.wg, (*manager.Manager).Run, mg)
 	}
 	agentAddr := func(writer uint32) scl.NodeID { return firstThreadNode + scl.NodeID(writer) }
-	for i := 0; i < cfg.Geo.NumServers; i++ {
-		node := firstServerNode + scl.NodeID(i)
-		srvEP, err := rt.newEndpoint(node)
-		if err != nil {
-			return nil, fmt.Errorf("core: memory server %d endpoint: %w", i, err)
-		}
-		srv := memserver.New(srvEP, i, cfg.Geo, cfg.CPU, agentAddr)
-		srv.SetShards(cfg.ServerShards)
-		srv.SetTier(cfg.HotBytes, tierModel, rt.tier)
-		if rt.livenessEnabled() {
-			srv.SetLiveness(cfg.Liveness.Live)
-		}
-		if rt.standbyEnabled() {
-			srv.SetReplica(firstStandbyNode + scl.NodeID(i))
-		}
-		rt.servers = append(rt.servers, srv)
-		rt.wg.Add(1)
-		rt.gate.Resume()
-		go func() {
-			defer rt.wg.Done()
-			defer rt.gate.Pause()
-			srv.Run()
-		}()
-		if rt.livenessEnabled() {
-			// The server heartbeats from its own endpoint, so a crash
-			// that severs the node also silences its beats. Server
-			// beats double as the manager's reap prodder.
-			rt.hbWG.Add(1)
-			go rt.heartbeat(srvEP, proto.Heartbeat{Member: uint32(i) + 1, Class: proto.MemberServer}, rt.hbStop, &rt.hbWG, false)
-		}
-	}
-	if rt.standbyEnabled() {
-		for i := 0; i < cfg.Geo.NumServers; i++ {
-			node := firstStandbyNode + scl.NodeID(i)
-			sbEP, err := rt.newEndpoint(node)
+	// A home's primary and its standby boot alike. The standby shards
+	// identically, so the per-shard replication stream routes each
+	// forwarded sub-batch wholly to the matching shard, preserving
+	// per-page apply order, and has the same budget: after a promotion
+	// the survivor must fit the same memory envelope.
+	for i, h := range rt.homes {
+		for c, node := range h.cands {
+			ep, err := rt.newEndpoint(node)
 			if err != nil {
-				return nil, fmt.Errorf("core: standby server %d endpoint: %w", i, err)
+				return nil, fmt.Errorf("core: %s candidate %d endpoint: %w", h.what, c, err)
 			}
-			sb := memserver.New(sbEP, i, cfg.Geo, cfg.CPU, agentAddr)
-			// The standby shards identically to its primary, so the
-			// per-shard replication stream routes each forwarded
-			// sub-batch wholly to the matching shard, preserving
-			// per-page apply order.
-			sb.SetShards(cfg.ServerShards)
-			// Same budget as the primary: after a promotion the survivor
-			// must fit the same memory envelope.
-			sb.SetTier(cfg.HotBytes, tierModel, rt.tier)
-			sb.SetStandby(true)
-			sb.SetLiveness(cfg.Liveness.Live)
-			rt.standbys = append(rt.standbys, sb)
-			rt.wg.Add(1)
-			rt.gate.Resume()
-			go func() {
-				defer rt.wg.Done()
-				defer rt.gate.Pause()
-				sb.Run()
-			}()
+			srv := memserver.New(ep, i, cfg.Geo, cfg.CPU, agentAddr)
+			srv.SetShards(cfg.ServerShards)
+			srv.SetTier(cfg.HotBytes, tierModel, rt.tier)
+			if rt.livenessEnabled() {
+				srv.SetLiveness(cfg.Liveness.Live)
+			}
+			if c > 0 {
+				srv.SetStandby(true)
+				rt.standbys = append(rt.standbys, srv)
+				spawn(rt, &rt.wg, (*memserver.Server).Run, srv)
+				continue
+			}
+			if len(h.cands) > 1 {
+				srv.SetReplica(h.cands[1])
+			}
+			rt.servers = append(rt.servers, srv)
+			spawn(rt, &rt.wg, (*memserver.Server).Run, srv)
+			if rt.livenessEnabled() {
+				// The server heartbeats from its own endpoint, so a crash
+				// that severs the node also silences its beats. Server
+				// beats double as the manager's reap prodder.
+				rt.hbWG.Add(1)
+				go rt.heartbeat(ep, proto.Heartbeat{Member: uint32(i) + 1, Class: proto.MemberServer}, rt.hbStop, &rt.hbWG, false)
+			}
 		}
 	}
 	return rt, nil
+}
+
+// spawn runs f(a) on a goroutine of its own, counted runnable on the
+// sequencer's ledger (simnet.Gate) from before it starts until f returns;
+// then, if wg is set, it is marked done there. a travels in the
+// goroutine's closure: with a method expression for f, one heap object.
+// spawn, park and the wake pair are all that touch the ledger, apart
+// from New's caller token.
+func spawn[A any](rt *Runtime, wg *sync.WaitGroup, f func(A), a A) {
+	if wg != nil {
+		wg.Add(1)
+	}
+	rt.gate.Resume()
+	go func() {
+		if wg != nil {
+			defer wg.Done()
+		}
+		defer rt.gate.Pause()
+		f(a)
+	}()
+}
+
+// park gives the caller's token up while wait blocks, so the sequencer
+// can deliver what it waits for, and takes it back after.
+func (rt *Runtime) park(wait func()) {
+	rt.gate.Pause()
+	wait()
+	rt.gate.Resume()
+}
+
+// wake hands gm and a token to the goroutine asleep on ch, the token
+// first, so the ledger never reads zero while the wake is in flight;
+// sleep gives its token up and gets the waker's.
+func (rt *Runtime) wake(ch chan<- grantMsg, gm grantMsg) {
+	rt.gate.Resume()
+	ch <- gm
+}
+
+func (rt *Runtime) sleep(ch <-chan grantMsg) grantMsg {
+	rt.gate.Pause()
+	return <-ch
 }
 
 // heartbeat posts member hb's beats from ep to the manager's holder, at
@@ -702,11 +709,7 @@ func (rt *Runtime) Run(p int, body func(t vm.Thread)) (*stats.Run, error) {
 	hbStop := make(chan struct{})
 	var hbWG sync.WaitGroup
 	for _, th := range threads {
-		rt.gate.Resume()
-		go func(th *Thread) {
-			defer rt.gate.Pause()
-			th.agentLoop()
-		}(th)
+		spawn(rt, nil, (*agent).run, &agent{t: th})
 		if rt.livenessEnabled() {
 			hbWG.Add(1)
 			go rt.heartbeat(th.ep, proto.Heartbeat{Member: th.writer, Class: proto.MemberThread}, hbStop, &hbWG, true)
@@ -720,11 +723,7 @@ func (rt *Runtime) Run(p int, body func(t vm.Thread)) (*stats.Run, error) {
 		panicked error
 	)
 	for _, th := range threads {
-		wg.Add(1)
-		rt.gate.Resume()
-		go func(th *Thread) {
-			defer wg.Done()
-			defer rt.gate.Pause()
+		spawn(rt, &wg, func(th *Thread) {
 			defer func() {
 				if r := recover(); r != nil {
 					panicMu.Lock()
@@ -741,22 +740,21 @@ func (rt *Runtime) Run(p int, body func(t vm.Thread)) (*stats.Run, error) {
 				reg.Add(&th.st)
 			}()
 			body(th)
-		}(th)
+		}, th)
 	}
 	// The caller parks while the bodies run; on a sequenced fabric its
 	// token must be released or delivery could stall with every thread
 	// blocked on a pending message.
-	rt.gate.Pause()
-	wg.Wait()
-	rt.gate.Resume()
+	rt.park(wg.Wait)
 	// Retire the threads in three phases. (1) Flush any still-retained
 	// owned diffs so the homes become self-sufficient. (2) Drain every
-	// memory server with a synchronous ping: each inbox is a FIFO, so
-	// the ack proves all queued batches — whose processing may still
-	// pull from the threads' cache agents — are done. (3) Only then
-	// stop the heartbeats (each sends a goodbye so finished threads
-	// leave the membership instead of timing out) and release the
-	// endpoints, which stops the agents. Retirement failures of an
+	// memory server (drainServers), so every queued batch — whose
+	// processing may still pull from the threads' cache agents — is
+	// done: a sequenced run waits for each home's port to quiesce, an
+	// unsequenced one round-trips a ping through each FIFO inbox. (3)
+	// Only then stop the heartbeats (each sends a goodbye so finished
+	// threads leave the membership instead of timing out) and release
+	// the endpoints, which stops the agents. Retirement failures of an
 	// already-failed run must not mask the run's own error.
 	for _, th := range threads {
 		if err := th.flushOwned(); err != nil && panicked == nil {
@@ -857,9 +855,7 @@ func (rt *Runtime) Close() error {
 				}
 			}
 		}
-		rt.gate.Pause()
-		rt.wg.Wait()
-		rt.gate.Resume()
+		rt.park(rt.wg.Wait)
 		rt.ctl.Close()
 		if err := rt.transport.Close(); err != nil && rt.closeErr == nil {
 			rt.closeErr = err

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/layout"
@@ -203,82 +202,6 @@ func (t *Thread) finish() {
 	}
 }
 
-// agentLoop is the thread's cache agent: it answers DiffPull requests
-// from home servers out of the retained-diff store while the thread
-// itself computes (the asynchronous runtime helper of the real system).
-// It exits when the endpoint closes.
-func (t *Thread) agentLoop() {
-	for {
-		req, ok := t.ep.Recv()
-		if !ok {
-			return
-		}
-		// Each pull is priced independently from its own arrival: the
-		// agent's work is a trivial store lookup, so there is no
-		// queueing to model, and a shared monotone clock would let one
-		// late-stamped request inflate every later (but virtually
-		// earlier) reply — the out-of-order poisoning the memory
-		// server's calendar exists to prevent.
-		switch req.Kind() {
-		case proto.KDiffPullReq:
-			var m proto.DiffPullReq
-			if err := req.Decode(&m); err != nil {
-				req.ReplyError(err, req.Arrive()+req.Svc())
-				continue
-			}
-			diffs := t.cache.Owned().TakeMany(m.Pages)
-			payload := 0
-			for i := range diffs {
-				payload += diffs[i].PayloadBytes()
-			}
-			req.Reply(&proto.DiffPullResp{Diffs: diffs},
-				req.Arrive()+req.Svc()+t.rt.cfg.CPU.CopyTime(payload))
-		case proto.KNextWaiter:
-			// Announcement and grant bodies have this one receiver: their
-			// wire-form lists, and the store records materialised out of
-			// them, alias the body instead of being copied. Everything
-			// downstream only reads them.
-			var nw proto.NextWaiter
-			if err := req.DecodeAlias(&nw); err != nil {
-				panic(fmt.Sprintf("core: bad NextWaiter: %v", err))
-			}
-			t.ho.mu.Lock()
-			// Install unless a newer train is already present. The tenure
-			// check happens at the unlock that would act on the train, not
-			// here: an announcement routinely arrives before the main
-			// goroutine has applied the grant that starts its tenure, and
-			// gating on heldGen at arrival time would drop it. A stale
-			// train (gen mismatch at unlock) is simply not acted on and
-			// the manager falls back to a central grant.
-			if cur := t.ho.succ[nw.Lock]; nw.Gen != 0 && (cur == nil || nw.Gen > cur.gen) {
-				t.ho.succ[nw.Lock] = &succTrain{gen: nw.Gen, seq: nw.Seq, train: nw.Train}
-			}
-			t.ho.mu.Unlock()
-		case proto.KLockGrant:
-			var g proto.LockGrant
-			if err := req.DecodeAlias(&g); err != nil {
-				panic(fmt.Sprintf("core: bad LockGrant: %v", err))
-			}
-			gm := grantMsg{g: &g, at: req.Arrive() + req.Svc()}
-			t.ho.mu.Lock()
-			if ch, ok := t.ho.grantWait[g.Lock]; ok {
-				delete(t.ho.grantWait, g.Lock)
-				t.ho.mu.Unlock()
-				t.rt.gate.Resume() // wake credit for the parked main goroutine
-				ch <- gm
-				continue
-			}
-			// The grant raced ahead of the waiter parking; stash it.
-			t.ho.grants[g.Lock] = gm
-			t.ho.mu.Unlock()
-		default:
-			if !req.OneWay() {
-				req.ReplyError(fmt.Errorf("core: agent got unexpected %v", req.Kind()), req.Arrive()+req.Svc())
-			}
-		}
-	}
-}
-
 // flushOwned pushes every still-retained owned diff to its home so the
 // homes are self-sufficient once this thread's agent goes away. Called
 // by the Runtime after the thread's body has returned. A flush that
@@ -286,22 +209,9 @@ func (t *Thread) agentLoop() {
 // an error for the Runtime to report, not a panic: the rest of the
 // retirement must still happen.
 func (t *Thread) flushOwned() error {
-	diffs := t.cache.Owned().DrainAll()
-	if len(diffs) == 0 {
-		return nil
-	}
-	byHome := make(map[int][]proto.PageDiff)
-	for _, d := range diffs {
-		home := t.rt.cfg.Geo.HomeOf(layout.PageID(d.Page))
-		byHome[home] = append(byHome[home], d)
-	}
-	at := t.clock.Now()
-	for _, home := range sortedHomes(byHome) {
-		var err error
-		at, err = t.rt.homes[home].send(t.ep, &proto.EvictFlush{Writer: t.writer, Diffs: byHome[home]}, at)
-		if err != nil {
-			return fmt.Errorf("final owned flush: %w", err)
-		}
+	at, err := t.flushDiffs(t.cache.Owned().DrainAll(), t.clock.Now(), nil)
+	if err != nil {
+		return fmt.Errorf("final owned flush: %w", err)
 	}
 	t.clock.AdvanceTo(at)
 	return nil
@@ -357,6 +267,74 @@ func (t *Thread) settleSync() {
 // shutdown, unreachability) after the runtime recovers it.
 func (t *Thread) fail(op string, err error) {
 	panic(fmt.Errorf("samhita thread %d: %s: %w", t.id, op, err))
+}
+
+// exchange is how the thread speaks to a role: role.send of m at virtual
+// time at (answered into resp, or one-way with resp nil), failing the
+// thread with op on error, advancing its clock to the completion and
+// counting the message.
+func (t *Thread) exchange(op string, r *role, m, resp proto.Msg, at vtime.Time) {
+	done, err := r.send(t.ep, m, resp, at)
+	if err != nil {
+		t.fail(op, err)
+	}
+	t.clock.AdvanceTo(done)
+	t.st.MsgsSent++
+}
+
+// fanOut calls f once per home, in home order, for every home that homes
+// a page of [first, first+npages) or the page of one of items, with that
+// home's items in their order. The range walk stops once it has found
+// every home. Items on one home (an evicted line) go out as they are.
+func fanOut[T any](geo layout.Geometry, first layout.PageID, npages uint64, items []T, page func(*T) uint64, f func(home int, part []T)) {
+	hit := make([]bool, geo.NumServers)
+	found := 0
+	for i := uint64(0); i < npages && found < geo.NumServers; i++ {
+		if h := geo.HomeOf(first + layout.PageID(i)); !hit[h] {
+			hit[h] = true
+			found++
+		}
+	}
+	homeOf := func(i int) int { return geo.HomeOf(layout.PageID(page(&items[i]))) }
+	mixed := false
+	for i := range items {
+		hit[homeOf(i)] = true
+		mixed = mixed || homeOf(i) != homeOf(0)
+	}
+	for h := range hit {
+		if !hit[h] {
+			continue
+		}
+		part := items
+		if mixed || len(items) > 0 && homeOf(0) != h {
+			part = nil
+			for i := range items {
+				if homeOf(i) == h {
+					part = append(part, items[i])
+				}
+			}
+		}
+		f(h, part)
+	}
+}
+
+// flushDiffs ships diffs to their homes, one EvictFlush per home in home
+// order, each issued when the one before it completed: a send, or with
+// ack set a round trip (role.send). It returns the virtual time the last
+// one completed, or stops at the first that fails.
+func (t *Thread) flushDiffs(diffs []proto.PageDiff, at vtime.Time, ack proto.Msg) (vtime.Time, error) {
+	var err error
+	fanOut(t.rt.cfg.Geo, 0, 0, diffs, func(d *proto.PageDiff) uint64 { return d.Page }, func(home int, part []proto.PageDiff) {
+		if err != nil {
+			return
+		}
+		var done vtime.Time
+		if done, err = t.rt.homes[home].send(t.ep, &proto.EvictFlush{Writer: t.writer, Diffs: part}, ack, at); err == nil {
+			at = done
+			t.st.MsgsSent++
+		}
+	})
+	return at, err
 }
 
 // ---------------------------------------------------------------------
@@ -531,17 +509,12 @@ func (t *Thread) managerAlloc(size uint64, strategy uint8) vm.Addr {
 	start := t.clock.Now()
 	t.allocSeq++
 	var resp proto.AllocResp
-	at, err := t.rt.mgr.call(t.ep, &proto.AllocReq{
+	t.exchange("alloc", t.rt.mgr, &proto.AllocReq{
 		Thread: t.writer, Size: size, Align: 16, Strategy: strategy, Seq: t.allocSeq,
-	}, &resp, t.clock.Now())
-	if err != nil {
-		t.fail("alloc", err)
-	}
-	t.clock.AdvanceTo(at)
+	}, &resp, start)
 	if tr := t.rt.cfg.Trace; tr != nil {
-		tr.Span(t.actor, trace.CatAlloc, "alloc", start, at, map[string]any{"bytes": size})
+		tr.Span(t.actor, trace.CatAlloc, "alloc", start, t.clock.Now(), map[string]any{"bytes": size})
 	}
-	t.st.MsgsSent++
 	return layout.Addr(resp.Addr)
 }
 
@@ -563,14 +536,20 @@ func (t *Thread) Free(a vm.Addr) {
 	}
 	t.allocSeq++
 	var resp proto.FreeResp
-	at, err := t.rt.mgr.call(t.ep, &proto.FreeReq{Thread: t.writer, Addr: uint64(a), Seq: t.allocSeq}, &resp, t.clock.Now())
-	if err != nil {
-		t.fail("free", err)
-	}
-	t.clock.AdvanceTo(at)
-	t.st.MsgsSent++
+	t.exchange("free", t.rt.mgr, &proto.FreeReq{Thread: t.writer, Addr: uint64(a), Seq: t.allocSeq}, &resp, t.clock.Now())
 	for resp.Fork || len(resp.Release) > 0 {
-		t.unmapAtHomes(a, &resp)
+		// One acked ForkUnmap round to every home of the range drops the
+		// fork mapping and its materialized pages (when resp.Fork) and/or
+		// the sealed frames of released snapshots.
+		first := t.rt.cfg.Geo.PageOf(layout.Addr(a))
+		m := &proto.ForkUnmap{Release: resp.Release}
+		if resp.Fork {
+			m.Base, m.NPages = uint64(a), resp.NPages
+			// Lines this thread cached through the dying fork would shadow
+			// whatever the striped zone reuses the range for.
+			t.cache.DropRange(first, resp.NPages)
+		}
+		t.ackedAtHomes("free", first, resp.NPages, m)
 		if !resp.Fork {
 			return
 		}
@@ -580,57 +559,21 @@ func (t *Thread) Free(a vm.Addr) {
 		// one more (release-only) fan-out.
 		t.allocSeq++
 		var next proto.FreeResp
-		at, err := t.rt.mgr.call(t.ep, &proto.FreeReq{Thread: t.writer, Addr: uint64(a), Seq: t.allocSeq, Unmapped: true}, &next, t.clock.Now())
-		if err != nil {
-			t.fail("free", err)
-		}
-		t.clock.AdvanceTo(at)
-		t.st.MsgsSent++
+		t.exchange("free", t.rt.mgr, &proto.FreeReq{Thread: t.writer, Addr: uint64(a), Seq: t.allocSeq, Unmapped: true}, &next, t.clock.Now())
 		resp = next
 	}
 }
 
-// unmapAtHomes fans one acked ForkUnmap round out to every home of the
-// freed range: dropping the fork mapping and its materialized pages
-// (when resp.Fork) and/or the sealed frames of released snapshots.
-func (t *Thread) unmapAtHomes(a vm.Addr, resp *proto.FreeResp) {
-	first := t.rt.cfg.Geo.PageOf(layout.Addr(a))
-	m := &proto.ForkUnmap{Release: resp.Release}
-	if resp.Fork {
-		m.Base = uint64(a)
-		m.NPages = resp.NPages
-		// Lines this thread cached through the dying fork would shadow
-		// whatever the striped zone reuses the range for.
-		t.cache.DropRange(first, resp.NPages)
-	}
-	for _, home := range t.homesForRange(first, resp.NPages) {
-		var ack proto.Ack
-		at, err := t.rt.homes[home].call(t.ep, m, &ack, t.clock.Now())
-		if err != nil {
-			t.fail("free", err)
-		}
-		t.clock.AdvanceTo(at)
-		t.st.MsgsSent++
-	}
+// ackedAtHomes round-trips m to every home of [first, first+npages), in
+// home order, one after another.
+func (t *Thread) ackedAtHomes(op string, first layout.PageID, npages uint64, m proto.Msg) {
+	fanOut(t.rt.cfg.Geo, first, npages, nil, nil, func(home int, _ []struct{}) {
+		t.exchange(op, t.rt.homes[home], m, &proto.Ack{}, t.clock.Now())
+	})
 }
 
 // ---------------------------------------------------------------------
 // Address-space snapshots and copy-on-write forks (vm.Thread).
-
-// homesForRange lists the servers homing any page of [first,
-// first+npages), ascending. Bounded by the server count, not the range:
-// striping visits every home within one stripe group.
-func (t *Thread) homesForRange(first layout.PageID, npages uint64) []int {
-	geo := t.rt.cfg.Geo
-	set := make(map[int]struct{})
-	for i := uint64(0); i < npages; i++ {
-		set[geo.HomeOf(first+layout.PageID(i))] = struct{}{}
-		if len(set) == geo.NumServers {
-			break
-		}
-	}
-	return sortedHomes(set)
-}
 
 // SnapshotAS implements vm.Thread: seal the n bytes at base into an
 // immutable snapshot. The thread first flushes its own dirty pages in
@@ -660,31 +603,14 @@ func (t *Thread) SnapshotAS(base vm.Addr, n int) uint64 {
 
 	t.allocSeq++
 	var resp proto.SnapshotASResp
-	at, err := t.rt.mgr.call(t.ep, &proto.SnapshotASReq{
+	t.exchange("snapshot", t.rt.mgr, &proto.SnapshotASReq{
 		Thread: t.writer, Base: uint64(base), NPages: npages, Seq: t.allocSeq,
 	}, &resp, t.clock.Now())
-	if err != nil {
-		t.fail("snapshot", err)
-	}
-	t.clock.AdvanceTo(at)
-	t.st.MsgsSent++
-
-	needsByHome := make(map[int][]proto.PageNeed)
-	for i := range needs {
-		home := geo.HomeOf(layout.PageID(needs[i].Page))
-		needsByHome[home] = append(needsByHome[home], needs[i])
-	}
-	for _, home := range t.homesForRange(first, npages) {
-		var ack proto.Ack
-		at, err := t.rt.homes[home].call(t.ep, &proto.SealAS{
-			Snap: resp.Snap, Base: uint64(base), NPages: npages, Needs: needsByHome[home],
-		}, &ack, t.clock.Now())
-		if err != nil {
-			t.fail("snapshot", err)
-		}
-		t.clock.AdvanceTo(at)
-		t.st.MsgsSent++
-	}
+	fanOut(geo, first, npages, needs, func(n *proto.PageNeed) uint64 { return n.Page }, func(home int, part []proto.PageNeed) {
+		t.exchange("snapshot", t.rt.homes[home], &proto.SealAS{
+			Snap: resp.Snap, Base: uint64(base), NPages: npages, Needs: part,
+		}, &proto.Ack{}, t.clock.Now())
+	})
 	// Lines fetched from here on belong to the new epoch; tests tell a
 	// fork's post-snapshot fetches from stale pre-snapshot residency.
 	t.cache.BumpSnapshotEpoch()
@@ -707,12 +633,7 @@ func (t *Thread) ForkAS(snap uint64) vm.Addr {
 	start := t.clock.Now()
 	t.allocSeq++
 	var resp proto.ForkASResp
-	at, err := t.rt.mgr.call(t.ep, &proto.ForkASReq{Thread: t.writer, Snap: snap, Seq: t.allocSeq}, &resp, t.clock.Now())
-	if err != nil {
-		t.fail("fork", err)
-	}
-	t.clock.AdvanceTo(at)
-	t.st.MsgsSent++
+	t.exchange("fork", t.rt.mgr, &proto.ForkASReq{Thread: t.writer, Snap: snap, Seq: t.allocSeq}, &resp, t.clock.Now())
 	t.st.SharedAllocs++
 	first := t.rt.cfg.Geo.PageOf(layout.Addr(resp.Base))
 	// A stream through a neighbouring buffer may have prefetched the
@@ -721,17 +642,9 @@ func (t *Thread) ForkAS(snap uint64) vm.Addr {
 	t.cache.DropRange(first, resp.NPages)
 	// Acked registration at every home in the range: a read through the
 	// fork issued after ForkAS returns must find the mapping.
-	for _, home := range t.homesForRange(first, resp.NPages) {
-		var ack proto.Ack
-		at, err := t.rt.homes[home].call(t.ep, &proto.ForkMap{
-			Snap: snap, Base: resp.Base, OrigBase: resp.OrigBase, NPages: resp.NPages,
-		}, &ack, t.clock.Now())
-		if err != nil {
-			t.fail("fork", err)
-		}
-		t.clock.AdvanceTo(at)
-		t.st.MsgsSent++
-	}
+	t.ackedAtHomes("fork", first, resp.NPages, &proto.ForkMap{
+		Snap: snap, Base: resp.Base, OrigBase: resp.OrigBase, NPages: resp.NPages,
+	})
 	if tr := t.rt.cfg.Trace; tr != nil {
 		tr.Span(t.actor, trace.CatAlloc, "fork", start, t.clock.Now(),
 			map[string]any{"pages": resp.NPages, "snap": snap})
@@ -743,109 +656,45 @@ func (t *Thread) ForkAS(snap uint64) vm.Addr {
 // ---------------------------------------------------------------------
 // Release/acquire plumbing shared by the synchronization objects.
 
-// callResult carries the completion of a manager round trip started
-// while the release pipeline runs.
-type callResult struct {
-	at  vtime.Time
-	err error
-}
-
-// startManagerCall issues a manager round trip on a helper goroutine so
-// the thread can overlap it with diff work; the completion arrives on
-// the returned channel. Concurrent use of the endpoint is safe — the
-// prefetch path already calls from helper goroutines.
-func (t *Thread) startManagerCall(req proto.Msg, resp proto.Msg, at vtime.Time) <-chan callResult {
-	ch := make(chan callResult, 1)
-	t.st.MsgsSent++
-	t.rt.gate.Resume()
-	go func() {
-		doneAt, err := t.rt.mgr.call(t.ep, req, resp, at)
-		t.rt.gate.Resume() // wake credit for the joining thread
-		ch <- callResult{at: doneAt, err: err}
-		t.rt.gate.Pause() // helper exit
-	}()
-	return ch
-}
-
-// finishRelease completes a BeginRelease: it computes the deferred
-// shared-page diffs and fans the per-home DiffBatches out over SCL.
-// Interval tags — not arrival order at the manager — are what restores
-// causality at the homes, so callers may (and do) announce the release
-// to the manager before this work happens; a fetch racing ahead of a
-// batch parks at the home until the quoted tag's batch lands.
+// finishRelease computes the deferred shared-page diffs and ships one
+// DiffBatch per home, in home order; a fetch racing ahead of a batch
+// parks at the home on its tag. Each batch is issued one send overhead
+// after the last (the NIC serializes them) and the clock ends at the
+// latest completion, a post's or, to replicated homes, an ack's.
 func (t *Thread) finishRelease(rs *pagecache.ReleaseSet) {
 	start := t.clock.Now()
 	t.cache.FinishRelease(rs)
 	homes := 0
-	for _, b := range rs.ByHome {
-		if b != nil {
-			homes++
-		}
-	}
-	if tr := t.rt.cfg.Trace; tr != nil && (len(rs.Pages) > 0 || len(rs.Records) > 0) {
-		defer func() {
-			tr.Span(t.actor, trace.CatRelease, "release", start, t.clock.Now(),
-				map[string]any{"pages": len(rs.Pages), "records": len(rs.Records), "homes": homes})
-		}()
-	}
-	if homes == 0 {
-		return
-	}
-	// ByHome is in home order, so the clock advance sequence (and, with a
-	// standby, each call's issue time) is deterministic.
-	if !t.rt.standbyEnabled() {
-		// One-way posts: nothing blocks, the sender only pays the
-		// serialized send overheads.
-		for home, b := range rs.ByHome {
-			if b == nil {
-				continue
-			}
-			at, err := t.rt.homes[home].send(t.ep, b, t.clock.Now())
-			if err != nil {
-				t.fail("diff batch", err)
-			}
-			t.clock.AdvanceTo(at)
-			t.st.MsgsSent++
-		}
-		return
-	}
-	// Acknowledged sends to replicated homes: issue every call
-	// concurrently (send overheads still serialize on the NIC) and join
-	// at the latest ack instead of chaining the round trips.
-	sendAt := t.clock.Now()
-	ch := make(chan callResult, homes)
-	issue := sendAt
+	issue := t.clock.Now()
 	for home, b := range rs.ByHome {
 		if b == nil {
 			continue
 		}
-		t.st.MsgsSent++
-		t.rt.gate.Resume()
-		go func(home int, b *proto.DiffBatch, issue vtime.Time) {
-			var ack proto.Ack
-			at, err := t.rt.homes[home].call(t.ep, b, &ack, issue)
-			t.rt.gate.Resume()
-			ch <- callResult{at: at, err: err}
-			t.rt.gate.Pause()
-		}(home, b, issue)
+		t.exchange("diff batch", t.rt.homes[home], b, nil, issue)
 		issue += t.rt.cfg.Link.SendOverhead
+		homes++
 	}
-	join := t.clock.Now()
-	var firstErr error
-	for i := 0; i < homes; i++ {
-		t.rt.gate.Pause()
-		r := <-ch
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		if r.at > join {
-			join = r.at
-		}
+	if tr := t.rt.cfg.Trace; tr != nil && (len(rs.Pages) > 0 || len(rs.Records) > 0) {
+		tr.Span(t.actor, trace.CatRelease, "release", start, t.clock.Now(),
+			map[string]any{"pages": len(rs.Pages), "records": len(rs.Records), "homes": homes})
 	}
-	if firstErr != nil {
-		t.fail("diff batch", firstErr)
+}
+
+// releaseAcquire is RegC's rule for a barrier and a cond wait: ship the
+// interval, then acquire, with the manager call req builds made inline
+// and stamped with the time the release started, so the round trip
+// overlaps the diff work (the sequencer delivers nothing while the thread
+// holds its token). Records have no tag for a fetch to park on, so a
+// release with records is stamped after its batches instead.
+func (t *Thread) releaseAcquire(op string, resp proto.Msg, req func(rs *pagecache.ReleaseSet) proto.Msg) {
+	t.clock.Advance(t.rt.cfg.CPU.LockTime)
+	rs := t.cache.BeginRelease()
+	at := t.clock.Now()
+	t.finishRelease(rs)
+	if len(rs.Records) > 0 {
+		at = t.clock.Now()
 	}
-	t.clock.AdvanceTo(join)
+	t.exchange(op, t.rt.mgr, req(rs), resp, at)
 }
 
 // applyNotices consumes acquire-side notices and advances the seen
@@ -891,8 +740,26 @@ func (t *Thread) awaitGrant(lock uint32) grantMsg {
 	ch := make(chan grantMsg, 1)
 	t.ho.grantWait[lock] = ch
 	t.ho.mu.Unlock()
-	t.rt.gate.Pause() // park until the agent's wake credit
-	return <-ch
+	return t.rt.sleep(ch)
+}
+
+// endTenure drops this thread's handoff state for lock and returns the
+// train a handoff may follow, with the tenure's generation: one fenced
+// to this tenure, still naming a successor, in a tenure that saw no
+// other acquire (else its pre-composed backlogs are incomplete), or nil.
+func (t *Thread) endTenure(lock uint32) (*succTrain, uint64) {
+	t.ho.mu.Lock()
+	defer t.ho.mu.Unlock()
+	ss := t.ho.succ[lock]
+	gen, held := t.ho.heldGen[lock]
+	aseq := t.ho.acquireSeq[lock]
+	delete(t.ho.succ, lock)
+	delete(t.ho.heldGen, lock)
+	delete(t.ho.acquireSeq, lock)
+	if ss != nil && held && ss.gen == gen && t.lastSeen == aseq && ss.train.Len() > 0 {
+		return ss, gen
+	}
+	return nil, 0
 }
 
 // applyGrant consumes a LockGrant: the manager-composed notice backlog,
@@ -947,6 +814,14 @@ func (t *Thread) applyGrant(lock uint32, g *proto.LockGrant) {
 // ---------------------------------------------------------------------
 // Synchronization objects.
 
+// traceSince records a span of what on sync object id, from start to now,
+// when tracing is on.
+func (t *Thread) traceSince(start vtime.Time, cat trace.Category, what string, id uint32) {
+	if tr := t.rt.cfg.Trace; tr != nil {
+		tr.Span(t.actor, cat, fmt.Sprintf("%s %d", what, id), start, t.clock.Now(), nil)
+	}
+}
+
 // smhMutex is a Samhita mutual-exclusion lock. Lock is an acquire point;
 // Unlock is a release point carrying the interval's write notice; the
 // span between them is a consistency region whose stores are propagated
@@ -960,22 +835,12 @@ type smhMutex struct {
 func (m *smhMutex) Lock(th vm.Thread) {
 	t := th.(*Thread)
 	t.settleCompute()
-	start := t.clock.Now()
-	if tr := t.rt.cfg.Trace; tr != nil {
-		defer func() {
-			tr.Span(t.actor, trace.CatLock, fmt.Sprintf("lock %d", m.id), start, t.clock.Now(), nil)
-		}()
-	}
+	defer t.traceSince(t.clock.Now(), trace.CatLock, "lock", m.id)
 	t.clock.Advance(t.rt.cfg.CPU.LockTime)
 	t.lockReq = proto.LockReq{Lock: m.id, Thread: t.writer, LastSeen: t.lastSeen}
 	t.lockResp = proto.LockResp{}
 	resp := &t.lockResp
-	at, err := t.rt.mgr.call(t.ep, &t.lockReq, resp, t.clock.Now())
-	if err != nil {
-		t.fail("lock", err)
-	}
-	t.clock.AdvanceTo(at)
-	t.st.MsgsSent++
+	t.exchange("lock", t.rt.mgr, &t.lockReq, resp, t.clock.Now())
 	t.st.LockOps++
 	if resp.Queued {
 		// Detached wait (peer-to-peer handoff mode): the lock is
@@ -1007,12 +872,7 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 		t.fail("unlock", fmt.Errorf("unlock without matching lock"))
 	}
 	t.settleCompute()
-	start := t.clock.Now()
-	if tr := t.rt.cfg.Trace; tr != nil {
-		defer func() {
-			tr.Span(t.actor, trace.CatLock, fmt.Sprintf("unlock %d", m.id), start, t.clock.Now(), nil)
-		}()
-	}
+	defer t.traceSince(t.clock.Now(), trace.CatLock, "unlock", m.id)
 	t.clock.Advance(t.rt.cfg.CPU.LockTime)
 	// Pipelined release: the write notice is a one-way post issued
 	// before the diffs are even computed. The manager can grant the
@@ -1039,15 +899,7 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 	// intervals inline, plus the rest of the train — and tell the
 	// manager it happened.
 	var handedOff uint32
-	t.ho.mu.Lock()
-	ss := t.ho.succ[m.id]
-	gen, held := t.ho.heldGen[m.id]
-	aseq := t.ho.acquireSeq[m.id]
-	delete(t.ho.succ, m.id)
-	delete(t.ho.heldGen, m.id)
-	delete(t.ho.acquireSeq, m.id)
-	t.ho.mu.Unlock()
-	if ss != nil && held && ss.gen == gen && t.lastSeen == aseq && ss.train.Len() > 0 {
+	if ss, gen := t.endTenure(m.id); ss != nil {
 		// The head's backlog goes out as the bytes it came in as and the
 		// rest of the train as a sub-slice of them; only the head's two
 		// ids are read. Inline may alias a body that can be decoded again,
@@ -1090,12 +942,7 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 	// With replicas the release is an acknowledged call (role.send): the
 	// ack proves the release was replicated, and the manager dedups a
 	// re-issued one by interval.
-	at, err := t.rt.mgr.send(t.ep, &t.unlockReq, t.clock.Now())
-	if err != nil {
-		t.fail("unlock", err)
-	}
-	t.clock.AdvanceTo(at)
-	t.st.MsgsSent++
+	t.exchange("unlock", t.rt.mgr, &t.unlockReq, nil, t.clock.Now())
 	if len(rs.Records) == 0 {
 		t.finishRelease(rs)
 	}
@@ -1119,44 +966,20 @@ type smhBarrier struct {
 func (b *smhBarrier) Wait(th vm.Thread) {
 	t := th.(*Thread)
 	t.settleCompute()
-	start := t.clock.Now()
-	if tr := t.rt.cfg.Trace; tr != nil {
-		defer func() {
-			tr.Span(t.actor, trace.CatBarrier, fmt.Sprintf("barrier %d", b.id), start, t.clock.Now(), nil)
-		}()
-	}
-	t.clock.Advance(t.rt.cfg.CPU.LockTime)
-	// Barrier arrival is also an acquire, so the manager call must be a
-	// round trip — but it can fly while the diffs are computed and
-	// shipped (interval tags order the batches at the homes), so the
-	// release work hides inside the barrier's wait. Record-carrying
-	// releases forgo the overlap: records are applied in place at
-	// acquirers (no invalidation, no tag-parked fetch), so the batch
-	// must be at the home before the barrier can open.
-	rs := t.cache.BeginRelease()
-	if len(rs.Records) > 0 {
-		t.finishRelease(rs)
-	}
+	defer t.traceSince(t.clock.Now(), trace.CatBarrier, "barrier", b.id)
 	var epoch uint64
 	if t.rt.cfg.ManagerReplicas > 1 {
 		t.barEpoch[b.id]++
 		epoch = t.barEpoch[b.id]
 	}
 	var resp proto.BarrierResp
-	done := t.startManagerCall(&proto.BarrierReq{
-		Barrier: b.id, Count: b.n, Thread: t.writer,
-		LastSeen: t.lastSeen, Interval: rs.Tag.Interval,
-		Pages: rs.Pages, Records: rs.Records, Epoch: epoch,
-	}, &resp, t.clock.Now())
-	if len(rs.Records) == 0 {
-		t.finishRelease(rs)
-	}
-	t.rt.gate.Pause() // park until the helper's credit wakes us
-	r := <-done
-	if r.err != nil {
-		t.fail("barrier", r.err)
-	}
-	t.clock.AdvanceTo(r.at)
+	t.releaseAcquire("barrier", &resp, func(rs *pagecache.ReleaseSet) proto.Msg {
+		return &proto.BarrierReq{
+			Barrier: b.id, Count: b.n, Thread: t.writer,
+			LastSeen: t.lastSeen, Interval: rs.Tag.Interval,
+			Pages: rs.Pages, Records: rs.Records, Epoch: epoch,
+		}
+	})
 	t.st.BarrierOps++
 	t.applyNotices(resp.Seq, resp.Notices)
 	t.settleSync()
@@ -1180,37 +1003,18 @@ func (c *smhCond) Wait(th vm.Thread, mu vm.Mutex) {
 		t.fail("cond wait", fmt.Errorf("cond wait without holding the mutex"))
 	}
 	t.settleCompute()
-	t.clock.Advance(t.rt.cfg.CPU.LockTime)
-	// The wait releases the mutex, ending this tenure: drop any
-	// handoff state so a successor announcement can never be acted on
-	// after the manager has already re-granted the lock centrally.
-	t.ho.mu.Lock()
-	delete(t.ho.succ, m.id)
-	delete(t.ho.heldGen, m.id)
-	delete(t.ho.acquireSeq, m.id)
-	t.ho.mu.Unlock()
-	// Same overlap as the barrier: the wait-for-signal round trip flies
-	// while the release's diffs are computed and shipped — unless the
-	// release carries records, which must land at the homes first.
-	rs := t.cache.BeginRelease()
-	if len(rs.Records) > 0 {
-		t.finishRelease(rs)
-	}
+	// The wait releases the mutex, ending this tenure: a successor
+	// announcement must never be acted on after the manager has already
+	// re-granted the lock centrally.
+	t.endTenure(m.id)
 	var resp proto.CondWaitResp
-	done := t.startManagerCall(&proto.CondWaitReq{
-		Cond: c.id, Lock: m.id, Thread: t.writer,
-		LastSeen: t.lastSeen, Interval: rs.Tag.Interval,
-		Pages: rs.Pages, Records: rs.Records,
-	}, &resp, t.clock.Now())
-	if len(rs.Records) == 0 {
-		t.finishRelease(rs)
-	}
-	t.rt.gate.Pause() // park until the helper's credit wakes us
-	r := <-done
-	if r.err != nil {
-		t.fail("cond wait", r.err)
-	}
-	t.clock.AdvanceTo(r.at)
+	t.releaseAcquire("cond wait", &resp, func(rs *pagecache.ReleaseSet) proto.Msg {
+		return &proto.CondWaitReq{
+			Cond: c.id, Lock: m.id, Thread: t.writer,
+			LastSeen: t.lastSeen, Interval: rs.Tag.Interval,
+			Pages: rs.Pages, Records: rs.Records,
+		}
+	})
 	t.st.CondOps++
 	t.applyNotices(resp.Seq, resp.Notices)
 	t.settleSync()
@@ -1225,15 +1029,9 @@ func (c *smhCond) Broadcast(th vm.Thread) { c.signal(th, true) }
 func (c *smhCond) signal(th vm.Thread, broadcast bool) {
 	t := th.(*Thread)
 	t.settleCompute()
-	var ack proto.Ack
-	at, err := t.rt.mgr.call(t.ep, &proto.CondSignalReq{
+	t.exchange("cond signal", t.rt.mgr, &proto.CondSignalReq{
 		Cond: c.id, Thread: t.writer, Broadcast: broadcast,
-	}, &ack, t.clock.Now())
-	if err != nil {
-		t.fail("cond signal", err)
-	}
-	t.clock.AdvanceTo(at)
-	t.st.MsgsSent++
+	}, &proto.Ack{}, t.clock.Now())
 	t.st.CondOps++
 	t.settleSync()
 }
@@ -1244,16 +1042,18 @@ func (c *smhCond) signal(th vm.Thread, broadcast bool) {
 // threadBackend adapts a Thread to the cache's Backend interface.
 type threadBackend Thread
 
-func (b *threadBackend) thread() *Thread { return (*Thread)(b) }
+// fetchLine round-trips one line's fetch to its home.
+func (t *Thread) fetchLine(line layout.LineID, needs []proto.PageNeed, at vtime.Time) (data []byte, home int, doneAt vtime.Time, err error) {
+	home = t.rt.cfg.Geo.HomeOf(t.rt.cfg.Geo.FirstPage(line))
+	var resp proto.FetchLineResp
+	doneAt, err = t.rt.homes[home].call(t.ep, &proto.FetchLineReq{Line: uint64(line), Needs: needs}, &resp, at)
+	return resp.Data, home, doneAt, err
+}
 
 // FetchLine implements pagecache.Backend.
 func (b *threadBackend) FetchLine(line layout.LineID, needs []proto.PageNeed, at vtime.Time) ([]byte, vtime.Time, error) {
-	t := b.thread()
-	home := t.rt.cfg.Geo.HomeOf(t.rt.cfg.Geo.FirstPage(line))
-	var resp proto.FetchLineResp
-	doneAt, err := t.rt.homes[home].call(t.ep, &proto.FetchLineReq{
-		Line: uint64(line), Needs: needs,
-	}, &resp, at)
+	t := (*Thread)(b)
+	data, home, doneAt, err := t.fetchLine(line, needs, at)
 	if err != nil {
 		return nil, at, err
 	}
@@ -1263,7 +1063,7 @@ func (b *threadBackend) FetchLine(line layout.LineID, needs []proto.PageNeed, at
 	}
 	t.st.MsgsSent++
 	t.markTenureCold([]layout.LineID{line}, nil)
-	return resp.Data, doneAt, nil
+	return data, doneAt, nil
 }
 
 // markTenureCold records a demand fetch that happened inside a
@@ -1290,7 +1090,7 @@ func (t *Thread) markTenureCold(lines []layout.LineID, pages []layout.PageID) {
 // (fetch combining). Whole lines and single invalidated pages share one
 // round trip and one service booking at the home.
 func (b *threadBackend) FetchLines(lines []layout.LineID, pages []layout.PageID, needs []proto.PageNeed, at vtime.Time) ([]byte, vtime.Time, error) {
-	t := b.thread()
+	t := (*Thread)(b)
 	var home int
 	if len(lines) > 0 {
 		home = t.rt.cfg.Geo.HomeOf(t.rt.cfg.Geo.FirstPage(lines[0]))
@@ -1322,75 +1122,41 @@ func (b *threadBackend) FetchLines(lines []layout.LineID, pages []layout.PageID,
 // StartPrefetch implements pagecache.Backend: the asynchronous
 // line request of Samhita's anticipatory paging.
 func (b *threadBackend) StartPrefetch(line layout.LineID, needs []proto.PageNeed, at vtime.Time, h *pagecache.Handoff) <-chan pagecache.PrefetchResult {
-	t := b.thread()
-	home := t.rt.cfg.Geo.HomeOf(t.rt.cfg.Geo.FirstPage(line))
+	t := (*Thread)(b)
 	ch := make(chan pagecache.PrefetchResult, 1)
 	t.st.MsgsSent++
-	t.rt.gate.Resume()
-	go func() {
-		var resp proto.FetchLineResp
-		doneAt, err := t.rt.homes[home].call(t.ep, &proto.FetchLineReq{
-			Line: uint64(line), Needs: needs,
-		}, &resp, at)
-		if tr := t.rt.cfg.Trace; tr != nil && err == nil {
-			tr.Span(t.actor, trace.CatPrefetch, fmt.Sprintf("prefetch line %d", line), at, doneAt,
-				map[string]any{"home": home})
-		}
-		h.Done() // credit a parked consumer, if any (never unconditionally)
-		ch <- pagecache.PrefetchResult{Data: resp.Data, ReadyAt: doneAt, Err: err}
-		t.rt.gate.Pause() // helper exit
-	}()
+	spawn(t.rt, nil, prefetch.run, prefetch{t: t, line: line, needs: needs, at: at, h: h, ch: ch})
 	return ch
+}
+
+// prefetch is one line fetch in flight; run is its helper goroutine.
+type prefetch struct {
+	t     *Thread
+	line  layout.LineID
+	needs []proto.PageNeed
+	at    vtime.Time
+	h     *pagecache.Handoff
+	ch    chan<- pagecache.PrefetchResult
+}
+
+func (p prefetch) run() {
+	data, home, doneAt, err := p.t.fetchLine(p.line, p.needs, p.at)
+	if tr := p.t.rt.cfg.Trace; tr != nil && err == nil {
+		tr.Span(p.t.actor, trace.CatPrefetch, fmt.Sprintf("prefetch line %d", p.line), p.at, doneAt,
+			map[string]any{"home": home})
+	}
+	p.h.Done() // credit a parked consumer, if any (never unconditionally)
+	p.ch <- pagecache.PrefetchResult{Data: data, ReadyAt: doneAt, Err: err}
 }
 
 // FlushEvict implements pagecache.Backend.
 func (b *threadBackend) FlushEvict(diffs []proto.PageDiff, at vtime.Time) (vtime.Time, error) {
-	t := b.thread()
-	byHome := make(map[int][]proto.PageDiff)
-	for _, d := range diffs {
-		home := t.rt.cfg.Geo.HomeOf(layout.PageID(d.Page))
-		byHome[home] = append(byHome[home], d)
-	}
-	for _, home := range sortedHomes(byHome) {
-		var err error
-		at, err = t.rt.homes[home].send(t.ep, &proto.EvictFlush{Writer: t.writer, Diffs: byHome[home]}, at)
-		if err != nil {
-			return at, err
-		}
-		t.st.MsgsSent++
-	}
-	return at, nil
+	return (*Thread)(b).flushDiffs(diffs, at, nil)
 }
 
 // FlushSync implements pagecache.Backend: the acknowledged flush the
 // snapshot path uses so a SealAS sent afterwards cannot overtake the
 // flushed bytes on the fabric.
 func (b *threadBackend) FlushSync(diffs []proto.PageDiff, at vtime.Time) (vtime.Time, error) {
-	t := b.thread()
-	byHome := make(map[int][]proto.PageDiff)
-	for _, d := range diffs {
-		home := t.rt.cfg.Geo.HomeOf(layout.PageID(d.Page))
-		byHome[home] = append(byHome[home], d)
-	}
-	for _, home := range sortedHomes(byHome) {
-		var ack proto.Ack
-		replyAt, err := t.rt.homes[home].call(t.ep, &proto.EvictFlush{Writer: t.writer, Diffs: byHome[home]}, &ack, at)
-		if err != nil {
-			return at, err
-		}
-		at = replyAt
-		t.st.MsgsSent++
-	}
-	return at, nil
-}
-
-// sortedHomes lists a per-home map's keys in ascending order, so send
-// sequences never depend on map iteration.
-func sortedHomes[V any](m map[int]V) []int {
-	homes := make([]int, 0, len(m))
-	for h := range m {
-		homes = append(homes, h)
-	}
-	sort.Ints(homes)
-	return homes
+	return (*Thread)(b).flushDiffs(diffs, at, &proto.Ack{})
 }

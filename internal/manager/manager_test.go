@@ -553,9 +553,15 @@ func TestLockGrantOrderIsFIFO(t *testing.T) {
 	}
 	const waiters = 4
 	order := make(chan uint32, waiters)
+	// The last waiter's unlock may still be in flight when its grant is
+	// read; the test waits for it, or it would report into a finished test.
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	for i := 0; i < waiters; i++ {
 		c := env.client(t, uint32(10+i))
+		wg.Add(1)
 		go func(c *client) {
+			defer wg.Done()
 			if _, err := c.lock(9); err != nil {
 				t.Errorf("lock: %v", err)
 				return

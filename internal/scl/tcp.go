@@ -470,10 +470,9 @@ func readFrame(r io.Reader) (*frame, error) {
 // frame in virtual time, so results are comparable with the simulated
 // fabric.
 type TCPFactory struct {
-	book   *AddressBook
-	model  vtime.LinkModel
-	policy RetryPolicy
-	nst    *stats.Net
+	book  *AddressBook
+	model vtime.LinkModel
+	nst   *stats.Net
 
 	mu        sync.Mutex
 	endpoints []*TCPEndpoint
@@ -484,10 +483,6 @@ type TCPFactory struct {
 func NewTCPFactory(model vtime.LinkModel) *TCPFactory {
 	return &TCPFactory{book: NewAddressBook(), model: model, nst: new(stats.Net)}
 }
-
-// SetRetryPolicy makes every endpoint the factory creates from now on
-// apply the policy to its calls and posts.
-func (f *TCPFactory) SetRetryPolicy(p RetryPolicy) { f.policy = p }
 
 // NetStats exposes the robustness counters shared by the factory's
 // endpoints.
@@ -500,7 +495,6 @@ func (f *TCPFactory) NewEndpoint(id NodeID) (Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	ep.SetRetryPolicy(f.policy)
 	ep.SetNetStats(f.nst)
 	f.mu.Lock()
 	f.endpoints = append(f.endpoints, ep)
