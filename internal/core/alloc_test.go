@@ -17,21 +17,62 @@ import (
 func mallocsPerEpisode(t *testing.T, n int, body func(rt *Runtime) func(th vm.Thread, episodes int)) float64 {
 	cfg := testConfig()
 	cfg.Prefetch = false
+	objects, _ := costPerEpisode(t, cfg, n, body)
+	return objects
+}
+
+// costPerEpisode is mallocsPerEpisode on a runtime of the given config,
+// reporting heap bytes per extra episode too.
+func costPerEpisode(t *testing.T, cfg Config, n int, body func(rt *Runtime) func(th vm.Thread, episodes int)) (objects, bytes float64) {
 	rt := newRuntime(t, cfg)
 	run := body(rt)
-	measure := func(episodes int) uint64 {
+	measure := func(episodes int) (uint64, uint64) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
+		objs, byts := ms.Mallocs, ms.TotalAlloc
 		if _, err := rt.Run(2, func(th vm.Thread) { run(th, episodes) }); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&ms)
-		return ms.Mallocs - before
+		return ms.Mallocs - objs, ms.TotalAlloc - byts
 	}
 	measure(n) // grow the manager's tables and the sequencer's queues once
-	short, long := measure(n), measure(5*n)
-	return float64(long-short) / float64(4*n)
+	shortObjs, shortBytes := measure(n)
+	longObjs, longBytes := measure(5 * n)
+	return float64(longObjs-shortObjs) / float64(4*n), float64(longBytes-shortBytes) / float64(4*n)
+}
+
+// A fetched line costs no line-sized buffer in steady state: the home
+// answers in a pooled body, the thread decodes the answer into a pooled
+// frame and hands the body back, and the line it evicts hands its frame
+// back. Each thread sweeps a region eight times its cache, so every read
+// is a fetch that evicts; everything the run allocates counts, and it
+// stays under 1 KiB per fetch. (A fetch allocated its 16 KiB line and the
+// body it came in before either was pooled.)
+func TestFetchAndEvictAllocateNoLine(t *testing.T) {
+	cfg := testConfig()
+	cfg.Prefetch = false
+	cfg.CacheLines = 8
+	line := cfg.Geo.LineSize()
+	lines := 8 * cfg.CacheLines
+	var fetches atomic.Int64
+	objects, bytes := costPerEpisode(t, cfg, 200, func(rt *Runtime) func(vm.Thread, int) {
+		return func(th vm.Thread, episodes int) {
+			region := th.GlobalAlloc(lines * line)
+			misses := th.(*Thread).st.Misses
+			for i := 0; i < episodes; i++ {
+				th.ReadInt64(region + vm.Addr(i%lines*line))
+			}
+			fetches.Add(th.(*Thread).st.Misses - misses)
+		}
+	})
+	if want := int64(2 * (200 + 200 + 1000)); fetches.Load() < want*9/10 {
+		t.Fatalf("%d fetches in %d reads; the sweep does not miss", fetches.Load(), want)
+	}
+	t.Logf("per fetch: %.1f heap objects, %.0f bytes", objects, bytes)
+	if bytes >= 1024 {
+		t.Errorf("a fetch that evicts allocates %.0f bytes, want under 1 KiB", bytes)
+	}
 }
 
 // A barrier and a cond wait are a release and an acquire made from the

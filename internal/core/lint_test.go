@@ -130,3 +130,39 @@ func TestNothingRepliesOutsideAFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A pooled buffer has one owner at a time, and only the owner hands it
+// back (DESIGN.md §11). Outside proto, which owns the pool, the non-test
+// code under internal/ calls proto.PutBuf only where an owner is done:
+// the caller's decode of a response, the cache's drop sites (an evicted
+// line, a discarded prefetch, a combined reply copied out, a frame
+// copied into a resident line) and the home's join, for an answer it
+// never sent.
+func TestPutBufOnlyWhereTheOwnerHandsBack(t *testing.T) {
+	handBack := map[string][]string{
+		"../scl/scl.go":             {"decodeResponse"},
+		"../pagecache/pagecache.go": {"fault", "install", "evict", "discardPrefetch"},
+		"../memserver/memserver.go": {"complete"},
+	}
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		path = filepath.ToSlash(path)
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "../proto/") {
+			return err
+		}
+		p := parseNonTest(t, path)
+		ast.Inspect(p.file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "PutBuf" {
+				return true
+			}
+			if fn := p.in(sel.Pos()); !slices.Contains(handBack[path], fn) {
+				t.Errorf("%s: proto.PutBuf in %q; only an owner hands a buffer back, at %v", p.fset.Position(sel.Pos()), fn, handBack[path])
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1042,10 +1042,14 @@ func (c *smhCond) signal(th vm.Thread, broadcast bool) {
 // threadBackend adapts a Thread to the cache's Backend interface.
 type threadBackend Thread
 
-// fetchLine round-trips one line's fetch to its home.
+// fetchLine round-trips one line's fetch to its home. The answer is
+// decoded into a pooled frame (proto.GetBuf), which is what the cache
+// keeps as the line's storage; the body it came in goes back to the pool
+// (scl's decodeResponse).
 func (t *Thread) fetchLine(line layout.LineID, needs []proto.PageNeed, at vtime.Time) (data []byte, home int, doneAt vtime.Time, err error) {
-	home = t.rt.cfg.Geo.HomeOf(t.rt.cfg.Geo.FirstPage(line))
-	var resp proto.FetchLineResp
+	geo := t.rt.cfg.Geo
+	home = geo.HomeOf(geo.FirstPage(line))
+	resp := proto.FetchLineResp{Data: proto.GetBuf(geo.LineSize())}
 	doneAt, err = t.rt.homes[home].call(t.ep, &proto.FetchLineReq{Line: uint64(line), Needs: needs}, &resp, at)
 	return resp.Data, home, doneAt, err
 }
@@ -1091,11 +1095,12 @@ func (t *Thread) markTenureCold(lines []layout.LineID, pages []layout.PageID) {
 // round trip and one service booking at the home.
 func (b *threadBackend) FetchLines(lines []layout.LineID, pages []layout.PageID, needs []proto.PageNeed, at vtime.Time) ([]byte, vtime.Time, error) {
 	t := (*Thread)(b)
+	geo := t.rt.cfg.Geo
 	var home int
 	if len(lines) > 0 {
-		home = t.rt.cfg.Geo.HomeOf(t.rt.cfg.Geo.FirstPage(lines[0]))
+		home = geo.HomeOf(geo.FirstPage(lines[0]))
 	} else {
-		home = t.rt.cfg.Geo.HomeOf(pages[0])
+		home = geo.HomeOf(pages[0])
 	}
 	req := &proto.FetchLinesReq{Needs: needs}
 	for _, l := range lines {
@@ -1104,7 +1109,7 @@ func (b *threadBackend) FetchLines(lines []layout.LineID, pages []layout.PageID,
 	for _, p := range pages {
 		req.Pages = append(req.Pages, uint64(p))
 	}
-	var resp proto.FetchLinesResp
+	resp := proto.FetchLinesResp{Data: proto.GetBuf(len(lines)*geo.LineSize() + len(pages)*geo.PageSize)}
 	doneAt, err := t.rt.homes[home].call(t.ep, req, &resp, at)
 	if err != nil {
 		return nil, at, err

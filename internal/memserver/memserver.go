@@ -191,7 +191,11 @@ type join struct {
 	done       vtime.Time
 	err        error
 	errShard   int
-	data       []byte // a fetch's reply, assembled in a pooled buffer
+	// A fetch's answer is a pooled body (proto.PayloadBody) that the
+	// shares copy their segments into, at data, its payload window. The
+	// join owns the body until complete queues it; a body it never sends
+	// goes back to the pool.
+	body, data []byte
 	snap       uint64 // a seal's snapshot
 }
 
@@ -385,9 +389,8 @@ func mustDecode(c *call, m proto.Msg) {
 }
 
 // reply queues the answer to a call or to a parked fetch. It is encoded
-// here, so the caller may reuse what msg points into (a fetch's assembly
-// buffer goes back to the pool right after). An answer nobody listens
-// for is not even encoded.
+// here, so the caller may reuse what msg points into. An answer nobody
+// listens for is not even encoded.
 func (s *Server) reply(to scl.Request, msg proto.Msg, at vtime.Time) {
 	if !to.OneWay() {
 		s.out = append(s.out, effect{to: to, kind: msg.Kind(), body: proto.Encode(msg), at: at})
@@ -457,7 +460,7 @@ func (s *Server) forward(msg proto.Msg, at vtime.Time) bool {
 			s.live.ReplFailures.Add(1)
 		} else {
 			s.live.ReplBatches.Add(1)
-			s.live.ReplBytes.Add(int64(len(proto.Encode(msg))))
+			s.live.ReplBytes.Add(int64(proto.Size(msg)))
 		}
 	}
 	return err == nil || errors.Is(err, proto.ErrPeerDied)
@@ -550,14 +553,19 @@ func (s *Server) complete(j *join, shard int, at vtime.Time, err error, code uin
 			s.stats.FailedFetches.Add(1)
 		}
 		s.replyErr(j.to, j.errCode, j.err, j.done)
-	case j.kind == proto.KFetchLineReq && len(j.shares) == 1:
-		s.reply(j.to, &proto.FetchLineResp{Data: j.data}, j.done)
-	case fetch:
-		s.reply(j.to, &proto.FetchLinesResp{Data: j.data}, j.done)
-	default:
+	case fetch && !j.to.OneWay():
+		// The body is the answer's encoding already, a FetchLineResp's or
+		// a FetchLinesResp's alike; from here on it is the caller's.
+		kind := proto.KFetchLinesResp
+		if j.kind == proto.KFetchLineReq && len(j.shares) == 1 {
+			kind = proto.KFetchLineResp
+		}
+		s.out = append(s.out, effect{to: j.to, kind: kind, body: j.body, at: j.done})
+		j.body = nil
+	case !fetch:
 		s.reply(j.to, &proto.Ack{}, j.done)
 	}
-	proto.PutBuf(j.data)
+	proto.PutBuf(j.body) // an answer that was never sent
 	s.recycle(j)
 }
 
@@ -629,7 +637,7 @@ func (s *Server) fetch(c *call) {
 		size += s.geo.PageSize
 	}
 	s.routeNeeds(j, needs)
-	j.data = proto.GetBuf(size)[:size]
+	j.body, j.data = proto.PayloadBody(size)
 	if len(j.shares) > 1 {
 		s.stats.SplitFetches.Add(1)
 	}

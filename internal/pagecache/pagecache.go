@@ -43,12 +43,13 @@ import (
 // in-memory fakes in tests.
 //
 // Ownership: a slice returned by FetchLine or FetchLines, or delivered
-// in a PrefetchResult, is the cache's from then on. The cache keeps it
-// as a resident line's storage and writes through it, so the backend
-// must hand over a buffer nothing else reads, writes or reuses — a
-// fresh one per call. (A line adopted out of a combined FetchLines reply
-// keeps that reply's companion pages, at most maxCombinePages of them,
-// reachable until the line is evicted.)
+// in a PrefetchResult, is the cache's from then on, and it goes back to
+// proto's buffer pool (proto.PutBuf) when the cache drops it. A single
+// line is kept as the line's storage and written through until the line
+// is evicted; a combined FetchLines reply is copied out and recycled at
+// once; a discarded prefetch result is recycled. So the backend must
+// hand over a buffer nothing else reads, writes or reuses — a fresh or
+// pooled one per call (core's is proto.GetBuf's, filled by the decode).
 type Backend interface {
 	// FetchLine synchronously fetches one cache line from its home,
 	// quoting the interval tags that must be applied first. It returns
@@ -240,7 +241,8 @@ type pageState struct {
 	// stale while the rest of the page stays valid (partial staleness).
 	// Accesses outside every stale range are served locally; an access
 	// overlapping one demotes the page to fully invalid and refetches.
-	// Always nil while valid is false.
+	// Always empty while valid is false; emptied in place, so a page
+	// that goes partially stale again reuses the array.
 	stale []byteRange
 	// wext accumulates this interval's span-written extents while
 	// wtracked holds: the release publishes them as extent words so
@@ -264,8 +266,10 @@ const (
 
 // lineEntry is one resident cache line.
 type lineEntry struct {
-	id      layout.LineID
-	data    []byte // LineSize bytes
+	id layout.LineID
+	// data is the line's frame: LineSize bytes of one whole pooled buffer
+	// (proto.GetBuf), the cache's until evict hands it back.
+	data    []byte
 	pages   []pageState
 	lastUse uint64
 	// epoch is the cache's snapshot epoch when the line was (last)
@@ -342,6 +346,9 @@ type Cache struct {
 	// diffed and the next interval's first writes take them out again.
 	// The cache is single-threaded, so this is a plain stack.
 	freeTwins [][]byte
+	// freeEntries recycles evicted line entries, page states and all, the
+	// same way: an eviction makes room for the install that follows it.
+	freeEntries []*lineEntry
 
 	// snapEpoch counts address-space snapshots taken through this
 	// thread; installed lines are tagged with it (see lineEntry.epoch).
@@ -589,7 +596,7 @@ func (c *Cache) markClean(p layout.PageID, ps *pageState) {
 	ps.dirty = false
 	ps.twin = nil
 	ps.wtracked = false
-	ps.wext = nil
+	ps.wext = ps.wext[:0]
 	delete(c.dirtyPages, p)
 }
 
@@ -655,7 +662,7 @@ func (c *Cache) demoteStale(p layout.PageID, le *lineEntry, ps *pageState) error
 		c.flushedDirty[p] = struct{}{}
 	}
 	ps.valid = false
-	ps.stale = nil
+	ps.stale = ps.stale[:0]
 	return nil
 }
 
@@ -695,6 +702,7 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 		// in that case (rare).
 		if c.prefetchStale(line, pe) {
 			c.st.PrefetchWasted++
+			proto.PutBuf(res.Data)
 			data, readyAt, err = c.be.FetchLine(line, c.needsFor(line), c.clock.Now())
 		} else {
 			data, readyAt = res.Data, vtime.Max(res.ReadyAt, c.clock.Now())
@@ -736,16 +744,26 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 	// Install the full line first (its eviction choice must not see the
 	// page installs below), then the pages. A page whose line the line
 	// install just evicted is dropped — it stays invalid with its needs
-	// intact and simply refaults later.
+	// intact and simply refaults later. A single line's reply is the
+	// line's frame; a combined reply is copied out into a frame per line
+	// and recycled.
+	combined := len(pages) > 0
 	off := 0
 	for _, l := range fullLines {
-		end := off + c.geo.LineSize()
-		c.install(l, data[off:end:end]) // clipped: the line may be adopted
-		off = end
+		frame := data
+		if combined {
+			frame = c.newFrame()
+			copy(frame, data[off:])
+		}
+		c.install(l, frame)
+		off += c.geo.LineSize()
 	}
 	for _, p := range pages {
 		c.installPage(p, data[off:off+c.geo.PageSize])
 		off += c.geo.PageSize
+	}
+	if combined {
+		proto.PutBuf(data)
 	}
 	le, ok := c.lines[line]
 	if !ok {
@@ -849,31 +867,27 @@ func (c *Cache) pageCompanions(line layout.LineID) []layout.PageID {
 	return out
 }
 
-// install merges fetched line bytes with resident state: locally dirty
-// pages keep their contents (the multiple-writer protocol — our
+// install merges a fetched line's frame with resident state: locally
+// dirty pages keep their contents (the multiple-writer protocol — our
 // unflushed writes must survive), everything else takes the fetched
-// bytes and becomes valid.
-func (c *Cache) install(line layout.LineID, data []byte) *lineEntry {
+// bytes and becomes valid. The frame is the cache's (see Backend): a new
+// entry adopts it as its storage, and a resident line copies out of it
+// and hands it back.
+func (c *Cache) install(line layout.LineID, frame []byte) *lineEntry {
 	le, ok := c.lines[line]
 	if !ok {
 		c.evictIfFull()
-		// A new entry adopts the fetched bytes as its storage (see
-		// Backend: the slice is the cache's). The modelled copy is still
-		// charged below.
-		le = &lineEntry{
-			id:    line,
-			data:  data,
-			pages: make([]pageState, c.geo.LinePages),
-		}
-		c.lines[line] = le
+		// The modelled copy is still charged below.
+		le = c.newEntry(line, frame)
 	} else {
 		for i := range le.pages {
 			if le.pages[i].dirty {
 				continue
 			}
 			off := i * c.geo.PageSize
-			copy(le.data[off:off+c.geo.PageSize], data[off:off+c.geo.PageSize])
+			copy(le.data[off:off+c.geo.PageSize], frame[off:off+c.geo.PageSize])
 		}
+		proto.PutBuf(frame)
 	}
 	first := c.geo.FirstPage(line)
 	for i := range le.pages {
@@ -883,7 +897,7 @@ func (c *Cache) install(line layout.LineID, data []byte) *lineEntry {
 			// (A dirty page kept its local contents above, so its stale
 			// ranges — if any — stay in force, and so do the interval
 			// tags a future refetch of it must quote.)
-			le.pages[i].stale = nil
+			le.pages[i].stale = le.pages[i].stale[:0]
 			c.clearNeeds(first + layout.PageID(i))
 		}
 	}
@@ -906,8 +920,9 @@ func (c *Cache) installPage(p layout.PageID, data []byte) {
 	}
 	base := c.pageBaseInLine(p)
 	copy(le.data[base:base+c.geo.PageSize], data)
-	le.pages[c.pageIndex(p)].valid = true
-	le.pages[c.pageIndex(p)].stale = nil
+	ps := &le.pages[c.pageIndex(p)]
+	ps.valid = true
+	ps.stale = ps.stale[:0]
 	c.clearNeeds(p)
 	c.clock.Advance(c.cfg.CPU.CopyTime(c.geo.PageSize))
 	c.useTick++
@@ -1017,7 +1032,9 @@ func lineDirty(le *lineEntry) bool {
 	return false
 }
 
-// evict removes a line, flushing diffs of its dirty pages home.
+// evict removes a line, flushing diffs of its dirty pages home, and
+// hands its frame back to the pool: the diffs are copies, so nothing
+// refers to the frame any more. The entry is kept for the next install.
 func (c *Cache) evict(le *lineEntry) {
 	c.st.Evictions++
 	diffs := c.diffDirtyPages(le, true)
@@ -1031,6 +1048,39 @@ func (c *Cache) evict(le *lineEntry) {
 		c.st.MsgsSent++
 	}
 	delete(c.lines, le.id)
+	proto.PutBuf(le.data)
+	if len(c.freeEntries) < maxFreeEntries {
+		for i := range le.pages {
+			ps := &le.pages[i]
+			*ps = pageState{stale: ps.stale[:0], wext: ps.wext[:0]}
+		}
+		*le = lineEntry{pages: le.pages}
+		c.freeEntries = append(c.freeEntries, le)
+	}
+}
+
+// maxFreeEntries bounds the entry free list, as maxFreeTwins bounds the
+// twins': a DropRange of a wide range does not pin its entries.
+const maxFreeEntries = 64
+
+// newEntry makes line resident with frame as its storage, every page
+// invalid and clean, in a recycled entry when there is one.
+func (c *Cache) newEntry(line layout.LineID, frame []byte) *lineEntry {
+	var le *lineEntry
+	if n := len(c.freeEntries); n > 0 {
+		le, c.freeEntries = c.freeEntries[n-1], c.freeEntries[:n-1]
+	} else {
+		le = &lineEntry{pages: make([]pageState, c.geo.LinePages)}
+	}
+	le.id, le.data = line, frame
+	c.lines[line] = le
+	return le
+}
+
+// newFrame returns storage for one line: a whole pooled buffer, its
+// contents unspecified.
+func (c *Cache) newFrame() []byte {
+	return proto.GetBuf(c.geo.LineSize())[:c.geo.LineSize()]
 }
 
 // diffDirtyPages computes diffs of the line's dirty pages against their
@@ -1439,7 +1489,7 @@ func (c *Cache) invalidate(p layout.PageID, tag proto.IntervalTag, ext []byteRan
 	}
 	if ps.valid {
 		ps.valid = false
-		ps.stale = nil
+		ps.stale = ps.stale[:0]
 		c.clock.Advance(c.cfg.CPU.InvalidateTime)
 		c.st.Invalidations++
 	}
@@ -1502,12 +1552,7 @@ func (c *Cache) InstallGrantPage(p layout.PageID, data []byte) bool {
 	le, ok := c.lines[line]
 	if !ok {
 		c.evictIfFull()
-		le = &lineEntry{
-			id:    line,
-			data:  make([]byte, c.geo.LineSize()),
-			pages: make([]pageState, c.geo.LinePages),
-		}
-		c.lines[line] = le
+		le = c.newEntry(line, c.newFrame()) // the other pages stay invalid
 	}
 	ps := &le.pages[c.pageIndex(p)]
 	if ps.valid {
@@ -1555,12 +1600,19 @@ func (c *Cache) DrainPrefetches() {
 	}
 	slices.Sort(lines)
 	for _, line := range lines {
-		pe := c.pending[line]
-		pe.h.beginWait() // park only if the helper has not delivered yet
-		<-pe.ch
-		delete(c.pending, line)
-		c.st.PrefetchWasted++
+		c.discardPrefetch(line)
 	}
+}
+
+// discardPrefetch waits out line's in-flight prefetch, counts it wasted
+// and hands its line back to the pool.
+func (c *Cache) discardPrefetch(line layout.LineID) {
+	pe := c.pending[line]
+	pe.h.beginWait() // park only if the helper has not delivered yet
+	res := <-pe.ch
+	delete(c.pending, line)
+	c.st.PrefetchWasted++
+	proto.PutBuf(res.Data)
 }
 
 // ---------------------------------------------------------------------
@@ -1631,11 +1683,7 @@ func (c *Cache) DropRange(first layout.PageID, npages uint64) {
 	}
 	slices.Sort(lines)
 	for _, line := range lines {
-		pe := c.pending[line]
-		pe.h.beginWait() // park only if the helper has not delivered yet
-		<-pe.ch
-		delete(c.pending, line)
-		c.st.PrefetchWasted++
+		c.discardPrefetch(line)
 	}
 	lines = lines[:0]
 	for line := range c.lines {

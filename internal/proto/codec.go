@@ -24,10 +24,11 @@ type Msg interface {
 // a walk is an interface call, which would otherwise move a codec of its
 // own to the heap per message.
 type Codec struct {
-	w     Writer
-	r     Reader
-	dec   bool // direction: fill fields from r instead of appending them to w
-	alias bool // decoding: Payload fields and wire-form lists alias r.B instead of copying
+	w       Writer
+	r       Reader
+	dec     bool // direction: fill fields from r instead of appending them to w
+	alias   bool // decoding: Payload fields and wire-form lists alias r.B instead of copying
+	aliased bool // decoding: some field was left aliasing r.B
 
 	noticeModes // decoding a notice list in two passes (wire.go)
 }
@@ -106,10 +107,13 @@ func (c *Codec) U64s(v *[]uint64) {
 	}
 }
 
-// Payload walks a length-prefixed byte string. Decode fills the field
-// with a copy; under DecodeAlias the field is the body's own bytes —
-// clipped to their length, so an append to the payload reallocates
-// instead of running on into the rest of the body. It is for bytes the
+// Payload walks a length-prefixed byte string. A destination that
+// already has the capacity is filled in place, as List fills one: a
+// caller that decodes into a buffer of its own (a pooled line frame)
+// gets the bytes there. Otherwise Decode fills the field with a copy,
+// and under DecodeAlias the field is the body's own bytes — clipped to
+// their length, so an append to the payload reallocates instead of
+// running on into the rest of the body. An alias is for bytes the
 // receiver reads, or takes over, while it still owns the body
 // (DESIGN.md §11).
 func (c *Codec) Payload(p *[]byte) {
@@ -118,11 +122,16 @@ func (c *Codec) Payload(p *[]byte) {
 		c.w.Bytes(*p)
 	case c.skim:
 		c.r.Bytes()
-	case c.alias:
-		b := c.r.Bytes()
-		*p = b[:len(b):len(b)]
 	default:
-		*p = append([]byte(nil), c.r.Bytes()...)
+		b := c.r.Bytes()
+		switch {
+		case *p != nil && cap(*p) >= len(b):
+			*p = append((*p)[:0], b...)
+		case c.alias:
+			*p, c.aliased = b[:len(b):len(b)], true
+		default:
+			*p = append([]byte(nil), b...)
+		}
 	}
 }
 
@@ -245,19 +254,39 @@ func Marshal(walk func(*Codec)) []byte {
 	return c.finish()
 }
 
+// Size reports how many bytes Encode would make of m. It walks m
+// against a pooled codec and keeps nothing, so counting a message it has
+// no body of costs no allocation.
+func Size(m Msg) int {
+	c := codecs.Get().(*Codec)
+	m.Walk(c)
+	n := len(c.w.B)
+	c.recycle()
+	return n
+}
+
 // finish copies the encoded bytes out and recycles the codec.
 func (c *Codec) finish() []byte {
 	body := append([]byte(nil), c.w.B...)
+	c.recycle()
+	return body
+}
+
+// recycle empties an encoding codec and pools it, unless its Writer grew
+// past the scratch a codec keeps.
+func (c *Codec) recycle() {
 	if cap(c.w.B) <= maxEncodeScratch {
 		c.w.B = c.w.B[:0]
 		codecs.Put(c)
 	}
-	return body
 }
 
 // Decode fills m from body, returning any decoding error. Byte payloads
 // are copied out of body.
-func Decode(m Msg, body []byte) error { return decode(m, body, false) }
+func Decode(m Msg, body []byte) error {
+	_, err := decode(m, body, false)
+	return err
+}
 
 // DecodeAlias fills m from body like Decode, but Payload fields (fetched
 // lines, diff runs, store records, shipped pages, a replication
@@ -269,12 +298,24 @@ func Decode(m Msg, body []byte) error { return decode(m, body, false) }
 // message to exactly one receiver in a buffer of its own — and a body
 // may be decoded again (a retried handler) as long as every decode
 // treats the payloads as read-only or only one of them takes ownership.
-func DecodeAlias(m Msg, body []byte) error { return decode(m, body, true) }
+func DecodeAlias(m Msg, body []byte) error {
+	_, err := decode(m, body, true)
+	return err
+}
 
-func decode(m Msg, body []byte, alias bool) error {
+// DecodeAliased is DecodeAlias that also reports whether any field of m
+// (a Payload, a wire-form list) was left aliasing body. A caller that
+// owns body may hand it back with PutBuf exactly when aliased is false:
+// a Payload decoded into a destination with the room for it is a copy.
+func DecodeAliased(m Msg, body []byte) (aliased bool, err error) {
+	return decode(m, body, true)
+}
+
+func decode(m Msg, body []byte, alias bool) (aliased bool, err error) {
 	c := decoder(body, alias)
 	m.Walk(c)
-	return c.done()
+	aliased = c.aliased
+	return aliased, c.done()
 }
 
 // Unmarshal runs walk against a codec decoding body, the inverse of
@@ -294,7 +335,7 @@ func decoder(body []byte, alias bool) *Codec {
 // done recycles a decoding codec and reports the first decoding error.
 func (c *Codec) done() error {
 	err := c.r.err
-	c.r, c.dec, c.alias = Reader{}, false, false
+	c.r, c.dec, c.alias, c.aliased = Reader{}, false, false, false
 	codecs.Put(c)
 	return err
 }

@@ -152,7 +152,9 @@ func (c *Codec) wire(n *int, b *[]byte, one func(*Codec)) {
 		return // inside a larger skim nothing is kept; an empty list is the zero value
 	}
 	*n, *b = cnt, c.r.B[start:c.r.off:c.r.off]
-	if !c.alias {
+	if c.alias {
+		c.aliased = true
+	} else {
 		*b = append([]byte(nil), *b...)
 	}
 }

@@ -219,14 +219,19 @@ func (e *RemoteError) Error() string { return fmt.Sprintf("scl: remote error: %s
 func (e *RemoteError) Unwrap() error { return proto.CodeErr(e.Code) }
 
 // decodeResponse interprets a raw response, translating wire-level
-// errors. resp's byte payloads alias body (proto.DecodeAlias): both
-// transports hand a call its reply in a buffer of its own, so the caller
-// of Call owns those bytes — a fetched line is installed in the cache
-// without another copy.
+// errors. Both transports hand a call its reply in a buffer of its own,
+// so the caller of Call owns body. A byte payload resp brings the room
+// for (a fetch's pooled line frame) is filled in place; any other
+// aliases body (proto.DecodeAliased). A body that nothing decoded from
+// it aliases is handed back to the pool here, its owner's last use of
+// it: a fetch answer's pooled body, or a TCP frame, which only joins the
+// pool if it happens to be of a class size.
 func decodeResponse(kind proto.Kind, body []byte, resp proto.Msg) error {
 	if kind == proto.KError {
 		var pe proto.Error
-		if err := proto.Decode(&pe, body); err != nil {
+		err := proto.Decode(&pe, body)
+		proto.PutBuf(body)
+		if err != nil {
 			return fmt.Errorf("scl: undecodable error response: %w", err)
 		}
 		return &RemoteError{Code: pe.Code, Text: pe.Text}
@@ -234,5 +239,9 @@ func decodeResponse(kind proto.Kind, body []byte, resp proto.Msg) error {
 	if kind != resp.Kind() {
 		return fmt.Errorf("scl: got %v response, want %v", kind, resp.Kind())
 	}
-	return proto.DecodeAlias(resp, body)
+	aliased, err := proto.DecodeAliased(resp, body)
+	if !aliased {
+		proto.PutBuf(body)
+	}
+	return err
 }
