@@ -170,7 +170,7 @@ func TestRecycledEntryStartsInvalid(t *testing.T) {
 	old := c.lines[0]
 	page := bytes.Repeat([]byte{7}, geo.PageSize)
 	p := geo.FirstPage(3) + 1
-	if !c.InstallGrantPage(p, page) {
+	if !c.InstallGrantPage(p, page, 0) {
 		t.Fatal("grant page not installed")
 	}
 	le := c.lines[3]
