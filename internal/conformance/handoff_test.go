@@ -11,8 +11,7 @@ import (
 )
 
 // TestPeerToPeerHandoffCarriesValues is the property test for the
-// sharded manager's peer-to-peer lock handoff (sequenced fabric +
-// ManagerShards > 1): a heavily contended lock must actually take the
+// manager's peer-to-peer lock handoff (sequenced fabric): a heavily contended lock must actually take the
 // holder-to-waiter fast path — the manager only arbitrating when the
 // waiter set changes — while every increment protected by the lock
 // still lands exactly once, with the closing interval riding the grant

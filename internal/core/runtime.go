@@ -128,14 +128,14 @@ type Config struct {
 	// over the fabric). Only consulted when HotBytes > 0.
 	ColdPreset string
 	// ManagerShards splits the manager's synchronization state into this
-	// many homes (0 or 1 = the historical single event loop, preserved
-	// bit-identically). Locks, barriers and condition variables map to
-	// homes by a splitmix-mixed id; each home advances its own virtual
-	// clock, so traffic on unrelated sync objects stops serializing on
-	// one manager clock. On the sequenced fabric a sharded manager also
-	// hands contended locks over peer-to-peer: the home announces the
-	// next waiter to the holder, which forwards the grant (plus the
-	// notice backlog) directly at release.
+	// many homes (0 or 1 = one home). Locks, barriers and condition
+	// variables map to homes by a splitmix-mixed id; each home advances
+	// its own virtual clock, so traffic on unrelated sync objects stops
+	// serializing on one manager clock. The lock protocol does not
+	// depend on it: on the sequenced fabric the manager hands contended
+	// locks over peer-to-peer at every home count (the home announces
+	// the next waiter to the holder, which forwards the grant plus the
+	// notice backlog directly at release).
 	ManagerShards int
 	// ManagerReplicas runs the manager as a replica group of this size
 	// (0 or 1 = the historical single manager, preserved bit-

@@ -14,15 +14,13 @@
 // its own virtual clock, so traffic on unrelated synchronization
 // objects no longer queues behind one clock. The homes shard virtual
 // time, not the host: the dispatcher runs each home's work in turn.
-// With a single home (the default) the times, message bytes and grant
-// order are those of a single event loop.
 //
-// On a sequenced fabric a sharded manager additionally hands contended
-// locks over peer-to-peer: the home names the next waiter to the
-// current holder (NextWaiter), and the holder forwards the grant plus
-// the notice batch directly to that waiter at release (LockGrant), so
-// the manager stays out of the steady-state handoff path and only
-// arbitrates when the waiter set changes.
+// On a sequenced fabric the manager additionally hands contended locks
+// over peer-to-peer, at every home count: the home names the next
+// waiter to the current holder (NextWaiter), and the holder forwards
+// the grant plus the notice batch directly to that waiter at release
+// (LockGrant), so the manager stays out of the steady-state handoff
+// path and only arbitrates when the waiter set changes.
 //
 // Consistency bookkeeping: each release (unlock, barrier arrival,
 // condition wait) carries the releasing interval's write notice — the
@@ -187,8 +185,8 @@ func New(ep scl.Endpoint, geo layout.Geometry) *Manager {
 }
 
 // SetShards splits the manager's synchronization state into n homes.
-// Must be called before Run. With n == 1 (the default) the manager
-// behaves exactly as the historical single-loop implementation.
+// Must be called before Run. With n == 1 (the default) one home serves
+// every object; the lock protocol does not depend on n.
 func (m *Manager) SetShards(n int) {
 	m.tables = newTables(m, max(n, 1))
 	// Each allocation zone gets a fixed home so zone state stays
@@ -199,12 +197,13 @@ func (m *Manager) SetShards(n int) {
 }
 
 // SetSequenced tells the manager it runs on a deterministic sequenced
-// fabric, where a sharded manager hands contended locks over
-// peer-to-peer. Must be called before Run.
+// fabric, where it hands contended locks over peer-to-peer. Must be
+// called before Run.
 func (m *Manager) SetSequenced(b bool) { m.sequenced = b }
 
-// p2p reports whether contended locks are handed over peer-to-peer.
-func (m *Manager) p2p() bool { return len(m.shards) > 1 && m.sequenced }
+// p2p reports whether contended locks are handed over peer-to-peer: on
+// a sequenced fabric, at every home count.
+func (m *Manager) p2p() bool { return m.sequenced }
 
 // shardOf maps a synchronization object id to its home shard with a
 // splitmix64-style finalizer, mirroring layout.Geometry.ShardOf for

@@ -68,7 +68,7 @@ type lockState struct {
 	queue  []waiter
 
 	// Peer-to-peer handoff bookkeeping (active only when the manager
-	// runs sharded on a sequenced fabric).
+	// runs on a sequenced fabric).
 	holderNode uint32 // node hosting the current holder
 	gen        uint64 // tenure number, bumped once per grant
 	grantSeq   uint64 // notice horizon the current tenure started with

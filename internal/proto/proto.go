@@ -108,7 +108,7 @@ const (
 	KFetchLinesReq
 	KFetchLinesResp
 
-	// Peer-to-peer lock handoff (sharded manager): the manager names the
+	// Peer-to-peer lock handoff (sequenced fabric): the manager names the
 	// next waiter to the holder, and the holder forwards the grant.
 	KNextWaiter // one-way: manager -> holder, successor + notice batch
 	KLockGrant  // one-way: holder (or manager fallback) -> waiter

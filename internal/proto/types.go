@@ -411,8 +411,8 @@ func (m *LockReq) Walk(c *Codec) {
 
 // LockResp grants the mutex. Seq is the new LastSeen.
 //
-// With peer-to-peer handoff enabled (sharded manager on a sequenced
-// fabric) the manager answers a contended acquire immediately with
+// With peer-to-peer handoff enabled (a manager on a sequenced fabric)
+// the manager answers a contended acquire immediately with
 // Queued set instead of parking the RPC; the grant then arrives later
 // as a one-way LockGrant. Gen identifies the holder's tenure so stale
 // NextWaiter messages can be recognized. Both fields are trailing and
