@@ -35,7 +35,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
@@ -79,7 +78,7 @@ func main() {
 	var drops, retries, kills, failovers, mgrFailovers, mgrElections int64
 	for _, sd := range seeds {
 		prog := conformance.Generate(sd)
-		cfg := randomConfig(sd * 31)
+		cfg := conformance.RandomConfig(sd * 31)
 		sched := faultnet.Config{Seed: sd*101 + 7}
 		if *forkMode {
 			// The storm allocates small images; stripe them anyway so the
@@ -175,21 +174,6 @@ func main() {
 	if failures > 0 {
 		os.Exit(1)
 	}
-}
-
-// randomConfig mirrors the conformance test's configuration fuzzing.
-func randomConfig(seed int64) core.Config {
-	rng := rand.New(rand.NewSource(seed))
-	cfg := core.DefaultConfig()
-	cfg.Geo.LinePages = []int{1, 2, 4, 8}[rng.Intn(4)]
-	cfg.Geo.NumServers = 1 + rng.Intn(3)
-	cfg.CacheLines = []int{2, 4, 16, 64, 1024}[rng.Intn(5)]
-	cfg.Prefetch = rng.Intn(2) == 0
-	cfg.PrefetchDepth = rng.Intn(4) // 0 = one line ahead; up to 3 ahead
-	cfg.DisableFineGrain = rng.Intn(4) == 0
-	cfg.ServerShards = []int{1, 2, 4}[rng.Intn(3)]
-	cfg.ManagerShards = []int{1, 2, 4}[rng.Intn(3)]
-	return cfg
 }
 
 func fatalf(format string, args ...any) {

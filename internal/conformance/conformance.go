@@ -20,10 +20,9 @@
 //     values are independent of lock acquisition order and exactly
 //     predictable.
 //
-// Runtime configurations are randomized too — line size, cache capacity
-// (down to thrashing sizes), memory-server count, prefetch, and the
-// RegC fine-grain path on or off — so the protocol is exercised through
-// eviction, striping and invalidation corners, not just the happy path.
+// Runtime configurations are randomized too (RandomConfig), so the
+// protocol is exercised through eviction, striping and invalidation
+// corners, not just the happy path.
 package conformance
 
 import (
@@ -31,6 +30,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/vm"
 )
 
@@ -59,6 +59,24 @@ func Generate(seed int64) Program {
 		Locks:         1 + rng.Intn(3),
 		ReadsPerRound: 1 + rng.Intn(8),
 	}
+}
+
+// RandomConfig builds a Samhita configuration that stresses a different
+// protocol corner per seed: line size, cache capacity (down to thrashing,
+// up to keeping stale copies resident), memory servers and their shards,
+// prefetch depth, the fine-grain path, and manager homes.
+func RandomConfig(seed int64) core.Config {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := core.DefaultConfig()
+	cfg.Geo.LinePages = []int{1, 2, 4, 8}[rng.Intn(4)]
+	cfg.Geo.NumServers = 1 + rng.Intn(3)
+	cfg.CacheLines = []int{2, 4, 16, 64, 1024}[rng.Intn(5)]
+	cfg.Prefetch = rng.Intn(2) == 0
+	cfg.PrefetchDepth = rng.Intn(4) // 0 = one line ahead; up to 3 ahead
+	cfg.DisableFineGrain = rng.Intn(4) == 0
+	cfg.ServerShards = []int{1, 2, 4}[rng.Intn(3)]
+	cfg.ManagerShards = []int{1, 2, 4}[rng.Intn(3)]
+	return cfg
 }
 
 // slotValue is the deterministic value written to slot s in round r (by
