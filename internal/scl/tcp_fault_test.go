@@ -62,9 +62,9 @@ func TestTCPPeerDeathFailsPendingCall(t *testing.T) {
 		if err == nil {
 			t.Fatal("Call succeeded though the peer died without replying")
 		}
-		// The zero policy makes one attempt and reports exhaustion.
-		if !errors.Is(err, ErrUnreachable) {
-			t.Errorf("peer-death error = %v, want ErrUnreachable", err)
+		// Transient: the cue a retry layer above would act on.
+		if !IsTransient(err) {
+			t.Errorf("peer-death error = %v, want a transient error", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Call still hanging 5s after peer death — hang-forever bug")
@@ -136,16 +136,16 @@ func TestTCPDeadConnEvictedAndRedialed(t *testing.T) {
 	}
 }
 
-// TestTCPRetryMasksServerRestart gives the client a retry policy and
+// TestTCPRetryMasksServerRestart wraps the client in the retry layer and
 // checks a single Call survives the dead cached connection without the
 // caller seeing an error.
 func TestTCPRetryMasksServerRestart(t *testing.T) {
 	cli, srv, _ := newTCPPair(t)
-	cli.SetRetryPolicy(RetryPolicy{MaxAttempts: 50, Backoff: time.Millisecond, BackoffCap: 10 * time.Millisecond})
+	ep := WithRetry(cli, RetryPolicy{MaxAttempts: 50, Backoff: time.Millisecond, BackoffCap: 10 * time.Millisecond}, cli.NetStats())
 	go echoAlloc(t, srv)
 
 	var resp proto.AllocResp
-	if _, err := cli.Call(2, &proto.AllocReq{Size: 5}, &resp, 0); err != nil {
+	if _, err := ep.Call(2, &proto.AllocReq{Size: 5}, &resp, 0); err != nil {
 		t.Fatalf("warm-up call: %v", err)
 	}
 	srv.Close() // cached conn is now dead; next call's first attempts fail
@@ -153,7 +153,7 @@ func TestTCPRetryMasksServerRestart(t *testing.T) {
 	var r proto.AllocResp
 	done := make(chan error, 1)
 	go func() {
-		_, err := cli.Call(2, &proto.AllocReq{Size: 7}, &r, 0)
+		_, err := ep.Call(2, &proto.AllocReq{Size: 7}, &r, 0)
 		done <- err
 	}()
 	// Restart happens while the retry loop is backing off. Rebind node 2.
@@ -185,7 +185,7 @@ func TestTCPRetryMasksServerRestart(t *testing.T) {
 // listener and checks the typed terminal error.
 func TestTCPCallUnreachable(t *testing.T) {
 	cli, _, book := newTCPPair(t)
-	cli.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, Backoff: time.Microsecond})
+	ep := WithRetry(cli, RetryPolicy{MaxAttempts: 3, Backoff: time.Microsecond}, cli.NetStats())
 	// Node 9: address points at a closed port.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -196,7 +196,7 @@ func TestTCPCallUnreachable(t *testing.T) {
 	book.Set(9, addr)
 
 	var resp proto.AllocResp
-	_, err = cli.Call(9, &proto.AllocReq{}, &resp, 0)
+	_, err = ep.Call(9, &proto.AllocReq{}, &resp, 0)
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
@@ -209,12 +209,13 @@ func TestTCPCallUnreachable(t *testing.T) {
 	}
 }
 
-// TestTCPCallTimeoutAndStaleResponse bounds an attempt against a server
-// that answers too late: the call times out (counted), and the late
-// response is discarded as stale instead of corrupting a later call.
+// TestTCPCallTimeoutAndStaleResponse bounds each attempt against a
+// server that answers too late: the call times out (counted), and the
+// late responses land in the abandoned attempts, not in the caller's
+// response or in a later call's.
 func TestTCPCallTimeoutAndStaleResponse(t *testing.T) {
 	cli, srv, _ := newTCPPair(t)
-	cli.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, Timeout: 50 * time.Millisecond, Backoff: time.Microsecond})
+	ep := WithRetry(cli, RetryPolicy{MaxAttempts: 2, Timeout: 50 * time.Millisecond, Backoff: time.Microsecond}, cli.NetStats())
 
 	release := make(chan struct{})
 	go func() {
@@ -225,14 +226,19 @@ func TestTCPCallTimeoutAndStaleResponse(t *testing.T) {
 			}
 			go func(req Request) {
 				<-release // answer only when told to — far past the timeout
-				req.Reply(&proto.AllocResp{Addr: 1}, req.Arrive()+req.Svc())
+				var ar proto.AllocReq
+				if err := req.Decode(&ar); err != nil {
+					t.Error(err)
+					return
+				}
+				req.Reply(&proto.AllocResp{Addr: ar.Size}, req.Arrive()+req.Svc())
 			}(req)
 		}
 	}()
 
 	var resp proto.AllocResp
 	start := time.Now()
-	_, err := cli.Call(2, &proto.AllocReq{Size: 1}, &resp, 0)
+	_, err := ep.Call(2, &proto.AllocReq{Size: 1}, &resp, 0)
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
@@ -243,14 +249,14 @@ func TestTCPCallTimeoutAndStaleResponse(t *testing.T) {
 		t.Errorf("Timeouts = %d, want 2", got)
 	}
 
-	// Let the parked replies flow: they must be dropped as stale.
+	// Let the parked replies flow, then make a call that is answered.
 	close(release)
-	deadline := time.Now().Add(5 * time.Second)
-	for cli.NetStats().StaleResponses.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("late responses never counted as stale")
-		}
-		time.Sleep(time.Millisecond)
+	var later proto.AllocResp
+	if _, err := ep.Call(2, &proto.AllocReq{Size: 5}, &later, 0); err != nil {
+		t.Fatal(err)
+	}
+	if later.Addr != 5 || resp.Addr != 0 {
+		t.Fatalf("late replies leaked: later call got %d, timed-out call %d", later.Addr, resp.Addr)
 	}
 }
 
