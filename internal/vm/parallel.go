@@ -9,7 +9,7 @@ package vm
 func BlockRange(n, p, id int) (lo, hi int) {
 	chunk := n / p
 	rem := n % p
-	lo = id*chunk + minInt(id, rem)
+	lo = id*chunk + min(id, rem)
 	hi = lo + chunk
 	if id < rem {
 		hi++
@@ -42,11 +42,4 @@ func ReduceF64(t Thread, mu Mutex, bar Barrier, cell Addr, local float64) float6
 	mu.Unlock(t)
 	bar.Wait(t)
 	return t.ReadFloat64(cell)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

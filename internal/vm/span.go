@@ -22,47 +22,6 @@ func (a F64) WriteSlice(t Thread, lo int, src []float64) {
 	t.WriteFloat64s(a.Addr(lo), src)
 }
 
-// fillChunk bounds the scratch buffer Fill streams through.
-const fillChunk = 512
-
-// Fill stores v into elements [lo, hi) with chunked span writes.
-func (a F64) Fill(t Thread, lo, hi int, v float64) {
-	if hi <= lo {
-		return
-	}
-	n := hi - lo
-	buf := make([]float64, min(n, fillChunk))
-	for i := range buf {
-		buf[i] = v
-	}
-	for lo < hi {
-		k := min(hi-lo, len(buf))
-		a.WriteSlice(t, lo, buf[:k])
-		lo += k
-	}
-}
-
-// Axpy performs y[i] += alpha*x[i] for i in [lo, hi) with chunked span
-// reads and writes, charging the arithmetic (two flops per element) to
-// the thread's clock.
-func (y F64) Axpy(t Thread, alpha float64, x F64, lo, hi int) {
-	if hi <= lo {
-		return
-	}
-	var xb, yb [fillChunk]float64
-	for lo < hi {
-		k := min(hi-lo, fillChunk)
-		x.ReadSlice(t, lo, xb[:k])
-		y.ReadSlice(t, lo, yb[:k])
-		for i := 0; i < k; i++ {
-			yb[i] += alpha * xb[i]
-		}
-		t.Compute(2 * k)
-		y.WriteSlice(t, lo, yb[:k])
-		lo += k
-	}
-}
-
 // F64Span is a checked-out window of an F64 array: Slice bulk-reads the
 // window once into an owned buffer, the kernel indexes V with ordinary
 // Go loads and stores (no per-element accessor cost), and Close bulk
@@ -98,10 +57,3 @@ func (s *F64Span) Close() {
 
 // Discard invalidates the view without writing back (read-only use).
 func (s *F64Span) Discard() { s.V = nil }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
