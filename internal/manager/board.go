@@ -118,9 +118,10 @@ func (b *noticeBoard) after(since, upTo uint64) []proto.Notice {
 // span is the directory's own notices with since < Seq <= upTo: a view.
 // It stays whole through one prune (see pruned), but not through a fill
 // or a second prune, so its caller encodes it first. It is what a caller
-// that encodes at once reads from: the backlogs of a handoff train (each
-// bounded by the holder's acquire point; later notices are delivered at
-// the successor's next acquire), acquire and acquireWire.
+// that encodes at once reads from: a handoff train's shared backlog (from
+// its lowest waiter horizon up to the holder's acquire point; later
+// notices are delivered at each successor's next acquire), acquire and
+// acquireWire.
 func (b *noticeBoard) span(since, upTo uint64) []proto.Notice {
 	i := len(b.notices)
 	for i > 0 && b.notices[i-1].Seq > since {

@@ -38,11 +38,13 @@
 //     while it owns the body). A field added to an existing message goes
 //     last, in a c.tail group, so messages without it keep their encoding.
 //     A list of notices is Notices(c, &m.Ns) when the receiver applies
-//     it (three allocations, however long) and a NoticeList or Train
-//     field (walkNoticeList, walkTrain) when the receiver passes it on:
-//     a list is wire-form exactly when some node forwards it without
-//     looking inside, as a lock holder does with the train it hands
-//     down (wire.go). The bytes on the wire are the same three ways.
+//     it (three allocations, however long) and a NoticeList field
+//     (walkNoticeList) when the receiver passes it on: a list is
+//     wire-form exactly when some node forwards it without looking
+//     inside, as a lock holder does with the backlogs it hands down
+//     (wire.go). The bytes on the wire are the same either way. A Train
+//     (walkTrain) is the wire form of a handoff train's entries and
+//     their one shared backlog.
 //  3. Add the row to the kinds table: name and fresh[T].
 //  4. Add a populated sample to wireSamples (wire_test.go), one per form
 //     of an optional tail, and record it with "go test ./internal/proto

@@ -570,32 +570,6 @@ func (m *CondSignalReq) Walk(c *Codec) {
 	c.Bool(&m.Broadcast)
 }
 
-// SuccAnn pre-announces one queued waiter to the chain of holders that
-// will pass the lock around without manager round trips. Notices is the
-// manager-composed backlog (Waiter's horizon, anchor], where the anchor
-// is the board sequence the tenure the train was dispatched under
-// acquired at; everything a later train holder adds above the anchor
-// travels as the grant's Inline intervals. The backlog is in wire form:
-// the holder that grants to Waiter sends it on as the grant's Notices
-// without decoding it.
-type SuccAnn struct {
-	Waiter     uint32 // successor thread
-	WaiterNode uint32 // fabric node to post the LockGrant to
-	Notices    NoticeList
-}
-
-func walkSucc(c *Codec, a *SuccAnn) {
-	walkSuccWaiter(c, a)
-	walkNoticeList(c, &a.Notices)
-}
-
-// walkSuccWaiter walks the fields ahead of the backlog; TrainWriter.Add
-// follows it with a backlog that is not in wire form yet.
-func walkSuccWaiter(c *Codec, a *SuccAnn) {
-	c.U32(&a.Waiter)
-	c.U32(&a.WaiterNode)
-}
-
 // NextWaiter is the manager telling the current lock holder who to hand
 // the lock to when it releases (peer-to-peer handoff, Munin-style
 // distributed lock ownership). Train is a snapshot of the waiter queue:
@@ -605,9 +579,10 @@ func walkSuccWaiter(c *Codec, a *SuccAnn) {
 // that chased each new holder through the manager would always lose the
 // race against a short critical section. Seq is the board sequence the
 // holder acquired at (the anchor every train batch was composed
-// against). At most one train is outstanding per lock; the manager
-// dispatches the next one when the previous train is exhausted or
-// abandoned.
+// against): every waiter's backlog ends there, so the train carries the
+// longest one once and each entry names its suffix of it (see Train). At
+// most one train is outstanding per lock; the manager dispatches the
+// next one when the previous train is exhausted or abandoned.
 type NextWaiter struct {
 	Lock  uint32
 	Gen   uint64 // holder tenure the train starts at
@@ -641,12 +616,13 @@ func walkPagePayload(c *Codec, p *PagePayload) {
 
 // LockGrant completes a queued acquire that was answered with
 // LockResp.Queued. It is posted one-way either by the releasing holder
-// (peer-to-peer handoff: Notices is the manager-composed backlog from
-// the successor's train entry, Inline the closing intervals of every
-// train holder since the anchor — oldest first, ending with the
-// releaser's own) or by the manager (central fallback: Notices is the
-// full backlog and Inline is empty). Train is the rest of the
-// announcement train for the receiver to keep forwarding. PageData is
+// (peer-to-peer handoff: Notices is the successor's manager-composed
+// backlog, its suffix of the train's shared list, Inline the closing
+// intervals of every train holder since the anchor — oldest first,
+// ending with the releaser's own) or by the manager (central fallback:
+// Notices is the full backlog and Inline is empty). Train is the rest of
+// the announcement train for the receiver to keep forwarding, its
+// shared list trimmed to the longest backlog still ahead. PageData is
 // the releaser's copy of record-bearing pages a cold successor would
 // otherwise have to fetch mid-tenure, on the serialized handoff chain.
 // Gen is the receiver's new tenure and Seq its new LastSeen (the

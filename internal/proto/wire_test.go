@@ -40,9 +40,9 @@ func wireSamples() []wireSample {
 	}
 	records := []StoreRecord{{Addr: 4096, Data: []byte{8, 7, 6, 5, 4, 3, 2, 1}}, {Addr: 1 << 34, Data: nil}}
 	var announced, forwarded TrainWriter
-	announced.Add(7, 107, []Notice{notice})
-	announced.Add(9, 109, nil)
-	forwarded.Add(11, 111, nil)
+	announced.Add(7, 107, 1)
+	announced.Add(9, 109, 0)
+	forwarded.Add(11, 111, 0)
 	return []wireSample{
 		{"fetch-line-req", &FetchLineReq{Line: 7, Needs: needs}},
 		{"fetch-line-resp", &FetchLineResp{Data: []byte{1, 2, 3, 0, 255}}},
@@ -84,13 +84,13 @@ func wireSamples() []wireSample {
 		{"fetch-lines-req", &FetchLinesReq{Lines: []uint64{4, 5}, Pages: []uint64{1 << 21}, Needs: needs}},
 		{"fetch-lines-req/empty", &FetchLinesReq{}},
 		{"fetch-lines-resp", &FetchLinesResp{Data: bytes.Repeat([]byte{0xAB}, 130)}},
-		{"next-waiter", &NextWaiter{Lock: 5, Gen: 2, Seq: 90, Train: announced.Train()}},
+		{"next-waiter", &NextWaiter{Lock: 5, Gen: 2, Seq: 90, Train: announced.Train([]Notice{notice})}},
 		{"next-waiter/no-train", &NextWaiter{Lock: 5, Gen: 2, Seq: 90}},
 		{"lock-grant", &LockGrant{
 			Lock: 5, Gen: 3, Seq: 91,
 			Notices:  NoticesOf([]Notice{{Seq: 89, Tag: IntervalTag{Writer: 2, Interval: 8}}}),
 			Inline:   NoticesOf([]Notice{notice}),
-			Train:    forwarded.Train(),
+			Train:    forwarded.Train(nil),
 			PageData: []PagePayload{{Page: 3, Data: []byte{9, 8, 7}}, {Page: 4, Data: nil}},
 		}},
 		{"lock-grant/aborted", &LockGrant{Lock: 5, Gen: 1, Code: CodeShutdown}},
