@@ -83,6 +83,7 @@ type Stats struct {
 	NoticesSent   atomic.Int64
 	NoticesPruned atomic.Int64
 	NextWaiters   atomic.Int64 // successor announcements sent to holders
+	FullTrains    atomic.Int64 // announcement trains cut at maxTrain entries
 	Handoffs      atomic.Int64 // grants forwarded holder-to-waiter
 }
 
