@@ -20,8 +20,8 @@ func TestU16FieldsRejectOverflow(t *testing.T) {
 		w.U32(5) // Lock
 		w.U64(1) // Gen
 		w.U64(2) // Seq
-		for i := 0; i < 4; i++ {
-			w.U64(0) // Notices, Inline, Train, PageData
+		for i := 0; i < 3; i++ {
+			w.U64(0) // Inline, Train, PageData
 		}
 		w.U32(code)
 		return w.B
@@ -170,8 +170,8 @@ func trainOf(k int, ns []Notice) Train {
 	return w.Train(ns)
 }
 
-// A holder forwards a train by reading its head and re-encoding the
-// rest as bytes: what that allocates (the grant's body, the Inline copy
+// A grant's receiver splits its own entry off the train and, at its
+// release, forwards the rest whole as bytes: what that allocates (the grant's body, the Inline copy
 // its closing interval is appended to) does not depend on how many
 // announcements are left.
 func TestTrainForwardIsConstantAllocs(t *testing.T) {
@@ -182,16 +182,16 @@ func TestTrainForwardIsConstantAllocs(t *testing.T) {
 	closing := Notice{Tag: IntervalTag{Writer: 9, Interval: 4}, Pages: []uint64{3}, Records: backlog[0].Records}
 	forward := func(k int) float64 {
 		var g LockGrant
-		if err := DecodeAlias(&g, Encode(&LockGrant{Lock: 1, Gen: 2, Seq: 3, Inline: NoticesOf(backlog[:2]), Train: trainOf(k, backlog)})); err != nil {
+		if err := DecodeAlias(&g, Encode(&LockGrant{Lock: 1, Gen: 2, Seq: 3, Inline: NoticesOf(backlog[:2]), Train: trainOf(k+1, backlog)})); err != nil {
 			t.Fatal(err)
 		}
 		var dst uint32
 		allocs := testing.AllocsPerRun(100, func() {
-			head, rest := g.Train.Head()
-			dst = head.WaiterNode
-			Encode(&LockGrant{Lock: g.Lock, Gen: g.Gen + 1, Seq: g.Seq, Notices: head.Notices, Inline: g.Inline.With(&closing), Train: rest})
+			_, rest := g.Train.Head()
+			_, dst = rest.Next()
+			Encode(&LockGrant{Lock: g.Lock, Gen: g.Gen + 1, Seq: g.Seq, Inline: g.Inline.With(&closing), Train: rest})
 		})
-		if dst != 100 {
+		if dst != 101 {
 			t.Fatalf("head of a %d-entry train names node %d", k, dst)
 		}
 		return allocs
@@ -248,12 +248,14 @@ func checkNoticeWire(t *testing.T, where string, wire []byte, got []Notice) {
 // checkWireLists runs checkNoticeWire over every notice list of an
 // accepted body, consumed or in wire form, and checks that a wire-form
 // list goes back on the wire as the bytes it came off as, and that a
-// train forwarded hop by hop hands out sub-slices of those bytes: each
-// head's backlog a suffix of the shared list, each rest trimmed. At
-// every hop the train re-encodes to a body that decodes to the same
-// head and re-encodes to itself; and when the body is canonical (it
-// re-encodes to itself, its train to what a TrainWriter composes from
-// the same entries), every rest re-encodes to its own composition.
+// train forwarded hop by hop hands out sub-slices of those bytes. At
+// every hop the train is forwarded whole, as a holder forwards it inside
+// a LockGrant: it re-encodes to a body that decodes to the same entries
+// and head and re-encodes to itself, and when the body is canonical (it
+// re-encodes to itself, its train to what a TrainWriter composes from the
+// same entries) it re-encodes to its own composition. Then its receiver
+// splits off the head, its own backlog, a suffix of the shared list, and
+// keeps the rest, trimmed, to forward at the next hop.
 func checkWireLists(t *testing.T, m Msg, body []byte) {
 	t.Helper()
 	consumed := func(got []Notice) {
@@ -266,11 +268,12 @@ func checkWireLists(t *testing.T, m Msg, body []byte) {
 		if l.n > 0 && !bytes.Contains(body, wireBytes(l.n, l.b)) {
 			t.Fatalf("%s: not the body's bytes", where)
 		}
-		want := append(append([]byte{0, 0, 0}, wireBytes(l.n, l.b)...), 0, 0, 0, 0)
-		if got := Encode(&LockGrant{Notices: l}); !bytes.Equal(got, want) {
+		want := append(append([]byte{0, 0, 0}, wireBytes(l.n, l.b)...), 0, 0, 0)
+		if got := Encode(&LockGrant{Inline: l}); !bytes.Equal(got, want) {
 			t.Fatalf("%s: re-encoded % x, want % x", where, got, want)
 		}
 	}
+	forward := func(tr Train) []byte { return Encode(&LockGrant{Train: tr}) }
 	composed := func(tr Train) []byte {
 		var w TrainWriter
 		longest := 0
@@ -281,26 +284,29 @@ func checkWireLists(t *testing.T, m Msg, body []byte) {
 			left = rest
 		}
 		ns := tr.list.Notices()
-		return Encode(&NextWaiter{Train: w.Train(ns[len(ns)-longest:])})
+		return forward(w.Train(ns[len(ns)-longest:]))
 	}
 	train := func(tr Train) {
 		if tr.list.n > 0 && !bytes.Contains(body, tr.list.b) {
 			t.Fatal("train: the shared list is not the body's bytes")
 		}
-		canonical := bytes.Equal(Encode(m), body) && bytes.Equal(Encode(&NextWaiter{Train: tr}), composed(tr))
+		canonical := bytes.Equal(Encode(m), body) && bytes.Equal(forward(tr), composed(tr))
 		for left := tr.n; left > 0; left-- {
-			enc := Encode(&NextWaiter{Train: tr})
-			var back NextWaiter
+			enc := forward(tr)
+			var back LockGrant
 			if err := Decode(&back, enc); err != nil {
-				t.Fatalf("train: %d entries re-encode to a body that does not decode: %v", tr.n, err)
+				t.Fatalf("train: %d entries forwarded whole re-encode to a body that does not decode: %v", tr.n, err)
 			}
 			if again := Encode(&back); !bytes.Equal(again, enc) {
 				t.Fatalf("train: %d entries re-encode to % x, which decodes and re-encodes to % x", tr.n, enc, again)
 			}
 			head, rest := tr.Head()
+			if waiter, node := tr.Next(); waiter != head.Waiter || node != head.WaiterNode {
+				t.Fatalf("train: Next names %d@%d, Head %d@%d", waiter, node, head.Waiter, head.WaiterNode)
+			}
 			if got, _ := back.Train.Head(); back.Train.n != tr.n || got.Waiter != head.Waiter || got.WaiterNode != head.WaiterNode ||
 				got.Notices.n != head.Notices.n || !bytes.Equal(got.Notices.b, head.Notices.b) {
-				t.Fatalf("train: %d entries re-encoded read back head %+v, want %+v", tr.n, got, head)
+				t.Fatalf("train: %d entries forwarded whole read back head %+v, want %+v", tr.n, got, head)
 			}
 			if canonical && !bytes.Equal(enc, composed(tr)) {
 				t.Fatalf("train: %d entries of a canonical body re-encode to %d bytes, other than their %d-byte composition", tr.n, len(enc), len(composed(tr)))
@@ -328,7 +334,6 @@ func checkWireLists(t *testing.T, m Msg, body []byte) {
 	case *NextWaiter:
 		train(m.Train)
 	case *LockGrant:
-		notices("grant notices", m.Notices)
 		notices("grant inline", m.Inline)
 		train(m.Train)
 	}
@@ -348,8 +353,7 @@ func FuzzDecode(f *testing.F) {
 	board := benchNotices(6)
 	convoy := trainAt(board, 6, []uint64{4, 0, 5, 2})
 	f.Add(uint16(KNextWaiter), Encode(&NextWaiter{Lock: 3, Gen: 4, Seq: 6, Train: convoy}))
-	_, rest := convoy.Head()
-	f.Add(uint16(KLockGrant), Encode(&LockGrant{Lock: 3, Gen: 5, Seq: 6, Notices: NoticesOf(board[4:]), Inline: NoticesOf(board[:1]), Train: rest}))
+	f.Add(uint16(KLockGrant), Encode(&LockGrant{Lock: 3, Gen: 5, Seq: 6, Inline: NoticesOf(board[:1]), Train: convoy}))
 	f.Fuzz(func(t *testing.T, kind uint16, body []byte) {
 		m, aliased := New(Kind(kind)), New(Kind(kind))
 		if m == nil {

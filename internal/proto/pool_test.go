@@ -93,7 +93,7 @@ func TestDecodeAliasedReports(t *testing.T) {
 	}{
 		{"payload, no destination", &FetchLineResp{Data: []byte{1, 2, 3}}, &FetchLineResp{}, true},
 		{"payload, destination with room", &FetchLineResp{Data: []byte{1, 2, 3}}, &FetchLineResp{Data: make([]byte, 0, 3)}, false},
-		{"grant with notices", &LockGrant{Lock: 1, Gen: 2, Notices: NoticesOf(notices)}, &LockGrant{}, true},
+		{"grant with inline intervals", &LockGrant{Lock: 1, Gen: 2, Inline: NoticesOf(notices)}, &LockGrant{}, true},
 		{"grant with a train", &LockGrant{Lock: 1, Gen: 2, Train: trainOf(2, notices)}, &LockGrant{}, true},
 		{"grant, no lists", &LockGrant{Lock: 1, Gen: 2}, &LockGrant{}, false},
 		{"ack", &Ack{}, &Ack{}, false},

@@ -4,10 +4,10 @@ package proto
 // allocation per notice.
 //
 // A list the receiver only FORWARDS (a handoff train's shared backlog, a
-// grant's Notices and Inline) stays in wire form: its element count and
-// its encoded elements, found by a skim that walks the list against
-// scratch elements and keeps nothing. Forwarding it is one append of
-// those bytes, whatever the list holds.
+// grant's Inline) stays in wire form: its element count and its encoded
+// elements, found by a skim that walks the list against scratch elements
+// and keeps nothing. Forwarding it is one append of those bytes, whatever
+// the list holds.
 //
 // A list the receiver CONSUMES (an acquire reply's Notices, a grant's
 // lists once applyGrant wants them) is skimmed the same way first, which
@@ -218,8 +218,10 @@ func (l NoticeList) suffix(k int) NoticeList {
 // be passed to, in order, each with its notice backlog. Every backlog of
 // a train ends at the same anchor, so each is a suffix of the longest,
 // and the train carries that list once: an entry is a waiter, its node
-// and how many of the shared list's last notices are its backlog. A
-// holder reads the head, forwards the rest and decodes neither.
+// and how many of the shared list's last notices are its backlog. The
+// receiver of a grant splits off the head, its own entry, and keeps the
+// rest; at its release it reads that rest's head waiter and node and
+// forwards it whole. Neither decodes a notice it does not apply.
 //
 // On the wire a train is its entry count n, the head's waiter and node,
 // the shared list and, only when n >= 2, the head's backlog count
@@ -297,16 +299,20 @@ func walkTrain(c *Codec, t *Train) {
 // Len reports the number of announcements left.
 func (t Train) Len() int { return t.n }
 
-// SuccAnn is the head of a Train, as Head hands it out: the waiter the
-// holder grants to, the node to post the LockGrant to, and the waiter's
-// backlog (its horizon, the anchor], which the holder sends on as the
-// grant's Notices without decoding it. Everything a later train holder
-// adds above the anchor travels as the grant's Inline intervals.
+// SuccAnn is the head of a Train, as Head hands it out: a waiter, its
+// fabric node and its backlog (its horizon, the anchor]. The receiver of
+// a LockGrant is its train's head, and the backlog is the notices it
+// applies; everything a train holder added above the anchor travels as
+// the grant's Inline intervals.
 type SuccAnn struct {
-	Waiter     uint32 // successor thread
-	WaiterNode uint32 // fabric node to post the LockGrant to
+	Waiter     uint32 // the waiter the entry names
+	WaiterNode uint32 // fabric node its LockGrant is posted to
 	Notices    NoticeList
 }
+
+// Next names the head's waiter and node without splitting the train: a
+// holder posts its LockGrant there, carrying the train whole.
+func (t Train) Next() (waiter, node uint32) { return t.head.waiter, t.head.node }
 
 // Head splits off the first announcement. head.Notices is a sub-slice of
 // the shared list; rest holds the entries after the head and the shared

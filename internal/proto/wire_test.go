@@ -42,6 +42,7 @@ func wireSamples() []wireSample {
 	var announced, forwarded TrainWriter
 	announced.Add(7, 107, 1)
 	announced.Add(9, 109, 0)
+	forwarded.Add(10, 110, 1)
 	forwarded.Add(11, 111, 0)
 	return []wireSample{
 		{"fetch-line-req", &FetchLineReq{Line: 7, Needs: needs}},
@@ -88,9 +89,8 @@ func wireSamples() []wireSample {
 		{"next-waiter/no-train", &NextWaiter{Lock: 5, Gen: 2, Seq: 90}},
 		{"lock-grant", &LockGrant{
 			Lock: 5, Gen: 3, Seq: 91,
-			Notices:  NoticesOf([]Notice{{Seq: 89, Tag: IntervalTag{Writer: 2, Interval: 8}}}),
 			Inline:   NoticesOf([]Notice{notice}),
-			Train:    forwarded.Train(nil),
+			Train:    forwarded.Train([]Notice{{Seq: 89, Tag: IntervalTag{Writer: 2, Interval: 8}}}),
 			PageData: []PagePayload{{Page: 3, Data: []byte{9, 8, 7}}, {Page: 4, Data: nil}},
 		}},
 		{"lock-grant/aborted", &LockGrant{Lock: 5, Gen: 1, Code: CodeShutdown}},

@@ -33,7 +33,7 @@ func drawn(n, size int, body []byte) (bufs [][]byte, found bool) {
 // write over the notices the grant still points into.
 func TestResponseBodyAliasedByAListIsNotRecycled(t *testing.T) {
 	notices := []proto.Notice{{Seq: 1, Tag: proto.IntervalTag{Writer: 2, Interval: 3}, Pages: []uint64{7, 8}}}
-	enc := proto.Encode(&proto.LockGrant{Lock: 1, Gen: 2, Notices: proto.NoticesOf(notices)})
+	enc := proto.Encode(&proto.LockGrant{Lock: 1, Gen: 2, Inline: proto.NoticesOf(notices)})
 	body := append(proto.GetBuf(len(enc)), enc...) // a pooled body, as a fetch answer's is
 	var g proto.LockGrant
 	if err := decodeResponse(proto.KLockGrant, body, &g); err != nil {
@@ -43,7 +43,7 @@ func TestResponseBodyAliasedByAListIsNotRecycled(t *testing.T) {
 	if found {
 		t.Fatal("a body the grant's notice list aliases went back to the pool")
 	}
-	if got := g.Notices.Notices(); len(got) != 1 || got[0].Seq != 1 || got[0].Pages[1] != 8 {
+	if got := g.Inline.Notices(); len(got) != 1 || got[0].Seq != 1 || got[0].Pages[1] != 8 {
 		t.Fatalf("the grant's notices changed under it: %+v", got)
 	}
 	for _, b := range bufs {
