@@ -125,7 +125,8 @@ func (md *aliasModel) grant(lock uint32, th *aliasThread) {
 	delete(md.requests, th.id)
 }
 
-// release closes th's interval: the ticket, and the notice it fills.
+// release closes th's interval: the ticket, and the notice it fills when
+// the interval wrote something.
 func (md *aliasModel) release(th *aliasThread) (interval uint64, pages []uint64, records []proto.StoreRecord) {
 	th.interval++
 	md.issued++
@@ -137,10 +138,12 @@ func (md *aliasModel) release(th *aliasThread) (interval uint64, pages []uint64,
 		md.rng.Read(data)
 		records = append(records, proto.StoreRecord{Addr: uint64(1<<34 + 8*md.rng.Intn(512)), Data: data})
 	}
-	md.notices = append(md.notices, proto.Notice{
-		Seq: md.issued, Tag: proto.IntervalTag{Writer: th.id, Interval: th.interval},
-		Pages: pages, Records: records,
-	})
+	if len(pages) > 0 || len(records) > 0 { // an empty interval's ticket is a gap
+		md.notices = append(md.notices, proto.Notice{
+			Seq: md.issued, Tag: proto.IntervalTag{Writer: th.id, Interval: th.interval},
+			Pages: pages, Records: records,
+		})
+	}
 	return th.interval, pages, records
 }
 

@@ -28,7 +28,7 @@ func TestBoardTicketsNumberInDispatchOrder(t *testing.T) {
 	b := newBoard(new(Stats))
 	b.ensure(1, 0) // a registered thread that never acquires: nothing is pruned
 	for want := uint64(1); want <= 4; want++ {
-		if got := release(b, uint32(want%2)+1, want); got != want {
+		if got := release(b, uint32(want%2)+1, want, want); got != want {
 			t.Fatalf("ticket %d issued as %d", want, got)
 		}
 	}
@@ -50,7 +50,7 @@ func TestBoardTicketsNumberInDispatchOrder(t *testing.T) {
 func TestBoardCancelledTicketLeavesPermanentGap(t *testing.T) {
 	b := newBoard(new(Stats))
 	b.ensure(1, 0)
-	release(b, 1, 1)
+	release(b, 1, 1, 8)
 	gap := b.reserve() // fenced release: no fill
 	ns, frontier := b.acquire(2, 0, true)
 	if frontier != gap {
@@ -59,7 +59,7 @@ func TestBoardCancelledTicketLeavesPermanentGap(t *testing.T) {
 	if got := seqs(ns); !reflect.DeepEqual(got, []uint64{1}) {
 		t.Fatalf("acquire delivered %v, want [1]", got)
 	}
-	if next := release(b, 1, 2); next != gap+1 {
+	if next := release(b, 1, 2, 8); next != gap+1 {
 		t.Fatalf("ticket after the gap is %d, want %d", next, gap+1)
 	}
 	ns, frontier = b.acquire(3, 0, true)
@@ -72,8 +72,8 @@ func TestBoardAcquireAdvancesHorizonToLastIssued(t *testing.T) {
 	b := newBoard(new(Stats))
 	b.ensure(1, 0)
 	b.ensure(2, 0)
-	release(b, 1, 1)
-	release(b, 1, 2)
+	release(b, 1, 1, 8)
+	release(b, 1, 2, 9)
 	ns, frontier := b.acquire(2, 0, true)
 	if len(ns) != 2 || frontier != b.issued {
 		t.Fatalf("acquire: %d notices at frontier %d, want 2 at %d", len(ns), frontier, b.issued)
@@ -123,7 +123,7 @@ func TestBoardPruneRespectsSlowestThread(t *testing.T) {
 	b.ensure(2, 0)
 	b.ensure(2, 7) // already registered: the horizon is not overwritten
 	for i := uint64(1); i <= 3; i++ {
-		release(b, 1, i)
+		release(b, 1, i, i)
 	}
 	b.acquire(1, 0, true)
 	if len(b.notices) != 3 || st.NoticesPruned.Load() != 0 {
@@ -208,5 +208,46 @@ func TestBoardUndeliveredAcquireKeepsNoticesForTheReissue(t *testing.T) {
 	b.acquire(1, 1, false)
 	if got := seqs(b.notices); !reflect.DeepEqual(got, []uint64{2}) {
 		t.Fatalf("directory %v after every thread claimed horizon 1, want [2]", got)
+	}
+}
+
+// An interval that names no page and carries no record is no notice: its
+// ticket stays a gap that the next acquirer's frontier passes. The
+// directory still records the interval as filled, so in a replicated
+// group a re-issued copy of that release (its ack lost to a failover) is
+// acked as a duplicate, not applied again.
+func TestEmptyIntervalLeavesAGap(t *testing.T) {
+	e := newStepEnv(t, 1, 0, nil)
+	group := newStepGroup(e, 3, 0, nil)
+	a, b := e.client(1), e.client(2)
+	if _, err := a.lock(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.unlock(7, nil); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := b.lock(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Seq != 1 || len(resp.Notices) != 0 {
+		t.Fatalf("the next acquirer got %d notices at frontier %d, want none at 1", len(resp.Notices), resp.Seq)
+	}
+	for i, m := range group {
+		if n := m.Stats().NoticesStored.Load(); n != 0 || len(m.board.notices) != 0 || !m.board.filled(1, 1) {
+			t.Fatalf("replica %d: %d notices stored, %d in the directory, interval filled %v; want 0, 0, true",
+				i, n, len(m.board.notices), m.board.filled(1, 1))
+		}
+	}
+
+	unlocks := e.mgr.Stats().Unlocks.Load()
+	if err := a.call(&proto.UnlockReq{Lock: 7, Thread: 1, Interval: 1}, &proto.Ack{}); err != nil {
+		t.Fatalf("the re-issued empty release: %v, want it acked as a duplicate", err)
+	}
+	if got := e.mgr.Stats().Unlocks.Load(); got != unlocks {
+		t.Fatalf("the re-issued empty release was applied again: %d unlocks, want %d", got, unlocks)
+	}
+	if ls := e.mgr.shards[0].locks[7]; !ls.held || ls.holder != 2 {
+		t.Fatalf("lock 7 after the duplicate: held %v by %d, want held by 2", ls.held, ls.holder)
 	}
 }

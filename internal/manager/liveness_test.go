@@ -3,7 +3,6 @@ package manager
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -88,12 +87,12 @@ func TestShutdownFailsParkedWaitersTyped(t *testing.T) {
 				errs <- err
 			}()
 
-			// All three are parked once the lock wait is queued and the
-			// barrier arrival and the cond wait have stored their intervals.
+			// All three are parked once the lock wait is queued, the
+			// barrier arrival waits for its round and the cond wait is in.
 			st := env.mgr.Stats()
-			for st.LockWaits.Load() < 1 || st.CondWaits.Load() < 1 || st.NoticesStored.Load() < 2 {
-				runtime.Gosched()
-			}
+			waitUntil(t, "the three waiters to park", func() bool {
+				return st.LockWaits.Load() >= 1 && st.BarrierWaits.Load() >= 1 && st.CondWaits.Load() >= 1
+			})
 			env.shutdown(t)
 
 			for i := 0; i < 3; i++ {
@@ -247,7 +246,7 @@ func TestByeReclaimsHeldSyncState(t *testing.T) {
 	// 2-party barrier, the third member's departure completes the round
 	// at the reduced membership instead of leaving it stuck.
 	arrived := waiter.start(waiter.barrierReq(7, 2))
-	if env.answered(arrived) || env.mgr.Stats().NoticesStored.Load() < 2 {
+	if env.answered(arrived) || env.mgr.Stats().BarrierWaits.Load() == 0 {
 		t.Fatal("the barrier arrival did not park")
 	}
 	third.beat(true)

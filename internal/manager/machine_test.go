@@ -130,9 +130,11 @@ func TestStepTable(t *testing.T) {
 			stepPark(e, 1, &proto.BarrierReq{Barrier: 9, Count: 2, Thread: 1, Interval: 1, Pages: []uint64{4}})
 		},
 		from: 12, msg: func() proto.Msg { return &proto.BarrierReq{Barrier: 9, Count: 2, Thread: 2, LastSeen: 1, Interval: 1} },
+		// Thread 2's interval wrote nothing: its ticket is a gap, and the
+		// frontier passes it.
 		want: []sent{
-			{11, &proto.BarrierResp{Seq: 2, Notices: []proto.Notice{notice, {Seq: 2, Tag: proto.IntervalTag{Writer: 2, Interval: 1}}}}},
-			{12, &proto.BarrierResp{Seq: 2, Notices: []proto.Notice{{Seq: 2, Tag: proto.IntervalTag{Writer: 2, Interval: 1}}}}},
+			{11, &proto.BarrierResp{Seq: 2, Notices: []proto.Notice{notice}}},
+			{12, &proto.BarrierResp{Seq: 2}},
 		},
 		state: func(w *Manager) {
 			// Both threads saw ticket 2, so the directory is empty again.

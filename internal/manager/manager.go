@@ -77,6 +77,7 @@ type Stats struct {
 	LockWaits     atomic.Int64 // grants that had to queue first
 	Unlocks       atomic.Int64
 	BarrierRounds atomic.Int64
+	BarrierWaits  atomic.Int64 // arrivals that parked for their round
 	CondWaits     atomic.Int64
 	CondSignals   atomic.Int64
 	NoticesStored atomic.Int64

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/layout"
 	"repro/internal/proto"
@@ -56,6 +57,17 @@ func newEnv(t *testing.T) *testEnv {
 		env.wg.Wait()
 	})
 	return env
+}
+
+// waitUntil polls cond, which reads the manager's counters from another
+// goroutine, and fails the test if it does not hold within five seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("waited 5s for %s", what)
+		}
+	}
 }
 
 func (e *testEnv) client(t *testing.T, id uint32) *client {
@@ -197,8 +209,9 @@ func TestLockUnlockAndNotices(t *testing.T) {
 		t.Errorf("notice records %+v", n.Records)
 	}
 
-	// A second acquire by c2 after seeing everything returns no notices.
-	if err := c2.unlock(7, nil, nil); err != nil {
+	// A second acquire by c2 after seeing everything returns only what
+	// c2 itself released since.
+	if err := c2.unlock(7, []uint64{5}, nil); err != nil {
 		t.Fatal(err)
 	}
 	resp2, err := c2.lock(7)
@@ -314,10 +327,9 @@ func TestBarrierCountMismatch(t *testing.T) {
 		_, err := c1.barrier(3, 2, nil)
 		done <- err
 	}()
-	// Ensure c1's arrival is registered first (it posts a notice) so the
-	// barrier's count is fixed at 2 before the mismatching arrival.
-	for env.mgr.Stats().NoticesStored.Load() == 0 {
-	}
+	// Ensure c1's arrival is registered first, so the barrier's count is
+	// fixed at 2 before the mismatching arrival.
+	waitUntil(t, "the first arrival to park", func() bool { return env.mgr.Stats().BarrierWaits.Load() == 1 })
 	c2 := env.client(t, 2)
 	if _, err := c2.barrier(3, 5, nil); err == nil {
 		t.Error("mismatched count accepted")
