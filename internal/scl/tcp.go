@@ -206,6 +206,10 @@ func (e *TCPEndpoint) dropConn(tc *tcpConn) {
 	tc.pending = make(map[uint64]chan frame)
 	tc.mu.Unlock()
 
+	// Counted before the eviction: a redial it makes possible must find
+	// the dead connection already counted.
+	e.nst.DeadConns.Add(1)
+	e.nst.StrandedCalls.Add(int64(len(stranded)))
 	tc.c.Close()
 	e.mu.Lock()
 	delete(e.conns, tc)
@@ -216,8 +220,6 @@ func (e *TCPEndpoint) dropConn(tc *tcpConn) {
 	}
 	e.mu.Unlock()
 
-	e.nst.DeadConns.Add(1)
-	e.nst.StrandedCalls.Add(int64(len(stranded)))
 	// Closing the channel (rather than sending a frame) tells the
 	// waiting Call the connection died with its request outstanding.
 	for _, ch := range stranded {
