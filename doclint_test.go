@@ -114,7 +114,7 @@ var (
 	goFile = regexp.MustCompile(`^([\w./-]+\.go)(?::\d+)?$`)
 )
 
-// The prose in DESIGN.md and README.md names code: every backticked
+// The prose in DESIGN.md, README.md and EXPERIMENTS.md names code: every backticked
 // `pkg.Name`, `pkg.Type.Member` whose pkg is a package under internal/,
 // and every backticked `.go` path, must still exist. A rename or a
 // deletion that leaves the docs behind fails here.
@@ -139,7 +139,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 		return false
 	}
 	checked := 0
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -33,6 +33,12 @@ type stepRow struct {
 	check    func(m *Manager) string
 }
 
+// recorded is the reply record an allocation-plane request numbered seq
+// leaves its writer, answered with resp.
+func recorded(seq uint64, resp proto.Msg) *replyRecord {
+	return &replyRecord{seq: seq, kind: resp.Kind(), body: proto.Encode(resp)}
+}
+
 // stepCall makes thread t's call and insists on an immediate answer.
 func stepCall(e *stepEnv, t uint32, m, resp proto.Msg) {
 	e.t.Helper()
@@ -77,7 +83,7 @@ func TestStepTable(t *testing.T) {
 			z := w.sharedZone
 			z.next = SharedZoneBase + 100
 			z.allocs[SharedZoneBase] = 100
-			z.lastAlloc[1] = allocRecord{seq: 1, addr: SharedZoneBase}
+			w.replies[1] = recorded(1, &proto.AllocResp{Addr: uint64(SharedZoneBase)})
 		},
 	}, {
 		name: "free",
@@ -90,7 +96,7 @@ func TestStepTable(t *testing.T) {
 			z := w.sharedZone
 			z.next = SharedZoneBase
 			delete(z.allocs, SharedZoneBase)
-			z.lastFree[1] = 2
+			w.replies[1] = recorded(2, &proto.FreeResp{})
 		},
 	}, {
 		name: "lock",
@@ -185,7 +191,7 @@ func TestStepTable(t *testing.T) {
 		state: func(w *Manager) {
 			w.snaps.nextSnap = 1
 			w.snaps.snaps[1] = &snapInfo{origBase: uint64(StripedZoneBase), npages: 3, refs: 1}
-			w.snaps.lastSnap[1] = snapRecord{seq: 1, snap: 1}
+			w.replies[1] = recorded(1, &proto.SnapshotASResp{Snap: 1})
 		},
 	}, {
 		name: "fork",
@@ -206,7 +212,7 @@ func TestStepTable(t *testing.T) {
 			z.allocs[base] = 3 * pageSize
 			w.snaps.snaps[1].refs = 2
 			w.snaps.forks[uint64(base)] = 1
-			w.snaps.lastFork[1] = forkRecord{seq: 2, resp: resp}
+			w.replies[1] = recorded(2, &resp)
 		},
 	}, {
 		name: "a kind the manager does not serve",
@@ -226,7 +232,6 @@ func TestStepTable(t *testing.T) {
 		from: 11, msg: func() proto.Msg { return &proto.Heartbeat{Member: 1, Class: proto.MemberThread, Node: 11} },
 		state: func(w *Manager) {
 			w.members[memberOf(proto.MemberThread, 1)] = &member{node: 11}
-			w.liveThreads = 1
 		},
 		check: func(m *Manager) string {
 			if mem := m.members[memberOf(proto.MemberThread, 1)]; !mem.lastBeat.Equal(stepEpoch) {

@@ -34,6 +34,7 @@
 package manager
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -69,8 +70,8 @@ type Stats struct {
 	Allocs atomic.Int64
 	Frees  atomic.Int64
 	// DedupAllocs / DedupFrees count allocation-plane requests answered
-	// from the per-writer idempotency records instead of mutating a
-	// zone: re-issues across manager failover.
+	// from their writer's reply record instead of changing state:
+	// re-issues across manager failover.
 	DedupAllocs   atomic.Int64
 	DedupFrees    atomic.Int64
 	LockGrants    atomic.Int64
@@ -270,6 +271,14 @@ func (m *Manager) Clock() vtime.Time {
 func (m *Manager) reply(to scl.Request, msg proto.Msg, at vtime.Time) {
 	if !to.OneWay() {
 		m.out = append(m.out, effect{to: to, kind: msg.Kind(), body: proto.Encode(msg), at: at})
+	}
+}
+
+// replyCopy queues an answer already encoded. The effect gets a copy of
+// body, which flush hands to the transport to own.
+func (m *Manager) replyCopy(to scl.Request, kind proto.Kind, body []byte, at vtime.Time) {
+	if !to.OneWay() {
+		m.out = append(m.out, effect{to: to, kind: kind, body: bytes.Clone(body), at: at})
 	}
 }
 
@@ -592,9 +601,6 @@ func (m *Manager) handleHeartbeat(c *call) {
 			// NOT marked dead: a later re-registration is legitimate.
 			delete(m.members, k)
 			if ok && k.class() == proto.MemberThread {
-				if !mem.dead {
-					m.liveThreads--
-				}
 				m.reclaimThread(k.id(), false)
 			}
 		case ok:
@@ -603,9 +609,6 @@ func (m *Manager) handleHeartbeat(c *call) {
 			}
 		default:
 			m.members[k] = &member{node: hb.Node, lastBeat: m.now}
-			if k.class() == proto.MemberThread {
-				m.liveThreads++
-			}
 		}
 	}
 	if m.isFollower() {
@@ -670,11 +673,14 @@ func (m *Manager) reap() {
 }
 
 // reclaimThread fans a thread's reclamation out to every home and then
-// removes it from the write-notice horizon. markDead additionally
-// fences future grants at the homes.
+// removes it from the write-notice horizon. markDead first fences future
+// grants to the thread at every home.
 func (m *Manager) reclaimThread(tid uint32, markDead bool) {
+	if markDead {
+		m.deadThreads[tid] = true
+	}
 	for _, sh := range m.shards {
-		sh.reclaim(tid, markDead)
+		sh.reclaim(tid)
 	}
 	// The thread no longer pins the write-notice horizon.
 	m.board.dropThread(tid)
@@ -682,10 +688,21 @@ func (m *Manager) reclaimThread(tid uint32, markDead bool) {
 
 // unsatisfiable reports whether a barrier that needs that many live
 // arrivals can never gather them. The verdict is the leader's: a
-// follower's liveThreads is not meaningful (heartbeats only reach the
+// follower's membership is not meaningful (heartbeats only reach the
 // leader), and the decision arrives via the log or a promotion.
 func (m *Manager) unsatisfiable(need int) bool {
-	return !m.isFollower() && need > int(m.liveThreads)
+	return !m.isFollower() && need > m.liveThreads()
+}
+
+// liveThreads counts the thread members not declared dead.
+func (m *Manager) liveThreads() int {
+	n := 0
+	for k, mem := range m.members {
+		if k.class() == proto.MemberThread && !mem.dead {
+			n++
+		}
+	}
+	return n
 }
 
 // traceLive emits one liveness event. Callers check m.tr first, so an

@@ -384,7 +384,6 @@ func (m *Manager) applyReclaimEvent(re *proto.ReclaimEvent) {
 		return // duplicate (snapshot + log overlap)
 	default:
 		mem.dead = true
-		m.liveThreads--
 	}
 	mem.reapGen = re.Gen
 	if re.Gen > m.obitGen {
@@ -436,17 +435,11 @@ func (m *Manager) promote(term uint64) {
 	// Every surviving member gets a fresh lease: none of them could
 	// heartbeat this replica before learning it leads, and a reap storm
 	// at promotion would undo the failover the replication paid for.
-	var live int64
-	for k, mem := range m.members {
-		if mem.dead {
-			continue
-		}
-		mem.lastBeat = m.now
-		if k.class() == proto.MemberThread {
-			live++
+	for _, mem := range m.members {
+		if !mem.dead {
+			mem.lastBeat = m.now
 		}
 	}
-	m.liveThreads = live
 	r.live.MgrElections.Add(1)
 	if m.tr != nil {
 		m.traceLive("manager-promoted", map[string]any{"replica": r.self, "term": term})

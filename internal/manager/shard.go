@@ -130,22 +130,24 @@ type shard struct {
 	// lockResp is the answer to an acquire, kept here because a message
 	// handed to reply escapes; reply encodes it before it returns.
 	lockResp proto.LockResp
+	// rec is the reply record the allocation-plane request in flight
+	// fills, under Seq recSeq; nil for any other request (see repeat).
+	rec    *replyRecord
+	recSeq uint64
 
-	locks       map[uint32]*lockState
-	barriers    map[uint32]*barrierState
-	conds       map[uint32]*condState
-	deadThreads map[uint32]bool // skip dead threads when granting locks
+	locks    map[uint32]*lockState
+	barriers map[uint32]*barrierState
+	conds    map[uint32]*condState
 }
 
 func newShard(m *Manager, id int) *shard {
 	return &shard{
-		m:           m,
-		id:          id,
-		clock:       vtime.NewClock(0),
-		locks:       make(map[uint32]*lockState),
-		barriers:    make(map[uint32]*barrierState),
-		conds:       make(map[uint32]*condState),
-		deadThreads: make(map[uint32]bool),
+		m:        m,
+		id:       id,
+		clock:    vtime.NewClock(0),
+		locks:    make(map[uint32]*lockState),
+		barriers: make(map[uint32]*barrierState),
+		conds:    make(map[uint32]*condState),
 	}
 }
 
@@ -158,6 +160,9 @@ func newShard(m *Manager, id int) *shard {
 // is folded into the clock so replication latency is visible in the reply.
 func (sh *shard) serve(c *call, msg proto.Msg, floor vtime.Time) {
 	sh.charge(c, floor)
+	if sh.repeat(c, msg) {
+		return
+	}
 	switch mm := msg.(type) {
 	case *proto.AllocReq:
 		sh.handleAlloc(c, mm)
@@ -184,6 +189,7 @@ func (sh *shard) serve(c *call, msg proto.Msg, floor vtime.Time) {
 	case *proto.ForkASReq:
 		sh.handleForkAS(c, mm)
 	}
+	sh.rec = nil
 	sh.mirror.Store(sh.clock.Now())
 }
 
@@ -196,12 +202,21 @@ func (sh *shard) charge(c *call, floor vtime.Time) {
 	sh.mirror.Store(sh.clock.Now())
 }
 
-// answer queues the reply to the call in flight at this home's clock;
-// fail queues its refusal.
-func (sh *shard) answer(c *call, msg proto.Msg) { sh.m.reply(c.to, msg, sh.clock.Now()) }
+// answer queues the reply to the call in flight at this home's clock, and
+// keeps it as the reply record repeat armed, if any; fail queues its
+// refusal.
+func (sh *shard) answer(c *call, msg proto.Msg) {
+	if rec := sh.rec; rec != nil {
+		sh.rec = nil
+		rec.seq, rec.kind, rec.body = sh.recSeq, msg.Kind(), proto.AppendEncode(rec.body[:0], msg)
+		sh.m.replyCopy(c.to, rec.kind, rec.body, sh.clock.Now())
+		return
+	}
+	sh.m.reply(c.to, msg, sh.clock.Now())
+}
 
 func (sh *shard) fail(c *call, err error) {
-	sh.m.replyErr(c.to, proto.CodeGeneric, err, sh.clock.Now())
+	sh.answer(c, &proto.Error{Code: proto.CodeGeneric, Text: err.Error()})
 }
 
 // reaches reports whether the answer to a parked waiter gets to its
@@ -237,21 +252,11 @@ func (sh *shard) handleAlloc(c *call, ar *proto.AllocReq) {
 		sh.fail(c, fmt.Errorf("manager: unknown allocation strategy %d", ar.Strategy))
 		return
 	}
-	// A request re-issued across a failover (same writer, same Seq) was
-	// already served — possibly by a dead leader whose reply was lost,
-	// with the allocation preserved through the replicated log. Answer
-	// with the original address instead of leaking a second block.
-	if addr, ok := zone.DedupAlloc(ar.Thread, ar.Seq); ok {
-		m.stats.DedupAllocs.Add(1)
-		sh.answer(c, &proto.AllocResp{Addr: uint64(addr)})
-		return
-	}
 	addr, err := zone.Alloc(ar.Size, align)
 	if err != nil {
 		sh.fail(c, err)
 		return
 	}
-	zone.NoteAlloc(ar.Thread, ar.Seq, addr)
 	m.stats.Allocs.Add(1)
 	sh.answer(c, &proto.AllocResp{Addr: uint64(addr)})
 }
@@ -280,32 +285,15 @@ func (sh *shard) handleFree(c *call, fr *proto.FreeReq) {
 			// it while the homes still resolve reads through the stale
 			// fork mapping. The caller commits with a second, Unmapped
 			// FreeReq once every home acked its ForkUnmap.
-			if rec, ok := ss.lastFreeFork[fr.Thread]; ok && fr.Seq != 0 && rec.seq == fr.Seq {
-				m.stats.DedupFrees.Add(1)
-				resp := rec.resp
-				sh.answer(c, &resp)
-				return
-			}
 			resp := ss.forkFree(fr.Addr, snap)
-			if fr.Seq != 0 {
-				ss.lastFreeFork[fr.Thread] = freeForkRecord{seq: fr.Seq, resp: resp}
-			}
 			sh.answer(c, &resp)
 			return
 		}
-	}
-	// A free re-issued across failover was already applied; ack it
-	// idempotently instead of double-freeing.
-	if zone.DedupFree(fr.Thread, fr.Seq) {
-		m.stats.DedupFrees.Add(1)
-		sh.answer(c, &proto.FreeResp{})
-		return
 	}
 	if err := zone.Free(addr); err != nil {
 		sh.fail(c, err)
 		return
 	}
-	zone.NoteFree(fr.Thread, fr.Seq)
 	resp := &proto.FreeResp{}
 	if zone == m.stripedZone {
 		// Freeing a striped range (a snapshotted image, or the Unmapped
@@ -480,7 +468,7 @@ func (sh *shard) composeTrain(ls *lockState, head *waiter) proto.Train {
 		since = min(since, head.lastSeen)
 	}
 	for _, w := range ls.queue {
-		if n == maxTrain || w.kind != waitLock || !w.detached || sh.deadThreads[w.thread] {
+		if n == maxTrain || w.kind != waitLock || !w.detached || sh.m.deadThreads[w.thread] {
 			break
 		}
 		since = min(since, w.lastSeen)
@@ -607,7 +595,7 @@ func (sh *shard) release(id uint32, ls *lockState) {
 	for len(ls.queue) > 0 {
 		next := ls.queue[0]
 		ls.queue = ls.queue[1:]
-		if sh.deadThreads[next.thread] {
+		if m.deadThreads[next.thread] {
 			m.tally().WaitersEvicted.Add(1)
 			continue
 		}
@@ -635,7 +623,7 @@ func (sh *shard) handleBarrier(c *call, br *proto.BarrierReq) {
 		}
 		// A barrier instance created after a death starts with the
 		// reduced membership: the dead can never arrive.
-		for tid := range sh.deadThreads {
+		for tid := range m.deadThreads {
 			bs.dead[tid] = true
 		}
 		sh.barriers[br.Barrier] = bs
@@ -736,7 +724,7 @@ func (sh *shard) recheckBarrier(id uint32, bs *barrierState) {
 	}
 	if m.unsatisfiable(bs.effective()) {
 		err := fmt.Errorf("manager: barrier %d unsatisfiable: needs %d live arrivals, %d live threads",
-			id, bs.effective(), m.liveThreads)
+			id, bs.effective(), m.liveThreads())
 		for i := range bs.arrived {
 			m.tally().WaitersFailed.Add(1)
 			sh.failWaiter(0, &bs.arrived[i], proto.CodePeerDied, err)
@@ -834,7 +822,7 @@ func (sh *shard) wakeFromCond(lockID uint32, w waiter, at vtime.Time) {
 	// the lock. It was already popped from the cond queue, so
 	// reclaimThread can never evict it later — answer its parked call
 	// with the eviction error instead of leaving it to hang.
-	if sh.deadThreads[w.thread] {
+	if m.deadThreads[w.thread] {
 		m.tally().WaitersEvicted.Add(1)
 		sh.failWaiter(lockID, &w, proto.CodePeerDied, fmt.Errorf("manager: thread %d declared dead", w.thread))
 		return
@@ -855,13 +843,10 @@ func (sh *shard) wakeFromCond(lockID uint32, w waiter, at vtime.Time) {
 // parked on at this home: queued lock/cond waits are evicted, held
 // locks force-released to the next live waiter, and barriers it
 // participated in recomputed so survivors are never left waiting for an
-// arrival that cannot come. markDead additionally fences future grants
-// (lease expiry); a graceful Bye reclaims without fencing.
-func (sh *shard) reclaim(tid uint32, markDead bool) {
+// arrival that cannot come. A thread declared dead is fenced from
+// future grants before its homes reclaim (Manager.reclaimThread).
+func (sh *shard) reclaim(tid uint32) {
 	m := sh.m
-	if markDead {
-		sh.deadThreads[tid] = true
-	}
 	// Evicted requests still get a typed reply: if the "dead" member is
 	// in fact wedged rather than gone, its parked call unblocks with
 	// ErrPeerDied instead of hanging forever.

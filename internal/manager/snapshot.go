@@ -11,20 +11,14 @@ import (
 // snapState is the manager's address-space snapshot/fork table, owned —
 // like the striped zone it describes — by the striped zone's home shard
 // (decodeReq routes SnapshotAS/ForkAS there), so it needs no locking.
-// It is part of the replicated state snapshot (stateVersion 3): forks
-// survive leader kills exactly like allocations do.
+// It is part of the replicated state snapshot: forks survive leader kills
+// exactly like allocations do, and a SnapshotAS, ForkAS or fork FreeReq
+// re-issued across a failover is answered from its writer's reply record
+// (record.go) instead of sealing, allocating or decrementing twice.
 type snapState struct {
 	nextSnap uint64
 	snaps    map[uint64]*snapInfo // snapshot id -> geometry + refcount
 	forks    map[uint64]uint64    // fork base address -> snapshot id
-
-	// Per-writer idempotency records, mirroring Zone.lastAlloc: a
-	// SnapshotAS/ForkAS/fork-FreeReq re-issued across a manager failover
-	// is answered with the original id/base/geometry instead of sealing,
-	// allocating or decrementing twice.
-	lastSnap     map[uint32]snapRecord
-	lastFork     map[uint32]forkRecord
-	lastFreeFork map[uint32]freeForkRecord
 }
 
 // snapInfo records one sealed snapshot: the original striped range and
@@ -42,38 +36,16 @@ type snapInfo struct {
 	handleGone bool
 }
 
-type snapRecord struct{ seq, snap uint64 }
-
-type forkRecord struct {
-	seq  uint64
-	resp proto.ForkASResp
-}
-
-type freeForkRecord struct {
-	seq  uint64
-	resp proto.FreeResp
-}
-
 func newSnapState() *snapState {
 	return &snapState{
-		snaps:        make(map[uint64]*snapInfo),
-		forks:        make(map[uint64]uint64),
-		lastSnap:     make(map[uint32]snapRecord),
-		lastFork:     make(map[uint32]forkRecord),
-		lastFreeFork: make(map[uint32]freeForkRecord),
+		snaps: make(map[uint64]*snapInfo),
+		forks: make(map[uint64]uint64),
 	}
 }
 
 func (sh *shard) handleSnapshotAS(c *call, sr *proto.SnapshotASReq) {
 	m := sh.m
 	ss := m.snaps
-	if sr.Seq != 0 {
-		if rec, ok := ss.lastSnap[sr.Thread]; ok && rec.seq == sr.Seq {
-			m.stats.DedupAllocs.Add(1)
-			sh.answer(c, &proto.SnapshotASResp{Snap: rec.snap})
-			return
-		}
-	}
 	base := layout.Addr(sr.Base)
 	if sr.NPages == 0 || !m.stripedZone.Contains(base) {
 		sh.fail(c, fmt.Errorf("manager: snapshot of %#x (+%d pages) outside the striped zone", sr.Base, sr.NPages))
@@ -90,23 +62,12 @@ func (sh *shard) handleSnapshotAS(c *call, sr *proto.SnapshotASReq) {
 	ss.nextSnap++
 	id := ss.nextSnap
 	ss.snaps[id] = &snapInfo{origBase: sr.Base, npages: sr.NPages, refs: 1}
-	if sr.Seq != 0 {
-		ss.lastSnap[sr.Thread] = snapRecord{seq: sr.Seq, snap: id}
-	}
 	sh.answer(c, &proto.SnapshotASResp{Snap: id})
 }
 
 func (sh *shard) handleForkAS(c *call, fr *proto.ForkASReq) {
 	m := sh.m
 	ss := m.snaps
-	if fr.Seq != 0 {
-		if rec, ok := ss.lastFork[fr.Thread]; ok && rec.seq == fr.Seq {
-			m.stats.DedupAllocs.Add(1)
-			resp := rec.resp
-			sh.answer(c, &resp)
-			return
-		}
-	}
 	si, ok := ss.snaps[fr.Snap]
 	if !ok {
 		sh.fail(c, fmt.Errorf("manager: fork of unknown snapshot %d", fr.Snap))
@@ -125,11 +86,7 @@ func (sh *shard) handleForkAS(c *call, fr *proto.ForkASReq) {
 	si.refs++
 	ss.forks[uint64(addr)] = fr.Snap
 	m.stats.Allocs.Add(1)
-	resp := proto.ForkASResp{Base: uint64(addr), OrigBase: si.origBase, NPages: si.npages}
-	if fr.Seq != 0 {
-		ss.lastFork[fr.Thread] = forkRecord{seq: fr.Seq, resp: resp}
-	}
-	sh.answer(c, &resp)
+	sh.answer(c, &proto.ForkASResp{Base: uint64(addr), OrigBase: si.origBase, NPages: si.npages})
 }
 
 // forkFree runs phase one of freeing a forked range: the fork's table
@@ -182,9 +139,7 @@ func (ss *snapState) originFreed(addr uint64) (release []uint64, npages uint64) 
 	return release, npages
 }
 
-// walkSnapState is the table's part of the replication snapshot. The
-// two reply records are laid out as the replies themselves are on the
-// wire.
+// walkSnapState is the table's part of the replication snapshot.
 func walkSnapState(c *proto.Codec, ss *snapState) {
 	c.U64(&ss.nextSnap)
 	proto.Map(c, &ss.snaps, (*proto.Codec).U64, at(func(c *proto.Codec, si *snapInfo) {
@@ -194,16 +149,4 @@ func walkSnapState(c *proto.Codec, ss *snapState) {
 		c.Bool(&si.handleGone)
 	}))
 	proto.Map(c, &ss.forks, (*proto.Codec).U64, (*proto.Codec).U64)
-	proto.Map(c, &ss.lastSnap, (*proto.Codec).U32, func(c *proto.Codec, r *snapRecord) {
-		c.U64(&r.seq)
-		c.U64(&r.snap)
-	})
-	proto.Map(c, &ss.lastFork, (*proto.Codec).U32, func(c *proto.Codec, r *forkRecord) {
-		c.U64(&r.seq)
-		r.resp.Walk(c)
-	})
-	proto.Map(c, &ss.lastFreeFork, (*proto.Codec).U32, func(c *proto.Codec, r *freeForkRecord) {
-		c.U64(&r.seq)
-		r.resp.Walk(c)
-	})
 }

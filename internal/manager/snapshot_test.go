@@ -75,18 +75,13 @@ func TestSnapStateOriginFreeReleasesForklessSnapshot(t *testing.T) {
 	}
 }
 
-// The replicated-state encoding round-trips the new fields: handleGone
-// and the per-writer fork-free dedup records.
+// The replicated-state encoding round-trips the table, handleGone
+// included.
 func TestSnapStateEncodeRoundTrip(t *testing.T) {
 	ss := newSnapState()
 	ss.nextSnap = 9
 	ss.snaps[2] = &snapInfo{origBase: 0x1000, npages: 4, refs: 2, handleGone: true}
 	ss.forks[0x2000] = 2
-	ss.lastSnap[7] = snapRecord{seq: 3, snap: 2}
-	ss.lastFork[7] = forkRecord{seq: 4, resp: proto.ForkASResp{Base: 0x2000, OrigBase: 0x1000, NPages: 4}}
-	ss.lastFreeFork[7] = freeForkRecord{seq: 5, resp: proto.FreeResp{
-		Fork: true, Snap: 2, NPages: 4, Release: []uint64{2},
-	}}
 
 	enc := proto.Marshal(func(c *proto.Codec) { walkSnapState(c, ss) })
 
@@ -98,10 +93,8 @@ func TestSnapStateEncodeRoundTrip(t *testing.T) {
 	if si == nil || si.origBase != 0x1000 || si.npages != 4 || si.refs != 2 || !si.handleGone {
 		t.Fatalf("decoded snapInfo = %+v", si)
 	}
-	rec, ok := got.lastFreeFork[7]
-	if !ok || rec.seq != 5 || !rec.resp.Fork || rec.resp.Snap != 2 || rec.resp.NPages != 4 ||
-		len(rec.resp.Release) != 1 || rec.resp.Release[0] != 2 {
-		t.Fatalf("decoded lastFreeFork = %+v", rec)
+	if got.forks[0x2000] != 2 {
+		t.Fatalf("decoded forks = %v", got.forks)
 	}
 
 	if again := proto.Marshal(func(c *proto.Codec) { walkSnapState(c, got) }); !bytes.Equal(enc, again) {

@@ -26,7 +26,10 @@ import (
 // Version 2 added the zones' per-writer allocation-plane idempotency
 // records (AllocReq/FreeReq dedup across failover). Version 3 added the
 // address-space snapshot/fork table, so forks survive leader kills.
-const stateVersion = 3
+// Version 4 replaced the five per-writer tables with one reply record per
+// writer, kept the dead-thread fence once instead of once per home, and
+// dropped the live-thread count, which the members give.
+const stateVersion = 4
 
 // tables is the manager's replicated state: what a log replay builds and
 // a snapshot carries. restoreState replaces it whole.
@@ -43,8 +46,11 @@ type tables struct {
 
 	members     map[memberKey]*member
 	deadNodes   map[uint32]bool // fence requests from declared-dead nodes
-	liveThreads int64           // thread members not declared dead
+	deadThreads map[uint32]bool // fence grants to declared-dead threads
 	obitGen     uint64          // monotonic generation stamped on WriterDead obituaries
+
+	// replies answers a re-issued allocation-plane request (record.go).
+	replies map[uint32]*replyRecord
 }
 
 func newTables(m *Manager, nshards int) tables {
@@ -57,6 +63,8 @@ func newTables(m *Manager, nshards int) tables {
 		shards:      make([]*shard, nshards),
 		members:     make(map[memberKey]*member),
 		deadNodes:   make(map[uint32]bool),
+		deadThreads: make(map[uint32]bool),
+		replies:     make(map[uint32]*replyRecord),
 	}
 	for i := range t.shards {
 		t.shards[i] = newShard(m, i)
@@ -99,8 +107,8 @@ func walkState(c *proto.Codec, t *tables) error {
 	walkBoard(c, t.board)
 	proto.Map(c, &t.members, walkMemberKey, at(walkMember))
 	walkSet(c, &t.deadNodes)
+	walkSet(c, &t.deadThreads)
 	c.U64(&t.obitGen)
-	c.I64(&t.liveThreads)
 	n := uint64(len(t.shards))
 	if c.U64(&n); n != uint64(len(t.shards)) {
 		return fmt.Errorf("manager: snapshot has %d shards, replica has %d", n, len(t.shards))
@@ -109,6 +117,7 @@ func walkState(c *proto.Codec, t *tables) error {
 		walkShard(c, sh)
 	}
 	walkSnapState(c, t.snaps)
+	proto.Map(c, &t.replies, (*proto.Codec).U32, at(walkReplyRecord))
 	return nil
 }
 
@@ -137,11 +146,6 @@ func walkZone(c *proto.Codec, z *Zone) {
 		c.U64(&s.size)
 	})
 	proto.Map(c, &z.allocs, walkAddr, (*proto.Codec).U64)
-	proto.Map(c, &z.lastAlloc, (*proto.Codec).U32, func(c *proto.Codec, r *allocRecord) {
-		c.U64(&r.seq)
-		walkAddr(c, &r.addr)
-	})
-	proto.Map(c, &z.lastFree, (*proto.Codec).U32, (*proto.Codec).U64)
 }
 
 // walkBoard walks the directory. The second word is the delivery
@@ -185,7 +189,6 @@ func walkShard(c *proto.Codec, sh *shard) {
 	proto.Map(c, &sh.locks, (*proto.Codec).U32, at(walkLock))
 	proto.Map(c, &sh.barriers, (*proto.Codec).U32, at(walkBarrier))
 	proto.Map(c, &sh.conds, (*proto.Codec).U32, at(walkCond))
-	walkSet(c, &sh.deadThreads)
 }
 
 // walkLock leaves the announcement train out: a restored home composes a

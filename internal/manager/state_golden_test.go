@@ -32,22 +32,17 @@ func goldenReplica(node simnet.NodeID) *Manager {
 func goldenManager(t *testing.T) *Manager {
 	m := goldenReplica(mgrNode)
 
-	// Zones: free spans below the bump pointer, live allocations, and both
-	// per-writer idempotency records. The striped zone stays untouched, so
-	// the empty form of every zone table is pinned too.
+	// Zones: free spans below the bump pointer and live allocations. The
+	// striped zone stays untouched, so the empty form of every zone table
+	// is pinned too.
 	z := m.arenaZone
 	z.next = ArenaZoneBase + 5*4096
 	z.free = []span{{base: ArenaZoneBase + 4096, size: 4096}, {base: ArenaZoneBase + 3*4096, size: 300}}
 	z.allocs[ArenaZoneBase+2*4096] = 4096
 	z.allocs[ArenaZoneBase] = 4096
 	z.allocs[ArenaZoneBase+4*4096] = 64
-	z.lastAlloc[300] = allocRecord{seq: 2, addr: ArenaZoneBase + 4*4096}
-	z.lastAlloc[1] = allocRecord{seq: 9, addr: ArenaZoneBase}
-	z.lastFree[2] = 7
-	z.lastFree[1] = 1 << 20
 	m.sharedZone.next = SharedZoneBase + 1<<20
 	m.sharedZone.allocs[SharedZoneBase] = 1 << 20
-	m.sharedZone.lastAlloc[2] = allocRecord{seq: 1, addr: SharedZoneBase}
 
 	// Directory: ticket 2 was never filled (a permanent gap), ticket 3
 	// carries a store record, ticket 5 is issued and unfilled.
@@ -62,15 +57,16 @@ func goldenManager(t *testing.T) *Manager {
 	b.lastInterval = map[uint32]uint64{2: 4, 300: 1 << 40, 1: 1}
 
 	// Membership: both classes, one thread dead with its obituary
-	// generation.
+	// generation, and the dead-thread fence.
 	m.members[memberOf(proto.MemberThread, 2)] = &member{node: 102, dead: true, reapGen: 1}
 	m.members[memberOf(proto.MemberServer, 0)] = &member{node: 10}
 	m.members[memberOf(proto.MemberThread, 300)] = &member{node: 400}
 	m.members[memberOf(proto.MemberThread, 1)] = &member{node: 101}
 	m.deadNodes[102] = true
 	m.deadNodes[77] = true
+	m.deadThreads[2] = true
+	m.deadThreads[900] = true
 	m.obitGen = 1
-	m.liveThreads = 2
 
 	// Homes. Lock 3 is held with a parked and a detached waiter, lock 8 is
 	// free; barrier 9 is half arrived; condition 10 has one waiter.
@@ -96,11 +92,8 @@ func goldenManager(t *testing.T) *Manager {
 	m.shards[m.shardOf(10)].conds[10] = &condState{waiters: []condEntry{
 		{lock: 3, w: waiter{thread: 6, node: 106, lastSeen: 2, kind: waitCond}},
 	}}
-	lockHome.deadThreads[2] = true
-	barHome.deadThreads[2] = true
-	barHome.deadThreads[900] = true
 
-	// Snapshot/fork table: all five maps, a handle already gone and a
+	// Snapshot/fork table: both maps, a handle already gone and a
 	// reference count that went negative.
 	ss := m.snaps
 	ss.nextSnap = 9
@@ -108,13 +101,11 @@ func goldenManager(t *testing.T) *Manager {
 	ss.snaps[2] = &snapInfo{origBase: uint64(StripedZoneBase) + 1<<21, npages: 4, refs: -1, handleGone: true}
 	ss.forks[uint64(StripedZoneBase)+1<<22] = 7
 	ss.forks[uint64(StripedZoneBase)+1<<23] = 7
-	ss.lastSnap[300] = snapRecord{seq: 3, snap: 7}
-	ss.lastSnap[1] = snapRecord{seq: 1, snap: 2}
-	ss.lastFork[1] = forkRecord{seq: 4, resp: proto.ForkASResp{
-		Base: uint64(StripedZoneBase) + 1<<22, OrigBase: uint64(StripedZoneBase), NPages: 512,
-	}}
-	ss.lastFreeFork[300] = freeForkRecord{seq: 5, resp: proto.FreeResp{Fork: true, Snap: 2, NPages: 4, Release: []uint64{2, 300}}}
-	ss.lastFreeFork[1] = freeForkRecord{seq: 6, resp: proto.FreeResp{Snap: 7}}
+
+	// Reply records: an answer, an empty answer and a refusal.
+	m.replies[300] = recorded(5, &proto.FreeResp{Fork: true, Snap: 2, NPages: 4, Release: []uint64{2, 300}})
+	m.replies[1] = recorded(1<<20, &proto.FreeResp{})
+	m.replies[2] = recorded(9, &proto.Error{Code: proto.CodeGeneric, Text: "manager: zone \"shared\" exhausted"})
 	return m
 }
 

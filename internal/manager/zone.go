@@ -24,22 +24,6 @@ type Zone struct {
 
 	free   []span                 // sorted, coalesced free spans below next
 	allocs map[layout.Addr]uint64 // live allocations: base -> size
-
-	// Idempotency records for failover-safe allocation. A thread has at
-	// most one allocation-plane request outstanding, so one record per
-	// writer suffices: a re-issued AllocReq whose Seq matches lastAlloc
-	// is answered with the recorded address instead of allocating again
-	// (the AllocReq re-issue leak), and a re-issued FreeReq whose Seq
-	// matches lastFree is acked without double-freeing. Both maps are
-	// replicated in the manager state snapshot.
-	lastAlloc map[uint32]allocRecord
-	lastFree  map[uint32]uint64
-}
-
-// allocRecord remembers one writer's most recent allocation from a zone.
-type allocRecord struct {
-	seq  uint64
-	addr layout.Addr
 }
 
 type span struct {
@@ -53,46 +37,11 @@ func NewZone(name string, base, limit layout.Addr) *Zone {
 		panic(fmt.Sprintf("manager: zone %q has non-positive extent", name))
 	}
 	return &Zone{
-		name:      name,
-		base:      base,
-		limit:     limit,
-		next:      base,
-		allocs:    make(map[layout.Addr]uint64),
-		lastAlloc: make(map[uint32]allocRecord),
-		lastFree:  make(map[uint32]uint64),
-	}
-}
-
-// DedupAlloc returns the recorded address of writer's allocation seq if
-// it matches the most recent one served from this zone — the re-issue
-// case. Seq 0 never matches.
-func (z *Zone) DedupAlloc(writer uint32, seq uint64) (layout.Addr, bool) {
-	if seq == 0 {
-		return 0, false
-	}
-	r, ok := z.lastAlloc[writer]
-	if !ok || r.seq != seq {
-		return 0, false
-	}
-	return r.addr, true
-}
-
-// NoteAlloc records a served allocation for dedup.
-func (z *Zone) NoteAlloc(writer uint32, seq uint64, addr layout.Addr) {
-	if seq != 0 {
-		z.lastAlloc[writer] = allocRecord{seq: seq, addr: addr}
-	}
-}
-
-// DedupFree reports whether writer's free seq was already applied.
-func (z *Zone) DedupFree(writer uint32, seq uint64) bool {
-	return seq != 0 && z.lastFree[writer] == seq
-}
-
-// NoteFree records a served free for dedup.
-func (z *Zone) NoteFree(writer uint32, seq uint64) {
-	if seq != 0 {
-		z.lastFree[writer] = seq
+		name:   name,
+		base:   base,
+		limit:  limit,
+		next:   base,
+		allocs: make(map[layout.Addr]uint64),
 	}
 }
 

@@ -240,10 +240,17 @@ const maxEncodeScratch = 1 << poolMaxShift
 // Encode serializes m (body only; the transport frames it). The result
 // is a fresh buffer, allocated once at the encoded size, that the
 // caller — and whoever the transport hands it to — owns outright.
-func Encode(m Msg) []byte {
+func Encode(m Msg) []byte { return AppendEncode(nil, m) }
+
+// AppendEncode is Encode into a buffer the caller keeps: it appends m's
+// body to dst and returns the extended slice, allocating only when dst
+// has too little room.
+func AppendEncode(dst []byte, m Msg) []byte {
 	c := codecs.Get().(*Codec)
 	m.Walk(c)
-	return c.finish()
+	dst = append(dst, c.w.B...)
+	c.recycle()
+	return dst
 }
 
 // Marshal is Encode for bytes that are no wire message (the manager's
