@@ -55,6 +55,28 @@ func TestInstallGrantPageRefusesWhatTheHorizonMissed(t *testing.T) {
 			}
 			return []uint64{3}, 4
 		}},
+		// A notice can come back with its record left out, because a later
+		// notice of the same list repeats the record (last record wins). It
+		// still vouches for the record's page.
+		{"own record left out of its notice", 0, func(t *testing.T, c *Cache) ([]uint64, uint64) {
+			mustWrite(t, c, 0, word[:], true)
+			rs := c.CollectRelease()
+			notify(t, c, 2, 3, p) // invalidates the page
+			survivor := proto.Notice{Seq: 5, Tag: proto.IntervalTag{Writer: 2, Interval: 5}, Records: []proto.StoreRecord{{Addr: 0, Data: word[:]}}}
+			if err := c.ApplyNotices([]proto.Notice{{Seq: 4, Tag: rs.Tag}, survivor}); err != nil {
+				t.Fatal(err)
+			}
+			return []uint64{4}, 5
+		}},
+		{"own evicted record left out of its notice", 1, func(t *testing.T, c *Cache) ([]uint64, uint64) {
+			mustWrite(t, c, 0, word[:], true)
+			mustRead(t, c, layout.Addr(geo.LineSize()))
+			rs := c.CollectRelease()
+			if err := c.ApplyNotices([]proto.Notice{{Seq: 4, Tag: rs.Tag}}); err != nil {
+				t.Fatal(err)
+			}
+			return []uint64{3}, 4
+		}},
 		{"need above the horizon", 0, func(t *testing.T, c *Cache) ([]uint64, uint64) {
 			mustRead(t, c, 0)
 			notify(t, c, 2, 9, p)
