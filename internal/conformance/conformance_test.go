@@ -200,7 +200,9 @@ func TestSamhitaConformsAtEveryHomeCount(t *testing.T) {
 // most 32 waiters) is passed on by several trains in a row, each
 // dispatched to a holder that got the lock peer-to-peer. Generate's
 // programs run at most 8 threads; these run 48, at one and four manager
-// homes, and some train at each must reach the cap.
+// homes, and some train at each must reach the cap. Their accumulators
+// are stored again and again under one lock, so some train at each must
+// also leave out a dead record (last record wins).
 func TestSamhitaConformsWithLongConvoys(t *testing.T) {
 	const threads = 48
 	seeds := 40
@@ -213,7 +215,7 @@ func TestSamhitaConformsWithLongConvoys(t *testing.T) {
 	for _, homes := range []int{1, 4} {
 		t.Run(fmt.Sprintf("homes=%d", homes), func(t *testing.T) {
 			t.Parallel()
-			var full int64
+			var full, dead int64
 			for seed := int64(0); seed < int64(seeds); seed++ {
 				cfg := core.DefaultConfig()
 				cfg.ManagerShards = homes
@@ -225,6 +227,7 @@ func TestSamhitaConformsWithLongConvoys(t *testing.T) {
 				p.Threads = threads
 				viols, err := Run(rt, p)
 				full += rt.Manager().Stats().FullTrains.Load()
+				dead += rt.Manager().Stats().DeadRecords.Load()
 				rt.Close()
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
@@ -235,6 +238,9 @@ func TestSamhitaConformsWithLongConvoys(t *testing.T) {
 			}
 			if full == 0 {
 				t.Errorf("no announcement train over %d seeds reached the cap: the convoys were never long", seeds)
+			}
+			if dead == 0 {
+				t.Errorf("no announcement train over %d seeds left out a record: no record was ever stored again", seeds)
 			}
 		})
 	}

@@ -86,6 +86,7 @@ type Stats struct {
 	NoticesPruned atomic.Int64
 	NextWaiters   atomic.Int64 // successor announcements sent to holders
 	FullTrains    atomic.Int64 // announcement trains cut at maxTrain entries
+	DeadRecords   atomic.Int64 // store records left out of trains (last record wins)
 	Handoffs      atomic.Int64 // grants forwarded holder-to-waiter
 }
 

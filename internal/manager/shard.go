@@ -492,7 +492,9 @@ func (sh *shard) composeTrain(ls *lockState, head *waiter) proto.Train {
 	for i := range ls.queue[:n] {
 		add(&ls.queue[i])
 	}
-	return train.Train(shared)
+	t, dead := train.Train(shared)
+	sh.m.stats.DeadRecords.Add(int64(dead))
+	return t
 }
 
 // handleUnlock accepts both forms of unlock: the classic acknowledged

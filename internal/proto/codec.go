@@ -31,6 +31,7 @@ type Codec struct {
 	aliased bool // decoding: some field was left aliasing r.B
 
 	noticeModes // decoding a notice list in two passes (wire.go)
+	lastWins    // encoding a notice list without its dead records (wire.go)
 }
 
 // Decoding reports the walk's direction, for the few walks that must do

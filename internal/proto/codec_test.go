@@ -167,7 +167,7 @@ func trainOf(k int, ns []Notice) Train {
 	for i := 0; i < k; i++ {
 		w.Add(uint32(i+1), uint32(100+i), len(ns))
 	}
-	return w.Train(ns)
+	return composed(&w, ns)
 }
 
 // A grant's receiver splits its own entry off the train and, at its
@@ -284,7 +284,7 @@ func checkWireLists(t *testing.T, m Msg, body []byte) {
 			left = rest
 		}
 		ns := tr.list.Notices()
-		return forward(w.Train(ns[len(ns)-longest:]))
+		return forward(composed(&w, ns[len(ns)-longest:]))
 	}
 	train := func(tr Train) {
 		if tr.list.n > 0 && !bytes.Contains(body, tr.list.b) {

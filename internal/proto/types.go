@@ -635,6 +635,11 @@ func walkPagePayload(c *Codec, p *PagePayload) {
 // Both lists are in wire form: the receiver forwards what is left of
 // Train, and Inline with its own closing interval appended, to the next
 // holder, and materialises its backlog and Inline only to apply them.
+// Both are last-record-wins (TrainWriter.Train, NoticeList.With): a
+// store record whose address and length a later notice of the same list
+// repeats is left out, since the receiver applies the list in order and
+// the later record overwrites those bytes. The answers to an acquire
+// (LockResp, BarrierResp, CondWaitResp) carry their lists whole.
 type LockGrant struct {
 	Lock     uint32
 	Gen      uint64

@@ -85,12 +85,12 @@ func wireSamples() []wireSample {
 		{"fetch-lines-req", &FetchLinesReq{Lines: []uint64{4, 5}, Pages: []uint64{1 << 21}, Needs: needs}},
 		{"fetch-lines-req/empty", &FetchLinesReq{}},
 		{"fetch-lines-resp", &FetchLinesResp{Data: bytes.Repeat([]byte{0xAB}, 130)}},
-		{"next-waiter", &NextWaiter{Lock: 5, Gen: 2, Seq: 90, Train: announced.Train([]Notice{notice})}},
+		{"next-waiter", &NextWaiter{Lock: 5, Gen: 2, Seq: 90, Train: composed(&announced, []Notice{notice})}},
 		{"next-waiter/no-train", &NextWaiter{Lock: 5, Gen: 2, Seq: 90}},
 		{"lock-grant", &LockGrant{
 			Lock: 5, Gen: 3, Seq: 91,
 			Inline:   NoticesOf([]Notice{notice}),
-			Train:    forwarded.Train([]Notice{{Seq: 89, Tag: IntervalTag{Writer: 2, Interval: 8}}}),
+			Train:    composed(&forwarded, []Notice{{Seq: 89, Tag: IntervalTag{Writer: 2, Interval: 8}}}),
 			PageData: []PagePayload{{Page: 3, Data: []byte{9, 8, 7}}, {Page: 4, Data: nil}},
 		}},
 		{"lock-grant/aborted", &LockGrant{Lock: 5, Gen: 1, Code: CodeShutdown}},
