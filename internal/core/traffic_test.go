@@ -25,6 +25,9 @@ type trafficTap struct {
 	mu           sync.Mutex
 	sent, handed map[proto.Kind]int
 	handedBytes  map[proto.Kind]int
+	// pageDataBytes counts the lock-carried bytes (LockGrant.PageData) of
+	// every LockGrant handed.
+	pageDataBytes int
 }
 
 func (g *trafficTap) NewEndpoint(id scl.NodeID) (scl.Endpoint, error) {
@@ -44,7 +47,7 @@ func (g *trafficTap) send(k proto.Kind) {
 	g.sent[k]++
 }
 
-func (g *trafficTap) hand(k proto.Kind, bytes int) {
+func (g *trafficTap) hand(k proto.Kind, bytes, pageData int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.handed == nil {
@@ -52,6 +55,7 @@ func (g *trafficTap) hand(k proto.Kind, bytes int) {
 	}
 	g.handed[k]++
 	g.handedBytes[k] += bytes
+	g.pageDataBytes += pageData
 }
 
 type trafficEndpoint struct {
@@ -68,16 +72,26 @@ func (e *trafficEndpoint) Call(dst scl.NodeID, req, resp proto.Msg, at vtime.Tim
 	e.tap.send(req.Kind())
 	t, err := e.Endpoint.Call(dst, req, resp, at)
 	if err == nil {
-		e.tap.hand(resp.Kind(), proto.Size(resp))
+		e.tap.hand(resp.Kind(), proto.Size(resp), 0)
 	}
 	return t, err
 }
 
 func (e *trafficEndpoint) Recv() (scl.Request, bool) {
 	r, ok := e.Endpoint.Recv()
-	if ok {
-		e.tap.hand(r.Kind(), r.BodyLen())
+	if !ok {
+		return r, ok
 	}
+	pageData := 0
+	if r.Kind() == proto.KLockGrant {
+		var g proto.LockGrant
+		if err := proto.Decode(&g, r.Body()); err == nil {
+			for _, pp := range g.PageData {
+				pageData += len(pp.Data)
+			}
+		}
+	}
+	e.tap.hand(r.Kind(), r.BodyLen(), pageData)
 	return r, ok
 }
 
@@ -98,8 +112,9 @@ var sizedKinds = []proto.Kind{proto.KLockGrant, proto.KNextWaiter, proto.KBarrie
 // it is handed at most one LockGrant and one NextWaiter per lock
 // passage. What grows with P is bytes: testdata/traffic.golden pins the
 // mean body of every LockGrant and NextWaiter a thread is handed and
-// every BarrierResp it gets back, so a change to what an acquirer is
-// carried shows up as a diff of it.
+// every BarrierResp it gets back, and the mean bytes of the lock-carried
+// pages (LockGrant.PageData) over every LockGrant, so a change to what an
+// acquirer is carried shows up as a diff of it.
 func TestStridedTrafficGolden(t *testing.T) {
 	var golden strings.Builder
 	var base map[proto.Kind]float64
@@ -141,6 +156,7 @@ func TestStridedTrafficGolden(t *testing.T) {
 			}
 			fmt.Fprintf(&golden, "P=%d %v mean bytes %d\n", p, k, tap.handedBytes[k]/n)
 		}
+		fmt.Fprintf(&golden, "P=%d %v page-data mean bytes %d\n", p, proto.KLockGrant, tap.pageDataBytes/tap.handed[proto.KLockGrant])
 	}
 	compareGolden(t, trafficGolden, golden.String())
 }
