@@ -170,7 +170,7 @@ func TestRecycledEntryStartsInvalid(t *testing.T) {
 	old := c.lines[0]
 	page := bytes.Repeat([]byte{7}, geo.PageSize)
 	p := geo.FirstPage(3) + 1
-	if !c.InstallGrantPage(p, page, 0) {
+	if !c.InstallGrantExtents(p, []proto.PagePayload{{Page: uint64(p), Data: page}}, 0) {
 		t.Fatal("grant page not installed")
 	}
 	le := c.lines[3]

@@ -599,18 +599,22 @@ func (m *NextWaiter) Walk(c *Codec) {
 	walkTrain(c, &m.Train)
 }
 
-// PagePayload carries one whole page's current bytes inside a
-// peer-to-peer LockGrant: the releaser's up-to-date copy of a page the
-// lock's fine-grained records live on (entry-consistency style — the
-// data guarded by the lock moves with the lock). Receivers install it
-// only if they have no valid copy of their own.
+// PagePayload carries one byte extent of a page inside a peer-to-peer
+// LockGrant: the releaser's current bytes at [Off, Off+len(Data)) of a
+// page the lock's fine-grained records live on (entry-consistency style
+// — the data guarded by the lock moves with the lock). A grant lists a
+// page's extents together, in offset order, and a whole page is one
+// extent. Receivers install them only if they have no valid copy of the
+// page, as a page valid over the extents and stale elsewhere.
 type PagePayload struct {
 	Page uint64
+	Off  uint32
 	Data []byte
 }
 
 func walkPagePayload(c *Codec, p *PagePayload) {
 	c.U64(&p.Page)
+	c.U32(&p.Off)
 	c.Payload(&p.Data)
 }
 
@@ -624,9 +628,10 @@ func walkPagePayload(c *Codec, p *PagePayload) {
 // notice a grant carries travels once, in the train's shared list.
 // Inline holds the closing intervals that wrote something of every
 // train holder since the anchor — oldest first, ending with the
-// releaser's own — and is empty in a central grant. PageData is the releaser's copy of record-bearing
-// pages a cold successor would otherwise have to fetch mid-tenure, on
-// the serialized handoff chain. Gen is the receiver's new tenure and Seq
+// releaser's own — and is empty in a central grant. PageData is the
+// releaser's copy of the bytes its records wrote on pages a cold
+// successor would otherwise have to fetch mid-tenure, on the serialized
+// handoff chain. Gen is the receiver's new tenure and Seq
 // its new LastSeen (the train's anchor; the Inline intervals above it
 // are redelivered by the directory later and deduplicated at the
 // receiver). A nonzero Code aborts the acquire (manager shutdown while

@@ -91,7 +91,7 @@ func wireSamples() []wireSample {
 			Lock: 5, Gen: 3, Seq: 91,
 			Inline:   NoticesOf([]Notice{notice}),
 			Train:    composed(&forwarded, []Notice{{Seq: 89, Tag: IntervalTag{Writer: 2, Interval: 8}}}),
-			PageData: []PagePayload{{Page: 3, Data: []byte{9, 8, 7}}, {Page: 4, Data: nil}},
+			PageData: []PagePayload{{Page: 3, Off: 4000, Data: []byte{9, 8, 7}}, {Page: 4, Data: nil}},
 		}},
 		{"lock-grant/aborted", &LockGrant{Lock: 5, Gen: 1, Code: CodeShutdown}},
 		{"writer-dead", &WriterDead{Writer: 9}},
