@@ -624,7 +624,7 @@ func TestCacheMatchesFlatMemoryProperty(t *testing.T) {
 func TestStalePrefetchIsRefetched(t *testing.T) {
 	geo := layout.DefaultGeometry()
 	be := newFakeBackend(geo)
-	c, _, _ := newCache(t, geo, be)
+	c, _, st := newCache(t, geo, be)
 
 	buf := make([]byte, 1)
 	if err := c.Read(0, buf); err != nil { // miss line 0 -> prefetch line 1 issued
@@ -660,6 +660,29 @@ func TestStalePrefetchIsRefetched(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("refetch did not quote the new tag: %+v", last)
+	}
+	// The stale prefetch is wasted, and not a hit or a late one too.
+	if st.PrefetchWasted != 1 || st.PrefetchHits+st.PrefetchLate != 0 {
+		t.Fatalf("stale prefetch counted %d wasted, %d hits, %d late", st.PrefetchWasted, st.PrefetchHits, st.PrefetchLate)
+	}
+}
+
+// A stats record reset while a prefetch is in flight counts neither its
+// issue nor its outcome.
+func TestResetRecordLeavesOutPrefetchesInFlight(t *testing.T) {
+	geo := layout.DefaultGeometry()
+	be := newFakeBackend(geo)
+	c, _, st := newCache(t, geo, be)
+	mustRead(t, c, 0) // misses line 0, prefetches line 1
+	*st = stats.Thread{ID: st.ID}
+	c.UncountPrefetches()
+	mustRead(t, c, layout.Addr(geo.LineSize())) // consumes it
+	c.DrainPrefetches()                         // wastes the one that read issued
+	if st.PrefetchIssued != 1 || st.PrefetchHits+st.PrefetchLate != 0 || st.PrefetchWasted != 1 {
+		t.Fatalf("record after the reset: %d issued, %d hits, %d late, %d wasted", st.PrefetchIssued, st.PrefetchHits, st.PrefetchLate, st.PrefetchWasted)
+	}
+	if err := st.CheckPrefetch(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -154,6 +154,16 @@ func (t *Thread) Snapshot() Thread { return *t }
 // TotalTime is the thread's complete virtual run time.
 func (t *Thread) TotalTime() vtime.Time { return t.ComputeTime + t.SyncTime }
 
+// CheckPrefetch reports a record whose prefetch outcomes outnumber its
+// issues: each prefetch issued is counted a hit, late or wasted at most
+// once, so PrefetchHits + PrefetchLate + PrefetchWasted <= PrefetchIssued.
+func (t *Thread) CheckPrefetch() error {
+	if n := t.PrefetchHits + t.PrefetchLate + t.PrefetchWasted; n > t.PrefetchIssued {
+		return fmt.Errorf("stats: thread %d: %d prefetches hit, late or wasted, %d issued", t.ID, n, t.PrefetchIssued)
+	}
+	return nil
+}
+
 // Run aggregates the per-thread statistics of one experiment run.
 type Run struct {
 	Threads []Thread
