@@ -430,6 +430,10 @@ func (m *Manager) step(c *call) (stop bool) {
 		m.replyErr(c.to, proto.CodeNotLeader, fmt.Errorf("manager: replica %d is not the leader", m.repl.self), m.Clock())
 		return false
 	}
+	if c.kind == proto.KReclaimEvent {
+		m.handleThreadDied(c)
+		return false
+	}
 	msg, idx, err := m.decodeReq(c)
 	if err != nil {
 		// Shard zero charges and answers a request that failed to decode,
@@ -651,26 +655,46 @@ func (m *Manager) reap() {
 			m.live.ServersDead.Add(1)
 			continue
 		}
-		// The leader logs the reap BEFORE acting on it, then applies it
-		// the way a follower does: a follower promoted later finds the
-		// member already dead and never re-reaps the same lease (no
-		// double barrier recomputation, no duplicate obituary generation).
-		re := proto.ReclaimEvent{Thread: k.id(), Node: mem.node, Gen: m.obitGen + 1}
-		if !m.replicateEvent(proto.KReclaimEvent, &re) {
-			continue // deposed mid-reap: the new leader owns this decision
-		}
-		m.live.ThreadsDead.Add(1)
-		m.applyReclaimEvent(&re)
-		// Obituary to the data plane: the dead writer may have
-		// announced a release whose DiffBatch it never shipped, and
-		// the servers must not park fetches on that tag forever.
-		// One-way at zero virtual cost, like the heartbeats that
-		// drive this path. The generation lets servers deduplicate
-		// when a promoted manager re-broadcasts.
-		for _, node := range m.dataNodes {
-			m.post(uint32(node), &proto.WriterDead{Writer: re.Thread, Gen: re.Gen}, 0)
-		}
+		m.reapThread(k.id(), mem.node)
 	}
+}
+
+// reapThread declares thread tid, on fabric node node, dead and reclaims
+// its synchronization state. The leader logs the reap BEFORE acting on
+// it, then applies it the way a follower does: a follower promoted later
+// finds the member already dead and never re-reaps it (no double barrier
+// recomputation, no duplicate obituary generation).
+func (m *Manager) reapThread(tid, node uint32) {
+	re := proto.ReclaimEvent{Thread: tid, Node: node, Gen: m.obitGen + 1}
+	if !m.replicateEvent(proto.KReclaimEvent, &re) {
+		return // deposed mid-reap: the new leader owns this decision
+	}
+	m.tally().ThreadsDead.Add(1)
+	m.applyReclaimEvent(&re)
+	// Obituary to the data plane: the dead writer may have announced a
+	// release whose DiffBatch it never shipped, and the servers must not
+	// park fetches on that tag forever. One-way at zero virtual cost,
+	// like the heartbeats that drive this path. The generation lets
+	// servers deduplicate when a promoted manager re-broadcasts.
+	for _, node := range m.dataNodes {
+		m.post(uint32(node), &proto.WriterDead{Writer: re.Thread, Gen: re.Gen}, 0)
+	}
+}
+
+// handleThreadDied reaps a thread that reports its own death (its body
+// panicked) the way a lease expiry reaps one, so the peers parked on it
+// are released or failed instead of waiting for it. Liveness need not be
+// on. The report is acknowledged when the sender waits for an answer.
+func (m *Manager) handleThreadDied(c *call) {
+	var re proto.ReclaimEvent
+	if err := proto.Decode(&re, c.body); err != nil {
+		m.replyErr(c.to, proto.CodeGeneric, fmt.Errorf("manager: bad thread death report: %w", err), m.Clock())
+		return
+	}
+	if mem, ok := m.members[memberOf(proto.MemberThread, re.Thread)]; !ok || !mem.dead {
+		m.reapThread(re.Thread, re.Node)
+	}
+	m.reply(c.to, &proto.Ack{}, m.Clock())
 }
 
 // reclaimThread fans a thread's reclamation out to every home and then
