@@ -195,10 +195,9 @@ func (t *Thread) register() error {
 // thread after every body has returned.
 func (t *Thread) finish() {
 	t.settleCompute()
-	// Drain before restoring any frozen snapshot: the drain classifies
-	// still-in-flight prefetches as wasted, and those must land on the
-	// same record as the issues they pair with or the wasted count can
-	// exceed the issued count.
+	// The drain counts every prefetch still in flight unused, on each
+	// record that counted its issue: the live one, and the frozen one
+	// for a prefetch in flight at StopMeasurement.
 	t.cache.DrainPrefetches()
 	if t.frozen != nil {
 		t.st = *t.frozen
@@ -240,11 +239,13 @@ func (t *Thread) ResetMeasurement() {
 	t.mark = t.clock.Now()
 }
 
-// StopMeasurement implements vm.Thread.
+// StopMeasurement implements vm.Thread. The outcomes of prefetches
+// still in flight land on the frozen record too, as their issue did.
 func (t *Thread) StopMeasurement() {
 	t.settleCompute()
 	snap := t.st.Snapshot()
 	t.frozen = &snap
+	t.cache.FreezePrefetches(t.frozen)
 }
 
 // SleepUntil implements vm.Thread: the open-loop idle wait. Work done

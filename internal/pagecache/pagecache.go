@@ -10,7 +10,8 @@
 // SIGSEGV handler performs in the paper:
 //
 //   - demand-fetch the enclosing multi-page cache line from its home,
-//   - asynchronously prefetch the next line (anticipatory paging),
+//   - asynchronously prefetch the next line (anticipatory paging), and
+//     stop while the lines it prefetches go unused,
 //   - on the first write in an interval, snapshot the page into a twin
 //     so a release can compute a byte diff (the multiple-writer
 //     protocol's tolerance of false sharing),
@@ -322,14 +323,48 @@ type prefetchEntry struct {
 	// was reset (UncountPrefetches): the record counts neither its issue
 	// nor its outcome.
 	uncounted bool
+	// frozen is the record StopMeasurement froze while the prefetch was
+	// in flight (FreezePrefetches): it counted the issue, so it counts
+	// the outcome too.
+	frozen *stats.Thread
 }
 
-// count adds the prefetch's outcome to n, unless it is uncounted.
-func (pe *prefetchEntry) count(n *int64) {
-	if !pe.uncounted {
-		*n++
+// outcome is how a prefetch ends.
+type outcome int
+
+const (
+	outcomeHit    outcome = iota // a demand fault found it delivered
+	outcomeLate                  // a demand fault waited for it
+	outcomeWasted                // discarded: stale, failed, or its line was dropped
+	outcomeUnused                // still pending when the thread retired
+)
+
+// field selects outcome o's counter in t.
+func (o outcome) field(t *stats.Thread) *int64 {
+	switch o {
+	case outcomeHit:
+		return &t.PrefetchHits
+	case outcomeLate:
+		return &t.PrefetchLate
+	case outcomeWasted:
+		return &t.PrefetchWasted
+	default:
+		return &t.PrefetchUnused
 	}
 }
+
+// The prefetch throttle. The cache keeps a window of the last
+// prefetchWindow prefetches it issued and counts how many a demand fault
+// consumed (a hit or a late arrival). A window in which fewer than half
+// were consumed starts a back-off: the next backoff misses issue
+// nothing, then a new window probes. The back-off starts at minBackoff,
+// doubles on each failed probe up to maxBackoff, and resets on a window
+// that passes.
+const (
+	prefetchWindow = 8
+	minBackoff     = 8
+	maxBackoff     = 1024
+)
 
 // Cache is one thread's software cache. It is confined to the owning
 // thread's goroutine.
@@ -351,6 +386,14 @@ type Cache struct {
 	lastMiss   layout.LineID
 	haveMiss   bool
 	lastStride int64
+
+	// The prefetch throttle's state (see prefetchWindow). It is fed only
+	// by this thread's misses and prefetches, and kept apart from the
+	// stats record, so a measurement reset leaves it alone.
+	winIssued int // prefetches issued in the open window
+	winUsed   int // prefetches a demand fault consumed while it was open
+	skip      int // misses left in the current back-off
+	backoff   int // the next back-off's length
 
 	// pageNeeds records, for every page that is not resident-and-valid,
 	// what a future fetch must wait for. Entries are cleared when the page
@@ -436,6 +479,7 @@ func New(cfg Config, be Backend, clock *vtime.Clock, st *stats.Thread) *Cache {
 		flushedDirty: make(map[layout.PageID]struct{}),
 		shared:       make(map[layout.PageID]struct{}),
 		owned:        NewOwnedStore(cfg.Geo.PageSize),
+		backoff:      minBackoff,
 	}
 }
 
@@ -754,6 +798,7 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 		res := <-pe.ch
 		delete(c.pending, line)
 		if res.Err != nil {
+			c.settle(pe, outcomeWasted)
 			return nil, res.Err
 		}
 		// Pages whose needs grew after the prefetch was issued must not
@@ -762,14 +807,14 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 		// only then not as a hit or a late one.
 		switch {
 		case c.prefetchStale(line, pe):
-			pe.count(&c.st.PrefetchWasted)
+			c.settle(pe, outcomeWasted)
 			proto.PutBuf(res.Data)
 			data, readyAt, err = c.be.FetchLine(line, c.needsFor(line), c.clock.Now())
 		case res.ReadyAt > c.clock.Now():
-			pe.count(&c.st.PrefetchLate)
+			c.settle(pe, outcomeLate)
 			data, readyAt = res.Data, res.ReadyAt
 		default:
-			pe.count(&c.st.PrefetchHits)
+			c.settle(pe, outcomeHit)
 			data, readyAt = res.Data, c.clock.Now()
 		}
 		fullLines = []layout.LineID{line}
@@ -836,8 +881,9 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 	}
 
 	// Anticipatory paging (Section II's prefetching strategy), deepened:
-	// up to PrefetchDepth asynchronous requests at the detected stride.
-	if c.cfg.PrefetchDepth > 0 {
+	// up to PrefetchDepth asynchronous requests at the detected stride,
+	// while the throttle lets it.
+	if c.cfg.PrefetchDepth > 0 && !c.backingOff() {
 		next := int64(line)
 		for k := 0; k < c.cfg.PrefetchDepth; k++ {
 			next += stride
@@ -855,6 +901,7 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 			h := &Handoff{gate: c.cfg.Gate}
 			if ch := c.be.StartPrefetch(l, needs, c.clock.Now(), h); ch != nil {
 				c.st.PrefetchIssued++
+				c.winIssued++
 				c.pending[l] = &prefetchEntry{
 					ch:        ch,
 					h:         h,
@@ -862,8 +909,51 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 				}
 			}
 		}
+		c.closeWindow()
 	}
 	return le, nil
+}
+
+// settle counts how prefetch pe ended on every record that counted its
+// issue, and a consumed one in the throttle's open window.
+func (c *Cache) settle(pe *prefetchEntry, o outcome) {
+	if !pe.uncounted {
+		*o.field(c.st)++
+		if pe.frozen != nil {
+			*o.field(pe.frozen)++
+		}
+	}
+	if (o == outcomeHit || o == outcomeLate) && c.skip == 0 {
+		c.winUsed++
+	}
+}
+
+// backingOff is the throttle's decision at a demand miss: true, with
+// one miss fewer left, while a back-off runs.
+func (c *Cache) backingOff() bool {
+	if c.skip == 0 {
+		return false
+	}
+	c.skip--
+	return true
+}
+
+// closeWindow ends the open window once it holds prefetchWindow
+// prefetches. If fewer than half of them were consumed, the next
+// c.backoff misses issue nothing and the back-off after them doubles; a
+// window that passes resets it.
+func (c *Cache) closeWindow() {
+	if c.winIssued < prefetchWindow {
+		return
+	}
+	pass := 2*c.winUsed >= c.winIssued
+	c.winIssued, c.winUsed = 0, 0
+	if pass {
+		c.backoff = minBackoff
+		return
+	}
+	c.skip = c.backoff
+	c.backoff = min(2*c.backoff, maxBackoff)
 }
 
 // noteMiss feeds the stride detector one demand miss and returns the
@@ -1859,18 +1949,30 @@ func (c *Cache) clearNeeds(p layout.PageID) {
 
 // UncountPrefetches is called when the thread's stats record is reset:
 // every prefetch in flight was issued before it, so the new record counts
-// none of their outcomes either, and PrefetchHits + PrefetchLate +
-// PrefetchWasted <= PrefetchIssued holds in it.
+// none of their outcomes either, and its outcomes still sum to its
+// issues (stats.Thread.CheckPrefetch).
 func (c *Cache) UncountPrefetches() {
 	for _, pe := range c.pending {
 		pe.uncounted = true
+		pe.frozen = nil
+	}
+}
+
+// FreezePrefetches is called when the thread's stats record is frozen
+// into rec: every prefetch in flight that the record counted issued has
+// its outcome counted on rec as well, whenever it comes.
+func (c *Cache) FreezePrefetches(rec *stats.Thread) {
+	for _, pe := range c.pending {
+		if !pe.uncounted {
+			pe.frozen = rec
+		}
 	}
 }
 
 // DrainPrefetches waits for every in-flight prefetch and discards the
-// results (counting them wasted). Called when the owning thread
-// retires, so no fetch of this thread's can still be in flight when its
-// endpoint closes.
+// results, counting them unused. Called when the owning thread retires,
+// so no fetch of this thread's can still be in flight when its endpoint
+// closes.
 func (c *Cache) DrainPrefetches() {
 	lines := make([]layout.LineID, 0, len(c.pending))
 	for line := range c.pending {
@@ -1878,18 +1980,18 @@ func (c *Cache) DrainPrefetches() {
 	}
 	slices.Sort(lines)
 	for _, line := range lines {
-		c.discardPrefetch(line)
+		c.discardPrefetch(line, outcomeUnused)
 	}
 }
 
-// discardPrefetch waits out line's in-flight prefetch, counts it wasted
+// discardPrefetch waits out line's in-flight prefetch, counts it as o
 // and hands its line back to the pool.
-func (c *Cache) discardPrefetch(line layout.LineID) {
+func (c *Cache) discardPrefetch(line layout.LineID, o outcome) {
 	pe := c.pending[line]
 	pe.h.beginWait() // park only if the helper has not delivered yet
 	res := <-pe.ch
 	delete(c.pending, line)
-	pe.count(&c.st.PrefetchWasted)
+	c.settle(pe, o)
 	proto.PutBuf(res.Data)
 }
 
@@ -1961,7 +2063,7 @@ func (c *Cache) DropRange(first layout.PageID, npages uint64) {
 	}
 	slices.Sort(lines)
 	for _, line := range lines {
-		c.discardPrefetch(line)
+		c.discardPrefetch(line, outcomeWasted)
 	}
 	lines = lines[:0]
 	for line := range c.lines {

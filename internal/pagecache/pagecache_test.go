@@ -677,12 +677,40 @@ func TestResetRecordLeavesOutPrefetchesInFlight(t *testing.T) {
 	*st = stats.Thread{ID: st.ID}
 	c.UncountPrefetches()
 	mustRead(t, c, layout.Addr(geo.LineSize())) // consumes it
-	c.DrainPrefetches()                         // wastes the one that read issued
-	if st.PrefetchIssued != 1 || st.PrefetchHits+st.PrefetchLate != 0 || st.PrefetchWasted != 1 {
-		t.Fatalf("record after the reset: %d issued, %d hits, %d late, %d wasted", st.PrefetchIssued, st.PrefetchHits, st.PrefetchLate, st.PrefetchWasted)
+	c.DrainPrefetches()                         // leaves the one that read issued unused
+	if st.PrefetchIssued != 1 || st.PrefetchHits+st.PrefetchLate+st.PrefetchWasted != 0 || st.PrefetchUnused != 1 {
+		t.Fatalf("record after the reset: %d issued, %d hits, %d late, %d wasted, %d unused",
+			st.PrefetchIssued, st.PrefetchHits, st.PrefetchLate, st.PrefetchWasted, st.PrefetchUnused)
 	}
 	if err := st.CheckPrefetch(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A record frozen while a prefetch is in flight counted its issue, so it
+// counts its outcome too; a prefetch issued after the freeze is the live
+// record's alone.
+func TestFrozenRecordCountsPrefetchesInFlight(t *testing.T) {
+	geo := layout.DefaultGeometry()
+	be := newFakeBackend(geo)
+	c, _, st := newCache(t, geo, be)
+	mustRead(t, c, 0) // misses line 0, prefetches line 1
+	frozen := st.Snapshot()
+	c.FreezePrefetches(&frozen)
+	mustRead(t, c, layout.Addr(geo.LineSize())) // consumes it, prefetches line 2
+	c.DrainPrefetches()                         // leaves line 2 unused
+	if frozen.PrefetchIssued != 1 || frozen.PrefetchHits+frozen.PrefetchLate != 1 || frozen.PrefetchUnused != 0 {
+		t.Fatalf("frozen record: %d issued, %d used, %d unused, want 1, 1, 0",
+			frozen.PrefetchIssued, frozen.PrefetchHits+frozen.PrefetchLate, frozen.PrefetchUnused)
+	}
+	if st.PrefetchIssued != 2 || st.PrefetchHits+st.PrefetchLate != 1 || st.PrefetchUnused != 1 {
+		t.Fatalf("live record: %d issued, %d used, %d unused, want 2, 1, 1",
+			st.PrefetchIssued, st.PrefetchHits+st.PrefetchLate, st.PrefetchUnused)
+	}
+	for _, rec := range []*stats.Thread{&frozen, st} {
+		if err := rec.CheckPrefetch(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -716,7 +744,7 @@ func TestMultiLineSpanningAccess(t *testing.T) {
 
 // Depth-2 anticipatory paging: one miss issues two prefetches, in line
 // order; consuming them out of issue order still lands both, and
-// unconsumed results drain as wasted.
+// unconsumed results drain as unused.
 func TestPrefetchDepthTwoOrdering(t *testing.T) {
 	geo := layout.DefaultGeometry()
 	be := newFakeBackend(geo)
@@ -751,12 +779,11 @@ func TestPrefetchDepthTwoOrdering(t *testing.T) {
 	// consumed; draining must count every leftover exactly once.
 	leftovers := int64(len(be.prefetchCalls)) - 2
 	c.DrainPrefetches()
-	if st.PrefetchWasted != leftovers {
-		t.Fatalf("PrefetchWasted=%d after drain, want %d", st.PrefetchWasted, leftovers)
+	if st.PrefetchUnused != leftovers || st.PrefetchWasted != 0 {
+		t.Fatalf("PrefetchUnused=%d PrefetchWasted=%d after drain, want %d and 0", st.PrefetchUnused, st.PrefetchWasted, leftovers)
 	}
-	if st.PrefetchWasted+st.PrefetchHits+st.PrefetchLate != st.PrefetchIssued {
-		t.Fatalf("prefetch accounting leak: issued=%d hit=%d late=%d wasted=%d",
-			st.PrefetchIssued, st.PrefetchHits, st.PrefetchLate, st.PrefetchWasted)
+	if err := st.CheckPrefetch(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -102,7 +102,8 @@ type Thread struct {
 	PrefetchHits    int64 // faults satisfied by a completed prefetch
 	PrefetchLate    int64 // faults that had to wait for an in-flight prefetch
 	PrefetchIssued  int64 // asynchronous prefetch requests issued
-	PrefetchWasted  int64 // prefetch results discarded unused (drained or stale)
+	PrefetchWasted  int64 // prefetch results discarded unused (stale, failed, or dropped by a fork)
+	PrefetchUnused  int64 // prefetches still pending when the thread retired
 	CombinedFetches int64 // demand faults served by a multi-line combined fetch
 	CombinedLines   int64 // companion lines revalidated by combined fetches
 	Evictions       int64 // lines evicted to make room
@@ -154,12 +155,14 @@ func (t *Thread) Snapshot() Thread { return *t }
 // TotalTime is the thread's complete virtual run time.
 func (t *Thread) TotalTime() vtime.Time { return t.ComputeTime + t.SyncTime }
 
-// CheckPrefetch reports a record whose prefetch outcomes outnumber its
-// issues: each prefetch issued is counted a hit, late or wasted at most
-// once, so PrefetchHits + PrefetchLate + PrefetchWasted <= PrefetchIssued.
+// CheckPrefetch reports a retired thread's record whose prefetch
+// outcomes do not match its issues: each prefetch the record counted
+// issued ends as exactly one hit, late arrival, waste or unused line, so
+// PrefetchHits + PrefetchLate + PrefetchWasted + PrefetchUnused ==
+// PrefetchIssued.
 func (t *Thread) CheckPrefetch() error {
-	if n := t.PrefetchHits + t.PrefetchLate + t.PrefetchWasted; n > t.PrefetchIssued {
-		return fmt.Errorf("stats: thread %d: %d prefetches hit, late or wasted, %d issued", t.ID, n, t.PrefetchIssued)
+	if n := t.PrefetchHits + t.PrefetchLate + t.PrefetchWasted + t.PrefetchUnused; n != t.PrefetchIssued {
+		return fmt.Errorf("stats: thread %d: %d prefetches hit, late, wasted or unused, %d issued", t.ID, n, t.PrefetchIssued)
 	}
 	return nil
 }
@@ -234,6 +237,7 @@ func (r *Run) Totals() Thread {
 		sum.PrefetchLate += t.PrefetchLate
 		sum.PrefetchIssued += t.PrefetchIssued
 		sum.PrefetchWasted += t.PrefetchWasted
+		sum.PrefetchUnused += t.PrefetchUnused
 		sum.CombinedFetches += t.CombinedFetches
 		sum.CombinedLines += t.CombinedLines
 		sum.Evictions += t.Evictions
