@@ -134,11 +134,10 @@ func benchAblation(b *testing.B, name string) {
 	}
 }
 
-func BenchmarkAblationPrefetch(b *testing.B)  { benchAblation(b, "prefetch") }
-func BenchmarkAblationLineSize(b *testing.B)  { benchAblation(b, "linesize") }
-func BenchmarkAblationFineGrain(b *testing.B) { benchAblation(b, "finegrain") }
-func BenchmarkAblationStriping(b *testing.B)  { benchAblation(b, "striping") }
-func BenchmarkAblationFabric(b *testing.B)    { benchAblation(b, "fabric") }
+func BenchmarkAblationPrefetch(b *testing.B) { benchAblation(b, "prefetch") }
+func BenchmarkAblationLineSize(b *testing.B) { benchAblation(b, "linesize") }
+func BenchmarkAblationStriping(b *testing.B) { benchAblation(b, "striping") }
+func BenchmarkAblationFabric(b *testing.B)   { benchAblation(b, "fabric") }
 
 // ---------------------------------------------------------------------
 // Micro-operation benchmarks: the primitive costs of the runtime.

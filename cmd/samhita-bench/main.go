@@ -14,8 +14,8 @@
 //	samhita-bench -all -csv out/        # also write out/figNN.csv
 //	samhita-bench -figure 3 -faults     # same figure under injected transport faults
 //	samhita-bench -all -quick -standby  # with warm-standby replicated memory servers
-//	samhita-bench -json out.json -baseline BENCH_micro.json  # the 26 CI points + exact gate
-//	samhita-bench -json BENCH_micro.json -max-p 1024         # all 33 points
+//	samhita-bench -json out.json -baseline BENCH_micro.json  # the 25 CI points + exact gate
+//	samhita-bench -json BENCH_micro.json -max-p 1024         # all 32 points
 //	samhita-bench -stream-span -server-shards 4 -manager-shards 4  # span data-plane smoke
 //	samhita-bench -micro -p 16 -mode strided -M 10 -S 4      # one micro-benchmark run
 //	samhita-bench -micro -backend pthreads -p 8 -M 100
@@ -52,7 +52,7 @@ func main() {
 		csvDir    = flag.String("csv", "", "directory to write CSV files into")
 
 		jsonOut    = flag.String("json", "", "measure the BENCH_micro.json table and write it as JSON to this file")
-		maxP       = flag.Int("max-p", 256, "largest thread count -json measures (256 = the 26 CI points, 1024 = all 33)")
+		maxP       = flag.Int("max-p", 256, "largest thread count -json measures (256 = the 25 CI points, 1024 = all 32)")
 		baseline   = flag.String("baseline", "", "compare the -json measurement against this stored JSON; exit non-zero on any difference")
 		streamSpan = flag.Bool("stream-span", false, "smoke-check the span-recast stream kernel: element and span runs must produce identical checksums")
 

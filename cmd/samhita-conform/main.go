@@ -108,9 +108,9 @@ func main() {
 			cfg.Faults = faultnet.New(sched)
 		}
 		if *verbose {
-			fmt.Printf("seed %d: threads=%d rounds=%d slots=%d accums=%d locks=%d | lines=%d cache=%d servers=%d prefetch=%v finegrain=%v\n",
+			fmt.Printf("seed %d: threads=%d rounds=%d slots=%d accums=%d locks=%d | lines=%d cache=%d servers=%d shards=%d homes=%d prefetch=%v\n",
 				sd, prog.Threads, prog.Rounds, prog.Slots, prog.Accums, prog.Locks,
-				cfg.Geo.LinePages, cfg.CacheLines, cfg.Geo.NumServers, cfg.Prefetch, !cfg.DisableFineGrain)
+				cfg.Geo.LinePages, cfg.CacheLines, cfg.Geo.NumServers, cfg.ServerShards, cfg.ManagerShards, cfg.Prefetch)
 		}
 		rt, err := core.New(cfg)
 		if err != nil {

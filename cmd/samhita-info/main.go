@@ -25,8 +25,8 @@ func main() {
 		cfg.Geo.PageSize, cfg.Geo.LinePages, cfg.Geo.LineSize(), cfg.Geo.NumServers, cfg.Geo.Striped)
 	fmt.Printf("  cache:    %d lines/thread, prefetch=%v (depth %d = one line ahead)\n",
 		cfg.CacheLines, cfg.Prefetch, cfg.PrefetchDepth)
-	fmt.Printf("  alloc:    arena chunk %d KiB, striping threshold %d KiB, %d threads/node\n",
-		cfg.ArenaChunk/1024, cfg.StripeMin/1024, cfg.ThreadsPerNode)
+	fmt.Printf("  alloc:    striping threshold %d KiB, %d threads/node\n",
+		cfg.StripeMin/1024, cfg.ThreadsPerNode)
 	fmt.Println()
 
 	fmt.Println("scale-out topology (defaults; raise via Config or CLI flags):")
@@ -34,7 +34,6 @@ func main() {
 	fmt.Printf("  manager shards:   %d sync home(s)       (-manager-shards; locks/barriers/conds spread by id)\n", norm(cfg.ManagerShards))
 	fmt.Printf("  manager replicas: %d                    (-manager-replicas; consensus log, kill-survivable failover)\n", norm(cfg.ManagerReplicas))
 	fmt.Printf("  data planes:      element accessors + bulk span accessors (F64Span; coalesced store records)\n")
-	fmt.Printf("  fine-grain RegC:  %v (DisableFineGrain ablates to page-grained LRC)\n", !cfg.DisableFineGrain)
 	fmt.Println()
 
 	fmt.Println("tiered page store (off by default; -hot-bytes enables):")

@@ -11,9 +11,11 @@ import (
 )
 
 // Ablations isolate the design choices DESIGN.md calls out, beyond the
-// paper's own figures: each one runs the micro-benchmark with a single
-// mechanism toggled and reports the same per-thread compute/sync
-// metrics, so the contribution of that mechanism is directly visible.
+// paper's own figures: each one runs a workload with a single mechanism
+// toggled and reports the same per-thread compute/sync metrics, so the
+// contribution of that mechanism is directly visible. Every ablation
+// runs the strided micro-benchmark except prefetch, which runs the
+// out-of-core STREAM triad.
 
 // AblationResult is one (variant, metric) sample set.
 type AblationResult struct {
@@ -143,32 +145,8 @@ func AblationLineSize(o Options) (*Ablation, error) {
 	return a, nil
 }
 
-// AblationFineGrain compares RegC's fine-grained consistency-region
-// updates against plain page-grained LRC (ablation c).
-func AblationFineGrain(o Options) (*Ablation, error) {
-	prm, p := o.ablationWorkload()
-	a := &Ablation{
-		ID:       "abl-finegrain",
-		Title:    "RegC fine-grained region updates vs page-grained LRC",
-		Workload: fmt.Sprintf("micro strided, N=%d M=%d S=%d B=%d P=%d", prm.N, prm.M, prm.S, prm.B, p),
-	}
-	for _, disable := range []bool{false, true} {
-		disable := disable
-		name := "regc (fine-grained)"
-		if disable {
-			name = "page-grained lrc"
-		}
-		r, err := o.runVariant(name, prm, p, func(c *core.Config) { c.DisableFineGrain = disable })
-		if err != nil {
-			return nil, err
-		}
-		a.Results = append(a.Results, r)
-	}
-	return a, nil
-}
-
 // AblationStriping compares striped vs single-home page placement with
-// several memory servers (ablation d: the hot-spot study).
+// several memory servers (ablation c: the hot-spot study).
 func AblationStriping(o Options) (*Ablation, error) {
 	prm, p := o.ablationWorkload()
 	a := &Ablation{
@@ -196,7 +174,7 @@ func AblationStriping(o Options) (*Ablation, error) {
 
 // AblationFabric compares the paper's QDR InfiniBand testbed model with
 // its future-work PCIe/SCIF target (Section V) and the intra-node
-// model.
+// model (ablation d).
 func AblationFabric(o Options) (*Ablation, error) {
 	prm, p := o.ablationWorkload()
 	a := &Ablation{
@@ -215,36 +193,7 @@ func AblationFabric(o Options) (*Ablation, error) {
 	return a, nil
 }
 
-// AblationManagerLink models the paper's Section V future-work
-// optimization: synchronization that does not cross the slow fabric to
-// reach the manager. Compared here by moving the manager onto an
-// intra-node link while memory traffic stays on the main fabric.
-func AblationManagerLink(o Options) (*Ablation, error) {
-	prm, p := o.ablationWorkload()
-	a := &Ablation{
-		ID:       "abl-mgrlink",
-		Title:    "Manager over the fabric vs manager on an intra-node link (Section V)",
-		Workload: fmt.Sprintf("micro strided, N=%d M=%d S=%d B=%d P=%d", prm.N, prm.M, prm.S, prm.B, p),
-	}
-	local := vtime.IntraNode
-	for _, variant := range []struct {
-		name string
-		link *vtime.LinkModel
-	}{
-		{"manager on fabric (paper's testbed)", nil},
-		{"manager intra-node (proposed)", &local},
-	} {
-		variant := variant
-		r, err := o.runVariant(variant.name, prm, p, func(c *core.Config) { c.ManagerLink = variant.link })
-		if err != nil {
-			return nil, err
-		}
-		a.Results = append(a.Results, r)
-	}
-	return a, nil
-}
-
-// AblationShards sweeps the per-server page-shard count (ablation g).
+// AblationShards sweeps the per-server page-shard count (ablation e).
 // Strided allocation is the serialization-prone pattern the sharding
 // was built for: every thread's rows interleave across servers, so a
 // single event loop per server queues all of them behind one calendar.
@@ -280,16 +229,14 @@ func AblationShards(o Options) (*Ablation, error) {
 
 // AblationRunners maps ablation names to runners.
 var AblationRunners = map[string]func(Options) (*Ablation, error){
-	"prefetch":  AblationPrefetch,
-	"linesize":  AblationLineSize,
-	"finegrain": AblationFineGrain,
-	"striping":  AblationStriping,
-	"fabric":    AblationFabric,
-	"mgrlink":   AblationManagerLink,
-	"shards":    AblationShards,
+	"prefetch": AblationPrefetch,
+	"linesize": AblationLineSize,
+	"striping": AblationStriping,
+	"fabric":   AblationFabric,
+	"shards":   AblationShards,
 }
 
 // AblationNames lists the ablations in a stable order.
 func AblationNames() []string {
-	return []string{"prefetch", "linesize", "finegrain", "striping", "fabric", "mgrlink", "shards"}
+	return []string{"prefetch", "linesize", "striping", "fabric", "shards"}
 }

@@ -47,8 +47,6 @@ type MicroPoint struct {
 	// WideGsum is the widened global-accumulator slot count (0/1 = the
 	// legacy single slot); see kernels.MicroParams.WideGsum.
 	WideGsum int `json:"wideGsum,omitempty"`
-	// NoCoalesce marks the record-coalescing ablation.
-	NoCoalesce bool `json:"noCoalesce,omitempty"`
 	// Servers is the memory-server count when it differs from the
 	// single-server default (population-sweep points spread the store).
 	Servers int `json:"servers,omitempty"`
@@ -146,9 +144,6 @@ func (p MicroPoint) key() string {
 	if p.WideGsum > 1 {
 		k += fmt.Sprintf("-wide%d", p.WideGsum)
 	}
-	if p.NoCoalesce {
-		k += "-nocoal"
-	}
 	if p.Servers > 1 {
 		k += fmt.Sprintf("-srv%d", p.Servers)
 	}
@@ -182,7 +177,7 @@ type row struct {
 
 	servers, shards, homes, replicas int
 	hot                              int64 // per-server hot-set budget; 0 = untiered
-	spans, nocoal                    bool
+	spans                            bool
 	wide                             int
 }
 
@@ -209,12 +204,10 @@ var table = []row{
 	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1},
 	{mode: random, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1},
 	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 3},
-	// Span-recast twins, then the record-plane trio on a 64-slot
-	// accumulator burst: uncoalesced elements, coalesced elements, one
-	// span record.
+	// Span-recast twins, then the record-plane pair on a 64-slot
+	// accumulator burst: coalesced element stores, one span record.
 	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1, spans: true},
 	{mode: random, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1, spans: true},
-	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1, wide: 64, nocoal: true},
 	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1, wide: 64},
 	{mode: strided, p: 16, n: 10, m: 10, s: 2, b: 256, shards: 4, homes: 4, replicas: 1, wide: 64, spans: true},
 	// Serving-scale workloads on the element and span planes.
@@ -254,7 +247,7 @@ func (o Options) measure(r row) (MicroPoint, error) {
 			c.Geo.NumServers = r.servers
 		}
 		c.ServerShards, c.ManagerShards, c.ManagerReplicas = r.shards, r.homes, r.replicas
-		c.HotBytes, c.NoRecordCoalesce = r.hot, r.nocoal
+		c.HotBytes = r.hot
 		c.Tier = nil
 	})
 	if err != nil {
@@ -270,7 +263,7 @@ func (o Options) measure(r row) (MicroPoint, error) {
 		Workload: r.workload, P: r.p, N: r.n, M: r.m, S: r.s, B: r.b,
 		PrefetchDepth: o.Cfg.PrefetchDepth,
 		Servers:       r.servers, ServerShards: r.shards, ManagerShards: r.homes, ManagerReplicas: r.replicas,
-		Spans: r.spans, WideGsum: r.wide, NoCoalesce: r.nocoal, HotBytes: r.hot,
+		Spans: r.spans, WideGsum: r.wide, HotBytes: r.hot,
 	}
 	var run *stats.Run
 	switch r.workload {

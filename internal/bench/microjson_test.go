@@ -100,8 +100,18 @@ func TestMeasureDeterministic(t *testing.T) {
 	if len(recorded.Points) != len(table) {
 		t.Fatalf("BENCH_micro.json has %d points, the table %d rows", len(recorded.Points), len(table))
 	}
+	kvRow := -1
+	for i, r := range table {
+		if r.workload == "kv" {
+			kvRow = i
+			break
+		}
+	}
+	if kvRow < 0 {
+		t.Fatal("the table has no kv row")
+	}
 	o := Options{}.WithDefaults()
-	for name, i := range map[string]int{"micro": 0, "kv": 13} {
+	for name, i := range map[string]int{"micro": 0, "kv": kvRow} {
 		t.Run(name, func(t *testing.T) {
 			a, err := o.measure(table[i])
 			if err != nil {

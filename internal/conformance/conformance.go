@@ -64,7 +64,8 @@ func Generate(seed int64) Program {
 // RandomConfig builds a Samhita configuration that stresses a different
 // protocol corner per seed: line size, cache capacity (down to thrashing,
 // up to keeping stale copies resident), memory servers and their shards,
-// prefetch depth, the fine-grain path, and manager homes.
+// prefetch depth, and manager homes. Every seed runs RegC, the one
+// consistency protocol.
 func RandomConfig(seed int64) core.Config {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := core.DefaultConfig()
@@ -73,7 +74,6 @@ func RandomConfig(seed int64) core.Config {
 	cfg.CacheLines = []int{2, 4, 16, 64, 1024}[rng.Intn(5)]
 	cfg.Prefetch = rng.Intn(2) == 0
 	cfg.PrefetchDepth = rng.Intn(4) // 0 = one line ahead; up to 3 ahead
-	cfg.DisableFineGrain = rng.Intn(4) == 0
 	cfg.ServerShards = []int{1, 2, 4}[rng.Intn(3)]
 	cfg.ManagerShards = []int{1, 2, 4}[rng.Intn(3)]
 	return cfg

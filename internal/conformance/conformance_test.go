@@ -85,12 +85,12 @@ func TestSamhitaConformsUnderRandomConfigs(t *testing.T) {
 			defer rt.Close()
 			viols, err := Run(rt, p)
 			if err != nil {
-				t.Fatalf("seed %d (%+v, cfg lines=%d cache=%d srv=%d fg=%v): %v",
-					seed, p, cfg.Geo.LinePages, cfg.CacheLines, cfg.Geo.NumServers, !cfg.DisableFineGrain, err)
+				t.Fatalf("seed %d (%+v, cfg lines=%d cache=%d srv=%d): %v",
+					seed, p, cfg.Geo.LinePages, cfg.CacheLines, cfg.Geo.NumServers, err)
 			}
 			for _, viol := range viols {
-				t.Errorf("seed %d (cfg lines=%d cache=%d srv=%d prefetch=%v fg=%v): %s",
-					seed, cfg.Geo.LinePages, cfg.CacheLines, cfg.Geo.NumServers, cfg.Prefetch, !cfg.DisableFineGrain, viol)
+				t.Errorf("seed %d (cfg lines=%d cache=%d srv=%d prefetch=%v): %s",
+					seed, cfg.Geo.LinePages, cfg.CacheLines, cfg.Geo.NumServers, cfg.Prefetch, viol)
 			}
 		})
 	}

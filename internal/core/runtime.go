@@ -98,9 +98,6 @@ type Config struct {
 	// PrefetchDepth is how many lines ahead the stride prefetcher runs
 	// when Prefetch is on (0 = 1, the paper's one-line-ahead strategy).
 	PrefetchDepth int
-	// ArenaChunk is the size of the chunks threads request for their
-	// local arenas (0 = 256 KiB).
-	ArenaChunk int
 	// StripeMin is the size at (and above) which GlobalAlloc uses the
 	// striped strategy instead of the shared zone (0 = 1 MiB).
 	StripeMin int
@@ -148,16 +145,6 @@ type Config struct {
 	// links are priced vtime.IntraNode: the paper's manager is one
 	// process, and its replicated form co-locates the replicas.
 	ManagerReplicas int
-	// DisableFineGrain turns off RegC's consistency-region store
-	// instrumentation: stores under a lock are treated like ordinary
-	// stores (page diffs + invalidation), degrading the protocol to
-	// plain page-grained lazy release consistency. Used by the ablation
-	// benchmarks to isolate what the fine-grained update path buys.
-	DisableFineGrain bool
-	// NoRecordCoalesce turns off append-time coalescing of adjacent
-	// consistency-region store records (ablation: measures what
-	// coalescing buys in record count and wire bytes).
-	NoRecordCoalesce bool
 	// Transport selects the communication substrate (nil = the
 	// simulated fabric priced by Link).
 	Transport Transport
@@ -193,14 +180,6 @@ type Config struct {
 	// servers. Heartbeats are wall-clock driven and processed at zero
 	// virtual cost, so simulated-time results stay deterministic.
 	Liveness *LivenessConfig
-	// ManagerLink, if non-nil, overrides the link model for traffic to
-	// and from the manager. The paper's Section V observes that routing
-	// every synchronization through the manager over the slow fabric
-	// adds avoidable overhead on a single node; pointing this at
-	// vtime.IntraNode models that proposed optimization (see the
-	// "mgrlink" ablation). Only honoured by the simulated-fabric
-	// transport.
-	ManagerLink *vtime.LinkModel
 }
 
 // LivenessConfig parameterizes the liveness layer.
@@ -236,13 +215,16 @@ func DefaultConfig() Config {
 		CPU:            vtime.DefaultCPU,
 		CacheLines:     pagecacheDefaultLines,
 		Prefetch:       true,
-		ArenaChunk:     256 << 10,
 		StripeMin:      1 << 20,
 		ThreadsPerNode: 8,
 	}
 }
 
 const pagecacheDefaultLines = 4096
+
+// arenaChunk is the size of the chunks threads request from the manager
+// for their local arenas.
+const arenaChunk = 256 << 10
 
 // HeterogeneousConfig returns the configuration of the paper's Figure-1
 // scenario — the system the whole paper is arguing for: compute threads
@@ -271,9 +253,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.CacheLines <= 0 {
 		c.CacheLines = pagecacheDefaultLines
-	}
-	if c.ArenaChunk <= 0 {
-		c.ArenaChunk = 256 << 10
 	}
 	if c.StripeMin <= 0 {
 		c.StripeMin = 1 << 20
@@ -415,25 +394,17 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if rt.transport == nil {
 		rt.fabric = simnet.NewFabric(cfg.Link)
-		if cfg.ManagerLink != nil || cfg.ManagerReplicas > 1 {
+		if replicas := cfg.ManagerReplicas; replicas > 1 {
 			base := cfg.Link
-			mgrLink := base
-			if cfg.ManagerLink != nil {
-				mgrLink = *cfg.ManagerLink
-			}
-			replicas := cfg.ManagerReplicas
 			isMgr := func(n scl.NodeID) bool {
 				return n == managerNode ||
 					(n >= firstMgrReplicaNode && n < firstMgrReplicaNode+scl.NodeID(replicas-1))
 			}
 			rt.fabric.SetLinkFn(func(src, dst scl.NodeID) vtime.LinkModel {
-				switch {
-				case replicas > 1 && isMgr(src) && isMgr(dst):
+				if isMgr(src) && isMgr(dst) {
 					// The replica group is co-located: replication round
 					// trips ride intra-node links, not the fabric.
 					return vtime.IntraNode
-				case isMgr(src) || isMgr(dst):
-					return mgrLink
 				}
 				return base
 			})

@@ -149,14 +149,13 @@ func (t *Thread) initCache() {
 		}
 	}
 	t.cache = pagecache.New(pagecache.Config{
-		Geo:              t.rt.cfg.Geo,
-		CPU:              t.rt.cfg.CPU,
-		CapacityLines:    t.rt.cfg.CacheLines,
-		PrefetchDepth:    depth,
-		Writer:           t.writer,
-		NoRecordCoalesce: t.rt.cfg.NoRecordCoalesce,
-		NoLazyOwner:      t.rt.standbyEnabled(),
-		Gate:             t.rt.gate,
+		Geo:           t.rt.cfg.Geo,
+		CPU:           t.rt.cfg.CPU,
+		CapacityLines: t.rt.cfg.CacheLines,
+		PrefetchDepth: depth,
+		Writer:        t.writer,
+		NoLazyOwner:   t.rt.standbyEnabled(),
+		Gate:          t.rt.gate,
 	}, (*threadBackend)(t), t.clock, &t.st)
 }
 
@@ -371,10 +370,13 @@ func (t *Thread) ReadBytes(a vm.Addr, buf []byte) {
 	}
 }
 
+// inRegion reports whether the thread's stores are consistency-region
+// stores, logged as fine-grained records: it holds at least one lock.
+func (t *Thread) inRegion() bool { return t.lockDepth > 0 }
+
 // WriteBytes implements vm.Thread.
 func (t *Thread) WriteBytes(a vm.Addr, data []byte) {
-	region := t.lockDepth > 0 && !t.rt.cfg.DisableFineGrain
-	if err := t.cache.Write(a, data, region); err != nil {
+	if err := t.cache.Write(a, data, t.inRegion()); err != nil {
 		t.fail("write", err)
 	}
 }
@@ -444,8 +446,7 @@ func (t *Thread) WriteFloat64s(a vm.Addr, src []float64) {
 	for i, v := range src {
 		vm.PutFloat64(b[8*i:], v)
 	}
-	region := t.lockDepth > 0 && !t.rt.cfg.DisableFineGrain
-	if err := t.cache.WriteSpan(a, b, region); err != nil {
+	if err := t.cache.WriteSpan(a, b, t.inRegion()); err != nil {
 		t.fail("write-span", err)
 	}
 }
@@ -453,9 +454,8 @@ func (t *Thread) WriteFloat64s(a vm.Addr, src []float64) {
 // AddFloat64 implements vm.Thread: a fused read-modify-write through
 // one cache access (and one store record in consistency regions).
 func (t *Thread) AddFloat64(a vm.Addr, v float64) float64 {
-	region := t.lockDepth > 0 && !t.rt.cfg.DisableFineGrain
 	var sum float64
-	err := t.cache.ReadModifyWrite8(a, region, func(b []byte) {
+	err := t.cache.ReadModifyWrite8(a, t.inRegion(), func(b []byte) {
 		sum = vm.GetFloat64(b) + v
 		vm.PutFloat64(b, sum)
 	})
@@ -467,9 +467,8 @@ func (t *Thread) AddFloat64(a vm.Addr, v float64) float64 {
 
 // AddInt64 implements vm.Thread.
 func (t *Thread) AddInt64(a vm.Addr, v int64) int64 {
-	region := t.lockDepth > 0 && !t.rt.cfg.DisableFineGrain
 	var sum int64
-	err := t.cache.ReadModifyWrite8(a, region, func(b []byte) {
+	err := t.cache.ReadModifyWrite8(a, t.inRegion(), func(b []byte) {
 		sum = vm.GetInt64(b) + v
 		vm.PutInt64(b, sum)
 	})
@@ -492,7 +491,7 @@ func (t *Thread) Malloc(n int) vm.Addr {
 	}
 	n = int(layout.AlignUp(layout.Addr(n), 16))
 	if n > t.arenaRemaining {
-		chunk := t.rt.cfg.ArenaChunk
+		chunk := arenaChunk
 		if n > chunk {
 			chunk = int(layout.AlignUp(layout.Addr(n), t.rt.cfg.Geo.LineSize()))
 		}

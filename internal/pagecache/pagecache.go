@@ -157,10 +157,6 @@ type Config struct {
 	// Writer is the owning thread's id, used to tag intervals and skip
 	// self-notices.
 	Writer uint32
-	// NoRecordCoalesce disables append-time coalescing of adjacent
-	// consistency-region store records (used by ablations and property
-	// tests to measure what coalescing buys).
-	NoRecordCoalesce bool
 	// NoLazyOwner disables the lazy single-writer optimization: every
 	// dirty page ships an eager diff at release instead of retaining
 	// its diffs locally under an ownership claim. Used when homes are
@@ -606,7 +602,7 @@ func (c *Cache) ordinaryStore(le *lineEntry, page layout.PageID, off, n int, spa
 // state.
 func (c *Cache) logRecord(addr layout.Addr, data []byte, page layout.PageID, ps *pageState) {
 	c.st.RecordBytes += int64(len(data))
-	if !c.cfg.NoRecordCoalesce && len(c.records) > 0 {
+	if len(c.records) > 0 {
 		last := &c.records[len(c.records)-1]
 		if last.Addr+uint64(len(last.Data)) == uint64(addr) &&
 			c.geo.PageOf(layout.Addr(last.Addr)) == page {

@@ -213,24 +213,6 @@ func TestAdjacentRegionRecordsCoalesce(t *testing.T) {
 	}
 }
 
-func TestNoRecordCoalesceAblation(t *testing.T) {
-	geo := layout.DefaultGeometry()
-	be := newFakeBackend(geo)
-	c, _, st := newCache(t, geo, be, func(cfg *Config) { cfg.NoRecordCoalesce = true })
-
-	for i := 0; i < 8; i++ {
-		if err := c.Write(layout.Addr(64+8*i), []byte{1, 2, 3, 4, 5, 6, 7, 8}, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.RecordsLogged != 8 || st.RecordBytes != 64 {
-		t.Fatalf("records=%d bytes=%d, want 8/64 with coalescing off", st.RecordsLogged, st.RecordBytes)
-	}
-	if rs := c.CollectRelease(); len(rs.Records) != 8 {
-		t.Fatalf("release records %d, want 8", len(rs.Records))
-	}
-}
-
 // Coalescing must never bridge a page boundary: the home applies each
 // record to one page.
 func TestRecordCoalesceStopsAtPageBoundary(t *testing.T) {
