@@ -48,14 +48,15 @@ type Event struct {
 
 // Collector accumulates events from many goroutines.
 type Collector struct {
-	mu     sync.Mutex
-	events []Event
-	limit  int
+	mu      sync.Mutex
+	events  []Event
+	limit   int
+	dropped int
 }
 
 // NewCollector creates a collector; limit bounds retained events
-// (0 = 1<<20). When full, further events are dropped — tracing is a
-// diagnostic aid, not an audit log.
+// (0 = 1<<20). When full, further events are dropped and counted —
+// tracing is a diagnostic aid, not an audit log.
 func NewCollector(limit int) *Collector {
 	if limit <= 0 {
 		limit = 1 << 20
@@ -69,6 +70,8 @@ func (c *Collector) Add(e Event) {
 	defer c.mu.Unlock()
 	if len(c.events) < c.limit {
 		c.events = append(c.events, e)
+	} else {
+		c.dropped++
 	}
 }
 
@@ -89,6 +92,14 @@ func (c *Collector) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.events)
+}
+
+// Dropped reports how many events arrived after the collector reached
+// its limit and were not retained.
+func (c *Collector) Dropped() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dropped
 }
 
 // Events returns a copy of the retained events sorted by start time.
@@ -148,7 +159,8 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(rows)
 }
 
-// Summary renders per-category counts and total virtual time.
+// Summary renders per-category counts and total virtual time, then the
+// number of events dropped past the limit.
 func (c *Collector) Summary() string {
 	counts := map[Category]int{}
 	durs := map[Category]vtime.Time{}
@@ -165,5 +177,6 @@ func (c *Collector) Summary() string {
 	for _, cat := range cats {
 		out += fmt.Sprintf("%-8s %6d events  %v\n", cat, counts[Category(cat)], durs[Category(cat)])
 	}
+	out += fmt.Sprintf("%-8s %6d events  past the limit of %d\n", "dropped", c.Dropped(), c.limit)
 	return out
 }

@@ -47,6 +47,34 @@ func TestLimitDropsExcess(t *testing.T) {
 	}
 }
 
+func TestDroppedCountsEventsPastTheLimit(t *testing.T) {
+	c := NewCollector(4)
+	for i := 0; i < 4; i++ {
+		c.Span("a", CatFault, "f", 0, 1, nil)
+	}
+	if c.Dropped() != 0 {
+		t.Fatalf("Dropped = %d at the limit, want 0", c.Dropped())
+	}
+	// Past the limit, from several goroutines at once.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				c.Span("b", CatFetch, "f", 0, 1, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Len() != 4 || c.Dropped() != 100 {
+		t.Fatalf("Len = %d, Dropped = %d, want 4 and 100", c.Len(), c.Dropped())
+	}
+	if s := c.Summary(); !strings.Contains(s, "dropped     100 events  past the limit of 4") {
+		t.Fatalf("summary does not report the drops: %q", s)
+	}
+}
+
 func TestChromeTraceExport(t *testing.T) {
 	c := NewCollector(0)
 	c.Span("thread 0", CatBarrier, "barrier 1", 1000, 3000, nil)
