@@ -124,7 +124,7 @@ func (a *agent) flush() {
 	for i := range a.out {
 		e := &a.out[i]
 		if e.wake != nil {
-			a.t.rt.wake(e.wake, e.gm)
+			wake(a.t.rt, e.wake, e.gm)
 		} else {
 			e.to.ReplyBody(e.kind, e.body, e.at)
 		}

@@ -131,7 +131,9 @@ func (r *role) call(ep scl.Endpoint, req, resp proto.Msg, at vtime.Time) (vtime.
 // with the holder and no error would surface, while the ack proves the
 // holder applied m (a home: and forwarded it to its standby), so a lost
 // ack is recovered by re-sending to the promoted candidate, whose dedup
-// (absolute-byte diffs, per-writer intervals) makes that safe.
+// (absolute-byte diffs, per-writer intervals) makes that safe. A thread's
+// unlock to a replicated manager is that call too, made by its release
+// agent (releaser) instead.
 func (r *role) send(ep scl.Endpoint, m, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
 	if resp == nil && len(r.cands) == 1 {
 		return ep.Post(r.node(), m, at)

@@ -549,15 +549,15 @@ func (rt *Runtime) park(wait func()) {
 	rt.gate.Resume()
 }
 
-// wake hands gm and a token to the goroutine asleep on ch, the token
+// wake hands v and a token to the goroutine asleep on ch, the token
 // first, so the ledger never reads zero while the wake is in flight;
 // sleep gives its token up and gets the waker's.
-func (rt *Runtime) wake(ch chan<- grantMsg, gm grantMsg) {
+func wake[T any](rt *Runtime, ch chan<- T, v T) {
 	rt.gate.Resume()
-	ch <- gm
+	ch <- v
 }
 
-func (rt *Runtime) sleep(ch <-chan grantMsg) grantMsg {
+func sleep[T any](rt *Runtime, ch <-chan T) T {
 	rt.gate.Pause()
 	return <-ch
 }
@@ -685,6 +685,9 @@ func (rt *Runtime) Run(p int, body func(t vm.Thread)) (*stats.Run, error) {
 	var hbWG sync.WaitGroup
 	for _, th := range threads {
 		spawn(rt, nil, (*agent).run, &agent{t: th})
+		if th.rel != nil {
+			spawn(rt, nil, (*releaser).run, th.rel)
+		}
 		if rt.livenessEnabled() {
 			hbWG.Add(1)
 			go rt.heartbeat(th.ep, proto.Heartbeat{Member: th.writer, Class: proto.MemberThread}, hbStop, &hbWG, true)
@@ -716,6 +719,7 @@ func (rt *Runtime) Run(p int, body func(t vm.Thread)) (*stats.Run, error) {
 				reg.Add(&th.st)
 			}()
 			body(th)
+			th.joinLastRelease()
 		}, th)
 	}
 	// The caller parks while the bodies run; on a sequenced fabric its
@@ -778,6 +782,9 @@ func (rt *Runtime) newThread(id, p int) (*Thread, error) {
 	th.writer = seq // writer 0 is reserved for "no writer"
 	th.actor = fmt.Sprintf("thread %d", id)
 	th.initCache()
+	if len(rt.mgr.cands) > 1 {
+		th.rel = &releaser{t: th, post: make(chan bool, 1), acked: make(chan struct{}, 1), exited: make(chan struct{})}
+	}
 	return th, nil
 }
 

@@ -104,6 +104,10 @@ type Thread struct {
 		seenTags   map[proto.IntervalTag]bool // intervals applied inline, dedupe redelivery
 	}
 
+	// rel is the release agent, when the manager has replicas (nil with
+	// a lone manager, whose unlock is a one-way post).
+	rel *releaser
+
 	// actor is the trace label ("thread 3").
 	actor string
 }
@@ -201,6 +205,7 @@ func (t *Thread) finish() {
 	if t.frozen != nil {
 		t.st = *t.frozen
 	}
+	t.rel.stop()
 }
 
 // reportDeath tells the manager this thread's body died (a recovered
@@ -211,6 +216,9 @@ func (t *Thread) finish() {
 // the manager is gone has nobody to tell, and its lease, when liveness is
 // on, reaps it instead.
 func (t *Thread) reportDeath() {
+	// One request at a time, from a dead thread too: a release still in
+	// flight is waited for first. Its outcome is moot now.
+	_, _ = t.rel.wait()
 	_, _ = t.rt.mgr.send(t.ep, &proto.ReclaimEvent{Thread: t.writer, Node: uint32(ThreadNode(int(t.writer)))}, nil, t.clock.Now())
 }
 
@@ -288,8 +296,12 @@ func (t *Thread) fail(op string, err error) {
 // exchange is how the thread speaks to a role: role.send of m at virtual
 // time at (answered into resp, or one-way with resp nil), failing the
 // thread with op on error, advancing its clock to the completion and
-// counting the message.
+// counting the message. A request to the manager joins the thread's
+// release in flight first.
 func (t *Thread) exchange(op string, r *role, m, resp proto.Msg, at vtime.Time) {
+	if r == t.rt.mgr {
+		at = t.joinRelease(at)
+	}
 	done, err := r.send(t.ep, m, resp, at)
 	if err != nil {
 		t.fail(op, err)
@@ -768,7 +780,7 @@ func (t *Thread) awaitGrant(lock uint32) grantMsg {
 	ch := make(chan grantMsg, 1)
 	t.ho.grantWait[lock] = ch
 	t.ho.mu.Unlock()
-	return t.rt.sleep(ch)
+	return sleep(t.rt, ch)
 }
 
 // endTenure drops this thread's handoff state for lock and returns the
@@ -971,10 +983,18 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 		Lock: m.id, Thread: t.writer, Interval: rs.Tag.Interval,
 		Pages: rs.Pages, Records: rs.Records, HandedOff: handedOff,
 	}
-	// With replicas the release is an acknowledged call (role.send): the
-	// ack proves the release was replicated, and the manager dedups a
-	// re-issued one by interval.
-	t.exchange("unlock", t.rt.mgr, &t.unlockReq, nil, t.clock.Now())
+	// A lone manager is posted the release. A replicated one acks it, and
+	// the release agent waits for the ack in the thread's stead: the thread
+	// pays the post's send overhead and joins the ack at its next manager
+	// request (releaser).
+	if t.rel != nil {
+		at := t.joinRelease(t.clock.Now())
+		t.rel.hand(&t.unlockReq, at)
+		t.clock.Advance(t.rt.cfg.Link.SendOverhead)
+		t.st.MsgsSent++
+	} else {
+		t.exchange("unlock", t.rt.mgr, &t.unlockReq, nil, t.clock.Now())
+	}
 	start = t.clock.Now()
 	t.cache.FinishRelease(rs)
 	t.shipBatches(rs, start, carriesNoRecords)
@@ -983,6 +1003,140 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 	if t.lockDepth == 0 && len(t.tenureCold) > 0 {
 		clear(t.tenureCold)
 	}
+	t.settleSync()
+}
+
+// releaser is a thread's release agent, there only when the manager has
+// replicas. A replicated manager acks an unlock once the release is in
+// its log (a new leader dedups a re-issued one by interval), so the
+// release is an acknowledged call: a post could die with the leader
+// unseen. RegC orders a release only before the thread's next acquire,
+// though, so the thread does not wait for the ack. Unlock copies its
+// request into the agent's buffers and returns; the agent, one goroutine
+// for the thread's life, makes the call stamped at the unlock (role.call,
+// with its failover and re-issue); and the thread joins the ack before
+// its next manager request (Thread.joinRelease). So the manager still
+// sees one request of a thread at a time, in the order it made them,
+// which its duplicate arms rely on (DESIGN.md §13).
+type releaser struct {
+	t    *Thread
+	post chan bool // true: make the call for req; false: the thread retired
+	req  proto.UnlockReq
+	at   vtime.Time
+	ack  proto.Ack
+	data []byte // the bytes of req.Records
+
+	busy bool // main goroutine only: a release is posted and not yet joined
+
+	mu     sync.Mutex
+	done   bool // the call returned: ackAt and err are its outcome
+	parked bool // the main goroutine sleeps on acked
+	acked  chan struct{}
+	ackAt  vtime.Time
+	err    error
+
+	exited chan struct{} // closed when run returns
+}
+
+// hand posts req, stamped at, to the agent. The request's pages and
+// records are the release set's; they are copied into buffers the agent
+// reuses from release to release.
+func (r *releaser) hand(req *proto.UnlockReq, at vtime.Time) {
+	r.data = r.data[:0]
+	for i := range req.Records {
+		r.data = append(r.data, req.Records[i].Data...)
+	}
+	recs, rest := r.req.Records[:0], r.data
+	for _, rec := range req.Records {
+		n := len(rec.Data)
+		recs = append(recs, proto.StoreRecord{Addr: rec.Addr, Data: rest[:n:n]})
+		rest = rest[n:]
+	}
+	pages := append(r.req.Pages[:0], req.Pages...)
+	r.req = *req
+	r.req.Pages, r.req.Records = pages, recs
+	r.at, r.busy = at, true
+	wake(r.t.rt, r.post, true)
+}
+
+// run is the agent: it makes each posted release's call and hands the
+// outcome over, until the thread retires.
+func (r *releaser) run() {
+	defer close(r.exited)
+	t := r.t
+	for sleep(t.rt, r.post) {
+		ackAt, err := t.rt.mgr.call(t.ep, &r.req, &r.ack, r.at)
+		r.mu.Lock()
+		r.ackAt, r.err, r.done = ackAt, err, true
+		parked := r.parked
+		r.parked = false
+		r.mu.Unlock()
+		if parked {
+			wake(t.rt, r.acked, struct{}{})
+		}
+	}
+}
+
+// wait returns the outcome of the posted release, sleeping until the
+// agent has it, or nothing when no release is posted. The agent wakes a
+// sleeper only: an ack nobody waits for yet leaves no token behind to
+// stall the sequencer.
+func (r *releaser) wait() (vtime.Time, error) {
+	if r == nil || !r.busy {
+		return 0, nil
+	}
+	r.busy = false
+	r.mu.Lock()
+	if !r.done {
+		r.parked = true
+		r.mu.Unlock()
+		sleep(r.t.rt, r.acked)
+		r.mu.Lock()
+	}
+	r.done = false
+	ackAt, err := r.ackAt, r.err
+	r.mu.Unlock()
+	return ackAt, err
+}
+
+// stop retires the agent once the thread's last release is in, and
+// returns once the agent has exited.
+func (r *releaser) stop() {
+	if r != nil {
+		_, _ = r.wait() // joined already, or moot for a thread that died
+		wake(r.t.rt, r.post, false)
+		<-r.exited
+	}
+}
+
+// joinRelease joins the thread's posted release, if any, ahead of a
+// manager request stamped at: the clock moves to the ack, and the
+// returned stamp is no earlier. An error of the release's call fails the
+// thread's unlock here.
+func (t *Thread) joinRelease(at vtime.Time) vtime.Time {
+	r := t.rel
+	if r == nil || !r.busy {
+		return at
+	}
+	ackAt, err := r.wait()
+	if err != nil {
+		t.fail("unlock", err)
+	}
+	// The span runs beside the thread, as a prefetch does. It is named
+	// apart from "unlock" so that a breakdown folding lock spans by their
+	// first word does not count it as the unlock's own time.
+	if tr := t.rt.cfg.Trace; tr != nil {
+		tr.Span(t.actor, trace.CatLock, fmt.Sprintf("unlock-ack %d", r.req.Lock), r.at, ackAt, nil)
+	}
+	t.clock.AdvanceTo(ackAt)
+	return vtime.Max(at, ackAt)
+}
+
+// joinLastRelease joins a release still in flight when the body returns:
+// the thread's run ends at its last ack, and the wait is sync time.
+func (t *Thread) joinLastRelease() {
+	t.settleCompute()
+	t.joinRelease(t.clock.Now())
 	t.settleSync()
 }
 
