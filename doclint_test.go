@@ -9,6 +9,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -112,14 +113,77 @@ var (
 	// A Go file, optionally with a line: `internal/core/book.go`,
 	// `core/thread.go`, `memserver.go:463`.
 	goFile = regexp.MustCompile(`^([\w./-]+\.go)(?::\d+)?$`)
+	// A command-line flag, alone or with its value: `-faults`,
+	// `-max-p 1024`, `-server-shards=4`. A placeholder such as `-srv%d`
+	// or `-hot<bytes>` is no flag.
+	flagTok = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=.*)?$`)
 )
+
+// notFlags are the backticked -names the docs use that no command
+// declares.
+var notFlags = map[string]bool{
+	"race":  true, // go test's race detector
+	"span":  true, // BENCH_micro.json point-key suffixes
+	"wideN": true,
+}
+
+// flagDecl is the flag package's declaring methods: each takes the flag's
+// name as its first string argument.
+var flagDecl = map[string]bool{
+	"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+	"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
+}
+
+// declaredFlags is every flag name the commands under cmd/ and the
+// shared runtime flags in internal/cliflags declare.
+func declaredFlags(t *testing.T) map[string]bool {
+	flags := map[string]bool{}
+	for _, dir := range []string{"cmd", "internal/cliflags"} {
+		err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+				return err
+			}
+			file, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !flagDecl[sel.Sel.Name] {
+					return true
+				}
+				for _, arg := range call.Args {
+					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						if name, err := strconv.Unquote(lit.Value); err == nil {
+							flags[name] = true
+						}
+						break
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return flags
+}
 
 // The prose in DESIGN.md, README.md and EXPERIMENTS.md names code: every backticked
 // `pkg.Name`, `pkg.Type.Member` whose pkg is a package under internal/,
-// and every backticked `.go` path, must still exist. A rename or a
-// deletion that leaves the docs behind fails here.
+// every backticked `.go` path, and every flag of a backticked `-flag`
+// or `samhita-… -flag` must still exist. A rename or a deletion that
+// leaves the docs behind fails here.
 func TestDocsNameWhatExists(t *testing.T) {
 	ix := indexInternal(t)
+	flags := declaredFlags(t)
 	var goFiles []string
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && strings.HasSuffix(p, ".go") {
@@ -138,7 +202,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 		return false
 	}
-	checked := 0
+	checked, flagsChecked := 0, 0
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
@@ -147,6 +211,18 @@ func TestDocsNameWhatExists(t *testing.T) {
 		for i, line := range strings.Split(string(src), "\n") {
 			for _, m := range backticked.FindAllStringSubmatch(line, -1) {
 				span := m[1]
+				if words := strings.Fields(span); len(words) > 0 && (strings.HasPrefix(words[0], "-") || strings.HasPrefix(words[0], "samhita-")) {
+					for _, w := range words {
+						f := flagTok.FindStringSubmatch(w)
+						if f == nil || notFlags[f[1]] {
+							continue
+						}
+						flagsChecked++
+						if !flags[f[1]] {
+							t.Errorf("%s:%d: `%s`: no command declares -%s", doc, i+1, span, f[1])
+						}
+					}
+				}
 				if f := goFile.FindStringSubmatch(span); f != nil {
 					if !fileExists(path.Clean(f[1])) {
 						t.Errorf("%s:%d: `%s` names no file in the tree", doc, i+1, span)
@@ -164,7 +240,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d backticked names resolved", checked)
+	t.Logf("%d backticked names and %d flags resolved", checked, flagsChecked)
 }
 
 // resolve checks one selector the docs name: pkg.Name or pkg.Type.Member

@@ -95,16 +95,23 @@ func BenchmarkDiffPageGenericDense(b *testing.B) {
 	benchDiffPage(b, diffPageGeneric, cur, twin, benchPageSize/8)
 }
 
-// freshBackend serves zero-filled lines instantly, each in a buffer of
-// its own (the Backend ownership rule), and swallows flushes.
+// freshBackend serves zero-filled lines instantly, each in a pooled
+// buffer of its own as core's backend does (the Backend ownership rule),
+// and swallows flushes.
 type freshBackend struct{ geo layout.Geometry }
 
+func zeroFrame(n int) []byte {
+	b := proto.GetBuf(n)[:n]
+	clear(b)
+	return b
+}
+
 func (b freshBackend) FetchLine(_ layout.LineID, _ []proto.PageNeed, at vtime.Time) ([]byte, vtime.Time, error) {
-	return make([]byte, b.geo.LineSize()), at, nil
+	return zeroFrame(b.geo.LineSize()), at, nil
 }
 
 func (b freshBackend) FetchLines(lines []layout.LineID, pages []layout.PageID, _ []proto.PageNeed, at vtime.Time) ([]byte, vtime.Time, error) {
-	return make([]byte, len(lines)*b.geo.LineSize()+len(pages)*b.geo.PageSize), at, nil
+	return zeroFrame(len(lines)*b.geo.LineSize() + len(pages)*b.geo.PageSize), at, nil
 }
 
 func (freshBackend) StartPrefetch(layout.LineID, []proto.PageNeed, vtime.Time, *Handoff) <-chan PrefetchResult {

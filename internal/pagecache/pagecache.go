@@ -373,8 +373,15 @@ type Cache struct {
 
 	lines    map[layout.LineID]*lineEntry
 	pending  map[layout.LineID]*prefetchEntry
-	useTick  uint64
 	capacity int
+
+	// The eviction order's state (see bipEvery): the next stamps up and
+	// down, the line of the last demand reference, and the duel, nil
+	// until the cache first evicts.
+	useTick  uint64
+	coldTick uint64
+	lastRef  layout.LineID
+	duel     *duel
 
 	// Stride detector for adaptive prefetch: when two consecutive
 	// demand-miss deltas agree, prefetch runs at that stride instead of
@@ -418,6 +425,9 @@ type Cache struct {
 	extScratch []byteRange
 	// grantScratch is AppendGrantExtents' list of record extents.
 	grantScratch []pageExtent
+
+	// oneLine backs fault's single-line fetch list (faultLine).
+	oneLine [1]layout.LineID
 
 	// lineScratch and pageScratch are BeginRelease's sorted dirty-line and
 	// early-flushed-page lists, reused from release to release.
@@ -469,6 +479,8 @@ func New(cfg Config, be Backend, clock *vtime.Clock, st *stats.Thread) *Cache {
 		lines:        make(map[layout.LineID]*lineEntry),
 		pending:      make(map[layout.LineID]*prefetchEntry),
 		capacity:     cfg.CapacityLines,
+		useTick:      stampBase,
+		coldTick:     stampBase,
 		pageNeeds:    make(map[layout.PageID]pageNeed),
 		ownEvicted:   make(map[layout.PageID]ownWrite),
 		dirtyPages:   make(map[layout.PageID]struct{}),
@@ -721,13 +733,15 @@ func (c *Cache) pageBaseInLine(p layout.PageID) int {
 // — and refetches.
 func (c *Cache) ensureValidRange(p layout.PageID, off, n int) (*lineEntry, error) {
 	line := c.geo.LineOf(p)
-	le, ok := c.lines[line]
-	if ok {
+	fresh := c.reference(line)
+	le, resident := c.lines[line]
+	if resident {
 		ps := &le.pages[c.pageIndex(p)]
 		if ps.valid {
 			if len(ps.stale) == 0 || !overlapsRanges(ps.stale, off, off+n) {
-				c.useTick++
-				le.lastUse = c.useTick
+				if fresh || !c.bimodal() {
+					c.promote(le)
+				}
 				c.st.Hits++
 				return le, nil
 			}
@@ -739,6 +753,9 @@ func (c *Cache) ensureValidRange(p layout.PageID, off, n int) (*lineEntry, error
 	le, err := c.fault(line)
 	if err != nil {
 		return nil, err
+	}
+	if resident && fresh && c.bimodal() {
+		c.promote(le) // a refetch into a resident line is a reference to it
 	}
 	if !le.pages[c.pageIndex(p)].valid {
 		return nil, fmt.Errorf("pagecache: page %d still invalid after fetch", p)
@@ -813,12 +830,12 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 			c.settle(pe, outcomeHit)
 			data, readyAt = res.Data, c.clock.Now()
 		}
-		fullLines = []layout.LineID{line}
+		fullLines = c.faultLine(line)
 	} else {
 		if _, resident := c.lines[line]; resident {
 			pages = c.invalidPages(line)
 		} else {
-			fullLines = []layout.LineID{line}
+			fullLines = c.faultLine(line)
 		}
 		pages = append(pages, c.pageCompanions(line)...)
 		if len(pages) > 0 {
@@ -878,9 +895,13 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 
 	// Anticipatory paging (Section II's prefetching strategy), deepened:
 	// up to PrefetchDepth asynchronous requests at the detected stride,
-	// while the throttle lets it.
+	// while the throttle lets it. Under bimodal insertion the cache keeps
+	// part of a sweep resident, so the lookahead steps past resident
+	// lines, up to the capacity of them, to the first line that would
+	// miss; those do not count toward the depth.
 	if c.cfg.PrefetchDepth > 0 && !c.backingOff() {
 		next := int64(line)
+		passed := 0
 		for k := 0; k < c.cfg.PrefetchDepth; k++ {
 			next += stride
 			if next < 0 {
@@ -888,6 +909,10 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 			}
 			l := layout.LineID(next)
 			if _, resident := c.lines[l]; resident {
+				if c.bimodal() && passed < c.capacity {
+					passed++
+					k--
+				}
 				continue
 			}
 			if _, inflight := c.pending[l]; inflight {
@@ -908,6 +933,14 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 		c.closeWindow()
 	}
 	return le, nil
+}
+
+// faultLine is the fault's list of whole lines to fetch when it holds
+// only line: the cache's own one-element array, so a fault allocates no
+// list (the backend reads it during the call and keeps none of it).
+func (c *Cache) faultLine(line layout.LineID) []layout.LineID {
+	c.oneLine[0] = line
+	return c.oneLine[:]
 }
 
 // settle counts how prefetch pe ended on every record that counted its
@@ -1024,8 +1057,8 @@ func (c *Cache) pageCompanions(line layout.LineID) []layout.PageID {
 // entry adopts it as its storage, and a resident line copies out of it
 // and hands it back.
 func (c *Cache) install(line layout.LineID, frame []byte) *lineEntry {
-	le, ok := c.lines[line]
-	if !ok {
+	le, resident := c.lines[line]
+	if !resident {
 		c.evictIfFull()
 		// The modelled copy is still charged below.
 		le = c.newEntry(line, frame)
@@ -1052,8 +1085,11 @@ func (c *Cache) install(line layout.LineID, frame []byte) *lineEntry {
 		}
 	}
 	c.clock.Advance(c.cfg.CPU.CopyTime(c.geo.LineSize()))
-	c.useTick++
-	le.lastUse = c.useTick
+	if resident {
+		c.touch(le)
+	} else {
+		c.place(le)
+	}
 	le.epoch = c.snapEpoch
 	return le
 }
@@ -1075,8 +1111,7 @@ func (c *Cache) installPage(p layout.PageID, data []byte) {
 	ps.stale = ps.stale[:0]
 	c.clearNeeds(p)
 	c.clock.Advance(c.cfg.CPU.CopyTime(c.geo.PageSize))
-	c.useTick++
-	le.lastUse = c.useTick
+	c.touch(le)
 	le.epoch = c.snapEpoch
 }
 
@@ -1116,12 +1151,17 @@ func (c *Cache) needFor(p layout.PageID) []proto.PageNeed {
 	return []proto.PageNeed{{Page: uint64(p), Tags: slices.Clone(tags)}}
 }
 
+// needsSnapshot copies the needs of line's pages for a prefetch about
+// to quote them; nil when no page has any.
 func (c *Cache) needsSnapshot(line layout.LineID) map[layout.PageID][]proto.IntervalTag {
-	snap := make(map[layout.PageID][]proto.IntervalTag)
+	var snap map[layout.PageID][]proto.IntervalTag
 	first := c.geo.FirstPage(line)
 	for i := 0; i < c.geo.LinePages; i++ {
 		p := first + layout.PageID(i)
 		if tags := c.pageNeeds[p].tags; len(tags) > 0 {
+			if snap == nil {
+				snap = make(map[layout.PageID][]proto.IntervalTag)
+			}
 			snap[p] = slices.Clone(tags)
 		}
 	}
@@ -1146,41 +1186,6 @@ func (c *Cache) prefetchStale(line layout.LineID, pe *prefetchEntry) bool {
 
 // ---------------------------------------------------------------------
 // Eviction.
-
-// evictIfFull makes room for one more line. The victim is the
-// least-recently-used line, with a bias toward lines holding written
-// pages (Section II: "the eviction policy used is biased towards pages
-// that have been written to"): dirty data is pushed home early, which
-// both frees the twin storage and shortens the diff work left at the
-// next release.
-func (c *Cache) evictIfFull() {
-	if len(c.lines) < c.capacity {
-		return
-	}
-	var oldest, oldestDirty *lineEntry
-	for _, le := range c.lines {
-		if oldest == nil || le.lastUse < oldest.lastUse {
-			oldest = le
-		}
-		if lineDirty(le) && (oldestDirty == nil || le.lastUse < oldestDirty.lastUse) {
-			oldestDirty = le
-		}
-	}
-	victim := oldest
-	if oldestDirty != nil {
-		victim = oldestDirty
-	}
-	c.evict(victim)
-}
-
-func lineDirty(le *lineEntry) bool {
-	for i := range le.pages {
-		if le.pages[i].dirty {
-			return true
-		}
-	}
-	return false
-}
 
 // evict removes a line, flushing diffs of its dirty pages home, and
 // hands its frame back to the pool: the diffs are copies, so nothing
@@ -1880,8 +1885,8 @@ func (c *Cache) InstallGrantExtents(p layout.PageID, exts []proto.PagePayload, h
 	}
 	c.extScratch = covered
 	line := c.geo.LineOf(p)
-	le, ok := c.lines[line]
-	if !ok {
+	le, resident := c.lines[line]
+	if !resident {
 		c.evictIfFull()
 		le = c.newEntry(line, c.newFrame()) // the other pages stay invalid
 	}
@@ -1910,8 +1915,11 @@ func (c *Cache) InstallGrantExtents(p layout.PageID, exts []proto.PagePayload, h
 		c.clearNeeds(p)
 	}
 	c.clock.Advance(c.cfg.CPU.CopyTime(n))
-	c.useTick++
-	le.lastUse = c.useTick
+	if resident {
+		c.touch(le)
+	} else {
+		c.place(le)
+	}
 	le.epoch = c.snapEpoch
 	return true
 }

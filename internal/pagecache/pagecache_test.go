@@ -2,6 +2,7 @@ package pagecache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -562,41 +563,61 @@ func TestDiffPageReconstructionProperty(t *testing.T) {
 	}
 }
 
-// Property: a random mix of reads and ordinary writes through the cache
-// behaves exactly like a flat byte array.
-func TestCacheMatchesFlatMemoryProperty(t *testing.T) {
+// A trace of reads, ordinary writes, sweeps and releases through a cache
+// of one to four lines behaves exactly like a flat byte array. Each op is
+// four bytes: a kind, a little-endian address and a length. A sweep
+// reads one word from each of up to 16 lines in a row: sweeps over more
+// lines than the cache holds turn its eviction order to bimodal
+// insertion, and reads alternating between two lines turn it back, so
+// traces run through both orders. The committed corpus holds random
+// traces and sweep-heavy ones that switch both ways.
+func FuzzCacheMatchesFlatMemory(f *testing.F) {
 	geo := layout.Geometry{PageSize: 256, LinePages: 2, NumServers: 1, Striped: true}
-	prop := func(seed int64) bool {
+	const (
+		span   = 8192 // 16 lines
+		maxOps = 1024
+	)
+	f.Fuzz(func(t *testing.T, capacity uint8, trace []byte) {
 		be := newFakeBackend(geo)
-		clk := vtime.NewClock(0)
-		st := &stats.Thread{}
-		c := New(Config{Geo: geo, CPU: vtime.DefaultCPU, Writer: 1, PrefetchDepth: 1, CapacityLines: 4}, be, clk, st)
-		rng := rand.New(rand.NewSource(seed))
-		const span = 8192
+		c := New(Config{Geo: geo, CPU: vtime.DefaultCPU, Writer: 1, PrefetchDepth: 1, CapacityLines: 1 + int(capacity%4)},
+			be, vtime.NewClock(0), &stats.Thread{})
 		model := make([]byte, span)
-		for op := 0; op < 400; op++ {
-			addr := rng.Intn(span - 16)
-			n := 1 + rng.Intn(16)
-			if rng.Intn(2) == 0 {
+		read := func(addr, n int) {
+			t.Helper()
+			buf := make([]byte, n)
+			if err := c.Read(layout.Addr(addr), buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, model[addr:addr+n]) {
+				t.Fatalf("read %d bytes at %d: %x, want %x", n, addr, buf, model[addr:addr+n])
+			}
+		}
+		for op := 0; op < maxOps && len(trace) >= 4; op++ {
+			kind := trace[0] % 8
+			addr := int(binary.LittleEndian.Uint16(trace[1:])) % (span - 16)
+			n := 1 + int(trace[3]%16)
+			trace = trace[4:]
+			switch kind {
+			case 0, 1, 2:
+				read(addr, n)
+			case 3, 4, 5:
 				data := make([]byte, n)
-				rng.Read(data)
+				for i := range data {
+					data[i] = byte(op*7 + i)
+				}
 				copy(model[addr:], data)
 				if err := c.Write(layout.Addr(addr), data, false); err != nil {
-					return false
+					t.Fatal(err)
 				}
-			} else {
-				buf := make([]byte, n)
-				if err := c.Read(layout.Addr(addr), buf); err != nil {
-					return false
+			case 6:
+				lines := span / geo.LineSize()
+				first := addr / geo.LineSize()
+				for l := range n {
+					read((first+l)%lines*geo.LineSize(), 8)
 				}
-				if !bytes.Equal(buf, model[addr:addr+n]) {
-					return false
-				}
-			}
-			if op%100 == 99 {
-				// Exercise the release path mid-run, delivering the
-				// batches to the home as the runtime would — including
-				// an immediate pull of all lazily-owned diffs.
+			case 7:
+				// A release, its batches delivered to the home as the
+				// runtime would, lazily owned diffs pulled at once.
 				rs := c.CollectRelease()
 				var diffs []proto.PageDiff
 				for _, b := range rs.ByHome {
@@ -611,11 +632,7 @@ func TestCacheMatchesFlatMemoryProperty(t *testing.T) {
 				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // A prefetched line whose pages accumulate new needs after the prefetch
