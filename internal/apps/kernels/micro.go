@@ -244,8 +244,8 @@ func RunMicro(v vm.VM, p int, prm MicroParams) (*MicroResult, error) {
 				}
 				gsum.WriteSlice(t, 0, wide)
 			default:
-				// W fused element adds: adjacent records, coalesced at
-				// append time into one (unless the ablation disables it).
+				// W fused element adds: adjacent records, always
+				// coalesced at append time into one.
 				for w := 0; w < W; w++ {
 					gsum.Add(t, w, sum)
 				}

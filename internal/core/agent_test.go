@@ -13,8 +13,8 @@ import (
 )
 
 // agentOn builds a thread's cache and its agent with no fabric: a step's
-// only inputs are the call and the thread's state, and its effects wait
-// in the agent's outbox.
+// only inputs are the request and the thread's state, and what it queues
+// waits in the agent's outbox.
 func agentOn() *agent {
 	rt := &Runtime{cfg: testConfig(), gate: simnet.NopGate()}
 	rt.cfg.fillDefaults()
@@ -23,37 +23,43 @@ func agentOn() *agent {
 	return &agent{t: th}
 }
 
-// agentCall makes the call the agent's shell would make of m arriving at
-// at (arrival plus service), answerable unless oneWay.
-func agentCall(m proto.Msg, at vtime.Time, oneWay bool) call {
-	return rawCall(m.Kind(), proto.Encode(m), at, oneWay)
+// agentCall is one request to the agent: m arriving at at (arrival plus
+// service), answerable unless oneWay.
+type agentCall struct {
+	kind   proto.Kind
+	body   []byte
+	at     vtime.Time
+	oneWay bool
 }
 
-func rawCall(kind proto.Kind, body []byte, at vtime.Time, oneWay bool) call {
+func callOf(m proto.Msg, at vtime.Time, oneWay bool) agentCall {
+	return agentCall{m.Kind(), proto.Encode(m), at, oneWay}
+}
+
+// request makes the request c arrives as; its answer, rendered, goes to
+// answered.
+func (c agentCall) request(answered func(string)) scl.Request {
 	var reply func(uint16, []byte, vtime.Time)
-	if !oneWay {
-		reply = func(uint16, []byte, vtime.Time) {}
+	if !c.oneWay {
+		reply = func(kind uint16, body []byte, at vtime.Time) { answered(render(proto.Kind(kind), body, at)) }
 	}
-	return call{kind: kind, body: body, at: at, to: scl.NewRequest(200, kind, body, reply)}
+	return scl.NewRequest(200, c.kind, c.body, reply).At(c.at, 0)
 }
 
-// render describes one queued effect: an answer, decoded, or a wake.
-func render(e effect) string {
-	if e.wake != nil {
-		return fmt.Sprintf("wake lock %d gen %d at %d", e.gm.g.Lock, e.gm.g.Gen, e.gm.at)
-	}
-	m := proto.New(e.kind)
-	if err := proto.Decode(m, e.body); err != nil {
-		return fmt.Sprintf("undecodable %v: %v", e.kind, err)
+// render describes one answer, decoded.
+func render(kind proto.Kind, body []byte, at vtime.Time) string {
+	m := proto.New(kind)
+	if err := proto.Decode(m, body); err != nil {
+		return fmt.Sprintf("undecodable %v: %v", kind, err)
 	}
 	if r, ok := m.(*proto.DiffPullResp); ok {
 		var b strings.Builder
 		for _, d := range r.Diffs {
 			fmt.Fprintf(&b, " page %d: %d bytes in %d runs", d.Page, d.PayloadBytes(), len(d.Runs))
 		}
-		return fmt.Sprintf("%v at %d:%s", e.kind, e.at, b.String())
+		return fmt.Sprintf("%v at %d:%s", kind, at, b.String())
 	}
-	return fmt.Sprintf("%v at %d: %+v", e.kind, e.at, m)
+	return fmt.Sprintf("%v at %d: %+v", kind, at, m)
 }
 
 func TestAgentStepTable(t *testing.T) {
@@ -65,8 +71,8 @@ func TestAgentStepTable(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		setup func(a *agent)
-		calls []call
-		want  []string // the effects, one per line, after each step in turn
+		calls []agentCall
+		want  []string // the answers sent and the waiters woken, after each step in turn
 		check func(t *testing.T, a *agent)
 	}{
 		{
@@ -78,9 +84,9 @@ func TestAgentStepTable(t *testing.T) {
 				}
 				a.t.cache.Owned().PutDiff(page, cur, twin)
 			},
-			calls: []call{
-				agentCall(&proto.DiffPullReq{Pages: []uint64{uint64(page)}}, 1000, false),
-				agentCall(&proto.DiffPullReq{Pages: []uint64{uint64(page)}}, 400, false),
+			calls: []agentCall{
+				callOf(&proto.DiffPullReq{Pages: []uint64{uint64(page)}}, 1000, false),
+				callOf(&proto.DiffPullReq{Pages: []uint64{uint64(page)}}, 400, false),
 			},
 			want: []string{
 				fmt.Sprintf("diff-pull-resp at %d: page 3: 1024 bytes in 1 runs", 1000+cpu.CopyTime(1024)),
@@ -91,16 +97,16 @@ func TestAgentStepTable(t *testing.T) {
 		},
 		{
 			name:  "an undecodable pull is answered with an error",
-			calls: []call{rawCall(proto.KDiffPullReq, []byte{0xff, 0xff, 0xff}, 700, false)},
+			calls: []agentCall{{proto.KDiffPullReq, []byte{0xff, 0xff, 0xff}, 700, false}},
 			want:  []string{"error at 700: &{Code:0 Text:proto: truncated message}"},
 		},
 		{
 			name: "a newer announcement installs, an older one is ignored",
-			calls: []call{
-				agentCall(&proto.NextWaiter{Lock: 7, Gen: 5, Seq: 11}, 100, true),
-				agentCall(&proto.NextWaiter{Lock: 7, Gen: 4, Seq: 12}, 200, true),
-				agentCall(&proto.NextWaiter{Lock: 7, Gen: 6, Seq: 13}, 300, true),
-				agentCall(&proto.NextWaiter{Lock: 7, Gen: 5, Seq: 14}, 400, true),
+			calls: []agentCall{
+				callOf(&proto.NextWaiter{Lock: 7, Gen: 5, Seq: 11}, 100, true),
+				callOf(&proto.NextWaiter{Lock: 7, Gen: 4, Seq: 12}, 200, true),
+				callOf(&proto.NextWaiter{Lock: 7, Gen: 6, Seq: 13}, 300, true),
+				callOf(&proto.NextWaiter{Lock: 7, Gen: 5, Seq: 14}, 400, true),
 			},
 			check: func(t *testing.T, a *agent) {
 				if ss := a.t.ho.succ[7]; ss == nil || ss.gen != 6 || ss.seq != 13 {
@@ -110,8 +116,8 @@ func TestAgentStepTable(t *testing.T) {
 		},
 		{
 			name: "a grant that arrives before the park is stashed",
-			calls: []call{
-				agentCall(&proto.LockGrant{Lock: 9, Gen: 2, Seq: 4}, 900, true),
+			calls: []agentCall{
+				callOf(&proto.LockGrant{Lock: 9, Gen: 2, Seq: 4}, 900, true),
 			},
 			check: func(t *testing.T, a *agent) {
 				gm, ok := a.t.ho.grants[9]
@@ -125,8 +131,8 @@ func TestAgentStepTable(t *testing.T) {
 			setup: func(a *agent) {
 				a.t.ho.grantWait[9] = make(chan grantMsg, 1)
 			},
-			calls: []call{
-				agentCall(&proto.LockGrant{Lock: 9, Gen: 2, Seq: 4}, 900, true),
+			calls: []agentCall{
+				callOf(&proto.LockGrant{Lock: 9, Gen: 2, Seq: 4}, 900, true),
 			},
 			want: []string{"wake lock 9 gen 2 at 900"},
 			check: func(t *testing.T, a *agent) {
@@ -140,9 +146,9 @@ func TestAgentStepTable(t *testing.T) {
 		},
 		{
 			name: "an unexpected kind is answered with an error, or dropped if one-way",
-			calls: []call{
-				agentCall(&proto.Ping{}, 50, false),
-				agentCall(&proto.Ping{}, 60, true),
+			calls: []agentCall{
+				callOf(&proto.Ping{}, 50, false),
+				callOf(&proto.Ping{}, 60, true),
 			},
 			want: []string{"error at 50: &{Code:0 Text:core: agent got unexpected ping}"},
 		},
@@ -153,12 +159,15 @@ func TestAgentStepTable(t *testing.T) {
 				tc.setup(a)
 			}
 			var got []string
-			for i := range tc.calls {
-				a.step(&tc.calls[i])
-				for _, e := range a.out {
-					got = append(got, render(e))
+			answered := func(s string) { got = append(got, s) }
+			for _, c := range tc.calls {
+				req := c.request(answered)
+				a.step(&req)
+				a.out.Flush()
+				if a.woken != nil {
+					got = append(got, fmt.Sprintf("wake lock %d gen %d at %d", a.grant.g.Lock, a.grant.g.Gen, a.grant.at))
+					a.woken = nil
 				}
-				a.flush()
 			}
 			if len(got) != len(tc.want) {
 				t.Fatalf("effects:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
@@ -167,9 +176,6 @@ func TestAgentStepTable(t *testing.T) {
 				if got[i] != tc.want[i] {
 					t.Errorf("effect %d:\n got %s\nwant %s", i, got[i], tc.want[i])
 				}
-			}
-			if len(a.out) != 0 {
-				t.Errorf("flush left %d effects queued", len(a.out))
 			}
 			if tc.check != nil {
 				tc.check(t, a)

@@ -308,7 +308,8 @@ func newAliasFollower(fab *simnet.Fabric, node scl.NodeID) *Manager {
 // the test is about.
 func (p *aliasPair) deliver(body []byte) proto.ReplAck {
 	p.t.Helper()
-	p.subject.step(&call{src: mgrNode, kind: proto.KReplAppend, body: body})
+	req := scl.NewRequest(mgrNode, proto.KReplAppend, body, nil)
+	p.subject.step(&req)
 	got, want := p.subject.repl.inAck, oracleAppend(p.t, p.oracle, body)
 	if got != want {
 		p.t.Fatalf("append %d: ack %+v, the copying path answers %+v", p.appends, got, want)

@@ -22,13 +22,13 @@ import (
 func TestStepAllocatesNoMessage(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	m := New(nil, layout.DefaultGeometry())
-	to := scl.NewRequest(11, 0, nil, func(uint16, []byte, vtime.Time) {})
+	m.now = stepEpoch
 	step := func(msg proto.Msg) func() {
-		c := call{src: 11, kind: msg.Kind(), body: proto.Encode(msg), arrive: 1 << 20, to: to, wall: stepEpoch}
+		req := scl.NewRequest(11, msg.Kind(), proto.Encode(msg), func(uint16, []byte, vtime.Time) {}).At(1<<20, 0)
 		return func() {
-			c := c
+			c := req
 			m.step(&c)
-			m.flush()
+			m.out.Flush()
 		}
 	}
 	lock := step(&proto.LockReq{Lock: 3, Thread: 1})

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/layout"
 	"repro/internal/proto"
-	"repro/internal/vtime"
 )
 
 // testdata/effects.golden pins everything a manager externalises over a
@@ -26,14 +25,6 @@ import (
 // must reproduce it byte for byte.
 
 const effectsGoldenPath = "testdata/effects.golden"
-
-// effectLine is one recorded send.
-type effectLine struct {
-	dst  uint32
-	kind proto.Kind
-	at   vtime.Time
-	body []byte
-}
 
 // effectsScript is the run. Thread t lives at node 10+t; node 19 is a
 // controller that holds no synchronization state. With two homes, locks
@@ -178,15 +169,16 @@ func (s *effectsScript) run(t *testing.T) {
 // formatEffects renders the recorded sends, one line each, grouped by
 // destination in ascending node order. Within a group the order is the
 // slice's.
-func formatEffects(lines []effectLine) string {
-	slices.SortStableFunc(lines, func(a, b effectLine) int { return int(a.dst) - int(b.dst) })
+func formatEffects(sends []flushed) string {
+	lines := slices.Clone(sends)
+	slices.SortStableFunc(lines, func(a, b flushed) int { return int(a.node) - int(b.node) })
 	var sb strings.Builder
 	for _, l := range lines {
 		body := "-"
 		if len(l.body) > 0 {
 			body = hex.EncodeToString(l.body)
 		}
-		fmt.Fprintf(&sb, "%d %v %d %s\n", l.dst, l.kind, l.at, body)
+		fmt.Fprintf(&sb, "%d %v %d %s\n", l.node, l.kind, l.at, body)
 	}
 	return sb.String()
 }
@@ -198,11 +190,7 @@ func runEffects(t *testing.T, afterStep func(*Manager)) string {
 	e.mgr.SetSequenced(true)
 	e.afterStep = afterStep
 	(&effectsScript{e: e, interval: make(map[uint32]uint64)}).run(t)
-	lines := make([]effectLine, len(e.sends))
-	for i, eff := range e.sends {
-		lines[i] = effectLine{dst: eff.dst(e.from), kind: eff.kind, at: eff.at, body: eff.body}
-	}
-	return formatEffects(lines)
+	return formatEffects(e.sends)
 }
 
 func TestEffectsGolden(t *testing.T) {

@@ -293,14 +293,15 @@ func TestStepTable(t *testing.T) {
 			before := e.mgr.encodeState()
 
 			msg := row.msg()
-			c := call{src: row.from, kind: msg.Kind(), body: proto.Encode(msg), arrive: 1 << 20, svc: testLink.ServiceTime, to: ticket(rowTicket), wall: e.wall}
-			e.from[rowTicket] = row.from
+			sends := len(e.sends)
+			c := request(row.from, msg.Kind(), proto.Encode(msg), 1<<20, testLink.ServiceTime, func(s flushed) { s.tk = rowTicket; e.file(s) })
+			e.mgr.now = e.wall
 			stop := e.mgr.step(&c)
 			if stop != (msg.Kind() == proto.KShutdown) {
 				t.Errorf("step reports stop=%v", stop)
 			}
-
-			got := takeEffects(e.mgr)
+			e.mgr.out.Flush()
+			got := e.sends[sends:]
 			for i := 0; i < len(got) || i < len(row.want); i++ {
 				switch {
 				case i >= len(row.want):
@@ -309,10 +310,9 @@ func TestStepTable(t *testing.T) {
 					t.Errorf("effect %d: no %v to node %d", i, row.want[i].msg.Kind(), row.want[i].dst)
 				default:
 					g, w := got[i], row.want[i]
-					dst := g.dst(e.from)
-					if dst != w.dst || g.kind != w.msg.Kind() || !bytes.Equal(g.body, proto.Encode(w.msg)) {
+					if dst := g.node; dst != w.dst || g.kind != w.msg.Kind() || !bytes.Equal(g.body, proto.Encode(w.msg)) {
 						t.Errorf("effect %d: %v % x to node %d, want %v % x to node %d",
-							i, g.kind, g.body, dst, w.msg.Kind(), proto.Encode(w.msg), w.dst)
+							i, g.kind, g.body, g.node, w.msg.Kind(), proto.Encode(w.msg), w.dst)
 					}
 				}
 			}
@@ -450,12 +450,12 @@ func TestFollowerShutdownTellsNobody(t *testing.T) {
 		t.Fatalf("the follower does not mirror the detached waiter: %+v", ls)
 	}
 
-	stop := call{src: 600, kind: proto.KShutdown, to: ticket(600), wall: e.wall}
-	if !follower.step(&stop) {
+	stop, out := stepOnce(follower, 600, &proto.Shutdown{}, e.wall)
+	if !stop {
 		t.Fatal("the follower did not stop")
 	}
-	if out := takeEffects(follower); len(out) != 1 || ticketOf(out[0].to) != 600 || out[0].kind != proto.KAck {
-		t.Fatalf("the follower queued %d effects, want the one Ack: %+v", len(out), out)
+	if len(out) != 1 || out[0].node != 600 || out[0].kind != proto.KAck {
+		t.Fatalf("the follower sent %d answers, want the one Ack: %+v", len(out), out)
 	}
 
 	posted := len(e.posts)

@@ -34,7 +34,6 @@
 package manager
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -124,43 +123,16 @@ type Manager struct {
 	// group of one.
 	repl *replState
 
-	// The call in flight: its wall reading, whether it replays the log,
-	// the effects it has queued so far (see step and flush), and the
-	// message its body decoded into (see decodeReq).
+	// The request in flight: the wall clock when it was received (set by
+	// Run, the only time the lease table ever reads), whether it replays
+	// the log, and the message its body decoded into (see decodeReq). out
+	// holds what its transition queued until Run flushes it.
 	now       time.Time
 	replaying bool
-	out       []effect
+	out       scl.Outbox
 	scratch   scratch
 
 	stats Stats
-}
-
-// call is one request as the state machine sees it: a value, made by Run
-// from what the endpoint received or by applyEntry from a log entry.
-type call struct {
-	src    uint32
-	kind   proto.Kind
-	body   []byte
-	arrive vtime.Time
-	svc    vtime.Time
-	// to is whom to answer, handed back to flush. Nobody listens
-	// (to.OneWay) to a one-way post, or to a log entry the leader already
-	// answered: that call's to is the zero Request.
-	to scl.Request
-	// wall is the wall clock when the request was received: the only time
-	// the lease table ever reads.
-	wall time.Time
-}
-
-// effect is one message a transition wants sent: a reply (to, kind and
-// the encoded body) or a post (node, msg).
-type effect struct {
-	to   scl.Request
-	kind proto.Kind
-	body []byte
-	node uint32
-	msg  proto.Msg
-	at   vtime.Time
 }
 
 // memberKey identifies a liveness participant: its class
@@ -183,7 +155,7 @@ type member struct {
 
 // New creates a manager serving the given endpoint.
 func New(ep scl.Endpoint, geo layout.Geometry) *Manager {
-	m := &Manager{ep: ep, geo: geo, repl: newReplState(0, nil, nil)}
+	m := &Manager{ep: ep, geo: geo, out: scl.NewOutbox(ep), repl: newReplState(0, nil, nil)}
 	m.SetShards(1)
 	return m
 }
@@ -265,40 +237,14 @@ func (m *Manager) Clock() vtime.Time {
 	return max
 }
 
-// reply queues the answer to a call or a parked waiter. It is encoded
-// here: handlers answer from scratch messages and from views of the
-// notice directory that a later fill or prune invalidates. An answer
-// nobody listens for is not even encoded.
-func (m *Manager) reply(to scl.Request, msg proto.Msg, at vtime.Time) {
-	if !to.OneWay() {
-		m.out = append(m.out, effect{to: to, kind: msg.Kind(), body: proto.Encode(msg), at: at})
-	}
-}
-
-// replyCopy queues an answer already encoded. The effect gets a copy of
-// body, which flush hands to the transport to own.
-func (m *Manager) replyCopy(to scl.Request, kind proto.Kind, body []byte, at vtime.Time) {
-	if !to.OneWay() {
-		m.out = append(m.out, effect{to: to, kind: kind, body: bytes.Clone(body), at: at})
-	}
-}
-
-// replyErr queues a classified protocol-level error; the caller's decode
-// turns the code back into its sentinel.
-func (m *Manager) replyErr(to scl.Request, code uint16, err error, at vtime.Time) {
-	if !to.OneWay() {
-		m.reply(to, &proto.Error{Code: code, Text: err.Error()}, at)
-	}
-}
-
 // post queues a one-way message (NextWaiter, LockGrant, WriterDead) to a
 // node. A log replay queues none: the leader already sent them. This flag
-// and the zero ticket of a call made from the log are the whole rule of
-// what a replica may externalise. A post is encoded only when flush sends
-// it: msg must own its data, no scratch message or notice-directory view.
+// and the one-way request a log entry is replayed as are the whole rule of
+// what a replica may externalise. A post is encoded only when it is sent:
+// msg must own its data, no scratch message or notice-directory view.
 func (m *Manager) post(node uint32, msg proto.Msg, at vtime.Time) {
 	if !m.replaying {
-		m.out = append(m.out, effect{node: node, msg: msg, at: at})
+		m.out.Post(scl.NodeID(node), msg, at)
 	}
 }
 
@@ -311,22 +257,6 @@ func (m *Manager) tally() *stats.Liveness {
 		return &m.uncounted
 	}
 	return m.live
-}
-
-// flush sends what the transitions since the last flush queued, in the
-// order they queued it. Nothing else replies or posts. A failed post means
-// the peer's port closed; the liveness layer, when enabled, is what
-// unblocks anyone waiting on it.
-func (m *Manager) flush() {
-	for i := range m.out {
-		if e := &m.out[i]; !e.to.OneWay() {
-			e.to.ReplyBody(e.kind, e.body, e.at)
-		} else {
-			_, _ = m.ep.Post(scl.NodeID(e.node), e.msg, e.at)
-		}
-	}
-	clear(m.out)
-	m.out = m.out[:0]
 }
 
 // failParked completes every parked waiter at every home with a
@@ -343,7 +273,7 @@ func (m *Manager) failParked(code uint16, why string) {
 }
 
 // Run is the shell around the state machine: it receives a request, reads
-// the wall clock, makes the call, runs step and flushes the effects, until
+// the wall clock into m.now, runs step and flushes the outbox, until
 // Shutdown or endpoint closure. It closes the endpoint on the way out: a
 // stopped manager must refuse calls, not leave an open port nobody reads,
 // or a leader still pushing to a follower that consumed its Shutdown first
@@ -358,8 +288,8 @@ func (m *Manager) Run() {
 		go m.renewTicker(stop)
 	}
 	// The post statement runs after every pass, the last one included:
-	// no exit leaves a queued effect unsent.
-	for done := false; !done; m.flush() {
+	// no exit leaves a queued send unsent.
+	for done := false; !done; m.out.Flush() {
 		req, ok := m.ep.Recv()
 		if !ok {
 			// The endpoint died under us (e.g. a fault injector killed
@@ -369,21 +299,18 @@ func (m *Manager) Run() {
 			done = true
 			continue
 		}
-		c := call{
-			src: uint32(req.Src()), kind: req.Kind(), body: req.Body(),
-			arrive: req.Arrive(), svc: req.Svc(), to: req, wall: time.Now(),
-		}
-		done = m.step(&c)
+		m.now = time.Now()
+		done = m.step(&req)
 	}
 }
 
 // step is one transition of the state machine: it changes state, queues
-// effects in m.out and touches neither the endpoint nor a clock (a leader
-// with followers excepted: see pushToPeers). stop reports an orderly
-// shutdown.
-func (m *Manager) step(c *call) (stop bool) {
-	m.now = c.wall
-	switch c.kind {
+// its sends in m.out and touches neither the endpoint nor a clock (a
+// leader with followers excepted: see pushToPeers). c is the request as
+// it arrived; nobody waits for the answer to a one-way post or to a log
+// entry (c.OneWay). stop reports an orderly shutdown.
+func (m *Manager) step(c *scl.Request) (stop bool) {
+	switch c.Kind() {
 	// Heartbeats are wall-clock bookkeeping and carry zero virtual
 	// cost: handled before any clock moves so liveness does not
 	// perturb virtual-time determinism.
@@ -396,10 +323,10 @@ func (m *Manager) step(c *call) (stop bool) {
 	case proto.KReplAppend, proto.KReplSnapshot, proto.KPromoteMgr:
 		switch {
 		case !m.hasPeers():
-			m.replyErr(c.to, proto.CodeGeneric, errors.New("manager: not a replica"), m.Clock())
-		case c.kind == proto.KReplAppend:
+			m.out.AnswerError(*c, proto.CodeGeneric, errors.New("manager: not a replica"), m.Clock())
+		case c.Kind() == proto.KReplAppend:
 			m.handleReplAppend(c)
-		case c.kind == proto.KReplSnapshot:
+		case c.Kind() == proto.KReplSnapshot:
 			m.handleReplSnapshot(c)
 		default:
 			m.handlePromote(c)
@@ -409,17 +336,17 @@ func (m *Manager) step(c *call) (stop bool) {
 	// Fence requests from members the lease table has declared
 	// dead: their state was already reclaimed, so letting them back
 	// in would corrupt lock/barrier bookkeeping.
-	if m.live != nil && m.deadNodes[c.src] {
-		m.replyErr(c.to, proto.CodePeerDied, fmt.Errorf("manager: request from dead node %d", c.src), m.Clock())
+	if m.live != nil && m.deadNodes[uint32(c.Src())] {
+		m.out.AnswerError(*c, proto.CodePeerDied, fmt.Errorf("manager: request from dead node %d", c.Src()), m.Clock())
 		return false
 	}
 	// Shutdown is handled ahead of the leader fence: it must keep its
 	// terminal CodeShutdown/Ack meaning on every replica (the runtime
 	// shuts all of them down), and a deposed leader must never convert
 	// a client's orderly stop into a retryable NotLeader.
-	if c.kind == proto.KShutdown {
+	if c.Kind() == proto.KShutdown {
 		m.shards[0].charge(c, 0)
-		m.reply(c.to, &proto.Ack{}, m.Clock())
+		m.out.Answer(*c, &proto.Ack{}, m.Clock())
 		m.failParked(proto.CodeShutdown, "manager shut down")
 		return true
 	}
@@ -427,10 +354,10 @@ func (m *Manager) step(c *call) (stop bool) {
 	// retryable CodeNotLeader; the runtime's failover redirect is what
 	// turns that refusal into a promotion.
 	if m.isFollower() {
-		m.replyErr(c.to, proto.CodeNotLeader, fmt.Errorf("manager: replica %d is not the leader", m.repl.self), m.Clock())
+		m.out.AnswerError(*c, proto.CodeNotLeader, fmt.Errorf("manager: replica %d is not the leader", m.repl.self), m.Clock())
 		return false
 	}
-	if c.kind == proto.KReclaimEvent {
+	if c.Kind() == proto.KReclaimEvent {
 		m.handleThreadDied(c)
 		return false
 	}
@@ -447,7 +374,7 @@ func (m *Manager) step(c *call) (stop bool) {
 	if !ok {
 		// Deposed mid-round; demote already failed the parked
 		// waiters with the same code.
-		m.replyErr(c.to, proto.CodeNotLeader, errors.New("manager: leader deposed"), m.Clock())
+		m.out.AnswerError(*c, proto.CodeNotLeader, errors.New("manager: leader deposed"), m.Clock())
 		return false
 	}
 	m.shards[idx].serve(c, msg, floor)
@@ -486,9 +413,9 @@ func zeroed[T any, P interface {
 // and resolves its home shard. It is shared by the dispatcher and by
 // followers replaying the replicated log, so route decisions are
 // identical on every replica.
-func (m *Manager) decodeReq(c *call) (proto.Msg, int, error) {
+func (m *Manager) decodeReq(c *scl.Request) (proto.Msg, int, error) {
 	var msg proto.Msg
-	switch s := &m.scratch; c.kind {
+	switch s := &m.scratch; c.Kind() {
 	case proto.KAllocReq:
 		msg = zeroed(&s.alloc)
 	case proto.KFreeReq:
@@ -510,10 +437,10 @@ func (m *Manager) decodeReq(c *call) (proto.Msg, int, error) {
 	case proto.KForkASReq:
 		msg = zeroed(&s.fork)
 	default:
-		return nil, 0, fmt.Errorf("manager: unexpected %v", c.kind)
+		return nil, 0, fmt.Errorf("manager: unexpected %v", c.Kind())
 	}
-	if err := proto.Decode(msg, c.body); err != nil {
-		if c.kind == proto.KUnlockReq && c.to.OneWay() {
+	if err := proto.Decode(msg, c.Body()); err != nil {
+		if c.Kind() == proto.KUnlockReq && c.OneWay() {
 			// Nobody to answer; an undecodable unlock is a protocol bug.
 			panic(fmt.Sprintf("manager: bad UnlockReq: %v", err))
 		}
@@ -550,7 +477,7 @@ func (m *Manager) decodeReq(c *call) (proto.Msg, int, error) {
 		// Snapshot/fork state lives with the striped zone it describes.
 		return msg, m.zoneShard[2], nil
 	default:
-		return nil, 0, fmt.Errorf("manager: unexpected %v", c.kind)
+		return nil, 0, fmt.Errorf("manager: unexpected %v", c.Kind())
 	}
 }
 
@@ -576,18 +503,18 @@ func zoneIndexOf(addr layout.Addr) int {
 // the reap prodder: the lease table keeps advancing even when every
 // compute thread is parked or dead. A replicated leader also renews its
 // own lease here (renewTicker's empty beats guarantee the prod).
-func (m *Manager) handleHeartbeat(c *call) {
+func (m *Manager) handleHeartbeat(c *scl.Request) {
 	if m.live == nil {
 		return // liveness disabled: ignore
 	}
 	var hb proto.Heartbeat
-	if err := proto.Decode(&hb, c.body); err != nil {
+	if err := proto.Decode(&hb, c.Body()); err != nil {
 		// A heartbeat that fails to decode means a version-skewed or
 		// corrupted peer whose lease is silently starving; count it and
 		// leave a trace event instead of dropping it invisibly.
 		m.live.HeartbeatsMalformed.Add(1)
 		if m.tr != nil {
-			m.traceLive("heartbeat-malformed", map[string]any{"src": c.src, "err": err.Error()})
+			m.traceLive("heartbeat-malformed", map[string]any{"src": uint32(c.Src()), "err": err.Error()})
 		}
 		return
 	}
@@ -685,16 +612,16 @@ func (m *Manager) reapThread(tid, node uint32) {
 // panicked) the way a lease expiry reaps one, so the peers parked on it
 // are released or failed instead of waiting for it. Liveness need not be
 // on. The report is acknowledged when the sender waits for an answer.
-func (m *Manager) handleThreadDied(c *call) {
+func (m *Manager) handleThreadDied(c *scl.Request) {
 	var re proto.ReclaimEvent
-	if err := proto.Decode(&re, c.body); err != nil {
-		m.replyErr(c.to, proto.CodeGeneric, fmt.Errorf("manager: bad thread death report: %w", err), m.Clock())
+	if err := proto.Decode(&re, c.Body()); err != nil {
+		m.out.AnswerError(*c, proto.CodeGeneric, fmt.Errorf("manager: bad thread death report: %w", err), m.Clock())
 		return
 	}
 	if mem, ok := m.members[memberOf(proto.MemberThread, re.Thread)]; !ok || !mem.dead {
 		m.reapThread(re.Thread, re.Node)
 	}
-	m.reply(c.to, &proto.Ack{}, m.Clock())
+	m.out.Answer(*c, &proto.Ack{}, m.Clock())
 }
 
 // reclaimThread fans a thread's reclamation out to every home and then

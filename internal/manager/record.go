@@ -1,6 +1,11 @@
 package manager
 
-import "repro/internal/proto"
+import (
+	"bytes"
+
+	"repro/internal/proto"
+	"repro/internal/scl"
+)
 
 // replyRecord is one writer's last answered allocation-plane request
 // (AllocReq, FreeReq, SnapshotASReq, ForkASReq): its Seq and its answer,
@@ -36,7 +41,7 @@ func allocPlane(msg proto.Msg) (writer uint32, seq uint64) {
 // repeat answers a re-issued allocation-plane request from its writer's
 // record and reports true. For the first copy it reports false and arms
 // the record, which answer then fills.
-func (sh *shard) repeat(c *call, msg proto.Msg) bool {
+func (sh *shard) repeat(c *scl.Request, msg proto.Msg) bool {
 	writer, seq := allocPlane(msg)
 	if seq == 0 {
 		return false
@@ -56,8 +61,16 @@ func (sh *shard) repeat(c *call, msg proto.Msg) bool {
 	} else {
 		m.stats.DedupAllocs.Add(1)
 	}
-	m.replyCopy(c.to, rec.kind, rec.body, sh.clock.Now())
+	sh.answerRecord(c, rec)
 	return true
+}
+
+// answerRecord answers c with a record's answer. The answer gets a copy:
+// the record's buffer is rewritten by its writer's next request.
+func (sh *shard) answerRecord(c *scl.Request, rec *replyRecord) {
+	if !c.OneWay() {
+		sh.m.out.AnswerBody(*c, rec.kind, bytes.Clone(rec.body), sh.clock.Now())
+	}
 }
 
 // walkReplyRecord is a record's part of the replication snapshot.

@@ -46,7 +46,7 @@ func TestAllocPlaneReissueAnswersAsBefore(t *testing.T) {
 				t.Errorf("%s: the re-issue changed the state of replica %d", what, i)
 			}
 		}
-		if err := decodeEffect(a, resp); err != nil {
+		if err := decodeSent(a, resp); err != nil {
 			t.Errorf("%s: %v", what, err)
 		}
 	}
@@ -101,12 +101,10 @@ func TestAllocPlaneReissueAnswersAsBefore(t *testing.T) {
 	// Promote replica 1; replica 2 follows it.
 	next := group[1]
 	var ack proto.Ack
-	promote := call{src: 600, kind: proto.KPromoteMgr, body: proto.Encode(&proto.PromoteMgr{Term: 2}), to: ticket(600), wall: e.wall}
-	next.step(&promote)
-	if out := takeEffects(next); len(out) != 1 || decodeEffect(out[0], &ack) != nil {
+	if _, out := stepOnce(next, 600, &proto.PromoteMgr{Term: 2}, e.wall); len(out) != 1 || decodeSent(out[0], &ack) != nil {
 		t.Fatalf("the promotion was answered %+v", out)
 	}
-	next.ep = &stepWire{env: e, id: mgrNode + 1, followers: map[scl.NodeID]*Manager{mgrNode + 2: group[2]}}
+	next.ep.(*stepWire).followers = map[scl.NodeID]*Manager{mgrNode + 2: group[2]}
 	e.mgr, live = next, group[1:]
 
 	// The old leader's last request, re-issued to the new one.

@@ -22,9 +22,9 @@ package manager
 //     injector — deposes the leader, which fails every parked waiter
 //     with CodeNotLeader so clients re-issue against the successor.
 //   - Followers apply accepted entries through the SAME transitions the
-//     leader ran, as calls with nobody to answer (call.to is the zero
-//     Request) made under the one replay flag (Manager.replaying) that
-//     withholds posts.
+//     leader ran, as one-way requests nobody waits on (applyEntry)
+//     under the one replay flag (Manager.replaying) that withholds
+//     posts.
 //     The manager is one goroutine, so applying the log is deterministic
 //     regardless of the shard count.
 //   - The log is truncated to what every live follower acked AND the
@@ -115,7 +115,8 @@ func newReplState(self int, nodes []scl.NodeID, live *stats.Liveness) *replState
 // instead of serving clients (standby replica, or a deposed leader). It
 // decides who refuses the client plane and who makes the decisions that
 // are the leader's alone (reap, unsatisfiable, failing the parked), never
-// what a transition may send: that is call.to and Manager.replaying.
+// what a transition may send: that is the request's OneWay and
+// Manager.replaying.
 func (m *Manager) isFollower() bool { return !m.repl.leader }
 
 // hasPeers reports whether this manager is one replica of several: only
@@ -135,9 +136,9 @@ func (m *Manager) hasPeers() bool { return len(m.repl.replicas) > 1 }
 // The log holds the request's own body, not a copy: a body is its
 // receiver's buffer on both transports and nothing writes it after the
 // decode (DESIGN.md §11).
-func (m *Manager) replicate(c *call) (floor vtime.Time, ok bool) {
-	m.repl.prop.Append(c.src, c.kind, c.body)
-	return m.pushToPeers(c.arrive)
+func (m *Manager) replicate(c *scl.Request) (floor vtime.Time, ok bool) {
+	m.repl.prop.Append(uint32(c.Src()), c.Kind(), c.Body())
+	return m.pushToPeers(c.Arrive())
 }
 
 // replicateEvent logs a manager-internal decision (a lease reap) so a
@@ -165,7 +166,7 @@ func (m *Manager) pushToPeers(at vtime.Time) (floor vtime.Time, ok bool) {
 	r.lastPush = m.now
 	// A deposition flushes at once: the waiters demote failed are told
 	// before anything else this replica does.
-	deposed := func() (vtime.Time, bool) { m.flush(); return 0, false }
+	deposed := func() (vtime.Time, bool) { m.out.Flush(); return 0, false }
 	floor = at
 	for _, pi := range r.prop.LivePeers() {
 	peerLoop:
@@ -284,11 +285,10 @@ func (m *Manager) demote(why string) {
 // overwrites, and each entry's Body is a window into this call's own
 // body. Entries are applied by value, and nothing of one outlives its
 // transition: a parked waiter holds no part of the call that parked it.
-func (m *Manager) handleReplAppend(c *call) {
+func (m *Manager) handleReplAppend(c *scl.Request) {
 	r := m.repl
 	ra := &r.in
-	if err := proto.DecodeAlias(ra, c.body); err != nil {
-		m.replyErr(c.to, proto.CodeGeneric, err, m.Clock())
+	if !m.out.Decode(c, ra, m.Clock()) {
 		return
 	}
 	if r.leader {
@@ -298,7 +298,7 @@ func (m *Manager) handleReplAppend(c *call) {
 			// A stale old leader appending to the new one: the higher
 			// term in the nack deposes it.
 			r.inAck = proto.ReplAck{OK: false, Term: r.term, NextIndex: r.acc.Last + 1}
-			m.reply(c.to, &r.inAck, m.Clock())
+			m.out.Answer(*c, &r.inAck, m.Clock())
 			return
 		}
 	}
@@ -312,24 +312,23 @@ func (m *Manager) handleReplAppend(c *call) {
 		m.applyEntry(e)
 	}
 	m.replaying = false
-	m.reply(c.to, &r.inAck, m.Clock())
+	m.out.Answer(*c, &r.inAck, m.Clock())
 }
 
 // handleReplSnapshot installs a full-state snapshot on a lagging
 // follower.
-func (m *Manager) handleReplSnapshot(c *call) {
+func (m *Manager) handleReplSnapshot(c *scl.Request) {
 	r := m.repl
 	var rs proto.ReplSnapshot
-	if err := proto.DecodeAlias(&rs, c.body); err != nil {
-		m.replyErr(c.to, proto.CodeGeneric, err, m.Clock())
+	if !m.out.Decode(c, &rs, m.Clock()) {
 		return
 	}
 	if r.leader && rs.Term <= r.term {
-		m.reply(c.to, &proto.ReplAck{OK: false, Term: r.term, NextIndex: r.acc.Last + 1}, m.Clock())
+		m.out.Answer(*c, &proto.ReplAck{OK: false, Term: r.term, NextIndex: r.acc.Last + 1}, m.Clock())
 		return
 	}
 	if err := r.acc.InstallSnapshot(rs.Term, rs.Index); err != nil {
-		m.reply(c.to, &proto.ReplAck{OK: false, Term: r.acc.Term, NextIndex: r.acc.Last + 1}, m.Clock())
+		m.out.Answer(*c, &proto.ReplAck{OK: false, Term: r.acc.Term, NextIndex: r.acc.Last + 1}, m.Clock())
 		return
 	}
 	if err := m.restoreState(rs.State); err != nil {
@@ -343,7 +342,7 @@ func (m *Manager) handleReplSnapshot(c *call) {
 		mem.lastBeat = m.now
 	}
 	r.term = r.acc.Term
-	m.reply(c.to, &proto.ReplAck{OK: true, Term: r.acc.Term, NextIndex: r.acc.Last + 1}, m.Clock())
+	m.out.Answer(*c, &proto.ReplAck{OK: true, Term: r.acc.Term, NextIndex: r.acc.Last + 1}, m.Clock())
 }
 
 // applyEntry runs one accepted log entry through the shard state
@@ -358,13 +357,16 @@ func (m *Manager) applyEntry(e proto.ReplEntry) {
 		m.applyReclaimEvent(&re)
 		return
 	}
-	c := call{src: e.Src, kind: kind, body: e.Body}
+	c := scl.NewRequest(scl.NodeID(e.Src), kind, e.Body, nil)
 	msg, idx, err := m.decodeReq(&c)
 	if err != nil {
 		// Entries were decodable at the leader; a mismatch here means
 		// corruption, not client error.
 		panic(fmt.Sprintf("manager: bad replicated %v entry: %v", kind, err))
 	}
+	// A waiter the entry parks keeps its request: one without the body,
+	// so it holds no part of the append.
+	c = scl.NewRequest(scl.NodeID(e.Src), kind, nil, nil)
 	m.shards[idx].serve(&c, msg, 0)
 }
 
@@ -396,24 +398,23 @@ func (m *Manager) applyReclaimEvent(re *proto.ReclaimEvent) {
 // handlePromote makes this replica the leader under a strictly higher
 // term. Idempotent: a duplicate promotion (a client retry) at or below
 // the current term of an active leader just acks.
-func (m *Manager) handlePromote(c *call) {
+func (m *Manager) handlePromote(c *scl.Request) {
 	r := m.repl
 	var pm proto.PromoteMgr
-	if err := proto.Decode(&pm, c.body); err != nil {
-		m.replyErr(c.to, proto.CodeGeneric, err, m.Clock())
+	if !m.out.Decode(c, &pm, m.Clock()) {
 		return
 	}
 	if r.leader && !r.deposed && pm.Term <= r.term {
-		m.reply(c.to, &proto.Ack{}, m.Clock())
+		m.out.Answer(*c, &proto.Ack{}, m.Clock())
 		return
 	}
 	if pm.Term <= r.term {
-		m.replyErr(c.to, proto.CodeGeneric,
+		m.out.AnswerError(*c, proto.CodeGeneric,
 			fmt.Errorf("manager: stale promotion to term %d (replica %d is at term %d)", pm.Term, r.self, r.term), m.Clock())
 		return
 	}
 	m.promote(pm.Term)
-	m.reply(c.to, &proto.Ack{}, m.Clock())
+	m.out.Answer(*c, &proto.Ack{}, m.Clock())
 }
 
 // promote turns this follower into the leader.

@@ -39,8 +39,8 @@ type waiter struct {
 }
 
 // park makes the waiter a call leaves behind.
-func park(c *call, thread uint32, lastSeen uint64, kind waitKind) waiter {
-	return waiter{to: c.to, svc: c.svc, thread: thread, node: c.src, lastSeen: lastSeen, kind: kind}
+func park(c *scl.Request, thread uint32, lastSeen uint64, kind waitKind) waiter {
+	return waiter{to: *c, svc: c.Svc(), thread: thread, node: uint32(c.Src()), lastSeen: lastSeen, kind: kind}
 }
 
 // standsIn reports whether w stands in for a request of thread's, which
@@ -61,7 +61,9 @@ func standIn(ws []waiter, thread uint32) *waiter {
 
 // attach hands a re-issued request's ticket to the waiter that stood in
 // for it, preserving its place.
-func (w *waiter) attach(c *call, lastSeen uint64) { w.to, w.svc, w.lastSeen = c.to, c.svc, lastSeen }
+func (w *waiter) attach(c *scl.Request, lastSeen uint64) {
+	w.to, w.svc, w.lastSeen = *c, c.Svc(), lastSeen
+}
 
 type lockState struct {
 	held   bool
@@ -158,7 +160,7 @@ func newShard(m *Manager, id int) *shard {
 // leaves that seq a permanent gap. A replicated mutation is applied only
 // after the slowest follower acked it; floor, the round's completion time,
 // is folded into the clock so replication latency is visible in the reply.
-func (sh *shard) serve(c *call, msg proto.Msg, floor vtime.Time) {
+func (sh *shard) serve(c *scl.Request, msg proto.Msg, floor vtime.Time) {
 	sh.charge(c, floor)
 	if sh.repeat(c, msg) {
 		return
@@ -195,35 +197,35 @@ func (sh *shard) serve(c *call, msg proto.Msg, floor vtime.Time) {
 
 // charge moves the clock past a request's arrival (and floor) and its
 // pickup, and publishes it.
-func (sh *shard) charge(c *call, floor vtime.Time) {
-	sh.clock.AdvanceTo(c.arrive)
+func (sh *shard) charge(c *scl.Request, floor vtime.Time) {
+	sh.clock.AdvanceTo(c.Arrive())
 	sh.clock.AdvanceTo(floor)
-	sh.clock.Advance(c.svc)
+	sh.clock.Advance(c.Svc())
 	sh.mirror.Store(sh.clock.Now())
 }
 
 // answer queues the reply to the call in flight at this home's clock, and
 // keeps it as the reply record repeat armed, if any; fail queues its
 // refusal.
-func (sh *shard) answer(c *call, msg proto.Msg) {
+func (sh *shard) answer(c *scl.Request, msg proto.Msg) {
 	if rec := sh.rec; rec != nil {
 		sh.rec = nil
 		rec.seq, rec.kind, rec.body = sh.recSeq, msg.Kind(), proto.AppendEncode(rec.body[:0], msg)
-		sh.m.replyCopy(c.to, rec.kind, rec.body, sh.clock.Now())
+		sh.answerRecord(c, rec)
 		return
 	}
-	sh.m.reply(c.to, msg, sh.clock.Now())
+	sh.m.out.Answer(*c, msg, sh.clock.Now())
 }
 
-func (sh *shard) fail(c *call, err error) {
-	sh.answer(c, &proto.Error{Code: proto.CodeGeneric, Text: err.Error()})
+func (sh *shard) fail(c *scl.Request, err error) {
+	sh.answer(c, scl.Refusal(proto.CodeGeneric, err))
 }
 
 // reaches reports whether the answer to a parked waiter gets to its
 // thread: through the ticket it holds, or as the post a detached waiter is
 // granted by, which only a log replay withholds. Only then may the
 // answer's notices advance the thread's horizon (see noticeBoard.acquire);
-// for the call in flight the same test is !c.to.OneWay().
+// for the call in flight the same test is !c.OneWay().
 func (sh *shard) reaches(w *waiter) bool {
 	return !w.to.OneWay() || (w.detached && !sh.m.replaying)
 }
@@ -231,7 +233,7 @@ func (sh *shard) reaches(w *waiter) bool {
 // ---------------------------------------------------------------------
 // Allocation.
 
-func (sh *shard) handleAlloc(c *call, ar *proto.AllocReq) {
+func (sh *shard) handleAlloc(c *scl.Request, ar *proto.AllocReq) {
 	m := sh.m
 	align := int(ar.Align)
 	if align < 16 {
@@ -261,7 +263,7 @@ func (sh *shard) handleAlloc(c *call, ar *proto.AllocReq) {
 	sh.answer(c, &proto.AllocResp{Addr: uint64(addr)})
 }
 
-func (sh *shard) handleFree(c *call, fr *proto.FreeReq) {
+func (sh *shard) handleFree(c *scl.Request, fr *proto.FreeReq) {
 	m := sh.m
 	addr := layout.Addr(fr.Addr)
 	var zone *Zone
@@ -319,7 +321,7 @@ func (sh *shard) lock(id uint32) *lockState {
 	return ls
 }
 
-func (sh *shard) handleLock(c *call, lr *proto.LockReq) {
+func (sh *shard) handleLock(c *scl.Request, lr *proto.LockReq) {
 	m := sh.m
 	m.board.ensure(lr.Thread, lr.LastSeen)
 	ls := sh.lock(lr.Lock)
@@ -330,7 +332,7 @@ func (sh *shard) handleLock(c *call, lr *proto.LockReq) {
 		// conservation holds across the failover.
 		ns := m.board.after(lr.LastSeen, ls.grantSeq)
 		sh.answer(c, &proto.LockResp{Seq: ls.grantSeq, Notices: ns})
-		if !c.to.OneWay() {
+		if !c.OneWay() {
 			m.board.saw(lr.Thread, ls.grantSeq)
 		}
 		return
@@ -403,9 +405,9 @@ func (sh *shard) grant(id uint32, ls *lockState, w waiter) {
 				gen = ls.gen
 			}
 			sh.lockResp = proto.LockResp{Seq: seq, Notices: ns, Gen: gen}
-			m.reply(w.to, &sh.lockResp, now)
+			m.out.Answer(w.to, &sh.lockResp, now)
 		} else {
-			m.reply(w.to, &proto.CondWaitResp{Seq: seq, Notices: ns}, now)
+			m.out.Answer(w.to, &proto.CondWaitResp{Seq: seq, Notices: ns}, now)
 		}
 	}
 	if m.p2p() {
@@ -501,7 +503,7 @@ func (sh *shard) composeTrain(ls *lockState, head *waiter) proto.Train {
 // round trip, and the pipelined one-way post (the releaser overlaps its
 // diff shipping with this notice; interval tags at the homes restore
 // the ordering the missing ack used to provide).
-func (sh *shard) handleUnlock(c *call, ur *proto.UnlockReq) {
+func (sh *shard) handleUnlock(c *scl.Request, ur *proto.UnlockReq) {
 	m := sh.m
 	ls := sh.lock(ur.Lock)
 	if m.hasPeers() && m.board.filled(ur.Thread, ur.Interval) {
@@ -536,7 +538,7 @@ func (sh *shard) handleUnlock(c *call, ur *proto.UnlockReq) {
 // forwarded the lock (with notices) to the successor named by the last
 // NextWaiter; the manager re-points its bookkeeping without composing a
 // grant of its own.
-func (sh *shard) completeHandoff(c *call, id uint32, ls *lockState, ur *proto.UnlockReq) {
+func (sh *shard) completeHandoff(c *scl.Request, id uint32, ls *lockState, ur *proto.UnlockReq) {
 	m := sh.m
 	prevSeq := ls.grantSeq
 	seq := sh.tick
@@ -609,7 +611,7 @@ func (sh *shard) release(id uint32, ls *lockState) {
 // ---------------------------------------------------------------------
 // Barriers.
 
-func (sh *shard) handleBarrier(c *call, br *proto.BarrierReq) {
+func (sh *shard) handleBarrier(c *scl.Request, br *proto.BarrierReq) {
 	m := sh.m
 	if br.Count == 0 {
 		sh.fail(c, fmt.Errorf("manager: barrier %d arrival with zero count", br.Barrier))
@@ -640,7 +642,7 @@ func (sh *shard) handleBarrier(c *call, br *proto.BarrierReq) {
 			// to a leader failover and the client re-issued. Its
 			// interval was filled by the original arrival; answer with
 			// the directory frontier without re-counting.
-			ns, seq := m.board.acquire(br.Thread, br.LastSeen, !c.to.OneWay())
+			ns, seq := m.board.acquire(br.Thread, br.LastSeen, !c.OneWay())
 			sh.answer(c, &proto.BarrierResp{Seq: seq, Notices: ns})
 			return
 		}
@@ -666,7 +668,7 @@ func (sh *shard) handleBarrier(c *call, br *proto.BarrierReq) {
 		m.stats.BarrierWaits.Add(1)
 		return
 	}
-	sh.releaseBarrier(bs, c.svc)
+	sh.releaseBarrier(bs, c.Svc())
 }
 
 // releaseBarrier completes a barrier round, answering every parked
@@ -686,7 +688,7 @@ func (sh *shard) releaseBarrier(bs *barrierState, svc vtime.Time) {
 		for _, w := range bs.arrived {
 			sh.clock.Advance(svc)
 			ns, seq := m.board.acquire(w.thread, w.lastSeen, sh.reaches(&w))
-			m.reply(w.to, &proto.BarrierResp{Seq: seq, Notices: ns}, sh.clock.Now())
+			m.out.Answer(w.to, &proto.BarrierResp{Seq: seq, Notices: ns}, sh.clock.Now())
 		}
 		bs.arrived = bs.arrived[:0]
 		return
@@ -697,7 +699,7 @@ func (sh *shard) releaseBarrier(bs *barrierState, svc vtime.Time) {
 		depth := vtime.Time(bits.Len(uint(j + 1)))
 		at := start + svc*depth
 		ns, seq := m.board.acquire(w.thread, w.lastSeen, sh.reaches(&w))
-		m.reply(w.to, &proto.BarrierResp{Seq: seq, Notices: ns}, at)
+		m.out.Answer(w.to, &proto.BarrierResp{Seq: seq, Notices: ns}, at)
 		if at > maxAt {
 			maxAt = at
 		}
@@ -747,7 +749,7 @@ func (sh *shard) cond(id uint32) *condState {
 	return cs
 }
 
-func (sh *shard) handleCondWait(c *call, cw *proto.CondWaitReq) {
+func (sh *shard) handleCondWait(c *scl.Request, cw *proto.CondWaitReq) {
 	m := sh.m
 	ls := sh.lock(cw.Lock)
 	if m.hasPeers() && m.board.filled(cw.Thread, cw.Interval) {
@@ -766,7 +768,7 @@ func (sh *shard) handleCondWait(c *call, cw *proto.CondWaitReq) {
 		if ls.held && ls.holder == cw.Thread {
 			ns := m.board.after(cw.LastSeen, ls.grantSeq)
 			sh.answer(c, &proto.CondWaitResp{Seq: ls.grantSeq, Notices: ns})
-			if !c.to.OneWay() {
+			if !c.OneWay() {
 				m.board.saw(cw.Thread, ls.grantSeq)
 			}
 			return
@@ -793,7 +795,7 @@ func (sh *shard) handleCondWait(c *call, cw *proto.CondWaitReq) {
 	sh.release(cw.Lock, ls)
 }
 
-func (sh *shard) handleCondSignal(c *call, sr *proto.CondSignalReq) {
+func (sh *shard) handleCondSignal(c *scl.Request, sr *proto.CondSignalReq) {
 	m := sh.m
 	m.stats.CondSignals.Add(1)
 	cs := sh.cond(sr.Cond)
@@ -942,5 +944,5 @@ func (sh *shard) failWaiter(lock uint32, w *waiter, code uint16, err error) {
 		sh.m.post(w.node, &proto.LockGrant{Lock: lock, Code: code}, sh.clock.Now())
 		return
 	}
-	sh.m.replyErr(w.to, code, err, sh.clock.Now())
+	sh.m.out.AnswerError(w.to, code, err, sh.clock.Now())
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/layout"
 	"repro/internal/proto"
+	"repro/internal/scl"
 )
 
 // snapState is the manager's address-space snapshot/fork table, owned —
@@ -43,7 +44,7 @@ func newSnapState() *snapState {
 	}
 }
 
-func (sh *shard) handleSnapshotAS(c *call, sr *proto.SnapshotASReq) {
+func (sh *shard) handleSnapshotAS(c *scl.Request, sr *proto.SnapshotASReq) {
 	m := sh.m
 	ss := m.snaps
 	base := layout.Addr(sr.Base)
@@ -65,7 +66,7 @@ func (sh *shard) handleSnapshotAS(c *call, sr *proto.SnapshotASReq) {
 	sh.answer(c, &proto.SnapshotASResp{Snap: id})
 }
 
-func (sh *shard) handleForkAS(c *call, fr *proto.ForkASReq) {
+func (sh *shard) handleForkAS(c *scl.Request, fr *proto.ForkASReq) {
 	m := sh.m
 	ss := m.snaps
 	si, ok := ss.snaps[fr.Snap]

@@ -13,74 +13,77 @@ import (
 	"repro/internal/vtime"
 )
 
-// A manager is a state machine: step takes a call and queues effects. The
-// helpers here drive one without a fabric, a goroutine or a clock. A ticket
-// (call.to) is a request that only names a call (see ticket); the wall
-// reading of every call is the test's to choose.
+// A manager is a state machine: step takes a request and queues what it
+// sends in its outbox. The helpers here drive one without a fabric, a
+// goroutine or a clock, and read what the outbox's Flush sends: an answer
+// reaches the reply function of the request it answers, a post the
+// manager's stepWire. The wall reading of every request is the test's to
+// choose.
 
-// ticket makes the request a call answers through when the test is its
-// caller: its Src is the ticket's number, n, and nothing else. A ticket's
-// answer is taken from the outbox, never sent.
-func ticket(n uint32) scl.Request {
-	return scl.NewRequest(scl.NodeID(n), 0, nil, func(uint16, []byte, vtime.Time) { panic("a ticket is answered through the wire") })
+// flushed is one message a manager's Flush sent: the answer to the call
+// numbered tk, which node made, or (tk 0) a post to node.
+type flushed struct {
+	tk   uint32
+	node uint32
+	kind proto.Kind
+	body []byte
+	at   vtime.Time
 }
 
-// ticketOf is the number of the ticket a reply answers.
-func ticketOf(to scl.Request) uint32 { return uint32(to.Src()) }
-
-// takeEffects empties the outbox as flush would and returns what was in
-// it, each post encoded the way flush's Post would encode it.
-func takeEffects(m *Manager) []effect {
-	out := append([]effect(nil), m.out...)
-	for i := range out {
-		if e := &out[i]; e.to.OneWay() {
-			e.kind, e.body = e.msg.Kind(), proto.Encode(e.msg)
+// request makes the request node sends: kind and body, arriving at
+// arrive with svc of pickup, answered to answer, or one-way if answer is
+// nil.
+func request(node uint32, kind proto.Kind, body []byte, arrive, svc vtime.Time, answer func(flushed)) scl.Request {
+	var reply func(uint16, []byte, vtime.Time)
+	if answer != nil {
+		reply = func(k uint16, b []byte, at vtime.Time) {
+			answer(flushed{node: node, kind: proto.Kind(k), body: b, at: at})
 		}
 	}
-	clear(m.out)
-	m.out = m.out[:0]
-	return out
+	return scl.NewRequest(scl.NodeID(node), kind, body, reply).At(arrive, svc)
 }
 
-// dst names the node an effect goes to: a post's own, a reply's through
-// the table of who holds which ticket.
-func (e effect) dst(from map[uint32]uint32) uint32 {
-	if !e.to.OneWay() {
-		return from[ticketOf(e.to)]
-	}
-	return e.node
+// stepOnce steps m through one request from node at wall reading wall and
+// flushes it, and returns everything the flush sent through the reply
+// function: the request's answer, if any.
+func stepOnce(m *Manager, node uint32, msg proto.Msg, wall time.Time) (stop bool, answers []flushed) {
+	req := request(node, msg.Kind(), proto.Encode(msg), 0, 0, func(s flushed) { answers = append(answers, s) })
+	m.now = wall
+	stop = m.step(&req)
+	m.out.Flush()
+	return stop, answers
 }
 
-// decodeEffect turns a queued reply into what the caller of Endpoint.Call
-// would have got: the answer decoded into resp, or the typed remote error.
-func decodeEffect(e effect, resp proto.Msg) error {
-	if e.kind == proto.KError {
+// decodeSent turns an answer into what the caller of Endpoint.Call would
+// have got: the answer decoded into resp, or the typed remote error.
+func decodeSent(s flushed, resp proto.Msg) error {
+	if s.kind == proto.KError {
 		var pe proto.Error
-		if err := proto.Decode(&pe, e.body); err != nil {
+		if err := proto.Decode(&pe, s.body); err != nil {
 			return err
 		}
 		return &scl.RemoteError{Code: pe.Code, Text: pe.Text}
 	}
-	if e.kind != resp.Kind() {
-		return fmt.Errorf("got %v response, want %v", e.kind, resp.Kind())
+	if s.kind != resp.Kind() {
+		return fmt.Errorf("got %v response, want %v", s.kind, resp.Kind())
 	}
-	return proto.Decode(resp, e.body)
+	return proto.Decode(resp, s.body)
 }
 
-// stepEnv is one manager (the leader, when wire carries its pushes to
-// followers) driven through step.
+// stepEnv is one manager (the leader, when its wire carries its pushes
+// to followers) driven through step.
 type stepEnv struct {
 	t    *testing.T
 	mgr  *Manager
 	wall time.Time // the wall reading the next call carries
 	sent int
-	// afterStep, if set, runs after every step (see TestScratchKeepsNothing).
+	// afterStep, if set, runs after every step, before the flush (see
+	// TestScratchKeepsNothing).
 	afterStep func(*Manager)
 
-	from    map[uint32]uint32 // ticket -> the node that holds it
-	sends   []effect          // every effect queued so far, in order
-	replies map[uint32]effect // the answers among them, by ticket
-	posts   []effect          // the posts among them
+	sends   []flushed          // everything flushed so far, in order
+	replies map[uint32]flushed // the answers among them, by call number
+	posts   []flushed          // the posts among them
 }
 
 // stepEpoch is where a test's wall clock starts; the manager only ever
@@ -88,70 +91,68 @@ type stepEnv struct {
 var stepEpoch = time.Unix(1000, 0)
 
 func newStepEnv(t *testing.T, homes int, lease time.Duration, live *stats.Liveness) *stepEnv {
-	m := New(nil, layout.DefaultGeometry())
-	m.SetShards(homes)
+	e := &stepEnv{t: t, wall: stepEpoch, replies: make(map[uint32]flushed)}
+	e.mgr = New(&stepWire{env: e, id: mgrNode}, layout.DefaultGeometry())
+	e.mgr.SetShards(homes)
 	if lease > 0 {
-		m.EnableLiveness(lease, live, nil)
+		e.mgr.EnableLiveness(lease, live, nil)
 	}
-	return &stepEnv{t: t, mgr: m, wall: stepEpoch, from: make(map[uint32]uint32), replies: make(map[uint32]effect)}
+	return e
 }
 
 // advance moves the wall clock the next calls will read.
 func (e *stepEnv) advance(d time.Duration) { e.wall = e.wall.Add(d) }
 
-// send makes one call from node and files the effects of its transition.
-// Call i leaves its node at virtual time 3000*i and arrives as the test
-// link would deliver it. Its ticket is i, or 0 for a one-way.
+// send steps one request from node and files what its flush sent. Call i
+// leaves its node at virtual time 3000*i and arrives as the test link
+// would deliver it. Its number is i, or 0 for a one-way.
 func (e *stepEnv) send(node uint32, kind proto.Kind, body []byte, oneway bool) uint32 {
 	e.sent++
-	c := call{
-		src: node, kind: kind, body: body, wall: e.wall, svc: testLink.ServiceTime,
-		arrive: testLink.Deliver(vtime.Time(3000*e.sent)+testLink.SendOverhead, len(body)+simnet.HeaderBytes),
-	}
 	var tk uint32
+	var answer func(flushed)
 	if !oneway {
 		tk = uint32(e.sent)
-		c.to = ticket(tk)
-		e.from[tk] = node
+		answer = func(s flushed) { s.tk = tk; e.file(s) }
 	}
-	e.mgr.step(&c)
+	arrive := testLink.Deliver(vtime.Time(3000*e.sent)+testLink.SendOverhead, len(body)+simnet.HeaderBytes)
+	req := request(node, kind, body, arrive, testLink.ServiceTime, answer)
+	e.mgr.now = e.wall
+	e.mgr.step(&req)
 	if e.afterStep != nil {
 		e.afterStep(e.mgr)
 	}
-	e.collect()
+	e.mgr.out.Flush()
 	return tk
 }
 
-func (e *stepEnv) collect() {
-	for _, eff := range takeEffects(e.mgr) {
-		e.sends = append(e.sends, eff)
-		if eff.to.OneWay() {
-			e.posts = append(e.posts, eff)
-			continue
-		}
-		tk := ticketOf(eff.to)
-		if _, dup := e.replies[tk]; dup {
-			e.t.Fatalf("a second answer (%v) to one call", eff.kind)
-		}
-		e.replies[tk] = eff
+// file records one message the manager under test sent.
+func (e *stepEnv) file(s flushed) {
+	e.sends = append(e.sends, s)
+	if s.tk == 0 {
+		e.posts = append(e.posts, s)
+		return
 	}
+	if _, dup := e.replies[s.tk]; dup {
+		e.t.Fatalf("a second answer (%v) to one call", s.kind)
+	}
+	e.replies[s.tk] = s
 }
 
-// answered reports whether the call behind ticket has its answer yet.
+// answered reports whether call tk has its answer yet.
 func (e *stepEnv) answered(tk uint32) bool {
 	_, ok := e.replies[tk]
 	return ok
 }
 
-// result is what a caller blocked on ticket has in hand now; it fails the
-// test if the call is still parked.
+// result is what a caller blocked on call tk has in hand now; it fails
+// the test if the call is still parked.
 func (e *stepEnv) result(tk uint32, resp proto.Msg) error {
 	e.t.Helper()
-	eff, ok := e.replies[tk]
+	s, ok := e.replies[tk]
 	if !ok {
 		e.t.Fatalf("the call waiting for a %v is still parked", resp.Kind())
 	}
-	return decodeEffect(eff, resp)
+	return decodeSent(s, resp)
 }
 
 // stepClient mirrors client (manager_test.go) on a stepEnv: the same
@@ -216,9 +217,10 @@ func (c *stepClient) beatFor(id uint32, bye bool) {
 	c.env.send(c.id, hb.Kind(), proto.Encode(hb), true)
 }
 
-// stepWire is the endpoint of a leader whose followers are driven through
-// step as well: a replication Call becomes the follower's transition and
-// the answer it queued. Posts land in the leader's stepEnv like any other.
+// stepWire is a stepped manager's endpoint. A post lands in the
+// stepEnv, and only the manager under test (env.mgr) may post. A
+// replication Call becomes the follower's transition and the answer it
+// flushed.
 type stepWire struct {
 	env       *stepEnv
 	id        scl.NodeID
@@ -232,19 +234,19 @@ func (w *stepWire) Call(dst scl.NodeID, req, resp proto.Msg, at vtime.Time) (vti
 	if f == nil {
 		return at, scl.ErrUnreachable
 	}
-	c := call{src: uint32(w.id), kind: req.Kind(), body: proto.Encode(req), arrive: at, to: ticket(uint32(dst)), wall: w.env.wall}
-	f.step(&c)
-	for _, e := range takeEffects(f) {
-		if !e.to.OneWay() && ticketOf(e.to) == uint32(dst) {
-			return at, decodeEffect(e, resp)
-		}
-		w.env.t.Errorf("a follower queued a %v besides its answer", e.kind)
+	_, answers := stepOnce(f, uint32(w.id), req, w.env.wall)
+	if len(answers) != 1 {
+		return at, fmt.Errorf("replica %d sent %d answers to the %v", dst, len(answers), req.Kind())
 	}
-	return at, fmt.Errorf("replica %d left the %v unanswered", dst, req.Kind())
+	return at, decodeSent(answers[0], resp)
 }
 
 func (w *stepWire) Post(dst scl.NodeID, m proto.Msg, at vtime.Time) (vtime.Time, error) {
-	panic("a step-driven manager posts through its outbox")
+	if w.env.mgr.ep != scl.Endpoint(w) {
+		w.env.t.Errorf("replica %d, not the manager under test, posted a %v", w.id, m.Kind())
+	}
+	w.env.file(flushed{node: uint32(dst), kind: m.Kind(), body: proto.Encode(m), at: at})
+	return at, nil
 }
 
 func (w *stepWire) Recv() (scl.Request, bool) { panic("a step-driven manager receives nothing") }
@@ -258,11 +260,11 @@ func newStepGroup(env *stepEnv, n int, lease time.Duration, live *stats.Liveness
 	for i := range nodes {
 		nodes[i] = mgrNode + scl.NodeID(i)
 	}
-	wire := &stepWire{env: env, id: mgrNode, followers: make(map[scl.NodeID]*Manager)}
-	env.mgr.ep = wire
+	wire := env.mgr.ep.(*stepWire)
+	wire.followers = make(map[scl.NodeID]*Manager)
 	group := []*Manager{env.mgr}
 	for i := 1; i < n; i++ {
-		f := New(nil, env.mgr.geo)
+		f := New(&stepWire{env: env, id: nodes[i]}, env.mgr.geo)
 		f.SetShards(len(env.mgr.shards))
 		f.sequenced = env.mgr.sequenced
 		if lease > 0 {

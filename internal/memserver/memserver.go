@@ -32,12 +32,11 @@
 //   - SealAS / ForkMap / ForkUnmap: snapshots and copy-on-write forks
 //     (seal.go, tier.go).
 //
-// The server is a state machine behind one door. Run makes a call value
-// of each request it receives, step runs the transition, and flush
-// alone answers: a transition queues its replies in s.out. The two sends
-// a transition needs an answer to, a diff pull from a writer's cache
-// agent and a forward to the warm standby, go through s.call, which
-// flushes first.
+// The server is a state machine behind one door. Run hands step each
+// request it receives, step runs the transition and queues its replies
+// in the outbox s.out, and Run flushes it. The two sends a transition
+// needs an answer to, a diff pull from a writer's cache agent and a
+// forward to the warm standby, go through s.call, which flushes first.
 //
 // Virtual time at the server is one service calendar per shard (see
 // calendar.go): each share books the earliest idle slot at or after its
@@ -138,50 +137,27 @@ type Server struct {
 	// unpark sweep.
 	obitGen map[uint32]uint64
 
-	// out holds the replies queued since the last flush; tap, set only by
-	// tests that step the server without a fabric, takes them in flush's
-	// place. parts is the splitter's scratch: each shard's share of the
-	// request being split. joins holds answered joins for reuse.
-	out   []effect
-	tap   func([]effect)
+	// out holds the replies queued since the last flush (the server
+	// posts nothing). parts is the splitter's scratch: each shard's share
+	// of the request being split. joins holds answered joins for reuse.
+	out   scl.Outbox
 	parts []*share
 	joins []*join
 
 	stats Stats
 }
 
-// call is one request as the server sees it: a value Run makes from what
-// the endpoint received. (No transition asks who sent it.)
-type call struct {
-	kind   proto.Kind
-	body   []byte
-	arrive vtime.Time
-	svc    vtime.Time
-	// to is whom to answer, handed back to flush; nobody (to.OneWay) for
-	// a one-way message.
-	to scl.Request
-}
-
-// effect is one queued reply: whom to answer, and the encoded answer.
-type effect struct {
-	to   scl.Request
-	kind proto.Kind
-	body []byte
-	at   vtime.Time
-}
-
 // join answers a request once the last of its shares is done: at the
 // latest share's completion, with the lowest-numbered failing shard's
 // error if any failed (so the answer does not depend on the order parked
 // shares complete in), else with an Ack or, for a fetch, the assembled
-// data. It keeps whom to answer, by value, and the request's timing.
-// Once it has answered nothing refers to it or its
+// data. It keeps the request, by value, which is whom to answer, and the
+// request's timing. Once it has answered nothing refers to it or its
 // shares, and it is reused, shares and all, so a request costs no
 // allocation of its own.
 type join struct {
-	to      scl.Request
-	kind    proto.Kind // of the request
-	mute    bool       // a share made a forward the standby may lack: answer nobody (see Server.forward)
+	req     scl.Request
+	mute    bool // a share made a forward the standby may lack: answer nobody (see Server.forward)
 	errCode uint16
 	// A share may start at begin and books svc of fixed service on top of
 	// its own work; see dispatch.
@@ -311,52 +287,60 @@ func (s *Server) Clock() vtime.Time {
 }
 
 // Run is the shell around the server's transitions: it receives a
-// request, makes the call, runs step and flushes the replies step
-// queued, until a Shutdown message arrives or the endpoint closes. It is
-// the server's only goroutine.
+// request, runs step and flushes the replies step queued, until a
+// Shutdown message arrives or the endpoint closes. It is the server's
+// only goroutine.
 func (s *Server) Run() {
 	// The post statement runs after every pass, the last one included:
 	// no exit leaves a queued reply unsent.
-	for done := false; !done; s.flush() {
+	for done := false; !done; s.out.Flush() {
 		req, ok := s.ep.Recv()
 		if !ok {
 			s.failParked(proto.CodePeerDied, "memory server endpoint closed")
 			done = true
 			continue
 		}
-		c := call{kind: req.Kind(), body: req.Body(), arrive: req.Arrive(), svc: req.Svc(), to: req}
-		done = s.step(&c)
+		done = s.step(&req)
 	}
 }
 
 // step is one transition: it changes state and queues replies in s.out.
 // Its only I/O is s.call. stop reports an orderly shutdown.
-func (s *Server) step(c *call) (stop bool) {
-	switch c.kind {
+func (s *Server) step(c *scl.Request) (stop bool) {
+	switch c.Kind() {
 	case proto.KFetchLineReq, proto.KFetchLinesReq:
 		s.fetch(c)
 	case proto.KDiffBatch:
 		var m proto.DiffBatch
-		mustDecode(c, &m)
+		c.MustDecode(&m)
 		s.stats.DiffBatches.Add(1)
 		s.batch(c, &m)
 	case proto.KEvictFlush:
 		var m proto.EvictFlush
-		mustDecode(c, &m)
+		c.MustDecode(&m)
 		s.stats.EvictFlushes.Add(1)
 		s.batch(c, &proto.DiffBatch{Tag: proto.IntervalTag{Writer: m.Writer}, Diffs: m.Diffs})
 	case proto.KSealAS:
-		s.seal(c)
+		var m proto.SealAS
+		if s.out.Decode(c, &m, s.Clock()) {
+			s.seal(s.newJoin(c), &m)
+		}
 	case proto.KForkMap:
-		s.forkMap(c)
+		var m proto.ForkMap
+		if s.out.Decode(c, &m, s.Clock()) && s.forkMap(&m, c.Arrive()) {
+			s.out.Answer(*c, &proto.Ack{}, c.Arrive()+c.Svc())
+		}
 	case proto.KForkUnmap:
-		s.forkUnmap(c)
+		var m proto.ForkUnmap
+		if s.out.Decode(c, &m, s.Clock()) && s.forkUnmap(&m, c.Arrive()) {
+			s.out.Answer(*c, &proto.Ack{}, c.Arrive()+c.Svc())
+		}
 	case proto.KWriterDead:
 		s.writerDead(c)
 	case proto.KPing:
 		// Everything received before the ping is already applied (the
 		// drain idiom relies on this); ack at the merged clock.
-		s.reply(c.to, &proto.Ack{}, s.Clock())
+		s.out.Answer(*c, &proto.Ack{}, s.Clock())
 	case proto.KPromote:
 		// Idempotent: the runtime may re-promote on a retried failover.
 		// Fetches already in the inbox were sent by fetchers racing the
@@ -368,56 +352,15 @@ func (s *Server) step(c *call) (stop bool) {
 				s.live.Promotions.Add(1)
 			}
 		}
-		s.reply(c.to, &proto.Ack{}, s.Clock())
+		s.out.Answer(*c, &proto.Ack{}, s.Clock())
 	case proto.KShutdown:
-		s.reply(c.to, &proto.Ack{}, s.Clock())
+		s.out.Answer(*c, &proto.Ack{}, s.Clock())
 		s.failParked(proto.CodeShutdown, "memory server shut down")
 		return true
 	default:
-		s.replyErr(c.to, proto.CodeGeneric, fmt.Errorf("memserver: unexpected %v", c.kind), s.Clock())
+		s.out.AnswerError(*c, proto.CodeGeneric, fmt.Errorf("memserver: unexpected %v", c.Kind()), s.Clock())
 	}
 	return false
-}
-
-// mustDecode decodes a one-way message (a mutation or an obituary).
-// There is nobody to tell that it is malformed, and that is a protocol
-// bug, so it fails loudly.
-func mustDecode(c *call, m proto.Msg) {
-	if err := proto.DecodeAlias(m, c.body); err != nil {
-		panic(fmt.Sprintf("memserver: bad %v: %v", c.kind, err))
-	}
-}
-
-// reply queues the answer to a call or to a parked fetch. It is encoded
-// here, so the caller may reuse what msg points into. An answer nobody
-// listens for is not even encoded.
-func (s *Server) reply(to scl.Request, msg proto.Msg, at vtime.Time) {
-	if !to.OneWay() {
-		s.out = append(s.out, effect{to: to, kind: msg.Kind(), body: proto.Encode(msg), at: at})
-	}
-}
-
-// replyErr queues a classified protocol-level error; the caller's decode
-// turns the code back into its sentinel.
-func (s *Server) replyErr(to scl.Request, code uint16, err error, at vtime.Time) {
-	if !to.OneWay() {
-		s.reply(to, &proto.Error{Code: code, Text: err.Error()}, at)
-	}
-}
-
-// flush sends the replies queued since the last flush, in the order they
-// were queued. Nothing else answers a request.
-func (s *Server) flush() {
-	if s.tap != nil {
-		s.tap(s.out)
-	} else {
-		for i := range s.out {
-			e := &s.out[i]
-			e.to.ReplyBody(e.kind, e.body, e.at)
-		}
-	}
-	clear(s.out)
-	s.out = s.out[:0]
 }
 
 // call is the one door for the two sends a transition needs an answer
@@ -434,7 +377,7 @@ func (s *Server) flush() {
 // times per traced run, sync-p256 256 times) would move. A virtual
 // deadline on both sends is ROADMAP item 1's.
 func (s *Server) call(dst scl.NodeID, msg, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
-	s.flush()
+	s.out.Flush()
 	return s.ep.Call(dst, msg, resp, at)
 }
 
@@ -475,14 +418,14 @@ func (s *Server) failParked(code uint16, why string) {
 }
 
 // newJoin starts the join of a request that will be split.
-func (s *Server) newJoin(c *call) *join {
+func (s *Server) newJoin(c *scl.Request) *join {
 	var j *join
 	if n := len(s.joins); n > 0 {
 		j, s.joins = s.joins[n-1], s.joins[:n-1]
 	} else {
 		j = new(join)
 	}
-	j.to, j.kind, j.begin, j.svc = c.to, c.kind, c.arrive, c.svc
+	j.req, j.begin, j.svc = *c, c.Arrive(), c.Svc()
 	return j
 }
 
@@ -545,25 +488,25 @@ func (s *Server) complete(j *join, shard int, at vtime.Time, err error, code uin
 	if j.remaining--; j.remaining > 0 {
 		return
 	}
-	fetch := j.kind == proto.KFetchLineReq || j.kind == proto.KFetchLinesReq
+	fetch := j.req.Kind() == proto.KFetchLineReq || j.req.Kind() == proto.KFetchLinesReq
 	switch {
 	case j.mute:
 	case j.err != nil:
 		if fetch {
 			s.stats.FailedFetches.Add(1)
 		}
-		s.replyErr(j.to, j.errCode, j.err, j.done)
-	case fetch && !j.to.OneWay():
+		s.out.AnswerError(j.req, j.errCode, j.err, j.done)
+	case fetch && !j.req.OneWay():
 		// The body is the answer's encoding already, a FetchLineResp's or
 		// a FetchLinesResp's alike; from here on it is the caller's.
 		kind := proto.KFetchLinesResp
-		if j.kind == proto.KFetchLineReq && len(j.shares) == 1 {
+		if j.req.Kind() == proto.KFetchLineReq && len(j.shares) == 1 {
 			kind = proto.KFetchLineResp
 		}
-		s.out = append(s.out, effect{to: j.to, kind: kind, body: j.body, at: j.done})
+		s.out.AnswerBody(j.req, kind, j.body, j.done)
 		j.body = nil
 	case !fetch:
-		s.reply(j.to, &proto.Ack{}, j.done)
+		s.out.Answer(j.req, &proto.Ack{}, j.done)
 	}
 	proto.PutBuf(j.body) // an answer that was never sent
 	s.recycle(j)
@@ -581,17 +524,17 @@ func (s *Server) recycle(j *join) {
 // fetch serves a FetchLineReq or a FetchLinesReq: each shard gets the
 // lines, pages and needs that map to it and copies its segments into
 // the joined reply at offsets fixed here, from the request order.
-func (s *Server) fetch(c *call) {
+func (s *Server) fetch(c *scl.Request) {
 	var lines, pages []uint64
 	var needs []proto.PageNeed
 	var err error
-	if c.kind == proto.KFetchLineReq {
+	if c.Kind() == proto.KFetchLineReq {
 		var m proto.FetchLineReq
-		err = proto.Decode(&m, c.body)
+		err = proto.Decode(&m, c.Body())
 		lines, needs = []uint64{m.Line}, m.Needs
 	} else {
 		var m proto.FetchLinesReq
-		if err = proto.Decode(&m, c.body); err == nil && len(m.Lines)+len(m.Pages) == 0 {
+		if err = proto.Decode(&m, c.Body()); err == nil && len(m.Lines)+len(m.Pages) == 0 {
 			err = fmt.Errorf("memserver %d: empty combined fetch", s.index)
 		}
 		lines, pages, needs = m.Lines, m.Pages, m.Needs
@@ -601,7 +544,7 @@ func (s *Server) fetch(c *call) {
 		}
 	}
 	if err != nil {
-		s.replyErr(c.to, proto.CodeGeneric, err, s.Clock())
+		s.out.AnswerError(*c, proto.CodeGeneric, err, s.Clock())
 		return
 	}
 	if s.standby.Load() {
@@ -609,18 +552,18 @@ func (s *Server) fetch(c *call) {
 		// a fetcher with a stale address book distinguish "not yet
 		// failed over" from a generic protocol error.
 		s.stats.FailedFetches.Add(1)
-		s.replyErr(c.to, proto.CodeNotPromoted, fmt.Errorf("memserver %d: standby not promoted", s.index), s.Clock())
+		s.out.AnswerError(*c, proto.CodeNotPromoted, fmt.Errorf("memserver %d: standby not promoted", s.index), s.Clock())
 		return
 	}
 	for _, l := range lines {
 		if home := s.geo.HomeOf(s.geo.FirstPage(layout.LineID(l))); home != s.index {
-			s.replyErr(c.to, proto.CodeGeneric, fmt.Errorf("memserver %d: line %d homes on server %d", s.index, l, home), s.Clock())
+			s.out.AnswerError(*c, proto.CodeGeneric, fmt.Errorf("memserver %d: line %d homes on server %d", s.index, l, home), s.Clock())
 			return
 		}
 	}
 	for _, p := range pages {
 		if home := s.geo.HomeOf(layout.PageID(p)); home != s.index {
-			s.replyErr(c.to, proto.CodeGeneric, fmt.Errorf("memserver %d: page %d homes on server %d", s.index, p, home), s.Clock())
+			s.out.AnswerError(*c, proto.CodeGeneric, fmt.Errorf("memserver %d: page %d homes on server %d", s.index, p, home), s.Clock())
 			return
 		}
 	}
@@ -646,7 +589,7 @@ func (s *Server) fetch(c *call) {
 
 // batch applies a DiffBatch, or an EvictFlush as an untagged batch: each
 // shard applies the diffs, records, empty pages and claims of its pages.
-func (s *Server) batch(c *call, m *proto.DiffBatch) {
+func (s *Server) batch(c *scl.Request, m *proto.DiffBatch) {
 	j := s.newJoin(c)
 	for i := range m.Diffs {
 		p := s.route(j, layout.PageID(m.Diffs[i].Page))
@@ -683,9 +626,9 @@ func (s *Server) batch(c *call, m *proto.DiffBatch) {
 // writerDead fans a manager obituary to every shard: each stops waiting
 // on the dead writer's unapplied interval tags. One-way and free of
 // virtual-time cost, like the liveness plane that sends it.
-func (s *Server) writerDead(c *call) {
+func (s *Server) writerDead(c *scl.Request) {
 	var m proto.WriterDead
-	mustDecode(c, &m)
+	c.MustDecode(&m)
 	if m.Gen != 0 {
 		if s.obitGen == nil {
 			s.obitGen = make(map[uint32]uint64)

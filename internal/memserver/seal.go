@@ -14,22 +14,17 @@ import (
 // sealed. Needs carry the same interval-tag happens-before a fetch would
 // quote: a seal must not freeze a page before the diffs the
 // snapshotting thread has already released are applied, so a seal's
-// shares park and wake exactly like a fetch's.
-func (s *Server) seal(c *call) {
-	var m proto.SealAS
-	if err := proto.Decode(&m, c.body); err != nil {
-		s.replyErr(c.to, proto.CodeGeneric, err, s.Clock())
-		return
-	}
+// shares park and wake exactly like a fetch's. j is the request's join.
+func (s *Server) seal(j *join, m *proto.SealAS) {
 	if s.standby.Load() && len(m.Pages) == 0 {
-		s.replyErr(c.to, proto.CodeNotPromoted, fmt.Errorf("memserver %d: standby not promoted", s.index), s.Clock())
+		s.out.AnswerError(j.req, proto.CodeNotPromoted, fmt.Errorf("memserver %d: standby not promoted", s.index), s.Clock())
+		s.recycle(j)
 		return
 	}
 	// Create the snapshot's frame map up front so "sealed with zero
 	// frames" (an all-zero image) is recorded, not mistaken for "never
 	// sealed here".
 	s.snaps.ensure(m.Snap)
-	j := s.newJoin(c)
 	j.snap = m.Snap
 	sealPage := func(pg layout.PageID) {
 		p := s.route(j, pg)
@@ -48,7 +43,7 @@ func (s *Server) seal(c *call) {
 	}
 	s.routeNeeds(j, m.Needs)
 	if len(j.shares) == 0 {
-		s.reply(c.to, &proto.Ack{}, c.arrive+c.svc)
+		s.out.Answer(j.req, &proto.Ack{}, j.begin+j.svc)
 		s.recycle(j)
 		return
 	}
@@ -108,13 +103,9 @@ func (sh *shard) sealPages(p *share, ready vtime.Time) {
 // images of the congruent pages of the sealed snapshot — served from its
 // shared frames until first write. Forwarded to the standby so forks
 // survive a primary kill. Idempotent (a retried ForkMap re-registers the
-// same range).
-func (s *Server) forkMap(c *call) {
-	var m proto.ForkMap
-	if err := proto.Decode(&m, c.body); err != nil {
-		s.replyErr(c.to, proto.CodeGeneric, err, s.Clock())
-		return
-	}
+// same range). It reports whether the request may be answered (see
+// forward); at is its arrival.
+func (s *Server) forkMap(m *proto.ForkMap, at vtime.Time) bool {
 	fr := forkRange{
 		base:   s.geo.PageOf(layout.Addr(m.Base)),
 		orig:   s.geo.PageOf(layout.Addr(m.OrigBase)),
@@ -126,9 +117,7 @@ func (s *Server) forkMap(c *call) {
 			ts.SnapshotRefs.Add(int64(n))
 		}
 	}
-	if s.forward(&m, c.arrive) {
-		s.reply(c.to, &proto.Ack{}, c.arrive+c.svc)
-	}
+	return s.forward(m, at)
 }
 
 // forkUnmap undoes a ForkMap: the fork-range entry is removed from the
@@ -138,13 +127,9 @@ func (s *Server) forkMap(c *call) {
 // purge — the caller's Unmapped FreeReq, which lets the manager reuse
 // the striped space, must not race a shard still holding the old bytes.
 // Forwarded to the standby like ForkMap so a promoted standby does not
-// resurrect the range.
-func (s *Server) forkUnmap(c *call) {
-	var m proto.ForkUnmap
-	if err := proto.Decode(&m, c.body); err != nil {
-		s.replyErr(c.to, proto.CodeGeneric, err, s.Clock())
-		return
-	}
+// resurrect the range. It reports whether the request may be answered,
+// like forkMap.
+func (s *Server) forkUnmap(m *proto.ForkUnmap, at vtime.Time) bool {
 	base := s.geo.PageOf(layout.Addr(m.Base))
 	if m.NPages > 0 && s.snaps.unregister(base) {
 		if ts := s.tierStats; ts != nil {
@@ -158,7 +143,7 @@ func (s *Server) forkUnmap(c *call) {
 			}
 		}
 	}
-	ok := s.forward(&m, c.arrive)
+	ok := s.forward(m, at)
 	// Purge the fork's private pages from their shards. Like writerDead
 	// this is teardown bookkeeping with no virtual-time cost.
 	for i := uint64(0); i < m.NPages; i++ {
@@ -167,7 +152,5 @@ func (s *Server) forkUnmap(c *call) {
 			s.shards[s.geo.ShardOf(p, s.nshards)].dropPage(p)
 		}
 	}
-	if ok {
-		s.reply(c.to, &proto.Ack{}, c.arrive+c.svc)
-	}
+	return ok
 }

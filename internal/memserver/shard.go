@@ -68,7 +68,7 @@ func (sh *shard) book(at, dur vtime.Time) vtime.Time {
 
 // run serves one share of a request on this shard.
 func (sh *shard) run(p *share) {
-	switch p.j.kind {
+	switch p.j.req.Kind() {
 	case proto.KDiffBatch, proto.KEvictFlush:
 		sh.applyBatch(p)
 	default:
@@ -144,7 +144,7 @@ func (sh *shard) serve(p *share) {
 	s, j := sh.srv, p.j
 	ready, err := sh.ready(p)
 	if err != nil {
-		if j.kind == proto.KSealAS {
+		if j.req.Kind() == proto.KSealAS {
 			err = fmt.Errorf("memserver %d: seal %d: %w", s.index, j.snap, err)
 		} else {
 			err = fmt.Errorf("memserver %d: lines %v pages %v: %w", s.index, p.lines, p.pages, err)
@@ -152,7 +152,7 @@ func (sh *shard) serve(p *share) {
 		s.complete(j, sh.id, sh.cal.maxEnd, err, proto.CodeGeneric)
 		return
 	}
-	if j.kind == proto.KSealAS {
+	if j.req.Kind() == proto.KSealAS {
 		sh.sealPages(p, ready)
 		return
 	}
@@ -210,7 +210,7 @@ func (sh *shard) applyBatch(p *share) {
 	work := s.cpu.ApplyTime(bytes) + sh.drainPending() + j.svc
 	done := sh.book(ready, work) + work
 	var fwd proto.Msg = m
-	if j.kind == proto.KDiffBatch {
+	if j.req.Kind() == proto.KDiffBatch {
 		sh.appliedAt[m.Tag] = done
 		sh.wake()
 	} else if s.hasReplica {

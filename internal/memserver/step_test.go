@@ -14,11 +14,11 @@ import (
 	"repro/internal/vtime"
 )
 
-// A memory server is a state machine: step takes a call and queues
+// A memory server is a state machine: step takes a request and queues
 // replies, and its only I/O is s.call. The helpers here drive one without
-// a fabric or a goroutine. A call's ticket (call.to) is a request whose
-// Src is the node that holds it; the server's tap takes what flush would
-// send, so no ticket is ever answered.
+// a fabric or a goroutine. A request is made with scl.NewRequest; when
+// its sender waits, the server's flush answers it through a reply
+// function that logs the answer.
 
 // stepEnv is one server, index 0 of effectsGeo's two, with a standby and
 // writer 7's cache agent behind a stepWire. log is every reply and every
@@ -37,11 +37,6 @@ func newStepEnv(t *testing.T, shards int, forwardErr error) *stepEnv {
 	e.srv.SetShards(shards)
 	e.srv.SetTier(0, vtime.ColdNVMe, new(stats.Tier))
 	e.srv.SetReplica(effectsStandby)
-	e.srv.tap = func(out []effect) {
-		for _, eff := range out {
-			e.log = append(e.log, fmt.Sprintf("%d %v", eff.to.Src(), eff.kind))
-		}
-	}
 	return e
 }
 
@@ -49,15 +44,16 @@ func newStepEnv(t *testing.T, shards int, forwardErr error) *stepEnv {
 // run, and flushes what it queued. It reports whether the server stopped.
 func (e *stepEnv) send(node uint32, kind proto.Kind, body []byte, oneway bool) bool {
 	e.sent++
-	c := call{
-		kind: kind, body: body, svc: testLink.ServiceTime,
-		arrive: testLink.Deliver(vtime.Time(400*e.sent)+testLink.SendOverhead, len(body)+simnet.HeaderBytes),
-	}
+	var reply func(uint16, []byte, vtime.Time)
 	if !oneway {
-		c.to = scl.NewRequest(scl.NodeID(node), kind, body, func(uint16, []byte, vtime.Time) { panic("a ticket is answered through the tap") })
+		reply = func(k uint16, _ []byte, _ vtime.Time) {
+			e.log = append(e.log, fmt.Sprintf("%d %v", node, proto.Kind(k)))
+		}
 	}
-	stop := e.srv.step(&c)
-	e.srv.flush()
+	req := scl.NewRequest(scl.NodeID(node), kind, body, reply).
+		At(testLink.Deliver(vtime.Time(400*e.sent)+testLink.SendOverhead, len(body)+simnet.HeaderBytes), testLink.ServiceTime)
+	stop := e.srv.step(&req)
+	e.srv.out.Flush()
 	return stop
 }
 
@@ -202,9 +198,6 @@ func TestStepTable(t *testing.T) {
 				}
 				if stop != (row.kind == proto.KShutdown) {
 					t.Errorf("step reported stop = %v", stop)
-				}
-				if len(e.srv.out) != 0 {
-					t.Errorf("%d replies left queued after flush", len(e.srv.out))
 				}
 			})
 		}

@@ -70,6 +70,14 @@ func NewRequest(src NodeID, kind proto.Kind, body []byte, reply func(kind uint16
 	return Request{src: src, kind: kind, body: body, wait: reply != nil, reply: reply}
 }
 
+// At returns r arriving at arrive, with svc of per-request service: how
+// a transport stamps what it received, and how a harness that steps a
+// component without one makes a request with an arrival.
+func (r Request) At(arrive, svc vtime.Time) Request {
+	r.arrive, r.svc = arrive, svc
+	return r
+}
+
 // Src reports the sending node.
 func (r *Request) Src() NodeID { return r.src }
 
@@ -115,6 +123,15 @@ func (r *Request) DecodeAlias(m proto.Msg) error {
 	return proto.DecodeAlias(m, r.body)
 }
 
+// MustDecode decodes a one-way message into m, aliasing its body (see
+// DecodeAlias). There is nobody to tell that it is malformed, and that
+// is a protocol bug, so it panics.
+func (r *Request) MustDecode(m proto.Msg) {
+	if err := r.DecodeAlias(m); err != nil {
+		panic(fmt.Sprintf("scl: bad %v: %v", r.kind, err))
+	}
+}
+
 // Reply answers the request at virtual time at on the responder's clock.
 func (r *Request) Reply(m proto.Msg, at vtime.Time) { r.ReplyBody(m.Kind(), proto.Encode(m), at) }
 
@@ -134,7 +151,7 @@ func (r *Request) ReplyBody(kind proto.Kind, body []byte, at vtime.Time) {
 
 // ReplyError answers the request with a generic protocol-level error.
 func (r *Request) ReplyError(err error, at vtime.Time) {
-	r.Reply(&proto.Error{Code: proto.CodeGeneric, Text: err.Error()}, at)
+	r.Reply(Refusal(proto.CodeGeneric, err), at)
 }
 
 // SimEndpoint adapts a simnet.Port to the Endpoint interface.

@@ -271,10 +271,8 @@ func (e *TCPEndpoint) makeRequest(tc *tcpConn, f *frame) Request {
 		}
 	}
 	// The TCP transport does not carry the sender id.
-	r := NewRequest(0, proto.Kind(f.kind), f.body, reply)
-	r.arrive = e.model.Deliver(f.vt+e.model.SendOverhead, len(f.body)+frameHeaderLen+4)
-	r.svc = e.model.ServiceTime
-	return r
+	return NewRequest(0, proto.Kind(f.kind), f.body, reply).
+		At(e.model.Deliver(f.vt+e.model.SendOverhead, len(f.body)+frameHeaderLen+4), e.model.ServiceTime)
 }
 
 func (e *TCPEndpoint) conn(dst NodeID) (*tcpConn, error) {
