@@ -45,6 +45,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/scl"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -76,6 +77,7 @@ func main() {
 	start := time.Now()
 	failures := 0
 	var drops, retries, kills, failovers, mgrFailovers, mgrElections int64
+	var fills stats.Thread // the programs' cache fill counters, summed
 	for _, sd := range seeds {
 		prog := conformance.Generate(sd)
 		cfg := conformance.RandomConfig(sd * 31)
@@ -140,7 +142,14 @@ func main() {
 			prm := kv.Params{Buckets: 32, Keys: 256, Ops: 32, Seed: uint64(sd) + 1}
 			viols, err = conformance.KVCheck(rt, prog.Threads, prm, frac)
 		} else {
-			viols, err = conformance.Run(rt, prog)
+			var run *stats.Run
+			viols, run, err = conformance.RunStats(rt, prog)
+			if run != nil {
+				tot := run.Totals()
+				fills.Misses += tot.Misses
+				fills.PageFills += tot.PageFills
+				fills.SectorFills += tot.SectorFills
+			}
 		}
 		if nst := rt.NetStats(); nst != nil {
 			drops += nst.InjectedDrops.Load()
@@ -169,6 +178,9 @@ func main() {
 	}
 	if rtFlags.KillManager {
 		fmt.Printf("manager replication: %d leader failovers, %d elections\n", mgrFailovers, mgrElections)
+	}
+	if !*kvMode && !*forkMode {
+		fmt.Printf("cache fills: %d misses, %d page fills, %d sector fills\n", fills.Misses, fills.PageFills, fills.SectorFills)
 	}
 	fmt.Printf("\n%d/%d passed in %v\n", len(seeds)-failures, len(seeds), time.Since(start).Round(time.Millisecond))
 	if failures > 0 {

@@ -31,6 +31,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/layout"
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -45,6 +47,10 @@ type Program struct {
 	// ReadsPerRound is how many stable-half slots each thread verifies
 	// per round.
 	ReadsPerRound int
+	// SlotStride is the distance in bytes from one slot to the next: 8
+	// packs them (0 means 8), a page spreads them one to a page, so a
+	// thread touching its slots uses the lines it pulls sparsely.
+	SlotStride int
 }
 
 // Generate builds a random program shape from a seed.
@@ -58,6 +64,7 @@ func Generate(seed int64) Program {
 		Accums:        1 + rng.Intn(6),
 		Locks:         1 + rng.Intn(3),
 		ReadsPerRound: 1 + rng.Intn(8),
+		SlotStride:    []int{8, layout.DefaultPageSize}[rng.Intn(2)],
 	}
 }
 
@@ -126,6 +133,17 @@ func (p Program) expectedSlot(s int) int64 {
 	return slotValue(p.Seed, s, lastRound)
 }
 
+// strided is an array of int64 slots stride bytes apart.
+type strided struct {
+	base   vm.Addr
+	stride int
+}
+
+func (a strided) At(t vm.Thread, i int) int64 { return t.ReadInt64(a.base + vm.Addr(i*a.stride)) }
+func (a strided) Set(t vm.Thread, i int, v int64) {
+	t.WriteInt64(a.base+vm.Addr(i*a.stride), v)
+}
+
 // Violation describes one consistency failure.
 type Violation struct {
 	Thread int
@@ -137,8 +155,14 @@ func (v Violation) String() string { return fmt.Sprintf("thread %d: %s", v.Threa
 // Run executes the program on the backend and returns every violation
 // observed (nil means the execution was sequentially consistent).
 func Run(v vm.VM, p Program) ([]Violation, error) {
+	viols, _, err := RunStats(v, p)
+	return viols, err
+}
+
+// RunStats is Run that also returns the run's per-thread statistics.
+func RunStats(v vm.VM, p Program) ([]Violation, *stats.Run, error) {
 	if p.Threads < 1 || p.Rounds < 1 || p.Slots < 2 || p.Slots%2 != 0 {
-		return nil, fmt.Errorf("conformance: malformed program %+v", p)
+		return nil, nil, fmt.Errorf("conformance: malformed program %+v", p)
 	}
 	mus := make([]vm.Mutex, p.Locks)
 	for i := range mus {
@@ -149,19 +173,20 @@ func Run(v vm.VM, p Program) ([]Violation, error) {
 	var base atomic.Uint64
 	violationCh := make(chan Violation, 1024)
 
-	_, err := v.Run(p.Threads, func(t vm.Thread) {
+	run, err := v.Run(p.Threads, func(t vm.Thread) {
 		report := func(format string, args ...any) {
 			select {
 			case violationCh <- Violation{Thread: t.ID(), What: fmt.Sprintf(format, args...)}:
 			default:
 			}
 		}
+		stride := max(p.SlotStride, 8)
 		if t.ID() == 0 {
-			base.Store(uint64(t.GlobalAlloc((p.Slots + p.Accums) * 8)))
+			base.Store(uint64(t.GlobalAlloc(p.Slots*stride + p.Accums*8)))
 		}
 		bar.Wait(t)
-		slots := vm.I64{Base: vm.Addr(base.Load())}
-		accums := vm.I64{Base: vm.Addr(base.Load()) + vm.Addr(8*p.Slots)}
+		slots := strided{base: vm.Addr(base.Load()), stride: stride}
+		accums := vm.I64{Base: vm.Addr(base.Load()) + vm.Addr(stride*p.Slots)}
 		rng := rand.New(rand.NewSource(p.Seed ^ int64(t.ID()+1)*0x1D872B41))
 
 		for r := 0; r < p.Rounds; r++ {
@@ -212,8 +237,5 @@ func Run(v vm.VM, p Program) ([]Violation, error) {
 	for viol := range violationCh {
 		out = append(out, viol)
 	}
-	if err != nil {
-		return out, err
-	}
-	return out, nil
+	return out, run, err
 }

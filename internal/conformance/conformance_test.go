@@ -9,6 +9,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/pthreads"
 	"repro/internal/scl"
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -193,6 +194,41 @@ func TestSamhitaConformsAtEveryHomeCount(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The clean sweep's configurations (lines of 1 to 8 pages, caches of 2
+// to 1,024 lines) exercise page fills: on half the seeds the program
+// spreads its slots one to a page, so a thread uses the lines it pulls
+// sparsely and its cache turns to filling them page by page. Close
+// checks each record's fill counters (stats.Thread.CheckFills).
+func TestCleanSweepTakesPageFills(t *testing.T) {
+	seeds := 200
+	if raceEnabled {
+		seeds = 20
+	}
+	var fills stats.Thread
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		rt, err := core.New(RandomConfig(seed * 31))
+		if err != nil {
+			t.Fatal(err)
+		}
+		viols, run, err := RunStats(rt, Generate(seed))
+		if cerr := rt.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(viols) > 0 {
+			t.Errorf("seed %d: %d violations, e.g. %s", seed, len(viols), viols[0])
+		}
+		tot := run.Totals()
+		fills.PageFills += tot.PageFills
+		fills.SectorFills += tot.SectorFills
+	}
+	if fills.PageFills == 0 || fills.SectorFills == 0 {
+		t.Fatalf("%d seeds: %d page fills, %d sector fills", seeds, fills.PageFills, fills.SectorFills)
 	}
 }
 

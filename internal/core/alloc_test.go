@@ -45,33 +45,52 @@ func costPerEpisode(t *testing.T, cfg Config, n int, body func(rt *Runtime) func
 // A fetched line costs no line-sized buffer in steady state: the home
 // answers in a pooled body, the thread decodes the answer into a pooled
 // frame and hands the body back, and the line it evicts hands its frame
-// back. Each thread sweeps a region eight times its cache, so every read
-// is a fetch that evicts; everything the run allocates counts, and it
-// stays under 1 KiB per fetch. (A fetch allocated its 16 KiB line and the
-// body it came in before either was pooled.)
+// back. Each thread sweeps a region eight times its cache, so every line
+// it reaches is a fetch that evicts; everything the run allocates
+// counts, and it stays under 1 KiB per fetch. (A fetch allocated its
+// 16 KiB line and the body it came in before either was pooled.) A
+// sweep that reads one word of every page of each line fills whole
+// lines; one that reads one word per line turns its cache to page fills,
+// whose frames and replies are pooled the same way.
 func TestFetchAndEvictAllocateNoLine(t *testing.T) {
-	cfg := testConfig()
-	cfg.Prefetch = false
-	cfg.CacheLines = 8
-	line := cfg.Geo.LineSize()
-	lines := 8 * cfg.CacheLines
-	var fetches atomic.Int64
-	objects, bytes := costPerEpisode(t, cfg, 200, func(rt *Runtime) func(vm.Thread, int) {
-		return func(th vm.Thread, episodes int) {
-			region := th.GlobalAlloc(lines * line)
-			misses := th.(*Thread).st.Misses
-			for i := 0; i < episodes; i++ {
-				th.ReadInt64(region + vm.Addr(i%lines*line))
+	for _, sweep := range []struct {
+		name      string
+		pages     int // pages of each line read
+		pageFills bool
+	}{
+		{"whole lines", testConfig().Geo.LinePages, false},
+		{"page fills", 1, true},
+	} {
+		cfg := testConfig()
+		cfg.Prefetch = false
+		cfg.CacheLines = 8
+		line := cfg.Geo.LineSize()
+		lines := 8 * cfg.CacheLines
+		var fetches, pageFills atomic.Int64
+		objects, bytes := costPerEpisode(t, cfg, 200, func(rt *Runtime) func(vm.Thread, int) {
+			return func(th vm.Thread, episodes int) {
+				region := th.GlobalAlloc(lines * line)
+				st := &th.(*Thread).st
+				misses, pf := st.Misses, st.PageFills
+				for i := 0; i < episodes; i++ {
+					for p := range sweep.pages {
+						th.ReadInt64(region + vm.Addr(i%lines*line+p*cfg.Geo.PageSize))
+					}
+				}
+				fetches.Add(st.Misses - misses)
+				pageFills.Add(st.PageFills - pf)
 			}
-			fetches.Add(th.(*Thread).st.Misses - misses)
+		})
+		if want := int64(2 * (200 + 200 + 1000)); fetches.Load() < want*9/10 {
+			t.Fatalf("%s: %d fetches in %d sweeps of a line; the sweep does not miss", sweep.name, fetches.Load(), want)
 		}
-	})
-	if want := int64(2 * (200 + 200 + 1000)); fetches.Load() < want*9/10 {
-		t.Fatalf("%d fetches in %d reads; the sweep does not miss", fetches.Load(), want)
-	}
-	t.Logf("per fetch: %.1f heap objects, %.0f bytes", objects, bytes)
-	if bytes >= 1024 {
-		t.Errorf("a fetch that evicts allocates %.0f bytes, want under 1 KiB", bytes)
+		if got := pageFills.Load(); sweep.pageFills != (got >= fetches.Load()*3/4) || !sweep.pageFills && got != 0 {
+			t.Fatalf("%s: %d of %d fetches were page fills", sweep.name, got, fetches.Load())
+		}
+		t.Logf("%s, per fetch: %.1f heap objects, %.0f bytes", sweep.name, objects, bytes)
+		if bytes >= 1024 {
+			t.Errorf("%s: a fetch that evicts allocates %.0f bytes, want under 1 KiB", sweep.name, bytes)
+		}
 	}
 }
 

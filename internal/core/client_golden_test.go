@@ -169,7 +169,11 @@ func clientScript(t *testing.T, replicas int) string {
 		v := reflect.ValueOf(threads[i])
 		fmt.Fprintf(&b, "thread %d:", threads[i].ID)
 		for f := 1; f < v.NumField(); f++ {
-			fmt.Fprintf(&b, " %s=%d", v.Type().Field(f).Name, v.Field(f).Int())
+			name := v.Type().Field(f).Name
+			if laterCounters[name] && v.Field(f).Int() == 0 {
+				continue
+			}
+			fmt.Fprintf(&b, " %s=%d", name, v.Field(f).Int())
 		}
 		b.WriteByte('\n')
 	}
@@ -182,6 +186,11 @@ func clientScript(t *testing.T, replicas int) string {
 	}
 	return b.String()
 }
+
+// laterCounters are the stats.Thread fields added after the golden was
+// written: a line leaves one out while it reads zero, so the golden
+// still pins it at zero without a rewrite.
+var laterCounters = map[string]bool{"PageFills": true, "SectorFills": true}
 
 // Every client path of a compute thread — contended locks with and
 // without records, barriers, condition waits, signals and broadcasts, the

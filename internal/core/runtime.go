@@ -327,7 +327,8 @@ type Runtime struct {
 	closeOnce sync.Once
 	closeErr  error
 	// countErr is the first thread record of any Run that failed a
-	// counter identity (stats.Thread.CheckPrefetch); Close returns it.
+	// counter identity (stats.Thread.CheckPrefetch, CheckFills); Close
+	// returns it.
 	countErr error
 }
 
@@ -727,7 +728,11 @@ func (rt *Runtime) Run(p int, body func(t vm.Thread)) (*stats.Run, error) {
 	// blocked on a pending message.
 	rt.park(wg.Wait)
 	for _, th := range threads {
-		if err := th.st.CheckPrefetch(); err != nil && rt.countErr == nil {
+		err := th.st.CheckPrefetch()
+		if err == nil {
+			err = th.st.CheckFills()
+		}
+		if err != nil && rt.countErr == nil {
 			rt.countErr = fmt.Errorf("core: %w", err)
 		}
 	}

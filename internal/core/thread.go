@@ -58,6 +58,12 @@ type Thread struct {
 	lockReq   proto.LockReq
 	lockResp  proto.LockResp
 	unlockReq proto.UnlockReq
+	// The messages of a demand fetch, kept for the same reason: the
+	// request's Lines and Pages keep their arrays from fetch to fetch.
+	fetchReq   proto.FetchLineReq
+	fetchResp  proto.FetchLineResp
+	fetchsReq  proto.FetchLinesReq
+	fetchsResp proto.FetchLinesResp
 	// pageData is a peer grant's lock-carried extents, emptied once the
 	// grant is posted (they alias the cache).
 	pageData []proto.PagePayload
@@ -242,6 +248,7 @@ func (t *Thread) flushOwned() error {
 func (t *Thread) ResetMeasurement() {
 	t.st = stats.Thread{ID: t.id}
 	t.cache.UncountPrefetches()
+	t.cache.UncountFills()
 	t.frozen = nil
 	t.mark = t.clock.Now()
 }
@@ -1228,28 +1235,30 @@ func (c *smhCond) signal(th vm.Thread, broadcast bool) {
 // threadBackend adapts a Thread to the cache's Backend interface.
 type threadBackend Thread
 
-// fetchLine round-trips one line's fetch to its home. The answer is
-// decoded into a pooled frame (proto.GetBuf), which is what the cache
-// keeps as the line's storage; the body it came in goes back to the pool
-// (scl's decodeResponse).
-func (t *Thread) fetchLine(line layout.LineID, needs []proto.PageNeed, at vtime.Time) (data []byte, home int, doneAt vtime.Time, err error) {
+// fetchLine round-trips the line fetch req to the line's home, answered
+// into resp. The answer is decoded into a pooled frame (proto.GetBuf),
+// which is what the cache keeps as the line's storage; the body it came
+// in goes back to the pool (scl's decodeResponse). The caller owns req
+// and resp: the thread its demand fetch's, a prefetch its own.
+func (t *Thread) fetchLine(req *proto.FetchLineReq, resp *proto.FetchLineResp, at vtime.Time) (data []byte, home int, doneAt vtime.Time, err error) {
 	geo := t.rt.cfg.Geo
-	home = geo.HomeOf(geo.FirstPage(line))
-	resp := proto.FetchLineResp{Data: proto.GetBuf(geo.LineSize())}
-	doneAt, err = t.rt.homes[home].call(t.ep, &proto.FetchLineReq{Line: uint64(line), Needs: needs}, &resp, at)
+	home = geo.HomeOf(geo.FirstPage(layout.LineID(req.Line)))
+	*resp = proto.FetchLineResp{Data: proto.GetBuf(geo.LineSize())}
+	doneAt, err = t.rt.homes[home].call(t.ep, req, resp, at)
 	return resp.Data, home, doneAt, err
 }
 
 // FetchLine implements pagecache.Backend.
 func (b *threadBackend) FetchLine(line layout.LineID, needs []proto.PageNeed, at vtime.Time) ([]byte, vtime.Time, error) {
 	t := (*Thread)(b)
-	data, home, doneAt, err := t.fetchLine(line, needs, at)
+	t.fetchReq = proto.FetchLineReq{Line: uint64(line), Needs: needs}
+	data, home, doneAt, err := t.fetchLine(&t.fetchReq, &t.fetchResp, at)
 	if err != nil {
 		return nil, at, err
 	}
 	if tr := t.rt.cfg.Trace; tr != nil {
 		tr.Span(t.actor, trace.CatFetch, fmt.Sprintf("fetch line %d", line), at, doneAt,
-			map[string]any{"home": home, "needs": len(needs)})
+			map[string]any{"home": home, "needs": len(needs), "grain": t.cache.Filling()})
 	}
 	t.st.MsgsSent++
 	t.markTenureCold([]layout.LineID{line}, nil)
@@ -1288,22 +1297,24 @@ func (b *threadBackend) FetchLines(lines []layout.LineID, pages []layout.PageID,
 	} else {
 		home = geo.HomeOf(pages[0])
 	}
-	req := &proto.FetchLinesReq{Needs: needs}
+	req := &t.fetchsReq
+	req.Lines, req.Pages, req.Needs = req.Lines[:0], req.Pages[:0], needs
 	for _, l := range lines {
 		req.Lines = append(req.Lines, uint64(l))
 	}
 	for _, p := range pages {
 		req.Pages = append(req.Pages, uint64(p))
 	}
-	resp := proto.FetchLinesResp{Data: proto.GetBuf(len(lines)*geo.LineSize() + len(pages)*geo.PageSize)}
-	doneAt, err := t.rt.homes[home].call(t.ep, req, &resp, at)
+	resp := &t.fetchsResp
+	*resp = proto.FetchLinesResp{Data: proto.GetBuf(len(lines)*geo.LineSize() + len(pages)*geo.PageSize)}
+	doneAt, err := t.rt.homes[home].call(t.ep, req, resp, at)
 	if err != nil {
 		return nil, at, err
 	}
 	if tr := t.rt.cfg.Trace; tr != nil {
 		tr.Span(t.actor, trace.CatFetch,
 			fmt.Sprintf("fetch %d lines + %d pages", len(lines), len(pages)), at, doneAt,
-			map[string]any{"home": home, "needs": len(needs)})
+			map[string]any{"home": home, "needs": len(needs), "grain": t.cache.Filling()})
 	}
 	t.st.MsgsSent++
 	t.markTenureCold(lines, pages)
@@ -1316,24 +1327,25 @@ func (b *threadBackend) StartPrefetch(line layout.LineID, needs []proto.PageNeed
 	t := (*Thread)(b)
 	ch := make(chan pagecache.PrefetchResult, 1)
 	t.st.MsgsSent++
-	spawn(t.rt, nil, prefetch.run, prefetch{t: t, line: line, needs: needs, at: at, h: h, ch: ch})
+	spawn(t.rt, nil, (*prefetch).run, &prefetch{t: t, req: proto.FetchLineReq{Line: uint64(line), Needs: needs}, at: at, h: h, ch: ch})
 	return ch
 }
 
-// prefetch is one line fetch in flight; run is its helper goroutine.
+// prefetch is one line fetch in flight, its messages with it; run is its
+// helper goroutine.
 type prefetch struct {
-	t     *Thread
-	line  layout.LineID
-	needs []proto.PageNeed
-	at    vtime.Time
-	h     *pagecache.Handoff
-	ch    chan<- pagecache.PrefetchResult
+	t    *Thread
+	req  proto.FetchLineReq
+	resp proto.FetchLineResp
+	at   vtime.Time
+	h    *pagecache.Handoff
+	ch   chan<- pagecache.PrefetchResult
 }
 
-func (p prefetch) run() {
-	data, home, doneAt, err := p.t.fetchLine(p.line, p.needs, p.at)
+func (p *prefetch) run() {
+	data, home, doneAt, err := p.t.fetchLine(&p.req, &p.resp, p.at)
 	if tr := p.t.rt.cfg.Trace; tr != nil && err == nil {
-		tr.Span(p.t.actor, trace.CatPrefetch, fmt.Sprintf("prefetch line %d", p.line), p.at, doneAt,
+		tr.Span(p.t.actor, trace.CatPrefetch, fmt.Sprintf("prefetch line %d", p.req.Line), p.at, doneAt,
 			map[string]any{"home": home})
 	}
 	p.h.Done() // credit a parked consumer, if any (never unconditionally)

@@ -143,6 +143,12 @@ type Server struct {
 	out   scl.Outbox
 	parts []*share
 	joins []*join
+	// lineReq and linesReq are what fetch decodes a request into: a
+	// message handed to Decode escapes, so a local one is a heap object
+	// per fetch. Nothing keeps them past fetch; the shares copy what
+	// they need.
+	lineReq  proto.FetchLineReq
+	linesReq proto.FetchLinesReq
 
 	stats Stats
 }
@@ -529,12 +535,14 @@ func (s *Server) fetch(c *scl.Request) {
 	var needs []proto.PageNeed
 	var err error
 	if c.Kind() == proto.KFetchLineReq {
-		var m proto.FetchLineReq
-		err = proto.Decode(&m, c.Body())
+		m := &s.lineReq
+		*m = proto.FetchLineReq{}
+		err = proto.Decode(m, c.Body())
 		lines, needs = []uint64{m.Line}, m.Needs
 	} else {
-		var m proto.FetchLinesReq
-		if err = proto.Decode(&m, c.Body()); err == nil && len(m.Lines)+len(m.Pages) == 0 {
+		m := &s.linesReq
+		*m = proto.FetchLinesReq{}
+		if err = proto.Decode(m, c.Body()); err == nil && len(m.Lines)+len(m.Pages) == 0 {
 			err = fmt.Errorf("memserver %d: empty combined fetch", s.index)
 		}
 		lines, pages, needs = m.Lines, m.Pages, m.Needs

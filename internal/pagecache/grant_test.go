@@ -303,3 +303,68 @@ func TestAppendGrantExtents(t *testing.T) {
 		}
 	}
 }
+
+// A lock grant can make a line resident while its prefetch, issued
+// before the grant, is still in flight. What the grant shipped, and what
+// this thread stores on the line from then on, must survive the
+// prefetch: the fault that consumes it fills only the line's invalid
+// pages and the stale ranges of its valid ones; a page this thread
+// stored on and that went invalid since makes the prefetch stale; and an
+// eviction of the line wastes the prefetch. Each case reads back the
+// word its thread stored last, released to the home as the runtime
+// would deliver it.
+func TestGrantedLineOutlivesItsPrefetch(t *testing.T) {
+	geo := layout.DefaultGeometry()
+	for _, tc := range []struct {
+		name  string
+		whole bool // the grant ships the whole page, or the word at 64
+		then  func(t *testing.T, c *Cache, p layout.PageID)
+	}{
+		{"another page faults", true, func(t *testing.T, c *Cache, p layout.PageID) {
+			mustRead(t, c, layout.Addr(int(p+1)*geo.PageSize))
+		}},
+		{"the stored page goes stale", false, func(t *testing.T, c *Cache, p layout.PageID) {
+			mustRead(t, c, layout.Addr(int(p)*geo.PageSize+128))
+		}},
+		{"the line is evicted", true, func(t *testing.T, c *Cache, p layout.PageID) {
+			for l := layout.LineID(4); l < 8; l++ {
+				mustRead(t, c, layout.Addr(int(l)*geo.LineSize()))
+			}
+			if _, ok := c.lines[geo.LineOf(p)]; ok {
+				t.Fatal("the line was not evicted")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			be := newFakeBackend(geo)
+			c, _, _ := newCache(t, geo, be, func(cfg *Config) { cfg.CapacityLines = 2 })
+			mustRead(t, c, 0) // line 0 misses and prefetches line 1
+			p := geo.FirstPage(1)
+			if _, inflight := c.pending[1]; !inflight {
+				t.Fatal("no prefetch of line 1 in flight")
+			}
+			exts := wholePage(geo, p, 7)
+			if !tc.whole {
+				exts = []proto.PagePayload{{Page: uint64(p), Off: 64, Data: bytes.Repeat([]byte{7}, 8)}}
+			}
+			if !c.InstallGrantExtents(p, exts, 1<<40) {
+				t.Fatal("refused a page of a line not resident")
+			}
+			word := layout.Addr(int(p)*geo.PageSize + 64)
+			mustWrite(t, c, word, bytes.Repeat([]byte{9}, 8), true)
+			for _, b := range c.CollectRelease().ByHome {
+				for _, rec := range b.Records {
+					copy(be.page(geo.PageOf(layout.Addr(rec.Addr)))[geo.PageOffset(layout.Addr(rec.Addr)):], rec.Data)
+				}
+			}
+			tc.then(t, c, p)
+			var got [8]byte
+			if err := c.Read(word, got[:]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[:], bytes.Repeat([]byte{9}, 8)) {
+				t.Fatalf("the stored word reads %v", got)
+			}
+		})
+	}
+}

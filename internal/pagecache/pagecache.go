@@ -52,6 +52,9 @@ import (
 // once; a discarded prefetch result is recycled. So the backend must
 // hand over a buffer nothing else reads, writes or reuses — a fresh or
 // pooled one per call (core's is proto.GetBuf's, filled by the decode).
+// The other way round, the line, page and need lists the cache passes to
+// FetchLine and FetchLines are the cache's scratch: the backend reads
+// them during the call and keeps none of them.
 type Backend interface {
 	// FetchLine synchronously fetches one cache line from its home,
 	// quoting the interval tags that must be applied first. It returns
@@ -306,6 +309,13 @@ type lineEntry struct {
 	// distinguishable from lines fetched after it (tests assert a fork's
 	// reads never come from pre-snapshot residency).
 	epoch uint64
+	// touched is the mask of pages demand accesses touched since the
+	// line was filled, fill the number of that fill while it awaits
+	// observation (0 once observed), and partial marks a page fill whose
+	// remaining pages no sector fill has fetched yet (see fillWindow).
+	touched uint64
+	fill    uint64
+	partial bool
 }
 
 // prefetchEntry tracks an in-flight asynchronous line fetch.
@@ -426,8 +436,17 @@ type Cache struct {
 	// grantScratch is AppendGrantExtents' list of record extents.
 	grantScratch []pageExtent
 
-	// oneLine backs fault's single-line fetch list (faultLine).
-	oneLine [1]layout.LineID
+	// oneLine backs fault's single-line fetch list (faultLine), and
+	// pageList and needList its page and need lists, reused from fault
+	// to fault.
+	oneLine  [1]layout.LineID
+	pageList []layout.PageID
+	needList []proto.PageNeed
+
+	// The fill-granularity window (see fillWindow), and the grain of the
+	// demand fetch in progress.
+	grain   grainWindow
+	filling string
 
 	// lineScratch and pageScratch are BeginRelease's sorted dirty-line and
 	// early-flushed-page lists, reused from release to release.
@@ -519,11 +538,12 @@ func (c *Cache) ReadSpan(addr layout.Addr, buf []byte) error {
 }
 
 func (c *Cache) read(addr layout.Addr, buf []byte) error {
+	end := addr + layout.Addr(len(buf))
 	for len(buf) > 0 {
 		page := c.geo.PageOf(addr)
 		off := c.geo.PageOffset(addr)
 		n := min(len(buf), c.geo.PageSize-off)
-		le, err := c.ensureValidRange(page, off, n)
+		le, err := c.ensureValidRange(page, c.geo.PageOf(end-1), off, n)
 		if err != nil {
 			return err
 		}
@@ -557,11 +577,12 @@ func (c *Cache) WriteSpan(addr layout.Addr, data []byte, region bool) error {
 }
 
 func (c *Cache) write(addr layout.Addr, data []byte, region, span bool) error {
+	end := addr + layout.Addr(len(data))
 	for len(data) > 0 {
 		page := c.geo.PageOf(addr)
 		off := c.geo.PageOffset(addr)
 		n := min(len(data), c.geo.PageSize-off)
-		le, err := c.ensureValidRange(page, off, n)
+		le, err := c.ensureValidRange(page, c.geo.PageOf(end-1), off, n)
 		if err != nil {
 			return err
 		}
@@ -664,7 +685,7 @@ func (c *Cache) ReadModifyWrite8(addr layout.Addr, region bool, f func(b []byte)
 		return fmt.Errorf("pagecache: fused access at %#x crosses a page boundary", uint64(addr))
 	}
 	c.clock.Advance(c.cfg.CPU.AccessTime)
-	le, err := c.ensureValidRange(page, off, 8)
+	le, err := c.ensureValidRange(page, page, off, 8)
 	if err != nil {
 		return err
 	}
@@ -725,24 +746,27 @@ func (c *Cache) pageBaseInLine(p layout.PageID) int {
 }
 
 // ensureValidRange makes bytes [off, off+n) of page p resident and
-// usable, faulting and fetching as required, and returns its line. A
+// usable, faulting and fetching as required, and returns its line; the
+// access goes on to page last, which a page fill fetches too. A
 // page that is valid apart from stale ranges (partial staleness) is a
 // hit as long as the access does not overlap any of them; an access
 // that does overlap demotes the page to fully invalid — flushing its
 // diff home first if it is dirty, so concurrent disjoint writers merge
 // — and refetches.
-func (c *Cache) ensureValidRange(p layout.PageID, off, n int) (*lineEntry, error) {
+func (c *Cache) ensureValidRange(p, last layout.PageID, off, n int) (*lineEntry, error) {
 	line := c.geo.LineOf(p)
+	idx := c.pageIndex(p)
 	fresh := c.reference(line)
 	le, resident := c.lines[line]
 	if resident {
-		ps := &le.pages[c.pageIndex(p)]
+		ps := &le.pages[idx]
 		if ps.valid {
 			if len(ps.stale) == 0 || !overlapsRanges(ps.stale, off, off+n) {
 				if fresh || !c.bimodal() {
 					c.promote(le)
 				}
 				c.st.Hits++
+				le.touched |= 1 << idx
 				return le, nil
 			}
 			if err := c.demoteStale(p, le, ps); err != nil {
@@ -750,16 +774,17 @@ func (c *Cache) ensureValidRange(p layout.PageID, off, n int) (*lineEntry, error
 			}
 		}
 	}
-	le, err := c.fault(line)
+	le, err := c.fault(line, p, last)
 	if err != nil {
 		return nil, err
 	}
 	if resident && fresh && c.bimodal() {
 		c.promote(le) // a refetch into a resident line is a reference to it
 	}
-	if !le.pages[c.pageIndex(p)].valid {
+	if !le.pages[idx].valid {
 		return nil, fmt.Errorf("pagecache: page %d still invalid after fetch", p)
 	}
+	le.touched |= 1 << idx
 	return le, nil
 }
 
@@ -791,8 +816,11 @@ func (c *Cache) demoteStale(p layout.PageID, le *lineEntry, ps *pageState) error
 // the fetch with other invalidated same-homed pages, and issues the
 // stride prefetch. A resident line's invalid pages are fetched at page
 // granularity — an acquire-driven invalidation of one 4 KiB page must
-// not move a whole multi-page line again.
-func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
+// not move a whole multi-page line again. A line the cache does not hold
+// is fetched whole, or, while the thread uses its lines sparsely, as
+// the pages p through last of it that the access covers (see
+// fillWindow).
+func (c *Cache) fault(line layout.LineID, p, last layout.PageID) (*lineEntry, error) {
 	faultStart := c.clock.Now()
 	defer func() { c.st.FaultStall += c.clock.Now() - faultStart }()
 	c.clock.Advance(c.cfg.CPU.FaultOverhead)
@@ -804,8 +832,10 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 		readyAt   vtime.Time
 		err       error
 		fullLines []layout.LineID
-		pages     []layout.PageID
+		pages     = c.pageList[:0]
+		pageFill  bool
 	)
+	c.filling = "line"
 	if pe, ok := c.pending[line]; ok {
 		pe.h.beginWait() // park only if the helper has not delivered yet
 		res := <-pe.ch
@@ -815,14 +845,16 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 			return nil, res.Err
 		}
 		// Pages whose needs grew after the prefetch was issued must not
-		// be installed from it; force a demand fetch for the whole line
-		// in that case (rare). The prefetch counts as wasted then, and
-		// only then not as a hit or a late one.
+		// be installed from it, nor may a page this thread wrote since
+		// (prefetchStale); force a demand fetch for the whole line in
+		// that case (rare). The prefetch counts as wasted then, and only
+		// then not as a hit or a late one.
 		switch {
 		case c.prefetchStale(line, pe):
 			c.settle(pe, outcomeWasted)
 			proto.PutBuf(res.Data)
-			data, readyAt, err = c.be.FetchLine(line, c.needsFor(line), c.clock.Now())
+			c.needList = c.appendNeeds(c.needList[:0], line)
+			data, readyAt, err = c.be.FetchLine(line, c.needList, c.clock.Now())
 		case res.ReadyAt > c.clock.Now():
 			c.settle(pe, outcomeLate)
 			data, readyAt = res.Data, res.ReadyAt
@@ -832,27 +864,39 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 		}
 		fullLines = c.faultLine(line)
 	} else {
-		if _, resident := c.lines[line]; resident {
-			pages = c.invalidPages(line)
+		if le, resident := c.lines[line]; resident {
+			pages = c.appendInvalidPages(pages, le)
+			c.filling = "pages"
+			if le.partial {
+				le.partial = false
+				c.filling = "sector"
+				c.st.SectorFills++
+			}
+		} else if c.sparse() {
+			pages = c.coveredPages(pages, line, p, last)
+			pageFill = true
+			c.filling = "page"
 		} else {
 			fullLines = c.faultLine(line)
 		}
-		pages = append(pages, c.pageCompanions(line)...)
+		pages = c.appendCompanions(pages, line)
+		c.pageList = pages
+		needs := c.needList[:0]
+		for _, l := range fullLines {
+			needs = c.appendNeeds(needs, l)
+		}
+		for _, p := range pages {
+			needs = c.appendNeed(needs, p)
+		}
+		c.needList = needs
 		if len(pages) > 0 {
 			// Fetch combining: one request revalidates every invalidated
 			// same-homed page, instead of K separate misses.
-			needs := make([]proto.PageNeed, 0, len(pages))
-			for _, l := range fullLines {
-				needs = append(needs, c.needsFor(l)...)
-			}
-			for _, p := range pages {
-				needs = append(needs, c.needFor(p)...)
-			}
 			data, readyAt, err = c.be.FetchLines(fullLines, pages, needs, c.clock.Now())
 			c.st.CombinedFetches++
 			c.st.CombinedLines += int64(len(fullLines) + len(pages) - 1)
 		} else {
-			data, readyAt, err = c.be.FetchLine(line, c.needsFor(line), c.clock.Now())
+			data, readyAt, err = c.be.FetchLine(line, needs, c.clock.Now())
 		}
 	}
 	if err != nil {
@@ -864,12 +908,12 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 	c.clock.AdvanceTo(readyAt)
 	c.st.BytesReceived += int64(len(data))
 
-	// Install the full line first (its eviction choice must not see the
-	// page installs below), then the pages. A page whose line the line
-	// install just evicted is dropped — it stays invalid with its needs
-	// intact and simply refaults later. A single line's reply is the
-	// line's frame; a combined reply is copied out into a frame per line
-	// and recycled.
+	// Install the full line, or the entry a page fill fetched pages of,
+	// first (its eviction choice must not see the page installs below),
+	// then the pages. A page whose line that install just evicted is
+	// dropped — it stays invalid with its needs intact and simply
+	// refaults later. A single line's reply is the line's frame; a
+	// combined reply is copied out into a frame per line and recycled.
 	combined := len(pages) > 0
 	off := 0
 	for _, l := range fullLines {
@@ -880,6 +924,9 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 		}
 		c.install(l, frame)
 		off += c.geo.LineSize()
+	}
+	if pageFill {
+		c.pageFillEntry(line)
 	}
 	for _, p := range pages {
 		c.installPage(p, data[off:off+c.geo.PageSize])
@@ -918,7 +965,7 @@ func (c *Cache) fault(line layout.LineID) (*lineEntry, error) {
 			if _, inflight := c.pending[l]; inflight {
 				continue
 			}
-			needs := c.needsFor(l)
+			needs := c.appendNeeds(nil, l) // a list of its own: the prefetch outlives the fault
 			h := &Handoff{gate: c.cfg.Gate}
 			if ch := c.be.StartPrefetch(l, needs, c.clock.Now(), h); ch != nil {
 				c.st.PrefetchIssued++
@@ -1006,12 +1053,10 @@ func (c *Cache) noteMiss(line layout.LineID) int64 {
 // may carry, so a huge invalidation set cannot flood one request.
 const maxCombinePages = 32
 
-// invalidPages lists the invalid pages of a resident line, in page
-// order.
-func (c *Cache) invalidPages(line layout.LineID) []layout.PageID {
-	le := c.lines[line]
-	first := c.geo.FirstPage(line)
-	var out []layout.PageID
+// appendInvalidPages appends the invalid pages of resident line le, in
+// page order.
+func (c *Cache) appendInvalidPages(out []layout.PageID, le *lineEntry) []layout.PageID {
+	first := c.geo.FirstPage(le.id)
 	for i := range le.pages {
 		if !le.pages[i].valid {
 			out = append(out, first+layout.PageID(i))
@@ -1020,55 +1065,79 @@ func (c *Cache) invalidPages(line layout.LineID) []layout.PageID {
 	return out
 }
 
-// pageCompanions returns invalid pages of other resident lines homed
-// with line: the fault about to fetch line can revalidate them all in
-// one combined request, at page granularity.
-func (c *Cache) pageCompanions(line layout.LineID) []layout.PageID {
+// appendCompanions appends the pages with needs of other resident lines
+// homed with line: the fault about to fetch line can revalidate them all
+// in one combined request, at page granularity. It walks whichever is
+// smaller, the resident lines' pages or the pages with needs; an
+// out-of-core sweep holds few lines and has notices for many pages.
+func (c *Cache) appendCompanions(out []layout.PageID, line layout.LineID) []layout.PageID {
 	home := c.geo.HomeOf(c.geo.FirstPage(line))
-	var out []layout.PageID
-	for p := range c.pageNeeds {
-		l := c.geo.LineOf(p)
+	start := len(out)
+	companion := func(l layout.LineID) bool {
 		if l == line {
-			continue
-		}
-		if _, resident := c.lines[l]; !resident {
-			continue // a cold line will fetch whole on its own fault
+			return false
 		}
 		if _, inflight := c.pending[l]; inflight {
-			continue // let the prefetch land; merging would double-fetch
+			return false // let the prefetch land; merging would double-fetch
 		}
-		if c.geo.HomeOf(c.geo.FirstPage(l)) != home {
-			continue
+		return c.geo.HomeOf(c.geo.FirstPage(l)) == home
+	}
+	if len(c.lines)*c.geo.LinePages < len(c.pageNeeds) {
+		for l := range c.lines {
+			if !companion(l) {
+				continue
+			}
+			first := c.geo.FirstPage(l)
+			for i := range c.geo.LinePages {
+				if p := first + layout.PageID(i); len(c.pageNeeds[p].tags) > 0 {
+					out = append(out, p)
+				}
+			}
 		}
-		out = append(out, p)
+	} else {
+		for p := range c.pageNeeds {
+			// A page of a line not held waits for that line's own fault.
+			l := c.geo.LineOf(p)
+			if _, resident := c.lines[l]; resident && companion(l) {
+				out = append(out, p)
+			}
+		}
 	}
 	// Deterministic choice when the candidate set is capped.
-	slices.Sort(out)
-	if len(out) > maxCombinePages {
-		out = out[:maxCombinePages]
-	}
-	return out
+	slices.Sort(out[start:])
+	return out[:start+min(len(out)-start, maxCombinePages)]
 }
 
 // install merges a fetched line's frame with resident state: locally
 // dirty pages keep their contents (the multiple-writer protocol — our
 // unflushed writes must survive), everything else takes the fetched
-// bytes and becomes valid. The frame is the cache's (see Backend): a new
-// entry adopts it as its storage, and a resident line copies out of it
-// and hands it back.
-func (c *Cache) install(line layout.LineID, frame []byte) *lineEntry {
+// bytes and becomes valid. A whole-line fetch finds the line resident
+// only when a lock grant's extents made it so while its prefetch was in
+// flight (InstallGrantExtents): the grant's bytes, and the records
+// patched in or stored since, are newer than the fetch's, so a valid
+// page takes the fetched bytes only over its stale ranges. The frame is
+// the cache's (see Backend): a new entry adopts it as its storage, and a
+// resident line copies out of it and hands it back.
+func (c *Cache) install(line layout.LineID, frame []byte) {
 	le, resident := c.lines[line]
 	if !resident {
 		c.evictIfFull()
 		// The modelled copy is still charged below.
 		le = c.newEntry(line, frame)
+		c.noteFill(le)
 	} else {
 		for i := range le.pages {
-			if le.pages[i].dirty {
-				continue
-			}
+			ps := &le.pages[i]
 			off := i * c.geo.PageSize
-			copy(le.data[off:off+c.geo.PageSize], frame[off:off+c.geo.PageSize])
+			switch {
+			case ps.dirty:
+			case ps.valid:
+				for _, r := range ps.stale {
+					copy(le.data[off+r.lo:off+r.hi], frame[off+r.lo:off+r.hi])
+				}
+			default:
+				copy(le.data[off:off+c.geo.PageSize], frame[off:off+c.geo.PageSize])
+			}
 		}
 		proto.PutBuf(frame)
 	}
@@ -1091,7 +1160,6 @@ func (c *Cache) install(line layout.LineID, frame []byte) *lineEntry {
 		c.place(le)
 	}
 	le.epoch = c.snapEpoch
-	return le
 }
 
 // installPage installs one fetched page into its resident line, making
@@ -1115,19 +1183,12 @@ func (c *Cache) installPage(p layout.PageID, data []byte) {
 	le.epoch = c.snapEpoch
 }
 
-// needsFor collects the outstanding interval tags for each page of a
+// appendNeeds appends the outstanding interval tags of each page of a
 // line.
-func (c *Cache) needsFor(line layout.LineID) []proto.PageNeed {
-	var needs []proto.PageNeed
+func (c *Cache) appendNeeds(needs []proto.PageNeed, line layout.LineID) []proto.PageNeed {
 	first := c.geo.FirstPage(line)
 	for i := 0; i < c.geo.LinePages; i++ {
-		p := first + layout.PageID(i)
-		tags := c.pageNeeds[p].tags
-		if len(tags) == 0 {
-			continue
-		}
-		pn := proto.PageNeed{Page: uint64(p), Tags: slices.Clone(tags)}
-		needs = append(needs, pn)
+		needs = c.appendNeed(needs, first+layout.PageID(i))
 	}
 	return needs
 }
@@ -1141,14 +1202,14 @@ func cmpTag(a, b proto.IntervalTag) int {
 	return cmp.Compare(a.Interval, b.Interval)
 }
 
-// needFor collects the outstanding interval tags of a single page (nil
-// if the page has none).
-func (c *Cache) needFor(p layout.PageID) []proto.PageNeed {
+// appendNeed appends the outstanding interval tags of a single page, if
+// it has any.
+func (c *Cache) appendNeed(needs []proto.PageNeed, p layout.PageID) []proto.PageNeed {
 	tags := c.pageNeeds[p].tags
 	if len(tags) == 0 {
-		return nil
+		return needs
 	}
-	return []proto.PageNeed{{Page: uint64(p), Tags: slices.Clone(tags)}}
+	return append(needs, proto.PageNeed{Page: uint64(p), Tags: slices.Clone(tags)})
 }
 
 // needsSnapshot copies the needs of line's pages for a prefetch about
@@ -1169,8 +1230,19 @@ func (c *Cache) needsSnapshot(line layout.LineID) map[layout.PageID][]proto.Inte
 }
 
 // prefetchStale reports whether any page of the line accumulated needs
-// after the prefetch was issued.
+// after the prefetch was issued, or this thread wrote one that is not
+// valid any more: the line was not resident when the prefetch was
+// issued, so a resident line was made so since, by a lock grant's
+// extents (InstallGrantExtents), and the fetch's copy of a page this
+// thread then wrote lacks the write.
 func (c *Cache) prefetchStale(line layout.LineID, pe *prefetchEntry) bool {
+	if le, granted := c.lines[line]; granted {
+		for i := range le.pages {
+			if ps := &le.pages[i]; !ps.valid && ps.own.interval != 0 {
+				return true
+			}
+		}
+	}
 	first := c.geo.FirstPage(line)
 	for i := 0; i < c.geo.LinePages; i++ {
 		p := first + layout.PageID(i)
@@ -1191,7 +1263,14 @@ func (c *Cache) prefetchStale(line layout.LineID, pe *prefetchEntry) bool {
 // hands its frame back to the pool: the diffs are copies, so nothing
 // refers to the frame any more. The entry is kept for the next install.
 func (c *Cache) evict(le *lineEntry) {
+	if _, inflight := c.pending[le.id]; inflight {
+		// A lock grant made the line resident while its prefetch was in
+		// flight (InstallGrantExtents), and what this thread wrote on it
+		// since is not in the prefetch: no fault may install it now.
+		c.discardPrefetch(le.id, outcomeWasted)
+	}
 	c.st.Evictions++
+	c.observe(le)
 	diffs := c.diffDirtyPages(le, true)
 	if len(diffs) > 0 {
 		c.st.DirtyEvicts++

@@ -15,7 +15,7 @@ import (
 
 // fakeBackend is an in-memory home: it serves zero-filled lines overlaid
 // with whatever diffs have been flushed to it, and records the calls the
-// cache makes.
+// cache makes (copies of its lists: they are the cache's scratch).
 type fakeBackend struct {
 	geo layout.Geometry
 
@@ -63,14 +63,14 @@ func (f *fakeBackend) lineData(line layout.LineID) []byte {
 
 func (f *fakeBackend) FetchLine(line layout.LineID, needs []proto.PageNeed, at vtime.Time) ([]byte, vtime.Time, error) {
 	f.fetchCalls = append(f.fetchCalls, line)
-	f.fetchNeeds = append(f.fetchNeeds, needs)
+	f.fetchNeeds = append(f.fetchNeeds, append([]proto.PageNeed(nil), needs...))
 	return f.lineData(line), at + f.fetchCost, nil
 }
 
 func (f *fakeBackend) FetchLines(lines []layout.LineID, pages []layout.PageID, needs []proto.PageNeed, at vtime.Time) ([]byte, vtime.Time, error) {
 	f.combinedCalls = append(f.combinedCalls, append([]layout.LineID(nil), lines...))
 	f.combinedPages = append(f.combinedPages, append([]layout.PageID(nil), pages...))
-	f.fetchNeeds = append(f.fetchNeeds, needs)
+	f.fetchNeeds = append(f.fetchNeeds, append([]proto.PageNeed(nil), needs...))
 	data := make([]byte, 0, len(lines)*f.geo.LineSize()+len(pages)*f.geo.PageSize)
 	for _, line := range lines {
 		data = append(data, f.lineData(line)...)
@@ -569,8 +569,12 @@ func TestDiffPageReconstructionProperty(t *testing.T) {
 // reads one word from each of up to 16 lines in a row: sweeps over more
 // lines than the cache holds turn its eviction order to bimodal
 // insertion, and reads alternating between two lines turn it back, so
-// traces run through both orders. The committed corpus holds random
-// traces and sweep-heavy ones that switch both ways.
+// traces run through both orders. A sweep touches one page of each
+// line, so it also turns the cache to page fills, and reads of both
+// pages of a run of lines turn it back to whole lines. The committed
+// corpus holds random traces, sweep-heavy ones that switch the order
+// both ways, and grain ones that alternate sweeps with dense runs and
+// switch the fill grain both ways.
 func FuzzCacheMatchesFlatMemory(f *testing.F) {
 	geo := layout.Geometry{PageSize: 256, LinePages: 2, NumServers: 1, Striped: true}
 	const (

@@ -106,6 +106,8 @@ type Thread struct {
 	PrefetchUnused  int64 // prefetches still pending when the thread retired
 	CombinedFetches int64 // demand faults served by a multi-line combined fetch
 	CombinedLines   int64 // companion lines revalidated by combined fetches
+	PageFills       int64 // misses on absent lines that fetched only the pages the access covered
+	SectorFills     int64 // misses that fetched the rest of a page-filled line
 	Evictions       int64 // lines evicted to make room
 	DirtyEvicts     int64 // evictions that had to flush a diff first
 	Twins           int64 // twin pages created (first write in an interval)
@@ -163,6 +165,16 @@ func (t *Thread) TotalTime() vtime.Time { return t.ComputeTime + t.SyncTime }
 func (t *Thread) CheckPrefetch() error {
 	if n := t.PrefetchHits + t.PrefetchLate + t.PrefetchWasted + t.PrefetchUnused; n != t.PrefetchIssued {
 		return fmt.Errorf("stats: thread %d: %d prefetches hit, late, wasted or unused, %d issued", t.ID, n, t.PrefetchIssued)
+	}
+	return nil
+}
+
+// CheckFills reports a record with more sector fills than page fills:
+// a sector fill fetches the rest of a line a page fill brought in, at
+// most once per page fill.
+func (t *Thread) CheckFills() error {
+	if t.SectorFills > t.PageFills {
+		return fmt.Errorf("stats: thread %d: %d sector fills, %d page fills", t.ID, t.SectorFills, t.PageFills)
 	}
 	return nil
 }
@@ -240,6 +252,8 @@ func (r *Run) Totals() Thread {
 		sum.PrefetchUnused += t.PrefetchUnused
 		sum.CombinedFetches += t.CombinedFetches
 		sum.CombinedLines += t.CombinedLines
+		sum.PageFills += t.PageFills
+		sum.SectorFills += t.SectorFills
 		sum.Evictions += t.Evictions
 		sum.DirtyEvicts += t.DirtyEvicts
 		sum.Twins += t.Twins
@@ -274,8 +288,8 @@ func (r *Run) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "threads=%d compute(max)=%v sync(max)=%v total(max)=%v\n",
 		len(r.Threads), r.MaxComputeTime(), r.MaxSyncTime(), r.MaxTotalTime())
-	fmt.Fprintf(&b, "cache: hits=%d misses=%d prefetchHits=%d prefetchLate=%d evictions=%d (dirty=%d) twins=%d\n",
-		tot.Hits, tot.Misses, tot.PrefetchHits, tot.PrefetchLate, tot.Evictions, tot.DirtyEvicts, tot.Twins)
+	fmt.Fprintf(&b, "cache: hits=%d misses=%d prefetchHits=%d prefetchLate=%d evictions=%d (dirty=%d) twins=%d pageFills=%d sectorFills=%d\n",
+		tot.Hits, tot.Misses, tot.PrefetchHits, tot.PrefetchLate, tot.Evictions, tot.DirtyEvicts, tot.Twins, tot.PageFills, tot.SectorFills)
 	fmt.Fprintf(&b, "consistency: diffs=%d (%d B eager) owned=%d records=%d (%d B) invalidations=%d (flushed=%d) updates=%d notices=%d\n",
 		tot.DiffsCreated, tot.DiffBytes, tot.OwnedClaims, tot.RecordsLogged, tot.RecordBytes,
 		tot.Invalidations, tot.InvalFlushes, tot.UpdatesApplied, tot.NoticesReceived)
