@@ -149,6 +149,7 @@ func main() {
 				fills.Misses += tot.Misses
 				fills.PageFills += tot.PageFills
 				fills.SectorFills += tot.SectorFills
+				fills.SkippedPages += tot.SkippedPages
 			}
 		}
 		if nst := rt.NetStats(); nst != nil {
@@ -180,7 +181,7 @@ func main() {
 		fmt.Printf("manager replication: %d leader failovers, %d elections\n", mgrFailovers, mgrElections)
 	}
 	if !*kvMode && !*forkMode {
-		fmt.Printf("cache fills: %d misses, %d page fills, %d sector fills\n", fills.Misses, fills.PageFills, fills.SectorFills)
+		fmt.Printf("cache fills: %d misses, %d page fills, %d sector fills, %d pages skipped\n", fills.Misses, fills.PageFills, fills.SectorFills, fills.SkippedPages)
 	}
 	fmt.Printf("\n%d/%d passed in %v\n", len(seeds)-failures, len(seeds), time.Since(start).Round(time.Millisecond))
 	if failures > 0 {

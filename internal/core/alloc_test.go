@@ -51,8 +51,11 @@ func costPerEpisode(t *testing.T, cfg Config, n int, body func(rt *Runtime) func
 // 16 KiB line and the body it came in before either was pooled.) A
 // sweep that reads one word of every page of each line fills whole
 // lines; one that reads one word per line turns its cache to page fills,
-// whose frames and replies are pooled the same way.
+// whose frames and replies are pooled the same way, and whose combined
+// request the home decodes into lists it keeps: a page fill costs at
+// most half an object more than a whole line.
 func TestFetchAndEvictAllocateNoLine(t *testing.T) {
+	var lineObjects float64
 	for _, sweep := range []struct {
 		name      string
 		pages     int // pages of each line read
@@ -90,6 +93,11 @@ func TestFetchAndEvictAllocateNoLine(t *testing.T) {
 		t.Logf("%s, per fetch: %.1f heap objects, %.0f bytes", sweep.name, objects, bytes)
 		if bytes >= 1024 {
 			t.Errorf("%s: a fetch that evicts allocates %.0f bytes, want under 1 KiB", sweep.name, bytes)
+		}
+		if !sweep.pageFills {
+			lineObjects = objects
+		} else if objects > lineObjects+0.5 {
+			t.Errorf("a page fill allocates %.1f heap objects, a whole line %.1f: want at most half an object more", objects, lineObjects)
 		}
 	}
 }

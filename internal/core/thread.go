@@ -1258,7 +1258,7 @@ func (b *threadBackend) FetchLine(line layout.LineID, needs []proto.PageNeed, at
 	}
 	if tr := t.rt.cfg.Trace; tr != nil {
 		tr.Span(t.actor, trace.CatFetch, fmt.Sprintf("fetch line %d", line), at, doneAt,
-			map[string]any{"home": home, "needs": len(needs), "grain": t.cache.Filling()})
+			map[string]any{"home": home, "needs": len(needs), "grain": t.cache.Filling(), "skipped": t.cache.Skipped()})
 	}
 	t.st.MsgsSent++
 	t.markTenureCold([]layout.LineID{line}, nil)
@@ -1314,7 +1314,7 @@ func (b *threadBackend) FetchLines(lines []layout.LineID, pages []layout.PageID,
 	if tr := t.rt.cfg.Trace; tr != nil {
 		tr.Span(t.actor, trace.CatFetch,
 			fmt.Sprintf("fetch %d lines + %d pages", len(lines), len(pages)), at, doneAt,
-			map[string]any{"home": home, "needs": len(needs), "grain": t.cache.Filling()})
+			map[string]any{"home": home, "needs": len(needs), "grain": t.cache.Filling(), "skipped": t.cache.Skipped()})
 	}
 	t.st.MsgsSent++
 	t.markTenureCold(lines, pages)

@@ -146,7 +146,8 @@ type Server struct {
 	// lineReq and linesReq are what fetch decodes a request into: a
 	// message handed to Decode escapes, so a local one is a heap object
 	// per fetch. Nothing keeps them past fetch; the shares copy what
-	// they need.
+	// they need, so linesReq's Lines and Pages keep their arrays from
+	// request to request. Its Needs do not: a parked fetch keeps them.
 	lineReq  proto.FetchLineReq
 	linesReq proto.FetchLinesReq
 
@@ -541,7 +542,7 @@ func (s *Server) fetch(c *scl.Request) {
 		lines, needs = []uint64{m.Line}, m.Needs
 	} else {
 		m := &s.linesReq
-		*m = proto.FetchLinesReq{}
+		*m = proto.FetchLinesReq{Lines: m.Lines[:0], Pages: m.Pages[:0]}
 		if err = proto.Decode(m, c.Body()); err == nil && len(m.Lines)+len(m.Pages) == 0 {
 			err = fmt.Errorf("memserver %d: empty combined fetch", s.index)
 		}

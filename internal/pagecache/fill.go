@@ -28,6 +28,17 @@ import (
 // page of it in one request (a sector fill). A dense pattern pays that
 // one extra round trip per line until its observations move the window
 // back to whole lines. A one-page line never engages.
+//
+// A miss on a line the cache holds (a coherence miss: notices left some
+// of its pages invalid) chooses its grain from the same mask. It fetches
+// the invalid pages the access covers and those demand accesses touched
+// since the line became resident, and leaves invalid, with their needs,
+// the pages the line held valid in that time that no access touched:
+// the thread did not use them before, so it is not refetching them for
+// itself (unusedPages). The first access that touches one fetches it. A
+// page the line never held, such as the rest of a line a lock grant's
+// extents made resident, is fetched, and so is every page of a sector
+// fill.
 const fillWindow = 8
 
 // grainWindow is the fill-granularity state (see fillWindow).
@@ -55,6 +66,21 @@ type pendingFill struct {
 // (the pages a page fill left) or "pages" (invalidated pages of lines
 // the cache holds).
 func (c *Cache) Filling() string { return c.filling }
+
+// Skipped is how many invalid pages of the faulting line the demand
+// fetch in progress leaves for a later touch (see unusedPages).
+func (c *Cache) Skipped() int { return c.skipped }
+
+// unusedPages is the mask of resident line le's pages that a fault for
+// an access to pages p through last leaves invalid: the pages the line
+// has held since it became resident that no demand access touched, less
+// those the access covers.
+func (c *Cache) unusedPages(le *lineEntry, p, last layout.PageID) uint64 {
+	first := c.geo.FirstPage(le.id)
+	last = min(last, first+layout.PageID(c.geo.LinePages-1))
+	covered := (uint64(2)<<(last-first) - 1) &^ (uint64(1)<<(p-first) - 1)
+	return le.held &^ le.touched &^ covered
+}
 
 // sparse reports whether a miss on a line the cache does not hold fills
 // only the pages the access covers: the window is full and averages at

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/layout"
+	"repro/internal/proto"
 	"repro/internal/stats"
 )
 
@@ -231,5 +232,66 @@ func TestSameTraceSameFills(t *testing.T) {
 	}
 	if !slices.Equal(be1.fetchCalls, be2.fetchCalls) || !reflect.DeepEqual(be1.combinedPages, be2.combinedPages) || *st1 != *st2 {
 		t.Fatalf("one trace, two caches, different fills:\n%+v\n%+v", *st1, *st2)
+	}
+}
+
+// A coherence miss on a line the cache holds fetches the invalid pages
+// the access covers and those the thread touched since the line became
+// resident. A page the line held that no access touched stays invalid,
+// needs and all, until the first access to it fetches it. A page the
+// line never held is fetched: a lock grant's extents made one page of
+// the line resident, and the rest were never there to go unused.
+func TestRevalidationFetchesWhatTheThreadUsed(t *testing.T) {
+	line := layout.LineID(1)
+	p := fillGeo.FirstPage(line)
+	tag := proto.IntervalTag{Writer: 2, Interval: 1}
+	type step struct {
+		read layout.PageID
+		want []layout.PageID
+	}
+	for _, tc := range []struct {
+		name    string
+		setup   func(t *testing.T, c *Cache)
+		steps   []step
+		skipped int64
+	}{
+		{"a touched page is fetched", func(t *testing.T, c *Cache) {
+			mustRead(t, c, pageAddr(fillGeo, p, 0))
+			mustRead(t, c, pageAddr(fillGeo, p+2, 0))
+		}, []step{{p, []layout.PageID{p, p + 2}}}, 2},
+		{"a held page no access touched is skipped", func(t *testing.T, c *Cache) {
+			mustRead(t, c, pageAddr(fillGeo, p, 0))
+		}, []step{
+			{p + 3, []layout.PageID{p, p + 3}},
+			{p + 1, []layout.PageID{p + 1}},
+			{p + 2, []layout.PageID{p + 2}},
+		}, 2 + 1},
+		{"a line a grant made fetches every page", func(t *testing.T, c *Cache) {
+			if !c.InstallGrantExtents(p+1, wholePage(fillGeo, p+1, 7), 0) {
+				t.Fatal("grant refused")
+			}
+		}, []step{{p + 1, []layout.PageID{p, p + 1, p + 2, p + 3}}}, 0},
+	} {
+		c, be, st := newFillCache(t, fillGeo, 4)
+		tc.setup(t, c)
+		if err := c.ApplyNotices([]proto.Notice{{Seq: 1, Tag: tag, Pages: []uint64{uint64(p), uint64(p + 1), uint64(p + 2), uint64(p + 3)}}}); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range tc.steps {
+			fetches := len(be.combinedCalls)
+			mustRead(t, c, pageAddr(fillGeo, s.read, 1))
+			if len(be.combinedCalls) != fetches+1 || len(be.combinedCalls[fetches]) != 0 || !slices.Equal(be.combinedPages[fetches], s.want) {
+				t.Fatalf("%s: a read of page %d fetched %d lists %v, want the pages %v", tc.name, s.read, len(be.combinedCalls)-fetches, be.combinedPages[fetches:], s.want)
+			}
+			needs := be.fetchNeeds[len(be.fetchNeeds)-1]
+			for i, n := range needs {
+				if len(needs) != len(s.want) || n.Page != uint64(s.want[i]) || !slices.Equal(n.Tags, []proto.IntervalTag{tag}) {
+					t.Fatalf("%s: the fetch of pages %v quotes %+v", tc.name, s.want, needs)
+				}
+			}
+		}
+		if st.SkippedPages != tc.skipped {
+			t.Fatalf("%s: %d pages skipped, want %d", tc.name, st.SkippedPages, tc.skipped)
+		}
 	}
 }

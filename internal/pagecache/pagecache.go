@@ -310,10 +310,12 @@ type lineEntry struct {
 	// reads never come from pre-snapshot residency).
 	epoch uint64
 	// touched is the mask of pages demand accesses touched since the
-	// line was filled, fill the number of that fill while it awaits
-	// observation (0 once observed), and partial marks a page fill whose
-	// remaining pages no sector fill has fetched yet (see fillWindow).
+	// line was filled, held the mask of pages it has held valid since,
+	// fill the number of that fill while it awaits observation (0 once
+	// observed), and partial marks a page fill whose remaining pages no
+	// sector fill has fetched yet (see fillWindow and unusedPages).
 	touched uint64
+	held    uint64
 	fill    uint64
 	partial bool
 }
@@ -444,9 +446,11 @@ type Cache struct {
 	needList []proto.PageNeed
 
 	// The fill-granularity window (see fillWindow), and the grain of the
-	// demand fetch in progress.
+	// demand fetch in progress and how many invalid pages it left for a
+	// later touch (see unusedPages).
 	grain   grainWindow
 	filling string
+	skipped int
 
 	// lineScratch and pageScratch are BeginRelease's sorted dirty-line and
 	// early-flushed-page lists, reused from release to release.
@@ -816,7 +820,8 @@ func (c *Cache) demoteStale(p layout.PageID, le *lineEntry, ps *pageState) error
 // the fetch with other invalidated same-homed pages, and issues the
 // stride prefetch. A resident line's invalid pages are fetched at page
 // granularity — an acquire-driven invalidation of one 4 KiB page must
-// not move a whole multi-page line again. A line the cache does not hold
+// not move a whole multi-page line again — but for those it held that
+// the thread never touched (unusedPages). A line the cache does not hold
 // is fetched whole, or, while the thread uses its lines sparsely, as
 // the pages p through last of it that the access covers (see
 // fillWindow).
@@ -835,7 +840,7 @@ func (c *Cache) fault(line layout.LineID, p, last layout.PageID) (*lineEntry, er
 		pages     = c.pageList[:0]
 		pageFill  bool
 	)
-	c.filling = "line"
+	c.filling, c.skipped = "line", 0
 	if pe, ok := c.pending[line]; ok {
 		pe.h.beginWait() // park only if the helper has not delivered yet
 		res := <-pe.ch
@@ -865,13 +870,16 @@ func (c *Cache) fault(line layout.LineID, p, last layout.PageID) (*lineEntry, er
 		fullLines = c.faultLine(line)
 	} else {
 		if le, resident := c.lines[line]; resident {
-			pages = c.appendInvalidPages(pages, le)
 			c.filling = "pages"
+			var skip uint64
 			if le.partial {
 				le.partial = false
 				c.filling = "sector"
 				c.st.SectorFills++
+			} else {
+				skip = c.unusedPages(le, p, last)
 			}
+			pages = c.appendInvalidPages(pages, le, skip)
 		} else if c.sparse() {
 			pages = c.coveredPages(pages, line, p, last)
 			pageFill = true
@@ -1054,11 +1062,17 @@ func (c *Cache) noteMiss(line layout.LineID) int64 {
 const maxCombinePages = 32
 
 // appendInvalidPages appends the invalid pages of resident line le, in
-// page order.
-func (c *Cache) appendInvalidPages(out []layout.PageID, le *lineEntry) []layout.PageID {
+// page order, but for those in the mask skip, which it counts as left
+// invalid.
+func (c *Cache) appendInvalidPages(out []layout.PageID, le *lineEntry, skip uint64) []layout.PageID {
 	first := c.geo.FirstPage(le.id)
 	for i := range le.pages {
-		if !le.pages[i].valid {
+		switch {
+		case le.pages[i].valid:
+		case skip>>i&1 != 0:
+			c.skipped++
+			c.st.SkippedPages++
+		default:
 			out = append(out, first+layout.PageID(i))
 		}
 	}
@@ -1115,9 +1129,11 @@ func (c *Cache) appendCompanions(out []layout.PageID, line layout.LineID) []layo
 // only when a lock grant's extents made it so while its prefetch was in
 // flight (InstallGrantExtents): the grant's bytes, and the records
 // patched in or stored since, are newer than the fetch's, so a valid
-// page takes the fetched bytes only over its stale ranges. The frame is
-// the cache's (see Backend): a new entry adopts it as its storage, and a
-// resident line copies out of it and hands it back.
+// page takes the fetched bytes only over its stale ranges. A page that
+// takes them whole gets this thread's unreleased store records back on
+// top (reapplyRecords). The frame is the cache's (see Backend): a new
+// entry adopts it as its storage, and a resident line copies out of it
+// and hands it back.
 func (c *Cache) install(line layout.LineID, frame []byte) {
 	le, resident := c.lines[line]
 	if !resident {
@@ -1143,13 +1159,18 @@ func (c *Cache) install(line layout.LineID, frame []byte) {
 	}
 	first := c.geo.FirstPage(line)
 	for i := range le.pages {
-		le.pages[i].valid = true
-		if !le.pages[i].dirty {
+		ps := &le.pages[i]
+		if !ps.valid && !ps.dirty {
+			c.reapplyRecords(le, first+layout.PageID(i))
+		}
+		ps.valid = true
+		le.held |= 1 << i
+		if !ps.dirty {
 			// Fetched bytes are fresh: any partial staleness is cured.
 			// (A dirty page kept its local contents above, so its stale
 			// ranges — if any — stay in force, and so do the interval
 			// tags a future refetch of it must quote.)
-			le.pages[i].stale = le.pages[i].stale[:0]
+			ps.stale = ps.stale[:0]
 			c.clearNeeds(first + layout.PageID(i))
 		}
 	}
@@ -1165,8 +1186,9 @@ func (c *Cache) install(line layout.LineID, frame []byte) {
 // installPage installs one fetched page into its resident line, making
 // it valid. Requested pages are always invalid and therefore clean
 // (invalidation flushes dirty bytes first), so the fetched bytes land
-// unconditionally. If the line is no longer resident the bytes are
-// dropped: the page keeps its needs and refaults later.
+// unconditionally, with this thread's unreleased store records on top.
+// If the line is no longer resident the bytes are dropped: the page
+// keeps its needs and refaults later.
 func (c *Cache) installPage(p layout.PageID, data []byte) {
 	le, ok := c.lines[c.geo.LineOf(p)]
 	if !ok {
@@ -1174,13 +1196,31 @@ func (c *Cache) installPage(p layout.PageID, data []byte) {
 	}
 	base := c.pageBaseInLine(p)
 	copy(le.data[base:base+c.geo.PageSize], data)
-	ps := &le.pages[c.pageIndex(p)]
+	c.reapplyRecords(le, p)
+	idx := c.pageIndex(p)
+	ps := &le.pages[idx]
 	ps.valid = true
+	le.held |= 1 << idx
 	ps.stale = ps.stale[:0]
 	c.clearNeeds(p)
 	c.clock.Advance(c.cfg.CPU.CopyTime(c.geo.PageSize))
 	c.touch(le)
 	le.epoch = c.snapEpoch
+}
+
+// reapplyRecords writes this thread's unreleased store records on page
+// p over the bytes a fetch just installed there in le, in log order:
+// records travel home only with a release, so the home's copy lacks
+// them, and without them the thread would read back older bytes than it
+// stored (its line was evicted, or a notice invalidated the page, inside
+// the critical section).
+func (c *Cache) reapplyRecords(le *lineEntry, p layout.PageID) {
+	for _, rec := range c.records {
+		if addr := layout.Addr(rec.Addr); c.geo.PageOf(addr) == p {
+			copy(le.data[c.pageBaseInLine(p)+c.geo.PageOffset(addr):], rec.Data)
+			c.clock.Advance(c.cfg.CPU.ApplyTime(len(rec.Data)))
+		}
+	}
 }
 
 // appendNeeds appends the outstanding interval tags of each page of a
@@ -1969,7 +2009,8 @@ func (c *Cache) InstallGrantExtents(p layout.PageID, exts []proto.PagePayload, h
 		c.evictIfFull()
 		le = c.newEntry(line, c.newFrame()) // the other pages stay invalid
 	}
-	ps := &le.pages[c.pageIndex(p)]
+	idx := c.pageIndex(p)
+	ps := &le.pages[idx]
 	if ps.valid || ps.own.after(horizon) {
 		return false
 	}
@@ -1979,6 +2020,7 @@ func (c *Cache) InstallGrantExtents(p layout.PageID, exts []proto.PagePayload, h
 		n += copy(le.data[base+int(e.Off):], e.Data)
 	}
 	ps.valid = true
+	le.held |= 1 << idx
 	ps.stale = ps.stale[:0]
 	lo := 0
 	for _, r := range covered {

@@ -310,6 +310,48 @@ func TestRegionWritesLogRecordsNotDiffs(t *testing.T) {
 	}
 }
 
+// A thread reads back its own consistency-region store after the store's
+// line left the cache before the release: the home's copy lacks the
+// record (records travel only with a release), so the refetch must put
+// it back on top. The second case loses the page to a peer's notice
+// instead of an eviction.
+func TestRefetchKeepsUnreleasedRecords(t *testing.T) {
+	geo := layout.DefaultGeometry()
+	nines := bytes.Repeat([]byte{9}, 8)
+	for _, tc := range []struct {
+		name string
+		lose func(c *Cache) error
+	}{
+		{"evicted", func(c *Cache) error {
+			return c.Read(layout.Addr(geo.LineSize()), make([]byte, 1))
+		}},
+		{"invalidated", func(c *Cache) error {
+			return c.ApplyNotices([]proto.Notice{{Seq: 1, Tag: proto.IntervalTag{Writer: 2, Interval: 1}, Pages: []uint64{0}}})
+		}},
+	} {
+		be := newFakeBackend(geo)
+		be.noPrefetch = true
+		c, _, _ := newCache(t, geo, be, func(cfg *Config) { cfg.CapacityLines = 1 })
+		if err := c.Write(64, nines, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.lose(c); err != nil {
+			t.Fatal(err)
+		}
+		be.page(0)[0] = 5 // a peer's store elsewhere on the page
+		got := make([]byte, 8)
+		if err := c.Read(64, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, nines) || c.PendingRecords() != 1 {
+			t.Fatalf("%s: read back %v of the thread's own store, %d records pending", tc.name, got, c.PendingRecords())
+		}
+		if err := c.Read(0, got[:1]); err != nil || got[0] != 5 {
+			t.Fatalf("%s: the refetch lost the home's bytes: %v, %v", tc.name, got[0], err)
+		}
+	}
+}
+
 func TestApplyNoticesInvalidatesAndRefetches(t *testing.T) {
 	geo := layout.DefaultGeometry()
 	be := newFakeBackend(geo)
@@ -563,9 +605,13 @@ func TestDiffPageReconstructionProperty(t *testing.T) {
 	}
 }
 
-// A trace of reads, ordinary writes, sweeps and releases through a cache
-// of one to four lines behaves exactly like a flat byte array. Each op is
-// four bytes: a kind, a little-endian address and a length. A sweep
+// A trace of reads, ordinary writes, sweeps, releases and a peer's stores
+// through a cache of one to four lines behaves exactly like a flat byte
+// array. Each op is four bytes: a kind, a little-endian address and a
+// length. A peer's store follows a release of this thread's writes: the
+// bytes land at the home and a second writer's notice names their pages,
+// so the cache revalidates lines it holds, and leaves invalid the pages
+// of them it held but never touched until a read touches one. A sweep
 // reads one word from each of up to 16 lines in a row: sweeps over more
 // lines than the cache holds turn its eviction order to bimodal
 // insertion, and reads alternating between two lines turn it back, so
@@ -573,8 +619,9 @@ func TestDiffPageReconstructionProperty(t *testing.T) {
 // line, so it also turns the cache to page fills, and reads of both
 // pages of a run of lines turn it back to whole lines. The committed
 // corpus holds random traces, sweep-heavy ones that switch the order
-// both ways, and grain ones that alternate sweeps with dense runs and
-// switch the fill grain both ways.
+// both ways, grain ones that alternate sweeps with dense runs and switch
+// the fill grain both ways, and peer ones whose revalidations skip pages
+// that later reads fetch.
 func FuzzCacheMatchesFlatMemory(f *testing.F) {
 	geo := layout.Geometry{PageSize: 256, LinePages: 2, NumServers: 1, Striped: true}
 	const (
@@ -586,6 +633,23 @@ func FuzzCacheMatchesFlatMemory(f *testing.F) {
 		c := New(Config{Geo: geo, CPU: vtime.DefaultCPU, Writer: 1, PrefetchDepth: 1, CapacityLines: 1 + int(capacity%4)},
 			be, vtime.NewClock(0), &stats.Thread{})
 		model := make([]byte, span)
+		// release delivers a release's batches to the home as the
+		// runtime would, lazily owned diffs pulled at once.
+		release := func() {
+			rs := c.CollectRelease()
+			var diffs []proto.PageDiff
+			for _, b := range rs.ByHome {
+				diffs = append(diffs, b.Diffs...)
+				diffs = append(diffs, c.Owned().TakeMany(b.OwnedPages)...)
+			}
+			for _, d := range diffs {
+				pg := be.page(layout.PageID(d.Page))
+				for _, run := range d.Runs {
+					copy(pg[run.Off:], run.Data)
+				}
+			}
+		}
+		peer := proto.IntervalTag{Writer: 2}
 		read := func(addr, n int) {
 			t.Helper()
 			buf := make([]byte, n)
@@ -597,7 +661,7 @@ func FuzzCacheMatchesFlatMemory(f *testing.F) {
 			}
 		}
 		for op := 0; op < maxOps && len(trace) >= 4; op++ {
-			kind := trace[0] % 8
+			kind := trace[0] % 9
 			addr := int(binary.LittleEndian.Uint16(trace[1:])) % (span - 16)
 			n := 1 + int(trace[3]%16)
 			trace = trace[4:]
@@ -620,19 +684,21 @@ func FuzzCacheMatchesFlatMemory(f *testing.F) {
 					read((first+l)%lines*geo.LineSize(), 8)
 				}
 			case 7:
-				// A release, its batches delivered to the home as the
-				// runtime would, lazily owned diffs pulled at once.
-				rs := c.CollectRelease()
-				var diffs []proto.PageDiff
-				for _, b := range rs.ByHome {
-					diffs = append(diffs, b.Diffs...)
-					diffs = append(diffs, c.Owned().TakeMany(b.OwnedPages)...)
-				}
-				for _, d := range diffs {
-					pg := be.page(layout.PageID(d.Page))
-					for _, run := range d.Runs {
-						copy(pg[run.Off:], run.Data)
+				release()
+			case 8:
+				release()
+				var pages []uint64
+				for a := addr; a < addr+n; a++ {
+					p := geo.PageOf(layout.Addr(a))
+					model[a] = byte(op*5+a) | 0x80
+					be.page(p)[geo.PageOffset(layout.Addr(a))] = model[a]
+					if len(pages) == 0 || pages[len(pages)-1] != uint64(p) {
+						pages = append(pages, uint64(p))
 					}
+				}
+				peer.Interval++
+				if err := c.ApplyNotices([]proto.Notice{{Seq: peer.Interval, Tag: peer, Pages: pages}}); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}

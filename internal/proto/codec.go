@@ -96,7 +96,8 @@ func (c *Codec) I64(v *int64) {
 	}
 }
 
-// U64s walks a length-prefixed slice of uint64.
+// U64s walks a length-prefixed slice of uint64. A destination that
+// already has the capacity is filled in place, as Payload fills one.
 func (c *Codec) U64s(v *[]uint64) {
 	switch {
 	case !c.dec:
@@ -104,7 +105,7 @@ func (c *Codec) U64s(v *[]uint64) {
 	case c.skim || c.slab:
 		c.words(v)
 	default:
-		*v = c.r.U64s()
+		*v = c.r.U64s(*v)
 	}
 }
 

@@ -439,6 +439,34 @@ func TestListReusesCapacity(t *testing.T) {
 	}
 }
 
+// A word list decodes into the array its field already has, when that
+// holds it: the memory server keeps a combined fetch's line and page
+// lists from request to request.
+func TestU64sReuseCapacity(t *testing.T) {
+	long := Encode(&FetchLinesReq{Lines: []uint64{1, 2, 3}, Pages: []uint64{40, 41}})
+	short := Encode(&FetchLinesReq{Lines: []uint64{7}})
+	var m FetchLinesReq
+	if err := Decode(&m, long); err != nil {
+		t.Fatal(err)
+	}
+	lines, pages := &m.Lines[0], &m.Pages[0]
+	m = FetchLinesReq{Lines: m.Lines[:0], Pages: m.Pages[:0]}
+	if err := Decode(&m, short); err != nil {
+		t.Fatal(err)
+	}
+	if &m.Lines[0] != lines || len(m.Lines) != 1 || m.Lines[0] != 7 || len(m.Pages) != 0 || &m.Pages[:1][0] != pages {
+		t.Fatalf("a shorter request was not decoded into the last one's arrays: %+v", m)
+	}
+	if !raceEnabled {
+		if got := testing.AllocsPerRun(100, func() {
+			m = FetchLinesReq{Lines: m.Lines[:0], Pages: m.Pages[:0]}
+			_ = Decode(&m, long)
+		}); got != 0 {
+			t.Fatalf("decoding into kept lists allocates %v objects, want 0", got)
+		}
+	}
+}
+
 func walkTestMap(m *map[uint32]int64) func(*Codec) {
 	return func(c *Codec) { Map(c, m, (*Codec).U32, (*Codec).I64) }
 }

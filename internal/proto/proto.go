@@ -353,8 +353,9 @@ func (r *Reader) Bytes() []byte {
 	return p
 }
 
-// U64s reads a length-prefixed slice of uint64.
-func (r *Reader) U64s() []uint64 {
+// U64s reads a length-prefixed slice of uint64, into dst's array when
+// dst is not nil and has the capacity, else into a new one.
+func (r *Reader) U64s(dst []uint64) []uint64 {
 	n := r.U64()
 	if r.err != nil {
 		return nil
@@ -363,7 +364,10 @@ func (r *Reader) U64s() []uint64 {
 		r.fail()
 		return nil
 	}
-	out := make([]uint64, n)
+	if dst == nil || uint64(cap(dst)) < n {
+		dst = make([]uint64, n)
+	}
+	out := dst[:n]
 	for i := range out {
 		out[i] = r.U64()
 	}

@@ -149,7 +149,7 @@ func TestPrimitiveRoundTripProperty(t *testing.T) {
 		if !bytes.Equal(r.Bytes(), d) {
 			return false
 		}
-		got := r.U64s()
+		got := r.U64s(nil)
 		if len(got) != len(e) {
 			return false
 		}

@@ -108,6 +108,7 @@ type Thread struct {
 	CombinedLines   int64 // companion lines revalidated by combined fetches
 	PageFills       int64 // misses on absent lines that fetched only the pages the access covered
 	SectorFills     int64 // misses that fetched the rest of a page-filled line
+	SkippedPages    int64 // invalid pages of a resident line its fault left for a later touch
 	Evictions       int64 // lines evicted to make room
 	DirtyEvicts     int64 // evictions that had to flush a diff first
 	Twins           int64 // twin pages created (first write in an interval)
@@ -254,6 +255,7 @@ func (r *Run) Totals() Thread {
 		sum.CombinedLines += t.CombinedLines
 		sum.PageFills += t.PageFills
 		sum.SectorFills += t.SectorFills
+		sum.SkippedPages += t.SkippedPages
 		sum.Evictions += t.Evictions
 		sum.DirtyEvicts += t.DirtyEvicts
 		sum.Twins += t.Twins
@@ -288,8 +290,8 @@ func (r *Run) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "threads=%d compute(max)=%v sync(max)=%v total(max)=%v\n",
 		len(r.Threads), r.MaxComputeTime(), r.MaxSyncTime(), r.MaxTotalTime())
-	fmt.Fprintf(&b, "cache: hits=%d misses=%d prefetchHits=%d prefetchLate=%d evictions=%d (dirty=%d) twins=%d pageFills=%d sectorFills=%d\n",
-		tot.Hits, tot.Misses, tot.PrefetchHits, tot.PrefetchLate, tot.Evictions, tot.DirtyEvicts, tot.Twins, tot.PageFills, tot.SectorFills)
+	fmt.Fprintf(&b, "cache: hits=%d misses=%d prefetchHits=%d prefetchLate=%d evictions=%d (dirty=%d) twins=%d pageFills=%d sectorFills=%d skippedPages=%d\n",
+		tot.Hits, tot.Misses, tot.PrefetchHits, tot.PrefetchLate, tot.Evictions, tot.DirtyEvicts, tot.Twins, tot.PageFills, tot.SectorFills, tot.SkippedPages)
 	fmt.Fprintf(&b, "consistency: diffs=%d (%d B eager) owned=%d records=%d (%d B) invalidations=%d (flushed=%d) updates=%d notices=%d\n",
 		tot.DiffsCreated, tot.DiffBytes, tot.OwnedClaims, tot.RecordsLogged, tot.RecordBytes,
 		tot.Invalidations, tot.InvalFlushes, tot.UpdatesApplied, tot.NoticesReceived)
