@@ -11,18 +11,15 @@ import (
 // while the thread computes, it answers the homes' diff pulls and takes
 // the lock handoff's announcements and grants. Like the servers, run
 // hands step each request, step queues its answers in out, and run
-// flushes them. A grant for a parked waiter is no send: step leaves the
-// waiter in woken and the grant in grant, and run wakes it after the
-// flush.
+// flushes them. A grant is no send: step hands it to the thread through
+// the lock's grant box.
 type agent struct {
-	t     *Thread
-	out   scl.Outbox
-	woken chan grantMsg
-	grant grantMsg
+	t   *Thread
+	out scl.Outbox
 }
 
-// run is the shell around the agent's step: it receives, steps, flushes
-// and wakes until the endpoint closes.
+// run is the shell around the agent's step: it receives, steps and
+// flushes until the endpoint closes.
 func (a *agent) run() {
 	for {
 		req, ok := a.t.ep.Recv()
@@ -31,10 +28,6 @@ func (a *agent) run() {
 		}
 		a.step(&req)
 		a.out.Flush()
-		if a.woken != nil {
-			wake(a.t.rt, a.woken, a.grant)
-			a.woken, a.grant = nil, grantMsg{}
-		}
 	}
 }
 
@@ -79,16 +72,13 @@ func (a *agent) step(c *scl.Request) {
 	case proto.KLockGrant:
 		g := new(proto.LockGrant)
 		c.MustDecode(g)
-		gm := grantMsg{g: g, at: at}
 		t.ho.mu.Lock()
-		if ch, ok := t.ho.grantWait[g.Lock]; ok {
-			delete(t.ho.grantWait, g.Lock)
-			a.woken, a.grant = ch, gm
-		} else {
-			// The grant raced ahead of the waiter parking; stash it.
-			t.ho.grants[g.Lock] = gm
-		}
+		b := t.grantBox(g.Lock)
 		t.ho.mu.Unlock()
+		// The grant may race ahead of the waiter parking: the box keeps
+		// it, and credits the waiter only if it is parked already.
+		b.h.Done()
+		b.ch <- grantMsg{g: g, at: at}
 	default:
 		a.out.AnswerError(*c, proto.CodeGeneric, fmt.Errorf("core: agent got unexpected %v", c.Kind()), at)
 	}

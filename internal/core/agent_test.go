@@ -14,14 +14,22 @@ import (
 
 // agentOn builds a thread's cache and its agent with no fabric: a step's
 // only inputs are the request and the thread's state, and what it queues
-// waits in the agent's outbox.
+// waits in the agent's outbox. The thread's ledger is a tally.
 func agentOn() *agent {
-	rt := &Runtime{cfg: testConfig(), gate: simnet.NopGate()}
+	rt := &Runtime{cfg: testConfig(), gate: new(tallyGate)}
 	rt.cfg.fillDefaults()
 	th := &Thread{rt: rt, writer: 1, clock: vtime.NewClock(0)}
 	th.initCache()
 	return &agent{t: th}
 }
+
+// tallyGate counts the tokens issued and given up.
+type tallyGate struct{ resumed, paused int }
+
+func (g *tallyGate) Resume() { g.resumed++ }
+func (g *tallyGate) Pause()  { g.paused++ }
+
+var _ simnet.Gate = (*tallyGate)(nil)
 
 // agentCall is one request to the agent: m arriving at at (arrival plus
 // service), answerable unless oneWay.
@@ -72,7 +80,7 @@ func TestAgentStepTable(t *testing.T) {
 		name  string
 		setup func(a *agent)
 		calls []agentCall
-		want  []string // the answers sent and the waiters woken, after each step in turn
+		want  []string // the answers sent and the grants handed over, after each step in turn
 		check func(t *testing.T, a *agent)
 	}{
 		{
@@ -115,34 +123,34 @@ func TestAgentStepTable(t *testing.T) {
 			},
 		},
 		{
+			// The box keeps it, and no token floats: the waiter that comes
+			// later never parks.
 			name: "a grant that arrives before the park is stashed",
 			calls: []agentCall{
 				callOf(&proto.LockGrant{Lock: 9, Gen: 2, Seq: 4}, 900, true),
 			},
+			want: []string{"grant lock 9 gen 2 at 900, 0 tokens issued"},
 			check: func(t *testing.T, a *agent) {
-				gm, ok := a.t.ho.grants[9]
-				if !ok || gm.g.Gen != 2 || gm.at != 900 {
-					t.Errorf("stashed grant %+v (present %v), want gen 2 at 900", gm, ok)
+				if gm := a.t.awaitGrant(9); gm.g.Gen != 2 || gm.at != 900 {
+					t.Errorf("the waiter took %+v, want gen 2 at 900", gm)
+				}
+				if g := a.t.rt.gate.(*tallyGate); g.paused != 0 {
+					t.Errorf("the waiter gave up %d tokens for a grant it had", g.paused)
 				}
 			},
 		},
 		{
 			name: "a grant that arrives after the park wakes the waiter",
 			setup: func(a *agent) {
-				a.t.ho.grantWait[9] = make(chan grantMsg, 1)
+				a.t.ho.mu.Lock()
+				b := a.t.grantBox(9)
+				a.t.ho.mu.Unlock()
+				b.h.Park()
 			},
 			calls: []agentCall{
 				callOf(&proto.LockGrant{Lock: 9, Gen: 2, Seq: 4}, 900, true),
 			},
-			want: []string{"wake lock 9 gen 2 at 900"},
-			check: func(t *testing.T, a *agent) {
-				if _, ok := a.t.ho.grantWait[9]; ok {
-					t.Error("the woken waiter is still registered")
-				}
-				if _, ok := a.t.ho.grants[9]; ok {
-					t.Error("a grant with a waiter was stashed too")
-				}
-			},
+			want: []string{"grant lock 9 gen 2 at 900, 1 tokens issued"},
 		},
 		{
 			name: "an unexpected kind is answered with an error, or dropped if one-way",
@@ -164,9 +172,12 @@ func TestAgentStepTable(t *testing.T) {
 				req := c.request(answered)
 				a.step(&req)
 				a.out.Flush()
-				if a.woken != nil {
-					got = append(got, fmt.Sprintf("wake lock %d gen %d at %d", a.grant.g.Lock, a.grant.g.Gen, a.grant.at))
-					a.woken = nil
+				for lock, b := range a.t.ho.grants {
+					if len(b.ch) > 0 {
+						gm := <-b.ch
+						b.ch <- gm
+						got = append(got, fmt.Sprintf("grant lock %d gen %d at %d, %d tokens issued", lock, gm.g.Gen, gm.at, a.t.rt.gate.(*tallyGate).resumed))
+					}
 				}
 			}
 			if len(got) != len(tc.want) {

@@ -155,8 +155,8 @@ func TestBarrierAndCondWaitStartNoGoroutine(t *testing.T) {
 }
 
 // A replicated release allocates no more than it did when the unlock was
-// a blocking call: the release agent is one goroutine for the thread's
-// life, and the request it sends is copied into buffers it reuses. A
+// a blocking call: the call is started into an scl.Pending the thread
+// keeps, and the request it sends is copied into buffers it reuses. A
 // Lock/Unlock pair whose release carries a record, at three replicas,
 // allocated 38 objects everything counted (the requests, their bodies,
 // the replication round and the replies) when the thread waited for the

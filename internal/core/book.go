@@ -108,21 +108,36 @@ func (r *role) failover(failed scl.NodeID) (scl.NodeID, error) {
 	return 0, fmt.Errorf("core: no %s candidate after node %d is reachable", r.what, failed)
 }
 
-// call round-trips req from ep to r's holder. When the holder is gone it
-// fails r over and re-issues, at most r.reissues times; the holders'
-// dedup paths absorb a request the old holder already applied. If the
-// failover fails, the call's own error is returned.
+// call round-trips req from ep to r's holder, re-issuing it across
+// failovers.
 func (r *role) call(ep scl.Endpoint, req, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
-	for tries := 0; ; tries++ {
-		node := r.node()
-		doneAt, err := ep.Call(node, req, resp, at)
-		if err == nil || !r.gone(err) || tries >= r.reissues {
-			return doneAt, err
-		}
+	node := r.node()
+	doneAt, err := ep.Call(node, req, resp, at)
+	return r.reissue(ep, node, req, resp, at, doneAt, err)
+}
+
+// start sends req from ep to r's holder into p and returns the node it
+// went to; p.Wait and reissue finish the call as call does.
+func (r *role) start(ep scl.Endpoint, req proto.Msg, at vtime.Time, p *scl.Pending) scl.NodeID {
+	node := r.node()
+	ep.Start(node, req, at, p)
+	return node
+}
+
+// reissue follows up a call of req to node that ended in err: while the
+// holder is gone, at most r.reissues times, it fails r over and re-sends
+// req, stamped at as before; the holders' dedup paths absorb a request
+// the old holder already applied. If the failover fails, the call's own
+// error is returned.
+func (r *role) reissue(ep scl.Endpoint, node scl.NodeID, req, resp proto.Msg, at, doneAt vtime.Time, err error) (vtime.Time, error) {
+	for tries := 0; err != nil && r.gone(err) && tries < r.reissues; tries++ {
 		if _, ferr := r.failover(node); ferr != nil {
-			return doneAt, err
+			break
 		}
+		node = r.node()
+		doneAt, err = ep.Call(node, req, resp, at)
 	}
+	return doneAt, err
 }
 
 // send ships m from ep to r's holder: a round trip answered into resp,
@@ -132,8 +147,8 @@ func (r *role) call(ep scl.Endpoint, req, resp proto.Msg, at vtime.Time) (vtime.
 // holder applied m (a home: and forwarded it to its standby), so a lost
 // ack is recovered by re-sending to the promoted candidate, whose dedup
 // (absolute-byte diffs, per-writer intervals) makes that safe. A thread's
-// unlock to a replicated manager is that call too, made by its release
-// agent (releaser) instead.
+// unlock to a replicated manager is that call too, started apart
+// (release).
 func (r *role) send(ep scl.Endpoint, m, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
 	if resp == nil && len(r.cands) == 1 {
 		return ep.Post(r.node(), m, at)

@@ -47,9 +47,10 @@ func (p parsed) in(pos token.Pos) string { return p.where[pos-p.file.FileStart] 
 
 // The compute thread has one door (DESIGN.md §10). Its goroutines start
 // only in spawn (and the two heartbeat loops, which run only on
-// unsequenced fabrics), the sequencer's ledger is kept only by spawn,
-// park and the wake pair (plus New issuing the caller's token and Close
-// retiring it), the cache agent answers through scl's outbox, which only
+// unsequenced fabrics), the sequencer's ledger is kept only by spawn and
+// park (plus New issuing the caller's token and Close retiring it; an
+// answer handed between goroutines credits through simnet.Handoff), the
+// cache agent answers through scl's outbox, which only
 // its run flushes, and the thread's endpoint is used directly only by the
 // agent's receive, the peer-to-peer grant and retirement. Everything else
 // goes through the address book's roles.
@@ -59,7 +60,7 @@ func TestCoreHasOneDoor(t *testing.T) {
 		t.Fatal(err)
 	}
 	door := map[string][]string{
-		".gate.":   {"spawn", "park", "wake", "sleep", "New", "Close"},
+		".gate.":   {"spawn", "park", "New", "Close"},
 		".Reply":   nil,
 		".Flush()": {"run"},
 		".ep.":     {"run", "Unlock", "Run"},

@@ -131,8 +131,8 @@ func TestReLockAfterReplicatedUnlockWaitsForTheAck(t *testing.T) {
 	}
 }
 
-// A release whose leader dies before acking it is re-issued by the
-// release agent to the promoted replica and applied there once: the
+// A release whose leader dies before acking it is re-issued at the
+// thread's join to the promoted replica and applied there once: the
 // thread's next acquire is granted, the counter the tenures guard is
 // exact, and the new leader counts one unlock per tenure.
 func TestReplicatedReleaseSurvivesLeaderKill(t *testing.T) {

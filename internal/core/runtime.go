@@ -526,8 +526,9 @@ func New(cfg Config) (*Runtime, error) {
 // sequencer's ledger (simnet.Gate) from before it starts until f returns;
 // then, if wg is set, it is marked done there. a travels in the
 // goroutine's closure: with a method expression for f, one heap object.
-// spawn, park and the wake pair are all that touch the ledger, apart
-// from New's caller token.
+// spawn and park are all that touch the ledger, apart from New's caller
+// token; an answer one goroutine hands another goes through a
+// simnet.Handoff.
 func spawn[A any](rt *Runtime, wg *sync.WaitGroup, f func(A), a A) {
 	if wg != nil {
 		wg.Add(1)
@@ -548,19 +549,6 @@ func (rt *Runtime) park(wait func()) {
 	rt.gate.Pause()
 	wait()
 	rt.gate.Resume()
-}
-
-// wake hands v and a token to the goroutine asleep on ch, the token
-// first, so the ledger never reads zero while the wake is in flight;
-// sleep gives its token up and gets the waker's.
-func wake[T any](rt *Runtime, ch chan<- T, v T) {
-	rt.gate.Resume()
-	ch <- v
-}
-
-func sleep[T any](rt *Runtime, ch <-chan T) T {
-	rt.gate.Pause()
-	return <-ch
 }
 
 // heartbeat posts member hb's beats from ep to the manager's holder, at
@@ -686,9 +674,6 @@ func (rt *Runtime) Run(p int, body func(t vm.Thread)) (*stats.Run, error) {
 	var hbWG sync.WaitGroup
 	for _, th := range threads {
 		spawn(rt, nil, (*agent).run, &agent{t: th})
-		if th.rel != nil {
-			spawn(rt, nil, (*releaser).run, th.rel)
-		}
 		if rt.livenessEnabled() {
 			hbWG.Add(1)
 			go rt.heartbeat(th.ep, proto.Heartbeat{Member: th.writer, Class: proto.MemberThread}, hbStop, &hbWG, true)
@@ -788,7 +773,7 @@ func (rt *Runtime) newThread(id, p int) (*Thread, error) {
 	th.actor = fmt.Sprintf("thread %d", id)
 	th.initCache()
 	if len(rt.mgr.cands) > 1 {
-		th.rel = &releaser{t: th, post: make(chan bool, 1), acked: make(chan struct{}, 1), exited: make(chan struct{})}
+		th.rel = new(release)
 	}
 	return th, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/pagecache"
 	"repro/internal/proto"
 	"repro/internal/scl"
+	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -103,16 +104,16 @@ type Thread struct {
 	ho struct {
 		mu         sync.Mutex
 		succ       map[uint32]*succTrain      // lock -> announcement train to forward grants along
-		grants     map[uint32]grantMsg        // lock -> grant that arrived before the waiter parked
-		grantWait  map[uint32]chan grantMsg   // lock -> parked waiter's wake channel
+		grants     map[uint32]*grantBox       // lock -> where its grant goes from the agent to the thread
+		spare      *grantBox                  // a box a grant went through, for the next one
 		heldGen    map[uint32]uint64          // lock -> tenure gen while this thread holds it
 		acquireSeq map[uint32]uint64          // lock -> lastSeen right after acquiring it
 		seenTags   map[proto.IntervalTag]bool // intervals applied inline, dedupe redelivery
 	}
 
-	// rel is the release agent, when the manager has replicas (nil with
-	// a lone manager, whose unlock is a one-way post).
-	rel *releaser
+	// rel is the release in flight, when the manager has replicas (nil
+	// with a lone manager, whose unlock is a one-way post).
+	rel *release
 
 	// actor is the trace label ("thread 3").
 	actor string
@@ -122,6 +123,29 @@ type Thread struct {
 type grantMsg struct {
 	g  *proto.LockGrant
 	at vtime.Time
+}
+
+// grantBox hands a lock's grant from the cache agent to the thread,
+// whichever of the two comes first: the handoff credits the thread only
+// if it is parked on the box already.
+type grantBox struct {
+	h  simnet.Handoff
+	ch chan grantMsg
+}
+
+// grantBox returns lock's box, taking the spare or making one if lock
+// has none. The caller holds ho.mu.
+func (t *Thread) grantBox(lock uint32) *grantBox {
+	b := t.ho.grants[lock]
+	if b == nil {
+		if b = t.ho.spare; b == nil {
+			b = &grantBox{ch: make(chan grantMsg, 1)}
+		}
+		t.ho.spare = nil
+		b.h.Reset(t.rt.gate)
+		t.ho.grants[lock] = b
+	}
+	return b
 }
 
 // succTrain is the client's copy of an announcement train: the queued
@@ -144,8 +168,7 @@ var _ vm.Thread = (*Thread)(nil)
 
 func (t *Thread) initCache() {
 	t.ho.succ = make(map[uint32]*succTrain)
-	t.ho.grants = make(map[uint32]grantMsg)
-	t.ho.grantWait = make(map[uint32]chan grantMsg)
+	t.ho.grants = make(map[uint32]*grantBox)
 	t.ho.heldGen = make(map[uint32]uint64)
 	t.ho.acquireSeq = make(map[uint32]uint64)
 	t.ho.seenTags = make(map[proto.IntervalTag]bool)
@@ -211,7 +234,6 @@ func (t *Thread) finish() {
 	if t.frozen != nil {
 		t.st = *t.frozen
 	}
-	t.rel.stop()
 }
 
 // reportDeath tells the manager this thread's body died (a recovered
@@ -224,7 +246,7 @@ func (t *Thread) finish() {
 func (t *Thread) reportDeath() {
 	// One request at a time, from a dead thread too: a release still in
 	// flight is waited for first. Its outcome is moot now.
-	_, _ = t.rel.wait()
+	_, _ = t.awaitRelease()
 	_, _ = t.rt.mgr.send(t.ep, &proto.ReclaimEvent{Thread: t.writer, Node: uint32(ThreadNode(int(t.writer)))}, nil, t.clock.Now())
 }
 
@@ -779,15 +801,15 @@ func (t *Thread) applyNotices(seq uint64, notices []proto.Notice) {
 // centrally by the manager).
 func (t *Thread) awaitGrant(lock uint32) grantMsg {
 	t.ho.mu.Lock()
-	if gm, ok := t.ho.grants[lock]; ok {
-		delete(t.ho.grants, lock)
-		t.ho.mu.Unlock()
-		return gm
-	}
-	ch := make(chan grantMsg, 1)
-	t.ho.grantWait[lock] = ch
+	b := t.grantBox(lock)
 	t.ho.mu.Unlock()
-	return sleep(t.rt, ch)
+	b.h.Park()
+	gm := <-b.ch
+	t.ho.mu.Lock()
+	delete(t.ho.grants, lock)
+	t.ho.spare = b
+	t.ho.mu.Unlock()
+	return gm
 }
 
 // endTenure drops this thread's handoff state for lock and returns the
@@ -990,13 +1012,12 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 		Lock: m.id, Thread: t.writer, Interval: rs.Tag.Interval,
 		Pages: rs.Pages, Records: rs.Records, HandedOff: handedOff,
 	}
-	// A lone manager is posted the release. A replicated one acks it, and
-	// the release agent waits for the ack in the thread's stead: the thread
-	// pays the post's send overhead and joins the ack at its next manager
-	// request (releaser).
+	// A lone manager is posted the release. A replicated one acks it: the
+	// thread pays the send overhead and joins the ack at its next manager
+	// request (release).
 	if t.rel != nil {
 		at := t.joinRelease(t.clock.Now())
-		t.rel.hand(&t.unlockReq, at)
+		t.rel.start(t, &t.unlockReq, at)
 		t.clock.Advance(t.rt.cfg.Link.SendOverhead)
 		t.st.MsgsSent++
 	} else {
@@ -1013,42 +1034,27 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 	t.settleSync()
 }
 
-// releaser is a thread's release agent, there only when the manager has
-// replicas. A replicated manager acks an unlock once the release is in
-// its log (a new leader dedups a re-issued one by interval), so the
-// release is an acknowledged call: a post could die with the leader
-// unseen. RegC orders a release only before the thread's next acquire,
-// though, so the thread does not wait for the ack. Unlock copies its
-// request into the agent's buffers and returns; the agent, one goroutine
-// for the thread's life, makes the call stamped at the unlock (role.call,
-// with its failover and re-issue); and the thread joins the ack before
-// its next manager request (Thread.joinRelease). So the manager still
-// sees one request of a thread at a time, in the order it made them,
-// which its duplicate arms rely on (DESIGN.md §13).
-type releaser struct {
-	t    *Thread
-	post chan bool // true: make the call for req; false: the thread retired
+// release is a thread's unlock to a replicated manager, acknowledged so
+// it cannot die with the leader unseen. RegC orders a release only before
+// the thread's next acquire, so Unlock starts the call, stamped at the
+// unlock, and the thread joins its ack before its next manager request
+// (Thread.joinRelease), re-issuing it to the promoted replica if the
+// leader died: the manager still sees one request of a thread at a time,
+// in order (DESIGN.md §13).
+type release struct {
+	p    scl.Pending
+	node scl.NodeID // where p went
 	req  proto.UnlockReq
 	at   vtime.Time
 	ack  proto.Ack
 	data []byte // the bytes of req.Records
-
-	busy bool // main goroutine only: a release is posted and not yet joined
-
-	mu     sync.Mutex
-	done   bool // the call returned: ackAt and err are its outcome
-	parked bool // the main goroutine sleeps on acked
-	acked  chan struct{}
-	ackAt  vtime.Time
-	err    error
-
-	exited chan struct{} // closed when run returns
+	busy bool   // a release is started and not yet joined
 }
 
-// hand posts req, stamped at, to the agent. The request's pages and
-// records are the release set's; they are copied into buffers the agent
-// reuses from release to release.
-func (r *releaser) hand(req *proto.UnlockReq, at vtime.Time) {
+// start starts req, stamped at, from t. The request's pages and records
+// are the release set's, so a re-issue sends copies, in buffers reused
+// from release to release.
+func (r *release) start(t *Thread, req *proto.UnlockReq, at vtime.Time) {
 	r.data = r.data[:0]
 	for i := range req.Records {
 		r.data = append(r.data, req.Records[i].Data...)
@@ -1063,60 +1069,22 @@ func (r *releaser) hand(req *proto.UnlockReq, at vtime.Time) {
 	r.req = *req
 	r.req.Pages, r.req.Records = pages, recs
 	r.at, r.busy = at, true
-	wake(r.t.rt, r.post, true)
+	r.node = t.rt.mgr.start(t.ep, &r.req, at, &r.p)
 }
 
-// run is the agent: it makes each posted release's call and hands the
-// outcome over, until the thread retires.
-func (r *releaser) run() {
-	defer close(r.exited)
-	t := r.t
-	for sleep(t.rt, r.post) {
-		ackAt, err := t.rt.mgr.call(t.ep, &r.req, &r.ack, r.at)
-		r.mu.Lock()
-		r.ackAt, r.err, r.done = ackAt, err, true
-		parked := r.parked
-		r.parked = false
-		r.mu.Unlock()
-		if parked {
-			wake(t.rt, r.acked, struct{}{})
-		}
-	}
-}
-
-// wait returns the outcome of the posted release, sleeping until the
-// agent has it, or nothing when no release is posted. The agent wakes a
-// sleeper only: an ack nobody waits for yet leaves no token behind to
-// stall the sequencer.
-func (r *releaser) wait() (vtime.Time, error) {
+// awaitRelease returns the outcome of the thread's release in flight, or
+// nothing when none is in flight.
+func (t *Thread) awaitRelease() (vtime.Time, error) {
+	r := t.rel
 	if r == nil || !r.busy {
 		return 0, nil
 	}
 	r.busy = false
-	r.mu.Lock()
-	if !r.done {
-		r.parked = true
-		r.mu.Unlock()
-		sleep(r.t.rt, r.acked)
-		r.mu.Lock()
-	}
-	r.done = false
-	ackAt, err := r.ackAt, r.err
-	r.mu.Unlock()
-	return ackAt, err
+	ackAt, err := r.p.Wait(&r.ack)
+	return t.rt.mgr.reissue(t.ep, r.node, &r.req, &r.ack, r.at, ackAt, err)
 }
 
-// stop retires the agent once the thread's last release is in, and
-// returns once the agent has exited.
-func (r *releaser) stop() {
-	if r != nil {
-		_, _ = r.wait() // joined already, or moot for a thread that died
-		wake(r.t.rt, r.post, false)
-		<-r.exited
-	}
-}
-
-// joinRelease joins the thread's posted release, if any, ahead of a
+// joinRelease joins the thread's release in flight, if any, ahead of a
 // manager request stamped at: the clock moves to the ack, and the
 // returned stamp is no earlier. An error of the release's call fails the
 // thread's unlock here.
@@ -1125,7 +1093,7 @@ func (t *Thread) joinRelease(at vtime.Time) vtime.Time {
 	if r == nil || !r.busy {
 		return at
 	}
-	ackAt, err := r.wait()
+	ackAt, err := t.awaitRelease()
 	if err != nil {
 		t.fail("unlock", err)
 	}

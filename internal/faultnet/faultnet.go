@@ -355,12 +355,11 @@ func (e *endpoint) apply(dst scl.NodeID, kind proto.Kind, at vtime.Time) error {
 	return nil
 }
 
-// Call implements scl.Endpoint.
+// Call implements scl.Endpoint: Start then Wait.
 func (e *endpoint) Call(dst scl.NodeID, req proto.Msg, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
-	if err := e.apply(dst, req.Kind(), at); err != nil {
-		return at, err
-	}
-	doneAt, err := e.inner.Call(dst, req, resp, at)
+	var p scl.Pending
+	e.Start(dst, req, at, &p)
+	doneAt, err := p.Wait(resp)
 	if err == nil && e.in.dup() {
 		// The duplicate completion arrives at a layer that already has
 		// its answer; it is discarded, exactly like a duplicate frame
@@ -370,6 +369,17 @@ func (e *endpoint) Call(dst scl.NodeID, req proto.Msg, resp proto.Msg, at vtime.
 		e.in.event(e.ID(), "dup-response", dst, doneAt)
 	}
 	return doneAt, err
+}
+
+// Start implements scl.Endpoint: the verdict is drawn, and a delay
+// served, before the send, as for Call; a refused attempt fails its
+// Wait.
+func (e *endpoint) Start(dst scl.NodeID, req proto.Msg, at vtime.Time, p *scl.Pending) {
+	if err := e.apply(dst, req.Kind(), at); err != nil {
+		p.Settle(nil, at, err)
+		return
+	}
+	e.inner.Start(dst, req, at, p)
 }
 
 // Post implements scl.Endpoint. Delays block the caller, preserving

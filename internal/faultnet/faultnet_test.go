@@ -33,13 +33,20 @@ type echoEndpoint struct {
 func (f *echoEndpoint) ID() scl.NodeID { return 1 }
 
 func (f *echoEndpoint) Call(dst scl.NodeID, req proto.Msg, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
+	var p scl.Pending
+	f.Start(dst, req, at, &p)
+	return p.Wait(resp)
+}
+
+func (f *echoEndpoint) Start(dst scl.NodeID, req proto.Msg, at vtime.Time, p *scl.Pending) {
 	f.mu.Lock()
 	f.calls++
 	f.mu.Unlock()
-	if ar, ok := resp.(*proto.AllocResp); ok {
-		ar.Addr = 7
+	var answer proto.Msg
+	if req.Kind() == proto.KAllocReq {
+		answer = &proto.AllocResp{Addr: 7}
 	}
-	return at + 100, nil
+	p.Settle(answer, at+100, nil)
 }
 
 func (f *echoEndpoint) Post(dst scl.NodeID, m proto.Msg, at vtime.Time) (vtime.Time, error) {

@@ -241,6 +241,10 @@ func (w *stepWire) Call(dst scl.NodeID, req, resp proto.Msg, at vtime.Time) (vti
 	return at, decodeSent(answers[0], resp)
 }
 
+func (w *stepWire) Start(scl.NodeID, proto.Msg, vtime.Time, *scl.Pending) {
+	panic("a stepped manager starts no call")
+}
+
 func (w *stepWire) Post(dst scl.NodeID, m proto.Msg, at vtime.Time) (vtime.Time, error) {
 	if w.env.mgr.ep != scl.Endpoint(w) {
 		w.env.t.Errorf("replica %d, not the manager under test, posted a %v", w.id, m.Kind())

@@ -89,6 +89,9 @@ func (w *stepWire) Call(dst scl.NodeID, req, resp proto.Msg, at vtime.Time) (vti
 	return at + 2000, nil
 }
 
+func (w *stepWire) Start(scl.NodeID, proto.Msg, vtime.Time, *scl.Pending) {
+	panic("a stepped server starts no call")
+}
 func (w *stepWire) Post(scl.NodeID, proto.Msg, vtime.Time) (vtime.Time, error) {
 	panic("a stepped server posts nothing")
 }

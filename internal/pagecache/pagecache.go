@@ -32,10 +32,10 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/layout"
 	"repro/internal/proto"
+	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/vtime"
 )
@@ -91,59 +91,11 @@ type PrefetchResult struct {
 	Err     error
 }
 
-// Gate is the runnable-token ledger of a deterministically sequenced
-// transport (simnet.Gate, structurally). The cache reports through it
-// when the owning thread parks waiting for a prefetch result: the
-// prefetch helper issues the matching wake credit before it delivers.
-type Gate interface {
-	Resume()
-	Pause()
-}
-
-// nopGate is the Gate used when none is configured.
-type nopGate struct{}
-
-func (nopGate) Resume() {}
-func (nopGate) Pause()  {}
-
-// Handoff mediates the runnable-token transfer for one asynchronous
-// fetch. A completed prefetch may sit unconsumed indefinitely, so the
-// helper goroutine must NOT issue an unconditional wake credit (a
-// floating credit would keep the sequencer from ever reaching
-// quiescence): the credit is issued only when the consumer is already
-// parked, and a consumer that arrives after completion never parks.
-type Handoff struct {
-	mu      sync.Mutex
-	gate    Gate
-	done    bool
-	waiting bool
-}
-
-// Done is called by the backend's helper goroutine right before it
-// delivers the result: a consumer already parked on the channel gets
-// its wake credit here.
-func (h *Handoff) Done() {
-	h.mu.Lock()
-	h.done = true
-	if h.waiting {
-		h.gate.Resume()
-	}
-	h.mu.Unlock()
-}
-
-// beginWait is called by the consumer before blocking on the result
-// channel: if the helper has not delivered yet, the consumer parks
-// (releases its runnable token) and Done will credit it.
-func (h *Handoff) beginWait() {
-	h.mu.Lock()
-	if h.done {
-		h.mu.Unlock()
-		return // result is (about to be) in the channel; no park needed
-	}
-	h.waiting = true
-	h.mu.Unlock()
-	h.gate.Pause()
-}
+// Handoff is the wake rule of a sequenced fabric for one prefetch
+// (simnet.Handoff): the helper's Done credits the owning thread only if
+// it is already parked on the result, since a completed prefetch may sit
+// unconsumed indefinitely.
+type Handoff = simnet.Handoff
 
 // Config parameterizes a cache.
 type Config struct {
@@ -170,7 +122,7 @@ type Config struct {
 	// Gate, if non-nil, is the sequenced transport's runnable-token
 	// ledger; the cache pauses through it before blocking on a prefetch
 	// channel.
-	Gate Gate
+	Gate simnet.Gate
 }
 
 // DefaultCapacityLines models the coprocessor-side cache of the paper's
@@ -491,7 +443,7 @@ func New(cfg Config, be Backend, clock *vtime.Clock, st *stats.Thread) *Cache {
 		cfg.CapacityLines = DefaultCapacityLines
 	}
 	if cfg.Gate == nil {
-		cfg.Gate = nopGate{}
+		cfg.Gate = simnet.NopGate()
 	}
 	return &Cache{
 		cfg:          cfg,
@@ -842,7 +794,7 @@ func (c *Cache) fault(line layout.LineID, p, last layout.PageID) (*lineEntry, er
 	)
 	c.filling, c.skipped = "line", 0
 	if pe, ok := c.pending[line]; ok {
-		pe.h.beginWait() // park only if the helper has not delivered yet
+		pe.h.Park() // only if the helper has not delivered yet
 		res := <-pe.ch
 		delete(c.pending, line)
 		if res.Err != nil {
@@ -974,7 +926,8 @@ func (c *Cache) fault(line layout.LineID, p, last layout.PageID) (*lineEntry, er
 				continue
 			}
 			needs := c.appendNeeds(nil, l) // a list of its own: the prefetch outlives the fault
-			h := &Handoff{gate: c.cfg.Gate}
+			h := new(Handoff)
+			h.Reset(c.cfg.Gate)
 			if ch := c.be.StartPrefetch(l, needs, c.clock.Now(), h); ch != nil {
 				c.st.PrefetchIssued++
 				c.winIssued++
@@ -2113,7 +2066,7 @@ func (c *Cache) DrainPrefetches() {
 // and hands its line back to the pool.
 func (c *Cache) discardPrefetch(line layout.LineID, o outcome) {
 	pe := c.pending[line]
-	pe.h.beginWait() // park only if the helper has not delivered yet
+	pe.h.Park() // only if the helper has not delivered yet
 	res := <-pe.ch
 	delete(c.pending, line)
 	c.settle(pe, o)

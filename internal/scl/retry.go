@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"reflect"
 	"time"
 
 	"repro/internal/proto"
@@ -171,9 +170,9 @@ func (p RetryPolicy) backoffAt(i int) time.Duration {
 }
 
 // runWithRetry drives attempt() under the policy. attempt receives the
-// per-attempt timeout and returns the virtual completion time. nst may
-// be nil.
-func runWithRetry(pol RetryPolicy, nst *stats.Net, dst NodeID, attempt func(timeout time.Duration) (vtime.Time, error)) (vtime.Time, error) {
+// attempt's index and its timeout and returns the virtual completion
+// time. nst may be nil.
+func runWithRetry(pol RetryPolicy, nst *stats.Net, dst NodeID, attempt func(i int, timeout time.Duration) (vtime.Time, error)) (vtime.Time, error) {
 	attempts := pol.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -219,7 +218,7 @@ func runWithRetry(pol RetryPolicy, nst *stats.Net, dst NodeID, attempt func(time
 		if nst != nil {
 			nst.Attempts.Add(1)
 		}
-		doneAt, err := attempt(timeout)
+		doneAt, err := attempt(i, timeout)
 		if err == nil {
 			return doneAt, nil
 		}
@@ -269,44 +268,51 @@ func (e *RetryEndpoint) Inner() Endpoint { return e.inner }
 // ID implements Endpoint.
 func (e *RetryEndpoint) ID() NodeID { return e.inner.ID() }
 
-// Call implements Endpoint: each attempt runs the inner call, transient
-// failures back off and retry, and exhaustion returns *UnreachableError.
-// When the policy sets a per-attempt Timeout, an attempt that exceeds it
-// is abandoned (its goroutine is orphaned until the inner endpoint
-// closes) and counts as transient; each attempt decodes into a fresh
-// response so an abandoned attempt can never race the winning one.
+// Call implements Endpoint: Start then Wait.
 func (e *RetryEndpoint) Call(dst NodeID, req proto.Msg, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
-	doneAt, err := runWithRetry(e.pol, e.nst, dst, func(timeout time.Duration) (vtime.Time, error) {
-		if timeout <= 0 {
-			return e.inner.Call(dst, req, resp, at)
+	var p Pending
+	e.Start(dst, req, at, &p)
+	return e.wait(&p, resp, nil)
+}
+
+// Start implements Endpoint: it starts the first attempt on the inner
+// endpoint, and Wait makes the rest. req must stay as it is until then.
+func (e *RetryEndpoint) Start(dst NodeID, req proto.Msg, at vtime.Time, p *Pending) {
+	try := p.try
+	if try == nil {
+		try = new(Pending)
+	}
+	*p = Pending{via: e, dst: dst, at: at, req: req, try: try}
+	e.inner.Start(dst, req, at, try)
+}
+
+// wait reaps each attempt, re-sending after a transient failure, until
+// one is answered or the policy is exhausted (*UnreachableError). An
+// attempt that outlasts the policy's per-attempt Timeout is abandoned and
+// counts as transient; its late answer lands in the abandoned call,
+// never in resp. The policy bounds the wait, so stop is not consulted.
+func (e *RetryEndpoint) wait(p *Pending, resp proto.Msg, _ <-chan time.Time) (vtime.Time, error) {
+	doneAt, err := runWithRetry(e.pol, e.nst, p.dst, func(i int, timeout time.Duration) (vtime.Time, error) {
+		if i > 0 {
+			e.inner.Start(p.dst, p.req, p.at, p.try)
 		}
-		fresh := reflect.New(reflect.TypeOf(resp).Elem()).Interface().(proto.Msg)
-		type result struct {
-			doneAt vtime.Time
-			err    error
+		var stop <-chan time.Time
+		if timeout > 0 {
+			timer := time.NewTimer(timeout)
+			defer timer.Stop()
+			stop = timer.C
 		}
-		ch := make(chan result, 1)
-		go func() {
-			d, err := e.inner.Call(dst, req, fresh, at)
-			ch <- result{d, err}
-		}()
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		select {
-		case r := <-ch:
-			if r.err == nil {
-				reflect.ValueOf(resp).Elem().Set(reflect.ValueOf(fresh).Elem())
-			}
-			return r.doneAt, r.err
-		case <-timer.C:
+		doneAt, err := p.try.wait(resp, stop)
+		if err == errStopped {
 			if e.nst != nil {
 				e.nst.Timeouts.Add(1)
 			}
-			return 0, Transientf("scl: call to node %d timed out after %v", dst, timeout)
+			return 0, Transientf("scl: call to node %d timed out after %v", p.dst, timeout)
 		}
+		return doneAt, err
 	})
 	if err != nil {
-		return at, err
+		return p.at, err
 	}
 	return doneAt, nil
 }
@@ -314,7 +320,7 @@ func (e *RetryEndpoint) Call(dst NodeID, req proto.Msg, resp proto.Msg, at vtime
 // Post implements Endpoint with the same retry treatment; the retried
 // send blocks the caller, so per-sender message ordering is preserved.
 func (e *RetryEndpoint) Post(dst NodeID, m proto.Msg, at vtime.Time) (vtime.Time, error) {
-	doneAt, err := runWithRetry(e.pol, e.nst, dst, func(time.Duration) (vtime.Time, error) {
+	doneAt, err := runWithRetry(e.pol, e.nst, dst, func(int, time.Duration) (vtime.Time, error) {
 		return e.inner.Post(dst, m, at)
 	})
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // flakyEndpoint fails the first failN Call/Post attempts with the given
-// error, then succeeds by echoing an AllocResp.
+// error, then succeeds, answering an AllocReq with an AllocResp.
 type flakyEndpoint struct {
 	mu    sync.Mutex
 	failN int
@@ -26,20 +26,26 @@ type flakyEndpoint struct {
 func (f *flakyEndpoint) ID() NodeID { return 1 }
 
 func (f *flakyEndpoint) Call(dst NodeID, req proto.Msg, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
+	var p Pending
+	f.Start(dst, req, at, &p)
+	return p.Wait(resp)
+}
+
+func (f *flakyEndpoint) Start(dst NodeID, req proto.Msg, at vtime.Time, p *Pending) {
 	f.mu.Lock()
 	f.calls++
 	n := f.calls
 	f.mu.Unlock()
-	if f.block {
-		select {} // hang forever; the wrapper's timeout must fire
+	switch {
+	case f.block:
+		*p = Pending{} // never answered; the wrapper's timeout must fire
+	case n <= f.failN:
+		p.Settle(nil, at, f.err)
+	case req.Kind() == proto.KAllocReq:
+		p.Settle(&proto.AllocResp{Addr: 42}, at+100, nil)
+	default:
+		p.Settle(nil, at+100, nil)
 	}
-	if n <= f.failN {
-		return at, f.err
-	}
-	if ar, ok := resp.(*proto.AllocResp); ok {
-		ar.Addr = 42
-	}
-	return at + 100, nil
 }
 
 func (f *flakyEndpoint) Post(dst NodeID, m proto.Msg, at vtime.Time) (vtime.Time, error) {
@@ -334,14 +340,21 @@ type electionEndpoint struct {
 func (f *electionEndpoint) ID() NodeID { return 1 }
 
 func (f *electionEndpoint) Call(dst NodeID, req proto.Msg, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
+	var p Pending
+	f.Start(dst, req, at, &p)
+	return p.Wait(resp)
+}
+
+func (f *electionEndpoint) Start(dst NodeID, req proto.Msg, at vtime.Time, p *Pending) {
 	f.mu.Lock()
 	f.calls++
 	n := f.calls
 	f.mu.Unlock()
 	if n <= f.deposed {
-		return at, &RemoteError{Code: proto.CodeNotLeader, Text: "election in progress"}
+		p.Settle(nil, at, &RemoteError{Code: proto.CodeNotLeader, Text: "election in progress"})
+		return
 	}
-	select {} // the stale leader address goes dark
+	*p = Pending{} // never answered: the stale leader address goes dark
 }
 
 func (f *electionEndpoint) Post(dst NodeID, m proto.Msg, at vtime.Time) (vtime.Time, error) {

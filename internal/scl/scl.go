@@ -15,6 +15,7 @@ package scl
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/proto"
 	"repro/internal/simnet"
@@ -33,6 +34,9 @@ type Endpoint interface {
 	// caller's virtual time when the call is issued; the returned time is
 	// the caller's virtual time when the response is in hand.
 	Call(dst NodeID, req proto.Msg, resp proto.Msg, at vtime.Time) (vtime.Time, error)
+	// Start sends req like Call but returns at once: p.Wait reaps the
+	// response, and reports a failure to send too. The caller owns p.
+	Start(dst NodeID, req proto.Msg, at vtime.Time, p *Pending)
 	// Post sends a one-way message, returning the sender's virtual time
 	// after the send overhead. Delivery is asynchronous.
 	Post(dst NodeID, m proto.Msg, at vtime.Time) (vtime.Time, error)
@@ -41,6 +45,60 @@ type Endpoint interface {
 	Recv() (req Request, ok bool)
 	// Close detaches the endpoint.
 	Close()
+}
+
+// Pending is one call in flight: an endpoint's Start sends the request
+// into it and Wait reaps the answer, the post-then-reap shape of the
+// verbs interfaces the paper's SCL wraps. The caller owns it; the
+// transport keeps no reference to it once Start returns, so it may be
+// reused after Wait, even after a Wait that gave up on its answer.
+type Pending struct {
+	via waiter // the endpoint that reaps the answer; nil: nobody answers
+	dst NodeID
+	at  vtime.Time
+	sim simnet.Pending // a SimEndpoint's call
+	tcp chan frame     // a TCPEndpoint's: its answer, or closed when its connection dies
+	req proto.Msg      // a RetryEndpoint's: what each attempt sends,
+	try *Pending       // and the attempt in flight
+	ans proto.Msg      // Settle's answer
+	err error          // or error
+}
+
+// waiter is an endpoint that reaps the answers to the calls it starts.
+// stop, when it fires first, abandons the wait with errStopped.
+type waiter interface {
+	wait(p *Pending, resp proto.Msg, stop <-chan time.Time) (vtime.Time, error)
+}
+
+var errStopped = simnet.ErrStopped
+
+// Settle completes p with no transport, as an endpoint that refuses a
+// send, or a fake that answers in place, does in Start: Wait returns done
+// and err, or decodes answer, if any, into its resp.
+func (p *Pending) Settle(answer proto.Msg, done vtime.Time, err error) {
+	*p = Pending{via: settled{}, at: done, ans: answer, err: err}
+}
+
+type settled struct{}
+
+func (settled) wait(p *Pending, resp proto.Msg, _ <-chan time.Time) (vtime.Time, error) {
+	if p.err != nil || p.ans == nil {
+		return p.at, p.err
+	}
+	return p.at, decodeResponse(p.ans.Kind(), proto.Encode(p.ans), resp)
+}
+
+// Wait blocks for the answer to p's call and decodes it into resp (whose
+// Kind must match the answer on the wire). It returns the caller's
+// virtual time when the answer is in hand, or the call's error.
+func (p *Pending) Wait(resp proto.Msg) (vtime.Time, error) { return p.wait(resp, nil) }
+
+func (p *Pending) wait(resp proto.Msg, stop <-chan time.Time) (vtime.Time, error) {
+	if p.via == nil {
+		<-stop
+		return p.at, errStopped
+	}
+	return p.via.wait(p, resp, stop)
 }
 
 // Request is one incoming message plus the means to answer it — possibly
@@ -174,11 +232,27 @@ func (e *SimEndpoint) Sequenced() bool { return e.fabric.Sequenced() }
 // ID implements Endpoint.
 func (e *SimEndpoint) ID() NodeID { return e.port.ID() }
 
-// Call implements Endpoint.
+// Call implements Endpoint: Start then Wait.
 func (e *SimEndpoint) Call(dst NodeID, req proto.Msg, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
-	kind, body, doneAt, err := e.port.Call(dst, uint16(req.Kind()), proto.Encode(req), at)
+	var p Pending
+	if e.Start(dst, req, at, &p); p.err != nil {
+		return at, p.err
+	}
+	return e.wait(&p, resp, nil)
+}
+
+// Start implements Endpoint.
+func (e *SimEndpoint) Start(dst NodeID, req proto.Msg, at vtime.Time, p *Pending) {
+	*p = Pending{via: e, dst: dst, at: at}
+	if err := e.port.Start(dst, uint16(req.Kind()), proto.Encode(req), at, &p.sim); err != nil {
+		p.Settle(nil, at, simSendErr(err))
+	}
+}
+
+func (e *SimEndpoint) wait(p *Pending, resp proto.Msg, stop <-chan time.Time) (vtime.Time, error) {
+	kind, body, doneAt, err := p.sim.Wait(stop)
 	if err != nil {
-		return at, simSendErr(err)
+		return p.at, simSendErr(err)
 	}
 	return doneAt, decodeResponse(proto.Kind(kind), body, resp)
 }

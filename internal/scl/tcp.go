@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/proto"
 	"repro/internal/stats"
@@ -297,35 +298,54 @@ func (e *TCPEndpoint) conn(dst NodeID) (*tcpConn, error) {
 	return tc, nil
 }
 
-// Call implements Endpoint: it dials (or reuses) the connection, sends
-// the request and waits for the response or connection death, which
-// fails the call with a transient error (the next call redials).
+// Call implements Endpoint, Start then Wait: it dials (or reuses) the
+// connection, sends the request and waits for the response or connection
+// death, which fails the call with a transient error (the next call
+// redials).
 func (e *TCPEndpoint) Call(dst NodeID, req proto.Msg, resp proto.Msg, at vtime.Time) (vtime.Time, error) {
+	var p Pending
+	if e.Start(dst, req, at, &p); p.err != nil {
+		return at, p.err
+	}
+	return e.wait(&p, resp, nil)
+}
+
+// Start implements Endpoint.
+func (e *TCPEndpoint) Start(dst NodeID, req proto.Msg, at vtime.Time, p *Pending) {
 	tc, err := e.conn(dst)
 	if err != nil {
-		return at, err
+		p.Settle(nil, at, err)
+		return
 	}
 	reqID := e.nextReq.Add(1)
-	ch := make(chan frame, 1)
-	if err := tc.addPending(reqID, ch); err != nil {
-		return at, err
+	*p = Pending{via: e, dst: dst, at: at, tcp: make(chan frame, 1)}
+	if err := tc.addPending(reqID, p.tcp); err != nil {
+		p.Settle(nil, at, err)
+		return
 	}
-	f := &frame{kind: uint16(req.Kind()), reqID: reqID, vt: at, body: proto.Encode(req)}
-	if err := writeFrame(tc, f); err != nil {
+	if err := writeFrame(tc, &frame{kind: uint16(req.Kind()), reqID: reqID, vt: at, body: proto.Encode(req)}); err != nil {
 		e.nst.WriteErrors.Add(1)
 		e.dropConn(tc)
-		return at, Transientf("scl: send to node %d: %v", dst, err)
+		p.Settle(nil, at, Transientf("scl: send to node %d: %v", dst, err))
 	}
+}
+
+// wait reaps a call Start made. One it abandons stays registered with
+// its connection, so a late answer lands in its channel, not in a later
+// call's.
+func (e *TCPEndpoint) wait(p *Pending, resp proto.Msg, stop <-chan time.Time) (vtime.Time, error) {
 	select {
-	case rf, ok := <-ch:
+	case rf, ok := <-p.tcp:
 		if !ok {
-			return at, Transientf("scl: connection to node %d died with call pending", dst)
+			return p.at, Transientf("scl: connection to node %d died with call pending", p.dst)
 		}
 		size := len(rf.body) + frameHeaderLen + 4
-		doneAt := vtime.Max(at, e.model.Deliver(rf.vt+e.model.SendOverhead, size))
+		doneAt := vtime.Max(p.at, e.model.Deliver(rf.vt+e.model.SendOverhead, size))
 		return doneAt, decodeResponse(proto.Kind(rf.kind), rf.body, resp)
 	case <-e.closed:
-		return at, errors.New("scl: endpoint closed during call")
+		return p.at, errors.New("scl: endpoint closed during call")
+	case <-stop:
+		return p.at, errStopped
 	}
 }
 

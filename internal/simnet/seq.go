@@ -27,15 +27,19 @@ import (
 // arrives later than it. The step grants pending messages in sorted
 // order until one wakes a parked receiver, then execution resumes.
 //
-// Wakeups transfer tokens with the data ("credits"): a replier calls
+// Wakeups transfer tokens with the data ("credits"): a waker calls
 // Resume on the waiter's behalf *before* signalling, so the ledger never
 // reads zero while a wake is in flight. The conventions are:
 //
 //   - spawn: the spawner calls Resume before `go`; the goroutine calls
 //     Pause when it exits.
-//   - blocking receive: the receiver calls Pause before receiving; the
-//     sender calls Resume before sending. Credits may sit unconsumed
-//     (that only delays steps, never misorders them).
+//   - receive: a receiver parks in recv, and the step that grants it a
+//     message credits it.
+//   - answer (a reply, a prefetched line, a lock grant): the one rule,
+//     Handoff. The answer credits only a waiter already parked, and a
+//     waiter that comes after it never parks. A credit to a goroutine
+//     still running would float, and once its owner blocks elsewhere the
+//     ledger never reads zero again.
 //
 // Sequencing is opt-in (Fabric.Sequence) and is only engaged for clean
 // simulated runs: the fault injector, the retry layer's wall-clock
@@ -52,6 +56,41 @@ type Gate interface {
 	// Pause removes a runnable token: a goroutine parked or exited, or
 	// a previously issued credit was consumed.
 	Pause()
+}
+
+// Handoff is the wake rule for one answer: Done, right before the answer
+// is delivered, credits a token only to a waiter that Park, right before
+// it blocks for the answer, has parked.
+type Handoff struct {
+	mu            sync.Mutex
+	gate          Gate
+	done, waiting bool
+}
+
+// Reset readies h for another answer, reported to gate.
+func (h *Handoff) Reset(gate Gate) { h.gate, h.done, h.waiting = gate, false, false }
+
+// Done marks the answer delivered, crediting a parked waiter. A waiter
+// that gives up on its answer calls it too, to take its token back.
+func (h *Handoff) Done() {
+	h.mu.Lock()
+	parked := h.waiting
+	h.done, h.waiting = true, false
+	h.mu.Unlock()
+	if parked {
+		h.gate.Resume()
+	}
+}
+
+// Park gives the waiter's token up unless the answer is delivered.
+func (h *Handoff) Park() {
+	h.mu.Lock()
+	h.waiting = !h.done
+	parked := h.waiting
+	h.mu.Unlock()
+	if parked {
+		h.gate.Pause()
+	}
 }
 
 // nopGate is the Gate of an unsequenced fabric.

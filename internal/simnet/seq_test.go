@@ -1,8 +1,10 @@
 package simnet
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/vtime"
 )
@@ -77,6 +79,42 @@ func TestSequencedDeliveryIsInVirtualOrder(t *testing.T) {
 		if kind, _, _, err := cli.Call(1, 99, []byte("x"), vtime.Time(1000*(10*round+9))); err != nil || kind != 99 {
 			t.Fatalf("round %d: call: kind %d, err %v", round, kind, err)
 		}
+	}
+}
+
+// An answer that lands before its caller waits credits nobody (the one
+// rule, Handoff): the caller starts a call, then blocks on a second one,
+// and the first call's reply arrives while it is parked on the second. A
+// reply that credited unconditionally would leave a token with a caller
+// that is not waiting for it, the ledger would never read zero again, and
+// the second call would never be delivered.
+func TestAnswerBeforeWaitCreditsNobody(t *testing.T) {
+	_, cli, _, stop := seqEcho()
+	done := make(chan error, 1)
+	go func() {
+		var first Pending
+		if err := cli.Start(1, 5, nil, 0, &first); err != nil {
+			done <- err
+			return
+		}
+		if kind, _, _, err := cli.Call(1, 6, nil, 1000); err != nil || kind != 6 {
+			done <- fmt.Errorf("second call: kind %d, err %v", kind, err)
+			return
+		}
+		if kind, _, _, err := first.Wait(nil); err != nil || kind != 5 {
+			done <- fmt.Errorf("first call: kind %d, err %v", kind, err)
+			return
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop()
+	case <-time.After(5 * time.Second):
+		t.Fatal("the second call was never delivered: the first call's early reply left a floating token")
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/vtime"
 )
@@ -50,8 +51,8 @@ type Message struct {
 	Arrive vtime.Time // virtual arrival time at the receiver
 	Svc    vtime.Time // per-request service time of the incoming link
 
-	reply   chan response // non-nil for RPC requests
-	replied atomic.Bool   // set by the first Reply; any later one is dropped
+	call    *call       // non-nil for RPC requests: where the answer goes
+	replied atomic.Bool // set by the first Reply; any later one is dropped
 	dst     NodeID
 
 	// The sequencer's heap entry (seq.go): the destination's sequencer
@@ -60,7 +61,7 @@ type Message struct {
 	no   uint64
 }
 
-// response is what a Call gets back. It travels by value: a reply is
+// response is what a call gets back. It travels by value: a reply is
 // never queued at a port or ordered by the sequencer, so it needs none
 // of a Message's routing fields and no object of its own.
 type response struct {
@@ -69,13 +70,22 @@ type response struct {
 	arrive vtime.Time
 }
 
-// replyChans recycles the one-slot channels calls wait on. A channel
-// comes back only from a call that received its response from it: a
-// request is answered at most once (Message.replied), so that channel is
-// empty and nothing will send on it again. A call that gave up on a
-// closed port abandons its channel to the collector instead, because the
-// answer may still land in it.
-var replyChans = sync.Pool{New: func() any { return make(chan response, 1) }}
+// call is the way back for one request: the one-slot channel its answer
+// arrives on, and the Handoff that credits the caller's token with it.
+// calls recycles them. One comes back only from a Wait that received its
+// response: a request is answered at most once (Message.replied), so
+// nothing will send on it again. A Wait that gave up abandons its call
+// to the collector instead, because the answer may still land in it.
+type call struct {
+	h  Handoff
+	ch chan response
+}
+
+var calls = sync.Pool{New: func() any { return &call{ch: make(chan response, 1)} }}
+
+// ErrStopped is what Pending.Wait returns when its stop channel fires
+// first.
+var ErrStopped = errors.New("simnet: wait stopped")
 
 // Fabric connects a set of ports with a (possibly heterogeneous) link
 // model.
@@ -233,49 +243,72 @@ func (p *Port) Post(dst NodeID, kind uint16, body []byte, at vtime.Time) (vtime.
 	return p.fabric.deliver(p.id, to, m, at)
 }
 
-// Call performs a synchronous RPC: it sends the request and blocks until
-// the response arrives. It returns the response kind and body and the
-// caller's virtual time at which the response is in hand. A call whose
-// destination closes before answering — the request still queued in its
-// inbox, or parked by it for a deferred reply — fails with ErrPeerGone
-// instead of waiting for a reply nobody will send.
-func (p *Port) Call(dst NodeID, kind uint16, body []byte, at vtime.Time) (respKind uint16, respBody []byte, doneAt vtime.Time, err error) {
+// Pending is one call in flight: Start sends the request into it and
+// Wait reaps the answer. Its owner keeps it; the fabric keeps no
+// reference to it, so it may be reused once Wait has returned.
+type Pending struct {
+	from, to *Port
+	at       vtime.Time
+	c        *call
+}
+
+// Start sends an RPC request and returns at once; Wait reaps the
+// response. It fails only when dst is gone.
+func (p *Port) Start(dst NodeID, kind uint16, body []byte, at vtime.Time, pd *Pending) error {
 	to, err := p.fabric.port(dst)
 	if err != nil {
-		return 0, nil, at, err
+		return err
 	}
-	reply := replyChans.Get().(chan response)
-	m := &Message{Src: p.id, Kind: kind, Body: body, reply: reply, dst: dst}
+	c := calls.Get().(*call)
+	c.h.Reset(p.fabric.Gate())
+	m := &Message{Src: p.id, Kind: kind, Body: body, call: c, dst: dst}
 	if _, err := p.fabric.deliver(p.id, to, m, at); err != nil {
-		return 0, nil, at, err
+		return err
 	}
-	// Sequenced fabrics count the caller as parked while it waits; the
-	// replier issues the wake token (see Reply), so the reply path needs
-	// no Resume here — only the close paths restore the token themselves.
-	seq := p.fabric.seq
-	if seq != nil {
-		seq.Pause()
-	}
+	*pd = Pending{from: p, to: to, at: at, c: c}
+	return nil
+}
+
+// Wait blocks until the response to pd's request arrives, and returns
+// its kind and body and the caller's virtual time when it is in hand; a
+// sequenced caller parks here (Handoff). A call whose destination closes
+// before answering — the request still queued in its inbox, or parked by
+// it for a deferred reply — fails with ErrPeerGone instead of waiting for
+// a reply nobody will send. stop, when it fires first, abandons the call
+// with ErrStopped.
+func (pd *Pending) Wait(stop <-chan time.Time) (kind uint16, body []byte, doneAt vtime.Time, err error) {
+	c := pd.c
+	c.h.Park()
 	select {
-	case resp := <-reply:
-		replyChans.Put(reply)
-		return resp.kind, resp.body, vtime.Max(at, resp.arrive), nil
-	case <-p.closed:
-		err = fmt.Errorf("simnet: port %d closed during call", p.id)
-	case <-to.closed:
+	case resp := <-c.ch:
+		calls.Put(c)
+		return resp.kind, resp.body, vtime.Max(pd.at, resp.arrive), nil
+	case <-pd.from.closed:
+		err = fmt.Errorf("simnet: port %d closed during call", pd.from.id)
+	case <-pd.to.closed:
 		// The peer may have answered on its way out.
 		select {
-		case resp := <-reply:
-			replyChans.Put(reply)
-			return resp.kind, resp.body, vtime.Max(at, resp.arrive), nil
+		case resp := <-c.ch:
+			calls.Put(c)
+			return resp.kind, resp.body, vtime.Max(pd.at, resp.arrive), nil
 		default:
 		}
-		err = fmt.Errorf("simnet: port %d closed before answering: %w", dst, ErrPeerGone)
+		err = fmt.Errorf("simnet: port %d closed before answering: %w", pd.to.id, ErrPeerGone)
+	case <-stop:
+		err = ErrStopped
 	}
-	if seq != nil {
-		seq.Resume()
+	c.h.Done() // take the token back, unless the reply did
+	return 0, nil, pd.at, err
+}
+
+// Call performs a synchronous RPC, Start then Wait: it sends the request
+// and blocks until the response arrives.
+func (p *Port) Call(dst NodeID, kind uint16, body []byte, at vtime.Time) (respKind uint16, respBody []byte, doneAt vtime.Time, err error) {
+	var pd Pending
+	if err := p.Start(dst, kind, body, at, &pd); err != nil {
+		return 0, nil, at, err
 	}
-	return 0, nil, at, err
+	return pd.Wait(nil)
 }
 
 // Recv blocks until a message arrives or the port is closed. The second
@@ -340,16 +373,16 @@ func (r *Request) Arrive() vtime.Time { return r.msg.Arrive }
 func (r *Request) Svc() vtime.Time { return r.msg.Svc }
 
 // OneWay reports whether the sender expects no response.
-func (r *Request) OneWay() bool { return r.msg.reply == nil }
+func (r *Request) OneWay() bool { return r.msg.call == nil }
 
 // Reply answers an RPC request at the given virtual time on the
 // responder's clock; once the responder's port has closed it does
 // nothing. Only the first reply to a request counts: the caller's channel
-// is recycled once it has been read (replyChans), so a second answer
+// is recycled once it has been read (calls), so a second answer
 // would reach somebody else's call. Replying to a one-way message
 // panics — that is always a protocol bug.
 func (r *Request) Reply(kind uint16, body []byte, at vtime.Time) {
-	if r.msg.reply == nil {
+	if r.msg.call == nil {
 		panic(fmt.Sprintf("simnet: reply to one-way %d message", r.msg.Kind))
 	}
 	if r.msg.replied.Swap(true) {
@@ -357,7 +390,7 @@ func (r *Request) Reply(kind uint16, body []byte, at vtime.Time) {
 	}
 	// A closed port is a node that is gone, and a node that is gone
 	// answers nobody: whatever its owner still does with requests it had
-	// taken, their callers learn of the closure instead (see Call).
+	// taken, their callers learn of the closure instead (see Wait).
 	select {
 	case <-r.port.closed:
 		return
@@ -368,11 +401,6 @@ func (r *Request) Reply(kind uint16, body []byte, at vtime.Time) {
 	resp := response{kind: kind, body: body, arrive: link.Deliver(at+link.SendOverhead, size)}
 	r.port.fabric.msgs.Add(1)
 	r.port.fabric.bytes.Add(int64(size))
-	// On a sequenced fabric the caller parked in Call without a token;
-	// issue its wake credit before signalling so the ledger never reads
-	// zero while the wake is in flight.
-	if s := r.port.fabric.seq; s != nil {
-		s.Resume()
-	}
-	r.msg.reply <- resp
+	r.msg.call.h.Done()
+	r.msg.call.ch <- resp
 }

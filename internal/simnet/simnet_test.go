@@ -357,7 +357,7 @@ func TestSecondReplyIsDropped(t *testing.T) {
 		}
 		sent := f.Messages()
 		second, done := parkedCall(t, cli, srv, 2)
-		reused = reused || second.msg.reply == first.msg.reply
+		reused = reused || second.msg.call == first.msg.call
 		first.Reply(11, nil, first.Arrive()) // must reach nobody
 		if f.Messages() != sent+1 {
 			t.Fatal("a dropped reply was charged to the wire")
@@ -366,7 +366,7 @@ func TestSecondReplyIsDropped(t *testing.T) {
 		if r := <-done; r.err != nil || r.kind != 20 {
 			t.Fatalf("second call got %+v, want its own reply 20", r)
 		}
-		if len(second.msg.reply) != 0 {
+		if len(second.msg.call.ch) != 0 {
 			t.Fatal("a reply is left over in the recycled channel")
 		}
 	}
@@ -388,10 +388,10 @@ func TestFailedCallAbandonsItsChannel(t *testing.T) {
 	}
 	// What a Reply that passed its closed-port check just before the
 	// close does next.
-	lost.msg.reply <- response{kind: 66}
+	lost.msg.call.ch <- response{kind: 66}
 	for i := 0; i < 50; i++ {
 		req, done := parkedCall(t, cli, srv, 2)
-		if req.msg.reply == lost.msg.reply {
+		if req.msg.call == lost.msg.call {
 			t.Fatal("the failed call's channel was recycled")
 		}
 		req.Reply(20, nil, req.Arrive())
