@@ -16,7 +16,6 @@
 //	samhita-bench -all -quick -standby  # with warm-standby replicated memory servers
 //	samhita-bench -json out.json -baseline BENCH_micro.json  # the 25 CI points + exact gate
 //	samhita-bench -json BENCH_micro.json -max-p 1024         # all 32 points
-//	samhita-bench -stream-span -server-shards 4 -manager-shards 4  # span data-plane smoke
 //	samhita-bench -micro -p 16 -mode strided -M 10 -S 4      # one micro-benchmark run
 //	samhita-bench -micro -backend pthreads -p 8 -M 100
 //	samhita-bench -micro -p 8 -faults                        # transport chaos, masked by retries
@@ -51,10 +50,9 @@ func main() {
 		quick     = flag.Bool("quick", false, "reduced problem sizes")
 		csvDir    = flag.String("csv", "", "directory to write CSV files into")
 
-		jsonOut    = flag.String("json", "", "measure the BENCH_micro.json table and write it as JSON to this file")
-		maxP       = flag.Int("max-p", 256, "largest thread count -json measures (256 = the 25 CI points, 1024 = all 32)")
-		baseline   = flag.String("baseline", "", "compare the -json measurement against this stored JSON; exit non-zero on any difference")
-		streamSpan = flag.Bool("stream-span", false, "smoke-check the span-recast stream kernel: element and span runs must produce identical checksums")
+		jsonOut  = flag.String("json", "", "measure the BENCH_micro.json table and write it as JSON to this file")
+		maxP     = flag.Int("max-p", 256, "largest thread count -json measures (256 = the 25 CI points, 1024 = all 32)")
+		baseline = flag.String("baseline", "", "compare the -json measurement against this stored JSON; exit non-zero on any difference")
 
 		micro = flag.Bool("micro", false, "run one micro-benchmark configuration and print its measurement record")
 		mp    microParams
@@ -85,7 +83,7 @@ func main() {
 	if opts.Cfg.Transport != nil || opts.Cfg.Trace != nil {
 		fatalf("-transport and -trace bind to one runtime: use them with -micro")
 	}
-	if !*all && *figure == 0 && !*ablations && *ablation == "" && !*scenario && *jsonOut == "" && !*streamSpan {
+	if !*all && *figure == 0 && !*ablations && *ablation == "" && !*scenario && *jsonOut == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -104,14 +102,6 @@ func main() {
 		// and boot far more threads than cores; a generous lease keeps
 		// starved heartbeats from fencing live threads.
 		lc.MissedBeats = 200
-	}
-
-	if *streamSpan {
-		line, err := bench.StreamSpanSmoke(opts)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Println(line)
 	}
 
 	if *jsonOut != "" {

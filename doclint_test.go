@@ -52,24 +52,7 @@ func indexInternal(t *testing.T) goIndex {
 					add(ix.names[pkg], d.Name.Name)
 					continue
 				}
-				recv := d.Recv.List[0].Type
-				for {
-					switch r := recv.(type) {
-					case *ast.StarExpr:
-						recv = r.X
-						continue
-					case *ast.IndexExpr:
-						recv = r.X
-						continue
-					case *ast.IndexListExpr:
-						recv = r.X
-						continue
-					}
-					break
-				}
-				if id, ok := recv.(*ast.Ident); ok {
-					member(id.Name, d.Name.Name)
-				}
+				member(recvName(d.Recv.List[0].Type), d.Name.Name)
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
@@ -105,6 +88,25 @@ func indexInternal(t *testing.T) goIndex {
 	return ix
 }
 
+// recvName is the type name of a method receiver: T for T, *T, T[K] and
+// *T[K, V].
+func recvName(recv ast.Expr) string {
+	for {
+		switch r := recv.(type) {
+		case *ast.StarExpr:
+			recv = r.X
+		case *ast.IndexExpr:
+			recv = r.X
+		case *ast.IndexListExpr:
+			recv = r.X
+		case *ast.Ident:
+			return r.Name
+		default:
+			return ""
+		}
+	}
+}
+
 var (
 	backticked = regexp.MustCompile("`([^`\n]+)`")
 	// pkg.Name or pkg.Type.Member, optionally called: `scl.WithRetry`,
@@ -136,47 +138,51 @@ var flagDecl = map[string]bool{
 	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
 }
 
-// declaredFlags is every flag name the commands under cmd/ and the
-// shared runtime flags in internal/cliflags declare.
+// declaredFlags is every flag name the commands under cmd/, the shared
+// runtime flags in internal/cliflags and the tests (`go test -update`)
+// declare.
 func declaredFlags(t *testing.T) map[string]bool {
 	flags := map[string]bool{}
-	for _, dir := range []string{"cmd", "internal/cliflags"} {
-		err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-				return err
-			}
-			file, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !flagDecl[sel.Sel.Name] {
-					return true
-				}
-				for _, arg := range call.Args {
-					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-						if name, err := strconv.Unquote(lit.Value); err == nil {
-							flags[name] = true
-						}
-						break
-					}
-				}
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") {
+			return err
 		}
+		slash := filepath.ToSlash(p)
+		if !strings.HasSuffix(p, "_test.go") && !strings.HasPrefix(slash, "cmd/") && !strings.HasPrefix(slash, "internal/cliflags/") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !flagDecl[sel.Sel.Name] {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						flags[name] = true
+					}
+					break
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return flags
 }
 
-// The prose in DESIGN.md, README.md and EXPERIMENTS.md names code: every backticked
+// The prose in DESIGN.md, README.md, EXPERIMENTS.md and the verify
+// notes (.claude/skills/verify/SKILL.md) names code: every backticked
 // `pkg.Name`, `pkg.Type.Member` whose pkg is a package under internal/,
 // every backticked `.go` path, and every flag of a backticked `-flag`
 // or `samhita-… -flag` must still exist. A rename or a deletion that
@@ -203,7 +209,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 		return false
 	}
 	checked, flagsChecked := 0, 0
-	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

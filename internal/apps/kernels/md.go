@@ -23,9 +23,6 @@ type MDParams struct {
 	Dt float64
 	// Mass is the particle mass.
 	Mass float64
-	// UseSpans moves the per-thread array slices through the bulk span
-	// accessors instead of per-element byte moves.
-	UseSpans bool
 }
 
 // DefaultMDParams sizes the simulation for quick runs.
@@ -89,14 +86,9 @@ func RunMD(v vm.VM, p int, prm MDParams) (*MDResult, error) {
 		own := hi - lo
 		coordAddr := func(arr vm.Addr, i int) vm.Addr { return arr + vm.Addr(i*mdDims*8) }
 
-		newBuf := newRowBuf
-		if prm.UseSpans {
-			newBuf = newSpanRowBuf
-		}
-
 		// Deterministic initial positions on a jittered lattice;
 		// velocities and accelerations start at zero.
-		initBuf := newBuf(mdDims)
+		initBuf := newRowBuf(mdDims)
 		coords := make([]float64, mdDims)
 		for i := lo; i < hi; i++ {
 			lcg := uint64(i)*6364136223846793005 + 1442695040888963407
@@ -109,7 +101,7 @@ func RunMD(v vm.VM, p int, prm MDParams) (*MDResult, error) {
 		// Touch the owned slices of the other arrays too, so the timed
 		// region starts warm (see the Jacobi kernel).
 		zero := make([]float64, own*mdDims)
-		warm := newBuf(own * mdDims)
+		warm := newRowBuf(own * mdDims)
 		for _, arr := range []vm.Addr{vel, acc, force} {
 			warm.store(t, coordAddr(arr, lo), zero)
 		}
@@ -117,11 +109,11 @@ func RunMD(v vm.VM, p int, prm MDParams) (*MDResult, error) {
 		t.ResetMeasurement()
 
 		// Scratch copies of whole arrays for the force pass.
-		allPos := newBuf(n * mdDims)
-		ownBuf := newBuf(own * mdDims)
-		velBuf := newBuf(own * mdDims)
-		accBuf := newBuf(own * mdDims)
-		forceBuf := newBuf(own * mdDims)
+		allPos := newRowBuf(n * mdDims)
+		ownBuf := newRowBuf(own * mdDims)
+		velBuf := newRowBuf(own * mdDims)
+		accBuf := newRowBuf(own * mdDims)
+		forceBuf := newRowBuf(own * mdDims)
 
 		for step := 0; step < prm.Steps; step++ {
 			if step > 0 {

@@ -83,12 +83,6 @@ type MicroParams struct {
 	WideGsum int
 }
 
-// DefaultMicroParams returns the paper's fixed parameters with the
-// commonly used M=10, S=2.
-func DefaultMicroParams() MicroParams {
-	return MicroParams{N: 10, M: 10, S: 2, B: 256, R: 0.999999, Mode: AllocLocal}
-}
-
 func (p MicroParams) withDefaults() MicroParams {
 	if p.N == 0 {
 		p.N = 10

@@ -25,10 +25,6 @@ type StreamParams struct {
 	Iters int
 	// Alpha is the triad scalar.
 	Alpha float64
-	// UseSpans moves the triad's rows through the bulk span accessors
-	// instead of per-element byte moves (same arithmetic, bulk data
-	// plane).
-	UseSpans bool
 }
 
 // DefaultStreamParams sizes the arrays at a few MB.
@@ -73,11 +69,7 @@ func RunStream(v vm.VM, p int, prm StreamParams) (*StreamResult, error) {
 
 		// Seed b and c with nonzero data (owner-computes).
 		const chunk = 512
-		newBuf := newRowBuf
-		if prm.UseSpans {
-			newBuf = newSpanRowBuf
-		}
-		buf := newBuf(chunk)
+		buf := newRowBuf(chunk)
 		seed := make([]float64, chunk)
 		for start := lo; start < hi; start += chunk {
 			m := min(chunk, hi-start)
@@ -94,7 +86,7 @@ func RunStream(v vm.VM, p int, prm StreamParams) (*StreamResult, error) {
 		t.ResetMeasurement()
 
 		srcB, srcC, dst := 1, 2, 0
-		bufB, bufC, bufD := newBuf(chunk), newBuf(chunk), newBuf(chunk)
+		bufB, bufC, bufD := newRowBuf(chunk), newRowBuf(chunk), newRowBuf(chunk)
 		for it := 0; it < prm.Iters; it++ {
 			for start := lo; start < hi; start += chunk {
 				m := min(chunk, hi-start)
@@ -118,7 +110,7 @@ func RunStream(v vm.VM, p int, prm StreamParams) (*StreamResult, error) {
 			// dst, which rotation moved into srcB.
 			final := arrays[srcB]
 			sum := 0.0
-			rb := newBuf(chunk)
+			rb := newRowBuf(chunk)
 			for start := 0; start < n; start += chunk {
 				m := min(chunk, n-start)
 				for _, x := range rb.load(t, final+vm.Addr(8*start), m) {

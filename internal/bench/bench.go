@@ -174,7 +174,6 @@ type Figure struct {
 	ID     string // "fig03" ... "fig13"
 	Title  string
 	XLabel string
-	YLabel string
 	Series []Series
 	Notes  []string
 }

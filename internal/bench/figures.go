@@ -65,7 +65,6 @@ func (o Options) normalizedComputeFigure(id int, mode kernels.AllocMode) (*Figur
 		ID:     fmt.Sprintf("fig%02d", id),
 		Title:  fmt.Sprintf("Normalized compute time vs. cores, %s allocation", mode),
 		XLabel: "cores",
-		YLabel: "compute time (normalized to 1-thread pthreads)",
 	}
 	for _, m := range o.Ms {
 		prm := o.microParams(m, o.MidS, mode)
@@ -118,7 +117,6 @@ func (o Options) computeVsCoresFigure(id int, mode kernels.AllocMode) (*Figure, 
 		ID:     fmt.Sprintf("fig%02d", id),
 		Title:  fmt.Sprintf("Compute time vs. cores, %s allocation, varying S", mode),
 		XLabel: "cores",
-		YLabel: "compute time (s)",
 	}
 	for _, s := range o.Ss {
 		prm := o.microParams(o.MidM, s, mode)
@@ -153,12 +151,11 @@ func Figure8(o Options) (*Figure, error) {
 
 // vsOrdinaryRegionFigure builds Figures 9 and 10: a metric vs S at the
 // fixed thread count, one curve per allocation mode.
-func (o Options) vsOrdinaryRegionFigure(id int, metric func(*stats.Run) float64, ylabel, what string) (*Figure, error) {
+func (o Options) vsOrdinaryRegionFigure(id int, metric func(*stats.Run) float64, what string) (*Figure, error) {
 	f := &Figure{
 		ID:     fmt.Sprintf("fig%02d", id),
 		Title:  fmt.Sprintf("%s vs. ordinary region size (S), P=%d", what, o.FixedP),
 		XLabel: "rows of data (S)",
-		YLabel: ylabel,
 	}
 	for _, mode := range kernels.AllModes {
 		ser := Series{Label: mode.String()}
@@ -177,12 +174,12 @@ func (o Options) vsOrdinaryRegionFigure(id int, metric func(*stats.Run) float64,
 
 // Figure9 — compute time vs S at P=16 for the three modes.
 func Figure9(o Options) (*Figure, error) {
-	return o.vsOrdinaryRegionFigure(9, perThreadCompute, "compute time (s)", "Compute time")
+	return o.vsOrdinaryRegionFigure(9, perThreadCompute, "Compute time")
 }
 
 // Figure10 — synchronization time vs S at P=16 for the three modes.
 func Figure10(o Options) (*Figure, error) {
-	return o.vsOrdinaryRegionFigure(10, perThreadSync, "synchronization time (s)", "Synchronization time")
+	return o.vsOrdinaryRegionFigure(10, perThreadSync, "Synchronization time")
 }
 
 // Figure11 — synchronization time (log scale in the paper) vs cores for
@@ -192,7 +189,6 @@ func Figure11(o Options) (*Figure, error) {
 		ID:     "fig11",
 		Title:  "Synchronization time vs. cores (log scale), pthreads vs samhita",
 		XLabel: "cores",
-		YLabel: "synchronization time (s)",
 	}
 	for _, mode := range kernels.AllModes {
 		prm := o.microParams(o.MidM, o.MidS, mode)
@@ -226,7 +222,6 @@ func (o Options) speedupFigure(id int, name string,
 		ID:     fmt.Sprintf("fig%02d", id),
 		Title:  fmt.Sprintf("%s speedup vs. cores (relative to 1-core pthreads)", name),
 		XLabel: "cores",
-		YLabel: "speed-up",
 	}
 	pthVM := o.newPthreads()
 	base, err := run(pthVM, 1)

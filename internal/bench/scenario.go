@@ -27,7 +27,6 @@ func ScenarioHeterogeneous(o Options) (*Figure, error) {
 		ID:     "scn-hetero",
 		Title:  "Figure-1 scenario: host cores (pthreads) vs coprocessor cores (Samhita over PCIe/SCIF)",
 		XLabel: "cores",
-		YLabel: "speed-up vs 1 host core",
 	}
 	phiCores := []int{1, 8, 16, 32, 60}
 

@@ -668,9 +668,6 @@ func (t *Thread) SnapshotAS(base vm.Addr, n int) uint64 {
 			Snap: resp.Snap, Base: uint64(base), NPages: npages, Needs: part,
 		}, &proto.Ack{}, t.clock.Now())
 	})
-	// Lines fetched from here on belong to the new epoch; tests tell a
-	// fork's post-snapshot fetches from stale pre-snapshot residency.
-	t.cache.BumpSnapshotEpoch()
 	if tr := t.rt.cfg.Trace; tr != nil {
 		tr.Span(t.actor, trace.CatAlloc, "snapshot", start, t.clock.Now(),
 			map[string]any{"pages": npages, "snap": resp.Snap})

@@ -314,9 +314,6 @@ type endpoint struct {
 	inner scl.Endpoint
 }
 
-// Inner returns the wrapped endpoint.
-func (e *endpoint) Inner() scl.Endpoint { return e.inner }
-
 // ID implements scl.Endpoint.
 func (e *endpoint) ID() scl.NodeID { return e.inner.ID() }
 

@@ -245,9 +245,6 @@ func (s *Server) SetTier(hotBytes int64, model vtime.TierModel, st *stats.Tier) 
 // Stats exposes the server's counters.
 func (s *Server) Stats() *Stats { return &s.stats }
 
-// NumShards reports how many page shards the server runs.
-func (s *Server) NumShards() int { return s.nshards }
-
 // SetShards splits the server's page space into n shards, each with its
 // own service calendar (n < 1 means 1). Must be called before Run.
 func (s *Server) SetShards(n int) {

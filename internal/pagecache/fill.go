@@ -125,7 +125,6 @@ func (c *Cache) pageFillEntry(line layout.LineID) {
 	le := c.newEntry(line, c.newFrame())
 	c.noteFill(le)
 	le.partial = true
-	le.epoch = c.snapEpoch
 	c.place(le)
 	c.st.PageFills++
 }

@@ -256,11 +256,6 @@ type lineEntry struct {
 	data    []byte
 	pages   []pageState
 	lastUse uint64
-	// epoch is the cache's snapshot epoch when the line was (last)
-	// installed: lines fetched before an address-space snapshot are
-	// distinguishable from lines fetched after it (tests assert a fork's
-	// reads never come from pre-snapshot residency).
-	epoch uint64
 	// touched is the mask of pages demand accesses touched since the
 	// line was filled, held the mask of pages it has held valid since,
 	// fill the number of that fill while it awaits observation (0 once
@@ -431,10 +426,6 @@ type Cache struct {
 	// freeEntries recycles evicted line entries, page states and all, the
 	// same way: an eviction makes room for the install that follows it.
 	freeEntries []*lineEntry
-
-	// snapEpoch counts address-space snapshots taken through this
-	// thread; installed lines are tagged with it (see lineEntry.epoch).
-	snapEpoch uint64
 }
 
 // New creates a cache. The clock and stats belong to the owning thread.
@@ -1133,7 +1124,6 @@ func (c *Cache) install(line layout.LineID, frame []byte) {
 	} else {
 		c.place(le)
 	}
-	le.epoch = c.snapEpoch
 }
 
 // installPage installs one fetched page into its resident line, making
@@ -1158,7 +1148,6 @@ func (c *Cache) installPage(p layout.PageID, data []byte) {
 	c.clearNeeds(p)
 	c.clock.Advance(c.cfg.CPU.CopyTime(c.geo.PageSize))
 	c.touch(le)
-	le.epoch = c.snapEpoch
 }
 
 // reapplyRecords writes this thread's unreleased store records on page
@@ -1994,7 +1983,6 @@ func (c *Cache) InstallGrantExtents(p layout.PageID, exts []proto.PagePayload, h
 	} else {
 		c.place(le)
 	}
-	le.epoch = c.snapEpoch
 	return true
 }
 
@@ -2171,35 +2159,8 @@ func (c *Cache) RangeNeeds(first layout.PageID, npages uint64) []proto.PageNeed 
 	return needs
 }
 
-// BumpSnapshotEpoch starts a new snapshot epoch and returns it. Lines
-// installed from now on are tagged with the new epoch; lines already
-// resident keep the epoch they were fetched under.
-func (c *Cache) BumpSnapshotEpoch() uint64 {
-	c.snapEpoch++
-	return c.snapEpoch
-}
-
-// SnapshotEpoch reports the current snapshot epoch.
-func (c *Cache) SnapshotEpoch() uint64 { return c.snapEpoch }
-
-// LineEpoch reports the snapshot epoch a resident line was installed
-// under (false if the line is not resident).
-func (c *Cache) LineEpoch(line layout.LineID) (uint64, bool) {
-	le, ok := c.lines[line]
-	if !ok {
-		return 0, false
-	}
-	return le.epoch, true
-}
-
-// SharedPages reports how many pages are known to be shared.
-func (c *Cache) SharedPages() int { return len(c.shared) }
-
 // ---------------------------------------------------------------------
 // Introspection for tests and harnesses.
-
-// ResidentLines reports how many lines are cached.
-func (c *Cache) ResidentLines() int { return len(c.lines) }
 
 // DirtyPages reports how many pages are currently dirty.
 func (c *Cache) DirtyPages() int { return len(c.dirtyPages) }

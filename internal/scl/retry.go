@@ -262,9 +262,6 @@ func WithRetry(inner Endpoint, pol RetryPolicy, nst *stats.Net) *RetryEndpoint {
 	return &RetryEndpoint{inner: inner, pol: pol, nst: nst}
 }
 
-// Inner returns the wrapped endpoint.
-func (e *RetryEndpoint) Inner() Endpoint { return e.inner }
-
 // ID implements Endpoint.
 func (e *RetryEndpoint) ID() NodeID { return e.inner.ID() }
 

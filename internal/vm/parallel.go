@@ -25,21 +25,3 @@ func ForBlock(t Thread, n int, body func(i int)) {
 		body(i)
 	}
 }
-
-// ReduceF64 combines one float64 per thread into a single value using a
-// mutex-protected accumulator cell in shared memory, then returns the
-// total (valid after the barrier it performs). The reduction operator
-// is addition; cell must be a zeroed shared address all threads pass
-// identically, and bar must be a barrier sized to the run.
-//
-// The accumulation happens inside a consistency region, so under
-// Samhita it travels as a fine-grained record — this helper is the
-// idiomatic replacement for the LOCK/sum/UNLOCK/BARRIER tail of the
-// paper's micro-benchmark kernel.
-func ReduceF64(t Thread, mu Mutex, bar Barrier, cell Addr, local float64) float64 {
-	mu.Lock(t)
-	t.WriteFloat64(cell, t.ReadFloat64(cell)+local)
-	mu.Unlock(t)
-	bar.Wait(t)
-	return t.ReadFloat64(cell)
-}
