@@ -119,6 +119,7 @@ func main() {
 			fatalf("seed %d: boot: %v", sd, err)
 		}
 		var viols []conformance.Violation
+		var run *stats.Run
 		if *forkMode {
 			// The snapshot/fork check: a sealed image dirtied by its parent
 			// while forks read it bit-exactly, under the same fault schedule
@@ -129,7 +130,7 @@ func main() {
 				frac = *forkErrFrac
 			}
 			prm := forkstorm.Params{ImageBytes: 64 << 10, Forks: 24, ReadsPerFork: 3, WritesPerFork: 1, Seed: uint64(sd) + 1}
-			viols, err = conformance.ForkStormCheck(rt, prog.Threads, prm, frac)
+			viols, run, err = conformance.ForkStormCheck(rt, prog.Threads, prm, frac)
 		} else if *kvMode {
 			// The serving-layer check: per-seed request stream against a
 			// fixed keyspace, with the same fault schedule as above. The
@@ -142,15 +143,15 @@ func main() {
 			prm := kv.Params{Buckets: 32, Keys: 256, Ops: 32, Seed: uint64(sd) + 1}
 			viols, err = conformance.KVCheck(rt, prog.Threads, prm, frac)
 		} else {
-			var run *stats.Run
 			viols, run, err = conformance.RunStats(rt, prog)
-			if run != nil {
-				tot := run.Totals()
-				fills.Misses += tot.Misses
-				fills.PageFills += tot.PageFills
-				fills.SectorFills += tot.SectorFills
-				fills.SkippedPages += tot.SkippedPages
-			}
+		}
+		if run != nil {
+			tot := run.Totals()
+			fills.Misses += tot.Misses
+			fills.PageFills += tot.PageFills
+			fills.SectorFills += tot.SectorFills
+			fills.SkippedPages += tot.SkippedPages
+			fills.FrameFills += tot.FrameFills
 		}
 		if nst := rt.NetStats(); nst != nil {
 			drops += nst.InjectedDrops.Load()
@@ -180,8 +181,9 @@ func main() {
 	if rtFlags.KillManager {
 		fmt.Printf("manager replication: %d leader failovers, %d elections\n", mgrFailovers, mgrElections)
 	}
-	if !*kvMode && !*forkMode {
-		fmt.Printf("cache fills: %d misses, %d page fills, %d sector fills, %d pages skipped\n", fills.Misses, fills.PageFills, fills.SectorFills, fills.SkippedPages)
+	if !*kvMode {
+		fmt.Printf("cache fills: %d misses, %d page fills, %d sector fills, %d pages skipped, %d frame fills\n",
+			fills.Misses, fills.PageFills, fills.SectorFills, fills.SkippedPages, fills.FrameFills)
 	}
 	fmt.Printf("\n%d/%d passed in %v\n", len(seeds)-failures, len(seeds), time.Since(start).Round(time.Millisecond))
 	if failures > 0 {

@@ -135,6 +135,20 @@ func TestForkFreeReuseUnsequenced(t *testing.T) {
 	}))
 }
 
+// The same lifecycle on tiered servers whose hot sets hold one page a
+// shard: freeing the fork drops its demoted private pages unpromoted, and
+// Close finds the tier's moves still account for every cold page.
+func TestForkFreeReuseTiered(t *testing.T) {
+	rt := newRT(t, func(c *core.Config) { c.HotBytes = 8 << 10 })
+	runForkFreeReuse(t, rt)
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rt.TierStats().ColdDrops.Load() == 0 {
+		t.Fatal("the free dropped no cold page: the tier check saw no drop")
+	}
+}
+
 func runForkFreeReuse(t *testing.T, rt *core.Runtime) {
 	defer rt.Close()
 	const n = 32 << 10

@@ -39,7 +39,7 @@ func TestForkStormThrottlesPrefetch(t *testing.T) {
 		}
 		defer rt.Close()
 		v := &recordingVM{Runtime: rt}
-		viols, err := conformance.ForkStormCheck(v, 2, prm, 0)
+		viols, _, err := conformance.ForkStormCheck(v, 2, prm, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/apps/forkstorm"
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -18,13 +19,13 @@ import (
 // nothing; only forks it could not save count against the cap.
 //
 // It is shared by the fork chaos conformance tests and
-// samhita-conform's -forkstorm mode.
-func ForkStormCheck(v vm.VM, p int, prm forkstorm.Params, maxErrorFrac float64) ([]Violation, error) {
+// samhita-conform's -forkstorm mode, and returns the run's stats too.
+func ForkStormCheck(v vm.VM, p int, prm forkstorm.Params, maxErrorFrac float64) ([]Violation, *stats.Run, error) {
 	prm = prm.WithDefaults()
 	prm.Recover = true
 	res, err := forkstorm.Run(v, p, prm)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var viols []Violation
 	if got, want := res.Forks+res.Errors, int64(prm.Forks); got != want {
@@ -37,5 +38,5 @@ func ForkStormCheck(v vm.VM, p int, prm forkstorm.Params, maxErrorFrac float64) 
 			"unbounded fork errors: %d of %d forks failed (cap %.0f%%)",
 			res.Errors, prm.Forks, maxErrorFrac*100)})
 	}
-	return viols, nil
+	return viols, res.Run, nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps/forkstorm"
 	"repro/internal/core"
 	"repro/internal/faultnet"
+	"repro/internal/proto"
 	"repro/internal/scl"
 )
 
@@ -60,11 +61,14 @@ func forkStormChaosBothKills(t *testing.T) {
 		HeartbeatEvery: 2 * time.Millisecond,
 		MissedBeats:    25,
 	}
+	// Each kill is counted in fork messages, so it lands mid-storm
+	// whatever else the run sends: server 0 dies on the ninth ForkMap it
+	// is sent, the manager leader on the thirteenth ForkASReq.
 	inj := faultnet.New(faultnet.Config{
 		Seed: 947,
 		Kills: []faultnet.Kill{
-			{Node: core.ServerNode(0), After: 80},
-			{Node: core.ManagerNode(), After: 120},
+			{Node: core.ServerNode(0), After: 8, Kind: proto.KForkMap},
+			{Node: core.ManagerNode(), After: 12, Kind: proto.KForkASReq},
 		},
 	})
 	cfg.Faults = inj
@@ -73,7 +77,7 @@ func forkStormChaosBothKills(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	viols, runErr := ForkStormCheck(rt, 8, forkChaosParams(), 0.25)
+	viols, _, runErr := ForkStormCheck(rt, 8, forkChaosParams(), 0.25)
 	if runErr != nil {
 		t.Fatalf("double kill leaked to the fork storm: %v", runErr)
 	}
@@ -82,6 +86,12 @@ func forkStormChaosBothKills(t *testing.T) {
 	}
 	if got := rt.NetStats().InjectedKills.Load(); got < 2 {
 		t.Fatalf("%d kills fired, want 2 — chaos scenario is vacuous", got)
+	}
+	// The kills landed while forks were in flight: a client failed over
+	// to the standby, and one to the new leader.
+	if live := rt.Liveness(); live.Failovers.Load() == 0 || live.MgrFailovers.Load() == 0 {
+		t.Fatalf("%d server and %d manager failovers after the kills, want both nonzero — the kills missed the storm",
+			live.Failovers.Load(), live.MgrFailovers.Load())
 	}
 	if err := rt.Close(); err != nil {
 		t.Errorf("close: %v", err)
@@ -107,9 +117,11 @@ func forkStormChaosServerKill(t *testing.T) {
 	// more than virtual time, and this test is about server failover,
 	// not death detection (connection death unsticks the clients).
 	cfg.Liveness = &core.LivenessConfig{Standby: true, MissedBeats: 200}
+	// Counted in fork messages, as in the double kill: server 0 dies on
+	// the ninth ForkMap it is sent, mid-storm.
 	inj := faultnet.New(faultnet.Config{
 		Seed:  389,
-		Kills: []faultnet.Kill{{Node: core.ServerNode(0), After: 80}},
+		Kills: []faultnet.Kill{{Node: core.ServerNode(0), After: 8, Kind: proto.KForkMap}},
 	})
 	cfg.Faults = inj
 	rt, err := core.New(cfg)
@@ -117,7 +129,7 @@ func forkStormChaosServerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	viols, runErr := ForkStormCheck(rt, 8, forkChaosParams(), 0.25)
+	viols, _, runErr := ForkStormCheck(rt, 8, forkChaosParams(), 0.25)
 	if runErr != nil {
 		t.Fatalf("server kill leaked to the fork storm: %v", runErr)
 	}
@@ -128,7 +140,7 @@ func forkStormChaosServerKill(t *testing.T) {
 		t.Fatal("server never killed — chaos scenario is vacuous")
 	}
 	if rt.Liveness().Failovers.Load() == 0 {
-		t.Error("no server failover recorded")
+		t.Fatal("no client failed over to the standby — the kill missed the storm")
 	}
 	if err := rt.Close(); err != nil {
 		t.Errorf("close: %v", err)

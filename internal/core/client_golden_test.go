@@ -190,7 +190,7 @@ func clientScript(t *testing.T, replicas int) string {
 // laterCounters are the stats.Thread fields added after the golden was
 // written: a line leaves one out while it reads zero, so the golden
 // still pins it at zero without a rewrite.
-var laterCounters = map[string]bool{"PageFills": true, "SectorFills": true, "SkippedPages": true}
+var laterCounters = map[string]bool{"PageFills": true, "SectorFills": true, "SkippedPages": true, "FrameFills": true}
 
 // Every client path of a compute thread — contended locks with and
 // without records, barriers, condition waits, signals and broadcasts, the

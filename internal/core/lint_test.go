@@ -141,12 +141,13 @@ func TestNothingRepliesOutsideAFlush(t *testing.T) {
 // code under internal/ calls proto.PutBuf only where an owner is done:
 // the caller's decode of a response, the cache's drop sites (an evicted
 // line, a discarded prefetch, a combined reply copied out, a frame
-// copied into a resident line) and the home's join, for an answer it
-// never sent.
+// copied into a resident line, a frame read copied into the thread's
+// sealed frames) and the home's join, for an answer it never sent.
 func TestPutBufOnlyWhereTheOwnerHandsBack(t *testing.T) {
 	handBack := map[string][]string{
 		"../scl/scl.go":             {"decodeResponse"},
 		"../pagecache/pagecache.go": {"fault", "install", "evict", "discardPrefetch"},
+		"../pagecache/frames.go":    {"frameFill"},
 		"../memserver/memserver.go": {"complete"},
 	}
 	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {

@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -314,8 +315,11 @@ type Runtime struct {
 	replLive *stats.Liveness
 
 	// tier collects the tiered-page-store and snapshot/fork counters
-	// across every memory server (and standby).
-	tier *stats.Tier
+	// across every memory server (and standby); coldBase is what its
+	// moves left cold when New was called (a caller may share one Tier
+	// between runtimes).
+	tier     *stats.Tier
+	coldBase int64
 
 	// hbStop stops the memory servers' heartbeat goroutines at Close.
 	hbStop chan struct{}
@@ -393,6 +397,7 @@ func New(cfg Config) (*Runtime, error) {
 	if rt.tier == nil {
 		rt.tier = new(stats.Tier)
 	}
+	rt.coldBase = rt.tier.ColdMoves()
 	if rt.transport == nil {
 		rt.fabric = simnet.NewFabric(cfg.Link)
 		if replicas := cfg.ManagerReplicas; replicas > 1 {
@@ -843,6 +848,22 @@ func (rt *Runtime) Close() error {
 		if rt.closeErr == nil {
 			rt.closeErr = rt.countErr
 		}
+		if rt.closeErr == nil {
+			rt.closeErr = rt.checkTier()
+		}
 	})
 	return rt.closeErr
+}
+
+// checkTier reports tier counters that do not account for the cold pages
+// the memory servers and standbys hold once they have stopped.
+func (rt *Runtime) checkTier() error {
+	var cold int64
+	for _, s := range slices.Concat(rt.servers, rt.standbys) {
+		cold += s.ColdPages()
+	}
+	if moved := rt.tier.ColdMoves() - rt.coldBase; moved != cold {
+		return fmt.Errorf("core: tier demotions - promotions - cold drops = %d, but the servers hold %d cold pages", moved, cold)
+	}
+	return nil
 }

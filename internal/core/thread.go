@@ -605,6 +605,7 @@ func (t *Thread) Free(a vm.Addr) {
 			// Lines this thread cached through the dying fork would shadow
 			// whatever the striped zone reuses the range for.
 			t.cache.DropRange(first, resp.NPages)
+			t.cache.ForgetFork(first)
 		}
 		t.ackedAtHomes("free", first, resp.NPages, m)
 		if !resp.Fork {
@@ -694,6 +695,7 @@ func (t *Thread) ForkAS(snap uint64) vm.Addr {
 	// just-allocated range as zero lines; they would shadow the sealed
 	// frames.
 	t.cache.DropRange(first, resp.NPages)
+	t.cache.AddFork(first, resp.NPages, snap)
 	// Acked registration at every home in the range: a read through the
 	// fork issued after ForkAS returns must find the mapping.
 	t.ackedAtHomes("fork", first, resp.NPages, &proto.ForkMap{
@@ -1254,7 +1256,18 @@ func (t *Thread) markTenureCold(lines []layout.LineID, pages []layout.PageID) {
 // (fetch combining). Whole lines and single invalidated pages share one
 // round trip and one service booking at the home.
 func (b *threadBackend) FetchLines(lines []layout.LineID, pages []layout.PageID, needs []proto.PageNeed, at vtime.Time) ([]byte, vtime.Time, error) {
-	t := (*Thread)(b)
+	return (*Thread)(b).fetchLines(lines, pages, needs, false, at)
+}
+
+// FetchFrames implements pagecache.FrameReader: a combined fetch of fork
+// pages with Frames set, which their home answers from the sealed frames
+// they map, or with no bytes when one maps none there.
+func (b *threadBackend) FetchFrames(pages []layout.PageID, at vtime.Time) ([]byte, vtime.Time, error) {
+	return (*Thread)(b).fetchLines(nil, pages, nil, true, at)
+}
+
+// fetchLines round-trips one FetchLinesReq to the home of what it names.
+func (t *Thread) fetchLines(lines []layout.LineID, pages []layout.PageID, needs []proto.PageNeed, frames bool, at vtime.Time) ([]byte, vtime.Time, error) {
 	geo := t.rt.cfg.Geo
 	var home int
 	if len(lines) > 0 {
@@ -1263,7 +1276,7 @@ func (b *threadBackend) FetchLines(lines []layout.LineID, pages []layout.PageID,
 		home = geo.HomeOf(pages[0])
 	}
 	req := &t.fetchsReq
-	req.Lines, req.Pages, req.Needs = req.Lines[:0], req.Pages[:0], needs
+	req.Lines, req.Pages, req.Needs, req.Frames = req.Lines[:0], req.Pages[:0], needs, frames
 	for _, l := range lines {
 		req.Lines = append(req.Lines, uint64(l))
 	}

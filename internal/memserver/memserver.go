@@ -180,6 +180,7 @@ type join struct {
 	// goes back to the pool.
 	body, data []byte
 	snap       uint64 // a seal's snapshot
+	frames     bool   // a frame read (proto.FetchLinesReq.Frames)
 }
 
 // share is one shard's part of a request.
@@ -244,6 +245,18 @@ func (s *Server) SetTier(hotBytes int64, model vtime.TierModel, st *stats.Tier) 
 
 // Stats exposes the server's counters.
 func (s *Server) Stats() *Stats { return &s.stats }
+
+// ColdPages counts the pages in the server's cold tier. It reads the
+// shards unlocked: call it only once Run has returned.
+func (s *Server) ColdPages() int64 {
+	var n int64
+	for _, sh := range s.shards {
+		if sh.tier != nil {
+			n += int64(len(sh.tier.cold))
+		}
+	}
+	return n
+}
 
 // SetShards splits the server's page space into n shards, each with its
 // own service calendar (n < 1 means 1). Must be called before Run.
@@ -531,6 +544,7 @@ func (s *Server) recycle(j *join) {
 func (s *Server) fetch(c *scl.Request) {
 	var lines, pages []uint64
 	var needs []proto.PageNeed
+	var frames bool
 	var err error
 	if c.Kind() == proto.KFetchLineReq {
 		m := &s.lineReq
@@ -543,7 +557,7 @@ func (s *Server) fetch(c *scl.Request) {
 		if err = proto.Decode(m, c.Body()); err == nil && len(m.Lines)+len(m.Pages) == 0 {
 			err = fmt.Errorf("memserver %d: empty combined fetch", s.index)
 		}
-		lines, pages, needs = m.Lines, m.Pages, m.Needs
+		lines, pages, needs, frames = m.Lines, m.Pages, m.Needs, m.Frames
 		if err == nil {
 			s.stats.CombinedReqs.Add(1)
 			s.stats.CombinedExtras.Add(int64(len(lines) + len(pages) - 1))
@@ -573,8 +587,13 @@ func (s *Server) fetch(c *scl.Request) {
 			return
 		}
 	}
+	if frames && !s.mapsFrames(lines, pages) {
+		s.out.Answer(*c, &proto.FetchLinesResp{}, s.Clock())
+		return
+	}
 	s.stats.Fetches.Add(1)
 	j, size := s.newJoin(c), 0
+	j.frames = frames
 	for _, l := range lines {
 		p := s.route(j, s.geo.FirstPage(layout.LineID(l)))
 		p.lines, p.offs = append(p.lines, layout.LineID(l)), append(p.offs, size)
@@ -591,6 +610,18 @@ func (s *Server) fetch(c *scl.Request) {
 		s.stats.SplitFetches.Add(1)
 	}
 	s.dispatch(j)
+}
+
+// mapsFrames reports whether a frame read may be served: it names pages
+// only, and each maps a sealed frame here. One that does not is refused
+// with no bytes, and the thread fetches the pages as it would any.
+func (s *Server) mapsFrames(lines, pages []uint64) bool {
+	for _, p := range pages {
+		if _, ok := s.snaps.lookup(layout.PageID(p)); !ok {
+			return false
+		}
+	}
+	return len(lines) == 0
 }
 
 // batch applies a DiffBatch, or an EvictFlush as an untagged batch: each

@@ -131,6 +131,9 @@ func (sh *shard) ready(p *share) (vtime.Time, error) {
 			}
 		}
 	}
+	if p.j.frames {
+		return ready, nil // a frame is no page's latest copy: nothing to pull
+	}
 	err := sh.pullOwned(p.j, p.lines, p.pages, &ready)
 	return ready, err
 }
@@ -163,7 +166,13 @@ func (sh *shard) serve(p *share) {
 		}
 	}
 	for i, pg := range p.pages {
-		copy(j.data[p.offs[len(p.lines)+i]:], sh.readPage(pg))
+		var b []byte
+		if j.frames {
+			b = sh.scratchFor(pg)
+		} else {
+			b = sh.readPage(pg)
+		}
+		copy(j.data[p.offs[len(p.lines)+i]:], b)
 	}
 	n := s.geo.LineSize()*len(p.lines) + s.geo.PageSize*len(p.pages)
 	work := j.svc + s.cpu.CopyTime(n) + sh.drainPending()
@@ -477,21 +486,24 @@ func (sh *shard) readPage(p layout.PageID) []byte {
 	if b := sh.hot(p); b != nil {
 		return b
 	}
-	if blob, ok := sh.srv.snaps.lookup(p); ok {
-		if sh.scratch == nil {
-			sh.scratch = make([]byte, sh.srv.geo.PageSize)
-		}
-		decompressPage(sh.scratch, blob)
-		sh.pending += sh.srv.cpu.ApplyTime(len(sh.scratch))
-		return sh.scratch
-	}
-	// Never-materialized page: serve zeros WITHOUT hosting it. A pure
-	// read must not install — a speculative fetch past the end of a live
-	// buffer (the prefetcher runs one line ahead of a stream) would
-	// otherwise pin a zero page over the sealed frames a later fork
-	// registration maps at this address.
+	// A page never materialized and mapping no frame reads as zeros,
+	// WITHOUT being hosted. A pure read must not install — a speculative
+	// fetch past the end of a live buffer (the prefetcher runs one line
+	// ahead of a stream) would otherwise pin a zero page over the sealed
+	// frames a later fork registration maps at this address.
+	return sh.scratchFor(p)
+}
+
+// scratchFor returns, in the shard's scratch buffer, the sealed frame
+// fork page p maps, whatever private copy the shard holds of it, or
+// zeros when p maps none.
+func (sh *shard) scratchFor(p layout.PageID) []byte {
 	if sh.scratch == nil {
 		sh.scratch = make([]byte, sh.srv.geo.PageSize)
+	}
+	if blob, ok := sh.srv.snaps.lookup(p); ok {
+		decompressPage(sh.scratch, blob)
+		sh.pending += sh.srv.cpu.ApplyTime(len(sh.scratch))
 	} else {
 		clear(sh.scratch)
 	}

@@ -222,6 +222,7 @@ func (t *tierStore) dropCold(sh *shard, p layout.PageID) {
 		return
 	}
 	delete(t.cold, p)
+	t.st.ColdDrops.Add(1)
 	t.st.ColdBytes.Add(-int64(sh.srv.geo.PageSize))
 	t.st.CompressedBytes.Add(-int64(len(blob)))
 }

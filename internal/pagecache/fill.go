@@ -63,8 +63,8 @@ type pendingFill struct {
 // Filling names the grain of the demand fetch the cache is making, for
 // a backend to name its fetch by: "line" (whole lines), "page" (the
 // pages an access covers, of a line the cache did not hold), "sector"
-// (the pages a page fill left) or "pages" (invalidated pages of lines
-// the cache holds).
+// (the pages a page fill left), "pages" (invalidated pages of lines
+// the cache holds) or "frame" (sealed frames of fork pages, frames.go).
 func (c *Cache) Filling() string { return c.filling }
 
 // Skipped is how many invalid pages of the faulting line the demand

@@ -426,6 +426,13 @@ type Cache struct {
 	// freeEntries recycles evicted line entries, page states and all, the
 	// same way: an eviction makes room for the install that follows it.
 	freeEntries []*lineEntry
+
+	// The sealed frames (frames.go): the backend's frame reads, nil when
+	// it has none, the thread's forks by first page, and the frames read
+	// of each of their snapshots, by page index (nil until read).
+	fr     FrameReader
+	forks  []forkImage
+	frames map[uint64][][]byte
 }
 
 // New creates a cache. The clock and stats belong to the owning thread.
@@ -436,10 +443,12 @@ func New(cfg Config, be Backend, clock *vtime.Clock, st *stats.Thread) *Cache {
 	if cfg.Gate == nil {
 		cfg.Gate = simnet.NopGate()
 	}
+	fr, _ := be.(FrameReader)
 	return &Cache{
 		cfg:          cfg,
 		geo:          cfg.Geo,
 		be:           be,
+		fr:           fr,
 		clock:        clock,
 		st:           st,
 		lines:        make(map[layout.LineID]*lineEntry),
@@ -452,6 +461,7 @@ func New(cfg Config, be Backend, clock *vtime.Clock, st *stats.Thread) *Cache {
 		dirtyPages:   make(map[layout.PageID]struct{}),
 		flushedDirty: make(map[layout.PageID]struct{}),
 		shared:       make(map[layout.PageID]struct{}),
+		frames:       make(map[uint64][][]byte),
 		owned:        NewOwnedStore(cfg.Geo.PageSize),
 		backoff:      minBackoff,
 	}
@@ -774,6 +784,14 @@ func (c *Cache) fault(line layout.LineID, p, last layout.PageID) (*lineEntry, er
 	c.clock.Advance(c.cfg.CPU.FaultOverhead)
 	c.st.Misses++
 	stride := c.noteMiss(line)
+	if _, inflight := c.pending[line]; !inflight {
+		// A frame fill issues no stride prefetch: the lines around a fork
+		// page are fork pages too, which frame fills serve, and a
+		// prefetched line would be held, and so no longer one.
+		if served, err := c.frameFill(line, p, last); served || err != nil {
+			return c.lines[line], err
+		}
+	}
 
 	var (
 		data      []byte
@@ -1108,7 +1126,7 @@ func (c *Cache) install(line layout.LineID, frame []byte) {
 			c.reapplyRecords(le, first+layout.PageID(i))
 		}
 		ps.valid = true
-		le.held |= 1 << i
+		c.hold(le, i)
 		if !ps.dirty {
 			// Fetched bytes are fresh: any partial staleness is cured.
 			// (A dirty page kept its local contents above, so its stale
@@ -1143,7 +1161,7 @@ func (c *Cache) installPage(p layout.PageID, data []byte) {
 	idx := c.pageIndex(p)
 	ps := &le.pages[idx]
 	ps.valid = true
-	le.held |= 1 << idx
+	c.hold(le, idx)
 	ps.stale = ps.stale[:0]
 	c.clearNeeds(p)
 	c.clock.Advance(c.cfg.CPU.CopyTime(c.geo.PageSize))
@@ -1962,7 +1980,7 @@ func (c *Cache) InstallGrantExtents(p layout.PageID, exts []proto.PagePayload, h
 		n += copy(le.data[base+int(e.Off):], e.Data)
 	}
 	ps.valid = true
-	le.held |= 1 << idx
+	c.hold(le, idx)
 	ps.stale = ps.stale[:0]
 	lo := 0
 	for _, r := range covered {

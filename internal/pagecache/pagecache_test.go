@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -32,12 +33,54 @@ type fakeBackend struct {
 	fetchCost    vtime.Time
 	prefetchCost vtime.Time
 	noPrefetch   bool
+
+	// The forks' mappings and the snapshots' sealed frames, by page
+	// index, which FetchFrames serves.
+	forks      []fakeFork
+	sealed     map[uint64][][]byte
+	frameCalls [][]layout.PageID
+}
+
+// fakeFork maps pages [first, first+n) onto snapshot snap's frames.
+type fakeFork struct {
+	first layout.PageID
+	n     int
+	snap  uint64
+}
+
+// fork maps the n pages at first onto snapshot snap, as a ForkMap does,
+// dropping any fork it overlaps; the home's copies of the pages become
+// the sealed frames until a write reaches them.
+func (f *fakeBackend) fork(first layout.PageID, n int, snap uint64) {
+	f.forks = slices.DeleteFunc(f.forks, func(o fakeFork) bool {
+		return o.first < first+layout.PageID(n) && first < o.first+layout.PageID(o.n)
+	})
+	f.forks = append(f.forks, fakeFork{first, n, snap})
+	for i := range n {
+		f.home[first+layout.PageID(i)] = slices.Clone(f.sealed[snap][i])
+	}
+}
+
+// FetchFrames serves each page's sealed frame, or refuses with no bytes
+// when a page maps none.
+func (f *fakeBackend) FetchFrames(pages []layout.PageID, at vtime.Time) ([]byte, vtime.Time, error) {
+	f.frameCalls = append(f.frameCalls, slices.Clone(pages))
+	var data []byte
+	for _, p := range pages {
+		i := slices.IndexFunc(f.forks, func(o fakeFork) bool { return o.first <= p && p < o.first+layout.PageID(o.n) })
+		if i < 0 {
+			return nil, at + f.fetchCost, nil
+		}
+		data = append(data, f.sealed[f.forks[i].snap][p-f.forks[i].first]...)
+	}
+	return data, at + f.fetchCost, nil
 }
 
 func newFakeBackend(geo layout.Geometry) *fakeBackend {
 	return &fakeBackend{
 		geo:          geo,
 		home:         make(map[layout.PageID][]byte),
+		sealed:       make(map[uint64][][]byte),
 		fetchCost:    10_000,
 		prefetchCost: 10_000,
 	}
@@ -621,7 +664,10 @@ func TestDiffPageReconstructionProperty(t *testing.T) {
 // corpus holds random traces, sweep-heavy ones that switch the order
 // both ways, grain ones that alternate sweeps with dense runs and switch
 // the fill grain both ways, and peer ones whose revalidations skip pages
-// that later reads fetch.
+// that later reads fetch. A fork seals a copy of two lines of memory, or
+// forks the last copy again, over two lines that reads, writes and peer
+// stores then reach as they reach any; the fork-N-lines seeds fill
+// pages from the cache's sealed frames, with and without a frame read.
 func FuzzCacheMatchesFlatMemory(f *testing.F) {
 	geo := layout.Geometry{PageSize: 256, LinePages: 2, NumServers: 1, Striped: true}
 	const (
@@ -650,6 +696,7 @@ func FuzzCacheMatchesFlatMemory(f *testing.F) {
 			}
 		}
 		peer := proto.IntervalTag{Writer: 2}
+		var snap uint64
 		read := func(addr, n int) {
 			t.Helper()
 			buf := make([]byte, n)
@@ -661,7 +708,7 @@ func FuzzCacheMatchesFlatMemory(f *testing.F) {
 			}
 		}
 		for op := 0; op < maxOps && len(trace) >= 4; op++ {
-			kind := trace[0] % 9
+			kind := trace[0] % 10
 			addr := int(binary.LittleEndian.Uint16(trace[1:])) % (span - 16)
 			n := 1 + int(trace[3]%16)
 			trace = trace[4:]
@@ -700,6 +747,24 @@ func FuzzCacheMatchesFlatMemory(f *testing.F) {
 				if err := c.ApplyNotices([]proto.Notice{{Seq: peer.Interval, Tag: peer, Pages: pages}}); err != nil {
 					t.Fatal(err)
 				}
+			case 9:
+				const forkLines = 2
+				lines := span/geo.LineSize() - forkLines + 1
+				dst := addr / geo.LineSize() % lines * geo.LineSize()
+				release()
+				if snap == 0 || n%2 == 0 {
+					snap++
+					src := (addr/geo.LineSize() + 3) % lines * geo.LineSize()
+					for p := range forkLines * geo.LinePages {
+						lo := src + p*geo.PageSize
+						be.sealed[snap] = append(be.sealed[snap], slices.Clone(model[lo:lo+geo.PageSize]))
+					}
+				}
+				first, npages := geo.PageOf(layout.Addr(dst)), forkLines*geo.LinePages
+				c.DropRange(first, uint64(npages))
+				be.fork(first, npages, snap)
+				c.AddFork(first, uint64(npages), snap)
+				copy(model[dst:], slices.Concat(be.sealed[snap]...))
 			}
 		}
 	})

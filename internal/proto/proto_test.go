@@ -89,7 +89,7 @@ func TestKindStrings(t *testing.T) {
 // only ones a proper prefix of whose encoding can be a whole message.
 var tailKinds = map[Kind]bool{
 	KFreeReq: true, KLockResp: true, KUnlockReq: true,
-	KBarrierReq: true, KWriterDead: true, KSealAS: true,
+	KBarrierReq: true, KWriterDead: true, KSealAS: true, KFetchLinesReq: true,
 }
 
 // Every proper prefix of every sample is rejected, except the one cut

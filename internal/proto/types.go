@@ -182,11 +182,15 @@ func (m *FetchLineResp) Walk(c *Codec) {
 // holds, so revalidating them moves one page, not a whole line. Needs
 // quotes the union of the outstanding interval tags across everything
 // requested; the home answers once every quoted tag's DiffBatch has
-// been applied.
+// been applied. Frames asks instead for the sealed frames the Pages map
+// through their fork, whatever private copy the home holds of them: the
+// home quotes no needs, pulls no diffs, and answers with no bytes when
+// a page maps no frame there.
 type FetchLinesReq struct {
-	Lines []uint64
-	Pages []uint64
-	Needs []PageNeed
+	Lines  []uint64
+	Pages  []uint64
+	Needs  []PageNeed
+	Frames bool
 }
 
 func (m *FetchLinesReq) Kind() Kind { return KFetchLinesReq }
@@ -195,6 +199,9 @@ func (m *FetchLinesReq) Walk(c *Codec) {
 	c.U64s(&m.Lines)
 	c.U64s(&m.Pages)
 	List(c, &m.Needs, walkNeed)
+	if c.tail(m.Frames) {
+		c.Bool(&m.Frames)
+	}
 }
 
 // FetchLinesResp carries the contents of every requested line, then

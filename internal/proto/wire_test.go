@@ -84,6 +84,7 @@ func wireSamples() []wireSample {
 		{"promote", &Promote{}},
 		{"fetch-lines-req", &FetchLinesReq{Lines: []uint64{4, 5}, Pages: []uint64{1 << 21}, Needs: needs}},
 		{"fetch-lines-req/empty", &FetchLinesReq{}},
+		{"fetch-lines-req/frames", &FetchLinesReq{Pages: []uint64{1 << 21, 1<<21 + 1}, Frames: true}},
 		{"fetch-lines-resp", &FetchLinesResp{Data: bytes.Repeat([]byte{0xAB}, 130)}},
 		{"next-waiter", &NextWaiter{Lock: 5, Gen: 2, Seq: 90, Train: composed(&announced, []Notice{notice})}},
 		{"next-waiter/no-train", &NextWaiter{Lock: 5, Gen: 2, Seq: 90}},

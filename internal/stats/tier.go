@@ -16,6 +16,7 @@ type Tier struct {
 	HotHits    atomic.Int64 // page accesses served from the uncompressed hot set
 	Promotions atomic.Int64 // pages decompressed cold -> hot on access
 	Demotions  atomic.Int64 // pages compressed hot -> cold on budget pressure
+	ColdDrops  atomic.Int64 // cold pages discarded unpromoted (a dead fork's)
 
 	ColdBytes       atomic.Int64 // raw page bytes pushed through the cold tier
 	CompressedBytes atomic.Int64 // word-run encoded bytes those pages occupied
@@ -31,6 +32,7 @@ func (t *Tier) Add(o *Tier) {
 	t.HotHits.Add(o.HotHits.Load())
 	t.Promotions.Add(o.Promotions.Load())
 	t.Demotions.Add(o.Demotions.Load())
+	t.ColdDrops.Add(o.ColdDrops.Load())
 	t.ColdBytes.Add(o.ColdBytes.Load())
 	t.CompressedBytes.Add(o.CompressedBytes.Load())
 	t.SealedPages.Add(o.SealedPages.Load())
@@ -49,6 +51,7 @@ func (t *Tier) Summary() string {
 		{"hotHits", t.HotHits.Load()},
 		{"promotions", t.Promotions.Load()},
 		{"demotions", t.Demotions.Load()},
+		{"coldDrops", t.ColdDrops.Load()},
 		{"coldBytes", t.ColdBytes.Load()},
 		{"compressedBytes", t.CompressedBytes.Load()},
 		{"sealedPages", t.SealedPages.Load()},
@@ -65,6 +68,13 @@ func (t *Tier) Summary() string {
 		return "tier: no tier events"
 	}
 	return "tier: " + strings.Join(parts, " ")
+}
+
+// ColdMoves is the number of pages the counted moves leave in the cold
+// tier: every demotion puts one there, and every promotion and cold drop
+// takes one out.
+func (t *Tier) ColdMoves() int64 {
+	return t.Demotions.Load() - t.Promotions.Load() - t.ColdDrops.Load()
 }
 
 // HotHitRate is hot hits over all tier-mediated page accesses.
