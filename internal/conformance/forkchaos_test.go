@@ -2,6 +2,8 @@ package conformance
 
 import (
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/proto"
 	"repro/internal/scl"
+	"repro/internal/trace"
 )
 
 // forkChaosParams is the storm the snapshot/fork chaos tests drive: a
@@ -124,6 +127,7 @@ func forkStormChaosServerKill(t *testing.T) {
 		Kills: []faultnet.Kill{{Node: core.ServerNode(0), After: 8, Kind: proto.KForkMap}},
 	})
 	cfg.Faults = inj
+	cfg.Trace = trace.NewCollector(0)
 	rt, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,11 +143,45 @@ func forkStormChaosServerKill(t *testing.T) {
 	if rt.NetStats().InjectedKills.Load() == 0 {
 		t.Fatal("server never killed — chaos scenario is vacuous")
 	}
-	if rt.Liveness().Failovers.Load() == 0 {
-		t.Fatal("no client failed over to the standby — the kill missed the storm")
+	// One home died, so one failover; a thread found its fork's ForkMap
+	// refused when it joined the ack, and re-issued it to the standby.
+	if got := rt.Liveness().Failovers.Load(); got != 1 {
+		t.Fatalf("%d failovers to the standby, want the one the kill calls for", got)
+	}
+	if !slices.ContainsFunc(cfg.Trace.Events(), func(e trace.Event) bool {
+		return e.Cat == trace.CatLive && strings.HasPrefix(e.Name, "fork-map re-issued")
+	}) {
+		t.Fatal("no ForkMap was re-issued at its join — the kill missed the ninth ForkMap")
 	}
 	if err := rt.Close(); err != nil {
 		t.Errorf("close: %v", err)
 	}
 	waitGoroutines(t, goroutines+2)
+}
+
+// TestForkStormEvictionKeepsTheThreadsWrites replays samhita-conform's
+// -seed 22 -forkstorm program: two threads on four-line caches with no
+// prefetch, so a dirty line evicted during the cold-start copy is
+// refetched soon after. Its flush must reach the home before the
+// refetch does; a posted flush was overtaken by the refetch's small
+// request, and the thread read a zero where it had written.
+func TestForkStormEvictionKeepsTheThreadsWrites(t *testing.T) {
+	const seed = 22
+	cfg := RandomConfig(seed * 31)
+	cfg.StripeMin = 4096 // as samhita-conform -forkstorm sets it
+	rt, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prm := forkstorm.Params{ImageBytes: 64 << 10, Forks: 24, ReadsPerFork: 3, WritesPerFork: 1, Seed: seed + 1}
+	viols, _, runErr := ForkStormCheck(rt, Generate(seed).Threads, prm, 0)
+	if runErr != nil {
+		t.Fatalf("fork storm: %v", runErr)
+	}
+	for _, v := range viols {
+		t.Errorf("fork contract violated: %s", v.What)
+	}
+	if err := rt.Close(); err != nil {
+		t.Errorf("close: %v", err)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/layout"
@@ -114,6 +115,8 @@ type Thread struct {
 	// rel is the release in flight, when the manager has replicas (nil
 	// with a lone manager, whose unlock is a one-way post).
 	rel *release
+	// atHome holds, per home, the thread's acked call to it in flight.
+	atHome []homeCall
 
 	// actor is the trace label ("thread 3").
 	actor string
@@ -174,6 +177,7 @@ func (t *Thread) initCache() {
 	t.ho.seenTags = make(map[proto.IntervalTag]bool)
 	t.tenureCold = make(map[layout.PageID]bool)
 	t.barEpoch = make(map[uint32]uint64)
+	t.atHome = make([]homeCall, t.rt.cfg.Geo.NumServers)
 	depth := 0
 	if t.rt.cfg.Prefetch {
 		depth = t.rt.cfg.PrefetchDepth
@@ -245,8 +249,12 @@ func (t *Thread) finish() {
 // on, reaps it instead.
 func (t *Thread) reportDeath() {
 	// One request at a time, from a dead thread too: a release still in
-	// flight is waited for first. Its outcome is moot now.
+	// flight, and each home's call, are waited for first. Their outcomes
+	// are moot now.
 	_, _ = t.awaitRelease()
+	for h := range t.atHome {
+		_, _ = t.awaitHome(h)
+	}
 	_, _ = t.rt.mgr.send(t.ep, &proto.ReclaimEvent{Thread: t.writer, Node: uint32(ThreadNode(int(t.writer)))}, nil, t.clock.Now())
 }
 
@@ -326,10 +334,13 @@ func (t *Thread) fail(op string, err error) {
 // time at (answered into resp, or one-way with resp nil), failing the
 // thread with op on error, advancing its clock to the completion and
 // counting the message. A request to the manager joins the thread's
-// release in flight first.
+// release in flight and then every home's call in flight first; a
+// request to a home joins that home's.
 func (t *Thread) exchange(op string, r *role, m, resp proto.Msg, at vtime.Time) {
 	if r == t.rt.mgr {
-		at = t.joinRelease(at)
+		at = t.joinHomes(t.joinRelease(at))
+	} else if h := slices.Index(t.rt.homes, r); h >= 0 {
+		at = t.joinHome(h, at)
 	}
 	done, err := r.send(t.ep, m, resp, at)
 	if err != nil {
@@ -377,14 +388,16 @@ func fanOut[T any](geo layout.Geometry, first layout.PageID, npages uint64, item
 
 // flushDiffs ships diffs to their homes, one EvictFlush per home in home
 // order, each issued when the one before it completed: a send, or with
-// ack set a round trip (role.send). It returns the virtual time the last
-// one completed, or stops at the first that fails.
+// ack set a round trip (role.send), once that home's call in flight is
+// joined. It returns the virtual time the last one completed, or stops
+// at the first that fails.
 func (t *Thread) flushDiffs(diffs []proto.PageDiff, at vtime.Time, ack proto.Msg) (vtime.Time, error) {
 	var err error
 	fanOut(t.rt.cfg.Geo, 0, 0, diffs, func(d *proto.PageDiff) uint64 { return d.Page }, func(home int, part []proto.PageDiff) {
 		if err != nil {
 			return
 		}
+		at = t.joinHome(home, at)
 		var done vtime.Time
 		if done, err = t.rt.homes[home].send(t.ep, &proto.EvictFlush{Writer: t.writer, Diffs: part}, ack, at); err == nil {
 			at = done
@@ -607,7 +620,9 @@ func (t *Thread) Free(a vm.Addr) {
 			t.cache.DropRange(first, resp.NPages)
 			t.cache.ForgetFork(first)
 		}
-		t.ackedAtHomes("free", first, resp.NPages, m)
+		fanOut(t.rt.cfg.Geo, first, resp.NPages, nil, nil, func(home int, _ []struct{}) {
+			t.exchange("free", t.rt.homes[home], m, &proto.Ack{}, t.clock.Now())
+		})
 		if !resp.Fork {
 			return
 		}
@@ -620,14 +635,6 @@ func (t *Thread) Free(a vm.Addr) {
 		t.exchange("free", t.rt.mgr, &proto.FreeReq{Thread: t.writer, Addr: uint64(a), Seq: t.allocSeq, Unmapped: true}, &next, t.clock.Now())
 		resp = next
 	}
-}
-
-// ackedAtHomes round-trips m to every home of [first, first+npages), in
-// home order, one after another.
-func (t *Thread) ackedAtHomes(op string, first layout.PageID, npages uint64, m proto.Msg) {
-	fanOut(t.rt.cfg.Geo, first, npages, nil, nil, func(home int, _ []struct{}) {
-		t.exchange(op, t.rt.homes[home], m, &proto.Ack{}, t.clock.Now())
-	})
 }
 
 // ---------------------------------------------------------------------
@@ -679,10 +686,13 @@ func (t *Thread) SnapshotAS(base vm.Addr, n int) uint64 {
 
 // ForkAS implements vm.Thread: materialize a copy-on-write image of a
 // sealed snapshot. O(1) in the image size — one manager allocation plus
-// one acked ForkMap per home server; no page bytes move until first
-// use. The manager allocates the fork range stripe-group aligned, so
-// every fork page is homed by the server holding the congruent sealed
-// frame.
+// one ForkMap started per home server; no page bytes move until first
+// use. ForkAS returns once the manager has answered: each home's ack is
+// joined before the thread's next request to that home or to the
+// manager (Thread.joinHome), so the home has the mapping before anything
+// that needs it reaches it. The manager allocates the fork range
+// stripe-group aligned, so every fork page is homed by the server
+// holding the congruent sealed frame.
 func (t *Thread) ForkAS(snap uint64) vm.Addr {
 	t.settleCompute()
 	start := t.clock.Now()
@@ -696,10 +706,14 @@ func (t *Thread) ForkAS(snap uint64) vm.Addr {
 	// frames.
 	t.cache.DropRange(first, resp.NPages)
 	t.cache.AddFork(first, resp.NPages, snap)
-	// Acked registration at every home in the range: a read through the
-	// fork issued after ForkAS returns must find the mapping.
-	t.ackedAtHomes("fork", first, resp.NPages, &proto.ForkMap{
-		Snap: snap, Base: resp.Base, OrigBase: resp.OrigBase, NPages: resp.NPages,
+	m := proto.ForkMap{Snap: snap, Base: resp.Base, OrigBase: resp.OrigBase, NPages: resp.NPages}
+	fanOut(t.rt.cfg.Geo, first, resp.NPages, nil, nil, func(home int, _ []struct{}) {
+		at := t.joinHome(home, t.clock.Now())
+		c := &t.atHome[home]
+		c.req = m
+		c.start(t, t.rt.homes[home], &c.req, at)
+		t.clock.Advance(t.rt.cfg.Link.SendOverhead)
+		t.st.MsgsSent++
 	})
 	if tr := t.rt.cfg.Trace; tr != nil {
 		tr.Span(t.actor, trace.CatAlloc, "fork", start, t.clock.Now(),
@@ -961,6 +975,9 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 	start := t.clock.Now()
 	t.cache.FinishRecordHomes(rs)
 	t.shipBatches(rs, start, carriesRecords)
+	// The grant or the notice may tell a peer of a fork this thread made:
+	// its homes must have the mapping first.
+	t.joinHomes(t.clock.Now())
 	// Peer-to-peer handoff: if an announcement train names a successor
 	// for this tenure and this critical section saw no other acquire
 	// (lastSeen unchanged — otherwise the pre-composed notice batches
@@ -1033,6 +1050,43 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 	t.settleSync()
 }
 
+// acked is an acknowledged call a thread starts and joins later, in
+// Thread.joinRelease or Thread.joinHome. Only the thread's own goroutine
+// touches it.
+type acked struct {
+	p    scl.Pending
+	node scl.NodeID // where p went
+	at   vtime.Time
+	ack  proto.Ack
+	busy bool // a call is started and not yet joined
+}
+
+// start sends req from t to r's holder, stamped at. req must stay as it
+// is until the call is joined: a re-issue sends it again.
+func (c *acked) start(t *Thread, r *role, req proto.Msg, at vtime.Time) {
+	c.at, c.busy = at, true
+	c.node = r.start(t.ep, req, at, &c.p)
+}
+
+// await returns the outcome of the call in flight, or nothing when none
+// is in flight. If r's holder died, req is re-issued to the one promoted,
+// stamped as before, and a what-re-issued span marks it.
+func (c *acked) await(t *Thread, r *role, req proto.Msg, what string) (vtime.Time, error) {
+	if !c.busy {
+		return 0, nil
+	}
+	c.busy = false
+	ackAt, err := c.p.Wait(&c.ack)
+	if err == nil {
+		return ackAt, nil
+	}
+	ackAt, err = r.reissue(t.ep, c.node, req, &c.ack, c.at, ackAt, err)
+	if tr := t.rt.cfg.Trace; tr != nil && err == nil {
+		tr.Span(t.actor, trace.CatLive, what+" re-issued", c.at, ackAt, nil)
+	}
+	return ackAt, err
+}
+
 // release is a thread's unlock to a replicated manager, acknowledged so
 // it cannot die with the leader unseen. RegC orders a release only before
 // the thread's next acquire, so Unlock starts the call, stamped at the
@@ -1041,13 +1095,9 @@ func (m *smhMutex) Unlock(th vm.Thread) {
 // leader died: the manager still sees one request of a thread at a time,
 // in order (DESIGN.md §13).
 type release struct {
-	p    scl.Pending
-	node scl.NodeID // where p went
+	acked
 	req  proto.UnlockReq
-	at   vtime.Time
-	ack  proto.Ack
 	data []byte // the bytes of req.Records
-	busy bool   // a release is started and not yet joined
 }
 
 // start starts req, stamped at, from t. The request's pages and records
@@ -1067,20 +1117,16 @@ func (r *release) start(t *Thread, req *proto.UnlockReq, at vtime.Time) {
 	pages := append(r.req.Pages[:0], req.Pages...)
 	r.req = *req
 	r.req.Pages, r.req.Records = pages, recs
-	r.at, r.busy = at, true
-	r.node = t.rt.mgr.start(t.ep, &r.req, at, &r.p)
+	r.acked.start(t, t.rt.mgr, &r.req, at)
 }
 
 // awaitRelease returns the outcome of the thread's release in flight, or
 // nothing when none is in flight.
 func (t *Thread) awaitRelease() (vtime.Time, error) {
-	r := t.rel
-	if r == nil || !r.busy {
+	if t.rel == nil {
 		return 0, nil
 	}
-	r.busy = false
-	ackAt, err := r.p.Wait(&r.ack)
-	return t.rt.mgr.reissue(t.ep, r.node, &r.req, &r.ack, r.at, ackAt, err)
+	return t.rel.await(t, t.rt.mgr, &t.rel.req, "unlock")
 }
 
 // joinRelease joins the thread's release in flight, if any, ahead of a
@@ -1106,12 +1152,56 @@ func (t *Thread) joinRelease(at vtime.Time) vtime.Time {
 	return vtime.Max(at, ackAt)
 }
 
-// joinLastRelease joins a release still in flight when the body returns:
-// the thread's run ends at its last ack, and the wait is sync time.
+// joinLastRelease joins a release and the homes' calls still in flight
+// when the body returns: the thread's run ends at its last ack, and the
+// wait is sync time.
 func (t *Thread) joinLastRelease() {
 	t.settleCompute()
-	t.joinRelease(t.clock.Now())
+	t.joinHomes(t.joinRelease(t.clock.Now()))
 	t.settleSync()
+}
+
+// homeCall is a thread's acked call to one home in flight: a fork's
+// ForkMap, which ForkAS starts and does not wait for. The thread joins
+// its ack before it sends that home anything else, and before its next
+// manager request (Thread.joinHome), re-issuing it to the promoted
+// standby if the home died: the home sees the thread's requests in the
+// order it made them, so a frame read, a fetch, a flush, a seal or an
+// unmap of the fork finds the mapping, and a peer that learns of the
+// fork through a synchronisation finds it too.
+type homeCall struct {
+	acked
+	req proto.ForkMap
+}
+
+// awaitHome returns the outcome of the thread's call in flight to home h,
+// or nothing when none is in flight.
+func (t *Thread) awaitHome(h int) (vtime.Time, error) {
+	c := &t.atHome[h]
+	return c.await(t, t.rt.homes[h], &c.req, "fork-map")
+}
+
+// joinHome joins the thread's call in flight to home h, if any, ahead of
+// a request to h stamped at: the clock moves to the ack, and the returned
+// stamp is no earlier. An error of the call fails the thread's fork here.
+func (t *Thread) joinHome(h int, at vtime.Time) vtime.Time {
+	if !t.atHome[h].busy {
+		return at
+	}
+	ackAt, err := t.awaitHome(h)
+	if err != nil {
+		t.fail("fork", err)
+	}
+	t.clock.AdvanceTo(ackAt)
+	return vtime.Max(at, ackAt)
+}
+
+// joinHomes joins every home's call in flight, in home order.
+func (t *Thread) joinHomes(at vtime.Time) vtime.Time {
+	for h := range t.atHome {
+		at = t.joinHome(h, at)
+	}
+	return at
 }
 
 // smhBarrier is a Samhita barrier: a release followed by an acquire for
@@ -1218,6 +1308,7 @@ func (t *Thread) fetchLine(req *proto.FetchLineReq, resp *proto.FetchLineResp, a
 // FetchLine implements pagecache.Backend.
 func (b *threadBackend) FetchLine(line layout.LineID, needs []proto.PageNeed, at vtime.Time) ([]byte, vtime.Time, error) {
 	t := (*Thread)(b)
+	at = t.joinHome(t.rt.cfg.Geo.HomeOf(t.rt.cfg.Geo.FirstPage(line)), at)
 	t.fetchReq = proto.FetchLineReq{Line: uint64(line), Needs: needs}
 	data, home, doneAt, err := t.fetchLine(&t.fetchReq, &t.fetchResp, at)
 	if err != nil {
@@ -1275,6 +1366,7 @@ func (t *Thread) fetchLines(lines []layout.LineID, pages []layout.PageID, needs 
 	} else {
 		home = geo.HomeOf(pages[0])
 	}
+	at = t.joinHome(home, at)
 	req := &t.fetchsReq
 	req.Lines, req.Pages, req.Needs, req.Frames = req.Lines[:0], req.Pages[:0], needs, frames
 	for _, l := range lines {
@@ -1300,9 +1392,12 @@ func (t *Thread) fetchLines(lines []layout.LineID, pages []layout.PageID, needs 
 }
 
 // StartPrefetch implements pagecache.Backend: the asynchronous
-// line request of Samhita's anticipatory paging.
+// line request of Samhita's anticipatory paging. The line's home's call
+// in flight is joined here, on the thread's goroutine: the helper never
+// touches it.
 func (b *threadBackend) StartPrefetch(line layout.LineID, needs []proto.PageNeed, at vtime.Time, h *pagecache.Handoff) <-chan pagecache.PrefetchResult {
 	t := (*Thread)(b)
+	at = t.joinHome(t.rt.cfg.Geo.HomeOf(t.rt.cfg.Geo.FirstPage(line)), at)
 	ch := make(chan pagecache.PrefetchResult, 1)
 	t.st.MsgsSent++
 	spawn(t.rt, nil, (*prefetch).run, &prefetch{t: t, req: proto.FetchLineReq{Line: uint64(line), Needs: needs}, at: at, h: h, ch: ch})

@@ -72,15 +72,17 @@ type Backend interface {
 	// must call h.Done() immediately before sending it. A nil return
 	// means the backend declines (prefetch disabled).
 	StartPrefetch(line layout.LineID, needs []proto.PageNeed, at vtime.Time, h *Handoff) <-chan PrefetchResult
-	// FlushEvict posts a mid-interval diff of evicted dirty pages to
-	// their home. It is asynchronous; the returned time is the sender's
-	// clock after the send overhead.
+	// FlushEvict posts a mid-interval diff of dirty pages an
+	// invalidation or a stale demotion drops to their home. It is
+	// asynchronous; the returned time is the sender's clock after the
+	// send overhead.
 	FlushEvict(diffs []proto.PageDiff, at vtime.Time) (vtime.Time, error)
 	// FlushSync is FlushEvict's acknowledged form: it returns only once
-	// every home has applied the diffs. The snapshot path needs this —
-	// transfer time grows with payload size, so a later small message
-	// (the SealAS) could otherwise arrive before a large posted flush
-	// and freeze pre-flush bytes.
+	// every home has applied the diffs. The snapshot path and eviction
+	// need this — transfer time grows with payload size, so a later
+	// small message (the SealAS, the refetch of an evicted line) could
+	// otherwise arrive before a large posted flush and read pre-flush
+	// bytes.
 	FlushSync(diffs []proto.PageDiff, at vtime.Time) (vtime.Time, error)
 }
 
@@ -1274,7 +1276,10 @@ func (c *Cache) evict(le *lineEntry) {
 	diffs := c.diffDirtyPages(le, true)
 	if len(diffs) > 0 {
 		c.st.DirtyEvicts++
-		at, err := c.be.FlushEvict(diffs, c.clock.Now())
+		// Acked: a posted flush can be overtaken by this thread's own
+		// refetch of the line, which would read the home's bytes from
+		// before it.
+		at, err := c.be.FlushSync(diffs, c.clock.Now())
 		if err != nil {
 			panic(fmt.Sprintf("pagecache: evict flush failed: %v", err))
 		}
